@@ -11,12 +11,23 @@ import (
 // caller-chosen string naming the model and the devices it was profiled
 // on), the client-server link, and the quantized slowdown bucket. Two
 // planners that agree on all three fields must have byte-identical
-// partitioning inputs, so their plans are interchangeable.
+// partitioning inputs, so their plans are interchangeable. Chain plans
+// (Planner.PlanChain) leave bucket zero and spell the rest of their inputs
+// — objective, hop budget, ordered candidate IDs and slowdown buckets — in
+// chain, which is empty for single-split plans.
 type planKey struct {
 	profile string
 	link    partition.Link
 	bucket  int
+	chain   string
 }
+
+// maxChainPlans caps the cached chain plans. Single-split keys are bounded
+// by the estimator's slowdown range; chain keys are a vector of buckets per
+// candidate list and are not, so a full cache drops its chain plans and
+// starts over (requests already waiting on a dropped flight still settle
+// on it).
+const maxChainPlans = 512
 
 // planFlight is one singleflight cache slot: the first caller runs the
 // computation under the Once, every concurrent caller for the same key
@@ -27,6 +38,7 @@ type planFlight struct {
 	once    sync.Once
 	settled atomic.Bool
 	entry   *PlanEntry
+	chain   *partition.ChainPlan // chain keys only
 	err     error
 }
 
@@ -44,6 +56,7 @@ type planFlight struct {
 type PlanCache struct {
 	mu       sync.Mutex
 	flights  map[planKey]*planFlight
+	chains   int // keys in flights with a non-empty chain
 	computes atomic.Int64
 
 	// Request-outcome statistics (see Stats).
@@ -71,17 +84,29 @@ func (c *PlanCache) flight(k planKey) (f *planFlight, created bool) {
 	defer c.mu.Unlock()
 	f, ok := c.flights[k]
 	if !ok {
+		if k.chain != "" {
+			if c.chains >= maxChainPlans {
+				for old := range c.flights {
+					if old.chain != "" {
+						delete(c.flights, old)
+					}
+				}
+				c.chains = 0
+			}
+			c.chains++
+		}
 		f = &planFlight{}
 		c.flights[k] = f
 	}
 	return f, !ok
 }
 
-// entryFor returns the cached result for k, running compute exactly once
-// per key across all goroutines. Each request is classified for Stats
-// before it joins the flight: creating the slot is a miss, finding a
-// settled slot is a hit, and finding an in-flight slot is a coalesced wait.
-func (c *PlanCache) entryFor(k planKey, compute func() (*PlanEntry, error)) (*PlanEntry, error) {
+// settle returns the settled flight for k, running compute (which fills
+// the flight's result) exactly once per key across all goroutines. Each
+// request is classified for Stats before it joins the flight: creating the
+// slot is a miss, finding a settled slot is a hit, and finding an in-flight
+// slot is a coalesced wait.
+func (c *PlanCache) settle(k planKey, compute func(f *planFlight)) *planFlight {
 	f, created := c.flight(k)
 	switch {
 	case created:
@@ -93,10 +118,10 @@ func (c *PlanCache) entryFor(k planKey, compute func() (*PlanEntry, error)) (*Pl
 	}
 	f.once.Do(func() {
 		c.computes.Add(1)
-		f.entry, f.err = compute()
+		compute(f)
 		f.settled.Store(true)
 	})
-	return f.entry, f.err
+	return f
 }
 
 // Len returns the number of cached keys (including in-flight ones).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -177,5 +178,127 @@ func TestSharedPlansProcessWide(t *testing.T) {
 	}
 	if ea == eb {
 		t.Error("different links shared a plan entry")
+	}
+}
+
+// TestPlanChainMatchesPartitioner: for every zoo model and both objectives
+// the cached chain plan is exactly what partition.PlanChain returns for
+// the bucket-rounded slowdown vector — the cache adds rounding, nothing
+// else.
+func TestPlanChainMatchesPartitioner(t *testing.T) {
+	shared := testPlanner(t) // reuse its trained estimator
+	raw := []float64{1.07, 2.6, 0.4, 1.9}
+	rounded := []float64{1, 2.5, 1, 2}
+	for _, name := range dnn.ZooNames() {
+		m, err := dnn.ZooModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
+		p, err := NewPlanner(prof, shared.est, partition.LabWiFi())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, obj := range []partition.Objective{partition.ObjectiveLatency, partition.ObjectiveThroughput} {
+			cands := make([]ChainCandidate, len(raw))
+			servers := make([]partition.ServerSpec, len(raw))
+			for i := range raw {
+				addr := string(rune('a' + i))
+				cands[i] = ChainCandidate{ID: 10 + i, Addr: addr, Slowdown: raw[i]}
+				servers[i] = partition.ServerSpec{ID: 10 + i, Addr: addr, Slowdown: rounded[i]}
+			}
+			got, err := p.PlanChain(cands, 3, obj)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, obj, err)
+			}
+			want, err := partition.PlanChain(partition.ChainRequest{
+				Profile: prof, Link: p.Link(), Servers: servers, MaxHops: 3, Objective: obj,
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, obj, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: cached chain plan %v differs from partition.PlanChain %v", name, obj, got, want)
+			}
+			if again, _ := p.PlanChain(cands, 3, obj); again != got {
+				t.Errorf("%s/%s: second request did not hit the cache", name, obj)
+			}
+		}
+		// Objective and hop budget are part of the key.
+		if got := p.cache.Len(); got != 2 {
+			t.Errorf("%s: cache holds %d keys, want 2", name, got)
+		}
+	}
+}
+
+// TestPlanChainSingleflight: concurrent chain requests for one key run the
+// DP once.
+func TestPlanChainSingleflight(t *testing.T) {
+	p := freshPlanner(t)
+	cands := []ChainCandidate{{ID: 1, Slowdown: 1.1}, {ID: 2, Slowdown: 1.6}, {ID: 3, Slowdown: 1}}
+	const n = 32
+	plans := make([]*partition.ChainPlan, n)
+	errs := make([]error, n)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < n; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			start.Wait()
+			plans[i], errs[i] = p.PlanChain(cands, 3, partition.ObjectiveThroughput)
+		}(i)
+	}
+	start.Done()
+	done.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if plans[i] != plans[0] {
+			t.Fatalf("caller %d got a different plan", i)
+		}
+	}
+	if got := p.cache.Computes(); got != 1 {
+		t.Errorf("chain DP ran %d times, want 1", got)
+	}
+	if st := p.cache.Stats(); st.Requests() != n {
+		t.Errorf("stats requests = %d, want %d", st.Requests(), n)
+	}
+}
+
+// TestPlanChainCacheBounded: distinct slowdown vectors cannot grow the
+// cache past its cap, and single-split entries survive the chain resets.
+func TestPlanChainCacheBounded(t *testing.T) {
+	m, err := dnn.ZooModel(dnn.ModelMobileNet) // the cheapest DP
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
+	p, err := NewPlanner(prof, testPlanner(t).est, partition.LabWiFi())
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := p.PlanAtSlowdown(1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10_000; i++ {
+		cands := []ChainCandidate{
+			{ID: 1, Slowdown: 1 + 0.25*float64(i%100)},
+			{ID: 2, Slowdown: 1 + 0.25*float64(i/100)},
+		}
+		if _, err := p.PlanChain(cands, 2, partition.ObjectiveLatency); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.cache.Len(); got > maxChainPlans+1 {
+			t.Fatalf("after %d vectors the cache holds %d keys, cap %d", i+1, got, maxChainPlans)
+		}
+	}
+	if got := p.cache.Computes(); got != 10_001 {
+		t.Errorf("computes = %d, want one per distinct key (10001)", got)
+	}
+	if again, _ := p.PlanAtSlowdown(1.5); again != single {
+		t.Error("single-split entry was dropped with the chain plans")
 	}
 }

@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"perdnn/internal/estimator"
 	"perdnn/internal/gpusim"
@@ -96,6 +97,11 @@ func slowdownBucket(s float64) int {
 	return int(math.Round(s * 4))
 }
 
+// bucketSlowdown is the slowdown plans of a bucket are computed at.
+func bucketSlowdown(bucket int) float64 {
+	return max(float64(bucket)/4, 1)
+}
+
 // PlanFor returns the minimum-latency plan and its efficiency-ordered
 // upload schedule for a server at the given GPU state.
 func (p *Planner) PlanFor(st gpusim.Stats) (*PlanEntry, error) {
@@ -114,21 +120,64 @@ func (p *Planner) PlanAtSlowdown(s float64) (*PlanEntry, error) {
 func (p *Planner) planAt(slowdown float64) (*PlanEntry, error) {
 	bucket := slowdownBucket(slowdown)
 	key := planKey{profile: p.key, link: p.link, bucket: bucket}
-	return p.cache.entryFor(key, func() (*PlanEntry, error) {
+	f := p.cache.settle(key, func(f *planFlight) {
 		req := partition.Request{
 			Profile:  p.prof,
-			Slowdown: float64(bucket) / 4,
+			Slowdown: bucketSlowdown(bucket),
 			Link:     p.link,
-		}
-		if req.Slowdown < 1 {
-			req.Slowdown = 1
 		}
 		plan, sched, err := partition.PlanAndSchedule(req)
 		if err != nil {
-			return nil, fmt.Errorf("core: planning at slowdown %.2f: %w", slowdown, err)
+			f.err = fmt.Errorf("core: planning at slowdown %.2f: %w", slowdown, err)
+			return
 		}
-		return &PlanEntry{Plan: plan, Schedule: sched}, nil
+		f.entry = &PlanEntry{Plan: plan, Schedule: sched}
 	})
+	return f.entry, f.err
+}
+
+// ChainCandidate is one edge server offered to PlanChain: its identity and
+// wire address, both carried through to the plan, and its estimated
+// contention slowdown (Slowdown of a live stats sample).
+type ChainCandidate struct {
+	ID       int
+	Addr     string
+	Slowdown float64
+}
+
+// PlanChain returns the multi-hop plan over the ordered candidates (see
+// partition.ChainRequest.Servers), cached like single-split plans: every
+// candidate's slowdown is rounded to its bucket, the key is the objective,
+// the hop budget and the ordered (ID, bucket) pairs, and the DP runs once
+// per key on the rounded slowdowns. Addresses are not part of the key, so
+// planners sharing a cache must agree on each ID's address. The returned
+// plan is shared; callers must not modify it.
+func (p *Planner) PlanChain(cands []ChainCandidate, maxHops int, obj partition.Objective) (*partition.ChainPlan, error) {
+	chain := make([]byte, 0, 8+8*len(cands))
+	chain = strconv.AppendInt(chain, int64(obj), 10)
+	chain = append(chain, '/')
+	chain = strconv.AppendInt(chain, int64(maxHops), 10)
+	for _, c := range cands {
+		chain = append(chain, ' ')
+		chain = strconv.AppendInt(chain, int64(c.ID), 10)
+		chain = append(chain, ':')
+		chain = strconv.AppendInt(chain, int64(slowdownBucket(c.Slowdown)), 10)
+	}
+	key := planKey{profile: p.key, link: p.link, chain: string(chain)}
+	f := p.cache.settle(key, func(f *planFlight) {
+		servers := make([]partition.ServerSpec, len(cands))
+		for i, c := range cands {
+			servers[i] = partition.ServerSpec{ID: c.ID, Addr: c.Addr, Slowdown: bucketSlowdown(slowdownBucket(c.Slowdown))}
+		}
+		f.chain, f.err = partition.PlanChain(partition.ChainRequest{
+			Profile:   p.prof,
+			Link:      p.link,
+			Servers:   servers,
+			MaxHops:   maxHops,
+			Objective: obj,
+		})
+	})
+	return f.chain, f.err
 }
 
 // Request reconstructs the partition request matching a plan entry, for

@@ -1,13 +1,12 @@
-package edgesim
+package dnn
 
-import (
-	"math/bits"
-
-	"perdnn/internal/dnn"
-)
+import "math/bits"
 
 // LayerSet is a fixed-capacity bitset over a model's layer IDs. The
-// simulator keeps one per (server, client) pair, so compactness matters.
+// simulator and the edge daemon keep one per (server, client) pair and the
+// live client one per attachment, so compactness matters. Add and Has index
+// without bounds checks: IDs that arrive from outside the process must pass
+// Model.CheckLayers first.
 type LayerSet struct {
 	words []uint64
 	n     int
@@ -19,12 +18,12 @@ func NewLayerSet(n int) LayerSet {
 }
 
 // Add inserts a layer ID.
-func (s LayerSet) Add(id dnn.LayerID) {
+func (s LayerSet) Add(id LayerID) {
 	s.words[int(id)/64] |= 1 << (uint(id) % 64)
 }
 
 // Has reports membership.
-func (s LayerSet) Has(id dnn.LayerID) bool {
+func (s LayerSet) Has(id LayerID) bool {
 	return s.words[int(id)/64]&(1<<(uint(id)%64)) != 0
 }
 
@@ -68,7 +67,7 @@ func (s LayerSet) Clone() LayerSet {
 }
 
 // AddAll inserts every ID in ids.
-func (s LayerSet) AddAll(ids []dnn.LayerID) {
+func (s LayerSet) AddAll(ids []LayerID) {
 	for _, id := range ids {
 		s.Add(id)
 	}
@@ -82,7 +81,7 @@ func (s LayerSet) Union(other LayerSet) {
 }
 
 // ContainsAll reports whether every ID in ids is in the set.
-func (s LayerSet) ContainsAll(ids []dnn.LayerID) bool {
+func (s LayerSet) ContainsAll(ids []LayerID) bool {
 	for _, id := range ids {
 		if !s.Has(id) {
 			return false
@@ -92,7 +91,7 @@ func (s LayerSet) ContainsAll(ids []dnn.LayerID) bool {
 }
 
 // ContainsAny reports whether any ID in ids is in the set.
-func (s LayerSet) ContainsAny(ids []dnn.LayerID) bool {
+func (s LayerSet) ContainsAny(ids []LayerID) bool {
 	for _, id := range ids {
 		if s.Has(id) {
 			return true

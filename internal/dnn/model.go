@@ -48,6 +48,18 @@ func (m *Model) Layer(id LayerID) *Layer {
 	return &m.Layers[id]
 }
 
+// CheckLayers rejects layer IDs the model does not have. IDs that arrive
+// from outside the process (wire frames) go through it before they index
+// the model or a LayerSet, neither of which tolerates a bad ID.
+func (m *Model) CheckLayers(ids []LayerID) error {
+	for _, id := range ids {
+		if id < 0 || int(id) >= len(m.Layers) {
+			return fmt.Errorf("dnn: layer %d outside model %s (%d layers)", id, m.Name, len(m.Layers))
+		}
+	}
+	return nil
+}
+
 // InputShape returns the shape of the model's input tensor.
 func (m *Model) InputShape() Shape {
 	if len(m.Layers) == 0 {

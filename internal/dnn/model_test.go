@@ -146,3 +146,19 @@ func TestConvScalingProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestCheckLayers(t *testing.T) {
+	m, err := ZooModel(ModelMobileNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := LayerID(m.NumLayers() - 1)
+	if err := m.CheckLayers([]LayerID{0, last}); err != nil {
+		t.Errorf("valid IDs rejected: %v", err)
+	}
+	for _, bad := range []LayerID{-1, last + 1, 1 << 40} {
+		if err := m.CheckLayers([]LayerID{0, bad}); err == nil {
+			t.Errorf("layer %d accepted", bad)
+		}
+	}
+}

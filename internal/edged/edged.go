@@ -74,8 +74,14 @@ type Server struct {
 	node  string     // span track name
 	peers *wire.Pool // reused conns for migration pushes to peer edges
 
-	mu    sync.Mutex
-	cache map[int]*cacheEntry // by client ID
+	// Handles of the per-request metrics, resolved once.
+	requests, execs, forwards *obs.Counter
+	execNs                    *obs.Histogram
+	entries                   *obs.Gauge // len(cache)
+
+	mu      sync.Mutex
+	cache   map[int]*cacheEntry // by client ID
+	sweepAt int                 // cache size that triggers the next sweep of expired entries
 
 	ln        net.Listener
 	wg        sync.WaitGroup
@@ -84,9 +90,12 @@ type Server struct {
 }
 
 type cacheEntry struct {
-	layers map[dnn.LayerID]struct{}
+	layers dnn.LayerSet
 	expiry time.Time
 }
+
+// minSweep is the smallest cache size at which expired entries are swept.
+const minSweep = 64
 
 // New creates an edge daemon (not yet serving).
 func New(cfg Config) (*Server, error) {
@@ -106,17 +115,23 @@ func New(cfg Config) (*Server, error) {
 		node = "edged"
 	}
 	s := &Server{
-		cfg:    cfg,
-		model:  m,
-		gpu:    gpusim.New(profile.ServerTitanXp(), gpusim.DefaultParams(), cfg.GPUSeed),
-		start:  time.Now(),
-		log:    logger,
-		met:    obs.NewRegistry(),
-		tr:     cfg.Tracer,
-		node:   node,
-		cache:  make(map[int]*cacheEntry, 8),
-		closed: make(chan struct{}),
+		cfg:     cfg,
+		model:   m,
+		gpu:     gpusim.New(profile.ServerTitanXp(), gpusim.DefaultParams(), cfg.GPUSeed),
+		start:   time.Now(),
+		log:     logger,
+		met:     obs.NewRegistry(),
+		tr:      cfg.Tracer,
+		node:    node,
+		cache:   make(map[int]*cacheEntry, 8),
+		sweepAt: minSweep,
+		closed:  make(chan struct{}),
 	}
+	s.requests = s.met.Counter("requests_total")
+	s.execs = s.met.Counter("execs_total")
+	s.forwards = s.met.Counter("forwards_total")
+	s.execNs = s.met.Histogram("exec_ns")
+	s.entries = s.met.Gauge("cache_entries")
 	s.peers = wire.NewRegisteredPool(s.met, "peer")
 	return s, nil
 }
@@ -224,7 +239,7 @@ func (s *Server) handle(ctx context.Context, c *wire.Conn) {
 		if err != nil {
 			return // client went away, timed out, or the daemon is stopping
 		}
-		s.met.Counter("requests_total").Inc()
+		s.requests.Inc()
 		resp := s.dispatch(ctx, req)
 		if err := c.SendContext(ctx, resp); err != nil {
 			return
@@ -308,6 +323,11 @@ func (s *Server) uploadTraced(u *wire.Upload, rc tracing.SpanContext) error {
 }
 
 func (s *Server) upload(u *wire.Upload) error {
+	// Layer IDs come off the wire and index the cache bitsets and the model
+	// unchecked from here on.
+	if err := s.model.CheckLayers(u.Layers); err != nil {
+		return err
+	}
 	added := s.addLayers(u.ClientID, u.Layers)
 	if len(added) == 0 {
 		s.log.Debug("layers already cached", "client", u.ClientID, "layers", len(u.Layers))
@@ -328,9 +348,7 @@ func (s *Server) upload(u *wire.Upload) error {
 func (s *Server) layerBytes(ids []dnn.LayerID) int64 {
 	var sum int64
 	for _, id := range ids {
-		if id >= 0 && int(id) < s.model.NumLayers() {
-			sum += s.model.Layer(id).WeightBytes
-		}
+		sum += s.model.Layer(id).WeightBytes
 	}
 	return sum
 }
@@ -338,35 +356,54 @@ func (s *Server) layerBytes(ids []dnn.LayerID) int64 {
 // addLayers claims ids in the client's cache entry and returns the subset
 // that was newly added (not already live in the cache).
 func (s *Server) addLayers(client int, ids []dnn.LayerID) []dnn.LayerID {
+	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.cache[client]
-	if !ok || time.Now().After(e.expiry) {
-		e = &cacheEntry{layers: make(map[dnn.LayerID]struct{}, len(ids))}
+	if !ok || now.After(e.expiry) {
+		if !ok && len(s.cache) >= s.sweepAt {
+			// The cache doubled since the last sweep: drop what expired
+			// meanwhile, so clients that never come back cost amortized
+			// constant work and no memory beyond twice the live set.
+			for id, old := range s.cache {
+				if now.After(old.expiry) {
+					delete(s.cache, id)
+				}
+			}
+			s.sweepAt = max(2*len(s.cache), minSweep)
+		}
+		e = &cacheEntry{layers: dnn.NewLayerSet(s.model.NumLayers())}
 		s.cache[client] = e
+		s.entries.Set(int64(len(s.cache)))
 	}
 	added := make([]dnn.LayerID, 0, len(ids))
 	for _, id := range ids {
-		if _, dup := e.layers[id]; dup {
+		if e.layers.Has(id) {
 			continue
 		}
-		e.layers[id] = struct{}{}
+		e.layers.Add(id)
 		added = append(added, id)
 	}
-	e.expiry = time.Now().Add(s.cfg.TTL)
+	e.expiry = now.Add(s.cfg.TTL)
 	return added
 }
 
-// cachedLayers returns the client's live cached layers.
-func (s *Server) cachedLayers(client int) map[dnn.LayerID]struct{} {
+// cachedLayers returns a copy of the client's live cached layers, taken
+// under the lock: an upload for the same client may be adding to the entry
+// while the caller reads.
+func (s *Server) cachedLayers(client int) (dnn.LayerSet, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.cache[client]
-	if !ok || time.Now().After(e.expiry) {
-		delete(s.cache, client)
-		return nil
+	if !ok {
+		return dnn.LayerSet{}, false
 	}
-	return e.layers
+	if time.Now().After(e.expiry) {
+		delete(s.cache, client)
+		s.entries.Set(int64(len(s.cache)))
+		return dnn.LayerSet{}, false
+	}
+	return e.layers.Clone(), true
 }
 
 // exec performs the offloaded part of a query under the live GPU load.
@@ -385,8 +422,8 @@ func (s *Server) exec(r *wire.ExecReq, rc tracing.SpanContext) *wire.Envelope {
 	s.sleep(exec)
 	s.gpu.End()
 	s.tr.Record(trace, parent, tracing.StageExecCompute, s.node, cStart, s.tr.Now())
-	s.met.Counter("execs_total").Inc()
-	s.met.Histogram("exec_ns").ObserveDuration(exec)
+	s.execs.Inc()
+	s.execNs.ObserveDuration(exec)
 	return &wire.Envelope{Type: wire.MsgExecResponse, ExecResp: &wire.ExecResp{ExecNs: int64(exec)}}
 }
 
@@ -410,8 +447,8 @@ func (s *Server) forward(ctx context.Context, f *wire.Forward, rc tracing.SpanCo
 	s.sleep(exec)
 	s.gpu.End()
 	s.tr.Record(trace, parent, tracing.StageExecCompute, s.node, cStart, s.tr.Now())
-	s.met.Counter("execs_total").Inc()
-	s.met.Histogram("exec_ns").ObserveDuration(exec)
+	s.execs.Inc()
+	s.execNs.ObserveDuration(exec)
 	total := exec
 	if len(f.Hops) > 1 {
 		next := f.Hops[1]
@@ -442,18 +479,22 @@ func (s *Server) forward(ctx context.Context, f *wire.Forward, rc tracing.SpanCo
 		total += time.Duration(resp.ExecResp.ExecNs)
 		s.tr.RecordWith(trace, span, parent, tracing.StageTransferHop, s.node, hStart, s.tr.Now())
 	}
-	s.met.Counter("forwards_total").Inc()
+	s.forwards.Inc()
 	return &wire.Envelope{Type: wire.MsgExecResponse,
 		ExecResp: &wire.ExecResp{ExecNs: int64(total), OutputBytes: f.DownBytes}}
 }
 
 // has filters the asked layers down to those cached.
 func (s *Server) has(h *wire.Has) *wire.Envelope {
-	cached := s.cachedLayers(h.ClientID)
+	if err := s.model.CheckLayers(h.Layers); err != nil {
+		return ack(err)
+	}
 	present := make([]dnn.LayerID, 0, len(h.Layers))
-	for _, id := range h.Layers {
-		if _, ok := cached[id]; ok {
-			present = append(present, id)
+	if cached, ok := s.cachedLayers(h.ClientID); ok {
+		for _, id := range h.Layers {
+			if cached.Has(id) {
+				present = append(present, id)
+			}
 		}
 	}
 	return &wire.Envelope{Type: wire.MsgHasResponse, Has: &wire.Has{ClientID: h.ClientID, Layers: present}}
@@ -463,14 +504,17 @@ func (s *Server) has(h *wire.Has) *wire.Envelope {
 // peer edge server ("if the current edge server does not have all of the
 // server-side layers, it sends layers as many as possible").
 func (s *Server) migrate(ctx context.Context, m *wire.Migrate, rc tracing.SpanContext) error {
-	cached := s.cachedLayers(m.ClientID)
-	if len(cached) == 0 {
+	if err := s.model.CheckLayers(m.Layers); err != nil {
+		return err
+	}
+	cached, ok := s.cachedLayers(m.ClientID)
+	if !ok {
 		return nil // nothing to send; not an error
 	}
 	send := make([]dnn.LayerID, 0, len(m.Layers))
 	var bytes int64
 	for _, id := range m.Layers {
-		if _, ok := cached[id]; !ok {
+		if !cached.Has(id) {
 			continue
 		}
 		w := s.model.Layer(id).WeightBytes

@@ -251,3 +251,85 @@ func TestUnknownMessageAcksError(t *testing.T) {
 		t.Errorf("unexpected message not rejected: %+v", resp)
 	}
 }
+
+// TestBadLayerIDsAckError: layer IDs come off the wire and index bitsets
+// and the model; every frame that carries them must answer an ID outside
+// the model with an error ack — never a panic, never a cache entry — and
+// price valid frames exactly as before.
+func TestBadLayerIDsAckError(t *testing.T) {
+	addr, srv := startEdge(t, testConfig())
+	conn, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // test teardown
+	n := dnn.LayerID(srv.model.NumLayers())
+	for _, bad := range [][]dnn.LayerID{{-1}, {n}, {0, 1 << 40}, {2, -7, 3}} {
+		for _, req := range []*wire.Envelope{
+			{Type: wire.MsgUploadLayers, Upload: &wire.Upload{ClientID: 1, Layers: bad, Bytes: 10}},
+			{Type: wire.MsgUploadUnit, Upload: &wire.Upload{ClientID: 1, Layers: bad, Seq: 4}},
+			{Type: wire.MsgHasRequest, Has: &wire.Has{ClientID: 1, Layers: bad}},
+			{Type: wire.MsgMigrateRequest, Migrate: &wire.Migrate{ClientID: 1, Layers: bad, PeerAddr: "127.0.0.1:1"}},
+		} {
+			resp, err := conn.RoundTrip(req)
+			if err != nil {
+				t.Fatalf("type %d layers %v: %v", req.Type, bad, err)
+			}
+			if resp.Ack == nil || resp.Ack.OK || resp.Ack.Error == "" {
+				t.Errorf("type %d layers %v: want an error ack, got %+v", req.Type, bad, resp)
+			}
+			if req.Type == wire.MsgUploadUnit && (resp.Type != wire.MsgUploadAck || resp.Ack.Seq != 4) {
+				t.Errorf("unit rejection must be an upload ack echoing seq 4, got %+v", resp)
+			}
+		}
+	}
+	if got := srv.Metrics().Gauge("cache_entries").Value(); got != 0 {
+		t.Errorf("rejected frames left %d cache entries", got)
+	}
+	// A valid frame next to the rejected ones is priced exactly once.
+	valid := &wire.Envelope{Type: wire.MsgUploadLayers, Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0, n - 1}}}
+	for i := 0; i < 2; i++ {
+		if resp, err := conn.RoundTrip(valid); err != nil || resp.Ack == nil || !resp.Ack.OK {
+			t.Fatalf("valid upload: %+v, %v", resp, err)
+		}
+	}
+	want := srv.model.Layer(0).WeightBytes + srv.model.Layer(n-1).WeightBytes
+	if got := srv.Metrics().Counter("upload_bytes_total").Value(); got != want {
+		t.Errorf("upload_bytes_total = %d, want %d", got, want)
+	}
+}
+
+// TestChurnedClientsAreSwept: clients that upload once and never return
+// must not accumulate — expired entries go when the cache doubles, without
+// anyone looking those clients up again.
+func TestChurnedClientsAreSwept(t *testing.T) {
+	cfg := testConfig()
+	cfg.TTL = 5 * time.Millisecond
+	addr, srv := startEdge(t, cfg)
+	conn, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // test teardown
+	const clients = 10_000
+	entries := srv.Metrics().Gauge("cache_entries")
+	var peak int64
+	start := time.Now()
+	for id := 0; id < clients; id++ {
+		resp, err := conn.RoundTrip(&wire.Envelope{
+			Type:   wire.MsgUploadLayers,
+			Upload: &wire.Upload{ClientID: id, Layers: []dnn.LayerID{0}},
+		})
+		if err != nil || resp.Ack == nil || !resp.Ack.OK {
+			t.Fatalf("client %d: %+v, %v", id, resp, err)
+		}
+		peak = max(peak, entries.Value())
+	}
+	// About the clients of one TTL are live at a time and the cache holds
+	// at most twice the live set (or the sweep floor); the rest of the
+	// bound is slack for an uneven arrival rate.
+	perTTL := int64(float64(clients)*float64(cfg.TTL)/float64(time.Since(start))) + 1
+	if bound := max(6*perTTL, 4*minSweep); peak > bound {
+		t.Errorf("cache peaked at %d entries for %d churned clients (~%d per TTL), want <= %d", peak, clients, perTTL, bound)
+	}
+}

@@ -362,7 +362,7 @@ type simClient struct {
 	sh *simShard
 
 	entry   *core.PlanEntry
-	curSet  LayerSet        // layers present for us at the current server
+	curSet  dnn.LayerSet    // layers present for us at the current server
 	pending [][]dnn.LayerID // missing layers to upload, in schedule-unit chunks
 	split   partition.Split // decomposition of the current assignment
 	local   bool            // degraded to client-local execution

@@ -16,7 +16,7 @@ type layerStore struct {
 }
 
 type storeEntry struct {
-	set    LayerSet
+	set    dnn.LayerSet
 	expiry time.Duration
 }
 
@@ -26,14 +26,14 @@ func newLayerStore(numLayers int) *layerStore {
 
 // get returns the client's cached layer set, evicting it first if expired.
 // The returned set is live — mutate only through the store methods.
-func (s *layerStore) get(now time.Duration, client int) (LayerSet, bool) {
+func (s *layerStore) get(now time.Duration, client int) (dnn.LayerSet, bool) {
 	e, ok := s.entries[client]
 	if !ok {
-		return LayerSet{}, false
+		return dnn.LayerSet{}, false
 	}
 	if now > e.expiry {
 		delete(s.entries, client)
-		return LayerSet{}, false
+		return dnn.LayerSet{}, false
 	}
 	return e.set, true
 }
@@ -42,7 +42,7 @@ func (s *layerStore) get(now time.Duration, client int) (LayerSet, bool) {
 func (s *layerStore) add(now time.Duration, client int, ids []dnn.LayerID, ttl time.Duration) {
 	e, ok := s.entries[client]
 	if !ok || now > e.expiry {
-		e = &storeEntry{set: NewLayerSet(s.numLayers)}
+		e = &storeEntry{set: dnn.NewLayerSet(s.numLayers)}
 		s.entries[client] = e
 	}
 	e.set.AddAll(ids)

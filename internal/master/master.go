@@ -12,8 +12,8 @@ import (
 	"log/slog"
 	"net"
 	"os"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"perdnn/internal/core"
@@ -50,9 +50,10 @@ type Config struct {
 	Link partition.Link
 	// MaxHops enables multi-hop pipelined planning: plan responses carry a
 	// server chain of up to MaxHops stages assembled from the reachable
-	// edges (the requested server first, the rest in ID order), alongside
-	// the single-split fields that remain the failover plan. <= 1 keeps the
-	// classic single-split behavior.
+	// edges within Radius of the requested server (that server first, then
+	// nearest first, ties by ID), alongside the single-split fields that
+	// remain the failover plan. <= 1 keeps the classic single-split
+	// behavior.
 	MaxHops int
 	// Objective selects what multi-hop plans optimize: latency (default)
 	// or pipeline throughput (bottleneck-stage minimization). Ignored when
@@ -112,6 +113,13 @@ type Master struct {
 	smap      *geo.ShardMap // region ownership map; nil in single-master mode
 	peers     *wire.Pool    // shard-to-shard conns for handoffs and migrations; nil unless sharded
 
+	// Handles of the per-request metrics, resolved once.
+	requests, planRequests, chainPlans *obs.Counter
+	planLatency                        *obs.Histogram
+	numClients                         *obs.Gauge // len(clients)
+
+	lastConn atomic.Uint64 // connection IDs handed out so far
+
 	mu       sync.Mutex
 	planners map[dnn.ModelName]*core.Planner
 	clients  map[int]*clientState
@@ -125,6 +133,11 @@ type Master struct {
 type clientState struct {
 	model   dnn.ModelName
 	history []geo.Point
+	// conn is the registration generation: the ID of the connection whose
+	// MsgRegister is current (0 after a shard adoption, until the client
+	// re-homes). A closing connection forgets only the clients it still
+	// owns.
+	conn uint64
 }
 
 // New builds a master for the given configuration. The execution-time
@@ -191,6 +204,11 @@ func New(cfg Config) (*Master, error) {
 		clients:   make(map[int]*clientState, 8),
 		closed:    make(chan struct{}),
 	}
+	m.requests = m.met.Counter("requests_total")
+	m.planRequests = m.met.Counter("plan_requests_total")
+	m.chainPlans = m.met.Counter("chain_plans_total")
+	m.planLatency = m.met.Histogram("plan_latency_ns")
+	m.numClients = m.met.Gauge("clients")
 	m.edges = wire.NewRegisteredPool(m.met, "edge")
 	if cfg.Shards > 1 {
 		m.smap = geo.NewShardMap(pl, cfg.Shards)
@@ -303,18 +321,38 @@ func (m *Master) Close() error {
 }
 
 func (m *Master) handle(ctx context.Context, c *wire.Conn) {
+	conn := m.lastConn.Add(1)
+	// Clients registered over this connection. A client holds its master
+	// connection for as long as it lives, so when the connection goes they
+	// are forgotten — unless a newer registration or a shard adoption has
+	// taken them over since.
+	var registered map[int]struct{}
 	defer func() {
 		if err := c.Close(); err != nil {
 			m.log.Warn("closing conn", "err", err)
 		}
+		m.mu.Lock()
+		for id := range registered {
+			if cs, ok := m.clients[id]; ok && cs.conn == conn {
+				delete(m.clients, id)
+			}
+		}
+		m.numClients.Set(int64(len(m.clients)))
+		m.mu.Unlock()
 	}()
 	for {
 		req, err := c.RecvContext(ctx)
 		if err != nil {
 			return
 		}
-		m.met.Counter("requests_total").Inc()
-		resp := m.dispatch(ctx, req)
+		m.requests.Inc()
+		resp := m.dispatch(ctx, req, conn)
+		if req.Type == wire.MsgRegister && resp.Ack != nil && resp.Ack.OK {
+			if registered == nil {
+				registered = make(map[int]struct{}, 1)
+			}
+			registered[req.Register.ClientID] = struct{}{}
+		}
 		if err := c.SendContext(ctx, resp); err != nil {
 			return
 		}
@@ -328,14 +366,16 @@ func ackErr(err error) *wire.Envelope {
 	return &wire.Envelope{Type: wire.MsgAck, Ack: &wire.Ack{OK: true}}
 }
 
-func (m *Master) dispatch(ctx context.Context, req *wire.Envelope) *wire.Envelope {
+// dispatch answers one request; conn identifies the connection it arrived
+// on (registrations are owned by their connection).
+func (m *Master) dispatch(ctx context.Context, req *wire.Envelope, conn uint64) *wire.Envelope {
 	switch req.Type {
 	case wire.MsgRegister:
 		if req.Register == nil {
 			return ackErr(errors.New("master: register without body"))
 		}
 		start := m.tr.Now()
-		err := m.register(req.Register)
+		err := m.register(req.Register, conn)
 		m.recordStage(req.Trace, tracing.StageRegister, start)
 		return ackErr(err)
 	case wire.MsgTrajectory:
@@ -376,9 +416,9 @@ func (m *Master) dispatch(ctx context.Context, req *wire.Envelope) *wire.Envelop
 	}
 }
 
-// register records a client and builds its planner from the model's DNN
-// profile.
-func (m *Master) register(r *wire.Register) error {
+// register records a client as owned by connection conn and builds its
+// planner from the model's DNN profile.
+func (m *Master) register(r *wire.Register, conn uint64) error {
 	m.met.Counter("clients_registered_total").Inc()
 	m.log.Info("client registered", "client", r.ClientID, "model", string(r.Model))
 	m.mu.Lock()
@@ -390,9 +430,11 @@ func (m *Master) register(r *wire.Register) error {
 		// Idempotent re-registration — in particular a client re-homing
 		// onto this master after a shard handoff. The adopted trajectory
 		// history survives, so prediction resumes without a warm-up gap.
+		cs.conn = conn
 		return nil
 	}
-	m.clients[r.ClientID] = &clientState{model: r.Model}
+	m.clients[r.ClientID] = &clientState{model: r.Model, conn: conn}
+	m.numClients.Set(int64(len(m.clients)))
 	return nil
 }
 
@@ -521,6 +563,7 @@ func (m *Master) handoffClient(ctx context.Context, client int, model dnn.ModelN
 	}
 	m.mu.Lock()
 	delete(m.clients, client)
+	m.numClients.Set(int64(len(m.clients)))
 	m.mu.Unlock()
 	m.tr.RecordWith(ht, span, 0, tracing.StageHandoff, nodeMaster, start, m.tr.Now())
 	m.met.Counter("shard_handoffs_total").Inc()
@@ -559,6 +602,7 @@ func (m *Master) adoptClient(h *wire.ShardHandoff) error {
 		hist = hist[len(hist)-m.cfg.HistoryLen:]
 	}
 	m.clients[h.ClientID] = &clientState{model: h.Model, history: hist}
+	m.numClients.Set(int64(len(m.clients)))
 	m.met.Counter("shard_adoptions_total").Inc()
 	m.log.Info("client adopted", "client", h.ClientID, "from", h.FromShard)
 	return nil
@@ -721,8 +765,8 @@ func (m *Master) pingStats(ctx context.Context, addr string) (*gpusim.Stats, err
 // plan computes a current partitioning plan for a client against a server.
 func (m *Master) plan(ctx context.Context, r *wire.PlanReq) (*wire.PlanResp, error) {
 	start := time.Now()
-	defer func() { m.met.Histogram("plan_latency_ns").ObserveDuration(time.Since(start)) }()
-	m.met.Counter("plan_requests_total").Inc()
+	defer func() { m.planLatency.ObserveDuration(time.Since(start)) }()
+	m.planRequests.Inc()
 	m.mu.Lock()
 	cs, ok := m.clients[r.ClientID]
 	if !ok {
@@ -760,7 +804,7 @@ func (m *Master) plan(ctx context.Context, r *wire.PlanReq) (*wire.PlanResp, err
 		// Chain planning is best-effort: any failure (unreachable edges,
 		// partitioner error) degrades to the single-split fields above,
 		// which double as the client's failover plan either way.
-		chain, err := m.planChain(ctx, r.Server, planner)
+		chain, err := m.planChain(ctx, r.Server, addr, *st, planner)
 		switch {
 		case err != nil:
 			m.met.Counter("chain_plan_errors_total").Inc()
@@ -780,53 +824,49 @@ func (m *Master) plan(ctx context.Context, r *wire.PlanReq) (*wire.PlanResp, err
 			resp.ChainDownBytes = chain.DownBytes
 			resp.ChainClientPreNs = int64(chain.ClientPre)
 			resp.ChainClientPostNs = int64(chain.ClientPost)
-			m.met.Counter("chain_plans_total").Inc()
+			m.chainPlans.Inc()
 		}
 	}
 	return resp, nil
 }
 
-// planChain assembles the candidate chain — the requested server first,
-// every other reachable edge after it in ID order — with per-candidate
-// slowdowns from live GPU stats, and runs the multi-hop partitioner.
-// Unreachable edges are skipped, so a broken chain degrades to whatever
-// subsequence still answers.
-func (m *Master) planChain(ctx context.Context, first geo.ServerID, planner *core.Planner) (*partition.ChainPlan, error) {
-	specs := make([]partition.ServerSpec, 0, len(m.edgesByID))
-	add := func(info EdgeInfo) {
-		st, err := m.pingStats(ctx, info.Addr)
-		if err != nil {
-			m.met.Counter("chain_candidate_skips_total").Inc()
-			m.log.Warn("chain candidate unreachable", "server", int(info.ID), "err", err)
-			return
-		}
-		specs = append(specs, partition.ServerSpec{
-			ID:       int(info.ID),
-			Addr:     info.Addr,
-			Slowdown: planner.Slowdown(*st),
-		})
-	}
-	if info, ok := m.edgesByID[first]; ok {
-		add(info)
-	}
-	rest := make([]geo.ServerID, 0, len(m.edgesByID))
-	for id := range m.edgesByID {
+// planChain assembles the candidate chain — the requested server first
+// (its stats sample st is the one the single-split plan was made from),
+// then the other edges within Radius of it, nearest first and ties by ID —
+// with per-candidate slowdowns from live GPU stats fetched concurrently,
+// and asks the planner's cache for the multi-hop plan. Unreachable edges
+// are skipped, so a broken chain degrades to whatever subsequence still
+// answers.
+func (m *Master) planChain(ctx context.Context, first geo.ServerID, addr string, st gpusim.Stats, planner *core.Planner) (*partition.ChainPlan, error) {
+	near := m.placement.Within(m.placement.Center(first), m.cfg.Radius)
+	cands := make([]core.ChainCandidate, 1, len(near)+1)
+	cands[0] = core.ChainCandidate{ID: int(first), Addr: addr, Slowdown: planner.Slowdown(st)}
+	for _, id := range near {
 		if id != first {
-			rest = append(rest, id)
+			cands = append(cands, core.ChainCandidate{ID: int(id), Addr: m.edgesByID[id].Addr})
 		}
 	}
-	sort.Slice(rest, func(i, k int) bool { return rest[i] < rest[k] })
-	for _, id := range rest {
-		add(m.edgesByID[id])
+	var wg sync.WaitGroup
+	for i := range cands[1:] {
+		c := &cands[1+i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := m.pingStats(ctx, c.Addr)
+			if err != nil {
+				m.met.Counter("chain_candidate_skips_total").Inc()
+				m.log.Warn("chain candidate unreachable", "server", c.ID, "err", err)
+				return
+			}
+			c.Slowdown = planner.Slowdown(*st)
+		}()
 	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("master: no reachable chain candidates: %w", core.ErrServerDown)
+	wg.Wait()
+	reachable := cands[:1]
+	for _, c := range cands[1:] {
+		if c.Slowdown != 0 { // estimates are >= 1; 0 is a skipped candidate
+			reachable = append(reachable, c)
+		}
 	}
-	return partition.PlanChain(partition.ChainRequest{
-		Profile:   planner.Profile(),
-		Link:      planner.Link(),
-		Servers:   specs,
-		MaxHops:   m.cfg.MaxHops,
-		Objective: m.cfg.Objective,
-	})
+	return planner.PlanChain(reachable, m.cfg.MaxHops, m.cfg.Objective)
 }

@@ -1,0 +1,217 @@
+package master
+
+import (
+	"context"
+	"io"
+	"log/slog"
+	"net"
+	"testing"
+	"time"
+
+	"perdnn/internal/dnn"
+	"perdnn/internal/edged"
+	"perdnn/internal/geo"
+	"perdnn/internal/obs"
+	"perdnn/internal/partition"
+	"perdnn/internal/wire"
+)
+
+// startMaster serves a master over cfg (with the shared fixture's trained
+// estimator) and returns it with its address; the daemon and every
+// connection handler have exited once the cleanup returns.
+func startMaster(t *testing.T, cfg Config) (*Master, string) {
+	t.Helper()
+	_, _, _, shared := fixture(t)
+	cfg.Estimator = shared.est
+	cfg.Logger = obs.NewLogger(io.Discard, slog.LevelError, "master")
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- m.ServeContext(ctx, ln) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("master serve: %v", err)
+		}
+	})
+	return m, ln.Addr().String()
+}
+
+func startEdged(t *testing.T) (*edged.Server, string) {
+	t.Helper()
+	cfg := edged.DefaultConfig(dnn.ModelInception)
+	cfg.TimeScale = 0
+	srv, err := edged.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck // closed by cleanup
+	t.Cleanup(func() {
+		if err := srv.Close(); err != nil {
+			t.Logf("closing edge: %v", err)
+		}
+	})
+	return srv, ln.Addr().String()
+}
+
+// mustRegister registers an inception client (the zoo model whose idle
+// throughput plan spans two hops).
+func mustRegister(t *testing.T, conn *wire.Conn, id int) {
+	t.Helper()
+	resp, err := conn.RoundTrip(&wire.Envelope{
+		Type:     wire.MsgRegister,
+		Register: &wire.Register{ClientID: id, Model: dnn.ModelInception},
+	})
+	if err != nil || resp.Ack == nil || !resp.Ack.OK {
+		t.Fatalf("register %d: %v %+v", id, err, resp)
+	}
+}
+
+// waitClients polls the clients gauge until it reads want: connection
+// teardown runs on the handler goroutine after the peer has closed, and
+// nothing signals the test when it is done.
+func waitClients(t *testing.T, m *Master, want int64) {
+	t.Helper()
+	g := m.Metrics().Gauge("clients")
+	for deadline := time.Now().Add(10 * time.Second); g.Value() != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("clients gauge = %d, want %d", g.Value(), want)
+		}
+	}
+}
+
+// TestChainCandidatesAndStatsFanOut: a chain plan pings the requested
+// server once (the sample the single-split plan used), pings only the edges
+// within Radius of it, skips an unreachable neighbour and still serves a
+// chain over the rest.
+func TestChainCandidatesAndStatsFanOut(t *testing.T) {
+	grid := geo.NewHexGrid(50)
+	first, firstAddr := startEdged(t)
+	near, nearAddr := startEdged(t)
+	far, farAddr := startEdged(t)
+	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := deadLn.Addr().String()
+	if err := deadLn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig([]EdgeInfo{
+		{Addr: firstAddr, Location: grid.Center(geo.HexCell{Q: 0, R: 0})},
+		{Addr: deadAddr, Location: grid.Center(geo.HexCell{Q: 0, R: 1})}, // 87 m: a candidate, unreachable
+		{Addr: nearAddr, Location: grid.Center(geo.HexCell{Q: 1, R: 0})}, // 87 m: a candidate
+		{Addr: farAddr, Location: grid.Center(geo.HexCell{Q: 3, R: 0})},  // 260 m: outside Radius 100
+	})
+	cfg.MaxHops = 3
+	cfg.Objective = partition.ObjectiveThroughput
+	m, addr := startMaster(t, cfg)
+	conn, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // test teardown
+	mustRegister(t, conn, 1)
+
+	const plans = 3
+	for i := 0; i < plans; i++ {
+		resp, err := conn.RoundTrip(&wire.Envelope{
+			Type:    wire.MsgPlanRequest,
+			PlanReq: &wire.PlanReq{ClientID: 1, Server: m.Placement().ServerAt(cfg.Edges[0].Location)},
+		})
+		if err != nil || resp.PlanResp == nil {
+			t.Fatalf("plan %d: %v %+v", i, err, resp)
+		}
+		chain := resp.PlanResp.Chain
+		if len(chain) != 2 || chain[0].Addr != firstAddr || chain[1].Addr != nearAddr {
+			t.Fatalf("plan %d: chain %+v, want the requested edge then its reachable neighbour", i, chain)
+		}
+		if len(resp.PlanResp.ServerLayers) == 0 {
+			t.Errorf("plan %d: no single-split failover plan", i)
+		}
+	}
+	for name, want := range map[string]int64{
+		"plan_requests_total":         plans,
+		"chain_plans_total":           plans, // cache hits count too
+		"chain_candidate_skips_total": plans,
+		"chain_plan_errors_total":     0,
+	} {
+		if got := m.Metrics().Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for _, e := range []struct {
+		name string
+		srv  *edged.Server
+		want int64
+	}{{"requested", first, plans}, {"neighbour", near, plans}, {"out of radius", far, 0}} {
+		if got := e.srv.Metrics().Counter("requests_total").Value(); got != e.want {
+			t.Errorf("%s edge served %d stats requests, want %d", e.name, got, e.want)
+		}
+	}
+}
+
+// TestClientsForgottenWithTheirConnection: the client table follows the
+// live connections — 10k clients that registered and left cost nothing,
+// while a client whose connection is open, or that re-registered over a
+// newer connection, stays.
+func TestClientsForgottenWithTheirConnection(t *testing.T) {
+	_, _, _, shared := fixture(t)
+	m, addr := startMaster(t, DefaultConfig(shared.cfg.Edges))
+	dial := func() *wire.Conn {
+		conn, err := wire.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() }) //nolint:errcheck // usually closed already
+		return conn
+	}
+	const stay, rehomed = 1_000_000, 1_000_001
+	keeper := dial()
+	mustRegister(t, keeper, stay)
+
+	const conns, perConn = 100, 100
+	for c := 0; c < conns; c++ {
+		conn := dial()
+		for i := 0; i < perConn; i++ {
+			mustRegister(t, conn, c*perConn+i)
+		}
+		if err := conn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitClients(t, m, 1)
+
+	// A re-registration over a newer connection takes the client over: the
+	// older connection's teardown (seen here by its other client going)
+	// must leave it alone.
+	older := dial()
+	mustRegister(t, older, rehomed)
+	mustRegister(t, older, rehomed+1)
+	mustRegister(t, keeper, rehomed)
+	waitClients(t, m, 3)
+	if err := older.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitClients(t, m, 2)
+	for _, id := range []int{stay, rehomed} {
+		resp, err := keeper.RoundTrip(&wire.Envelope{
+			Type:       wire.MsgTrajectory,
+			Trajectory: &wire.Trajectory{ClientID: id, Points: []geo.Point{{}}},
+		})
+		if err != nil || resp.Ack == nil || !resp.Ack.OK {
+			t.Errorf("client %d was forgotten: %v %+v", id, err, resp)
+		}
+	}
+}

@@ -81,7 +81,7 @@ type Client struct {
 	edge      *wire.Conn
 	edgeAddr  string
 	plan      *wire.PlanResp
-	uploaded  map[dnn.LayerID]bool
+	uploaded  dnn.LayerSet // layers known present at the edge; reset per attachment
 	split     partition.Split
 	planReady bool
 	// chainBroken latches after a multi-hop query fails mid-chain: later
@@ -119,7 +119,7 @@ func DialContext(ctx context.Context, cfg Config) (*Client, error) {
 		log:      logger,
 		met:      obs.NewRegistry(),
 		server:   geo.NoServer,
-		uploaded: make(map[dnn.LayerID]bool, m.NumLayers()),
+		uploaded: dnn.NewLayerSet(m.NumLayers()),
 		tr:       cfg.Tracer,
 		node:     fmt.Sprintf("client/%d", cfg.ID),
 	}
@@ -323,17 +323,15 @@ func (c *Client) redialEdge(ctx context.Context) error {
 			closeQuietly(edge, c.log, "edge conn")
 			return fmt.Errorf("%w: resyncing cache: %w", core.ErrServerDown, err)
 		}
-		c.uploaded = make(map[dnn.LayerID]bool, c.model.NumLayers())
-		if hasResp.Type == wire.MsgHasResponse && hasResp.Has != nil {
-			for _, id := range hasResp.Has.Layers {
-				c.uploaded[id] = true
-			}
+		c.uploaded.Clear()
+		if hasResp.Type == wire.MsgHasResponse && hasResp.Has != nil && c.model.CheckLayers(hasResp.Has.Layers) == nil {
+			c.uploaded.AddAll(hasResp.Has.Layers)
 		}
 		c.recomputeSplit()
 	}
 	c.edge = edge
 	c.met.Counter("reconnects_total").Inc()
-	c.log.Info("reconnected to edge", "addr", c.edgeAddr, "layers_cached", len(c.uploaded))
+	c.log.Info("reconnected to edge", "addr", c.edgeAddr, "layers_cached", c.uploaded.Count())
 	return nil
 }
 
@@ -394,6 +392,9 @@ func (c *Client) ConnectContext(ctx context.Context, server geo.ServerID, edgeAd
 	if resp.Type != wire.MsgPlanResponse || resp.PlanResp == nil {
 		return fmt.Errorf("mobile: plan request failed: %s", ackError(resp))
 	}
+	if err := c.checkPlan(resp.PlanResp); err != nil {
+		return err
+	}
 	c.tr.RecordWith(planTrace, planSpan, 0, tracing.StagePlan, c.node, planStart, c.tr.Now())
 	c.upTrace, c.upRoot = planTrace, planSpan
 	c.server = server
@@ -403,7 +404,7 @@ func (c *Client) ConnectContext(ctx context.Context, server geo.ServerID, edgeAd
 	c.plan = resp.PlanResp.Clone()
 	c.planReady = true
 	c.chainBroken = false
-	c.uploaded = make(map[dnn.LayerID]bool, c.model.NumLayers())
+	c.uploaded.Clear()
 
 	// Dial and learn which plan layers the edge already caches (hit/miss
 	// check); redialEdge performs exactly that resync, under retry.
@@ -419,6 +420,20 @@ func (c *Client) ConnectContext(ctx context.Context, server geo.ServerID, edgeAd
 		return fmt.Errorf("mobile: dialing edge: %w", err)
 	}
 	c.recomputeSplit()
+	return nil
+}
+
+// checkPlan rejects a plan naming layers the model does not have: plan
+// layer IDs come off the wire and index the model and the uploaded bitset.
+func (c *Client) checkPlan(p *wire.PlanResp) error {
+	for _, unit := range p.UploadOrder {
+		if err := c.model.CheckLayers(unit); err != nil {
+			return fmt.Errorf("mobile: bad plan: %w", err)
+		}
+	}
+	if err := c.model.CheckLayers(p.ServerLayers); err != nil {
+		return fmt.Errorf("mobile: bad plan: %w", err)
+	}
 	return nil
 }
 
@@ -461,7 +476,7 @@ func (c *Client) CacheState() (present, total int) {
 		return 0, 0
 	}
 	for _, id := range c.plan.ServerLayers {
-		if c.uploaded[id] {
+		if c.uploaded.Has(id) {
 			present++
 		}
 	}
@@ -479,7 +494,7 @@ func (c *Client) UploadStepContext(ctx context.Context) (bool, error) {
 		missing := make([]dnn.LayerID, 0, len(unit))
 		var bytes int64
 		for _, id := range unit {
-			if !c.uploaded[id] {
+			if !c.uploaded.Has(id) {
 				missing = append(missing, id)
 				bytes += c.model.Layer(id).WeightBytes
 			}
@@ -501,9 +516,7 @@ func (c *Client) UploadStepContext(ctx context.Context) (bool, error) {
 			return false, fmt.Errorf("mobile: upload rejected: %s", ackError(resp))
 		}
 		c.tr.RecordWith(c.upTrace, span, c.upRoot, tracing.StageUploadUnit, c.node, start, c.tr.Now())
-		for _, id := range missing {
-			c.uploaded[id] = true
-		}
+		c.uploaded.AddAll(missing)
 		c.met.Counter("uploads_total").Inc()
 		c.met.Counter("upload_bytes_total").Add(bytes)
 		c.recomputeSplit()
@@ -535,7 +548,7 @@ func (c *Client) pendingUnits() []uploadUnit {
 	for _, unit := range c.plan.UploadOrder {
 		var u uploadUnit
 		for _, id := range unit {
-			if !c.uploaded[id] {
+			if !c.uploaded.Has(id) {
 				u.layers = append(u.layers, id)
 				u.bytes += c.model.Layer(id).WeightBytes
 			}
@@ -602,9 +615,7 @@ func (c *Client) streamPending(ctx context.Context, window int) (int, error) {
 		for ; acked <= hi; acked++ {
 			u := units[acked]
 			c.tr.RecordWith(c.upTrace, u.span, c.upRoot, tracing.StageUploadUnit, c.node, u.start, c.tr.Now())
-			for _, id := range u.layers {
-				c.uploaded[id] = true
-			}
+			c.uploaded.AddAll(u.layers)
 			c.met.Counter("uploads_total").Inc()
 			c.met.Counter("upload_bytes_total").Add(u.bytes)
 			completed++
@@ -673,7 +684,13 @@ func (c *Client) UploadAll() (int, error) {
 
 // recomputeSplit refreshes the query decomposition from the uploaded set.
 func (c *Client) recomputeSplit() {
-	c.split = partition.Decompose(c.prof, partition.WithOffloaded(c.model, c.uploaded))
+	loc := partition.AllClient(c.model)
+	for id := range loc {
+		if c.uploaded.Has(dnn.LayerID(id)) {
+			loc[id] = partition.AtServer
+		}
+	}
+	c.split = partition.Decompose(c.prof, loc)
 }
 
 // QueryContext runs one collaborative inference: client-side layers
