@@ -7,6 +7,7 @@ package perdnn_test
 // (and the numbers recorded in EXPERIMENTS.md) come from cmd/perdnn-bench.
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -373,22 +374,8 @@ func BenchmarkAblationTTL(b *testing.B) {
 		}
 	}
 	for j, ttl := range ttls {
-		b.ReportMetric(hits[j]*100, "hit-%-ttl"+itoa(ttl))
+		b.ReportMetric(hits[j]*100, "hit-%-ttl"+strconv.Itoa(ttl))
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // BenchmarkAblationRadius sweeps the migration radius: all radii run as one
@@ -414,7 +401,7 @@ func BenchmarkAblationRadius(b *testing.B) {
 		}
 	}
 	for j, r := range radii {
-		b.ReportMetric(hits[j]*100, "hit-%-r"+itoa(int(r)))
+		b.ReportMetric(hits[j]*100, "hit-%-r"+strconv.Itoa(int(r)))
 	}
 }
 
@@ -478,124 +465,4 @@ func BenchmarkExtensionRouting(b *testing.B) {
 		misses = float64(res.Misses)
 	}
 	b.ReportMetric(misses, "cold-starts")
-}
-
-// BenchmarkPerfSolverPartition measures the scratch-solver planning hot
-// path per model: steady-state, it must run allocation-free.
-func BenchmarkPerfSolverPartition(b *testing.B) {
-	b.ReportAllocs()
-	for _, name := range dnn.ZooNames() {
-		m, err := dnn.ZooModel(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-		req := partition.Request{Profile: prof, Slowdown: 2, Link: partition.LabWiFi()}
-		b.Run(string(name), func(b *testing.B) {
-			b.ReportAllocs()
-			s := partition.NewSolver()
-			if _, err := s.Partition(req); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Partition(req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPerfReferencePartition measures the pre-optimization
-// partitioner on the same inputs — the baseline the solver's speedup in
-// BENCH_PR5.json is computed against.
-func BenchmarkPerfReferencePartition(b *testing.B) {
-	b.ReportAllocs()
-	for _, name := range dnn.ZooNames() {
-		m, err := dnn.ZooModel(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-		req := partition.Request{Profile: prof, Slowdown: 2, Link: partition.LabWiFi()}
-		b.Run(string(name), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := partition.ReferencePartition(req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPerfUploadSchedule measures the efficiency-first scheduler with
-// a held solver against the reference map-based implementation.
-func BenchmarkPerfUploadSchedule(b *testing.B) {
-	b.ReportAllocs()
-	m := dnn.Inception21k()
-	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-	req := partition.Request{Profile: prof, Slowdown: 1, Link: partition.LabWiFi()}
-	plan, err := partition.Partition(req)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("solver", func(b *testing.B) {
-		b.ReportAllocs()
-		s := partition.NewSolver()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.UploadSchedule(req, plan); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := partition.ReferenceUploadSchedule(req, plan); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkPerfDecompose measures the zero-alloc assignment decomposition
-// against the reference successor-rebuilding implementation.
-func BenchmarkPerfDecompose(b *testing.B) {
-	b.ReportAllocs()
-	m, err := dnn.ZooModel(dnn.ModelInception)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-	loc := partition.AllServer(m)
-	b.Run("cached", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			partition.Decompose(prof, loc)
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			partition.ReferenceDecompose(prof, loc)
-		}
-	})
-}
-
-// BenchmarkPerfSlowdownEstimate measures the memoized slowdown estimator on
-// a fixed GPU state — the per-(client, server) cost of every planning tick.
-func BenchmarkPerfSlowdownEstimate(b *testing.B) {
-	b.ReportAllocs()
-	est, err := estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := gpusim.Stats{ActiveClients: 4, KernelUtil: 0.77, MemUtil: 0.41, MemUsedMB: 6300, TempC: 71}
-	est.EstimateSlowdown(st)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est.EstimateSlowdown(st)
-	}
 }

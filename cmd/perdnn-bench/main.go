@@ -4,15 +4,14 @@
 // Usage:
 //
 //	perdnn-bench [-exp all|table1,fig1,fig4,fig6,fig7,table2,table3,fig9,traffic,fig10,ablations]
-//	             [-quick] [-workers N] [-benchjson FILE]
+//	             [-quick] [-workers N]
 //
 // -quick shrinks datasets and training budgets so the whole suite finishes
 // in well under a minute; the full run takes several minutes and produces
 // the numbers recorded in EXPERIMENTS.md. -workers bounds the sweep worker
 // pool for the city-scale experiments (0 = GOMAXPROCS); results are
-// identical at every worker count. -benchjson skips the paper experiments
-// and instead runs the planning/simulation microbenchmark suite, writing
-// ns/op, B/op, allocs/op, and city-sim queries/sec to FILE as JSON.
+// identical at every worker count. Performance is measured by the benchmark
+// in bench/ (bash bench/run.sh), not here.
 package main
 
 import (
@@ -31,17 +30,8 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments to run")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast pass")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	benchjson := flag.String("benchjson", "", "write hot-path microbenchmark results as JSON to this file and exit")
 	flag.Parse()
 	benchWorkers = *workers
-
-	if *benchjson != "" {
-		if err := runBenchJSON(*benchjson, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "perdnn-bench: benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	all := []struct {
 		name string

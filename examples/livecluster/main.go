@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"os"
@@ -28,6 +29,10 @@ func main() {
 func run() error {
 	const timeScale = 0.002 // 500x faster than real time
 
+	// Canceling ctx on return stops the daemons started below.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
 	// Two edge servers in adjacent 50 m cells.
 	grid := geo.NewHexGrid(50)
 	locs := []geo.Point{grid.Center(geo.HexCell{Q: 0, R: 0}), grid.Center(geo.HexCell{Q: 1, R: 0})}
@@ -44,7 +49,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		go srv.Serve(ln) //nolint:errcheck // daemon lives for the process
+		go srv.ServeContext(ctx, ln) //nolint:errcheck // stopped by cancel on return
 		edges = append(edges, master.EdgeInfo{Addr: ln.Addr().String(), Location: loc})
 		fmt.Printf("edge %d listening on %s at (%.0f,%.0f)\n", i, ln.Addr(), loc.X, loc.Y)
 	}
@@ -58,10 +63,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	go m.Serve(mln) //nolint:errcheck // daemon lives for the process
+	go m.ServeContext(ctx, mln) //nolint:errcheck // stopped by cancel on return
 	fmt.Printf("master listening on %s\n\n", mln.Addr())
 
-	client, err := mobile.Dial(mobile.Config{
+	client, err := mobile.DialContext(ctx, mobile.Config{
 		ID:         1,
 		Model:      dnn.ModelInception,
 		MasterAddr: mln.Addr().String(),
@@ -77,12 +82,12 @@ func run() error {
 	serverB := pl.ServerAt(edges[1].Location)
 
 	fmt.Println("== connect to edge A (cold) ==")
-	if err := client.Connect(serverA, edges[0].Addr); err != nil {
+	if err := client.ConnectContext(ctx, serverA, edges[0].Addr); err != nil {
 		return err
 	}
 	present, total := client.CacheState()
 	fmt.Printf("cached %d/%d plan layers (miss): queries run mostly locally\n", present, total)
-	lat, err := client.Query()
+	lat, err := client.QueryContext(ctx)
 	if err != nil {
 		return err
 	}
@@ -90,14 +95,14 @@ func run() error {
 
 	fmt.Println("\n== incremental upload ==")
 	for step := 1; ; step++ {
-		more, err := client.UploadStep()
+		more, err := client.UploadStepContext(ctx)
 		if err != nil {
 			return err
 		}
 		if !more {
 			break
 		}
-		lat, err := client.Query()
+		lat, err := client.QueryContext(ctx)
 		if err != nil {
 			return err
 		}
@@ -109,13 +114,13 @@ func run() error {
 	fmt.Println("\n== walking toward edge B; master migrates proactively ==")
 	a := edges[0].Location
 	for i := 0; i < 5; i++ {
-		if err := client.ReportLocation(geo.Point{X: a.X + float64(i)*8, Y: a.Y}); err != nil {
+		if err := client.ReportLocationContext(ctx, geo.Point{X: a.X + float64(i)*8, Y: a.Y}); err != nil {
 			return err
 		}
 	}
 
 	fmt.Println("\n== reconnect at edge B ==")
-	if err := client.Connect(serverB, edges[1].Addr); err != nil {
+	if err := client.ConnectContext(ctx, serverB, edges[1].Addr); err != nil {
 		return err
 	}
 	present, total = client.CacheState()
@@ -127,7 +132,7 @@ func run() error {
 		state = "partial"
 	}
 	fmt.Printf("cached %d/%d plan layers (%s)\n", present, total, state)
-	lat, err = client.Query()
+	lat, err = client.QueryContext(ctx)
 	if err != nil {
 		return err
 	}

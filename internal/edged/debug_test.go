@@ -1,6 +1,7 @@
 package edged
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 // obs debug listener — exactly what perdnn-edge -debug-addr does — serves
 // its live counters on /metrics and the pprof index on /debug/pprof/.
 func TestDebugEndpointServesDaemonMetrics(t *testing.T) {
+	ctx := context.Background()
 	addr, srv := startEdge(t, testConfig())
 	dbg, err := obs.ServeDebug("127.0.0.1:0", srv.Metrics())
 	if err != nil {
@@ -28,12 +30,12 @@ func TestDebugEndpointServesDaemonMetrics(t *testing.T) {
 	}()
 
 	// Drive one request through the daemon so the counters move.
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	resp, err := conn.RoundTrip(&wire.Envelope{
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:   wire.MsgUploadLayers,
 		Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0, 1}},
 	})

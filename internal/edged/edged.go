@@ -171,6 +171,14 @@ func (s *Server) sleep(d time.Duration) {
 // in-flight exchanges, closes the listener, and drains.
 func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 	s.mu.Lock()
+	select {
+	case <-s.closed:
+		// Close ran first and had no listener to close.
+		s.mu.Unlock()
+		_ = ln.Close() // never accepted on; the caller may have closed it too
+		return nil
+	default:
+	}
 	s.ln = ln
 	s.mu.Unlock()
 	stop := context.AfterFunc(ctx, func() {
@@ -196,16 +204,6 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 			s.handle(ctx, wire.NewConn(conn))
 		}()
 	}
-}
-
-// Serve accepts connections on ln until Close. It returns after the
-// listener fails (normally because Close closed it).
-//
-// Deprecated: use ServeContext, which ties the daemon's lifetime and every
-// in-flight exchange to the caller's context.
-func (s *Server) Serve(ln net.Listener) error {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return s.ServeContext(context.Background(), ln)
 }
 
 // Close stops the daemon. It is idempotent and safe to call concurrently

@@ -1,6 +1,7 @@
 package edged
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func startEdge(t *testing.T, cfg Config) (string, *Server) {
 		t.Fatal(err)
 	}
 	go func() {
-		if serr := srv.Serve(ln); serr != nil {
+		if serr := srv.ServeContext(context.Background(), ln); serr != nil {
 			t.Errorf("serve: %v", serr)
 		}
 	}()
@@ -51,13 +52,14 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
+	ctx := context.Background()
 	addr, _ := startEdge(t, testConfig())
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
-	resp, err := conn.RoundTrip(&wire.Envelope{Type: wire.MsgStatsRequest})
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{Type: wire.MsgStatsRequest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +72,16 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestUploadHasExec(t *testing.T) {
+	ctx := context.Background()
 	addr, _ := startEdge(t, testConfig())
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
 
 	// Nothing cached initially.
-	resp, err := conn.RoundTrip(&wire.Envelope{
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgHasRequest,
 		Has:  &wire.Has{ClientID: 1, Layers: []dnn.LayerID{0, 1, 2}},
 	})
@@ -90,7 +93,7 @@ func TestUploadHasExec(t *testing.T) {
 	}
 
 	// Upload two layers, then check presence.
-	resp, err = conn.RoundTrip(&wire.Envelope{
+	resp, err = conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:   wire.MsgUploadLayers,
 		Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0, 2}},
 	})
@@ -100,7 +103,7 @@ func TestUploadHasExec(t *testing.T) {
 	if resp.Ack == nil || !resp.Ack.OK {
 		t.Fatalf("upload rejected: %+v", resp)
 	}
-	resp, err = conn.RoundTrip(&wire.Envelope{
+	resp, err = conn.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgHasRequest,
 		Has:  &wire.Has{ClientID: 1, Layers: []dnn.LayerID{0, 1, 2}},
 	})
@@ -111,7 +114,7 @@ func TestUploadHasExec(t *testing.T) {
 		t.Errorf("cached layers %v, want [0 2]", resp.Has.Layers)
 	}
 	// Another client sees nothing.
-	resp, err = conn.RoundTrip(&wire.Envelope{
+	resp, err = conn.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgHasRequest,
 		Has:  &wire.Has{ClientID: 2, Layers: []dnn.LayerID{0}},
 	})
@@ -123,7 +126,7 @@ func TestUploadHasExec(t *testing.T) {
 	}
 
 	// Execute some offloaded work.
-	resp, err = conn.RoundTrip(&wire.Envelope{
+	resp, err = conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:    wire.MsgExecRequest,
 		ExecReq: &wire.ExecReq{ClientID: 1, ServerBaseNs: int64(5 * time.Millisecond), Intensity: 0.2},
 	})
@@ -136,22 +139,23 @@ func TestUploadHasExec(t *testing.T) {
 }
 
 func TestCacheTTLExpiry(t *testing.T) {
+	ctx := context.Background()
 	cfg := testConfig()
 	cfg.TTL = 50 * time.Millisecond
 	addr, _ := startEdge(t, cfg)
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
-	if _, err := conn.RoundTrip(&wire.Envelope{
+	if _, err := conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:   wire.MsgUploadLayers,
 		Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0}},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(80 * time.Millisecond)
-	resp, err := conn.RoundTrip(&wire.Envelope{
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgHasRequest,
 		Has:  &wire.Has{ClientID: 1, Layers: []dnn.LayerID{0}},
 	})
@@ -164,23 +168,24 @@ func TestCacheTTLExpiry(t *testing.T) {
 }
 
 func TestMigrateToPeer(t *testing.T) {
+	ctx := context.Background()
 	addrA, _ := startEdge(t, testConfig())
 	addrB, _ := startEdge(t, testConfig())
 
-	connA, err := wire.Dial(addrA)
+	connA, err := wire.DialContext(ctx, addrA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer connA.Close() //nolint:errcheck // test teardown
 
 	// Seed A with layers 0..4, then order migration of 0..9 with a cap.
-	if _, err := connA.RoundTrip(&wire.Envelope{
+	if _, err := connA.RoundTripContext(ctx, &wire.Envelope{
 		Type:   wire.MsgUploadLayers,
 		Upload: &wire.Upload{ClientID: 9, Layers: []dnn.LayerID{0, 1, 2, 3, 4}},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := connA.RoundTrip(&wire.Envelope{
+	resp, err := connA.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgMigrateRequest,
 		Migrate: &wire.Migrate{
 			ClientID: 9,
@@ -195,12 +200,12 @@ func TestMigrateToPeer(t *testing.T) {
 		t.Fatalf("migrate rejected: %+v", resp)
 	}
 
-	connB, err := wire.Dial(addrB)
+	connB, err := wire.DialContext(ctx, addrB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer connB.Close() //nolint:errcheck // test teardown
-	has, err := connB.RoundTrip(&wire.Envelope{
+	has, err := connB.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgHasRequest,
 		Has:  &wire.Has{ClientID: 9, Layers: []dnn.LayerID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
 	})
@@ -214,13 +219,14 @@ func TestMigrateToPeer(t *testing.T) {
 }
 
 func TestMigrateWithNothingCachedIsNoop(t *testing.T) {
+	ctx := context.Background()
 	addrA, _ := startEdge(t, testConfig())
-	connA, err := wire.Dial(addrA)
+	connA, err := wire.DialContext(ctx, addrA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer connA.Close() //nolint:errcheck // test teardown
-	resp, err := connA.RoundTrip(&wire.Envelope{
+	resp, err := connA.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgMigrateRequest,
 		Migrate: &wire.Migrate{
 			ClientID: 1,
@@ -237,13 +243,14 @@ func TestMigrateWithNothingCachedIsNoop(t *testing.T) {
 }
 
 func TestUnknownMessageAcksError(t *testing.T) {
+	ctx := context.Background()
 	addr, _ := startEdge(t, testConfig())
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
-	resp, err := conn.RoundTrip(&wire.Envelope{Type: wire.MsgPlanRequest})
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{Type: wire.MsgPlanRequest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +264,9 @@ func TestUnknownMessageAcksError(t *testing.T) {
 // the model with an error ack — never a panic, never a cache entry — and
 // price valid frames exactly as before.
 func TestBadLayerIDsAckError(t *testing.T) {
+	ctx := context.Background()
 	addr, srv := startEdge(t, testConfig())
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +279,7 @@ func TestBadLayerIDsAckError(t *testing.T) {
 			{Type: wire.MsgHasRequest, Has: &wire.Has{ClientID: 1, Layers: bad}},
 			{Type: wire.MsgMigrateRequest, Migrate: &wire.Migrate{ClientID: 1, Layers: bad, PeerAddr: "127.0.0.1:1"}},
 		} {
-			resp, err := conn.RoundTrip(req)
+			resp, err := conn.RoundTripContext(ctx, req)
 			if err != nil {
 				t.Fatalf("type %d layers %v: %v", req.Type, bad, err)
 			}
@@ -289,7 +297,7 @@ func TestBadLayerIDsAckError(t *testing.T) {
 	// A valid frame next to the rejected ones is priced exactly once.
 	valid := &wire.Envelope{Type: wire.MsgUploadLayers, Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0, n - 1}}}
 	for i := 0; i < 2; i++ {
-		if resp, err := conn.RoundTrip(valid); err != nil || resp.Ack == nil || !resp.Ack.OK {
+		if resp, err := conn.RoundTripContext(ctx, valid); err != nil || resp.Ack == nil || !resp.Ack.OK {
 			t.Fatalf("valid upload: %+v, %v", resp, err)
 		}
 	}
@@ -303,10 +311,11 @@ func TestBadLayerIDsAckError(t *testing.T) {
 // must not accumulate — expired entries go when the cache doubles, without
 // anyone looking those clients up again.
 func TestChurnedClientsAreSwept(t *testing.T) {
+	ctx := context.Background()
 	cfg := testConfig()
 	cfg.TTL = 5 * time.Millisecond
 	addr, srv := startEdge(t, cfg)
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +325,7 @@ func TestChurnedClientsAreSwept(t *testing.T) {
 	var peak int64
 	start := time.Now()
 	for id := 0; id < clients; id++ {
-		resp, err := conn.RoundTrip(&wire.Envelope{
+		resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 			Type:   wire.MsgUploadLayers,
 			Upload: &wire.Upload{ClientID: id, Layers: []dnn.LayerID{0}},
 		})
@@ -331,5 +340,32 @@ func TestChurnedClientsAreSwept(t *testing.T) {
 	perTTL := int64(float64(clients)*float64(cfg.TTL)/float64(time.Since(start))) + 1
 	if bound := max(6*perTTL, 4*minSweep); peak > bound {
 		t.Errorf("cache peaked at %d entries for %d churned clients (~%d per TTL), want <= %d", peak, clients, perTTL, bound)
+	}
+}
+
+// TestCloseBeforeServe: a Close that runs before ServeContext has a
+// listener to close must still stop the daemon, not leave it in Accept.
+func TestCloseBeforeServe(t *testing.T) {
+	srv, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeContext(context.Background(), ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("ServeContext after Close = %v, want nil", err)
+		}
+	case <-time.After(time.Second):
+		ln.Close() //nolint:errcheck // unblock the leaked Accept
+		t.Fatal("ServeContext after Close is still accepting")
 	}
 }

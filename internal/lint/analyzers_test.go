@@ -66,16 +66,6 @@ func TestLockHygiene(t *testing.T) {
 	RunFixture(t, fixtureRoot, LockHygiene, "lockuser")
 }
 
-func TestNoDeprecated(t *testing.T) {
-	RunFixture(t, fixtureRoot, NoDeprecated, "perdnn/internal/depuser", "perdnn/internal/depapi")
-}
-
-func TestNoDeprecatedIgnoresOutsideScope(t *testing.T) {
-	// freeuser calls the deprecated surface but lives outside perdnn,
-	// internal/, and cmd/, so the analyzer stays silent.
-	RunFixture(t, fixtureRoot, NoDeprecated, "freeuser", "perdnn/internal/depapi")
-}
-
 func TestAllAnalyzersRegistered(t *testing.T) {
 	names := map[string]bool{}
 	for _, a := range All() {
@@ -90,8 +80,8 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 			t.Fatalf("Lookup(%q) does not round-trip", a.Name)
 		}
 	}
-	if len(names) < 9 {
-		t.Fatalf("suite has %d analyzers, want >= 9", len(names))
+	if len(names) < 8 {
+		t.Fatalf("suite has %d analyzers, want >= 8", len(names))
 	}
 	if Lookup("nope") != nil {
 		t.Fatal("Lookup of unknown name should be nil")
@@ -142,7 +132,7 @@ func TestFixturesFailWithoutAnalyzer(t *testing.T) {
 		{"obsuser"},
 		{"hotpath", "hotpath/dep"},
 		{"lockuser"},
-		{"perdnn/internal/depuser", "perdnn/internal/depapi"},
+		{"perdnn/internal/mobile"},
 		{"perdnn/internal/edgesim", "perdnn/internal/simdep"},
 	}
 	for _, paths := range fixtures {

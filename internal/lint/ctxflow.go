@@ -15,8 +15,7 @@ import (
 //   - a context.Context parameter anywhere but first position: the
 //     convention callers and wrappers rely on;
 //   - context.Background() / context.TODO() outside package main: a
-//     fresh root context severs the caller's cancellation; deprecated
-//     compatibility shims carry a //perdnn:vet-ignore directive instead;
+//     fresh root context severs the caller's cancellation;
 //   - exported functions that dial the network without accepting a
 //     context: net.Dial/net.DialTimeout and friends cannot be canceled
 //     at all.

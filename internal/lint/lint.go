@@ -17,10 +17,10 @@
 //	go run ./cmd/perdnn-vet ./...
 //
 // A finding can be suppressed at a specific line — for documented
-// exceptions such as deprecated compatibility shims — with a directive
-// comment on the same line or the line above:
+// exceptions such as an amortized allocation on a hot path — with a
+// directive comment on the same line or the line above:
 //
-//	//perdnn:vet-ignore ctxflow deprecated bare-dial shim
+//	//perdnn:vet-ignore hotpathalloc built once per Model and cached by Topo
 package lint
 
 import (
@@ -293,7 +293,6 @@ func All() []*Analyzer {
 		FacadeOpts,
 		HotPathAlloc,
 		LockHygiene,
-		NoDeprecated,
 	}
 }
 

@@ -25,8 +25,10 @@ func Dial(addr string) (*Client, error) {
 	return DialContext(context.Background(), addr) // want "context.Background"
 }
 
-func DialShim(addr string) (*Client, error) {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
+// DialDetached mints a root context under an explicit vet-ignore
+// directive, which suppresses the finding on the line below.
+func DialDetached(addr string) (*Client, error) {
+	//perdnn:vet-ignore ctxflow fixture: a reasoned directive suppresses the finding
 	return DialContext(context.Background(), addr)
 }
 
@@ -41,13 +43,6 @@ func Query(c *Client, q string, ctx context.Context) error { // want "context.Co
 func (c *Client) UploadAllContext(ctx context.Context) (int, error) {
 	_ = ctx
 	return 0, nil
-}
-
-// UploadAll is the deprecated lockstep shim shape: minting the root
-// context is allowed only under an explicit vet-ignore directive.
-func (c *Client) UploadAll() (int, error) {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return c.UploadAllContext(context.Background())
 }
 
 // StreamPending puts the window size ahead of the context, breaking the

@@ -260,6 +260,14 @@ func (m *Master) EdgeAddr(id geo.ServerID) (string, bool) {
 // interrupts in-flight work, closes the listener, and drains.
 func (m *Master) ServeContext(ctx context.Context, ln net.Listener) error {
 	m.mu.Lock()
+	select {
+	case <-m.closed:
+		// Close ran first and had no listener to close.
+		m.mu.Unlock()
+		_ = ln.Close() // never accepted on; the caller may have closed it too
+		return nil
+	default:
+	}
 	m.ln = ln
 	m.mu.Unlock()
 	stop := context.AfterFunc(ctx, func() {
@@ -285,15 +293,6 @@ func (m *Master) ServeContext(ctx context.Context, ln net.Listener) error {
 			m.handle(ctx, wire.NewConn(conn))
 		}()
 	}
-}
-
-// Serve accepts connections until Close.
-//
-// Deprecated: use ServeContext, which ties the daemon's lifetime and every
-// in-flight exchange to the caller's context.
-func (m *Master) Serve(ln net.Listener) error {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return m.ServeContext(context.Background(), ln)
 }
 
 // Close stops the daemon. It is idempotent and safe to call concurrently

@@ -1,10 +1,12 @@
 package master
 
 import (
+	"context"
 	"net"
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/edged"
@@ -25,6 +27,7 @@ var (
 
 func fixture(t *testing.T) (edgeAddr string, loc geo.Point, masterAddr string, m *Master) {
 	t.Helper()
+	ctx := context.Background()
 	fixtureOnce.Do(func() {
 		grid := geo.NewHexGrid(50)
 		locs := []geo.Point{grid.Center(geo.HexCell{Q: 0, R: 0}), grid.Center(geo.HexCell{Q: 1, R: 0})}
@@ -42,7 +45,7 @@ func fixture(t *testing.T) (edgeAddr string, loc geo.Point, masterAddr string, m
 				fixtureErr = err
 				return
 			}
-			go esrv.Serve(eln) //nolint:errcheck // lives for the test binary
+			go esrv.ServeContext(ctx, eln) //nolint:errcheck // lives for the test binary
 			fixtureEdges = append(fixtureEdges, EdgeInfo{Addr: eln.Addr().String(), Location: loc})
 		}
 
@@ -56,7 +59,7 @@ func fixture(t *testing.T) (edgeAddr string, loc geo.Point, masterAddr string, m
 			fixtureErr = err
 			return
 		}
-		go mm.Serve(mln) //nolint:errcheck // lives for the test binary
+		go mm.ServeContext(ctx, mln) //nolint:errcheck // lives for the test binary
 		fixtureMaster = mm
 		fixtureAddr = mln.Addr().String()
 	})
@@ -83,16 +86,17 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestRegisterAndPlan(t *testing.T) {
+	ctx := context.Background()
 	addr, loc, masterAddr, m := fixture(t)
 
-	conn, err := wire.Dial(masterAddr)
+	conn, err := wire.DialContext(ctx, masterAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
 
 	// Plan request before registration must fail cleanly.
-	resp, err := conn.RoundTrip(&wire.Envelope{
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:    wire.MsgPlanRequest,
 		PlanReq: &wire.PlanReq{ClientID: 1, Server: 0},
 	})
@@ -104,7 +108,7 @@ func TestRegisterAndPlan(t *testing.T) {
 	}
 
 	// Register, then plan.
-	resp, err = conn.RoundTrip(&wire.Envelope{
+	resp, err = conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:     wire.MsgRegister,
 		Register: &wire.Register{ClientID: 1, Model: dnn.ModelMobileNet},
 	})
@@ -116,7 +120,7 @@ func TestRegisterAndPlan(t *testing.T) {
 	}
 
 	sid := m.Placement().ServerAt(loc)
-	resp, err = conn.RoundTrip(&wire.Envelope{
+	resp, err = conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:    wire.MsgPlanRequest,
 		PlanReq: &wire.PlanReq{ClientID: 1, Server: sid},
 	})
@@ -141,13 +145,14 @@ func TestRegisterAndPlan(t *testing.T) {
 }
 
 func TestRegisterUnknownModel(t *testing.T) {
+	ctx := context.Background()
 	_, _, masterAddr, _ := fixture(t)
-	conn, err := wire.Dial(masterAddr)
+	conn, err := wire.DialContext(ctx, masterAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
-	resp, err := conn.RoundTrip(&wire.Envelope{
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:     wire.MsgRegister,
 		Register: &wire.Register{ClientID: 1, Model: "bogus"},
 	})
@@ -160,13 +165,14 @@ func TestRegisterUnknownModel(t *testing.T) {
 }
 
 func TestTrajectoryUnknownClient(t *testing.T) {
+	ctx := context.Background()
 	_, _, masterAddr, _ := fixture(t)
-	conn, err := wire.Dial(masterAddr)
+	conn, err := wire.DialContext(ctx, masterAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
-	resp, err := conn.RoundTrip(&wire.Envelope{
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:       wire.MsgTrajectory,
 		Trajectory: &wire.Trajectory{ClientID: 77, Points: []geo.Point{{}}},
 	})
@@ -182,15 +188,16 @@ func TestTrajectoryUnknownClient(t *testing.T) {
 // the client's layers sit at edge A; walking toward edge B makes the master
 // order A to push them to B.
 func TestTrajectoryTriggersMigration(t *testing.T) {
+	ctx := context.Background()
 	_, _, masterAddr, m := fixture(t)
-	conn, err := wire.Dial(masterAddr)
+	conn, err := wire.DialContext(ctx, masterAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
 
 	const clientID = 55
-	if resp, err := conn.RoundTrip(&wire.Envelope{
+	if resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:     wire.MsgRegister,
 		Register: &wire.Register{ClientID: clientID, Model: dnn.ModelMobileNet},
 	}); err != nil || resp.Ack == nil || !resp.Ack.OK {
@@ -206,12 +213,12 @@ func TestTrajectoryTriggersMigration(t *testing.T) {
 	for i := 0; i < mdl.NumLayers(); i++ {
 		all = append(all, dnn.LayerID(i))
 	}
-	edgeA, err := wire.Dial(fixtureEdges[0].Addr)
+	edgeA, err := wire.DialContext(ctx, fixtureEdges[0].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer edgeA.Close() //nolint:errcheck // test teardown
-	if resp, err := edgeA.RoundTrip(&wire.Envelope{
+	if resp, err := edgeA.RoundTripContext(ctx, &wire.Envelope{
 		Type:   wire.MsgUploadLayers,
 		Upload: &wire.Upload{ClientID: clientID, Layers: all},
 	}); err != nil || resp.Ack == nil || !resp.Ack.OK {
@@ -222,7 +229,7 @@ func TestTrajectoryTriggersMigration(t *testing.T) {
 	// B's neighbourhood and the master orders the migration synchronously.
 	a := fixtureEdges[0].Location
 	for i := 0; i < 5; i++ {
-		resp, err := conn.RoundTrip(&wire.Envelope{
+		resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 			Type:       wire.MsgTrajectory,
 			Trajectory: &wire.Trajectory{ClientID: clientID, Points: []geo.Point{{X: a.X + float64(i)*8, Y: a.Y}}},
 		})
@@ -231,12 +238,12 @@ func TestTrajectoryTriggersMigration(t *testing.T) {
 		}
 	}
 
-	edgeB, err := wire.Dial(fixtureEdges[1].Addr)
+	edgeB, err := wire.DialContext(ctx, fixtureEdges[1].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer edgeB.Close() //nolint:errcheck // test teardown
-	resp, err := edgeB.RoundTrip(&wire.Envelope{
+	resp, err := edgeB.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgHasRequest,
 		Has:  &wire.Has{ClientID: clientID, Layers: all},
 	})
@@ -248,5 +255,32 @@ func TestTrajectoryTriggersMigration(t *testing.T) {
 	}
 	if got := m.Placement().Len(); got != 2 {
 		t.Errorf("placement has %d servers", got)
+	}
+}
+
+// TestCloseBeforeServe: a Close that runs before ServeContext has a
+// listener to close must still stop the daemon, not leave it in Accept.
+func TestCloseBeforeServe(t *testing.T) {
+	m, err := New(DefaultConfig([]EdgeInfo{{Addr: "127.0.0.1:1", Location: geo.Point{}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- m.ServeContext(context.Background(), ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("ServeContext after Close = %v, want nil", err)
+		}
+	case <-time.After(time.Second):
+		ln.Close() //nolint:errcheck // unblock the leaked Accept
+		t.Fatal("ServeContext after Close is still accepting")
 	}
 }

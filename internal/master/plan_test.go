@@ -56,7 +56,7 @@ func startEdged(t *testing.T) (*edged.Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln) //nolint:errcheck // closed by cleanup
+	go srv.ServeContext(context.Background(), ln) //nolint:errcheck // closed by cleanup
 	t.Cleanup(func() {
 		if err := srv.Close(); err != nil {
 			t.Logf("closing edge: %v", err)
@@ -69,7 +69,7 @@ func startEdged(t *testing.T) (*edged.Server, string) {
 // throughput plan spans two hops).
 func mustRegister(t *testing.T, conn *wire.Conn, id int) {
 	t.Helper()
-	resp, err := conn.RoundTrip(&wire.Envelope{
+	resp, err := conn.RoundTripContext(context.Background(), &wire.Envelope{
 		Type:     wire.MsgRegister,
 		Register: &wire.Register{ClientID: id, Model: dnn.ModelInception},
 	})
@@ -96,6 +96,7 @@ func waitClients(t *testing.T, m *Master, want int64) {
 // within Radius of it, skips an unreachable neighbour and still serves a
 // chain over the rest.
 func TestChainCandidatesAndStatsFanOut(t *testing.T) {
+	ctx := context.Background()
 	grid := geo.NewHexGrid(50)
 	first, firstAddr := startEdged(t)
 	near, nearAddr := startEdged(t)
@@ -117,7 +118,7 @@ func TestChainCandidatesAndStatsFanOut(t *testing.T) {
 	cfg.MaxHops = 3
 	cfg.Objective = partition.ObjectiveThroughput
 	m, addr := startMaster(t, cfg)
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestChainCandidatesAndStatsFanOut(t *testing.T) {
 
 	const plans = 3
 	for i := 0; i < plans; i++ {
-		resp, err := conn.RoundTrip(&wire.Envelope{
+		resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 			Type:    wire.MsgPlanRequest,
 			PlanReq: &wire.PlanReq{ClientID: 1, Server: m.Placement().ServerAt(cfg.Edges[0].Location)},
 		})
@@ -167,10 +168,11 @@ func TestChainCandidatesAndStatsFanOut(t *testing.T) {
 // while a client whose connection is open, or that re-registered over a
 // newer connection, stays.
 func TestClientsForgottenWithTheirConnection(t *testing.T) {
+	ctx := context.Background()
 	_, _, _, shared := fixture(t)
 	m, addr := startMaster(t, DefaultConfig(shared.cfg.Edges))
 	dial := func() *wire.Conn {
-		conn, err := wire.Dial(addr)
+		conn, err := wire.DialContext(ctx, addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +208,7 @@ func TestClientsForgottenWithTheirConnection(t *testing.T) {
 	}
 	waitClients(t, m, 2)
 	for _, id := range []int{stay, rehomed} {
-		resp, err := keeper.RoundTrip(&wire.Envelope{
+		resp, err := keeper.RoundTripContext(ctx, &wire.Envelope{
 			Type:       wire.MsgTrajectory,
 			Trajectory: &wire.Trajectory{ClientID: id, Points: []geo.Point{{}}},
 		})

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"context"
 	"log/slog"
 	"net"
 	"os"
@@ -36,6 +37,7 @@ const numShards = 4
 
 func shardFixture(t *testing.T) {
 	t.Helper()
+	ctx := context.Background()
 	shardOnce.Do(func() {
 		grid := geo.NewHexGrid(50)
 		cells := []geo.HexCell{{Q: 0, R: 0}, {Q: 1, R: 0}, {Q: 0, R: 1}, {Q: 1, R: 1}}
@@ -53,7 +55,7 @@ func shardFixture(t *testing.T) {
 				shardErr = err
 				return
 			}
-			go esrv.Serve(eln) //nolint:errcheck // lives for the test binary
+			go esrv.ServeContext(ctx, eln) //nolint:errcheck // lives for the test binary
 			shardEdges = append(shardEdges, EdgeInfo{Addr: eln.Addr().String(), Location: grid.Center(cell)})
 		}
 
@@ -87,7 +89,7 @@ func shardFixture(t *testing.T) {
 				shardErr = err
 				return
 			}
-			go m.Serve(lns[i]) //nolint:errcheck // lives for the test binary
+			go m.ServeContext(ctx, lns[i]) //nolint:errcheck // lives for the test binary
 			shardMasters = append(shardMasters, m)
 		}
 
@@ -323,11 +325,11 @@ func TestShardRingCrossings(t *testing.T) {
 	last := shardEdges[path[len(path)-1]].Location
 	owners := 0
 	for i, addr := range shardAddrs {
-		conn, err := wire.Dial(addr)
+		conn, err := wire.DialContext(context.Background(), addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := conn.RoundTrip(&wire.Envelope{
+		resp, err := conn.RoundTripContext(context.Background(), &wire.Envelope{
 			Type:       wire.MsgTrajectory,
 			Trajectory: &wire.Trajectory{ClientID: 77, Points: []geo.Point{last}},
 		})

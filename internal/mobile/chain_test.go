@@ -80,7 +80,7 @@ func TestLiveChainQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go m.Serve(mln) //nolint:errcheck // closed by cleanup
+	go m.ServeContext(context.Background(), mln) //nolint:errcheck // closed by cleanup
 	t.Cleanup(func() {
 		if cerr := m.Close(); cerr != nil {
 			t.Logf("closing master: %v", cerr)

@@ -1,12 +1,15 @@
 package mobile_test
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"log/slog"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,12 +24,22 @@ func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 }
 
-// flakyProxy is a TCP proxy the tests can sabotage: KillActive severs every
-// live connection (simulating an edge daemon crash mid-exchange), Close
+// flakyProxy is a TCP proxy the tests can sabotage. It forwards wire
+// frames between client and backend; KillActive severs every live
+// connection (an edge daemon crash mid-exchange), armAfter schedules that
+// kill after exactly N more complete client→server frames, and Close
 // additionally stops accepting (the daemon never comes back).
+// Frame-granular kills keep the scenario clean: the backend never sees a
+// truncated frame, so every forwarded upload unit demonstrably landed.
+// After a kill the proxy keeps accepting, so the client's
+// reconnect-and-resume path gets a live, from then on transparent, route.
 type flakyProxy struct {
 	ln      net.Listener
 	backend string
+
+	// remaining counts armed client→server frames; large when disarmed,
+	// the kill fires on the transition to 0.
+	remaining atomic.Int64
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -39,12 +52,17 @@ func newFlakyProxy(t *testing.T, backend string) *flakyProxy {
 		t.Fatal(err)
 	}
 	p := &flakyProxy{ln: ln, backend: backend, conns: make(map[net.Conn]struct{})}
+	p.remaining.Store(1 << 40) // disarmed
 	go p.serve()
 	t.Cleanup(p.Close)
 	return p
 }
 
 func (p *flakyProxy) Addr() string { return p.ln.Addr().String() }
+
+// armAfter schedules the kill: sever everything once n more complete
+// client→server frames have been forwarded.
+func (p *flakyProxy) armAfter(n int64) { p.remaining.Store(n) }
 
 func (p *flakyProxy) serve() {
 	for {
@@ -61,15 +79,40 @@ func (p *flakyProxy) serve() {
 		p.conns[c] = struct{}{}
 		p.conns[b] = struct{}{}
 		p.mu.Unlock()
-		go p.pipe(c, b)
-		go p.pipe(b, c)
+		go p.pipeFrames(b, c) // client → server, frame-parsed and counted
+		go func() {           // server → client, transparent
+			_, _ = io.Copy(c, b)
+			p.drop(c)
+			p.drop(b)
+		}()
 	}
 }
 
-// pipe copies one direction and severs both sides when it ends, so a
-// backend close propagates to the client and vice versa.
-func (p *flakyProxy) pipe(dst, src net.Conn) {
-	_, _ = io.Copy(dst, src)
+// pipeFrames forwards src's bytes to dst one wire frame at a time (6-byte
+// header, big-endian length), decrementing the armed counter per frame and
+// killing every connection when it hits zero. When it ends it severs both
+// sides, so a backend close propagates to the client and vice versa.
+func (p *flakyProxy) pipeFrames(dst, src net.Conn) {
+	br := bufio.NewReader(src)
+	var hdr [6]byte
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			break
+		}
+		n := binary.BigEndian.Uint32(hdr[2:6])
+		frame := make([]byte, 6+int(n))
+		copy(frame, hdr[:])
+		if _, err := io.ReadFull(br, frame[6:]); err != nil {
+			break
+		}
+		if _, err := dst.Write(frame); err != nil {
+			break
+		}
+		if p.remaining.Add(-1) == 0 {
+			p.KillActive()
+			break
+		}
+	}
 	p.drop(dst)
 	p.drop(src)
 }
@@ -140,7 +183,7 @@ func dialFastClient(t *testing.T, masterAddr string) *mobile.Client {
 func uploadAll(t *testing.T, client *mobile.Client) {
 	t.Helper()
 	for steps := 0; ; steps++ {
-		more, err := client.UploadStep()
+		more, err := client.UploadStepContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,6 +201,7 @@ func uploadAll(t *testing.T, client *mobile.Client) {
 // redials, resyncs the edge's surviving cache, and finishes the upload
 // without starting over.
 func TestReconnectAndResumeMidUpload(t *testing.T) {
+	ctx := context.Background()
 	masterAddr, edges, m, _ := liveCluster(t)
 	proxy := newFlakyProxy(t, edges[0].Addr)
 	client := dialFastClient(t, masterAddr)
@@ -166,7 +210,7 @@ func TestReconnectAndResumeMidUpload(t *testing.T) {
 	if serverA == geo.NoServer {
 		t.Fatal("no cell for edge A")
 	}
-	if err := client.Connect(serverA, proxy.Addr()); err != nil {
+	if err := client.ConnectContext(ctx, serverA, proxy.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	_, total := client.CacheState()
@@ -175,7 +219,7 @@ func TestReconnectAndResumeMidUpload(t *testing.T) {
 	}
 
 	// First unit lands, then the "daemon" crashes the connection.
-	if more, err := client.UploadStep(); err != nil || !more {
+	if more, err := client.UploadStepContext(ctx); err != nil || !more {
 		t.Fatalf("first upload step: more=%v err=%v", more, err)
 	}
 	preKill, _ := client.CacheState()
@@ -203,7 +247,7 @@ func TestReconnectAndResumeMidUpload(t *testing.T) {
 	}
 
 	// And a query offloads normally again.
-	if _, err := client.Query(); err != nil {
+	if _, err := client.QueryContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -212,25 +256,26 @@ func TestReconnectAndResumeMidUpload(t *testing.T) {
 // mid-session: the query must not hang, must retry with backoff, and must
 // return a usable client-local latency wrapped with core.ErrLocalFallback.
 func TestDeadEdgeDegradesToLocalFallback(t *testing.T) {
+	ctx := context.Background()
 	masterAddr, edges, m, _ := liveCluster(t)
 	proxy := newFlakyProxy(t, edges[0].Addr)
 	client := dialFastClient(t, masterAddr)
 
 	serverA := m.Placement().ServerAt(edges[0].Location)
-	if err := client.Connect(serverA, proxy.Addr()); err != nil {
+	if err := client.ConnectContext(ctx, serverA, proxy.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	uploadAll(t, client)
 
 	// A healthy offloaded query first, to prove the plan offloads.
-	if _, err := client.Query(); err != nil {
+	if _, err := client.QueryContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 
 	proxy.Close() // the edge never comes back
 
 	start := time.Now()
-	lat, err := client.Query()
+	lat, err := client.QueryContext(ctx)
 	if err == nil {
 		t.Fatal("query against a dead edge returned no error")
 	}
@@ -262,7 +307,7 @@ func TestQueryContextCancelBeatsFallback(t *testing.T) {
 	proxy := newFlakyProxy(t, edges[0].Addr)
 	client := dialFastClient(t, masterAddr)
 
-	if err := client.Connect(m.Placement().ServerAt(edges[0].Location), proxy.Addr()); err != nil {
+	if err := client.ConnectContext(context.Background(), m.Placement().ServerAt(edges[0].Location), proxy.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	uploadAll(t, client)

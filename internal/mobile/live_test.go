@@ -1,6 +1,7 @@
 package mobile_test
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 // and the edge daemons themselves (for server-side metric assertions).
 func liveCluster(t *testing.T) (string, []master.EdgeInfo, *master.Master, []*edged.Server) {
 	t.Helper()
+	ctx := context.Background()
 	grid := geo.NewHexGrid(50)
 	locs := []geo.Point{grid.Center(geo.HexCell{Q: 0, R: 0}), grid.Center(geo.HexCell{Q: 1, R: 0})}
 
@@ -35,7 +37,7 @@ func liveCluster(t *testing.T) (string, []master.EdgeInfo, *master.Master, []*ed
 			t.Fatal(err)
 		}
 		go func() {
-			if serveErr := srv.Serve(ln); serveErr != nil {
+			if serveErr := srv.ServeContext(ctx, ln); serveErr != nil {
 				t.Errorf("edge serve: %v", serveErr)
 			}
 		}()
@@ -59,7 +61,7 @@ func liveCluster(t *testing.T) (string, []master.EdgeInfo, *master.Master, []*ed
 		t.Fatal(err)
 	}
 	go func() {
-		if serveErr := m.Serve(mln); serveErr != nil {
+		if serveErr := m.ServeContext(ctx, mln); serveErr != nil {
 			t.Errorf("master serve: %v", serveErr)
 		}
 	}()
@@ -76,10 +78,11 @@ func liveCluster(t *testing.T) (string, []master.EdgeInfo, *master.Master, []*ed
 // that trigger proactive migration to edge B, then a reconnect at B that
 // finds the layers already cached (hit).
 func TestLiveOffloadingEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	masterAddr, edges, m, _ := liveCluster(t)
 	pl := m.Placement()
 
-	client, err := mobile.Dial(mobile.Config{
+	client, err := mobile.DialContext(ctx, mobile.Config{
 		ID:         7,
 		Model:      dnn.ModelMobileNet,
 		MasterAddr: masterAddr,
@@ -101,7 +104,7 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 	}
 
 	// Connect to A: cold, so nothing cached.
-	if err := client.Connect(serverA, edges[0].Addr); err != nil {
+	if err := client.ConnectContext(ctx, serverA, edges[0].Addr); err != nil {
 		t.Fatal(err)
 	}
 	present, total := client.CacheState()
@@ -113,14 +116,14 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 	}
 
 	// A query before upload runs fully locally but must still succeed.
-	if _, err := client.Query(); err != nil {
+	if _, err := client.QueryContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 
 	// Incremental upload until complete.
 	steps := 0
 	for {
-		more, err := client.UploadStep()
+		more, err := client.UploadStepContext(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +138,7 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 	if present, total = client.CacheState(); present != total {
 		t.Fatalf("upload incomplete: %d/%d", present, total)
 	}
-	lat, err := client.Query()
+	lat, err := client.QueryContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 	a := edges[0].Location
 	for i := 0; i < 5; i++ {
 		p := geo.Point{X: a.X + float64(i)*8, Y: a.Y}
-		if err := client.ReportLocation(p); err != nil {
+		if err := client.ReportLocationContext(ctx, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +162,7 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 	// Give the synchronous migration a moment to land at B.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := client.Connect(serverB, edges[1].Addr); err != nil {
+		if err := client.ConnectContext(ctx, serverB, edges[1].Addr); err != nil {
 			t.Fatal(err)
 		}
 		present, total = client.CacheState()
@@ -173,7 +176,7 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 	}
 
 	// The hit connection offloads immediately.
-	if _, err := client.Query(); err != nil {
+	if _, err := client.QueryContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -160,14 +160,6 @@ func DialContext(ctx context.Context, cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// Dial connects to the master and registers.
-//
-// Deprecated: use DialContext, which can carry deadlines and cancellation.
-func Dial(cfg Config) (*Client, error) {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return DialContext(context.Background(), cfg)
-}
-
 // Metrics exposes the client's metrics registry (connects, uploads,
 // queries and their latency distribution, plus retries, reconnects, and
 // local fallbacks).
@@ -289,12 +281,6 @@ func (c *Client) switchMaster(ctx context.Context, addr string) error {
 	return nil
 }
 
-// ReportLocation is ReportLocationContext without cancellation.
-func (c *Client) ReportLocation(p geo.Point) error {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return c.ReportLocationContext(context.Background(), p)
-}
-
 // dropEdge discards a broken edge connection; the next edge exchange
 // redials and resyncs.
 func (c *Client) dropEdge() {
@@ -370,7 +356,7 @@ func (c *Client) edgeRoundTrip(ctx context.Context, e *wire.Envelope) (*wire.Env
 
 // ConnectContext attaches to an edge server: fetches the current plan from
 // the master, checks which layers the edge already caches, and uploads one
-// missing schedule unit per UploadStep call.
+// missing schedule unit per UploadStepContext call.
 func (c *Client) ConnectContext(ctx context.Context, server geo.ServerID, edgeAddr string) error {
 	c.dropEdge()
 	c.met.Counter("connects_total").Inc()
@@ -435,12 +421,6 @@ func (c *Client) checkPlan(p *wire.PlanResp) error {
 		return fmt.Errorf("mobile: bad plan: %w", err)
 	}
 	return nil
-}
-
-// Connect is ConnectContext without cancellation.
-func (c *Client) Connect(server geo.ServerID, edgeAddr string) error {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return c.ConnectContext(context.Background(), server, edgeAddr)
 }
 
 // ServerLayers returns a copy of the current plan's server-side layer set
@@ -523,12 +503,6 @@ func (c *Client) UploadStepContext(ctx context.Context) (bool, error) {
 		return true, nil
 	}
 	return false, nil
-}
-
-// UploadStep is UploadStepContext without cancellation.
-func (c *Client) UploadStep() (bool, error) {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return c.UploadStepContext(context.Background())
 }
 
 // uploadUnit is one pending schedule unit: the not-yet-uploaded layers of
@@ -673,15 +647,6 @@ func (c *Client) UploadAllContext(ctx context.Context) (int, error) {
 	return done, nil
 }
 
-// UploadAll is UploadAllContext without cancellation.
-//
-// Deprecated: use UploadAllContext, which can carry deadlines and
-// cancellation.
-func (c *Client) UploadAll() (int, error) {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return c.UploadAllContext(context.Background())
-}
-
 // recomputeSplit refreshes the query decomposition from the uploaded set.
 func (c *Client) recomputeSplit() {
 	loc := partition.AllClient(c.model)
@@ -752,12 +717,6 @@ func (c *Client) QueryContext(ctx context.Context) (time.Duration, error) {
 	c.met.Counter("queries_total").Inc()
 	c.met.Histogram("query_latency_ns").ObserveDuration(total)
 	return total, nil
-}
-
-// Query is QueryContext without cancellation.
-func (c *Client) Query() (time.Duration, error) {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return c.QueryContext(context.Background())
 }
 
 // chainUsable reports whether queries should ride the plan's multi-hop

@@ -35,7 +35,7 @@ func TestLiveTracePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(eln) //nolint:errcheck // closed by cleanup
+	go srv.ServeContext(context.Background(), eln) //nolint:errcheck // closed by cleanup
 	t.Cleanup(func() {
 		if cerr := srv.Close(); cerr != nil {
 			t.Logf("closing edge: %v", cerr)
@@ -53,7 +53,7 @@ func TestLiveTracePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go m.Serve(mln) //nolint:errcheck // closed by cleanup
+	go m.ServeContext(context.Background(), mln) //nolint:errcheck // closed by cleanup
 	t.Cleanup(func() {
 		if cerr := m.Close(); cerr != nil {
 			t.Logf("closing master: %v", cerr)

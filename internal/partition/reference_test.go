@@ -14,15 +14,15 @@ import (
 // This file preserves the pre-optimization (PR 5) planning implementations
 // byte for byte: the quadratic frontier-cost rescan, the per-call successor
 // rebuild, and the map-based assignment bookkeeping. They exist for two
-// reasons and must not be called from production paths:
+// reasons, which is why they live in a _test.go file:
 //
 //   - Equivalence oracles: the solver tests prove Solver.Partition,
 //     Solver.UploadSchedule, Decompose, and Evaluate return bit-identical
 //     results against these references over the model zoo x slowdown x link
 //     grid, so the scratch-buffer fast paths cannot silently drift.
-//   - Perf trajectory: perdnn-bench -benchjson benchmarks reference vs
-//     optimized side by side in one binary, so BENCH_*.json speedups are
-//     measured under identical conditions rather than across commits.
+//   - Perf trajectory: BenchmarkReferencePartition runs solver and
+//     reference in one test binary, so the solver's speedup (frozen in
+//     BENCH_PR5.json) stays measurable under identical conditions.
 
 // referenceSuccessors rebuilds the successor table the way Model.Successors
 // did before topology caching: a fresh [][]LayerID per call.

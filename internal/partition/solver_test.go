@@ -209,3 +209,38 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Decompose allocates %.1f/op, want 0", n)
 	}
 }
+
+// BenchmarkReferencePartition runs the scratch solver and the pre-PR-5
+// reference on the same request in one binary, per zoo model — the
+// comparison whose frozen numbers are in BENCH_PR5.json.
+func BenchmarkReferencePartition(b *testing.B) {
+	for _, name := range dnn.ZooNames() {
+		m, err := dnn.ZooModel(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
+		req := Request{Profile: prof, Slowdown: 2, Link: LabWiFi()}
+		b.Run(string(name)+"/solver", func(b *testing.B) {
+			b.ReportAllocs()
+			s := NewSolver()
+			if _, err := s.Partition(req); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Partition(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(string(name)+"/reference", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReferencePartition(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

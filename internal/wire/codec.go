@@ -1,8 +1,8 @@
 // Hand-written binary codec for Envelope bodies. Encoding is canonical
 // (minimal varints, fixed field order), so encode(decode(encode(x))) is
 // byte-identical — the FuzzEnvelopeRoundTrip invariant. Decoding writes
-// into caller-owned scratch (recvScratch) so a Conn's steady-state Recv
-// allocates nothing.
+// into caller-owned scratch (recvScratch) so a Conn's steady-state
+// RecvContext allocates nothing.
 package wire
 
 import (
@@ -402,11 +402,9 @@ func (d *decoder) string(memo *string) string {
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
-	if string(b) == *memo { //perdnn:vet-ignore hotpathalloc comparison conversion does not escape; the compiler elides the copy
-		return *memo
+	if string(b) != *memo { //perdnn:vet-ignore hotpathalloc the compiler elides the comparison's copy; the refresh below copies only when the value changed
+		*memo = string(b)
 	}
-	//perdnn:vet-ignore hotpathalloc memo refresh: copies only when the value actually changed
-	*memo = string(b)
 	return *memo
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"flag"
@@ -406,15 +407,16 @@ func rawPipe(t *testing.T) (*Conn, net.Conn) {
 // echoPeer answers every envelope with itself until the conn drops.
 func echoPeer(t *testing.T) *Conn {
 	t.Helper()
+	ctx := context.Background()
 	client, raw := rawPipe(t)
 	server := NewConn(raw)
 	go func() {
 		for {
-			e, err := server.Recv()
+			e, err := server.RecvContext(ctx)
 			if err != nil {
 				return
 			}
-			if err := server.Send(e); err != nil {
+			if err := server.SendContext(ctx, e); err != nil {
 				return
 			}
 		}
@@ -534,6 +536,41 @@ func BenchmarkRoundTripBinary(b *testing.B) {
 	}
 }
 
+// referenceGobConn is the pre-v2 transport — gob with gob's own framing —
+// kept, like partition's Reference* functions, as the same-binary baseline
+// for BenchmarkRoundTripGobReference. It is not protocol compatible with
+// Conn: a v2 reader rejects gob bytes with ErrProtoVersion.
+type referenceGobConn struct {
+	c   net.Conn
+	enc *gob.Encoder
+	dec *gob.Decoder
+}
+
+func newReferenceGobConn(c net.Conn) *referenceGobConn {
+	return &referenceGobConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
+}
+
+func (g *referenceGobConn) Send(e *Envelope) error { return g.enc.Encode(e) }
+
+// Recv decodes into a freshly allocated envelope, as the old protocol did
+// per message.
+func (g *referenceGobConn) Recv() (*Envelope, error) {
+	var e Envelope
+	if err := g.dec.Decode(&e); err != nil {
+		return nil, err
+	}
+	return &e, nil
+}
+
+func (g *referenceGobConn) RoundTrip(e *Envelope) (*Envelope, error) {
+	if err := g.Send(e); err != nil {
+		return nil, err
+	}
+	return g.Recv()
+}
+
+func (g *referenceGobConn) Close() error { return g.c.Close() }
+
 // BenchmarkRoundTripGobReference is the same exchange over the pre-v2 gob
 // transport, the same-binary baseline for BENCH_PR6.json.
 func BenchmarkRoundTripGobReference(b *testing.B) {
@@ -547,7 +584,7 @@ func BenchmarkRoundTripGobReference(b *testing.B) {
 		if err != nil {
 			return
 		}
-		srv := NewReferenceGobConn(c)
+		srv := newReferenceGobConn(c)
 		for {
 			e, err := srv.Recv()
 			if err != nil {
@@ -562,7 +599,7 @@ func BenchmarkRoundTripGobReference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	client := NewReferenceGobConn(raw)
+	client := newReferenceGobConn(raw)
 	defer client.Close() //nolint:errcheck // bench teardown
 	req := &Envelope{Type: MsgExecRequest, ExecReq: &ExecReq{
 		ClientID: 1, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100}}
@@ -578,6 +615,7 @@ func BenchmarkRoundTripGobReference(b *testing.B) {
 // echoPeerB is echoPeer for benchmarks.
 func echoPeerB(b *testing.B) *Conn {
 	b.Helper()
+	ctx := context.Background()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -589,11 +627,11 @@ func echoPeerB(b *testing.B) *Conn {
 		}
 		server := NewConn(c)
 		for {
-			e, err := server.Recv()
+			e, err := server.RecvContext(ctx)
 			if err != nil {
 				return
 			}
-			if err := server.Send(e); err != nil {
+			if err := server.SendContext(ctx, e); err != nil {
 				return
 			}
 		}

@@ -26,6 +26,7 @@ type countingEchoServer struct {
 
 func newCountingEchoServer(t testing.TB) *countingEchoServer {
 	t.Helper()
+	ctx := context.Background()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +46,11 @@ func newCountingEchoServer(t testing.TB) *countingEchoServer {
 				defer c.Close() //nolint:errcheck // test teardown
 				conn := NewConn(c)
 				for {
-					e, err := conn.Recv()
+					e, err := conn.RecvContext(ctx)
 					if err != nil {
 						return
 					}
-					if err := conn.Send(e); err != nil {
+					if err := conn.SendContext(ctx, e); err != nil {
 						return
 					}
 				}

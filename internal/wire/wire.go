@@ -3,7 +3,7 @@
 // (cmd/perdnn-edge), and mobile clients (cmd/perdnn-client). Every
 // connection carries a stream of length-prefixed frames, each holding one
 // Envelope; the codec is hand-written (codec.go) and encodes/decodes into
-// reusable buffers owned by the Conn, so steady-state Send/Recv performs
+// reusable buffers owned by the Conn, so steady-state send/receive performs
 // no per-message allocations.
 //
 // Frame layout (DESIGN.md §12):
@@ -113,7 +113,7 @@ var (
 	ErrFrame = errors.New("wire: malformed frame")
 	// ErrConnPoisoned marks a connection whose in-flight operation was
 	// interrupted by a context cancellation: the stream position is
-	// unknown, so every later Send/Recv refuses it. Callers drop the
+	// unknown, so every later send or receive refuses it. Callers drop the
 	// connection and redial.
 	ErrConnPoisoned = errors.New("wire: connection poisoned by canceled operation")
 )
@@ -122,7 +122,7 @@ var (
 // set. Field encodings are fixed by codec.go and documented per body.
 //
 // An Envelope returned by RecvContext — and everything it points to — is
-// owned by the Conn and valid only until the next Recv on that Conn;
+// owned by the Conn and valid only until the next RecvContext on that Conn;
 // callers that retain any part of it must copy (Clone, PlanResp.Clone).
 type Envelope struct {
 	Type MsgType
@@ -498,14 +498,6 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 	return conn, nil
 }
 
-// Dial connects to a daemon with the default dial timeout.
-//
-// Deprecated: use DialContext, which can carry deadlines and cancellation.
-func Dial(addr string) (*Conn, error) {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return DialContext(context.Background(), addr)
-}
-
 // NewConn wraps an established connection.
 func NewConn(c net.Conn) *Conn {
 	return &Conn{c: c, br: bufio.NewReaderSize(c, 16<<10)}
@@ -571,17 +563,11 @@ func (c *Conn) SendContext(ctx context.Context, e *Envelope) error {
 	return nil
 }
 
-// Send writes one envelope with the default deadline.
-func (c *Conn) Send(e *Envelope) error {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return c.SendContext(context.Background(), e)
-}
-
 // RecvContext reads one envelope, bounded by the context deadline (or the
 // 60 s default, whichever is earlier) and interruptible by cancellation.
 //
 // The returned Envelope is owned by the Conn and valid only until the next
-// Recv; callers that retain it (or its slices/strings) must Clone. A Conn
+// RecvContext; callers that retain it (or its slices/strings) must Clone. A Conn
 // whose earlier operation was interrupted returns ErrConnPoisoned.
 //
 //perdnn:hotpath per-inference wire receive; the arena decode depends on it
@@ -624,25 +610,13 @@ func (c *Conn) RecvContext(ctx context.Context) (*Envelope, error) {
 	return &c.renv, nil
 }
 
-// Recv reads one envelope with the default deadline.
-func (c *Conn) Recv() (*Envelope, error) {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return c.RecvContext(context.Background())
-}
-
 // RoundTripContext sends a request and reads the reply under one context.
-// The reply has Recv's ownership rules: valid until the next Recv.
+// The reply has RecvContext's ownership rules: valid until the next receive.
 func (c *Conn) RoundTripContext(ctx context.Context, e *Envelope) (*Envelope, error) {
 	if err := c.SendContext(ctx, e); err != nil {
 		return nil, err
 	}
 	return c.RecvContext(ctx)
-}
-
-// RoundTrip sends a request and reads the reply with default deadlines.
-func (c *Conn) RoundTrip(e *Envelope) (*Envelope, error) {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return c.RoundTripContext(context.Background(), e)
 }
 
 // Poisoned reports whether an interrupted operation made the Conn

@@ -33,7 +33,7 @@ func pipePair(t *testing.T) (*Conn, *Conn) {
 		c, err := ln.Accept()
 		ch <- res{c: c, err: err}
 	}()
-	client, err := Dial(ln.Addr().String())
+	client, err := DialContext(context.Background(), ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +50,7 @@ func pipePair(t *testing.T) (*Conn, *Conn) {
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	client, server := pipePair(t)
 	want := &Envelope{
 		Type: MsgRegister,
@@ -60,7 +61,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		got, err := server.Recv()
+		got, err := server.RecvContext(ctx)
 		if err != nil {
 			done <- err
 			return
@@ -68,9 +69,9 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		if got.Type != MsgRegister || got.Register == nil || got.Register.ClientID != 42 {
 			t.Errorf("server got %+v", got)
 		}
-		done <- server.Send(&Envelope{Type: MsgAck, Ack: &Ack{OK: true}})
+		done <- server.SendContext(ctx, &Envelope{Type: MsgAck, Ack: &Ack{OK: true}})
 	}()
-	resp, err := client.RoundTrip(want)
+	resp, err := client.RoundTripContext(ctx, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +84,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeCarriesAllBodies(t *testing.T) {
+	ctx := context.Background()
 	client, server := pipePair(t)
 	stats := gpusim.Stats{ActiveClients: 3, KernelUtil: 0.4, MemUtil: 0.2, MemUsedMB: 2100, TempC: 55}
 	msgs := []*Envelope{
@@ -96,19 +98,19 @@ func TestEnvelopeCarriesAllBodies(t *testing.T) {
 	}
 	go func() {
 		for range msgs {
-			got, err := server.Recv()
+			got, err := server.RecvContext(ctx)
 			if err != nil {
 				t.Errorf("server recv: %v", err)
 				return
 			}
-			if err := server.Send(got); err != nil { // echo
+			if err := server.SendContext(ctx, got); err != nil { // echo
 				t.Errorf("server send: %v", err)
 				return
 			}
 		}
 	}()
 	for i, m := range msgs {
-		echo, err := client.RoundTrip(m)
+		echo, err := client.RoundTripContext(ctx, m)
 		if err != nil {
 			t.Fatalf("%v: %v", m.Type, err)
 		}
@@ -130,7 +132,7 @@ func TestEnvelopeCarriesAllBodies(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	if _, err := DialContext(context.Background(), "127.0.0.1:1"); err == nil {
 		t.Error("dial to closed port succeeded")
 	}
 }
@@ -187,12 +189,12 @@ func TestRecvContextCancelInterrupts(t *testing.T) {
 func TestRoundTripContextHappyPath(t *testing.T) {
 	client, server := pipePair(t)
 	go func() {
-		got, err := server.Recv()
+		got, err := server.RecvContext(context.Background())
 		if err != nil {
 			t.Errorf("server recv: %v", err)
 			return
 		}
-		if err := server.Send(got); err != nil {
+		if err := server.SendContext(context.Background(), got); err != nil {
 			t.Errorf("server send: %v", err)
 		}
 	}()

@@ -143,7 +143,7 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// Option configures a facade call (Partition, RunCityContext, DialLive,
+// Option configures a facade call (Plan, RunCityContext, DialLive,
 // ...). Options that do not apply to a call are ignored.
 type Option func(*options)
 
@@ -379,8 +379,7 @@ func LabWiFi() Link { return partition.LabWiFi() }
 
 // Plan is the unified planning entry point. By default it computes the
 // classic Fig 5 minimum-latency single split against one idle server over
-// the paper's lab Wi-Fi — bit-identical to the historical Partition call —
-// and the options open every other planning form:
+// the paper's lab Wi-Fi, and the options open every other planning form:
 //
 //   - WithSlowdown / WithLink: the classic knobs.
 //   - WithServers: the candidate edge servers, in chain order.
@@ -389,7 +388,7 @@ func LabWiFi() Link { return partition.LabWiFi() }
 //     instead of one query's latency.
 //   - WithMinCut: the exact min-cut single split for branchy DAGs.
 //
-// The returned OffloadPlan subsumes the old results: Split() is the best
+// On the returned OffloadPlan, Split() is the best
 // single-split plan (the failover target of a multi-hop chain) and
 // UploadSchedule() orders the server-side layers for transmission.
 func Plan(prof *ModelProfile, opts ...Option) (*OffloadPlan, error) {
@@ -412,43 +411,6 @@ func Plan(prof *ModelProfile, opts ...Option) (*OffloadPlan, error) {
 		MaxHops:   o.maxHops,
 		Objective: o.objective,
 	})
-}
-
-// Partition computes the minimum-latency single-split plan for a profile
-// (Fig 5). Defaults: an idle server (WithSlowdown(1.0)) and the paper's lab
-// Wi-Fi link (WithLink(LabWiFi())).
-//
-// Deprecated: use Plan; Partition(prof, opts...) is Plan(prof,
-// opts...).Split().
-func Partition(prof *ModelProfile, opts ...Option) (*SplitPlan, error) {
-	p, err := Plan(prof, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return p.Split(), nil
-}
-
-// PartitionMinCut computes the exact optimum assignment for arbitrary DAG
-// models via minimum s-t cut (Hu et al., the paper's cited alternative for
-// branchy models). It takes the same options as Partition.
-//
-// Deprecated: use Plan with WithMinCut.
-func PartitionMinCut(prof *ModelProfile, opts ...Option) (*SplitPlan, error) {
-	p, err := Plan(prof, append(opts, WithMinCut())...)
-	if err != nil {
-		return nil, err
-	}
-	return p.Split(), nil
-}
-
-// UploadSchedule orders a plan's server-side layers for transmission by the
-// efficiency-first strategy of Section III.C.2.
-//
-// Deprecated: use Plan(...).UploadSchedule(), which also handles multi-hop
-// chains.
-func UploadSchedule(prof *ModelProfile, plan *SplitPlan) ([]UploadUnit, error) {
-	req := partition.Request{Profile: prof, Slowdown: plan.Slowdown, Link: plan.Link}
-	return partition.UploadSchedule(req, plan)
 }
 
 // TrainEstimator trains the per-server random-forest execution-time

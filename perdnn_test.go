@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"perdnn"
+	"perdnn/internal/partition"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -141,8 +142,8 @@ func TestFacadeCityFlow(t *testing.T) {
 	}
 }
 
-// TestFacadeOptionsPartition: the deprecated Partition wrapper reproduces
-// Plan().Split() bit for bit, and WithSlowdown actually changes the answer.
+// TestFacadeOptionsPartition: WithSlowdown actually changes the answer, and
+// WithMinCut plans.
 func TestFacadeOptionsPartition(t *testing.T) {
 	m, err := perdnn.LoadModel(perdnn.ModelInception)
 	if err != nil {
@@ -150,36 +151,27 @@ func TestFacadeOptionsPartition(t *testing.T) {
 	}
 	prof := perdnn.NewProfile(m)
 
-	byOpts, err := perdnn.Partition(prof)
+	idle, err := perdnn.Plan(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unified, err := perdnn.Plan(prof)
+	congested, err := perdnn.Plan(prof, perdnn.WithSlowdown(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPlan := unified.Split()
-	if byOpts.NumServerLayers() != byPlan.NumServerLayers() || byOpts.EstLatency != byPlan.EstLatency {
-		t.Errorf("Partition diverges from Plan().Split(): %v vs %v", byOpts, byPlan)
-	}
-
-	congested, err := perdnn.Partition(prof, perdnn.WithSlowdown(50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if congested.NumServerLayers() >= byOpts.NumServerLayers() {
+	if congested.NumServerLayers() >= idle.NumServerLayers() {
 		t.Errorf("50x contention kept %d server layers (idle: %d)",
-			congested.NumServerLayers(), byOpts.NumServerLayers())
+			congested.NumServerLayers(), idle.NumServerLayers())
 	}
 
-	if _, err := perdnn.PartitionMinCut(prof, perdnn.WithLink(perdnn.LabWiFi())); err != nil {
+	if _, err := perdnn.Plan(prof, perdnn.WithLink(perdnn.LabWiFi()), perdnn.WithMinCut()); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestFacadePlanEquivalence: the unified Plan facade reproduces every old
-// planning form bit for bit at K=1 — the Fig 5 split, its upload schedule,
-// and the min-cut split.
+// TestFacadePlanEquivalence: the Plan facade hands its options to the
+// solvers unchanged — at K=1 the Fig 5 split, its upload schedule, and the
+// min-cut split are bit-identical to the internal/partition calls.
 func TestFacadePlanEquivalence(t *testing.T) {
 	for _, name := range perdnn.ModelNames() {
 		m, err := perdnn.LoadModel(name)
@@ -189,7 +181,8 @@ func TestFacadePlanEquivalence(t *testing.T) {
 		prof := perdnn.NewProfile(m)
 		for _, slowdown := range []float64{1, 8} {
 			opts := []perdnn.Option{perdnn.WithSlowdown(slowdown), perdnn.WithLink(perdnn.LabWiFi())}
-			old, err := perdnn.Partition(prof, opts...)
+			req := partition.Request{Profile: prof, Slowdown: slowdown, Link: partition.LabWiFi()}
+			want, err := partition.Partition(req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,26 +191,26 @@ func TestFacadePlanEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			split := unified.Split()
-			if !reflect.DeepEqual(split.Loc, old.Loc) || split.EstLatency != old.EstLatency ||
-				split.Slowdown != old.Slowdown || split.Link != old.Link {
-				t.Errorf("%s/%vx: Plan().Split() is not bit-identical to Partition", name, slowdown)
+			if !reflect.DeepEqual(split.Loc, want.Loc) || split.EstLatency != want.EstLatency ||
+				split.Slowdown != want.Slowdown || split.Link != want.Link {
+				t.Errorf("%s/%vx: Plan().Split() is not bit-identical to partition.Partition", name, slowdown)
 			}
-			if unified.EstLatency != old.EstLatency {
-				t.Errorf("%s/%vx: Plan latency %v != Partition %v", name, slowdown, unified.EstLatency, old.EstLatency)
+			if unified.EstLatency != want.EstLatency {
+				t.Errorf("%s/%vx: Plan latency %v != partition.Partition %v", name, slowdown, unified.EstLatency, want.EstLatency)
 			}
-			oldSched, err := perdnn.UploadSchedule(prof, old)
+			wantSched, err := partition.UploadSchedule(req, want)
 			if err != nil {
 				t.Fatal(err)
 			}
-			newSched, err := unified.UploadSchedule()
+			sched, err := unified.UploadSchedule()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(oldSched, newSched) {
-				t.Errorf("%s/%vx: Plan().UploadSchedule() diverges from UploadSchedule", name, slowdown)
+			if !reflect.DeepEqual(wantSched, sched) {
+				t.Errorf("%s/%vx: Plan().UploadSchedule() diverges from partition.UploadSchedule", name, slowdown)
 			}
 
-			oldCut, err := perdnn.PartitionMinCut(prof, opts...)
+			wantCut, err := partition.PartitionMinCut(req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,8 +218,8 @@ func TestFacadePlanEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(cut.Split().Loc, oldCut.Loc) || cut.Split().EstLatency != oldCut.EstLatency {
-				t.Errorf("%s/%vx: WithMinCut diverges from PartitionMinCut", name, slowdown)
+			if !reflect.DeepEqual(cut.Split().Loc, wantCut.Loc) || cut.Split().EstLatency != wantCut.EstLatency {
+				t.Errorf("%s/%vx: WithMinCut diverges from partition.PartitionMinCut", name, slowdown)
 			}
 		}
 	}
