@@ -2,8 +2,8 @@
 // compile-time form of the invariants PerDNN's reproduction numbers rest
 // on: deterministic simulation runs, sentinel-error discipline, context
 // plumbing on the live path, Env immutability, fixed-shape journal
-// events, 0-alloc hot paths, and lock hygiene. See internal/lint for the
-// analyzers and the call-graph engine behind the interprocedural ones.
+// events, and lock hygiene. See internal/lint for the analyzers and the
+// call graph behind the interprocedural ones.
 //
 // Usage:
 //
@@ -44,7 +44,6 @@ func main() {
 	var (
 		list   = flag.Bool("list", false, "list analyzers and exit")
 		only   = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-		tests  = flag.Bool("tests", false, "also analyze in-package _test.go files")
 		asJSON = flag.Bool("json", false, "emit findings as a JSON array on stdout")
 		gh     = flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
 	)
@@ -72,7 +71,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	pkgs, err := lint.Load(lint.LoadConfig{Tests: *tests}, flag.Args()...)
+	pkgs, err := lint.Load("", flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "perdnn-vet: %v\n", err)
 		os.Exit(2)

@@ -25,7 +25,6 @@ type Topology struct {
 // computeTopology builds the topology view of m.
 func computeTopology(m *Model) *Topology {
 	n := len(m.Layers)
-	//perdnn:vet-ignore hotpathalloc built once per Model and cached by Topo; never on the steady-state path
 	t := &Topology{
 		Succ:     make([][]LayerID, n),
 		LastUse:  make([]int, n),
@@ -34,7 +33,6 @@ func computeTopology(m *Model) *Topology {
 	// Size successor lists exactly (one pass to count, one to fill) and
 	// carve them out of a single arena, so the cached topology is one
 	// contiguous block with no slack capacity.
-	//perdnn:vet-ignore hotpathalloc built once per Model and cached by Topo
 	counts := make([]int, n)
 	total := 0
 	for i := range m.Layers {
@@ -43,7 +41,6 @@ func computeTopology(m *Model) *Topology {
 			total++
 		}
 	}
-	//perdnn:vet-ignore hotpathalloc built once per Model and cached by Topo
 	arena := make([]LayerID, total)
 	off := 0
 	for i, c := range counts {

@@ -83,10 +83,7 @@ type Server struct {
 	cache   map[int]*cacheEntry // by client ID
 	sweepAt int                 // cache size that triggers the next sweep of expired entries
 
-	ln        net.Listener
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-	closed    chan struct{}
+	srv wire.Server // accept loop, per-connection loop, shutdown
 }
 
 type cacheEntry struct {
@@ -125,7 +122,16 @@ func New(cfg Config) (*Server, error) {
 		node:    node,
 		cache:   make(map[int]*cacheEntry, 8),
 		sweepAt: minSweep,
-		closed:  make(chan struct{}),
+	}
+	s.srv = wire.Server{
+		Name: "edged",
+		Log:  logger,
+		Open: func() (wire.Dispatch, func()) { return s.dispatch, nil },
+		Shutdown: func() {
+			if err := s.peers.Close(); err != nil {
+				s.log.Warn("closing peer pool", "err", err)
+			}
+		},
 	}
 	s.requests = s.met.Counter("requests_total")
 	s.execs = s.met.Counter("execs_total")
@@ -170,98 +176,24 @@ func (s *Server) sleep(d time.Duration) {
 // migration orders trigger — inherit ctx, so canceling it interrupts
 // in-flight exchanges, closes the listener, and drains.
 func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
-	s.mu.Lock()
-	select {
-	case <-s.closed:
-		// Close ran first and had no listener to close.
-		s.mu.Unlock()
-		_ = ln.Close() // never accepted on; the caller may have closed it too
-		return nil
-	default:
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	stop := context.AfterFunc(ctx, func() {
-		if err := s.Close(); err != nil {
-			s.log.Warn("shutdown", "err", err)
-		}
-	})
-	defer stop()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				s.wg.Wait()
-				return nil
-			default:
-				return fmt.Errorf("edged: accept: %w", err)
-			}
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(ctx, wire.NewConn(conn))
-		}()
-	}
+	return s.srv.ServeContext(ctx, ln)
 }
 
 // Close stops the daemon. It is idempotent and safe to call concurrently
 // with ServeContext's own context-driven shutdown.
-func (s *Server) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		close(s.closed)
-		if perr := s.peers.Close(); perr != nil {
-			s.log.Warn("closing peer pool", "err", perr)
-		}
-		s.mu.Lock()
-		ln := s.ln
-		s.mu.Unlock()
-		if ln != nil {
-			err = ln.Close()
-		}
-	})
-	return err
-}
-
-// handle serves one connection until it errors or closes.
-func (s *Server) handle(ctx context.Context, c *wire.Conn) {
-	defer func() {
-		if err := c.Close(); err != nil {
-			s.log.Warn("closing conn", "err", err)
-		}
-	}()
-	for {
-		req, err := c.RecvContext(ctx)
-		if err != nil {
-			return // client went away, timed out, or the daemon is stopping
-		}
-		s.requests.Inc()
-		resp := s.dispatch(ctx, req)
-		if err := c.SendContext(ctx, resp); err != nil {
-			return
-		}
-	}
-}
-
-func ack(err error) *wire.Envelope {
-	if err != nil {
-		return &wire.Envelope{Type: wire.MsgAck, Ack: &wire.Ack{OK: false, Error: err.Error()}}
-	}
-	return &wire.Envelope{Type: wire.MsgAck, Ack: &wire.Ack{OK: true}}
-}
+func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) dispatch(ctx context.Context, req *wire.Envelope) *wire.Envelope {
+	s.requests.Inc()
 	switch req.Type {
 	case wire.MsgStatsRequest:
 		st := s.gpu.Sample(s.now())
 		return &wire.Envelope{Type: wire.MsgStatsResponse, Stats: &wire.StatsMsg{Sample: &st}}
 	case wire.MsgUploadLayers:
 		if req.Upload == nil {
-			return ack(errors.New("edged: upload without body"))
+			return wire.NewAck(errors.New("edged: upload without body"))
 		}
-		return ack(s.uploadTraced(req.Upload, req.Trace))
+		return wire.NewAck(s.uploadTraced(req.Upload, req.Trace))
 	case wire.MsgUploadUnit:
 		// Streaming upload: same storage path as MsgUploadLayers, but the
 		// ack echoes the unit's sequence number so the client can run a
@@ -279,26 +211,26 @@ func (s *Server) dispatch(ctx context.Context, req *wire.Envelope) *wire.Envelop
 		return &wire.Envelope{Type: wire.MsgUploadAck, Ack: &wire.Ack{OK: true, Seq: seq}}
 	case wire.MsgExecRequest:
 		if req.ExecReq == nil {
-			return ack(errors.New("edged: exec without body"))
+			return wire.NewAck(errors.New("edged: exec without body"))
 		}
 		return s.exec(req.ExecReq, req.Trace)
 	case wire.MsgForward:
 		if req.Forward == nil || len(req.Forward.Hops) == 0 {
-			return ack(errors.New("edged: forward without hops"))
+			return wire.NewAck(errors.New("edged: forward without hops"))
 		}
 		return s.forward(ctx, req.Forward, req.Trace)
 	case wire.MsgHasRequest:
 		if req.Has == nil {
-			return ack(errors.New("edged: has without body"))
+			return wire.NewAck(errors.New("edged: has without body"))
 		}
 		return s.has(req.Has)
 	case wire.MsgMigrateRequest:
 		if req.Migrate == nil {
-			return ack(errors.New("edged: migrate without body"))
+			return wire.NewAck(errors.New("edged: migrate without body"))
 		}
-		return ack(s.migrate(ctx, req.Migrate, req.Trace))
+		return wire.NewAck(s.migrate(ctx, req.Migrate, req.Trace))
 	default:
-		return ack(fmt.Errorf("edged: unexpected message type %d", req.Type))
+		return wire.NewAck(fmt.Errorf("edged: unexpected message type %d", req.Type))
 	}
 }
 
@@ -464,7 +396,7 @@ func (s *Server) forward(ctx context.Context, f *wire.Forward, rc tracing.SpanCo
 		cancel()
 		if err != nil {
 			s.met.Counter("forward_failures_total").Inc()
-			return ack(fmt.Errorf("edged: forwarding to %s: %w: %w", next.Addr, core.ErrServerDown, err))
+			return wire.NewAck(fmt.Errorf("edged: forwarding to %s: %w: %w", next.Addr, core.ErrServerDown, err))
 		}
 		if resp.Type != wire.MsgExecResponse || resp.ExecResp == nil {
 			s.met.Counter("forward_failures_total").Inc()
@@ -472,7 +404,7 @@ func (s *Server) forward(ctx context.Context, f *wire.Forward, rc tracing.SpanCo
 			if resp.Ack != nil {
 				msg = resp.Ack.Error
 			}
-			return ack(fmt.Errorf("edged: hop %s failed: %s", next.Addr, msg))
+			return wire.NewAck(fmt.Errorf("edged: hop %s failed: %s", next.Addr, msg))
 		}
 		total += time.Duration(resp.ExecResp.ExecNs)
 		s.tr.RecordWith(trace, span, parent, tracing.StageTransferHop, s.node, hStart, s.tr.Now())
@@ -485,7 +417,7 @@ func (s *Server) forward(ctx context.Context, f *wire.Forward, rc tracing.SpanCo
 // has filters the asked layers down to those cached.
 func (s *Server) has(h *wire.Has) *wire.Envelope {
 	if err := s.model.CheckLayers(h.Layers); err != nil {
-		return ack(err)
+		return wire.NewAck(err)
 	}
 	present := make([]dnn.LayerID, 0, len(h.Layers))
 	if cached, ok := s.cachedLayers(h.ClientID); ok {

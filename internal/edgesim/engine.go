@@ -77,8 +77,6 @@ func (e *Engine) After(d time.Duration, fn func()) {
 // Run executes events until the queue is empty or the next event is past
 // `until`; virtual time ends at the last executed event (or `until` if that
 // is later).
-//
-//perdnn:hotpath the event loop executes millions of events per simulated run
 func (e *Engine) Run(until time.Duration) {
 	for len(e.pq) > 0 && e.pq[0].at <= until {
 		ev := heap.Pop(&e.pq).(*event)
@@ -97,8 +95,6 @@ func (e *Engine) Run(until time.Duration) {
 // callback runs before any same-timestamp window event, exactly as the
 // single-engine Run orders them (the pre-scheduled ticks carry the lowest
 // sequence numbers at their timestamps).
-//
-//perdnn:hotpath the shard window loop executes millions of events per simulated run
 func (e *Engine) RunBefore(t time.Duration) {
 	for len(e.pq) > 0 && e.pq[0].at < t {
 		ev := heap.Pop(&e.pq).(*event)

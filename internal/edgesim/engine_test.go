@@ -5,7 +5,54 @@ import (
 	"time"
 
 	"perdnn/internal/dnn"
+	"perdnn/internal/raceguard"
 )
+
+// engineAllocsPerEvent is what the event loop costs per executed event:
+// the *event that At pushes onto the heap. The loop itself (Run,
+// RunBefore, and simShard.step, which picks one of them per barrier) adds
+// nothing. Lower it when events become values.
+const engineAllocsPerEvent = 1
+
+// TestEngineAllocsPerEvent drives a self-rescheduling callback — the
+// benchmark's edgesim.engine_allocs_per_event probe — through each of the
+// three loop entry points.
+func TestEngineAllocsPerEvent(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
+	}
+	const events = 100
+	sh := newSimShard(nil, 0)
+	for _, tc := range []struct {
+		name    string
+		eng     *Engine
+		advance func(e *Engine, until time.Duration)
+	}{
+		{"Engine.Run", NewEngine(), (*Engine).Run},
+		{"Engine.RunBefore", NewEngine(), (*Engine).RunBefore},
+		{"simShard.step/window", sh.eng, func(_ *Engine, until time.Duration) { sh.step(shardStep{until: until}) }},
+		{"simShard.step/drain", sh.eng, func(_ *Engine, until time.Duration) { sh.step(shardStep{until: until, inclusive: true}) }},
+	} {
+		eng, fired := tc.eng, 0
+		var next func()
+		next = func() {
+			if fired++; fired < events {
+				eng.After(time.Millisecond, next)
+			}
+		}
+		n := testing.AllocsPerRun(20, func() {
+			fired = 0
+			eng.After(time.Millisecond, next)
+			tc.advance(eng, eng.Now()+(events+1)*time.Millisecond)
+			if fired != events {
+				t.Fatalf("%s: fired %d of %d events", tc.name, fired, events)
+			}
+		})
+		if n > events*engineAllocsPerEvent {
+			t.Errorf("%s: %.2f allocs/event, budget %d", tc.name, n/events, engineAllocsPerEvent)
+		}
+	}
+}
 
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()

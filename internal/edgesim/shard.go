@@ -54,8 +54,6 @@ func newSimShard(w *world, id int) *simShard {
 }
 
 // step advances the shard's engine to one barrier.
-//
-//perdnn:hotpath the shard loop drains every event of the shard's region between barriers
 func (sh *simShard) step(st shardStep) {
 	if st.inclusive {
 		sh.eng.Run(st.until)

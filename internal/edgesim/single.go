@@ -220,71 +220,30 @@ type UploadThroughput struct {
 	HitCount   int
 }
 
-// RunUploadThroughput measures the Table II row for one model.
+// RunUploadThroughput measures the Table II row for one model: two
+// UploadReplays over the efficiency-first schedule within the full-upload
+// window, from an empty server (miss) and from a complete one (hit).
 func RunUploadThroughput(model dnn.ModelName, gap time.Duration, link partition.Link) (*UploadThroughput, error) {
-	cfg := SingleConfig{
-		Model:              model,
-		NumQueries:         1 << 20, // bounded by the window below
-		SwitchAfterQueries: 0,
-		QueryGap:           gap,
-		Link:               link,
-	}
-	// Miss: count queries that complete within the upload window starting
-	// from scratch.
-	countWithin := func(fraction float64) (int, time.Duration, error) {
-		cfg.MigrateFraction = 0
-		m, err := dnn.ZooModel(model)
-		if err != nil {
-			return 0, 0, err
-		}
-		prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-		req := partition.Request{Profile: prof, Slowdown: 1, Link: link}
-		plan, err := partition.Partition(req)
-		if err != nil {
-			return 0, 0, err
-		}
-		sched, err := partition.UploadSchedule(req, plan)
-		if err != nil {
-			return 0, 0, err
-		}
-		window := link.UpTime(plan.ServerBytes())
-
-		prefixLat := prefixLatencies(prof, sched, link)
-		unitDone := make([]time.Duration, len(sched))
-		var cum time.Duration
-		for i, u := range sched {
-			cum += link.UpTime(u.Bytes)
-			unitDone[i] = cum
-		}
-		initial := 0
-		if fraction >= 1 {
-			initial = len(sched)
-		}
-		now := time.Duration(0)
-		count := 0
-		k := initial
-		for {
-			for k < len(sched) && now >= unitDone[k] {
-				k++
-			}
-			idx := k
-			if initial == len(sched) {
-				idx = len(sched)
-			}
-			done := now + prefixLat[idx]
-			if done > window {
-				break
-			}
-			count++
-			now = done + gap
-		}
-		return count, window, nil
-	}
-	miss, window, err := countWithin(0)
+	m, err := dnn.ZooModel(model)
 	if err != nil {
 		return nil, err
 	}
-	hit, _, err := countWithin(1)
+	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
+	req := partition.Request{Profile: prof, Slowdown: 1, Link: link}
+	plan, err := partition.Partition(req)
+	if err != nil {
+		return nil, err
+	}
+	sched, err := partition.UploadSchedule(req, plan)
+	if err != nil {
+		return nil, err
+	}
+	window := link.UpTime(plan.ServerBytes())
+	miss, err := UploadReplay(model, gap, link, sched, window, 0)
+	if err != nil {
+		return nil, err
+	}
+	hit, err := UploadReplay(model, gap, link, sched, window, len(sched))
 	if err != nil {
 		return nil, err
 	}

@@ -242,8 +242,6 @@ func (f *Forest) OOBMAE() float64 { return f.oobMAE }
 // it walks one root-to-leaf path per tree through the node arena, summing
 // leaf values in tree order (the same accumulation order as the original
 // per-tree representation, so predictions are bit-identical to it).
-//
-//perdnn:hotpath called once per candidate layer per partitioning pass
 func (f *Forest) Predict(row []float64) float64 {
 	if len(row) != f.nFeatures {
 		panic(fmt.Sprintf("estimator: predict with %d features, forest has %d", len(row), f.nFeatures))

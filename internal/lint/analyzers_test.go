@@ -58,10 +58,6 @@ func TestFacadeOptsIgnoresOtherPackages(t *testing.T) {
 	RunFixture(t, fixtureRoot, FacadeOpts, "notsim")
 }
 
-func TestHotPathAlloc(t *testing.T) {
-	RunFixture(t, fixtureRoot, HotPathAlloc, "hotpath", "hotpath/dep")
-}
-
 func TestLockHygiene(t *testing.T) {
 	RunFixture(t, fixtureRoot, LockHygiene, "lockuser")
 }
@@ -80,8 +76,8 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 			t.Fatalf("Lookup(%q) does not round-trip", a.Name)
 		}
 	}
-	if len(names) < 8 {
-		t.Fatalf("suite has %d analyzers, want >= 8", len(names))
+	if len(names) < 7 {
+		t.Fatalf("suite has %d analyzers, want >= 7", len(names))
 	}
 	if Lookup("nope") != nil {
 		t.Fatal("Lookup of unknown name should be nil")
@@ -130,7 +126,6 @@ func TestFixturesFailWithoutAnalyzer(t *testing.T) {
 	}
 	fixtures := [][]string{
 		{"obsuser"},
-		{"hotpath", "hotpath/dep"},
 		{"lockuser"},
 		{"perdnn/internal/mobile"},
 		{"perdnn/internal/edgesim", "perdnn/internal/simdep"},

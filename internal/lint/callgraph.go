@@ -10,9 +10,9 @@ import (
 
 // This file is the suite's interprocedural backbone: a static call graph
 // over every loaded package, shared across analyzers through the per-run
-// Facts layer. Analyzers that previously stopped at a function boundary
-// (0-alloc hot paths, lock discipline, sim determinism) query the graph
-// for transitive reachability instead.
+// Facts layer. lockhygiene and simdeterminism, which would otherwise stop
+// at a function boundary, ask it which functions transitively reach a
+// blocking call or a nondeterminism source.
 //
 // Design constraints, in order of importance:
 //
@@ -20,42 +20,17 @@ import (
 //     gc export data yield *different* types.Object values, so nodes are
 //     keyed by a stable string ("pkg/path.Recv.Name"), never by object
 //     identity.
-//   - The graph is conservative where Go is dynamic: an interface method
-//     call fans out to every defined method with the same name and
-//     receiver-less signature; a call through a func value fans out to
-//     every address-taken function with the same signature. Each edge
-//     carries its kind so analyzers can choose how much conservatism they
-//     can afford.
+//   - Only calls Go resolves statically — a named function or a concrete
+//     method — become edges. Calls through an interface or a func value
+//     have none: lockhygiene classifies the interface methods it cares
+//     about (net.Conn.Read, …) at the call site instead.
 //   - Function literals have no identity of their own: their bodies are
 //     attributed to the enclosing declared function, which matches how the
-//     invariants are stated ("Partition must not allocate", including in
+//     invariants are stated ("must not block under the lock", including in
 //     any closure it runs synchronously).
 
-// EdgeKind classifies how a call site was resolved. Kinds are bits so
-// reachability queries can mask out the fan-out classes they cannot
-// afford (e.g. hotpathalloc skips func-value fan-out, which would drag
-// every same-signature callback into every hot path).
-type EdgeKind uint8
-
-const (
-	// EdgeStatic is a direct call of a named function or concrete method.
-	EdgeStatic EdgeKind = 1 << iota
-	// EdgeInterface is the conservative fan-out of an interface method
-	// call: one edge to the interface method itself (for external-API
-	// classification) plus one to each compatible defined method.
-	EdgeInterface
-	// EdgeFuncValue is the conservative fan-out of a call through a func
-	// value to every address-taken function with a matching signature.
-	EdgeFuncValue
-)
-
-// EdgeAll admits every resolution class.
-const EdgeAll = EdgeStatic | EdgeInterface | EdgeFuncValue
-
-// An Edge is one resolved call: at Site, the owning node calls (or may
-// call) Node.
+// An Edge is one resolved call: at Site, Node calls the owning node.
 type Edge struct {
-	Kind EdgeKind
 	Site token.Pos
 	Node *FuncNode
 }
@@ -76,10 +51,8 @@ type FuncNode struct {
 	Pkg *Package
 	// Decl is the function's declaration when Pkg != nil.
 	Decl *ast.FuncDecl
-	// Out and In are the forward and reverse adjacency lists. In edges
-	// point at the caller.
-	Out []Edge
-	In  []Edge
+	// In lists the node's callers, one edge per caller.
+	In []Edge
 }
 
 // Defined reports whether the node's body is available for inspection.
@@ -98,16 +71,10 @@ func (n *FuncNode) Name() string {
 // A CallGraph is the whole-program (all loaded packages) call graph.
 type CallGraph struct {
 	nodes map[string]*FuncNode
-	// declOwner maps every FuncDecl to its node, so analyzers can go from
-	// syntax to graph without recomputing keys.
-	declOwner map[*ast.FuncDecl]*FuncNode
 }
 
 // Node returns the node for key, or nil.
 func (g *CallGraph) Node(key string) *FuncNode { return g.nodes[key] }
-
-// NodeFor returns the node of a declared function, or nil.
-func (g *CallGraph) NodeFor(decl *ast.FuncDecl) *FuncNode { return g.declOwner[decl] }
 
 // Nodes returns every node in deterministic key order.
 func (g *CallGraph) Nodes() []*FuncNode {
@@ -154,28 +121,12 @@ func FuncKey(fn *types.Func) string {
 	return path + "." + fn.Name()
 }
 
-// sigKey renders a signature without its receiver, the matching key for
-// interface and func-value fan-out. types.TypeString does not print
-// receivers, so concrete methods, interface methods, and method values
-// agree.
-func sigKey(sig *types.Signature) string {
-	return types.TypeString(sig, func(p *types.Package) string { return p.Path() })
-}
-
 // BuildCallGraph constructs the graph over pkgs. Call sites in _test.go
 // files are included; analyzers that relax invariants in tests filter at
 // reporting time.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
-	g := &CallGraph{
-		nodes:     map[string]*FuncNode{},
-		declOwner: map[*ast.FuncDecl]*FuncNode{},
-	}
-
-	// Pass 1: nodes for every defined function, plus the indexes the
-	// conservative fan-outs need — defined methods by name, and
-	// address-taken defined functions by signature string.
-	methodsByName := map[string][]*FuncNode{}
-	addrTakenBySig := map[string][]*FuncNode{}
+	g := &CallGraph{nodes: map[string]*FuncNode{}}
+	seen := map[[2]*FuncNode]bool{} // one edge per (caller, callee); the first site stands in for all
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -187,42 +138,27 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				n := g.ensure(FuncKey(fn), fn)
-				n.Pkg, n.Decl, n.Fn = pkg, fd, fn
-				g.declOwner[fd] = n
-				if funcSig(fn).Recv() != nil {
-					methodsByName[fn.Name()] = append(methodsByName[fn.Name()], n)
-				}
-			}
-		}
-	}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			markAddressTaken(pkg, file, g, addrTakenBySig)
-		}
-	}
-
-	// Pass 2: edges. Every call expression inside a declared function's
-	// body (including nested function literals) becomes one or more edges
-	// out of that function's node.
-	seen := map[[2]any]bool{} // (caller node, callee key) dedup per site kind
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				caller := g.declOwner[fd]
-				if caller == nil {
-					continue
-				}
+				// A caller seen earlier may already have created the node
+				// as external; the declaration fills it in.
+				caller := g.ensure(fn)
+				caller.Pkg, caller.Decl, caller.Fn = pkg, fd, fn
 				ast.Inspect(fd.Body, func(nd ast.Node) bool {
 					call, ok := nd.(*ast.CallExpr)
 					if !ok {
 						return true
 					}
-					g.addCallEdges(pkg, caller, call, methodsByName, addrTakenBySig, seen)
+					callee, ok := calleeObject(pkg.Info, call).(*types.Func)
+					if !ok {
+						return true // conversion, builtin, or call through a func value
+					}
+					if recv := funcSig(callee).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						return true
+					}
+					n := g.ensure(callee)
+					if k := [2]*FuncNode{caller, n}; !seen[k] {
+						seen[k] = true
+						n.In = append(n.In, Edge{Site: call.Lparen, Node: caller})
+					}
 					return true
 				})
 			}
@@ -231,146 +167,14 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	return g
 }
 
-func (g *CallGraph) ensure(key string, fn *types.Func) *FuncNode {
+func (g *CallGraph) ensure(fn *types.Func) *FuncNode {
+	key := FuncKey(fn)
 	if n, ok := g.nodes[key]; ok {
 		return n
 	}
 	n := &FuncNode{Key: key, Fn: fn}
 	g.nodes[key] = n
 	return n
-}
-
-func (g *CallGraph) link(caller *FuncNode, kind EdgeKind, site token.Pos, callee *FuncNode, seen map[[2]any]bool) {
-	k := [2]any{caller, callee.Key + string(rune(kind))}
-	if seen[k] {
-		// Keep one edge per (caller, callee, kind); the first site stands
-		// in for all of them in diagnostics.
-		return
-	}
-	seen[k] = true
-	caller.Out = append(caller.Out, Edge{Kind: kind, Site: site, Node: callee})
-	callee.In = append(callee.In, Edge{Kind: kind, Site: site, Node: caller})
-}
-
-// addCallEdges resolves one call expression into graph edges.
-func (g *CallGraph) addCallEdges(pkg *Package, caller *FuncNode, call *ast.CallExpr, methodsByName map[string][]*FuncNode, addrTakenBySig map[string][]*FuncNode, seen map[[2]any]bool) {
-	// Conversions are not calls.
-	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
-		return
-	}
-	obj := calleeObject(pkg.Info, call)
-	if _, isBuiltin := obj.(*types.Builtin); isBuiltin {
-		return
-	}
-	if fn, ok := obj.(*types.Func); ok {
-		recv := funcSig(fn).Recv()
-		if recv != nil && types.IsInterface(recv.Type()) {
-			// Interface method call: an edge to the interface method
-			// itself (so external-API heuristics like "net.Conn.Write
-			// blocks" can classify it), plus conservative fan-out to every
-			// compatible defined method.
-			ifaceNode := g.ensure(FuncKey(fn), fn)
-			g.link(caller, EdgeInterface, call.Lparen, ifaceNode, seen)
-			want := sigKey(funcSig(fn))
-			for _, m := range methodsByName[fn.Name()] {
-				if m.Fn != nil && sigKey(funcSig(m.Fn)) == want {
-					g.link(caller, EdgeInterface, call.Lparen, m, seen)
-				}
-			}
-			return
-		}
-		g.link(caller, EdgeStatic, call.Lparen, g.ensure(FuncKey(fn), fn), seen)
-		return
-	}
-	// Indirect call through a func value: fan out to address-taken
-	// functions with the same signature.
-	tv, ok := pkg.Info.Types[call.Fun]
-	if !ok {
-		return
-	}
-	sig, ok := tv.Type.Underlying().(*types.Signature)
-	if !ok {
-		return
-	}
-	for _, fn := range addrTakenBySig[sigKey(sig)] {
-		g.link(caller, EdgeFuncValue, call.Lparen, fn, seen)
-	}
-}
-
-// markAddressTaken records defined functions whose value escapes — any use
-// of the identifier that is not the Fun of a call expression. Those are
-// the possible targets of calls through func values.
-func markAddressTaken(pkg *Package, file *ast.File, g *CallGraph, addrTakenBySig map[string][]*FuncNode) {
-	// Collect the idents that ARE direct callees so they can be excluded.
-	calleeIdent := map[*ast.Ident]bool{}
-	ast.Inspect(file, func(nd ast.Node) bool {
-		call, ok := nd.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			calleeIdent[fun] = true
-		case *ast.SelectorExpr:
-			calleeIdent[fun.Sel] = true
-		}
-		return true
-	})
-	ast.Inspect(file, func(nd ast.Node) bool {
-		id, ok := nd.(*ast.Ident)
-		if !ok || calleeIdent[id] {
-			return true
-		}
-		fn, ok := pkg.Info.Uses[id].(*types.Func)
-		if !ok {
-			return true
-		}
-		n := g.Node(FuncKey(fn))
-		if n == nil || !n.Defined() {
-			return true
-		}
-		// A method value's type drops the receiver, which sigKey already
-		// does, so methods and functions share the index.
-		key := sigKey(funcSig(fn))
-		for _, have := range addrTakenBySig[key] {
-			if have == n {
-				return true
-			}
-		}
-		addrTakenBySig[key] = append(addrTakenBySig[key], n)
-		return true
-	})
-}
-
-// A Visit records how a node was first reached in a traversal: From calls
-// Node at Site. The start node has From == nil.
-type Visit struct {
-	Node *FuncNode
-	From *FuncNode
-	Site token.Pos
-}
-
-// Reachable returns every node reachable from start along edges admitted
-// by mask, in BFS order, each with its first-discovered parent. The
-// parent links form an acyclic tree even when the graph has cycles, so
-// analyzers can always render a finite example call path.
-func (g *CallGraph) Reachable(start *FuncNode, mask EdgeKind) []Visit {
-	if start == nil {
-		return nil
-	}
-	visited := map[*FuncNode]bool{start: true}
-	order := []Visit{{Node: start}}
-	for i := 0; i < len(order); i++ {
-		n := order[i].Node
-		for _, e := range n.Out {
-			if e.Kind&mask == 0 || visited[e.Node] {
-				continue
-			}
-			visited[e.Node] = true
-			order = append(order, Visit{Node: e.Node, From: n, Site: e.Site})
-		}
-	}
-	return order
 }
 
 // A Step is one link in an exemplar chain produced by Propagate: the
@@ -382,12 +186,12 @@ type Step struct {
 }
 
 // Propagate computes the transitive closure of a boolean property over
-// reverse edges admitted by mask: a node has the property if direct(node)
-// reports it, or if any admitted out-edge reaches a node that has it. The
-// result maps each holding node to one exemplar step toward the evidence;
-// following Next links always terminates because each node is assigned a
-// step exactly once, when first discovered.
-func (g *CallGraph) Propagate(mask EdgeKind, direct func(*FuncNode) (token.Pos, bool)) map[*FuncNode]Step {
+// reverse edges: a node has the property if direct(node) reports it, or if
+// it calls a node that has it. The result maps each holding node to one
+// exemplar step toward the evidence; following Next links always
+// terminates because each node is assigned a step exactly once, when first
+// discovered.
+func (g *CallGraph) Propagate(direct func(*FuncNode) (token.Pos, bool)) map[*FuncNode]Step {
 	facts := map[*FuncNode]Step{}
 	var queue []*FuncNode
 	for _, n := range g.Nodes() {
@@ -400,9 +204,6 @@ func (g *CallGraph) Propagate(mask EdgeKind, direct func(*FuncNode) (token.Pos, 
 		n := queue[0]
 		queue = queue[1:]
 		for _, e := range n.In {
-			if e.Kind&mask == 0 {
-				continue
-			}
 			caller := e.Node
 			if _, ok := facts[caller]; ok {
 				continue

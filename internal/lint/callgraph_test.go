@@ -25,121 +25,90 @@ func loadFixtureGraph(t *testing.T, paths ...string) *CallGraph {
 	return BuildCallGraph(pkgs)
 }
 
-func edgeTo(n *FuncNode, key string) (Edge, bool) {
-	for _, e := range n.Out {
-		if e.Node.Key == key {
-			return e, true
+func calledBy(n *FuncNode, caller string) bool {
+	for _, e := range n.In {
+		if e.Node.Key == caller {
+			return true
 		}
 	}
-	return Edge{}, false
+	return false
 }
+
+const (
+	simdepPath   = "perdnn/internal/simdep"
+	transitively = edgesimPath + ".transitively"
+)
 
 func TestCallGraphStaticEdges(t *testing.T) {
-	g := loadFixtureGraph(t, "hotpath", "hotpath/dep")
-	leaky := g.Node("hotpath.Leaky")
-	if leaky == nil || !leaky.Defined() {
-		t.Fatal("hotpath.Leaky missing from graph")
+	g := loadFixtureGraph(t, edgesimPath, simdepPath)
+	caller := g.Node(transitively)
+	if caller == nil || !caller.Defined() {
+		t.Fatalf("%s missing from graph", transitively)
 	}
-	for _, key := range []string{"hotpath.helper", "hotpath/dep.Grow"} {
-		e, ok := edgeTo(leaky, key)
-		if !ok {
-			t.Fatalf("no edge Leaky -> %s", key)
+	// Cross-package calls resolve to the callee's declaration whichever
+	// package was loaded first; stdlib callees stay external.
+	for _, key := range []string{simdepPath + ".Elapsed", simdepPath + ".Pure"} {
+		n := g.Node(key)
+		if n == nil || !n.Defined() {
+			t.Fatalf("%s should be a defined node (its package was loaded)", key)
 		}
-		if e.Kind != EdgeStatic {
-			t.Errorf("edge Leaky -> %s has kind %v, want EdgeStatic", key, e.Kind)
-		}
-		if !e.Node.Defined() {
-			t.Errorf("callee %s should be defined (its package was loaded)", key)
-		}
-	}
-	// Reverse edges mirror forward ones.
-	helper := g.Node("hotpath.helper")
-	found := false
-	for _, in := range helper.In {
-		if in.Node == leaky {
-			found = true
+		if !calledBy(n, transitively) {
+			t.Errorf("no edge %s -> %s", transitively, key)
 		}
 	}
-	if !found {
-		t.Error("helper has no reverse edge from Leaky")
+	since := g.Node("time.Since")
+	if since == nil || since.Defined() {
+		t.Fatal("time.Since should be an external node")
+	}
+	if !calledBy(since, simdepPath+".wallStep") {
+		t.Error("no edge wallStep -> time.Since")
 	}
 }
 
-func TestCallGraphInterfaceFanOut(t *testing.T) {
-	g := loadFixtureGraph(t, "hotpath")
-	leaky := g.Node("hotpath.Leaky")
-	iface, okI := edgeTo(leaky, "hotpath.Sink.Put")
-	impl, okC := edgeTo(leaky, "hotpath.sliceSink.Put")
-	if !okI || !okC {
-		t.Fatalf("interface call should edge to both the interface method (%v) and the concrete method (%v)", okI, okC)
+func TestCallGraphMethodEdges(t *testing.T) {
+	g := loadFixtureGraph(t, "lockuser")
+	drain := g.Node("lockuser.S.drain")
+	if drain == nil || !calledBy(drain, "lockuser.S.TransitiveWait") {
+		t.Fatal("concrete method call TransitiveWait -> drain has no edge")
 	}
-	if iface.Kind != EdgeInterface || impl.Kind != EdgeInterface {
-		t.Errorf("fan-out kinds = %v/%v, want EdgeInterface", iface.Kind, impl.Kind)
+	if n := len(g.Node("sync.Mutex.Lock").In); n < 2 {
+		t.Errorf("sync.Mutex.Lock has %d callers, want one edge per calling function", n)
 	}
-	// Masked reachability: static-only must not see the implementation.
-	inReach := func(mask EdgeKind, key string) bool {
-		for _, v := range g.Reachable(leaky, mask) {
-			if v.Node.Key == key {
-				return true
-			}
+	for _, e := range g.Node("lockuser.S.pingA").In {
+		if e.Node.Key == "lockuser.S.pingA" {
+			t.Error("pingA lists itself as a caller")
 		}
-		return false
-	}
-	if inReach(EdgeStatic, "hotpath.sliceSink.Put") {
-		t.Error("EdgeStatic reachability leaked through an interface edge")
-	}
-	if !inReach(EdgeStatic|EdgeInterface, "hotpath.sliceSink.Put") {
-		t.Error("EdgeStatic|EdgeInterface reachability misses the fan-out target")
-	}
-}
-
-func TestCallGraphFuncValueFanOut(t *testing.T) {
-	g := loadFixtureGraph(t, "hotpath")
-	ct := g.Node("hotpath.callsThrough")
-	e, ok := edgeTo(ct, "hotpath.notHot")
-	if !ok {
-		t.Fatal("callsThrough(fp) should fan out to the address-taken notHot")
-	}
-	if e.Kind != EdgeFuncValue {
-		t.Errorf("fan-out kind %v, want EdgeFuncValue", e.Kind)
-	}
-	// Score never escapes as a value and has a different signature; it
-	// must not be a target.
-	if _, ok := edgeTo(ct, "hotpath.Score"); ok {
-		t.Error("callsThrough must not fan out to a non-matching function")
-	}
-}
-
-func TestCallGraphCycleSafeReachability(t *testing.T) {
-	g := loadFixtureGraph(t, "hotpath")
-	a := g.Node("hotpath.pingA")
-	visits := g.Reachable(a, EdgeAll)
-	keys := map[string]bool{}
-	for _, v := range visits {
-		if keys[v.Node.Key] {
-			t.Fatalf("node %s visited twice; BFS is not cycle-safe", v.Node.Key)
-		}
-		keys[v.Node.Key] = true
-	}
-	if !keys["hotpath.pingB"] {
-		t.Error("pingB unreachable from pingA")
 	}
 }
 
 func TestPropagateAndDescribeChain(t *testing.T) {
-	g := loadFixtureGraph(t, "hotpath", "hotpath/dep")
-	facts := g.Propagate(EdgeStatic, func(n *FuncNode) (token.Pos, bool) {
-		return token.NoPos, n.Key == "hotpath/dep.Grow"
+	g := loadFixtureGraph(t, edgesimPath, simdepPath)
+	facts := g.Propagate(func(n *FuncNode) (token.Pos, bool) {
+		return token.NoPos, n.Key == "time.Since"
 	})
-	leaky := g.Node("hotpath.Leaky")
-	if _, ok := facts[leaky]; !ok {
-		t.Fatal("Leaky should inherit the property from dep.Grow")
+	caller := g.Node(transitively)
+	if _, ok := facts[caller]; !ok {
+		t.Fatalf("%s should inherit the property from time.Since", transitively)
 	}
-	if _, ok := facts[g.Node("hotpath.Score")]; ok {
-		t.Error("Score does not reach dep.Grow and must not hold the property")
+	if _, ok := facts[g.Node(simdepPath+".Pure")]; ok {
+		t.Error("Pure does not reach time.Since and must not hold the property")
 	}
-	chain := DescribeChain(facts, leaky)
-	if !strings.Contains(chain, "hotpath.Leaky") || !strings.Contains(chain, "dep.Grow") {
-		t.Errorf("chain %q should run from Leaky to dep.Grow", chain)
+	if got, want := DescribeChain(facts, caller), "edgesim.transitively → simdep.Elapsed → simdep.wallStep → time.Since"; got != want {
+		t.Errorf("chain %q, want %q", got, want)
+	}
+}
+
+func TestPropagateTerminatesOnCycle(t *testing.T) {
+	g := loadFixtureGraph(t, "lockuser")
+	facts := g.Propagate(func(n *FuncNode) (token.Pos, bool) {
+		return token.NoPos, n.Key == "lockuser.S.pingB"
+	})
+	for _, key := range []string{"lockuser.S.pingA", "lockuser.S.pingB", "lockuser.S.CycleUnderLock"} {
+		if _, ok := facts[g.Node(key)]; !ok {
+			t.Errorf("%s reaches pingB and should hold the property", key)
+		}
+	}
+	if chain := DescribeChain(facts, g.Node("lockuser.S.pingA")); !strings.HasSuffix(chain, "lockuser.S.pingB") {
+		t.Errorf("chain %q should end at pingB, the direct evidence", chain)
 	}
 }

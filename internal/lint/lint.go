@@ -16,11 +16,11 @@
 //
 //	go run ./cmd/perdnn-vet ./...
 //
-// A finding can be suppressed at a specific line — for documented
-// exceptions such as an amortized allocation on a hot path — with a
-// directive comment on the same line or the line above:
+// A finding can be suppressed at a specific line — for a documented
+// exception — with a directive comment on the same line or the line
+// above, as the lockuser fixture does:
 //
-//	//perdnn:vet-ignore hotpathalloc built once per Model and cached by Topo
+//	//perdnn:vet-ignore lockhygiene fixture exercises a line-above suppression
 package lint
 
 import (
@@ -291,7 +291,6 @@ func All() []*Analyzer {
 		EnvMutate,
 		ObsJournal,
 		FacadeOpts,
-		HotPathAlloc,
 		LockHygiene,
 	}
 }

@@ -28,39 +28,26 @@ type Package struct {
 // listedPackage mirrors the subset of `go list -json` output the loader
 // consumes.
 type listedPackage struct {
-	ImportPath  string
-	Dir         string
-	Export      string
-	GoFiles     []string
-	TestGoFiles []string
-	Standard    bool
-	DepOnly     bool
-	Error       *struct{ Err string }
-}
-
-// LoadConfig parameterizes Load.
-type LoadConfig struct {
-	// Dir is the module root to run `go list` in ("" = current directory).
-	Dir string
-	// Tests includes in-package _test.go files in the analyzed packages.
-	// External (_test package) files are never loaded.
-	Tests bool
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
 // Load lists, parses, and type-checks the packages matching patterns
-// (e.g. "./...") using compiler export data for all imports, so loading a
+// (e.g. "./..."), running `go list` in dir ("" = current directory), using compiler export data for all imports, so loading a
 // package costs one parse+check of its own files only. The build cache
 // must be able to produce export data, i.e. the tree must compile.
-func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
-	if cfg.Tests {
-		args = append([]string{"list", "-export", "-deps", "-test", "-json"}, patterns...)
-	}
 	cmd := exec.Command("go", args...)
-	cmd.Dir = cfg.Dir
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -82,11 +69,9 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
-			// Test variants list as "path [path.test]"; strip the suffix so
-			// either spelling resolves.
-			exports[trimTestVariant(p.ImportPath)] = p.Export
+			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly && !p.Standard && trimTestVariant(p.ImportPath) == p.ImportPath {
+		if !p.DepOnly && !p.Standard {
 			targets = append(targets, p)
 		}
 	}
@@ -103,15 +88,11 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, t := range targets {
-		names := t.GoFiles
-		if cfg.Tests {
-			names = append(append([]string{}, t.GoFiles...), t.TestGoFiles...)
-		}
-		if len(names) == 0 {
+		if len(t.GoFiles) == 0 {
 			continue
 		}
 		var files []*ast.File
-		for _, name := range names {
+		for _, name := range t.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
 			if err != nil {
 				return nil, fmt.Errorf("lint: %w", err)
@@ -144,12 +125,4 @@ func newTypesInfo() *types.Info {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-}
-
-// trimTestVariant maps "pkg [pkg.test]" to "pkg".
-func trimTestVariant(path string) string {
-	if i := bytes.IndexByte([]byte(path), ' '); i >= 0 {
-		return path[:i]
-	}
-	return path
 }

@@ -10,7 +10,7 @@ func TestRepoInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-repo analysis in -short mode")
 	}
-	pkgs, err := Load(LoadConfig{Dir: "../.."}, "./...")
+	pkgs, err := Load("../..", "./...")
 	if err != nil {
 		t.Fatalf("loading repo: %v", err)
 	}
@@ -34,7 +34,7 @@ func TestLoadBuildTaggedPackage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go toolchain")
 	}
-	pkgs, err := Load(LoadConfig{Dir: "../.."}, "./internal/raceguard")
+	pkgs, err := Load("../..", "./internal/raceguard")
 	if err != nil {
 		t.Fatalf("loading internal/raceguard: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestLoadBuildTaggedPackage(t *testing.T) {
 // TestLoadSinglePackage checks the loader's type information is real: it
 // must resolve imports through export data, not stubs.
 func TestLoadSinglePackage(t *testing.T) {
-	pkgs, err := Load(LoadConfig{Dir: "../.."}, "./internal/obs")
+	pkgs, err := Load("../..", "./internal/obs")
 	if err != nil {
 		t.Fatalf("loading internal/obs: %v", err)
 	}

@@ -91,7 +91,7 @@ func runLockHygiene(pass *Pass) error {
 // park the calling goroutine, with an exemplar chain to the evidence.
 func transitiveBlocking(facts *Facts) map[*FuncNode]Step {
 	return facts.Memo("lockhygiene.blocking", func() any {
-		return facts.Graph.Propagate(EdgeStatic, func(n *FuncNode) (token.Pos, bool) {
+		return facts.Graph.Propagate(func(n *FuncNode) (token.Pos, bool) {
 			if !n.Defined() {
 				_, ok := blockingExternal[n.Key]
 				return token.NoPos, ok

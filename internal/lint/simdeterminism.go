@@ -73,7 +73,7 @@ func runSimDeterminism(pass *Pass) error {
 // this closure is for helpers one or more hops away.
 func transitiveImpurity(facts *Facts) map[*FuncNode]Step {
 	return facts.Memo("simdeterminism.impure", func() any {
-		return facts.Graph.Propagate(EdgeStatic, func(n *FuncNode) (token.Pos, bool) {
+		return facts.Graph.Propagate(func(n *FuncNode) (token.Pos, bool) {
 			if n.Defined() || n.Fn == nil || n.Fn.Pkg() == nil {
 				return token.NoPos, false
 			}

@@ -52,6 +52,27 @@ func (s *S) drain() {
 	}
 }
 
+// pingA/pingB form a call cycle that reaches a channel receive; the
+// blocking closure must terminate on it.
+func (s *S) pingA(n int) {
+	if n > 0 {
+		s.pingB(n - 1)
+	}
+}
+
+func (s *S) pingB(n int) {
+	if n > 0 {
+		s.pingA(n - 1)
+	}
+	<-s.ch // ok: no lock held in this function
+}
+
+func (s *S) CycleUnderLock() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pingA(3) // want "call to lockuser.S.pingA blocks while s.mu is held"
+}
+
 func (s *S) Leak() {
 	s.mu.Lock() // want "never released"
 	s.n++

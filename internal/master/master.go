@@ -124,10 +124,7 @@ type Master struct {
 	planners map[dnn.ModelName]*core.Planner
 	clients  map[int]*clientState
 
-	ln        net.Listener
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-	closed    chan struct{}
+	srv wire.Server // accept loop, per-connection loop, shutdown
 }
 
 type clientState struct {
@@ -202,8 +199,8 @@ func New(cfg Config) (*Master, error) {
 		tr:        cfg.Tracer,
 		planners:  make(map[dnn.ModelName]*core.Planner, 4),
 		clients:   make(map[int]*clientState, 8),
-		closed:    make(chan struct{}),
 	}
+	m.srv = wire.Server{Name: "master", Log: logger, Open: m.openConn, Shutdown: m.closePools}
 	m.requests = m.met.Counter("requests_total")
 	m.planRequests = m.met.Counter("plan_requests_total")
 	m.chainPlans = m.met.Counter("chain_plans_total")
@@ -259,91 +256,32 @@ func (m *Master) EdgeAddr(id geo.ServerID) (string, bool) {
 // orders and stats pings it triggers — inherits ctx, so canceling it
 // interrupts in-flight work, closes the listener, and drains.
 func (m *Master) ServeContext(ctx context.Context, ln net.Listener) error {
-	m.mu.Lock()
-	select {
-	case <-m.closed:
-		// Close ran first and had no listener to close.
-		m.mu.Unlock()
-		_ = ln.Close() // never accepted on; the caller may have closed it too
-		return nil
-	default:
-	}
-	m.ln = ln
-	m.mu.Unlock()
-	stop := context.AfterFunc(ctx, func() {
-		if err := m.Close(); err != nil {
-			m.log.Warn("shutdown", "err", err)
-		}
-	})
-	defer stop()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-m.closed:
-				m.wg.Wait()
-				return nil
-			default:
-				return fmt.Errorf("master: accept: %w", err)
-			}
-		}
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			m.handle(ctx, wire.NewConn(conn))
-		}()
-	}
+	return m.srv.ServeContext(ctx, ln)
 }
 
 // Close stops the daemon. It is idempotent and safe to call concurrently
 // with ServeContext's own context-driven shutdown.
-func (m *Master) Close() error {
-	var err error
-	m.closeOnce.Do(func() {
-		close(m.closed)
-		if perr := m.edges.Close(); perr != nil {
-			m.log.Warn("closing edge pool", "err", perr)
+func (m *Master) Close() error { return m.srv.Close() }
+
+func (m *Master) closePools() {
+	if err := m.edges.Close(); err != nil {
+		m.log.Warn("closing edge pool", "err", err)
+	}
+	if m.peers != nil {
+		if err := m.peers.Close(); err != nil {
+			m.log.Warn("closing shard pool", "err", err)
 		}
-		if m.peers != nil {
-			if perr := m.peers.Close(); perr != nil {
-				m.log.Warn("closing shard pool", "err", perr)
-			}
-		}
-		m.mu.Lock()
-		ln := m.ln
-		m.mu.Unlock()
-		if ln != nil {
-			err = ln.Close()
-		}
-	})
-	return err
+	}
 }
 
-func (m *Master) handle(ctx context.Context, c *wire.Conn) {
+// openConn starts one connection's state: its ID, and the clients that
+// registered over it. A client holds its master connection for as long as
+// it lives, so when the connection goes they are forgotten — unless a
+// newer registration or a shard adoption has taken them over since.
+func (m *Master) openConn() (wire.Dispatch, func()) {
 	conn := m.lastConn.Add(1)
-	// Clients registered over this connection. A client holds its master
-	// connection for as long as it lives, so when the connection goes they
-	// are forgotten — unless a newer registration or a shard adoption has
-	// taken them over since.
 	var registered map[int]struct{}
-	defer func() {
-		if err := c.Close(); err != nil {
-			m.log.Warn("closing conn", "err", err)
-		}
-		m.mu.Lock()
-		for id := range registered {
-			if cs, ok := m.clients[id]; ok && cs.conn == conn {
-				delete(m.clients, id)
-			}
-		}
-		m.numClients.Set(int64(len(m.clients)))
-		m.mu.Unlock()
-	}()
-	for {
-		req, err := c.RecvContext(ctx)
-		if err != nil {
-			return
-		}
+	dispatch := func(ctx context.Context, req *wire.Envelope) *wire.Envelope {
 		m.requests.Inc()
 		resp := m.dispatch(ctx, req, conn)
 		if req.Type == wire.MsgRegister && resp.Ack != nil && resp.Ack.OK {
@@ -352,17 +290,18 @@ func (m *Master) handle(ctx context.Context, c *wire.Conn) {
 			}
 			registered[req.Register.ClientID] = struct{}{}
 		}
-		if err := c.SendContext(ctx, resp); err != nil {
-			return
+		return resp
+	}
+	return dispatch, func() {
+		m.mu.Lock()
+		for id := range registered {
+			if cs, ok := m.clients[id]; ok && cs.conn == conn {
+				delete(m.clients, id)
+			}
 		}
+		m.numClients.Set(int64(len(m.clients)))
+		m.mu.Unlock()
 	}
-}
-
-func ackErr(err error) *wire.Envelope {
-	if err != nil {
-		return &wire.Envelope{Type: wire.MsgAck, Ack: &wire.Ack{OK: false, Error: err.Error()}}
-	}
-	return &wire.Envelope{Type: wire.MsgAck, Ack: &wire.Ack{OK: true}}
 }
 
 // dispatch answers one request; conn identifies the connection it arrived
@@ -371,47 +310,47 @@ func (m *Master) dispatch(ctx context.Context, req *wire.Envelope, conn uint64) 
 	switch req.Type {
 	case wire.MsgRegister:
 		if req.Register == nil {
-			return ackErr(errors.New("master: register without body"))
+			return wire.NewAck(errors.New("master: register without body"))
 		}
 		start := m.tr.Now()
 		err := m.register(req.Register, conn)
 		m.recordStage(req.Trace, tracing.StageRegister, start)
-		return ackErr(err)
+		return wire.NewAck(err)
 	case wire.MsgTrajectory:
 		if req.Trajectory == nil {
-			return ackErr(errors.New("master: trajectory without body"))
+			return wire.NewAck(errors.New("master: trajectory without body"))
 		}
 		redirect, err := m.trajectory(ctx, req.Trajectory)
 		if redirect != nil {
 			return redirect
 		}
-		return ackErr(err)
+		return wire.NewAck(err)
 	case wire.MsgShardHandoff:
 		if req.Handoff == nil {
-			return ackErr(errors.New("master: shard handoff without body"))
+			return wire.NewAck(errors.New("master: shard handoff without body"))
 		}
 		start := m.tr.Now()
 		err := m.adoptClient(req.Handoff)
 		m.recordStage(req.Trace, tracing.StageHandoff, start)
-		return ackErr(err)
+		return wire.NewAck(err)
 	case wire.MsgShardMigrate:
 		if req.ShardMig == nil {
-			return ackErr(errors.New("master: shard migrate without body"))
+			return wire.NewAck(errors.New("master: shard migrate without body"))
 		}
-		return ackErr(m.acceptShardMigration(ctx, req.ShardMig))
+		return wire.NewAck(m.acceptShardMigration(ctx, req.ShardMig))
 	case wire.MsgPlanRequest:
 		if req.PlanReq == nil {
-			return ackErr(errors.New("master: plan request without body"))
+			return wire.NewAck(errors.New("master: plan request without body"))
 		}
 		start := m.tr.Now()
 		resp, err := m.plan(ctx, req.PlanReq)
 		m.recordStage(req.Trace, tracing.StagePlan, start)
 		if err != nil {
-			return ackErr(err)
+			return wire.NewAck(err)
 		}
 		return &wire.Envelope{Type: wire.MsgPlanResponse, PlanResp: resp}
 	default:
-		return ackErr(fmt.Errorf("master: unexpected message type %d", req.Type))
+		return wire.NewAck(fmt.Errorf("master: unexpected message type %d", req.Type))
 	}
 }
 
@@ -513,7 +452,7 @@ func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Enve
 				continue
 			}
 		}
-		if err := m.orderMigration(ctx, model, t.ClientID, curAddr, tid); err != nil {
+		if err := m.orderMigration(ctx, model, t.ClientID, curAddr, tid, nil); err != nil {
 			m.met.Counter("migration_errors_total").Inc()
 			m.log.Warn("migration order failed", "client", t.ClientID, "target", int(tid), "err", err)
 			continue
@@ -652,67 +591,41 @@ func (m *Master) acceptShardMigration(ctx context.Context, sm *wire.ShardMigrate
 	if owner := m.smap.ShardOf(sm.Target); owner != m.cfg.Shard {
 		return fmt.Errorf("master: server %d owned by shard %d, this is shard %d", sm.Target, owner, m.cfg.Shard)
 	}
-	tAddr, ok := m.EdgeAddr(sm.Target)
-	if !ok {
-		return fmt.Errorf("master: no address for server %d", sm.Target)
-	}
 	m.mu.Lock()
 	err := m.ensurePlannerLocked(sm.Model)
-	planner := m.planners[sm.Model]
 	m.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	layers := sm.Layers
-	if st, perr := m.pingStats(ctx, tAddr); perr == nil {
-		if entry, perr := planner.PlanFor(*st); perr == nil {
-			layers = partition.FlattenSchedule(entry.Schedule)
-		}
+	if err := m.orderMigration(ctx, sm.Model, sm.ClientID, sm.SourceAddr, sm.Target, sm.Layers); err != nil {
+		return err
 	}
-	if len(layers) == 0 {
-		return fmt.Errorf("master: no plan for client %d on server %d", sm.ClientID, sm.Target)
-	}
-	ctx, cancel := context.WithTimeout(ctx, wire.DefaultSendTimeout)
-	defer cancel()
-	mt := m.tr.NewTrace()
-	span := m.tr.NewSpanID()
-	start := m.tr.Now()
-	resp, err := m.edges.RoundTrip(ctx, sm.SourceAddr, &wire.Envelope{
-		Type: wire.MsgMigrateRequest,
-		Migrate: &wire.Migrate{
-			ClientID: sm.ClientID,
-			Layers:   layers,
-			PeerAddr: tAddr,
-		},
-		Trace: tracing.SpanContext{Trace: mt, Span: span},
-	})
-	if err != nil {
-		return fmt.Errorf("master: edge %s: %w: %w", sm.SourceAddr, core.ErrServerDown, err)
-	}
-	if resp.Ack == nil || !resp.Ack.OK {
-		return fmt.Errorf("master: edge %s rejected migration order", sm.SourceAddr)
-	}
-	m.tr.RecordWith(mt, span, 0, tracing.StageMigrate, nodeMaster, start, m.tr.Now())
 	m.met.Counter("shard_migrations_in_total").Inc()
 	return nil
 }
 
 // orderMigration computes a future plan for the target and tells the
-// client's current edge server to push the layers.
-func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client int, curAddr string, target geo.ServerID) error {
+// client's current edge server (at curAddr) to push the plan's layers
+// there. When the target cannot be pinged or planned against, fallback —
+// the layer list a routing shard master precomputed, nil on the local
+// path — is ordered instead; with none, the ping or plan error is returned.
+func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client int, curAddr string, target geo.ServerID, fallback []dnn.LayerID) error {
 	tAddr, ok := m.EdgeAddr(target)
 	if !ok {
 		return fmt.Errorf("master: no address for server %d", target)
 	}
-	st, err := m.pingStats(ctx, tAddr)
-	if err != nil {
-		return err
-	}
 	m.mu.Lock()
 	planner := m.planners[model]
 	m.mu.Unlock()
-	entry, err := planner.PlanFor(*st)
-	if err != nil {
+	layers := fallback
+	st, err := m.pingStats(ctx, tAddr)
+	if err == nil {
+		var entry *core.PlanEntry
+		if entry, err = planner.PlanFor(*st); err == nil {
+			layers = partition.FlattenSchedule(entry.Schedule)
+		}
+	}
+	if err != nil && len(fallback) == 0 {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(ctx, wire.DefaultSendTimeout)
@@ -728,7 +641,7 @@ func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client
 		Type: wire.MsgMigrateRequest,
 		Migrate: &wire.Migrate{
 			ClientID: client,
-			Layers:   partition.FlattenSchedule(entry.Schedule),
+			Layers:   layers,
 			PeerAddr: tAddr,
 		},
 		Trace: tracing.SpanContext{Trace: mt, Span: span},

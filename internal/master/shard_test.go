@@ -155,6 +155,9 @@ func TestShardHandoffLive(t *testing.T) {
 	mA, mB := shardMasters[fromShard], shardMasters[toShard]
 	handoffsBefore := mA.Metrics().Counter("shard_handoffs_total").Value()
 	adoptionsBefore := mB.Metrics().Counter("shard_adoptions_total").Value()
+	// The shard masters are shared by the package's tests; spans, like the
+	// counters, are read as what this test adds.
+	spansBeforeA, spansBeforeB := mA.Tracer().Len(), mB.Tracer().Len()
 
 	cl, err := mobile.DialContext(ctx, mobile.Config{
 		ID:         42,
@@ -237,12 +240,12 @@ func TestShardHandoffLive(t *testing.T) {
 	// The handoff is one trace spanning both masters: the sender's handoff
 	// span roots it and the adopter's span parents to the sender's.
 	var sent, adopted []tracing.Span
-	for _, s := range mA.Tracer().Spans() {
+	for _, s := range mA.Tracer().Spans()[spansBeforeA:] {
 		if s.Stage == tracing.StageHandoff {
 			sent = append(sent, s)
 		}
 	}
-	for _, s := range mB.Tracer().Spans() {
+	for _, s := range mB.Tracer().Spans()[spansBeforeB:] {
 		if s.Stage == tracing.StageHandoff {
 			adopted = append(adopted, s)
 		}

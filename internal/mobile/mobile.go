@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"time"
 
@@ -464,45 +465,12 @@ func (c *Client) CacheState() (present, total int) {
 }
 
 // UploadStepContext uploads the next missing schedule unit to the edge
-// server, retrying (with reconnect-and-resume) on transient failures. It
-// returns false when nothing remains to upload.
+// server — the streaming upload with one unit in flight and a one-unit
+// limit — so queries can be interleaved between units. It returns false
+// when nothing remains to upload.
 func (c *Client) UploadStepContext(ctx context.Context) (bool, error) {
-	if !c.planReady || c.edgeAddr == "" {
-		return false, errors.New("mobile: not connected")
-	}
-	for _, unit := range c.plan.UploadOrder {
-		missing := make([]dnn.LayerID, 0, len(unit))
-		var bytes int64
-		for _, id := range unit {
-			if !c.uploaded.Has(id) {
-				missing = append(missing, id)
-				bytes += c.model.Layer(id).WeightBytes
-			}
-		}
-		if len(missing) == 0 {
-			continue
-		}
-		span := c.tr.NewSpanID()
-		start := c.tr.Now()
-		resp, err := c.edgeRoundTrip(ctx, &wire.Envelope{
-			Type:   wire.MsgUploadLayers,
-			Upload: &wire.Upload{ClientID: c.cfg.ID, Layers: missing, Bytes: bytes},
-			Trace:  tracing.SpanContext{Trace: c.upTrace, Span: span},
-		})
-		if err != nil {
-			return false, fmt.Errorf("mobile: uploading: %w", err)
-		}
-		if resp.Ack == nil || !resp.Ack.OK {
-			return false, fmt.Errorf("mobile: upload rejected: %s", ackError(resp))
-		}
-		c.tr.RecordWith(c.upTrace, span, c.upRoot, tracing.StageUploadUnit, c.node, start, c.tr.Now())
-		c.uploaded.AddAll(missing)
-		c.met.Counter("uploads_total").Inc()
-		c.met.Counter("upload_bytes_total").Add(bytes)
-		c.recomputeSplit()
-		return true, nil
-	}
-	return false, nil
+	n, err := c.upload(ctx, 1, 1)
+	return n > 0, err
 }
 
 // uploadUnit is one pending schedule unit: the not-yet-uploaded layers of
@@ -515,11 +483,14 @@ type uploadUnit struct {
 	start  time.Duration
 }
 
-// pendingUnits lists the schedule units still missing at the edge, in
-// plan order.
-func (c *Client) pendingUnits() []uploadUnit {
-	units := make([]uploadUnit, 0, len(c.plan.UploadOrder))
+// pendingUnits lists the first limit schedule units still missing at the
+// edge, in plan order.
+func (c *Client) pendingUnits(limit int) []uploadUnit {
+	units := make([]uploadUnit, 0, min(limit, len(c.plan.UploadOrder)))
 	for _, unit := range c.plan.UploadOrder {
+		if len(units) == limit {
+			break
+		}
 		var u uploadUnit
 		for _, id := range unit {
 			if !c.uploaded.Has(id) {
@@ -542,16 +513,13 @@ type permanentError struct{ err error }
 func (p permanentError) Error() string { return p.err.Error() }
 func (p permanentError) Unwrap() error { return p.err }
 
-// streamPending pushes every pending unit over the current edge
-// connection with up to `window` units in flight, consuming cumulative
+// streamPending pushes the first `limit` pending units over the current
+// edge connection with up to `window` units in flight, consuming cumulative
 // acks as they arrive. It marks units uploaded as their acks land and
 // returns how many completed; on a transport error the caller reconnects,
 // resyncs, and streams whatever is still missing.
-func (c *Client) streamPending(ctx context.Context, window int) (int, error) {
-	units := c.pendingUnits()
-	if len(units) == 0 {
-		return 0, nil
-	}
+func (c *Client) streamPending(ctx context.Context, window, limit int) (int, error) {
+	units := c.pendingUnits(limit)
 	completed := 0
 	next, acked := 0, 0
 	for acked < len(units) {
@@ -602,28 +570,34 @@ func (c *Client) streamPending(ctx context.Context, window int) (int, error) {
 // windowed-ack pipeline: up to Config.UploadWindow units are in flight
 // before the first ack is awaited, so on a high-latency link the upload
 // costs ~1 RTT instead of one RTT per unit (UploadStepContext's lockstep
-// cost). Transient failures reconnect-and-resume under the retry policy:
-// the uploaded set is resynced from the edge's cache via MsgHasRequest, so
-// units that landed before the drop — acked or not — are never resent. It
-// returns the number of units uploaded by this call.
+// cost). It returns the number of units uploaded by this call.
 func (c *Client) UploadAllContext(ctx context.Context) (int, error) {
-	if !c.planReady || c.edgeAddr == "" {
-		return 0, errors.New("mobile: not connected")
-	}
 	window := c.cfg.UploadWindow
 	if window <= 0 {
 		window = DefaultUploadWindow
 	}
+	return c.upload(ctx, window, math.MaxInt)
+}
+
+// upload streams up to limit pending schedule units with up to window in
+// flight. Transient failures reconnect-and-resume under the retry policy:
+// the uploaded set is resynced from the edge's cache via MsgHasRequest, so
+// units that landed before the drop — acked or not — are never resent.
+func (c *Client) upload(ctx context.Context, window, limit int) (int, error) {
+	if !c.planReady || c.edgeAddr == "" {
+		return 0, errors.New("mobile: not connected")
+	}
 	done := 0
 	var permErr error
-	err := c.retry.Do(ctx, "streaming upload", func(ctx context.Context) error {
+	err := c.retry.Do(ctx, "upload", func(ctx context.Context) error {
 		if c.edge == nil {
 			if err := c.redialEdge(ctx); err != nil {
 				c.met.Counter("edge_retries_total").Inc()
+				c.retryInstant()
 				return err
 			}
 		}
-		n, err := c.streamPending(ctx, window)
+		n, err := c.streamPending(ctx, window, limit-done)
 		done += n
 		if err == nil {
 			return nil
@@ -635,6 +609,7 @@ func (c *Client) UploadAllContext(ctx context.Context) (int, error) {
 		}
 		c.dropEdge()
 		c.met.Counter("edge_retries_total").Inc()
+		c.retryInstant()
 		return fmt.Errorf("%w: %w", core.ErrServerDown, err)
 	})
 	c.recomputeSplit()
@@ -642,7 +617,7 @@ func (c *Client) UploadAllContext(ctx context.Context) (int, error) {
 		err = permErr
 	}
 	if err != nil {
-		return done, fmt.Errorf("mobile: streaming upload: %w", err)
+		return done, fmt.Errorf("mobile: uploading: %w", err)
 	}
 	return done, nil
 }

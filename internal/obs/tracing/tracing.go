@@ -204,8 +204,6 @@ func (t *Tracer) NewSpanID() SpanID {
 // struct's serialization order; the obsjournal analyzer in internal/lint
 // rejects ad-hoc tracing.Span literals outside this package, so recorded
 // spans always state every identity field.
-//
-//perdnn:hotpath span recording sits on every traced request stage
 func (t *Tracer) Record(trace TraceID, parent SpanID, stage Stage, node string, start, end time.Duration) SpanID {
 	if t == nil {
 		return 0
@@ -220,8 +218,6 @@ func (t *Tracer) Record(trace TraceID, parent SpanID, stage Stage, node string, 
 
 // RecordWith appends one completed span under a pre-allocated ID (from
 // NewSpanID). A no-op when disabled or when id is 0.
-//
-//perdnn:hotpath span recording sits on every traced request stage
 func (t *Tracer) RecordWith(trace TraceID, id, parent SpanID, stage Stage, node string, start, end time.Duration) {
 	if t == nil || id == 0 {
 		return
@@ -240,7 +236,6 @@ func (t *Tracer) append(s Span) {
 			return
 		}
 	}
-	//perdnn:vet-ignore hotpathalloc amortized: one chunk allocation per chunkSpans recorded spans
 	c := make([]Span, 0, chunkSpans)
 	t.chunks = append(t.chunks, append(c, s))
 }

@@ -122,4 +122,12 @@ func TestRecordSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Record allocates %.1f allocs/op in steady state, want 0", allocs)
 	}
+	tr.Reset()
+	id := tr.NewSpanID()
+	allocs = testing.AllocsPerRun(chunkSpans/2, func() {
+		tr.RecordWith(trace, id, 0, StageQuery, "client/0", time.Millisecond, 2*time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("RecordWith allocates %.1f allocs/op in steady state, want 0", allocs)
+	}
 }

@@ -247,8 +247,6 @@ func (p *ChainPlan) String() string {
 // single-split one and PlanChain delegates to Solver.Partition, so the
 // result is bit-identical to the existing solver (including its ability to
 // offload non-contiguous layer sets).
-//
-//perdnn:hotpath multi-hop re-planning runs on every placement refresh
 func PlanChain(req ChainRequest) (*ChainPlan, error) {
 	if req.Profile == nil || req.Profile.Model == nil {
 		return nil, errors.New("partition: chain request has no profile")
@@ -389,7 +387,6 @@ func bestSingleSplit(req ChainRequest) (*Plan, ServerSpec, error) {
 		if err != nil {
 			return nil, ServerSpec{}, err
 		}
-		//perdnn:vet-ignore hotpathalloc cold fallback, runs only when every candidate is over-committed
 		best = &Plan{Model: m, Loc: loc, EstLatency: lat, Slowdown: 1, Link: req.Link}
 		bestSpec = req.Servers[0]
 	}
@@ -402,7 +399,6 @@ func bestSingleSplit(req ChainRequest) (*Plan, ServerSpec, error) {
 // estimate, bit for bit.
 func delegatedChainPlan(req ChainRequest, plan *Plan, spec ServerSpec) *ChainPlan {
 	sp := Decompose(req.Profile, plan.Loc)
-	//perdnn:vet-ignore hotpathalloc the returned plan is caller-owned and must outlive the call
 	cp := &ChainPlan{
 		Model:      plan.Model,
 		ClientPre:  sp.ClientTime,
@@ -415,7 +411,6 @@ func delegatedChainPlan(req ChainRequest, plan *Plan, spec ServerSpec) *ChainPla
 	}
 	if layers := plan.ServerLayers(); len(layers) > 0 {
 		exec := time.Duration(float64(sp.ServerBase) * plan.Slowdown)
-		//perdnn:vet-ignore hotpathalloc the returned plan's hop list is caller-owned
 		cp.Hops = []Hop{{
 			Server:    spec,
 			Layers:    layers,
@@ -621,7 +616,6 @@ func planChainDP(req ChainRequest, sc *chainScratch) (*ChainPlan, error) {
 	}
 
 	// Exact integer re-pricing of the chosen chain.
-	//perdnn:vet-ignore hotpathalloc the returned plan is caller-owned and must outlive the scratch
 	plan := &ChainPlan{
 		Model:     m,
 		Objective: req.Objective,
@@ -647,8 +641,7 @@ func planChainDP(req ChainRequest, sc *chainScratch) (*ChainPlan, error) {
 			link = spec.Link
 		}
 		hop := Hop{
-			Server: spec,
-			//perdnn:vet-ignore hotpathalloc layer lists belong to the caller-owned plan
+			Server:  spec,
 			Layers:  make([]dnn.LayerID, 0, sg.end-sg.start),
 			Bytes:   prefW[sg.end] - prefW[sg.start],
 			InBytes: cross[sg.start],

@@ -8,6 +8,7 @@ import (
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/profile"
+	"perdnn/internal/raceguard"
 )
 
 // toyChainModel builds a small linear model whose chain plans can be
@@ -525,6 +526,40 @@ func TestChainUploadScheduleMultiHop(t *testing.T) {
 	got := FlattenSchedule(units)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("multi-hop schedule order diverges: got %d layers, want %d", len(got), len(want))
+	}
+}
+
+// TestPlanChainAllocBudget is PlanChain's allocation gate, on the request
+// the benchmark's partition.chain_ns.* probes time: 7 idle candidates, 3
+// hops, throughput objective. The DP's scratch is pooled; what remains is
+// the caller-owned result: the plan (1), the cloned single-split fallback
+// (2), and per hop one layer list plus one growth of the hop list — 5 for
+// mobilenet's one-hop optimum, 7 for the two-hop ones.
+func TestPlanChainAllocBudget(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
+	}
+	budgets := map[dnn.ModelName]float64{dnn.ModelMobileNet: 5, dnn.ModelInception: 7, dnn.ModelResNet: 7}
+	servers := make([]ServerSpec, 7)
+	for i := range servers {
+		servers[i] = ServerSpec{ID: i, Slowdown: 1}
+	}
+	for _, name := range dnn.ZooNames() {
+		m, err := dnn.ZooModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := chainReqFor(t, m, servers, 3, ObjectiveThroughput)
+		if _, err := PlanChain(req); err != nil { // warm the pooled scratch
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := PlanChain(req); err != nil {
+				t.Fatal(err)
+			}
+		}); n > budgets[name] {
+			t.Errorf("%s: PlanChain allocates %.1f/op, budget %.0f", name, n, budgets[name])
+		}
 	}
 }
 

@@ -74,7 +74,6 @@ func Evaluate(req Request, loc []Location) (time.Duration, error) {
 // AllClient returns the all-client assignment for the model (the cold-start
 // execution before any layer is uploaded).
 func AllClient(m *dnn.Model) []Location {
-	//perdnn:vet-ignore hotpathalloc the assignment is a caller-owned result
 	loc := make([]Location, m.NumLayers())
 	for i := range loc {
 		loc[i] = AtClient

@@ -104,14 +104,12 @@ type Plan struct {
 // owned (the Model pointer is shared; models are immutable).
 func (p *Plan) Clone() *Plan {
 	out := *p
-	//perdnn:vet-ignore hotpathalloc Clone exists to snapshot solver scratch into a caller-owned plan
 	out.Loc = append([]Location(nil), p.Loc...)
 	return &out
 }
 
 // ServerLayers returns the IDs of server-side layers in topological order.
 func (p *Plan) ServerLayers() []dnn.LayerID {
-	//perdnn:vet-ignore hotpathalloc the ID list is a caller-owned result
 	out := make([]dnn.LayerID, 0, len(p.Loc))
 	for i, loc := range p.Loc {
 		if loc == AtServer {

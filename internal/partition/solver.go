@@ -52,7 +52,6 @@ var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 // grow returns buf resized to n, reallocating only when capacity is short.
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		//perdnn:vet-ignore hotpathalloc amortized warm-up: reallocates only until scratch fits the largest model seen
 		return make([]T, n)
 	}
 	return buf[:n]
@@ -75,8 +74,6 @@ func grow[T any](buf []T, n int) []T {
 // The returned plan (including its Loc slice) aliases solver scratch and is
 // valid until the next call on this solver; use Plan.Clone (or the package
 // Partition wrapper) when it must outlive the solver.
-//
-//perdnn:hotpath re-partitioning runs on every load/bandwidth change
 func (s *Solver) Partition(req Request) (*Plan, error) {
 	if req.Profile == nil || req.Profile.Model == nil {
 		return nil, errors.New("partition: request has no profile")

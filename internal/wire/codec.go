@@ -31,7 +31,6 @@ func growClass(b []byte, n int) []byte {
 	for c < n {
 		c <<= 1
 	}
-	//perdnn:vet-ignore hotpathalloc amortized size-class growth; similar-size messages settle into one stable buffer
 	return make([]byte, 0, c)
 }
 
@@ -307,7 +306,6 @@ type decoder struct {
 
 func (d *decoder) fail(what string) {
 	if d.err == nil {
-		//perdnn:vet-ignore hotpathalloc error path: fires at most once per malformed frame
 		d.err = fmt.Errorf("%w: %s at offset %d", ErrFrame, what, d.off)
 	}
 }
@@ -402,7 +400,7 @@ func (d *decoder) string(memo *string) string {
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
-	if string(b) != *memo { //perdnn:vet-ignore hotpathalloc the compiler elides the comparison's copy; the refresh below copies only when the value changed
+	if string(b) != *memo {
 		*memo = string(b)
 	}
 	return *memo
@@ -435,7 +433,6 @@ func (d *decoder) planHops(dst []PlanHop) []PlanHop {
 	if n <= cap(dst) {
 		dst = dst[:n]
 	} else {
-		//perdnn:vet-ignore hotpathalloc amortized: grows the connection-owned arena only when a longer chain arrives
 		dst = append(dst[:cap(dst)], make([]PlanHop, n-cap(dst))...)
 	}
 	for i := range dst {
@@ -454,7 +451,6 @@ func (d *decoder) forwardHops(dst []ForwardHop) []ForwardHop {
 	if n <= cap(dst) {
 		dst = dst[:n]
 	} else {
-		//perdnn:vet-ignore hotpathalloc amortized: grows the connection-owned arena only when a longer chain arrives
 		dst = append(dst[:cap(dst)], make([]ForwardHop, n-cap(dst))...)
 	}
 	for i := range dst {
@@ -471,7 +467,6 @@ func (d *decoder) layerUnits(dst [][]dnn.LayerID) [][]dnn.LayerID {
 	if n <= cap(dst) {
 		dst = dst[:n]
 	} else {
-		//perdnn:vet-ignore hotpathalloc amortized: grows the connection-owned arena only when a longer schedule arrives
 		dst = append(dst[:cap(dst)], make([][]dnn.LayerID, n-cap(dst))...)
 	}
 	for i := range dst {

@@ -404,10 +404,10 @@ func rawPipe(t *testing.T) (*Conn, net.Conn) {
 	return client, raw
 }
 
-// echoPeer answers every envelope with itself until the conn drops.
-func echoPeer(t *testing.T) *Conn {
+// echoPeer answers every envelope with itself, under ctx, until the conn
+// drops.
+func echoPeer(ctx context.Context, t *testing.T) *Conn {
 	t.Helper()
-	ctx := context.Background()
 	client, raw := rawPipe(t)
 	server := NewConn(raw)
 	go func() {
@@ -431,7 +431,7 @@ func TestSendRecvSteadyStateZeroAlloc(t *testing.T) {
 	if raceguard.Enabled {
 		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
 	}
-	client := echoPeer(t)
+	client := echoPeer(context.Background(), t)
 	req := &Envelope{Type: MsgExecRequest, ExecReq: &ExecReq{
 		ClientID: 1, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100}}
 	// The traced variant exercises the optional trace tail on both the
@@ -460,6 +460,41 @@ func TestSendRecvSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// cancellableRoundTripAllocs is what one RoundTripContext costs, both
+// peers counted, when their contexts can be cancelled: per SendContext and
+// per RecvContext one context.AfterFunc registration (3 allocations: the
+// closure, the afterFuncCtx and its stop func). The codec itself stays at
+// 0. Lower it when the wire path stops arming a watcher per operation.
+const cancellableRoundTripAllocs = 12
+
+// TestRoundTripCancellableContextAllocs gates the round trip every live
+// call makes: loopback TCP, a context.WithCancel context on both peers.
+// TestSendRecvSteadyStateZeroAlloc above reads 0 only because
+// context.Background() has no Done channel to watch.
+func TestRoundTripCancellableContextAllocs(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	client := echoPeer(ctx, t)
+	req := &Envelope{Type: MsgExecRequest, ExecReq: &ExecReq{
+		ClientID: 1, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100}}
+	for i := 0; i < 10; i++ {
+		if _, err := client.RoundTripContext(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := client.RoundTripContext(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}); n > cancellableRoundTripAllocs {
+		t.Errorf("RoundTripContext under a cancellable context allocates %.1f/op across both peers, budget %d",
+			n, cancellableRoundTripAllocs)
+	}
+}
+
 // TestStringMemoZeroAlloc: repeated messages carrying the same string
 // (the steady state for model names and peer addresses) reuse the
 // previously decoded string instead of reallocating.
@@ -467,7 +502,7 @@ func TestStringMemoZeroAlloc(t *testing.T) {
 	if raceguard.Enabled {
 		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
 	}
-	client := echoPeer(t)
+	client := echoPeer(context.Background(), t)
 	req := &Envelope{Type: MsgRegister, Register: &Register{ClientID: 3, Model: dnn.ModelResNet}}
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {

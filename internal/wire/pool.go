@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"perdnn/internal/obs"
@@ -26,41 +25,15 @@ const (
 // caller is done with the response. Poisoned or closed connections are
 // discarded instead of pooled.
 type Pool struct {
-	// MaxIdlePerAddr bounds idle conns kept per address (0 = default).
-	MaxIdlePerAddr int
-	// IdleTimeout discards idle conns older than this (0 = default).
-	IdleTimeout time.Duration
+	maxIdlePerAddr int           // idle conns kept per address
+	idleTimeout    time.Duration // idle conns older than this are discarded at Get
 
 	mu     sync.Mutex
 	idle   map[string][]idleConn
 	closed bool
 
 	// Lifetime counters behind Stats; see PoolStats for semantics.
-	reuseHits  poolCounter
-	staleDrops poolCounter
-	dials      poolCounter
-	evictions  poolCounter
-	retries    poolCounter
-}
-
-// poolCounter is one lifetime counter plus its optional obs mirror
-// (installed by RegisterMetrics).
-type poolCounter struct {
-	v   atomic.Int64
-	obs atomic.Pointer[obs.Counter]
-}
-
-func (c *poolCounter) inc() {
-	c.v.Add(1)
-	if m := c.obs.Load(); m != nil {
-		m.Inc()
-	}
-}
-
-// mirror installs the obs counter, seeded with the current total.
-func (c *poolCounter) mirror(m *obs.Counter) {
-	m.Add(c.v.Load())
-	c.obs.Store(m)
+	reuseHits, staleDrops, dials, evictions, retries *obs.Counter
 }
 
 // PoolStats is a snapshot of a pool's lifetime counters.
@@ -68,7 +41,7 @@ type PoolStats struct {
 	// ReuseHits counts Gets satisfied by a pooled idle connection.
 	ReuseHits int64
 	// StaleDrops counts idle connections discarded at Get because they
-	// sat idle past IdleTimeout or were poisoned.
+	// sat idle past the idle timeout or were poisoned.
 	StaleDrops int64
 	// Dials counts fresh connections established for Get.
 	Dials int64
@@ -83,24 +56,12 @@ type PoolStats struct {
 // Stats returns the pool's lifetime counters.
 func (p *Pool) Stats() PoolStats {
 	return PoolStats{
-		ReuseHits:  p.reuseHits.v.Load(),
-		StaleDrops: p.staleDrops.v.Load(),
-		Dials:      p.dials.v.Load(),
-		Evictions:  p.evictions.v.Load(),
-		Retries:    p.retries.v.Load(),
+		ReuseHits:  p.reuseHits.Value(),
+		StaleDrops: p.staleDrops.Value(),
+		Dials:      p.dials.Value(),
+		Evictions:  p.evictions.Value(),
+		Retries:    p.retries.Value(),
 	}
-}
-
-// RegisterMetrics exposes the pool's counters in an obs registry under
-// prefix (e.g. "edge_pool_"): <prefix>reuse_hits_total, stale_drops_total,
-// dials_total, evictions_total, retries_total. The obs counters are seeded
-// with the pool's current totals and track it from then on.
-func (p *Pool) RegisterMetrics(reg *obs.Registry, prefix string) {
-	p.reuseHits.mirror(reg.Counter(prefix + "reuse_hits_total"))
-	p.staleDrops.mirror(reg.Counter(prefix + "stale_drops_total"))
-	p.dials.mirror(reg.Counter(prefix + "dials_total"))
-	p.evictions.mirror(reg.Counter(prefix + "evictions_total"))
-	p.retries.mirror(reg.Counter(prefix + "retries_total"))
 }
 
 type idleConn struct {
@@ -108,31 +69,26 @@ type idleConn struct {
 	since time.Time
 }
 
-// NewPool returns a pool with the default limits.
-func NewPool() *Pool { return &Pool{} }
+// NewPool returns a pool with the default limits whose counters live in a
+// registry of its own.
+func NewPool() *Pool { return NewRegisteredPool(obs.NewRegistry(), "wire") }
 
-// NewRegisteredPool returns a pool with its counters mirrored into reg
-// under the canonical "<role>_pool_" prefix (edge_pool_*, peer_pool_*,
-// shard_pool_*, ...). Daemons use this instead of hand-assembling the
-// prefix so every pool's metrics follow one naming scheme.
+// NewRegisteredPool returns a pool whose counters are the reg counters
+// <role>_pool_reuse_hits_total, _stale_drops_total, _dials_total,
+// _evictions_total and _retries_total (edge_pool_*, peer_pool_*,
+// shard_pool_*, ...), so every daemon's pool metrics follow one naming
+// scheme.
 func NewRegisteredPool(reg *obs.Registry, role string) *Pool {
-	p := NewPool()
-	p.RegisterMetrics(reg, role+"_pool_")
-	return p
-}
-
-func (p *Pool) maxIdle() int {
-	if p.MaxIdlePerAddr > 0 {
-		return p.MaxIdlePerAddr
+	prefix := role + "_pool_"
+	return &Pool{
+		maxIdlePerAddr: DefaultMaxIdlePerAddr,
+		idleTimeout:    DefaultIdleTimeout,
+		reuseHits:      reg.Counter(prefix + "reuse_hits_total"),
+		staleDrops:     reg.Counter(prefix + "stale_drops_total"),
+		dials:          reg.Counter(prefix + "dials_total"),
+		evictions:      reg.Counter(prefix + "evictions_total"),
+		retries:        reg.Counter(prefix + "retries_total"),
 	}
-	return DefaultMaxIdlePerAddr
-}
-
-func (p *Pool) idleFor() time.Duration {
-	if p.IdleTimeout > 0 {
-		return p.IdleTimeout
-	}
-	return DefaultIdleTimeout
 }
 
 // Get returns a connection to addr: a pooled idle one when available,
@@ -155,13 +111,13 @@ func (p *Pool) Get(ctx context.Context, addr string) (c *Conn, reused bool, err 
 		ic := conns[n-1]
 		conns[n-1] = idleConn{}
 		p.idle[addr] = conns[:n-1]
-		if now.Sub(ic.since) > p.idleFor() || ic.c.Poisoned() {
+		if now.Sub(ic.since) > p.idleTimeout || ic.c.Poisoned() {
 			_ = ic.c.Close()
-			p.staleDrops.inc()
+			p.staleDrops.Inc()
 			continue
 		}
 		p.mu.Unlock()
-		p.reuseHits.inc()
+		p.reuseHits.Inc()
 		return ic.c, true, nil
 	}
 	p.mu.Unlock()
@@ -169,12 +125,12 @@ func (p *Pool) Get(ctx context.Context, addr string) (c *Conn, reused bool, err 
 	if err != nil {
 		return nil, false, err
 	}
-	p.dials.inc()
+	p.dials.Inc()
 	return conn, false, nil
 }
 
 // Put returns a healthy connection to the pool; poisoned conns, conns not
-// created by DialContext, and overflow beyond MaxIdlePerAddr are closed.
+// created by DialContext, and overflow beyond the per-address idle cap are closed.
 func (p *Pool) Put(c *Conn) {
 	if c == nil {
 		return
@@ -184,10 +140,10 @@ func (p *Pool) Put(c *Conn) {
 		return
 	}
 	p.mu.Lock()
-	if p.closed || len(p.idle[c.addr]) >= p.maxIdle() {
+	if p.closed || len(p.idle[c.addr]) >= p.maxIdlePerAddr {
 		p.mu.Unlock()
 		_ = c.Close()
-		p.evictions.inc()
+		p.evictions.Inc()
 		return
 	}
 	if p.idle == nil {
@@ -212,7 +168,7 @@ func (p *Pool) RoundTrip(ctx context.Context, addr string, req *Envelope) (*Enve
 		if err != nil {
 			_ = conn.Close()
 			if reused && attempt == 0 && ctx.Err() == nil {
-				p.retries.inc()
+				p.retries.Inc()
 				continue
 			}
 			return nil, err

@@ -178,7 +178,7 @@ func TestPoolDoesNotPoolPoisonedConn(t *testing.T) {
 // later call fails fast with the typed sentinel — callers can no longer
 // accidentally read a stale, deadline-poisoned socket.
 func TestCancelPoisonsConn(t *testing.T) {
-	client := echoPeer(t)
+	client := echoPeer(context.Background(), t)
 	poisonByCancel(t, client)
 	req := &Envelope{Type: MsgAck, Ack: &Ack{OK: true}}
 	if err := client.SendContext(context.Background(), req); !errors.Is(err, ErrConnPoisoned) {
@@ -237,11 +237,12 @@ func TestPoolClose(t *testing.T) {
 }
 
 // TestPoolStats: the pool's lifetime counters classify every connection
-// event — dials, reuse hits, stale drops, evictions, and retries — and
-// RegisterMetrics mirrors them into an obs registry.
+// event — dials, reuse hits, stale drops, evictions, and retries — and are
+// the registry's <role>_pool_* counters.
 func TestPoolStats(t *testing.T) {
 	srv := newCountingEchoServer(t)
-	p := NewPool()
+	reg := obs.NewRegistry()
+	p := NewRegisteredPool(reg, "peer")
 	defer p.Close() //nolint:errcheck // test teardown
 	ctx := context.Background()
 	req := &Envelope{Type: MsgAck, Ack: &Ack{OK: true}}
@@ -268,9 +269,9 @@ func TestPoolStats(t *testing.T) {
 		t.Fatalf("after retry: %+v, want Retries=1 ReuseHits=2 Dials=2", st)
 	}
 
-	// Overflow the idle list: a second healthy Put beyond MaxIdlePerAddr
-	// is an eviction.
-	p.MaxIdlePerAddr = 1
+	// Overflow the idle list: a second healthy Put beyond the per-address
+	// cap is an eviction.
+	p.maxIdlePerAddr = 1
 	c1, _, err := p.Get(ctx, srv.addr())
 	if err != nil {
 		t.Fatal(err)
@@ -285,36 +286,28 @@ func TestPoolStats(t *testing.T) {
 		t.Fatalf("after overflow put: %+v, want Evictions=1", st)
 	}
 
-	// Age the idle conn past IdleTimeout: the next Get drops it as stale
-	// and dials fresh.
-	p.IdleTimeout = time.Nanosecond
+	// Age the idle conn past the idle timeout: the next Get drops it as
+	// stale and dials fresh.
+	p.idleTimeout = time.Nanosecond
 	time.Sleep(time.Millisecond)
 	c3, reused, err := p.Get(ctx, srv.addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reused {
-		t.Fatal("Get reused a conn idle past IdleTimeout")
+		t.Fatal("Get reused a conn idle past the timeout")
 	}
 	p.Put(c3)
 	if st = p.Stats(); st.StaleDrops != 1 {
 		t.Fatalf("after stale drop: %+v, want StaleDrops=1", st)
 	}
 
-	// The obs mirror is seeded with the current totals and tracks new
-	// increments.
-	reg := obs.NewRegistry()
-	p.RegisterMetrics(reg, "peer_pool_")
+	// The registry's counters are the pool's.
 	snap := reg.Snapshot()
 	if got := snap.Counters["peer_pool_dials_total"]; got != st.Dials {
-		t.Fatalf("registered dials counter = %d, want %d (seeded)", got, st.Dials)
+		t.Fatalf("registered dials counter = %d, want %d", got, st.Dials)
 	}
-	p.IdleTimeout = 0
-	if _, err := p.RoundTrip(ctx, srv.addr(), req); err != nil {
-		t.Fatal(err)
-	}
-	snap = reg.Snapshot()
-	if got, want := snap.Counters["peer_pool_reuse_hits_total"], p.Stats().ReuseHits; got != want {
-		t.Fatalf("mirrored reuse counter = %d, want %d", got, want)
+	if got := snap.Counters["peer_pool_stale_drops_total"]; got != 1 {
+		t.Fatalf("registered stale-drops counter = %d, want 1", got)
 	}
 }

@@ -268,7 +268,8 @@ type Upload struct {
 	Layers   []dnn.LayerID
 	Bytes    int64
 	// Seq is the schedule-unit sequence number within a windowed upload
-	// stream (MsgUploadUnit); unused by the lockstep MsgUploadLayers.
+	// stream (MsgUploadUnit); unused by MsgUploadLayers, the edge-to-edge
+	// migration push.
 	Seq int64
 }
 
@@ -526,7 +527,6 @@ func (c *Conn) watchCancel(ctx context.Context) (stop func() bool) {
 	if ctx.Done() == nil {
 		return nopStop
 	}
-	//perdnn:vet-ignore hotpathalloc context.AfterFunc requires a closure; armed only for cancellable contexts
 	return context.AfterFunc(ctx, func() {
 		c.poisoned.Store(true)
 		_ = c.c.SetDeadline(time.Now())
@@ -536,8 +536,6 @@ func (c *Conn) watchCancel(ctx context.Context) (stop func() bool) {
 // SendContext writes one envelope, bounded by the context deadline (or the
 // 30 s default, whichever is earlier) and interruptible by cancellation. A
 // Conn whose earlier operation was interrupted returns ErrConnPoisoned.
-//
-//perdnn:hotpath per-inference wire send; the zero-copy codec depends on it
 func (c *Conn) SendContext(ctx context.Context, e *Envelope) error {
 	if c.poisoned.Load() {
 		return fmt.Errorf("wire: send: %w", ErrConnPoisoned)
@@ -569,8 +567,6 @@ func (c *Conn) SendContext(ctx context.Context, e *Envelope) error {
 // The returned Envelope is owned by the Conn and valid only until the next
 // RecvContext; callers that retain it (or its slices/strings) must Clone. A Conn
 // whose earlier operation was interrupted returns ErrConnPoisoned.
-//
-//perdnn:hotpath per-inference wire receive; the arena decode depends on it
 func (c *Conn) RecvContext(ctx context.Context) (*Envelope, error) {
 	if c.poisoned.Load() {
 		return nil, fmt.Errorf("wire: recv: %w", ErrConnPoisoned)
