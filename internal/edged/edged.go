@@ -75,9 +75,11 @@ type Server struct {
 	peers *wire.Pool // reused conns for migration pushes to peer edges
 
 	// Handles of the per-request metrics, resolved once.
-	requests, execs, forwards *obs.Counter
-	execNs                    *obs.Histogram
-	entries                   *obs.Gauge // len(cache)
+	requests, execs, forwards  *obs.Counter
+	uploads, uploadBytes       *obs.Counter
+	migrations, migrationBytes *obs.Counter
+	execNs                     *obs.Histogram
+	entries                    *obs.Gauge // len(cache)
 
 	mu      sync.Mutex
 	cache   map[int]*cacheEntry // by client ID
@@ -136,6 +138,10 @@ func New(cfg Config) (*Server, error) {
 	s.requests = s.met.Counter("requests_total")
 	s.execs = s.met.Counter("execs_total")
 	s.forwards = s.met.Counter("forwards_total")
+	s.uploads = s.met.Counter("uploads_total")
+	s.uploadBytes = s.met.Counter("upload_bytes_total")
+	s.migrations = s.met.Counter("migrations_total")
+	s.migrationBytes = s.met.Counter("migration_bytes_total")
 	s.execNs = s.met.Histogram("exec_ns")
 	s.entries = s.met.Gauge("cache_entries")
 	s.peers = wire.NewRegisteredPool(s.met, "peer")
@@ -228,7 +234,7 @@ func (s *Server) dispatch(ctx context.Context, req *wire.Envelope) *wire.Envelop
 		if req.Migrate == nil {
 			return wire.NewAck(errors.New("edged: migrate without body"))
 		}
-		return wire.NewAck(s.migrate(ctx, req.Migrate, req.Trace))
+		return wire.NewCountAck(s.migrate(ctx, req.Migrate, req.Trace))
 	default:
 		return wire.NewAck(fmt.Errorf("edged: unexpected message type %d", req.Type))
 	}
@@ -268,8 +274,8 @@ func (s *Server) upload(u *wire.Upload) error {
 		// No declared size, or a partial duplicate: price what was new.
 		bytes = s.layerBytes(added)
 	}
-	s.met.Counter("uploads_total").Inc()
-	s.met.Counter("upload_bytes_total").Add(bytes)
+	s.uploads.Inc()
+	s.uploadBytes.Add(bytes)
 	s.log.Debug("layers uploaded", "client", u.ClientID, "layers", len(added), "bytes", bytes)
 	s.sleep(time.Duration(float64(bytes) * 8 / s.cfg.LinkBps * float64(time.Second)))
 	return nil
@@ -432,14 +438,16 @@ func (s *Server) has(h *wire.Has) *wire.Envelope {
 
 // migrate pushes the client's cached subset of the requested layers to a
 // peer edge server ("if the current edge server does not have all of the
-// server-side layers, it sends layers as many as possible").
-func (s *Server) migrate(ctx context.Context, m *wire.Migrate, rc tracing.SpanContext) error {
+// server-side layers, it sends layers as many as possible") and returns how
+// many it pushed; the count rides the order's ack, so the master can tell a
+// whole plan delivered from a partial or empty push it has to order again.
+func (s *Server) migrate(ctx context.Context, m *wire.Migrate, rc tracing.SpanContext) (int, error) {
 	if err := s.model.CheckLayers(m.Layers); err != nil {
-		return err
+		return 0, err
 	}
 	cached, ok := s.cachedLayers(m.ClientID)
 	if !ok {
-		return nil // nothing to send; not an error
+		return 0, nil // nothing to send; not an error
 	}
 	send := make([]dnn.LayerID, 0, len(m.Layers))
 	var bytes int64
@@ -455,10 +463,10 @@ func (s *Server) migrate(ctx context.Context, m *wire.Migrate, rc tracing.SpanCo
 		bytes += w
 	}
 	if len(send) == 0 {
-		return nil
+		return 0, nil
 	}
-	s.met.Counter("migrations_total").Inc()
-	s.met.Counter("migration_bytes_total").Add(bytes)
+	s.migrations.Inc()
+	s.migrationBytes.Add(bytes)
 	s.log.Debug("migrating layers", "client", m.ClientID, "peer", m.PeerAddr,
 		"layers", len(send), "bytes", bytes)
 	ctx, cancel := context.WithTimeout(ctx, wire.DefaultSendTimeout)
@@ -477,11 +485,11 @@ func (s *Server) migrate(ctx context.Context, m *wire.Migrate, rc tracing.SpanCo
 		Trace:  tracing.SpanContext{Trace: trace, Span: span},
 	})
 	if err != nil {
-		return fmt.Errorf("edged: migrating to %s: %w: %w", m.PeerAddr, core.ErrServerDown, err)
+		return 0, fmt.Errorf("edged: migrating to %s: %w: %w", m.PeerAddr, core.ErrServerDown, err)
 	}
 	if resp.Ack == nil || !resp.Ack.OK {
-		return fmt.Errorf("edged: peer %s rejected migration", m.PeerAddr)
+		return 0, fmt.Errorf("edged: peer %s rejected migration", m.PeerAddr)
 	}
 	s.tr.RecordWith(trace, span, parent, tracing.StageMigrate, s.node, start, s.tr.Now())
-	return nil
+	return len(send), nil
 }

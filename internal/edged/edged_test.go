@@ -242,6 +242,76 @@ func TestMigrateWithNothingCachedIsNoop(t *testing.T) {
 	}
 }
 
+// TestMigrateAckCountsPushedLayers: the ack of a migration order says how
+// many of the ordered layers went to the peer, which is how the master
+// tells a whole plan delivered from a push it must order again.
+func TestMigrateAckCountsPushedLayers(t *testing.T) {
+	ctx := context.Background()
+	addrA, srvA := startEdge(t, testConfig())
+	addrB, _ := startEdge(t, testConfig())
+	conn, err := wire.DialContext(ctx, addrA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // test teardown
+
+	// With a cap of the first weighted layer's bytes, everything before the
+	// second weighted layer fits (the layers between weigh nothing).
+	var weighted []dnn.LayerID
+	for id := dnn.LayerID(0); len(weighted) < 2; id++ {
+		if srvA.model.Layer(id).WeightBytes > 0 {
+			weighted = append(weighted, id)
+		}
+	}
+	order := make([]dnn.LayerID, int(weighted[1])+3)
+	for i := range order {
+		order[i] = dnn.LayerID(i)
+	}
+	const partial, full = 1, 2 // client IDs by what A caches for them
+	for client, layers := range map[int][]dnn.LayerID{partial: order[:4], full: order} {
+		if resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
+			Type:   wire.MsgUploadLayers,
+			Upload: &wire.Upload{ClientID: client, Layers: layers},
+		}); err != nil || resp.Ack == nil || !resp.Ack.OK {
+			t.Fatalf("seeding client %d: %v %+v", client, err, resp)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		client int
+		cap    int64
+		want   int64
+	}{
+		{"nothing cached", 3, 0, 0},
+		{"partial cache", partial, 0, 4},
+		{"full cache", full, 0, int64(len(order))},
+		{"full cache again (peer already holds it)", full, 0, int64(len(order))},
+		{"cut by CapBytes", full, srvA.model.Layer(weighted[0]).WeightBytes, int64(weighted[1])},
+	} {
+		resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
+			Type:    wire.MsgMigrateRequest,
+			Migrate: &wire.Migrate{ClientID: tc.client, Layers: order, PeerAddr: addrB, CapBytes: tc.cap},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.Type != wire.MsgAck || resp.Ack == nil || !resp.Ack.OK || resp.Ack.Seq != tc.want {
+			t.Errorf("%s: ack %+v, want OK with Seq %d of %d ordered", tc.name, resp.Ack, tc.want, len(order))
+		}
+	}
+	// A failed push counts nothing.
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
+		Type:    wire.MsgMigrateRequest,
+		Migrate: &wire.Migrate{ClientID: full, Layers: order, PeerAddr: "127.0.0.1:1"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Ack == nil || resp.Ack.OK || resp.Ack.Seq != 0 {
+		t.Errorf("push to an unreachable peer: ack %+v, want an error with Seq 0", resp.Ack)
+	}
+}
+
 func TestUnknownMessageAcksError(t *testing.T) {
 	ctx := context.Background()
 	addr, _ := startEdge(t, testConfig())
@@ -288,6 +358,9 @@ func TestBadLayerIDsAckError(t *testing.T) {
 			}
 			if req.Type == wire.MsgUploadUnit && (resp.Type != wire.MsgUploadAck || resp.Ack.Seq != 4) {
 				t.Errorf("unit rejection must be an upload ack echoing seq 4, got %+v", resp)
+			}
+			if req.Type == wire.MsgMigrateRequest && resp.Ack.Seq != 0 {
+				t.Errorf("a rejected migration order pushed nothing, yet its ack counts %d layers", resp.Ack.Seq)
 			}
 		}
 	}

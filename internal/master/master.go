@@ -105,7 +105,6 @@ type Master struct {
 	placement *geo.Placement
 	edgesByID map[geo.ServerID]EdgeInfo
 	est       *estimator.ServerEstimator
-	predictor mobility.Predictor
 	log       *slog.Logger
 	met       *obs.Registry
 	tr        *tracing.Tracer
@@ -114,13 +113,16 @@ type Master struct {
 	peers     *wire.Pool    // shard-to-shard conns for handoffs and migrations; nil unless sharded
 
 	// Handles of the per-request metrics, resolved once.
-	requests, planRequests, chainPlans *obs.Counter
-	planLatency                        *obs.Histogram
-	numClients                         *obs.Gauge // len(clients)
+	requests, planRequests, chainPlans   *obs.Counter
+	trajectoryPoints                     *obs.Counter
+	migOrdered, migSuppressed, migErrors *obs.Counter
+	planLatency                          *obs.Histogram
+	numClients                           *obs.Gauge // len(clients)
 
 	lastConn atomic.Uint64 // connection IDs handed out so far
 
 	mu       sync.Mutex
+	policy   *core.MigrationPolicy // immutable; SetPredictor swaps in a new one
 	planners map[dnn.ModelName]*core.Planner
 	clients  map[int]*clientState
 
@@ -135,7 +137,23 @@ type clientState struct {
 	// re-homes). A closing connection forgets only the clients it still
 	// owns.
 	conn uint64
+	// reports counts this client's trajectory reports, and ordered holds,
+	// per migration target, the report at which it last acknowledged a
+	// complete push: trajectory skips a target until that is
+	// refreshAfter reports old. Both live and die with the entry.
+	reports int
+	ordered map[geo.ServerID]int
 }
+
+// ttlIntervals is the paper's layer-cache lifetime in prediction intervals
+// (one trajectory report each). refreshAfter is how many reports a
+// completely pushed target is left alone: ordering it again one report
+// before its TTL runs out resets the edge's TTL before it can lapse, the
+// live form of the simulator's per-interval touch.
+const (
+	ttlIntervals = 5
+	refreshAfter = ttlIntervals - 1
+)
 
 // New builds a master for the given configuration. The execution-time
 // estimator is trained offline at construction (Section III.C.1); the
@@ -193,17 +211,27 @@ func New(cfg Config) (*Master, error) {
 		placement: pl,
 		edgesByID: byID,
 		est:       est,
-		predictor: lin,
 		log:       logger,
 		met:       obs.NewRegistry(),
 		tr:        cfg.Tracer,
-		planners:  make(map[dnn.ModelName]*core.Planner, 4),
-		clients:   make(map[int]*clientState, 8),
+		policy: &core.MigrationPolicy{
+			Predictor:    lin,
+			Placement:    pl,
+			Radius:       cfg.Radius,
+			HistoryLen:   cfg.HistoryLen,
+			TTLIntervals: ttlIntervals,
+		},
+		planners: make(map[dnn.ModelName]*core.Planner, 4),
+		clients:  make(map[int]*clientState, 8),
 	}
 	m.srv = wire.Server{Name: "master", Log: logger, Open: m.openConn, Shutdown: m.closePools}
 	m.requests = m.met.Counter("requests_total")
 	m.planRequests = m.met.Counter("plan_requests_total")
 	m.chainPlans = m.met.Counter("chain_plans_total")
+	m.trajectoryPoints = m.met.Counter("trajectory_points_total")
+	m.migOrdered = m.met.Counter("migrations_ordered_total")
+	m.migSuppressed = m.met.Counter("migrations_suppressed_total")
+	m.migErrors = m.met.Counter("migration_errors_total")
 	m.planLatency = m.met.Histogram("plan_latency_ns")
 	m.numClients = m.met.Gauge("clients")
 	m.edges = wire.NewRegisteredPool(m.met, "edge")
@@ -239,7 +267,9 @@ func (m *Master) recordStage(rc tracing.SpanContext, stage tracing.Stage, start 
 func (m *Master) SetPredictor(p mobility.Predictor) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.predictor = p
+	pol := *m.policy
+	pol.Predictor = p
+	m.policy = &pol
 }
 
 // Placement exposes the server placement (for clients to find their cell).
@@ -337,7 +367,7 @@ func (m *Master) dispatch(ctx context.Context, req *wire.Envelope, conn uint64) 
 		if req.ShardMig == nil {
 			return wire.NewAck(errors.New("master: shard migrate without body"))
 		}
-		return wire.NewAck(m.acceptShardMigration(ctx, req.ShardMig))
+		return wire.NewCountAck(m.acceptShardMigration(ctx, req.ShardMig))
 	case wire.MsgPlanRequest:
 		if req.PlanReq == nil {
 			return wire.NewAck(errors.New("master: plan request without body"))
@@ -399,8 +429,13 @@ func (m *Master) ensurePlannerLocked(model dnn.ModelName) error {
 // In shard-owner mode, a client whose latest point crossed out of this
 // master's region is handed off to the owning peer; the report is then
 // answered with the returned non-nil redirect envelope instead of an Ack.
+//
+// Only the predicted targets that are due are ordered: new to the
+// prediction, never completely pushed, or pushed refreshAfter reports ago.
+// Orders run synchronously, so the report's ack still means "the layers
+// are there".
 func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Envelope, error) {
-	m.met.Counter("trajectory_points_total").Add(int64(len(t.Points)))
+	m.trajectoryPoints.Add(int64(len(t.Points)))
 	m.mu.Lock()
 	cs, ok := m.clients[t.ClientID]
 	if !ok {
@@ -413,8 +448,10 @@ func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Enve
 	}
 	recent := make([]geo.Point, len(cs.history))
 	copy(recent, cs.history)
+	cs.reports++
+	report := cs.reports
 	model := cs.model
-	pred := m.predictor
+	pol := m.policy
 	m.mu.Unlock()
 
 	if m.smap != nil && len(recent) > 0 {
@@ -427,40 +464,96 @@ func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Enve
 		return nil, nil
 	}
 	cur := m.placement.ServerAt(recent[len(recent)-1])
-	pol := &core.MigrationPolicy{
-		Predictor:    pred,
-		Placement:    m.placement,
-		Radius:       m.cfg.Radius,
-		HistoryLen:   m.cfg.HistoryLen,
-		TTLIntervals: 5,
-	}
-	targets, ok := pol.Targets(recent, cur)
-	if !ok || cur == geo.NoServer {
+	if cur == geo.NoServer {
 		return nil, nil
 	}
 	curAddr, ok := m.EdgeAddr(cur)
 	if !ok {
 		return nil, nil
 	}
-	for _, tid := range targets {
-		if m.smap != nil {
-			if owner := m.smap.ShardOf(tid); owner != m.cfg.Shard {
-				// The predicted destination sits in another region: its
-				// owner has the live view of that region's edges, so route
-				// the order there instead of planning against a foreign GPU.
-				m.orderShardMigration(ctx, model, t.ClientID, curAddr, tid, owner)
+	targets, ok := pol.Targets(recent, cur)
+	if !ok {
+		return nil, nil
+	}
+	due := m.dueTargets(cs, report, targets)
+	complete := due[:0]
+	for _, tid := range due {
+		var done bool
+		if owner := m.shardOf(tid); owner != m.cfg.Shard {
+			// The predicted destination sits in another region: its
+			// owner has the live view of that region's edges, so route
+			// the order there instead of planning against a foreign GPU.
+			done = m.orderShardMigration(ctx, model, t.ClientID, curAddr, tid, owner)
+		} else {
+			whole, err := m.orderMigration(ctx, model, t.ClientID, curAddr, tid, nil)
+			if err != nil {
+				m.migErrors.Inc()
+				m.log.Warn("migration order failed", "client", t.ClientID, "target", int(tid), "err", err)
 				continue
 			}
+			m.migOrdered.Inc()
+			m.log.Debug("migration ordered", "client", t.ClientID, "target", int(tid))
+			done = whole > 0
 		}
-		if err := m.orderMigration(ctx, model, t.ClientID, curAddr, tid, nil); err != nil {
-			m.met.Counter("migration_errors_total").Inc()
-			m.log.Warn("migration order failed", "client", t.ClientID, "target", int(tid), "err", err)
-			continue
+		if done {
+			complete = append(complete, tid)
 		}
-		m.met.Counter("migrations_ordered_total").Inc()
-		m.log.Debug("migration ordered", "client", t.ClientID, "target", int(tid))
+	}
+	if m.log.Enabled(ctx, slog.LevelDebug) {
+		m.log.Debug("trajectory report", "client", t.ClientID, "report", report,
+			"targets", len(targets), "due", len(due), "complete", len(complete))
+	}
+	if len(complete) > 0 {
+		m.markOrdered(cs, report, cur, complete)
 	}
 	return nil, nil
+}
+
+// shardOf returns the shard owning a server; a single master owns them all.
+func (m *Master) shardOf(id geo.ServerID) int {
+	if m.smap == nil {
+		return m.cfg.Shard
+	}
+	return m.smap.ShardOf(id)
+}
+
+// dueTargets filters targets, in place, down to those to order on this
+// report: every target whose last complete push is less than refreshAfter
+// reports old is dropped and counted as suppressed. Marks that old say
+// nothing any more and are forgotten, so the table never outgrows the
+// targets of the last few reports.
+func (m *Master) dueTargets(cs *clientState, report int, targets []geo.ServerID) []geo.ServerID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for id, at := range cs.ordered {
+		if report-at >= refreshAfter {
+			delete(cs.ordered, id)
+		}
+	}
+	due := targets[:0]
+	for _, tid := range targets {
+		if _, ok := cs.ordered[tid]; !ok {
+			due = append(due, tid)
+		}
+	}
+	m.migSuppressed.Add(int64(len(targets) - len(due)))
+	return due
+}
+
+// markOrdered records that each of targets acknowledged a complete push
+// from cur at the given report. The source of a complete push holds the
+// plan too, so cur is marked with them: should the client cross over, the
+// cell it just left needs no push back.
+func (m *Master) markOrdered(cs *clientState, report int, cur geo.ServerID, targets []geo.ServerID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if cs.ordered == nil {
+		cs.ordered = make(map[geo.ServerID]int, len(targets)+1)
+	}
+	for _, id := range targets {
+		cs.ordered[id] = report
+	}
+	cs.ordered[cur] = report
 }
 
 // handoffClient transfers ownership of a client that crossed into another
@@ -549,9 +642,10 @@ func (m *Master) adoptClient(h *wire.ShardHandoff) error {
 // orderShardMigration routes a predicted migration whose destination
 // region belongs to another shard: that shard's master plans against its
 // own edge and orders the client's current edge (at curAddr, in this
-// master's region) to push the layers. Failures are logged, not returned —
+// master's region) to push the layers. It reports whether the owner
+// acknowledged a complete push. Failures are logged, not returned —
 // proactive migration is best-effort, like the local ordering path.
-func (m *Master) orderShardMigration(ctx context.Context, model dnn.ModelName, client int, curAddr string, target geo.ServerID, owner int) {
+func (m *Master) orderShardMigration(ctx context.Context, model dnn.ModelName, client int, curAddr string, target geo.ServerID, owner int) bool {
 	ctx, cancel := context.WithTimeout(ctx, wire.DefaultSendTimeout)
 	defer cancel()
 	resp, err := m.peers.RoundTrip(ctx, m.cfg.Peers[owner], &wire.Envelope{
@@ -571,12 +665,13 @@ func (m *Master) orderShardMigration(ctx context.Context, model dnn.ModelName, c
 		err = fmt.Errorf("master: shard %d: %s", owner, reason)
 	}
 	if err != nil {
-		m.met.Counter("migration_errors_total").Inc()
+		m.migErrors.Inc()
 		m.log.Warn("cross-shard migration failed", "client", client, "target", int(target), "owner", owner, "err", err)
-		return
+		return false
 	}
 	m.met.Counter("shard_migrations_out_total").Inc()
 	m.log.Debug("cross-shard migration routed", "client", client, "target", int(target), "owner", owner)
+	return resp.Ack.Seq > 0
 }
 
 // acceptShardMigration handles a migration order routed from another
@@ -584,24 +679,28 @@ func (m *Master) orderShardMigration(ctx context.Context, model dnn.ModelName, c
 // target edge's live GPU statistics and tells the client's current edge
 // (in the sender's region) to push the layers. Layers carried in the
 // message are a precomputed fallback, used only when local planning fails.
-func (m *Master) acceptShardMigration(ctx context.Context, sm *wire.ShardMigrate) error {
+// The count returned rides the ack to the routing master: the layers
+// pushed when they were the whole plan, 0 when the push was partial or
+// empty, so that master can treat the target like one of its own.
+func (m *Master) acceptShardMigration(ctx context.Context, sm *wire.ShardMigrate) (int, error) {
 	if m.smap == nil {
-		return errors.New("master: shard migrate sent to an unsharded master")
+		return 0, errors.New("master: shard migrate sent to an unsharded master")
 	}
 	if owner := m.smap.ShardOf(sm.Target); owner != m.cfg.Shard {
-		return fmt.Errorf("master: server %d owned by shard %d, this is shard %d", sm.Target, owner, m.cfg.Shard)
+		return 0, fmt.Errorf("master: server %d owned by shard %d, this is shard %d", sm.Target, owner, m.cfg.Shard)
 	}
 	m.mu.Lock()
 	err := m.ensurePlannerLocked(sm.Model)
 	m.mu.Unlock()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := m.orderMigration(ctx, sm.Model, sm.ClientID, sm.SourceAddr, sm.Target, sm.Layers); err != nil {
-		return err
+	whole, err := m.orderMigration(ctx, sm.Model, sm.ClientID, sm.SourceAddr, sm.Target, sm.Layers)
+	if err != nil {
+		return 0, err
 	}
 	m.met.Counter("shard_migrations_in_total").Inc()
-	return nil
+	return whole, nil
 }
 
 // orderMigration computes a future plan for the target and tells the
@@ -609,10 +708,13 @@ func (m *Master) acceptShardMigration(ctx context.Context, sm *wire.ShardMigrate
 // there. When the target cannot be pinged or planned against, fallback —
 // the layer list a routing shard master precomputed, nil on the local
 // path — is ordered instead; with none, the ping or plan error is returned.
-func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client int, curAddr string, target geo.ServerID, fallback []dnn.LayerID) error {
+// whole is the layer count the source edge acknowledged when that was every
+// layer of the order — the target now holds the plan — and 0 when the push
+// was partial or empty.
+func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client int, curAddr string, target geo.ServerID, fallback []dnn.LayerID) (whole int, err error) {
 	tAddr, ok := m.EdgeAddr(target)
 	if !ok {
-		return fmt.Errorf("master: no address for server %d", target)
+		return 0, fmt.Errorf("master: no address for server %d", target)
 	}
 	m.mu.Lock()
 	planner := m.planners[model]
@@ -626,7 +728,7 @@ func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client
 		}
 	}
 	if err != nil && len(fallback) == 0 {
-		return err
+		return 0, err
 	}
 	ctx, cancel := context.WithTimeout(ctx, wire.DefaultSendTimeout)
 	defer cancel()
@@ -647,13 +749,16 @@ func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client
 		Trace: tracing.SpanContext{Trace: mt, Span: span},
 	})
 	if err != nil {
-		return fmt.Errorf("master: edge %s: %w: %w", curAddr, core.ErrServerDown, err)
+		return 0, fmt.Errorf("master: edge %s: %w: %w", curAddr, core.ErrServerDown, err)
 	}
 	if resp.Ack == nil || !resp.Ack.OK {
-		return fmt.Errorf("master: edge %s rejected migration order", curAddr)
+		return 0, fmt.Errorf("master: edge %s rejected migration order", curAddr)
 	}
 	m.tr.RecordWith(mt, span, 0, tracing.StageMigrate, nodeMaster, start, m.tr.Now())
-	return nil
+	if resp.Ack.Seq != int64(len(layers)) {
+		return 0, nil
+	}
+	return len(layers), nil
 }
 
 // pingStats fetches the live GPU statistics of an edge daemon. A daemon

@@ -69,13 +69,7 @@ func startEdged(t *testing.T) (*edged.Server, string) {
 // throughput plan spans two hops).
 func mustRegister(t *testing.T, conn *wire.Conn, id int) {
 	t.Helper()
-	resp, err := conn.RoundTripContext(context.Background(), &wire.Envelope{
-		Type:     wire.MsgRegister,
-		Register: &wire.Register{ClientID: id, Model: dnn.ModelInception},
-	})
-	if err != nil || resp.Ack == nil || !resp.Ack.OK {
-		t.Fatalf("register %d: %v %+v", id, err, resp)
-	}
+	registerAs(t, conn, id, dnn.ModelInception)
 }
 
 // waitClients polls the clients gauge until it reads want: connection
@@ -142,16 +136,12 @@ func TestChainCandidatesAndStatsFanOut(t *testing.T) {
 			t.Errorf("plan %d: no single-split failover plan", i)
 		}
 	}
-	for name, want := range map[string]int64{
+	wantCounters(t, m, map[string]int64{
 		"plan_requests_total":         plans,
 		"chain_plans_total":           plans, // cache hits count too
 		"chain_candidate_skips_total": plans,
 		"chain_plan_errors_total":     0,
-	} {
-		if got := m.Metrics().Counter(name).Value(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
-		}
-	}
+	})
 	for _, e := range []struct {
 		name string
 		srv  *edged.Server
@@ -165,40 +155,55 @@ func TestChainCandidatesAndStatsFanOut(t *testing.T) {
 
 // TestClientsForgottenWithTheirConnection: the client table follows the
 // live connections — 10k clients that registered and left cost nothing,
-// while a client whose connection is open, or that re-registered over a
-// newer connection, stays.
+// the ordered-at tables of the tenth of them that reported until the
+// master had pushed for them included, while a client whose connection is
+// open, or that re-registered over a newer connection, stays.
 func TestClientsForgottenWithTheirConnection(t *testing.T) {
 	ctx := context.Background()
-	_, _, _, shared := fixture(t)
-	m, addr := startMaster(t, DefaultConfig(shared.cfg.Edges))
-	dial := func() *wire.Conn {
-		conn, err := wire.DialContext(ctx, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() }) //nolint:errcheck // usually closed already
-		return conn
+	m, addr, edges, at := scriptedLine(t, 2)
+	// Two reports from one spot: the second orders a push to the other
+	// edge and marks it, and the source with it.
+	const marksPerClient = 2
+	walk := func(conn *wire.Conn, id int) {
+		report(t, conn, id, at(0))
+		report(t, conn, id, at(0))
 	}
 	const stay, rehomed = 1_000_000, 1_000_001
-	keeper := dial()
+	keeper := dialMaster(t, addr)
 	mustRegister(t, keeper, stay)
+	walk(keeper, stay)
 
-	const conns, perConn = 100, 100
+	const conns, perConn, walkEvery = 100, 100, 10
 	for c := 0; c < conns; c++ {
-		conn := dial()
+		conn := dialMaster(t, addr)
 		for i := 0; i < perConn; i++ {
 			mustRegister(t, conn, c*perConn+i)
+			if i%walkEvery == 0 {
+				walk(conn, c*perConn+i)
+			}
 		}
 		if err := conn.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitClients(t, m, 1)
+	if got, _ := edges[0].ordered(); got != conns*perConn/walkEvery+1 {
+		t.Fatalf("%d pushes ordered, want one per reporting client", got)
+	}
+	m.mu.Lock()
+	entries, marks := len(m.clients), 0
+	for _, cs := range m.clients {
+		marks += len(cs.ordered)
+	}
+	m.mu.Unlock()
+	if entries != 1 || marks != marksPerClient {
+		t.Errorf("after the churn the master holds %d clients with %d marks, want 1 with %d", entries, marks, marksPerClient)
+	}
 
 	// A re-registration over a newer connection takes the client over: the
 	// older connection's teardown (seen here by its other client going)
 	// must leave it alone.
-	older := dial()
+	older := dialMaster(t, addr)
 	mustRegister(t, older, rehomed)
 	mustRegister(t, older, rehomed+1)
 	mustRegister(t, keeper, rehomed)

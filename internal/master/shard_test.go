@@ -28,7 +28,8 @@ var (
 	shardOnce    sync.Once
 	shardErr     error
 	shardEdges   []EdgeInfo
-	shardEdgeOf  []int // shardEdgeOf[i] = shard owning shardEdges[i]
+	shardEdged   []*edged.Server // shardEdged[i] serves shardEdges[i]
+	shardEdgeOf  []int           // shardEdgeOf[i] = shard owning shardEdges[i]
 	shardMasters []*Master
 	shardAddrs   []string
 )
@@ -57,6 +58,7 @@ func shardFixture(t *testing.T) {
 			}
 			go esrv.ServeContext(ctx, eln) //nolint:errcheck // lives for the test binary
 			shardEdges = append(shardEdges, EdgeInfo{Addr: eln.Addr().String(), Location: grid.Center(cell)})
+			shardEdged = append(shardEdged, esrv)
 		}
 
 		// Train the estimator once; every shard master shares it.
@@ -258,6 +260,87 @@ func TestShardHandoffLive(t *testing.T) {
 	}
 	if adopted[0].Parent != sent[0].ID {
 		t.Errorf("adoption span parents to %d, want sender span %d", adopted[0].Parent, sent[0].ID)
+	}
+}
+
+// TestShardMigrationOrderedOncePerRefresh: a predicted target in another
+// shard's region is routed to that shard's master, whose ack carries the
+// push count back — so the routing master suppresses it like one of its own
+// instead of routing it again on every report.
+func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
+	shardFixture(t)
+	ctx := t.Context()
+	const clientID = 4242
+	src := edgeInShard(t, 0)
+	home := shardMasters[shardEdgeOf[src]]
+	here := shardEdges[src].Location
+	// The foreign edges the prediction takes in from the source's centre.
+	var targets []int
+	for i, e := range shardEdges {
+		if i != src && e.Location.Dist(here) <= home.cfg.Radius {
+			if shardEdgeOf[i] == shardEdgeOf[src] {
+				t.Fatalf("fixture edge %d shares shard %d with the source", i, shardEdgeOf[src])
+			}
+			targets = append(targets, i)
+		}
+	}
+	if len(targets) == 0 {
+		t.Fatal("no fixture edge within Radius of the source")
+	}
+	counter := func(m *Master, name string) int64 { return m.Metrics().Counter(name).Value() }
+	outBefore := counter(home, "shard_migrations_out_total")
+	suppressedBefore := counter(home, "migrations_suppressed_total")
+	errorsBefore := counter(home, "migration_errors_total")
+	pushesBefore := shardEdged[src].Metrics().Counter("migrations_total").Value()
+	inBefore := make([]int64, len(targets))
+	for i, e := range targets {
+		inBefore[i] = counter(shardMasters[shardEdgeOf[e]], "shard_migrations_in_total")
+	}
+
+	// The source edge holds the whole model, so every push is complete.
+	mdl, err := dnn.ZooModel(dnn.ModelMobileNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]dnn.LayerID, mdl.NumLayers())
+	for i := range all {
+		all[i] = dnn.LayerID(i)
+	}
+	edge, err := wire.DialContext(ctx, shardEdges[src].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close() //nolint:errcheck // test teardown
+	if resp, err := edge.RoundTripContext(ctx, &wire.Envelope{
+		Type:   wire.MsgUploadLayers,
+		Upload: &wire.Upload{ClientID: clientID, Layers: all},
+	}); err != nil || resp.Ack == nil || !resp.Ack.OK {
+		t.Fatalf("seed upload: %v %+v", err, resp)
+	}
+
+	conn := dialMaster(t, shardAddrs[shardEdgeOf[src]])
+	registerAs(t, conn, clientID, dnn.ModelMobileNet)
+	const reports = 5 // routed on report 2, suppressed on 3-5
+	for i := 0; i < reports; i++ {
+		report(t, conn, clientID, here)
+	}
+	n := int64(len(targets))
+	if got := counter(home, "shard_migrations_out_total") - outBefore; got != n {
+		t.Errorf("%d reports routed %d cross-shard orders, want %d (one per target)", reports, got, n)
+	}
+	if got := counter(home, "migrations_suppressed_total") - suppressedBefore; got != 3*n {
+		t.Errorf("migrations_suppressed_total grew by %d, want %d", got, 3*n)
+	}
+	if got := counter(home, "migration_errors_total") - errorsBefore; got != 0 {
+		t.Errorf("%d migration errors", got)
+	}
+	if got := shardEdged[src].Metrics().Counter("migrations_total").Value() - pushesBefore; got != n {
+		t.Errorf("the source edge pushed %d times, want %d", got, n)
+	}
+	for i, e := range targets {
+		if got := counter(shardMasters[shardEdgeOf[e]], "shard_migrations_in_total") - inBefore[i]; got != 1 {
+			t.Errorf("shard %d accepted %d orders for edge %d, want 1", shardEdgeOf[e], got, e)
+		}
 	}
 }
 

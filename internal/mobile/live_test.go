@@ -18,12 +18,21 @@ import (
 // and the edge daemons themselves (for server-side metric assertions).
 func liveCluster(t *testing.T) (string, []master.EdgeInfo, *master.Master, []*edged.Server) {
 	t.Helper()
+	return liveLine(t, 2)
+}
+
+// liveLine is liveCluster over n edge daemons in a row of adjacent cells.
+func liveLine(t *testing.T, n int) (string, []master.EdgeInfo, *master.Master, []*edged.Server) {
+	t.Helper()
 	ctx := context.Background()
 	grid := geo.NewHexGrid(50)
-	locs := []geo.Point{grid.Center(geo.HexCell{Q: 0, R: 0}), grid.Center(geo.HexCell{Q: 1, R: 0})}
+	locs := make([]geo.Point, n)
+	for i := range locs {
+		locs[i] = grid.Center(geo.HexCell{Q: i, R: 0})
+	}
 
-	edges := make([]master.EdgeInfo, 0, 2)
-	servers := make([]*edged.Server, 0, 2)
+	edges := make([]master.EdgeInfo, 0, n)
+	servers := make([]*edged.Server, 0, n)
 	for i, loc := range locs {
 		cfg := edged.DefaultConfig(dnn.ModelMobileNet)
 		cfg.TimeScale = 0.0005
@@ -179,4 +188,83 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 	if _, err := client.QueryContext(ctx); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWalkAcrossThreeEdgesPushesOncePerRefresh: a client walking a row of
+// three real edges finds its whole plan waiting at every cell it enters,
+// while the master orders a push per target once per four reports — not one
+// per target on every report.
+func TestWalkAcrossThreeEdgesPushesOncePerRefresh(t *testing.T) {
+	ctx := context.Background()
+	masterAddr, edges, m, servers := liveLine(t, 3)
+	pl := m.Placement()
+	client, err := mobile.DialContext(ctx, mobile.Config{
+		ID:         11,
+		Model:      dnn.ModelMobileNet,
+		MasterAddr: masterAddr,
+		TimeScale:  0.0005,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if cerr := client.Close(); cerr != nil {
+			t.Logf("closing client: %v", cerr)
+		}
+	}()
+	addrOf := make(map[geo.ServerID]string, len(edges))
+	for _, e := range edges {
+		addrOf[pl.ServerAt(e.Location)] = e.Addr
+	}
+
+	// 8 m a report from the first centre to the last: 87 m between centres,
+	// so about eleven reports per cell.
+	from, to := edges[0].Location, edges[2].Location
+	const stride = 8.0
+	reports := int(from.Dist(to)/stride) + 1
+	cur, attaches := geo.NoServer, 0
+	for i := 0; i < reports; i++ {
+		p := from.Lerp(to, float64(i)*stride/from.Dist(to))
+		if err := client.ReportLocationContext(ctx, p); err != nil {
+			t.Fatalf("report %d: %v", i, err)
+		}
+		server := pl.ServerAt(p)
+		if server == cur {
+			continue
+		}
+		if err := client.ConnectContext(ctx, server, addrOf[server]); err != nil {
+			t.Fatalf("attach at report %d: %v", i, err)
+		}
+		present, total := client.CacheState()
+		if cur == geo.NoServer {
+			if _, err := client.UploadAllContext(ctx); err != nil {
+				t.Fatal(err)
+			}
+		} else if present != total {
+			t.Errorf("attach %d (report %d): %d of %d layers were waiting, want a full hit", attaches, i, present, total)
+		}
+		cur = server
+		attaches++
+	}
+	if attaches != 3 {
+		t.Fatalf("the walk attached %d times, want once per edge", attaches)
+	}
+
+	var pushes int64
+	for _, s := range servers {
+		pushes += s.Metrics().Counter("migrations_total").Value()
+	}
+	// An edge is pushed to when it enters the prediction and then once per
+	// four reports while it stays, so no edge sees more than reports/4 + 1
+	// pushes. Ordering every target on every report costs about two pushes
+	// per report here.
+	if bound := int64(len(edges) * (reports/4 + 1)); pushes > bound || pushes == 0 {
+		t.Errorf("%d reports cost %d pushes, want 1..%d", reports, pushes, bound)
+	}
+	ordered := m.Metrics().Counter("migrations_ordered_total").Value()
+	suppressed := m.Metrics().Counter("migrations_suppressed_total").Value()
+	if ordered >= int64(reports) || suppressed < ordered {
+		t.Errorf("master ordered %d and suppressed %d targets over %d reports; most targets of an ongoing walk are suppressed", ordered, suppressed, reports)
+	}
+	t.Logf("%d reports: %d orders, %d suppressed, %d pushes", reports, ordered, suppressed, pushes)
 }

@@ -17,6 +17,16 @@ func NewAck(err error) *Envelope {
 	return &Envelope{Type: MsgAck, Ack: &Ack{OK: true}}
 }
 
+// NewCountAck is NewAck with n in Seq on success: the layer count a
+// migration order's ack carries (see Ack.Seq).
+func NewCountAck(n int, err error) *Envelope {
+	e := NewAck(err)
+	if err == nil {
+		e.Ack.Seq = int64(n)
+	}
+	return e
+}
+
 // A Dispatch answers one request; the response goes back on the connection
 // the request arrived on. The request is valid only until it returns.
 type Dispatch func(ctx context.Context, req *Envelope) *Envelope

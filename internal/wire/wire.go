@@ -379,7 +379,13 @@ type Ack struct {
 	Error string
 	// Seq cumulatively acknowledges a windowed upload stream
 	// (MsgUploadAck): every unit with sequence number <= Seq has been
-	// received and cached. Zero elsewhere.
+	// received and cached. On the MsgAck that answers a migration order it
+	// is a layer count instead: an edge answering MsgMigrateRequest reports
+	// how many of the ordered layers it pushed to the peer (0 when it holds
+	// nothing for the client, fewer than ordered when it holds part or
+	// CapBytes cut the list), and a shard master answering MsgShardMigrate
+	// reports the layers pushed when they were the whole plan it ordered,
+	// 0 otherwise. Zero elsewhere.
 	Seq int64
 }
 
