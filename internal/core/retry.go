@@ -10,9 +10,9 @@ import (
 // RetryPolicy drives retries of live-path operations with capped
 // exponential backoff and deterministic jitter. The zero value is not
 // useful; start from DefaultRetryPolicy and override fields. A policy is a
-// value type: copying it is cheap and every Do call derives its own jitter
-// RNG from Seed, so a shared policy is safe for concurrent use and retry
-// schedules are reproducible run-to-run.
+// value type: copying it is cheap and every Do call that backs off derives
+// its own jitter RNG from Seed, so a shared policy is safe for concurrent
+// use and retry schedules are reproducible run-to-run.
 type RetryPolicy struct {
 	// MaxAttempts bounds the total number of attempts, including the
 	// first (<= 0 means 1: no retries).
@@ -122,7 +122,9 @@ func (p RetryPolicy) Do(ctx context.Context, op string, fn func(ctx context.Cont
 	if attempts <= 0 {
 		attempts = 1
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	// The jitter source is built at the first backoff: seeding it costs
+	// microseconds and kilobytes, and an attempt that succeeds never draws.
+	var rng *rand.Rand
 	now := p.clock()
 	sleep := p.sleeper()
 	start := now()
@@ -138,6 +140,9 @@ func (p RetryPolicy) Do(ctx context.Context, op string, fn func(ctx context.Cont
 		}
 		if attempt == attempts-1 {
 			break
+		}
+		if rng == nil {
+			rng = rand.New(rand.NewSource(p.Seed))
 		}
 		d := p.jittered(p.Delay(attempt), rng)
 		if p.Budget > 0 && now().Sub(start)+d > p.Budget {

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
+
+	"perdnn/internal/raceguard"
 )
 
 // fakeClock drives a RetryPolicy without real sleeping, recording the
@@ -91,6 +94,69 @@ func TestRetryDeterministicJitter(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("backoff %d differs: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestRetryScheduleGolden pins the slept delays of an always-failing Do as
+// literals: the schedule for a given policy is part of the contract (runs
+// are reproducible from Seed), so a change to the jitter source, its seeding
+// or its draw order must show up here.
+func TestRetryScheduleGolden(t *testing.T) {
+	cases := []struct {
+		name   string
+		policy RetryPolicy
+		want   []time.Duration
+	}{
+		{"default", DefaultRetryPolicy(),
+			[]time.Duration{34883492, 52974545, 133543994}},
+		{"full jitter, capped", RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond,
+			MaxDelay: 100 * time.Millisecond, Multiplier: 3, Jitter: 1, Seed: 42},
+			[]time.Duration{6269716, 28019985, 35631553, 79118129, 95618154}},
+		{"negative seed, quarter jitter", RetryPolicy{MaxAttempts: 5, BaseDelay: 20 * time.Millisecond,
+			MaxDelay: time.Second, Multiplier: 1.5, Jitter: 0.25, Seed: -7, Budget: time.Minute},
+			[]time.Duration{19594992, 24239037, 36467130, 66009599}},
+	}
+	for _, tc := range cases {
+		p := tc.policy
+		var clk fakeClock
+		clk.install(&p)
+		_ = p.Do(context.Background(), "op", func(context.Context) error {
+			return errors.New("always")
+		})
+		if !slices.Equal(clk.slept, tc.want) {
+			t.Errorf("%s: slept %d, want %d (ns)", tc.name, clk.slept, tc.want)
+		}
+	}
+}
+
+func succeed(context.Context) error { return nil }
+
+// TestRetryDoHealthyPathAllocs: a Do whose first attempt succeeds draws no
+// jitter, so it must not pay for the jitter source (one 4.9 KB allocation
+// and ~10 µs of seeding) — the live client wraps every query in a Do.
+func TestRetryDoHealthyPathAllocs(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
+	}
+	p := DefaultRetryPolicy()
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(200, func() {
+		if err := p.Do(ctx, "op", succeed); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Do with a first-attempt success allocates %.1f/op, want 0", n)
+	}
+}
+
+func BenchmarkRetryDoSuccess(b *testing.B) {
+	p := DefaultRetryPolicy()
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := p.Do(ctx, "op", succeed); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -128,7 +128,12 @@ func New(cfg Config) (*Server, error) {
 	s.srv = wire.Server{
 		Name: "edged",
 		Log:  logger,
-		Open: func() (wire.Dispatch, func()) { return s.dispatch, nil },
+		Open: func() (wire.Dispatch, func()) {
+			reply := new(execReply)
+			return func(ctx context.Context, req *wire.Envelope) *wire.Envelope {
+				return s.dispatch(ctx, req, reply)
+			}, nil
+		},
 		Shutdown: func() {
 			if err := s.peers.Close(); err != nil {
 				s.log.Warn("closing peer pool", "err", err)
@@ -189,7 +194,21 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 // with ServeContext's own context-driven shutdown.
 func (s *Server) Close() error { return s.srv.Close() }
 
-func (s *Server) dispatch(ctx context.Context, req *wire.Envelope) *wire.Envelope {
+// execReply is one connection's MsgExecResponse, reused from query to
+// query: the serve loop encodes a response before it receives the next
+// request, so nothing reads the previous one by then.
+type execReply struct {
+	env  wire.Envelope
+	body wire.ExecResp
+}
+
+func (r *execReply) set(exec time.Duration, outputBytes int64) *wire.Envelope {
+	r.body = wire.ExecResp{ExecNs: int64(exec), OutputBytes: outputBytes}
+	r.env = wire.Envelope{Type: wire.MsgExecResponse, ExecResp: &r.body}
+	return &r.env
+}
+
+func (s *Server) dispatch(ctx context.Context, req *wire.Envelope, reply *execReply) *wire.Envelope {
 	s.requests.Inc()
 	switch req.Type {
 	case wire.MsgStatsRequest:
@@ -219,12 +238,12 @@ func (s *Server) dispatch(ctx context.Context, req *wire.Envelope) *wire.Envelop
 		if req.ExecReq == nil {
 			return wire.NewAck(errors.New("edged: exec without body"))
 		}
-		return s.exec(req.ExecReq, req.Trace)
+		return s.exec(req.ExecReq, req.Trace, reply)
 	case wire.MsgForward:
 		if req.Forward == nil || len(req.Forward.Hops) == 0 {
 			return wire.NewAck(errors.New("edged: forward without hops"))
 		}
-		return s.forward(ctx, req.Forward, req.Trace)
+		return s.forward(ctx, req.Forward, req.Trace, reply)
 	case wire.MsgHasRequest:
 		if req.Has == nil {
 			return wire.NewAck(errors.New("edged: has without body"))
@@ -346,7 +365,7 @@ func (s *Server) cachedLayers(client int) (dnn.LayerSet, bool) {
 // Two spans on this daemon's track — exec.queue (input transfer and wait
 // for the GPU) and exec.compute (kernel time) — link under the client's
 // query trace when the request carried a span context.
-func (s *Server) exec(r *wire.ExecReq, rc tracing.SpanContext) *wire.Envelope {
+func (s *Server) exec(r *wire.ExecReq, rc tracing.SpanContext, reply *execReply) *wire.Envelope {
 	trace, parent := s.traceRoot(rc)
 	qStart := s.tr.Now()
 	// Input transfer.
@@ -360,7 +379,7 @@ func (s *Server) exec(r *wire.ExecReq, rc tracing.SpanContext) *wire.Envelope {
 	s.tr.Record(trace, parent, tracing.StageExecCompute, s.node, cStart, s.tr.Now())
 	s.execs.Inc()
 	s.execNs.ObserveDuration(exec)
-	return &wire.Envelope{Type: wire.MsgExecResponse, ExecResp: &wire.ExecResp{ExecNs: int64(exec)}}
+	return reply.set(exec, 0)
 }
 
 // forward executes the first hop of a multi-hop pipelined query on this
@@ -369,7 +388,7 @@ func (s *Server) exec(r *wire.ExecReq, rc tracing.SpanContext) *wire.Envelope {
 // single answer per query. The span context rides the relay (the migrate
 // pattern): the next hop's spans parent under this node's transfer.hop
 // span, chaining every stage under the client's query trace.
-func (s *Server) forward(ctx context.Context, f *wire.Forward, rc tracing.SpanContext) *wire.Envelope {
+func (s *Server) forward(ctx context.Context, f *wire.Forward, rc tracing.SpanContext, reply *execReply) *wire.Envelope {
 	trace, parent := s.traceRoot(rc)
 	hop := f.Hops[0]
 	qStart := s.tr.Now()
@@ -416,8 +435,7 @@ func (s *Server) forward(ctx context.Context, f *wire.Forward, rc tracing.SpanCo
 		s.tr.RecordWith(trace, span, parent, tracing.StageTransferHop, s.node, hStart, s.tr.Now())
 	}
 	s.forwards.Inc()
-	return &wire.Envelope{Type: wire.MsgExecResponse,
-		ExecResp: &wire.ExecResp{ExecNs: int64(total), OutputBytes: f.DownBytes}}
+	return reply.set(total, f.DownBytes)
 }
 
 // has filters the asked layers down to those cached.

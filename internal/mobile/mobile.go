@@ -77,6 +77,10 @@ type Client struct {
 	tr     *tracing.Tracer
 	node   string // span track name, "client/<id>"
 
+	// Handles of the per-query metrics, resolved once.
+	queries, chainQueries, edgeRetries *obs.Counter
+	queryLatency                       *obs.Histogram
+
 	// Current attachment.
 	server    geo.ServerID
 	edge      *wire.Conn
@@ -124,6 +128,10 @@ func DialContext(ctx context.Context, cfg Config) (*Client, error) {
 		tr:       cfg.Tracer,
 		node:     fmt.Sprintf("client/%d", cfg.ID),
 	}
+	c.queries = c.met.Counter("queries_total")
+	c.chainQueries = c.met.Counter("chain_queries_total")
+	c.edgeRetries = c.met.Counter("edge_retries_total")
+	c.queryLatency = c.met.Histogram("query_latency_ns")
 	regTrace := c.tr.NewTrace()
 	regSpan := c.tr.NewSpanID()
 	regStart := c.tr.Now()
@@ -334,7 +342,7 @@ func (c *Client) edgeRoundTrip(ctx context.Context, e *wire.Envelope) (*wire.Env
 	err := c.retry.Do(ctx, "edge round trip", func(ctx context.Context) error {
 		if c.edge == nil {
 			if err := c.redialEdge(ctx); err != nil {
-				c.met.Counter("edge_retries_total").Inc()
+				c.edgeRetries.Inc()
 				c.retryInstant()
 				return err
 			}
@@ -342,7 +350,7 @@ func (c *Client) edgeRoundTrip(ctx context.Context, e *wire.Envelope) (*wire.Env
 		r, err := c.edge.RoundTripContext(ctx, e)
 		if err != nil {
 			c.dropEdge()
-			c.met.Counter("edge_retries_total").Inc()
+			c.edgeRetries.Inc()
 			c.retryInstant()
 			return fmt.Errorf("%w: %w", core.ErrServerDown, err)
 		}
@@ -397,7 +405,7 @@ func (c *Client) ConnectContext(ctx context.Context, server geo.ServerID, edgeAd
 	// check); redialEdge performs exactly that resync, under retry.
 	err = c.retry.Do(ctx, "edge connect", func(ctx context.Context) error {
 		if err := c.redialEdge(ctx); err != nil {
-			c.met.Counter("edge_retries_total").Inc()
+			c.edgeRetries.Inc()
 			return err
 		}
 		return nil
@@ -592,7 +600,7 @@ func (c *Client) upload(ctx context.Context, window, limit int) (int, error) {
 	err := c.retry.Do(ctx, "upload", func(ctx context.Context) error {
 		if c.edge == nil {
 			if err := c.redialEdge(ctx); err != nil {
-				c.met.Counter("edge_retries_total").Inc()
+				c.edgeRetries.Inc()
 				c.retryInstant()
 				return err
 			}
@@ -608,7 +616,7 @@ func (c *Client) upload(ctx context.Context, window, limit int) (int, error) {
 			return nil // stop retrying; surfaced below
 		}
 		c.dropEdge()
-		c.met.Counter("edge_retries_total").Inc()
+		c.edgeRetries.Inc()
 		c.retryInstant()
 		return fmt.Errorf("%w: %w", core.ErrServerDown, err)
 	})
@@ -689,8 +697,8 @@ func (c *Client) QueryContext(ctx context.Context) (time.Duration, error) {
 		total += link.UpTime(sp.UpBytes) + time.Duration(resp.ExecResp.ExecNs) + link.DownTime(sp.DownBytes)
 	}
 	c.tr.RecordWith(qt, root, 0, tracing.StageQuery, c.node, qStart, c.tr.Now())
-	c.met.Counter("queries_total").Inc()
-	c.met.Histogram("query_latency_ns").ObserveDuration(total)
+	c.queries.Inc()
+	c.queryLatency.ObserveDuration(total)
 	return total, nil
 }
 
@@ -760,9 +768,9 @@ func (c *Client) chainQuery(ctx context.Context) (lat time.Duration, handled boo
 		time.Duration(resp.ExecResp.ExecNs) +
 		link.DownTime(c.plan.ChainDownBytes) + post
 	c.tr.RecordWith(qt, root, 0, tracing.StageQuery, c.node, qStart, c.tr.Now())
-	c.met.Counter("queries_total").Inc()
-	c.met.Counter("chain_queries_total").Inc()
-	c.met.Histogram("query_latency_ns").ObserveDuration(total)
+	c.queries.Inc()
+	c.chainQueries.Inc()
+	c.queryLatency.ObserveDuration(total)
 	return total, true, nil
 }
 
@@ -776,8 +784,8 @@ func (c *Client) localFallback(sp partition.Split, cause error) (time.Duration, 
 		time.Sleep(time.Duration(float64(extra) * c.cfg.TimeScale))
 	}
 	c.met.Counter("local_fallbacks_total").Inc()
-	c.met.Counter("queries_total").Inc()
-	c.met.Histogram("query_latency_ns").ObserveDuration(total)
+	c.queries.Inc()
+	c.queryLatency.ObserveDuration(total)
 	fbNow := c.tr.Now()
 	c.tr.Record(c.tr.NewTrace(), 0, tracing.StageFailover, c.node, fbNow, fbNow)
 	c.log.Warn("query degraded to local execution", "err", cause)

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -372,8 +374,9 @@ func TestOversizedFrameRejected(t *testing.T) {
 	}
 }
 
-// rawPipe returns a wire Conn and the raw peer socket feeding it.
-func rawPipe(t *testing.T) (*Conn, net.Conn) {
+// tcpPair returns the two ends of a loopback TCP connection, closed with
+// the test.
+func tcpPair(t *testing.T) (client, peer net.Conn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -389,38 +392,47 @@ func rawPipe(t *testing.T) (*Conn, net.Conn) {
 		}
 		ch <- c
 	}()
-	client, err := DialContext(context.Background(), ln.Addr().String())
+	client, err = net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, ok := <-ch
+	peer, ok := <-ch
 	if !ok {
 		t.Fatal("accept failed")
 	}
 	t.Cleanup(func() {
 		client.Close() //nolint:errcheck // test teardown
-		raw.Close()    //nolint:errcheck // test teardown
+		peer.Close()   //nolint:errcheck // test teardown
 	})
-	return client, raw
+	return client, peer
 }
 
-// echoPeer answers every envelope with itself, under ctx, until the conn
+// rawPipe returns a wire Conn and the raw peer socket feeding it.
+func rawPipe(t *testing.T) (*Conn, net.Conn) {
+	t.Helper()
+	client, raw := tcpPair(t)
+	return NewConn(client), raw
+}
+
+// echo answers every envelope on c with itself, under ctx, until the conn
 // drops.
+func echo(ctx context.Context, c *Conn) {
+	for {
+		e, err := c.RecvContext(ctx)
+		if err != nil {
+			return
+		}
+		if err := c.SendContext(ctx, e); err != nil {
+			return
+		}
+	}
+}
+
+// echoPeer returns a Conn whose peer echoes under ctx.
 func echoPeer(ctx context.Context, t *testing.T) *Conn {
 	t.Helper()
 	client, raw := rawPipe(t)
-	server := NewConn(raw)
-	go func() {
-		for {
-			e, err := server.RecvContext(ctx)
-			if err != nil {
-				return
-			}
-			if err := server.SendContext(ctx, e); err != nil {
-				return
-			}
-		}
-	}()
+	go echo(ctx, NewConn(raw))
 	return client
 }
 
@@ -460,15 +472,19 @@ func TestSendRecvSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// cancellableRoundTripAllocs is what one RoundTripContext costs, both
-// peers counted, when their contexts can be cancelled: per SendContext and
-// per RecvContext one context.AfterFunc registration (3 allocations: the
-// closure, the afterFuncCtx and its stop func). The codec itself stays at
-// 0. Lower it when the wire path stops arming a watcher per operation.
-const cancellableRoundTripAllocs = 12
+// cancellableRoundTripAllocs is what one RoundTripContext against a
+// wire.Server costs, both peers counted, when both contexts can be
+// cancelled: the client's one context.AfterFunc registration spanning send
+// and receive (3 allocations: the closure, the afterFuncCtx and its stop
+// func). The serve loop registers once per connection and the codec stays
+// at 0.
+const cancellableRoundTripAllocs = 3
+
+var discardLog = slog.New(slog.NewTextHandler(io.Discard, nil))
 
 // TestRoundTripCancellableContextAllocs gates the round trip every live
-// call makes: loopback TCP, a context.WithCancel context on both peers.
+// call makes: loopback TCP, the daemons' own serve loop as the peer, a
+// context.WithCancel context on both sides.
 // TestSendRecvSteadyStateZeroAlloc above reads 0 only because
 // context.Background() has no Done channel to watch.
 func TestRoundTripCancellableContextAllocs(t *testing.T) {
@@ -476,8 +492,20 @@ func TestRoundTripCancellableContextAllocs(t *testing.T) {
 		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	client := echoPeer(ctx, t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, _, _ := blockingServer(ctx, ln)
+	client, err := DialContext(ctx, ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cancel()
+		<-served
+		client.Close() //nolint:errcheck // test teardown
+	})
 	req := &Envelope{Type: MsgExecRequest, ExecReq: &ExecReq{
 		ClientID: 1, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100}}
 	for i := 0; i < 10; i++ {
@@ -660,16 +688,7 @@ func echoPeerB(b *testing.B) *Conn {
 		if err != nil {
 			return
 		}
-		server := NewConn(c)
-		for {
-			e, err := server.RecvContext(ctx)
-			if err != nil {
-				return
-			}
-			if err := server.SendContext(ctx, e); err != nil {
-				return
-			}
-		}
+		echo(ctx, NewConn(c))
 	}()
 	client, err := DialContext(context.Background(), ln.Addr().String())
 	if err != nil {

@@ -124,12 +124,16 @@ func (s *Server) handle(ctx context.Context, c *Conn) {
 			closed()
 		}
 	}()
+	// One watcher for the life of the connection, not one per frame: a
+	// canceled serve context means this connection is closing whichever
+	// half of the loop it is in.
+	defer c.watchCancel(ctx)()
 	for {
-		req, err := c.RecvContext(ctx)
+		req, err := c.recv(ctx)
 		if err != nil {
 			return // peer went away, timed out, or the daemon is stopping
 		}
-		if err := c.SendContext(ctx, dispatch(ctx, req)); err != nil {
+		if err := c.send(ctx, dispatch(ctx, req)); err != nil {
 			return
 		}
 	}

@@ -464,7 +464,9 @@ func (e *Envelope) Clone() *Envelope {
 }
 
 // Default per-envelope deadlines, used when the caller's context carries
-// no tighter one.
+// no tighter one. They hold to within deadlineSlack: a deadline-free
+// operation reuses the socket deadline an earlier one armed while that is
+// less than a second stale.
 const (
 	DefaultDialTimeout = 5 * time.Second
 	DefaultSendTimeout = 30 * time.Second
@@ -472,6 +474,13 @@ const (
 	// DefaultKeepAlive is the TCP keepalive period for dialed
 	// connections, keeping pooled conns alive between exchanges.
 	DefaultKeepAlive = 30 * time.Second
+
+	// deadlineSlack is how stale an armed fallback deadline may be before a
+	// deadline-free operation re-arms it. It is absolute, not a share of the
+	// fallback: the bounds above are there to outlast an idle but healthy
+	// peer (the master connection is never redialed), and must not shrink
+	// by more than this.
+	deadlineSlack = time.Second
 )
 
 // Conn wraps a TCP connection with the binary framing, per-operation
@@ -482,6 +491,10 @@ type Conn struct {
 	br       *bufio.Reader
 	addr     string // dial target; "" for accepted conns
 	poisoned atomic.Bool
+
+	// The read and write deadlines last set on the socket; the zero value
+	// forces the next operation to arm (see arm).
+	rdl, wdl time.Time
 
 	hdr  [headerLen]byte
 	wbuf []byte      // frame encode scratch, retained at its high-water class
@@ -510,15 +523,43 @@ func NewConn(c net.Conn) *Conn {
 	return &Conn{c: c, br: bufio.NewReaderSize(c, 16<<10)}
 }
 
-// deadlineFrom returns the earlier of the context's deadline and
-// now+fallback, so every envelope exchange is bounded even on a
-// deadline-free context.
-func deadlineFrom(ctx context.Context, fallback time.Duration) time.Time {
-	dl := time.Now().Add(fallback)
-	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
-		dl = d
+// arm bounds the coming write (or read) by the earlier of the context's
+// deadline and now+fallback, so every envelope exchange is bounded even on
+// a deadline-free context. A context deadline is always set exactly. The
+// fallback is skipped while the deadline already on the socket is less than
+// deadlineSlack short of it: re-arming the runtime timer on every frame of
+// a busy connection buys nothing.
+//
+// It then reports a cancellation that fired before it ran: a watcher that
+// forced the deadline into the past first would otherwise be overwritten
+// here and the operation would block to the fallback.
+func (c *Conn) arm(ctx context.Context, write bool) error {
+	armed, fallback := &c.rdl, DefaultRecvTimeout
+	if write {
+		armed, fallback = &c.wdl, DefaultSendTimeout
 	}
-	return dl
+	dl := time.Now().Add(fallback)
+	d, ok := ctx.Deadline()
+	if ok && d.Before(dl) {
+		dl = d
+	} else if stale := dl.Sub(*armed); stale >= 0 && stale < deadlineSlack {
+		return nil
+	}
+	var err error
+	if write {
+		err = c.c.SetWriteDeadline(dl)
+	} else {
+		err = c.c.SetReadDeadline(dl)
+	}
+	if err != nil {
+		*armed = time.Time{}
+		return fmt.Errorf("wire: set deadline: %w", err)
+	}
+	*armed = dl
+	if c.poisoned.Load() {
+		return fmt.Errorf("wire: interrupted: %w", ctx.Err())
+	}
+	return nil
 }
 
 // nopStop is the watcher for contexts that can never be canceled.
@@ -528,7 +569,13 @@ var nopStop = func() bool { return true }
 // forcing the connection deadline into the past — and poisons the Conn,
 // because the stream position is then unknown (the frame may have been
 // half written or half read). The returned stop func must be called once
-// the operation completes.
+// the watched operations complete.
+//
+// One watcher spans one exported operation: a SendContext, a RecvContext, a
+// whole RoundTripContext, or — in Server — the life of a served connection.
+// There is deliberately none that outlives a client-side call: a cancel
+// that merely ends the caller's WithTimeout after the reply arrived must
+// leave the connection healthy.
 func (c *Conn) watchCancel(ctx context.Context) (stop func() bool) {
 	if ctx.Done() == nil {
 		return nopStop
@@ -539,26 +586,41 @@ func (c *Conn) watchCancel(ctx context.Context) (stop func() bool) {
 	})
 }
 
+// usable refuses a poisoned Conn and a context that is already done,
+// before anything touches the stream: neither leaves the Conn worse off.
+func (c *Conn) usable(ctx context.Context, op string) error {
+	if c.poisoned.Load() {
+		return fmt.Errorf("wire: %s: %w", op, ErrConnPoisoned)
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("wire: %s: %w", op, err)
+	}
+	return nil
+}
+
 // SendContext writes one envelope, bounded by the context deadline (or the
 // 30 s default, whichever is earlier) and interruptible by cancellation. A
 // Conn whose earlier operation was interrupted returns ErrConnPoisoned.
 func (c *Conn) SendContext(ctx context.Context, e *Envelope) error {
-	if c.poisoned.Load() {
-		return fmt.Errorf("wire: send: %w", ErrConnPoisoned)
+	if err := c.usable(ctx, "send"); err != nil {
+		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("wire: send: %w", err)
-	}
+	defer c.watchCancel(ctx)()
+	return c.send(ctx, e)
+}
+
+// send is SendContext under a watcher the caller holds.
+func (c *Conn) send(ctx context.Context, e *Envelope) error {
 	frame, err := appendFrame(c.wbuf[:0], e)
 	if err != nil {
 		return fmt.Errorf("wire: encode: %w", err)
 	}
 	c.wbuf = frame[:0]
-	if err := c.c.SetWriteDeadline(deadlineFrom(ctx, DefaultSendTimeout)); err != nil {
-		return fmt.Errorf("wire: set deadline: %w", err)
+	if err := c.arm(ctx, true); err != nil {
+		return err
 	}
-	defer c.watchCancel(ctx)()
 	if _, err := c.c.Write(frame); err != nil {
+		c.wdl = time.Time{}
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return fmt.Errorf("wire: write: %w: %w", ctxErr, err)
 		}
@@ -574,21 +636,20 @@ func (c *Conn) SendContext(ctx context.Context, e *Envelope) error {
 // RecvContext; callers that retain it (or its slices/strings) must Clone. A Conn
 // whose earlier operation was interrupted returns ErrConnPoisoned.
 func (c *Conn) RecvContext(ctx context.Context) (*Envelope, error) {
-	if c.poisoned.Load() {
-		return nil, fmt.Errorf("wire: recv: %w", ErrConnPoisoned)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("wire: recv: %w", err)
-	}
-	if err := c.c.SetReadDeadline(deadlineFrom(ctx, DefaultRecvTimeout)); err != nil {
-		return nil, fmt.Errorf("wire: set deadline: %w", err)
+	if err := c.usable(ctx, "recv"); err != nil {
+		return nil, err
 	}
 	defer c.watchCancel(ctx)()
+	return c.recv(ctx)
+}
+
+// recv is RecvContext under a watcher the caller holds.
+func (c *Conn) recv(ctx context.Context) (*Envelope, error) {
+	if err := c.arm(ctx, false); err != nil {
+		return nil, err
+	}
 	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("wire: read: %w: %w", ctxErr, err)
-		}
-		return nil, fmt.Errorf("wire: read: %w", err)
+		return nil, c.readErr(ctx, err)
 	}
 	if v := c.hdr[0]; v != ProtoVersion {
 		return nil, fmt.Errorf("wire: recv: %w: peer sent version %d, want %d",
@@ -601,10 +662,7 @@ func (c *Conn) RecvContext(ctx context.Context) (*Envelope, error) {
 	}
 	c.rbuf = growClass(c.rbuf, int(n))[:n]
 	if _, err := io.ReadFull(c.br, c.rbuf); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("wire: read: %w: %w", ctxErr, err)
-		}
-		return nil, fmt.Errorf("wire: read: %w", err)
+		return nil, c.readErr(ctx, err)
 	}
 	if err := decodeEnvelope(c.rbuf, t, &c.renv, &c.scr); err != nil {
 		return nil, fmt.Errorf("wire: recv: %w", err)
@@ -612,13 +670,31 @@ func (c *Conn) RecvContext(ctx context.Context) (*Envelope, error) {
 	return &c.renv, nil
 }
 
-// RoundTripContext sends a request and reads the reply under one context.
-// The reply has RecvContext's ownership rules: valid until the next receive.
+// readErr wraps a failed read, naming the context's error first when the
+// context ended, and forgets the read deadline: after a timeout the next
+// receive must arm a fresh one.
+func (c *Conn) readErr(ctx context.Context, err error) error {
+	c.rdl = time.Time{}
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return fmt.Errorf("wire: read: %w: %w", ctxErr, err)
+	}
+	return fmt.Errorf("wire: read: %w", err)
+}
+
+// RoundTripContext sends a request and reads the reply under one context
+// and one cancel watcher. A cancel that lands between the two halves
+// poisons the Conn like one inside either: the request is out, so a reply
+// is in flight on this stream. The reply has RecvContext's ownership rules:
+// valid until the next receive.
 func (c *Conn) RoundTripContext(ctx context.Context, e *Envelope) (*Envelope, error) {
-	if err := c.SendContext(ctx, e); err != nil {
+	if err := c.usable(ctx, "send"); err != nil {
 		return nil, err
 	}
-	return c.RecvContext(ctx)
+	defer c.watchCancel(ctx)()
+	if err := c.send(ctx, e); err != nil {
+		return nil, err
+	}
+	return c.recv(ctx)
 }
 
 // Poisoned reports whether an interrupted operation made the Conn
