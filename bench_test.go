@@ -257,6 +257,46 @@ func BenchmarkFig9Sweep(b *testing.B) {
 	}
 }
 
+// BenchmarkCityRound is the profile entry point for the city simulator: one
+// round of the repo benchmark's city-sim workload (seed-1 Geolife env,
+// PerDNN, r = 100, MaxSteps 40, every zoo model once), so
+//
+//	go test -run '^$' -bench CityRound -cpuprofile cpu.out .
+//
+// names where a simulated query's host time goes without touching bench/.
+func BenchmarkCityRound(b *testing.B) {
+	b.ReportAllocs()
+	tcfg := trace.GeolifeConfig()
+	tcfg.Seed = 1 // the seed of bench/golden/city-seed1.json
+	ds, err := trace.Generate(tcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := edgesim.PrepareEnv(ds, edgesim.DefaultEnvConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	round := func() (queries int) {
+		for _, model := range dnn.ZooNames() {
+			cfg := edgesim.DefaultCityConfig(model, edgesim.ModePerDNN, 100)
+			cfg.MaxSteps = 40
+			res, err := edgesim.RunCity(env, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			queries += res.TotalQueries
+		}
+		return queries
+	}
+	round() // fill the process-wide plan cache, as the benchmark's set-up does
+	queries := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		queries += round()
+	}
+	b.ReportMetric(float64(queries)/b.Elapsed().Seconds(), "queries/s")
+}
+
 // BenchmarkFig10Fractional runs the fractional-migration comparison.
 func BenchmarkFig10Fractional(b *testing.B) {
 	b.ReportAllocs()

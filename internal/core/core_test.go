@@ -12,6 +12,7 @@ import (
 	"perdnn/internal/mobility"
 	"perdnn/internal/partition"
 	"perdnn/internal/profile"
+	"perdnn/internal/raceguard"
 	"perdnn/internal/trace"
 )
 
@@ -182,6 +183,23 @@ func TestPolicyTargets(t *testing.T) {
 	}
 	if _, ok := pol.Targets(nil, cur); ok {
 		t.Error("empty history produced a prediction")
+	}
+}
+
+// TestPolicyTargetsAllocs: one migration step costs the predictor's two
+// allocations and the slice Within returns, which Targets filters in place.
+func TestPolicyTargetsAllocs(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
+	}
+	pol, pl := policyEnv(t)
+	recent := make([]geo.Point, 5)
+	for i := range recent {
+		recent[i] = pl.Center(0).Add(geo.Point{X: float64(i) * 10})
+	}
+	cur := pl.ServerAt(recent[len(recent)-1])
+	if n := testing.AllocsPerRun(100, func() { pol.Targets(recent, cur) }); n > 3 {
+		t.Errorf("Targets allocates %.0f times, budget 3", n)
 	}
 }
 

@@ -72,8 +72,9 @@ func (p *MigrationPolicy) Targets(recent []geo.Point, current geo.ServerID) ([]g
 		}
 		pt = p.Placement.Center(ranked[0])
 	}
+	// Within returns a fresh slice: drop the current server in place.
 	within := p.Placement.Within(pt, p.Radius)
-	out := make([]geo.ServerID, 0, len(within))
+	out := within[:0]
 	for _, id := range within {
 		if id != current {
 			out = append(out, id)

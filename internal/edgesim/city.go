@@ -361,11 +361,18 @@ type simClient struct {
 	// generation keep running on — and touching only — their own shard.
 	sh *simShard
 
-	entry   *core.PlanEntry
-	curSet  dnn.LayerSet    // layers present for us at the current server
-	pending [][]dnn.LayerID // missing layers to upload, in schedule-unit chunks
-	split   partition.Split // decomposition of the current assignment
-	local   bool            // degraded to client-local execution
+	entry  *core.PlanEntry
+	curSet dnn.LayerSet // layers present for us at the current server
+	// pending is the upload queue: the missing layers in schedule-unit
+	// chunks (sub-slices of pendingIDs), nextUnit the first not yet on the
+	// air. Both arrays are reused across handoffs: an in-flight upload of an
+	// old generation checks the generation before it reads its chunk.
+	pending    [][]dnn.LayerID
+	pendingIDs []dnn.LayerID
+	nextUnit   int
+	split      partition.Split // decomposition of the current assignment
+	local      bool            // degraded to client-local execution
+	chain      *queryChain     // the live generation's query chain
 
 	// upTrace/upPlan are the current handoff's trace and its plan span:
 	// the upload.unit spans of the session parent under them (zero when
@@ -534,50 +541,81 @@ func RunCitySharded(ctx context.Context, env *Env, cfg CityConfig, shards int) (
 }
 
 // RunCityContext executes one large-scale simulation run under a context:
-// cancellation (or deadline expiry) is observed at the next movement tick,
-// stops every shard's engine, and surfaces the context error.
+// cancellation (or deadline expiry) is observed at the next barrier, where
+// runShards returns the context error; the shard engines and whatever they
+// still have queued are dropped with the world.
 func RunCityContext(ctx context.Context, env *Env, cfg CityConfig) (*CityResult, error) {
+	w, steps, err := newWorld(env, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Drive the barrier-synchronized tick/window loop (see runShards):
+	// serial movement ticks alternating with parallel per-shard windows.
+	if err := w.runShards(ctx, steps); err != nil {
+		return nil, fmt.Errorf("edgesim: run canceled: %w", err)
+	}
+
+	// Freeze the run's metrics: merge the per-shard window partials and
+	// fold in the quiesced backhaul ledger, then snapshot the registry.
+	// The journals are canonically ordered, so the whole result is a
+	// deterministic function of the configuration at every shard count.
+	for _, sh := range w.shards {
+		w.res.TotalQueries += sh.totalQueries
+		w.res.WindowQueries += sh.windowQueries
+		w.res.SumLatency += sh.sumLatency
+		w.res.Latency.Merge(sh.latency)
+	}
+	w.res.Traffic.RecordMetrics(w.met.reg)
+	w.res.Metrics = w.met.reg.Snapshot()
+	w.res.Events = canonicalEvents(w.journal.Events())
+	w.res.Spans = canonicalSpans(w.tracer.Spans())
+	return w.res, nil
+}
+
+// newWorld validates the configuration and builds one run's world, every
+// client detached at virtual time zero; steps is the playback length.
+func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 	if env == nil {
-		return nil, fmt.Errorf("edgesim: nil env")
+		return nil, 0, fmt.Errorf("edgesim: nil env")
 	}
 	if cfg.Mode < ModeIONN || cfg.Mode > ModeRouting {
-		return nil, fmt.Errorf("edgesim: invalid mode %d", int(cfg.Mode))
+		return nil, 0, fmt.Errorf("edgesim: invalid mode %d", int(cfg.Mode))
 	}
 	if cfg.TTLIntervals <= 0 || cfg.HistoryLen <= 0 || cfg.QueryGap <= 0 {
-		return nil, fmt.Errorf("edgesim: bad config: ttl=%d n=%d gap=%v", cfg.TTLIntervals, cfg.HistoryLen, cfg.QueryGap)
+		return nil, 0, fmt.Errorf("edgesim: bad config: ttl=%d n=%d gap=%v", cfg.TTLIntervals, cfg.HistoryLen, cfg.QueryGap)
 	}
 	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("edgesim: negative shard count %d", cfg.Shards)
+		return nil, 0, fmt.Errorf("edgesim: negative shard count %d", cfg.Shards)
 	}
 	if cfg.Shards > 1 && cfg.Mode == ModeRouting {
-		return nil, fmt.Errorf("edgesim: ModeRouting requires a single shard: a routing client's home server may sit in another shard's region")
+		return nil, 0, fmt.Errorf("edgesim: ModeRouting requires a single shard: a routing client's home server may sit in another shard's region")
 	}
 	if err := cfg.Faults.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	m, err := dnn.ZooModel(cfg.Model)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	client, server := profile.ClientODROID(), profile.ServerTitanXp()
 	prof := profile.NewModelProfile(m, client, server)
 	planner, err := core.NewPlanner(prof, env.Estimator, cfg.Link)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// The profile is a pure function of (model, client device, server
 	// device), so plans keyed by those names plus the link are identical
 	// across runs: share them process-wide instead of recomputing per run.
 	if err := planner.ShareCache(core.SharedPlans(),
 		fmt.Sprintf("%s|%s|%s", m.Name, client.Name, server.Name)); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	traffic, err := simnet.NewTrafficAccount(env.Interval)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
-	w := &world{
+	w = &world{
 		env:       env,
 		cfg:       cfg,
 		model:     m,
@@ -634,11 +672,10 @@ func RunCityContext(ctx context.Context, env *Env, cfg CityConfig) (*CityResult,
 			FractionCapBytes: cfg.FractionCapBytes,
 		}
 		if err := w.policy.Validate(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 
-	steps := 0
 	for i, tr := range env.Dataset.Test {
 		c := &simClient{id: i, tr: tr, cur: geo.NoServer, home: geo.NoServer}
 		w.clients = append(w.clients, c)
@@ -653,28 +690,7 @@ func RunCityContext(ctx context.Context, env *Env, cfg CityConfig) (*CityResult,
 		w.faults = newFaultState(cfg.Faults, env.Placement.Len(), steps, env.Interval)
 		w.srvDown = make([]bool, env.Placement.Len())
 	}
-
-	// Drive the barrier-synchronized tick/window loop (see runShards):
-	// serial movement ticks alternating with parallel per-shard windows.
-	if err := w.runShards(ctx, steps); err != nil {
-		return nil, fmt.Errorf("edgesim: run canceled: %w", err)
-	}
-
-	// Freeze the run's metrics: merge the per-shard window partials and
-	// fold in the quiesced backhaul ledger, then snapshot the registry.
-	// The journals are canonically ordered, so the whole result is a
-	// deterministic function of the configuration at every shard count.
-	for _, sh := range w.shards {
-		w.res.TotalQueries += sh.totalQueries
-		w.res.WindowQueries += sh.windowQueries
-		w.res.SumLatency += sh.sumLatency
-		w.res.Latency.Merge(sh.latency)
-	}
-	w.res.Traffic.RecordMetrics(w.met.reg)
-	w.res.Metrics = w.met.reg.Snapshot()
-	w.res.Events = canonicalEvents(w.journal.Events())
-	w.res.Spans = canonicalSpans(w.tracer.Spans())
-	return w.res, nil
+	return w, steps, nil
 }
 
 // tick advances every client to trajectory step k: fault-state updates,
@@ -840,7 +856,7 @@ func (w *world) localFallback(now time.Duration, c *simClient, down geo.ServerID
 	c.cur = geo.NoServer
 	c.local = true
 	c.entry = nil
-	c.pending = c.pending[:0]
+	c.pending, c.nextUnit = c.pending[:0], 0
 	c.curSet.Reset(w.model.NumLayers())
 	c.split = partition.Split{}
 	w.res.LocalFallbacks++
@@ -971,16 +987,20 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 	}
 
 	// Build the upload queue: schedule-ordered chunks of missing layers.
-	c.pending = c.pending[:0]
+	c.pending, c.nextUnit = c.pending[:0], 0
+	if n := scheduleLayers(entry.Schedule); cap(c.pendingIDs) < n {
+		c.pendingIDs = make([]dnn.LayerID, 0, n)
+	}
+	ids := c.pendingIDs[:0]
 	for _, u := range entry.Schedule {
-		var chunk []dnn.LayerID
+		from := len(ids)
 		for _, id := range u.Layers {
 			if !c.curSet.Has(id) {
-				chunk = append(chunk, id)
+				ids = append(ids, id)
 			}
 		}
-		if len(chunk) > 0 {
-			c.pending = append(c.pending, chunk)
+		if len(ids) > from {
+			c.pending = append(c.pending, ids[from:len(ids):len(ids)])
 		}
 	}
 	c.split = w.splitFor(c)
@@ -1002,12 +1022,12 @@ func scheduleLayers(units []partition.UploadUnit) int {
 // only ever runs for the client's live generation (callers check gen), so
 // c.sh is the shard owning both the client's chain and the serving AP.
 func (w *world) uploadNext(c *simClient, gen int) {
-	if w.cfg.Mode == ModeOptimal || c.gen != gen || len(c.pending) == 0 {
+	if w.cfg.Mode == ModeOptimal || c.gen != gen || c.nextUnit == len(c.pending) {
 		return
 	}
 	sh := c.sh
-	chunk := c.pending[0]
-	c.pending = c.pending[1:]
+	chunk := c.pending[c.nextUnit]
+	c.nextUnit++
 	var bytes int64
 	for _, id := range chunk {
 		bytes += w.model.Layer(id).WeightBytes
@@ -1030,95 +1050,155 @@ func (w *world) uploadNext(c *simClient, gen int) {
 	})
 }
 
-// issueQuery runs one DNN query and chains the next one QueryGap after it
-// completes. Exactly one chain runs per connection generation: reconnect
-// and localFallback bump the generation and start a fresh chain on the new
-// shard, while the old chain's in-flight query finishes against the state
-// it captured at issue (on its old shard) and then expires instead of
-// chaining. Must be called only for the client's live generation.
+// queryStage is the stage a queryChain's in-flight query is waiting out.
+type queryStage uint8
+
+const (
+	stageClientCompute queryStage = iota
+	stageTransferUp
+	stageExecCompute
+	stageTransferDown
+	stageGap
+)
+
+// queryChain is one connection generation's query loop: a state machine
+// that walks client.compute → transfer.up → exec.compute → transfer.down →
+// gap and starts over, handing the engine the same bound step every time,
+// so a query schedules its five events without allocating. The chain lives
+// on the generation's shard and is touched only by that shard's window, or
+// by the serial tick that creates it. Reconnect and localFallback bump the
+// generation and start a fresh chain on the new shard, while the old
+// chain's in-flight query finishes on its old shard against the state it
+// captured at issue and then expires at the gap instead of chaining.
+type queryChain struct {
+	w    *world
+	c    *simClient
+	sh   *simShard
+	gen  int
+	step func() // advance, bound once
+
+	// What the in-flight query captured at issue.
+	stage              queryStage
+	issue, connectedAt time.Duration
+	mark               time.Duration // when the current stage started
+	split              partition.Split
+	qt                 tracing.TraceID
+	root               tracing.SpanID
+	local              bool         // fully client-local: no stage after client.compute
+	exec, ap           geo.ServerID // executing server; AP of the wireless hop
+	routeUp, routeDown time.Duration
+}
+
+// issueQuery runs one DNN query on the client's live generation and chains
+// the next one QueryGap after it completes. Exactly one chain runs per
+// connection generation. Must be called only for the live generation.
 func (w *world) issueQuery(c *simClient) {
-	sh := c.sh
-	gen := c.gen
+	q := c.chain
+	if q == nil || q.gen != c.gen {
+		q = &queryChain{w: w, c: c, sh: c.sh, gen: c.gen}
+		q.step = q.advance
+		c.chain = q
+	}
+	q.issueNext()
+}
+
+// issueNext captures the client's state for one query and schedules its
+// first stage.
+func (q *queryChain) issueNext() {
+	w, c, sh := q.w, q.c, q.sh
 	now := sh.eng.Now()
-	connectedAt := c.connectedAt
-	sp := c.split
-	issue := now
+	q.issue, q.connectedAt, q.split = now, c.connectedAt, c.split
 
 	// Each query is one trace: a root query span on the client's track
 	// whose child stage spans tile [issue, finish] exactly, so the stage
 	// durations sum to the reported end-to-end latency.
-	qt := w.tracer.NewTrace()
-	root := w.tracer.NewSpanID()
-	cnode := w.clientNode(c.id)
+	q.qt = w.tracer.NewTrace()
+	q.root = w.tracer.NewSpanID()
+	q.stage = stageClientCompute
 
-	finish := func(lat time.Duration) {
-		w.tracer.RecordWith(qt, root, 0, tracing.StageQuery, cnode, issue, sh.eng.Now())
-		sh.totalQueries++
-		sh.sumLatency += lat
-		sh.latency.Add(lat)
-		w.met.queries.Inc()
-		w.met.latency.ObserveDuration(lat)
-		if issue-connectedAt <= w.env.Interval {
-			sh.windowQueries++
-			w.met.windowQueries.Inc()
-		}
-		sh.eng.After(w.cfg.QueryGap, func() {
-			if c.gen != gen {
-				return // the client reconnected; its new chain took over
-			}
-			w.issueQuery(c)
-		})
-	}
-
-	if c.cur == geo.NoServer || sp.ServerBase == 0 {
-		// Fully local execution.
-		lat := sp.ClientTime
+	q.local = c.cur == geo.NoServer || q.split.ServerBase == 0
+	if q.local {
+		lat := q.split.ClientTime
 		if c.cur == geo.NoServer {
 			lat = w.prof.TotalClientTime()
 		}
-		sh.eng.After(lat, func() {
-			w.tracer.Record(qt, root, tracing.StageClientCompute, cnode, issue, sh.eng.Now())
-			finish(sh.eng.Now() - issue)
-		})
+		sh.eng.After(lat, q.step)
 		return
 	}
 
 	// Routing mode executes at the home server through the backhaul;
 	// every other mode executes at the client's current server.
-	exec := c.cur
-	var routeUp, routeDown time.Duration
+	q.exec, q.routeUp, q.routeDown = c.cur, 0, 0
 	if w.cfg.Mode == ModeRouting && c.home != geo.NoServer {
-		exec = c.home
-		if exec != c.cur {
-			routeUp = w.cfg.Backhaul.TransferTime(sp.UpBytes)
-			routeDown = w.cfg.Backhaul.TransferTime(sp.DownBytes)
-			w.res.Traffic.AddUp(c.cur, now, sp.UpBytes)
-			w.res.Traffic.AddDown(exec, now, sp.UpBytes)
-			w.res.Traffic.AddUp(exec, now, sp.DownBytes)
-			w.res.Traffic.AddDown(c.cur, now, sp.DownBytes)
+		q.exec = c.home
+		if q.exec != c.cur {
+			q.routeUp = w.cfg.Backhaul.TransferTime(q.split.UpBytes)
+			q.routeDown = w.cfg.Backhaul.TransferTime(q.split.DownBytes)
+			w.res.Traffic.AddUp(c.cur, now, q.split.UpBytes)
+			w.res.Traffic.AddDown(q.exec, now, q.split.UpBytes)
+			w.res.Traffic.AddUp(q.exec, now, q.split.DownBytes)
+			w.res.Traffic.AddDown(c.cur, now, q.split.DownBytes)
 		}
 	}
-	srv := w.servers[exec]
-	ap := c.cur // the wireless hop is always at the client's current AP
-	sh.eng.After(sp.ClientTime, func() {
-		w.tracer.Record(qt, root, tracing.StageClientCompute, cnode, issue, sh.eng.Now())
-		upStart := sh.eng.Now()
-		w.transfer(sh, c.id, linkKindQueryUp, ap, w.cfg.Link.UpTime(sp.UpBytes)+routeUp, func() {
-			w.tracer.Record(qt, root, tracing.StageTransferUp, cnode, upStart, sh.eng.Now())
-			srv.gpu.Begin(sh.eng.Now())
-			execTime := srv.gpu.ExecTime(sp.ServerBase, sp.Intensity, sh.eng.Now())
-			execStart := sh.eng.Now()
-			sh.eng.After(execTime, func() {
-				srv.gpu.End()
-				w.tracer.Record(qt, root, tracing.StageExecCompute, w.serverNode(exec), execStart, sh.eng.Now())
-				downStart := sh.eng.Now()
-				w.transfer(sh, c.id, linkKindQueryDown, ap, w.cfg.Link.DownTime(sp.DownBytes)+routeDown, func() {
-					w.tracer.Record(qt, root, tracing.StageTransferDown, cnode, downStart, sh.eng.Now())
-					finish(sh.eng.Now() - issue)
-				})
-			})
-		})
-	})
+	q.ap = c.cur // the wireless hop is always at the client's current AP
+	sh.eng.After(q.split.ClientTime, q.step)
+}
+
+// advance runs when the current stage's time has passed: it records the
+// stage's span and schedules the next stage.
+func (q *queryChain) advance() {
+	w, sh, sp := q.w, q.sh, &q.split
+	now := sh.eng.Now()
+	cnode := w.clientNode(q.c.id)
+	switch q.stage {
+	case stageClientCompute:
+		w.tracer.Record(q.qt, q.root, tracing.StageClientCompute, cnode, q.issue, now)
+		if q.local {
+			q.finish(now)
+			return
+		}
+		q.stage, q.mark = stageTransferUp, now
+		w.transfer(sh, q.c.id, linkKindQueryUp, q.ap, w.cfg.Link.UpTime(sp.UpBytes)+q.routeUp, q.step)
+	case stageTransferUp:
+		w.tracer.Record(q.qt, q.root, tracing.StageTransferUp, cnode, q.mark, now)
+		gpu := w.servers[q.exec].gpu
+		gpu.Begin(now)
+		execTime := gpu.ExecTime(sp.ServerBase, sp.Intensity, now)
+		q.stage, q.mark = stageExecCompute, now
+		sh.eng.After(execTime, q.step)
+	case stageExecCompute:
+		w.servers[q.exec].gpu.End()
+		w.tracer.Record(q.qt, q.root, tracing.StageExecCompute, w.serverNode(q.exec), q.mark, now)
+		q.stage, q.mark = stageTransferDown, now
+		w.transfer(sh, q.c.id, linkKindQueryDown, q.ap, w.cfg.Link.DownTime(sp.DownBytes)+q.routeDown, q.step)
+	case stageTransferDown:
+		w.tracer.Record(q.qt, q.root, tracing.StageTransferDown, cnode, q.mark, now)
+		q.finish(now)
+	case stageGap:
+		if q.c.gen != q.gen {
+			return // the client reconnected; its new chain took over
+		}
+		q.issueNext()
+	}
+}
+
+// finish closes the query's root span, counts it on the chain's shard and
+// waits out the gap.
+func (q *queryChain) finish(now time.Duration) {
+	w, sh := q.w, q.sh
+	lat := now - q.issue
+	w.tracer.RecordWith(q.qt, q.root, 0, tracing.StageQuery, w.clientNode(q.c.id), q.issue, now)
+	sh.totalQueries++
+	sh.sumLatency += lat
+	sh.latency.Add(lat)
+	w.met.queries.Inc()
+	w.met.latency.ObserveDuration(lat)
+	if q.issue-q.connectedAt <= w.env.Interval {
+		sh.windowQueries++
+		w.met.windowQueries.Inc()
+	}
+	q.stage = stageGap
+	sh.eng.After(w.cfg.QueryGap, q.step)
 }
 
 // migrate pushes the client's layers toward its predicted next servers.

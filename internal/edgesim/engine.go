@@ -8,7 +8,6 @@
 package edgesim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -20,37 +19,24 @@ type event struct {
 	fn  func()
 }
 
-// eventHeap is a min-heap on (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// before is the heap order: (at, seq) ascending. seq is unique per engine,
+// so the order is total and every correct heap pops the same sequence.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// Engine is a single-threaded virtual-time event loop.
+// Engine is a single-threaded virtual-time event loop. Its queue is a
+// binary min-heap of event values: scheduling allocates nothing once the
+// slice has grown to the run's high-water mark.
 type Engine struct {
 	now time.Duration
 	seq int64
-	pq  eventHeap
+	pq  []event
 }
 
 // NewEngine returns an engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{pq: make(eventHeap, 0, 1024)}
+	return &Engine{pq: make([]event, 0, 1024)}
 }
 
 // Now returns the current virtual time.
@@ -63,7 +49,51 @@ func (e *Engine) At(t time.Duration, fn func()) {
 		panic(fmt.Sprintf("edgesim: scheduling at %v before now %v", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.pq, &event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	// Sift up: move later parents down into the hole, then drop ev in.
+	e.pq = append(e.pq, ev)
+	i := len(e.pq) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&e.pq[parent]) {
+			break
+		}
+		e.pq[i] = e.pq[parent]
+		i = parent
+	}
+	e.pq[i] = ev
+}
+
+// pop removes and returns the earliest event. The vacated tail slot is
+// zeroed so its callback is collectable.
+func (e *Engine) pop() event {
+	top := e.pq[0]
+	n := len(e.pq) - 1
+	last := e.pq[n]
+	e.pq[n] = event{}
+	e.pq = e.pq[:n]
+	if n == 0 {
+		return top
+	}
+	// Sift down: move the earlier child up into the hole, then drop the
+	// old tail in.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && e.pq[r].before(&e.pq[child]) {
+			child = r
+		}
+		if !e.pq[child].before(&last) {
+			break
+		}
+		e.pq[i] = e.pq[child]
+		i = child
+	}
+	e.pq[i] = last
+	return top
 }
 
 // After schedules fn d from now.
@@ -79,7 +109,7 @@ func (e *Engine) After(d time.Duration, fn func()) {
 // is later).
 func (e *Engine) Run(until time.Duration) {
 	for len(e.pq) > 0 && e.pq[0].at <= until {
-		ev := heap.Pop(&e.pq).(*event)
+		ev := e.pop()
 		e.now = ev.at
 		ev.fn()
 	}
@@ -97,7 +127,7 @@ func (e *Engine) Run(until time.Duration) {
 // sequence numbers at their timestamps).
 func (e *Engine) RunBefore(t time.Duration) {
 	for len(e.pq) > 0 && e.pq[0].at < t {
-		ev := heap.Pop(&e.pq).(*event)
+		ev := e.pop()
 		e.now = ev.at
 		ev.fn()
 	}
@@ -108,12 +138,3 @@ func (e *Engine) RunBefore(t time.Duration) {
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.pq) }
-
-// Stop drops every queued event, so Run returns after the currently
-// executing callback. Used to abort a run on context cancellation.
-func (e *Engine) Stop() {
-	for i := range e.pq {
-		e.pq[i] = nil
-	}
-	e.pq = e.pq[:0]
-}

@@ -1,6 +1,9 @@
 package edgesim
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -9,14 +12,14 @@ import (
 )
 
 // engineAllocsPerEvent is what the event loop costs per executed event:
-// the *event that At pushes onto the heap. The loop itself (Run,
-// RunBefore, and simShard.step, which picks one of them per barrier) adds
-// nothing. Lower it when events become values.
-const engineAllocsPerEvent = 1
+// nothing. Events are values in the engine's heap slice, and the loop
+// itself (Run, RunBefore, and simShard.step, which picks one of them per
+// barrier) adds nothing either.
+const engineAllocsPerEvent = 0
 
 // TestEngineAllocsPerEvent drives a self-rescheduling callback — the
 // benchmark's edgesim.engine_allocs_per_event probe — through each of the
-// three loop entry points.
+// four loop entry points.
 func TestEngineAllocsPerEvent(t *testing.T) {
 	if raceguard.Enabled {
 		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
@@ -66,6 +69,51 @@ func TestEngineOrdering(t *testing.T) {
 	}
 	if e.Now() != 10*time.Second {
 		t.Errorf("Now = %v", e.Now())
+	}
+}
+
+// TestEngineHeapOrder: 10k events at few distinct times, a third of them
+// scheduled from inside running callbacks, pop in (at, seq) order — seq
+// being the order At was called in — and every popped slot is zeroed.
+func TestEngineHeapOrder(t *testing.T) {
+	type key struct {
+		at  time.Duration
+		seq int
+	}
+	const events = 10000
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(5))
+	var scheduled, popped []key
+	var schedule func(nested bool)
+	schedule = func(nested bool) {
+		k := key{at: e.Now() + time.Duration(rng.Intn(7))*time.Millisecond, seq: len(scheduled)}
+		scheduled = append(scheduled, k)
+		e.At(k.at, func() {
+			popped = append(popped, k)
+			if nested && len(scheduled) < events {
+				schedule(rng.Intn(2) == 0)
+				schedule(rng.Intn(2) == 0)
+			}
+		})
+	}
+	for len(scheduled) < events/3 {
+		schedule(true)
+	}
+	for e.Pending() > 0 {
+		e.Run(e.Now() + time.Millisecond)
+	}
+	if len(popped) != len(scheduled) || len(scheduled) < events {
+		t.Fatalf("popped %d of %d scheduled events (want >= %d)", len(popped), len(scheduled), events)
+	}
+	want := slices.Clone(scheduled)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if !slices.Equal(popped, want) {
+		t.Error("events did not pop in (at, seq) order")
+	}
+	for i, ev := range e.pq[:cap(e.pq)] {
+		if ev.fn != nil {
+			t.Fatalf("heap slot %d still holds its callback after the queue drained", i)
+		}
 	}
 }
 

@@ -124,14 +124,16 @@ func (g *HexGrid) Center(c HexCell) Point {
 	return Point{X: x, Y: y}
 }
 
+// hexDirs are the six axial neighbor offsets, in ring-walk order.
+var hexDirs = [6]HexCell{
+	{Q: 1, R: 0}, {Q: 1, R: -1}, {Q: 0, R: -1},
+	{Q: -1, R: 0}, {Q: -1, R: 1}, {Q: 0, R: 1},
+}
+
 // Neighbors returns the six cells adjacent to c.
 func (g *HexGrid) Neighbors(c HexCell) []HexCell {
-	dirs := [6]HexCell{
-		{Q: 1, R: 0}, {Q: 1, R: -1}, {Q: 0, R: -1},
-		{Q: -1, R: 0}, {Q: -1, R: 1}, {Q: 0, R: 1},
-	}
-	out := make([]HexCell, 0, len(dirs))
-	for _, d := range dirs {
+	out := make([]HexCell, 0, len(hexDirs))
+	for _, d := range hexDirs {
 		out = append(out, HexCell{Q: c.Q + d.Q, R: c.R + d.R})
 	}
 	return out

@@ -3,8 +3,12 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"perdnn/internal/raceguard"
 )
 
 func TestPointArithmetic(t *testing.T) {
@@ -251,5 +255,74 @@ func TestPlacementCentersCopy(t *testing.T) {
 	cs[0] = Point{X: math.Inf(1), Y: 0}
 	if pl.Center(0).X == math.Inf(1) {
 		t.Error("Centers leaked internal slice")
+	}
+}
+
+// bruteWithin is the specification of Within: scan every center, keep those
+// within radius, order by (distance, ID).
+func bruteWithin(pl *Placement, p Point, radius float64) []ServerID {
+	var cands []cand
+	for id, c := range pl.Centers() {
+		if d := p.Dist(c); d <= radius {
+			cands = append(cands, cand{id: ServerID(id), d: d})
+		}
+	}
+	sort.SliceStable(cands, func(i, j int) bool {
+		if cands[i].d != cands[j].d {
+			return cands[i].d < cands[j].d
+		}
+		return cands[i].id < cands[j].id
+	})
+	out := make([]ServerID, len(cands))
+	for i, c := range cands {
+		out[i] = c.id
+	}
+	return out
+}
+
+// TestPlacementMatchesBruteForce: the ring search returns exactly what a
+// scan of Centers() does, in the same order, for Within at the radii the
+// evaluation uses and for Nearest at the count Within found.
+func TestPlacementMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pts := make([]Point, 0, 600)
+	for i := 0; i < 600; i++ {
+		pts = append(pts, Point{X: rng.Float64() * 3000, Y: rng.Float64() * 3000})
+	}
+	pl := NewPlacement(NewHexGrid(50), pts)
+	for trial := 0; trial < 1000; trial++ {
+		// Some points fall outside the placed area.
+		p := Point{X: rng.Float64()*3400 - 200, Y: rng.Float64()*3400 - 200}
+		for _, radius := range []float64{50, 100, 175} {
+			want := bruteWithin(pl, p, radius)
+			if got := pl.Within(p, radius); !slices.Equal(got, want) {
+				t.Fatalf("Within(%v, %v) = %v, brute force %v", p, radius, got, want)
+			}
+			if got := pl.Nearest(p, len(want)); !slices.Equal(got, want) {
+				t.Fatalf("Nearest(%v, %d) = %v, brute force %v", p, len(want), got, want)
+			}
+		}
+	}
+}
+
+// TestPlacementSearchAllocs: Within and Nearest allocate the slice they
+// return and nothing else (rings are walked in place, candidates live on
+// the stack at the evaluation's radii).
+func TestPlacementSearchAllocs(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
+	}
+	rng := rand.New(rand.NewSource(3))
+	pts := make([]Point, 0, 400)
+	for i := 0; i < 400; i++ {
+		pts = append(pts, Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000})
+	}
+	pl := NewPlacement(NewHexGrid(50), pts)
+	p := Point{X: 480, Y: 510}
+	if n := testing.AllocsPerRun(100, func() { pl.Within(p, 175) }); n > 1 {
+		t.Errorf("Within allocates %.0f times, budget 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { pl.Nearest(p, 8) }); n > 1 {
+		t.Errorf("Nearest allocates %.0f times, budget 1", n)
 	}
 }

@@ -1,7 +1,10 @@
 package geo
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -93,32 +96,47 @@ type cand struct {
 	d  float64
 }
 
+// sortCands orders candidates closest first, ties by server ID. IDs are
+// unique, so the order is total.
 func sortCands(cands []cand) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
 		}
-		return cands[i].id < cands[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 }
 
-// ringCells returns the cells at exactly hex distance r from center.
-func ringCells(center HexCell, r int) []HexCell {
+// appendRing walks the cells at exactly hex distance r from center and
+// appends every server placed on one whose center lies within radius of p.
+func (pl *Placement) appendRing(cands []cand, center HexCell, r int, p Point, radius float64) []cand {
+	visit := func(c HexCell) {
+		if id, ok := pl.byCell[c]; ok {
+			if d := p.Dist(pl.centers[id]); d <= radius {
+				cands = append(cands, cand{id: id, d: d})
+			}
+		}
+	}
 	if r == 0 {
-		return []HexCell{center}
+		visit(center)
+		return cands
 	}
-	dirs := [6]HexCell{
-		{Q: 1, R: 0}, {Q: 1, R: -1}, {Q: 0, R: -1},
-		{Q: -1, R: 0}, {Q: -1, R: 1}, {Q: 0, R: 1},
-	}
-	out := make([]HexCell, 0, 6*r)
 	// Start at center + r steps in direction 4, then walk each side.
-	c := HexCell{Q: center.Q + dirs[4].Q*r, R: center.R + dirs[4].R*r}
+	c := HexCell{Q: center.Q + hexDirs[4].Q*r, R: center.R + hexDirs[4].R*r}
 	for side := 0; side < 6; side++ {
 		for step := 0; step < r; step++ {
-			out = append(out, c)
-			c = HexCell{Q: c.Q + dirs[side].Q, R: c.R + dirs[side].R}
+			visit(c)
+			c = HexCell{Q: c.Q + hexDirs[side].Q, R: c.R + hexDirs[side].R}
 		}
+	}
+	return cands
+}
+
+// candIDs returns the candidates' server IDs, in order.
+func candIDs(cands []cand) []ServerID {
+	out := make([]ServerID, len(cands))
+	for i, c := range cands {
+		out[i] = c.id
 	}
 	return out
 }
@@ -137,12 +155,9 @@ func (pl *Placement) Nearest(p Point, k int) []ServerID {
 	// Cells at hex distance r have centers at least (1.5r - 1)R from any
 	// point inside the center cell, so once the kth-best candidate beats
 	// that bound the search can stop.
-	cands := make([]cand, 0, k+8)
-	found := 0
-	for r := 0; ; r++ {
-		if found >= len(pl.centers) {
-			break
-		}
+	var buf [32]cand
+	cands := buf[:0]
+	for r := 0; len(cands) < len(pl.centers); r++ {
 		if len(cands) >= k {
 			sortCands(cands)
 			bound := (1.5*float64(r) - 1) * pl.grid.Radius
@@ -150,22 +165,10 @@ func (pl *Placement) Nearest(p Point, k int) []ServerID {
 				break
 			}
 		}
-		for _, c := range ringCells(center, r) {
-			if id, ok := pl.byCell[c]; ok {
-				cands = append(cands, cand{id: id, d: p.Dist(pl.centers[id])})
-				found++
-			}
-		}
+		cands = pl.appendRing(cands, center, r, p, math.Inf(1))
 	}
 	sortCands(cands)
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]ServerID, 0, k)
-	for _, c := range cands[:k] {
-		out = append(out, c.id)
-	}
-	return out
+	return candIDs(cands[:k])
 }
 
 // Within returns every server whose center lies within radius meters of p,
@@ -176,24 +179,13 @@ func (pl *Placement) Nearest(p Point, k int) []ServerID {
 func (pl *Placement) Within(p Point, radius float64) []ServerID {
 	center := pl.grid.CellAt(p)
 	maxRing := int((radius+2*pl.grid.Radius)/(1.5*pl.grid.Radius)) + 1
-	cands := make([]cand, 0, 8)
+	var buf [32]cand
+	cands := buf[:0]
 	for r := 0; r <= maxRing; r++ {
-		for _, c := range ringCells(center, r) {
-			id, ok := pl.byCell[c]
-			if !ok {
-				continue
-			}
-			if d := p.Dist(pl.centers[id]); d <= radius {
-				cands = append(cands, cand{id: id, d: d})
-			}
-		}
+		cands = pl.appendRing(cands, center, r, p, radius)
 	}
 	sortCands(cands)
-	out := make([]ServerID, 0, len(cands))
-	for _, c := range cands {
-		out = append(out, c.id)
-	}
-	return out
+	return candIDs(cands)
 }
 
 // Centers returns a copy of all server locations indexed by ServerID.

@@ -102,8 +102,11 @@ type GPU struct {
 	dev    profile.Device
 	params Params
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// rng is built from seed at the first draw (randLocked): a city run
+	// never samples half its servers, and seeding costs 607 words each.
 	rng      *rand.Rand
+	seed     int64
 	inflight int
 	// activity[i] is the instantaneous GPU activity of in-flight client i;
 	// resampled as clients come and go.
@@ -118,10 +121,19 @@ func New(dev profile.Device, params Params, seed int64) *GPU {
 	return &GPU{
 		dev:      dev,
 		params:   params,
-		rng:      rand.New(rand.NewSource(seed)),
+		seed:     seed,
 		activity: make([]float64, 0, 8),
 		temp:     params.IdleTempC,
 	}
+}
+
+// randLocked returns the GPU's random stream, seeding it on first use.
+// Callers must hold g.mu.
+func (g *GPU) randLocked() *rand.Rand {
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(g.seed))
+	}
+	return g.rng
 }
 
 // Device returns the underlying contention-free device profile.
@@ -149,7 +161,7 @@ func (g *GPU) Begin(now time.Duration) int {
 	defer g.mu.Unlock()
 	g.advanceLocked(now)
 	g.inflight++
-	g.activity = append(g.activity, g.params.ActivityMin+(1-g.params.ActivityMin)*g.rng.Float64())
+	g.activity = append(g.activity, g.params.ActivityMin+(1-g.params.ActivityMin)*g.randLocked().Float64())
 	return g.inflight
 }
 
@@ -173,7 +185,7 @@ func (g *GPU) Churn() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for i := range g.activity {
-		g.activity[i] = g.params.ActivityMin + (1-g.params.ActivityMin)*g.rng.Float64()
+		g.activity[i] = g.params.ActivityMin + (1-g.params.ActivityMin)*g.randLocked().Float64()
 	}
 }
 
@@ -228,7 +240,7 @@ func (g *GPU) LayerTime(l *dnn.Layer, now time.Duration) time.Duration {
 	defer g.mu.Unlock()
 	g.advanceLocked(now)
 	base := g.dev.LayerTime(l).Seconds()
-	t := base * g.slowdownLocked(Intensity(l)) * (1 + g.rng.NormFloat64()*g.params.MeasureNoise)
+	t := base * g.slowdownLocked(Intensity(l)) * (1 + g.randLocked().NormFloat64()*g.params.MeasureNoise)
 	if t < 0 {
 		t = base
 	}
@@ -243,7 +255,7 @@ func (g *GPU) ExecTime(baseTotal time.Duration, intensity float64, now time.Dura
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.advanceLocked(now)
-	t := baseTotal.Seconds() * g.slowdownLocked(intensity) * (1 + g.rng.NormFloat64()*g.params.MeasureNoise)
+	t := baseTotal.Seconds() * g.slowdownLocked(intensity) * (1 + g.randLocked().NormFloat64()*g.params.MeasureNoise)
 	if t < 0 {
 		t = baseTotal.Seconds()
 	}
@@ -267,20 +279,21 @@ func (g *GPU) Sample(now time.Duration) Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.advanceLocked(now)
+	rng := g.randLocked()
 	var act float64
 	for _, a := range g.activity {
 		act += a
 	}
-	kutil := clamp01(0.05 + 0.058*act + g.rng.NormFloat64()*0.012)
-	mutil := clamp01(0.55*kutil + 0.02 + g.rng.NormFloat64()*0.01)
+	kutil := clamp01(0.05 + 0.058*act + rng.NormFloat64()*0.012)
+	mutil := clamp01(0.55*kutil + 0.02 + rng.NormFloat64()*0.01)
 	mem := g.params.BaseMemMB + g.params.MemPerClientMB*float64(g.inflight) +
-		g.rng.NormFloat64()*25
+		rng.NormFloat64()*25
 	return Stats{
 		ActiveClients: g.inflight,
 		KernelUtil:    kutil,
 		MemUtil:       mutil,
 		MemUsedMB:     math.Max(0, mem),
-		TempC:         g.temp + g.rng.NormFloat64()*0.4,
+		TempC:         g.temp + rng.NormFloat64()*0.4,
 	}
 }
 
