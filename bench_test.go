@@ -297,6 +297,22 @@ func BenchmarkCityRound(b *testing.B) {
 	b.ReportMetric(float64(queries)/b.Elapsed().Seconds(), "queries/s")
 }
 
+// BenchmarkTrainServerEstimator is the profile entry point for start-up:
+// the slowdown forest every master, env and figure script trains before it
+// does anything else (the repo benchmark's estimator.train_s), so
+//
+//	go test -run '^$' -bench TrainServerEstimator -cpuprofile cpu.out .
+//
+// names where setup_s goes without touching bench/.
+func BenchmarkTrainServerEstimator(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFig10Fractional runs the fractional-migration comparison.
 func BenchmarkFig10Fractional(b *testing.B) {
 	b.ReportAllocs()

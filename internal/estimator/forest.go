@@ -16,7 +16,7 @@ type ForestConfig struct {
 	// MinLeaf is the minimum samples per leaf.
 	MinLeaf int
 	// MaxFeatures is the number of features considered per split; zero
-	// means p/3 (the regression-forest default), minimum one.
+	// means two thirds of them, (2p+2)/3, minimum one.
 	MaxFeatures int
 	// Seed makes training reproducible.
 	Seed int64

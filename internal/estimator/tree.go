@@ -2,7 +2,7 @@ package estimator
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // treeNode is one node of a CART regression tree, stored in a flat slice.
@@ -28,12 +28,48 @@ type treeConfig struct {
 	maxFeatures int // features considered per split
 }
 
-// buildTree grows a tree on the rows of x indexed by idx. importance
-// accumulates the total variance reduction attributed to each feature.
+// keyed is one row of a node as the split search sees it: its value on the
+// candidate feature beside its index into x, so the sort compares and moves
+// plain values.
+type keyed struct {
+	key float64
+	idx int
+}
+
+func byKey(a, b keyed) int {
+	if a.key < b.key {
+		return -1
+	}
+	if a.key > b.key {
+		return 1
+	}
+	return 0
+}
+
+// grower holds what the nodes of one tree share while it grows. cur and
+// best are its two scratch buffers, each as long as the bootstrap: a feature
+// is sorted in cur, and when it takes the lead the two trade places.
+type grower struct {
+	x          [][]float64
+	y          []float64
+	cfg        treeConfig
+	rng        *rand.Rand
+	importance []float64
+	nodes      []treeNode
+	cur, best  []keyed
+}
+
+// buildTree grows a tree on the rows of x indexed by idx, reordering idx as
+// it goes. importance accumulates the total variance reduction attributed
+// to each feature.
 func buildTree(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, importance []float64) *regTree {
-	t := &regTree{nodes: make([]treeNode, 0, 2*len(idx)/cfg.minLeaf+1)}
-	t.grow(x, y, idx, 0, cfg, rng, importance)
-	return t
+	g := grower{
+		x: x, y: y, cfg: cfg, rng: rng, importance: importance,
+		nodes: make([]treeNode, 0, 2*len(idx)/cfg.minLeaf+1),
+		cur:   make([]keyed, len(idx)), best: make([]keyed, len(idx)),
+	}
+	g.grow(idx, 0)
+	return &regTree{nodes: g.nodes}
 }
 
 func mean(y []float64, idx []int) float64 {
@@ -56,9 +92,16 @@ func sse(y []float64, idx []int) float64 {
 }
 
 // grow appends the subtree for idx and returns its node index.
-func (t *regTree) grow(x [][]float64, y []float64, idx []int, depth int, cfg treeConfig, rng *rand.Rand, importance []float64) int32 {
-	node := int32(len(t.nodes))
-	t.nodes = append(t.nodes, treeNode{left: -1, value: mean(y, idx)})
+//
+// The unstable sort's order among equal keys is part of the result: it sets
+// the order of every prefix sum below, and the winning order is the order
+// the children's rows are gathered in. So each feature is sorted from idx
+// as the parent left it, and the winner is written back into idx, which the
+// children then split between them.
+func (g *grower) grow(idx []int, depth int) int32 {
+	y, cfg := g.y, g.cfg
+	node := int32(len(g.nodes))
+	g.nodes = append(g.nodes, treeNode{left: -1, value: mean(y, idx)})
 
 	if depth >= cfg.maxDepth || len(idx) < 2*cfg.minLeaf {
 		return node
@@ -68,37 +111,36 @@ func (t *regTree) grow(x [][]float64, y []float64, idx []int, depth int, cfg tre
 		return node
 	}
 
-	p := len(x[0])
-	bestFeature, bestThreshold, bestGain := -1, 0.0, 0.0
-	var bestLeft, bestRight []int
+	bestFeature, bestK, bestGain := -1, 0, 0.0
 
 	// Candidate features: a random subset of size maxFeatures.
-	feats := rng.Perm(p)
+	feats := g.rng.Perm(len(g.x[0]))
 	if cfg.maxFeatures < len(feats) {
 		feats = feats[:cfg.maxFeatures]
 	}
 
-	sorted := make([]int, len(idx))
 	for _, f := range feats {
-		copy(sorted, idx)
-		sort.Slice(sorted, func(a, b int) bool { return x[sorted[a]][f] < x[sorted[b]][f] })
+		cur := g.cur[:len(idx)]
+		for j, i := range idx {
+			cur[j] = keyed{g.x[i][f], i}
+		}
+		slices.SortFunc(cur, byKey)
 
 		// Prefix sums over the sorted order for O(n) split scanning.
-		var sumL, sumSqL float64
-		var sumT, sumSqT float64
-		for _, i := range sorted {
-			sumT += y[i]
-			sumSqT += y[i] * y[i]
+		var sumL, sumSqL, sumT, sumSqT float64
+		for _, e := range cur {
+			sumT += y[e.idx]
+			sumSqT += y[e.idx] * y[e.idx]
 		}
-		for k := 0; k < len(sorted)-1; k++ {
-			yi := y[sorted[k]]
+		for k := 0; k < len(cur)-1; k++ {
+			yi := y[cur[k].idx]
 			sumL += yi
 			sumSqL += yi * yi
 			// Cannot split between equal feature values.
-			if x[sorted[k]][f] == x[sorted[k+1]][f] {
+			if cur[k].key == cur[k+1].key {
 				continue
 			}
-			nL, nR := float64(k+1), float64(len(sorted)-k-1)
+			nL, nR := float64(k+1), float64(len(cur)-k-1)
 			if int(nL) < cfg.minLeaf || int(nR) < cfg.minLeaf {
 				continue
 			}
@@ -108,32 +150,29 @@ func (t *regTree) grow(x [][]float64, y []float64, idx []int, depth int, cfg tre
 			sseR := sumSqR - sumR*sumR/nR
 			gain := parentSSE - sseL - sseR
 			if gain > bestGain {
-				bestGain = gain
-				bestFeature = f
-				bestThreshold = (x[sorted[k]][f] + x[sorted[k+1]][f]) / 2
-				bestLeft = append(bestLeft[:0], sorted[:k+1]...)
-				bestRight = append(bestRight[:0], sorted[k+1:]...)
+				bestFeature, bestK, bestGain = f, k, gain
 			}
+		}
+		if bestFeature == f { // f (tried once per node) took the lead: keep its order
+			g.cur, g.best = g.best, g.cur
 		}
 	}
 
 	if bestFeature < 0 {
 		return node
 	}
-	importance[bestFeature] += bestGain
+	g.importance[bestFeature] += bestGain
 
-	// Children reference copies because bestLeft/bestRight share backing.
-	left := make([]int, len(bestLeft))
-	copy(left, bestLeft)
-	right := make([]int, len(bestRight))
-	copy(right, bestRight)
-
-	t.nodes[node].feature = bestFeature
-	t.nodes[node].threshold = bestThreshold
-	l := t.grow(x, y, left, depth+1, cfg, rng, importance)
-	r := t.grow(x, y, right, depth+1, cfg, rng, importance)
-	t.nodes[node].left = l
-	t.nodes[node].right = r
+	best := g.best[:len(idx)]
+	for j, e := range best {
+		idx[j] = e.idx
+	}
+	g.nodes[node].feature = bestFeature
+	g.nodes[node].threshold = (best[bestK].key + best[bestK+1].key) / 2
+	l := g.grow(idx[:bestK+1], depth+1)
+	r := g.grow(idx[bestK+1:], depth+1)
+	g.nodes[node].left = l
+	g.nodes[node].right = r
 	return node
 }
 

@@ -1,0 +1,104 @@
+package estimator
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"perdnn/internal/raceguard"
+)
+
+// makeTied generates a training set built to break order-sensitive code:
+// column 0 is continuous, column 1 takes five integer values, column 2 is
+// constant, column 3 takes seventeen, and every fourth row repeats an
+// earlier one exactly — on top of the duplicates a bootstrap draws.
+func makeTied(seed int64, n int) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([][]float64, 0, n)
+	y := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		if i%4 == 3 {
+			j := rng.Intn(i)
+			x, y = append(x, x[j]), append(y, y[j])
+			continue
+		}
+		row := []float64{rng.Float64(), float64(rng.Intn(5)), 7, float64(rng.Intn(17))}
+		x = append(x, row)
+		y = append(y, math.Sin(6*row[0])+row[1]*row[1]+0.1*row[3]+rng.NormFloat64()*0.2)
+	}
+	return x, y
+}
+
+// TestGrowMatchesReference: the split search must build the tree the old
+// one (tree_ref_test.go) built, node for node and bit for bit, with the
+// same importances — on ties, duplicated rows and a constant column, at
+// every leaf size, with and without feature subsampling.
+func TestGrowMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		x, y := makeTied(seed, 400+150*int(seed))
+		for _, minLeaf := range []int{1, 3, 10} {
+			for _, maxFeatures := range []int{1, 3, 4} {
+				tc := treeConfig{maxDepth: 12, minLeaf: minLeaf, maxFeatures: maxFeatures}
+				name := fmt.Sprintf("seed%d/minLeaf%d/maxFeatures%d", seed, minLeaf, maxFeatures)
+				t.Run(name, func(t *testing.T) {
+					boot := make([]int, len(x))
+					bootRng := rand.New(rand.NewSource(seed * 31))
+					for i := range boot {
+						boot[i] = bootRng.Intn(len(x))
+					}
+					wantImp := make([]float64, len(x[0]))
+					want := refBuildTree(x, y, append([]int(nil), boot...), tc, rand.New(rand.NewSource(seed)), wantImp)
+					gotImp := make([]float64, len(x[0]))
+					got := buildTree(x, y, boot, tc, rand.New(rand.NewSource(seed)), gotImp)
+
+					if len(got.nodes) != len(want.nodes) {
+						t.Fatalf("%d nodes, reference has %d", len(got.nodes), len(want.nodes))
+					}
+					// One candidate per node may be the constant column at the
+					// root; with more, every case must really split.
+					if maxFeatures > 1 && len(want.nodes) < 3 {
+						t.Fatalf("reference tree has %d nodes: the case splits nothing", len(want.nodes))
+					}
+					for i := range want.nodes {
+						if got.nodes[i] != want.nodes[i] {
+							t.Fatalf("node %d = %+v, reference %+v", i, got.nodes[i], want.nodes[i])
+						}
+					}
+					for j := range wantImp {
+						if gotImp[j] != wantImp[j] {
+							t.Errorf("importance[%d] = %v, reference %v", j, gotImp[j], wantImp[j])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTrainForestAllocs gates what a node may allocate: its feature
+// permutation and nothing else, because the sort and the split work in the
+// tree's two scratch buffers and the children share the parent's index
+// slice. The old search allocated about six times per node.
+func TestTrainForestAllocs(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	x, y := makeNonlinear(12, 2000)
+	cfg := ForestConfig{NumTrees: 8, Seed: 3}
+	f, err := TrainForest(x, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := float64(len(f.value))
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := TrainForest(x, y, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perNode := allocs / nodes; perNode > 1.2 {
+		t.Errorf("TrainForest: %.0f allocations for %.0f nodes = %.2f per node, want <= 1.2", allocs, nodes, perNode)
+	} else {
+		t.Logf("%.0f allocations for %.0f nodes = %.2f per node", allocs, nodes, perNode)
+	}
+}

@@ -46,6 +46,7 @@ func warmClient(tb testing.TB) (context.Context, *mobile.Client) {
 	loc := geo.NewHexGrid(50).Center(geo.HexCell{})
 	mcfg := master.DefaultConfig([]master.EdgeInfo{{Addr: eln.Addr().String(), Location: loc}})
 	mcfg.Logger = quiet
+	mcfg.Estimator = sharedEstimator(tb)
 	m, err := master.New(mcfg)
 	if err != nil {
 		tb.Fatal(err)

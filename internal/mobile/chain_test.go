@@ -72,6 +72,7 @@ func TestLiveChainQuery(t *testing.T) {
 	mcfg.MaxHops = 2
 	mcfg.Objective = partition.ObjectiveThroughput
 	mcfg.Tracer = masterTr
+	mcfg.Estimator = sharedEstimator(t)
 	m, err := master.New(mcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,15 +3,37 @@ package mobile_test
 import (
 	"context"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/edged"
+	"perdnn/internal/estimator"
 	"perdnn/internal/geo"
+	"perdnn/internal/gpusim"
 	"perdnn/internal/master"
 	"perdnn/internal/mobile"
+	"perdnn/internal/profile"
 )
+
+// trainEstimator trains, once per test binary, the slowdown forest
+// master.New would train at every start: same device, parameters and
+// default EstimatorSeed, so it is the forest each cluster helper's master
+// would have built for itself.
+var trainEstimator = sync.OnceValues(func() (*estimator.ServerEstimator, error) {
+	return estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), master.DefaultConfig(nil).EstimatorSeed)
+})
+
+// sharedEstimator is the master.Config.Estimator of every test cluster.
+func sharedEstimator(tb testing.TB) *estimator.ServerEstimator {
+	tb.Helper()
+	est, err := trainEstimator()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return est
+}
 
 // liveCluster starts two edge daemons in adjacent cells and a master over
 // localhost TCP, returning the master address, the edge infos, the master,
@@ -61,6 +83,7 @@ func liveLine(t *testing.T, n int) (string, []master.EdgeInfo, *master.Master, [
 
 	mcfg := master.DefaultConfig(edges)
 	mcfg.Radius = 100
+	mcfg.Estimator = sharedEstimator(t)
 	m, err := master.New(mcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -402,7 +402,8 @@ func (c *Client) ConnectContext(ctx context.Context, server geo.ServerID, edgeAd
 	c.uploaded.Clear()
 
 	// Dial and learn which plan layers the edge already caches (hit/miss
-	// check); redialEdge performs exactly that resync, under retry.
+	// check); redialEdge performs exactly that resync, under retry, and on
+	// success leaves the split recomputed from what the edge holds.
 	err = c.retry.Do(ctx, "edge connect", func(ctx context.Context) error {
 		if err := c.redialEdge(ctx); err != nil {
 			c.edgeRetries.Inc()
@@ -411,10 +412,10 @@ func (c *Client) ConnectContext(ctx context.Context, server geo.ServerID, edgeAd
 		return nil
 	})
 	if err != nil {
+		// No edge: the previous attachment's split must not survive.
 		c.recomputeSplit()
 		return fmt.Errorf("mobile: dialing edge: %w", err)
 	}
-	c.recomputeSplit()
 	return nil
 }
 

@@ -45,6 +45,7 @@ func TestLiveTracePropagation(t *testing.T) {
 	masterTr := tracing.NewWallClock()
 	mcfg := master.DefaultConfig([]master.EdgeInfo{{Addr: eln.Addr().String(), Location: loc}})
 	mcfg.Tracer = masterTr
+	mcfg.Estimator = sharedEstimator(t)
 	m, err := master.New(mcfg)
 	if err != nil {
 		t.Fatal(err)

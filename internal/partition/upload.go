@@ -85,7 +85,11 @@ func ScheduleBytes(units []UploadUnit) int64 {
 
 // FlattenSchedule returns the layer IDs of the units in transmission order.
 func FlattenSchedule(units []UploadUnit) []dnn.LayerID {
-	out := make([]dnn.LayerID, 0, 16)
+	n := 0
+	for _, u := range units {
+		n += len(u.Layers)
+	}
+	out := make([]dnn.LayerID, 0, n)
 	for _, u := range units {
 		out = append(out, u.Layers...)
 	}
