@@ -7,6 +7,7 @@ package perdnn_test
 // (and the numbers recorded in EXPERIMENTS.md) come from cmd/perdnn-bench.
 
 import (
+	"context"
 	"strconv"
 	"sync"
 	"testing"
@@ -242,7 +243,7 @@ func BenchmarkFig9Sweep(b *testing.B) {
 	var hits, conns float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outs := edgesim.RunSweep(runs, 0)
+		outs := edgesim.RunSweepContext(context.Background(), runs, 0)
 		if err := edgesim.SweepErr(outs); err != nil {
 			b.Fatal(err)
 		}
@@ -321,7 +322,7 @@ func BenchmarkFig10Fractional(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := edgesim.DefaultCityConfig(dnn.ModelInception, edgesim.ModePerDNN, 100)
-		out, err := edgesim.RunFractional(env, cfg, 0.06, 43<<20)
+		out, err := edgesim.RunFractional(context.Background(), env, cfg, 0.06, 43<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -421,7 +422,7 @@ func BenchmarkAblationTTL(b *testing.B) {
 	hits := make([]float64, len(ttls))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outs := edgesim.RunSweep(runs, 0)
+		outs := edgesim.RunSweepContext(context.Background(), runs, 0)
 		if err := edgesim.SweepErr(outs); err != nil {
 			b.Fatal(err)
 		}
@@ -448,7 +449,7 @@ func BenchmarkAblationRadius(b *testing.B) {
 	hits := make([]float64, len(radii))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outs := edgesim.RunSweep(runs, 0)
+		outs := edgesim.RunSweepContext(context.Background(), runs, 0)
 		if err := edgesim.SweepErr(outs); err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -79,7 +80,7 @@ func cityMaxSteps(quick bool) int {
 // runFig9 prints the large-scale simulation results (Fig 9). All cells of
 // the dataset × model × system matrix run as one parallel sweep; results
 // print in the fixed paper order regardless of completion order.
-func runFig9(quick bool) error {
+func runFig9(ctx context.Context, quick bool) error {
 	datasets := []string{"kaist", "geolife"}
 	envs, err := cityEnvsFor(datasets...)
 	if err != nil {
@@ -104,7 +105,7 @@ func runFig9(quick bool) error {
 			}
 		}
 	}
-	outs := edgesim.RunSweep(runs, benchWorkers)
+	outs := edgesim.RunSweepContext(ctx, runs, benchWorkers)
 	if err := edgesim.SweepErr(outs); err != nil {
 		return err
 	}
@@ -141,7 +142,7 @@ func printPlanCacheStats() {
 }
 
 // runTraffic prints the backhaul traffic statistics (Section IV.B.4).
-func runTraffic(quick bool) error {
+func runTraffic(ctx context.Context, quick bool) error {
 	fmt.Printf("%-10s %-10s %5s %12s %12s %14s %10s %10s\n",
 		"dataset", "model", "r", "peak up", "peak down", "share <100Mbps", "mean lat", "p95")
 	datasets := []string{"kaist", "geolife"}
@@ -158,7 +159,7 @@ func runTraffic(quick bool) error {
 			runs = append(runs, edgesim.SweepRun{Env: env, Cfg: cfg})
 		}
 	}
-	outs := edgesim.RunSweep(runs, benchWorkers)
+	outs := edgesim.RunSweepContext(ctx, runs, benchWorkers)
 	if err := edgesim.SweepErr(outs); err != nil {
 		return err
 	}
@@ -179,7 +180,7 @@ func runTraffic(quick bool) error {
 // runFig10 prints the fractional-migration results (Fig 10). The two
 // model/cap specs are independent pairs of runs, so they execute
 // concurrently and print in spec order.
-func runFig10(quick bool) error {
+func runFig10(ctx context.Context, quick bool) error {
 	env, err := cityEnv("kaist")
 	if err != nil {
 		return err
@@ -205,7 +206,7 @@ func runFig10(quick bool) error {
 			defer wg.Done()
 			cfg := edgesim.DefaultCityConfig(model, edgesim.ModePerDNN, 100)
 			cfg.MaxSteps = cityMaxSteps(quick)
-			outs[i], errs[i] = edgesim.RunFractional(env, cfg, 0.06, capMB<<20)
+			outs[i], errs[i] = edgesim.RunFractional(ctx, env, cfg, 0.06, capMB<<20)
 		}(i, spec.model, spec.capMB)
 	}
 	wg.Wait()
@@ -226,23 +227,23 @@ func runFig10(quick bool) error {
 }
 
 // runAblations prints the design-choice ablations called out in DESIGN.md.
-func runAblations(quick bool) error {
+func runAblations(ctx context.Context, quick bool) error {
 	if err := ablationUploadOrder(); err != nil {
 		return err
 	}
 	if err := ablationGPUAware(); err != nil {
 		return err
 	}
-	if err := ablationTTLAndRadius(quick); err != nil {
+	if err := ablationTTLAndRadius(ctx, quick); err != nil {
 		return err
 	}
-	if err := ablationPredictor(quick); err != nil {
+	if err := ablationPredictor(ctx, quick); err != nil {
 		return err
 	}
-	if err := ablationRouting(quick); err != nil {
+	if err := ablationRouting(ctx, quick); err != nil {
 		return err
 	}
-	if err := ablationSharedModels(quick); err != nil {
+	if err := ablationSharedModels(ctx, quick); err != nil {
 		return err
 	}
 	if err := ablationMultiDNN(); err != nil {
@@ -301,7 +302,7 @@ func ablationMultiDNN() error {
 
 // ablationRouting compares PerDNN's re-offloading against the Section III.A
 // alternative of keeping the session and routing through the backhaul.
-func ablationRouting(quick bool) error {
+func ablationRouting(ctx context.Context, quick bool) error {
 	env, err := cityEnv("geolife")
 	if err != nil {
 		return err
@@ -317,7 +318,7 @@ func ablationRouting(quick bool) error {
 		cfg.MaxSteps = cityMaxSteps(quick)
 		cfgs = append(cfgs, cfg)
 	}
-	outs := edgesim.RunSweep(edgesim.SweepConfigs(env, cfgs...), benchWorkers)
+	outs := edgesim.RunSweepContext(ctx, edgesim.SweepConfigs(env, cfgs...), benchWorkers)
 	if err := edgesim.SweepErr(outs); err != nil {
 		return err
 	}
@@ -335,7 +336,7 @@ func ablationRouting(quick bool) error {
 
 // ablationSharedModels quantifies the paper's personalized-model assumption
 // by allowing layer caches to be shared across clients.
-func ablationSharedModels(quick bool) error {
+func ablationSharedModels(ctx context.Context, quick bool) error {
 	env, err := cityEnv("geolife")
 	if err != nil {
 		return err
@@ -350,7 +351,7 @@ func ablationSharedModels(quick bool) error {
 		cfg.MaxSteps = cityMaxSteps(quick)
 		cfgs = append(cfgs, cfg)
 	}
-	outs := edgesim.RunSweep(edgesim.SweepConfigs(env, cfgs...), benchWorkers)
+	outs := edgesim.RunSweepContext(ctx, edgesim.SweepConfigs(env, cfgs...), benchWorkers)
 	if err := edgesim.SweepErr(outs); err != nil {
 		return err
 	}
@@ -465,7 +466,7 @@ func estimatorOnce() (*estimator.ServerEstimator, error) { return estimatorOnceV
 
 // ablationTTLAndRadius sweeps the TTL and migration radius. Both sweeps are
 // independent along their axes, so each runs as one parallel batch.
-func ablationTTLAndRadius(quick bool) error {
+func ablationTTLAndRadius(ctx context.Context, quick bool) error {
 	env, err := cityEnv("geolife")
 	if err != nil {
 		return err
@@ -480,7 +481,7 @@ func ablationTTLAndRadius(quick bool) error {
 		cfg.MaxSteps = cityMaxSteps(quick)
 		ttlCfgs = append(ttlCfgs, cfg)
 	}
-	outs := edgesim.RunSweep(edgesim.SweepConfigs(env, ttlCfgs...), benchWorkers)
+	outs := edgesim.RunSweepContext(ctx, edgesim.SweepConfigs(env, ttlCfgs...), benchWorkers)
 	if err := edgesim.SweepErr(outs); err != nil {
 		return err
 	}
@@ -496,7 +497,7 @@ func ablationTTLAndRadius(quick bool) error {
 		cfg.MaxSteps = cityMaxSteps(quick)
 		radiusCfgs = append(radiusCfgs, cfg)
 	}
-	outs = edgesim.RunSweep(edgesim.SweepConfigs(env, radiusCfgs...), benchWorkers)
+	outs = edgesim.RunSweepContext(ctx, edgesim.SweepConfigs(env, radiusCfgs...), benchWorkers)
 	if err := edgesim.SweepErr(outs); err != nil {
 		return err
 	}
@@ -513,7 +514,7 @@ func ablationTTLAndRadius(quick bool) error {
 // predictor gets its own copied Env (an Env is immutable once prepared, so
 // variants are copies, never in-place edits), and the copies sweep in
 // parallel.
-func ablationPredictor(quick bool) error {
+func ablationPredictor(ctx context.Context, quick bool) error {
 	env, err := cityEnv("geolife")
 	if err != nil {
 		return err
@@ -539,7 +540,7 @@ func ablationPredictor(quick bool) error {
 		cfg.MaxSteps = cityMaxSteps(quick)
 		runs = append(runs, edgesim.SweepRun{Env: &pEnv, Cfg: cfg})
 	}
-	outs := edgesim.RunSweep(runs, benchWorkers)
+	outs := edgesim.RunSweepContext(ctx, runs, benchWorkers)
 	if err := edgesim.SweepErr(outs); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -15,7 +16,7 @@ import (
 )
 
 // runTable1 prints the model inventory (Table I).
-func runTable1(bool) error {
+func runTable1(context.Context, bool) error {
 	fmt.Printf("%-10s %8s %8s %10s   paper\n", "model", "#layers", "size MB", "GFLOPs")
 	paper := map[dnn.ModelName]string{
 		dnn.ModelMobileNet: "110 layers, 16 MB",
@@ -34,7 +35,7 @@ func runTable1(bool) error {
 }
 
 // runFig1 prints the IONN cold-start latency series (Fig 1).
-func runFig1(bool) error {
+func runFig1(context.Context, bool) error {
 	cfg := edgesim.DefaultSingleConfig(dnn.ModelInception)
 	res, err := edgesim.RunSingle(cfg)
 	if err != nil {
@@ -54,7 +55,7 @@ func runFig1(bool) error {
 }
 
 // runFig4 prints the estimator MAE table and feature importances (Fig 4).
-func runFig4(quick bool) error {
+func runFig4(_ context.Context, quick bool) error {
 	cfg := estimator.DefaultFig4Config()
 	if quick {
 		cfg.CorpusSize = 12
@@ -107,7 +108,7 @@ var kaistBase = sync.OnceValues(func() (*trace.Dataset, error) {
 })
 
 // runFig6 prints the trajectory-length and interval sensitivity (Fig 6).
-func runFig6(quick bool) error {
+func runFig6(_ context.Context, quick bool) error {
 	base, err := geolifeBase()
 	if err != nil {
 		return err
@@ -153,7 +154,7 @@ func runFig6(quick bool) error {
 }
 
 // runFig7 prints the proactive-migration single-client comparison (Fig 7).
-func runFig7(bool) error {
+func runFig7(context.Context, bool) error {
 	fractions := map[dnn.ModelName]float64{
 		dnn.ModelMobileNet: 0.40,
 		dnn.ModelInception: 0.14,
@@ -186,7 +187,7 @@ func runFig7(bool) error {
 }
 
 // runTable2 prints queries executed during model upload (Table II).
-func runTable2(bool) error {
+func runTable2(context.Context, bool) error {
 	fmt.Printf("%-10s %-12s %-14s %-14s   paper (upload/miss/hit)\n", "model", "upload", "miss (IONN)", "hit (ours)")
 	paper := map[dnn.ModelName]string{
 		dnn.ModelMobileNet: "3.7s / 4 / 5",
@@ -205,7 +206,7 @@ func runTable2(bool) error {
 }
 
 // runTable3 prints mobility predictor accuracy (Table III).
-func runTable3(quick bool) error {
+func runTable3(_ context.Context, quick bool) error {
 	datasets := []struct {
 		name string
 		gen  func() (*trace.Dataset, error)

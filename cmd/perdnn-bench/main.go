@@ -10,15 +10,20 @@
 // in well under a minute; the full run takes several minutes and produces
 // the numbers recorded in EXPERIMENTS.md. -workers bounds the sweep worker
 // pool for the city-scale experiments (0 = GOMAXPROCS); results are
-// identical at every worker count. Performance is measured by the benchmark
-// in bench/ (bash bench/run.sh), not here.
+// identical at every worker count. Ctrl-C (or SIGTERM) cancels the sweep
+// in flight at its next movement tick and skips the remaining experiments.
+// Performance is measured by the benchmark in bench/ (bash bench/run.sh),
+// not here.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 )
 
 // benchWorkers bounds the worker pool used by the sweep-based experiments
@@ -32,10 +37,11 @@ func main() {
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	flag.Parse()
 	benchWorkers = *workers
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 
 	all := []struct {
 		name string
-		fn   func(quick bool) error
+		fn   func(ctx context.Context, quick bool) error
 	}{
 		{"table1", runTable1},
 		{"fig1", runFig1},
@@ -61,12 +67,17 @@ func main() {
 		if !runAll && !want[e.name] {
 			continue
 		}
+		if ctx.Err() != nil {
+			failed = true
+			break
+		}
 		fmt.Printf("\n===== %s =====\n", e.name)
-		if err := e.fn(*quick); err != nil {
+		if err := e.fn(ctx, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "perdnn-bench: %s: %v\n", e.name, err)
 			failed = true
 		}
 	}
+	stopSignals()
 	if failed {
 		os.Exit(1)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -54,7 +55,7 @@ func run() error {
 		cfg := perdnn.CityDefaults(perdnn.ModelResNet, mode, s.radius)
 		cfg.MaxSteps = 360 // two simulated hours at t = 20 s
 		t0 := time.Now()
-		res, err := perdnn.RunCity(env, cfg)
+		res, err := perdnn.RunCityContext(context.Background(), env, cfg)
 		if err != nil {
 			return err
 		}

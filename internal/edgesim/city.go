@@ -61,11 +61,12 @@ func (m Mode) String() string {
 // predictor, and the trained execution-time estimator. Preparing it is
 // expensive; reuse it across models, modes, and radii.
 //
-// An Env is immutable after PrepareEnv returns: RunCity and RunSweep only
-// read it, every run allocates its own servers, clients, and planner, and
-// the predictor and estimator are read-only at prediction time. One Env may
-// therefore back any number of concurrent runs. Code that wants a variant
-// (e.g. a different Predictor) must copy the struct, never modify it.
+// An Env is immutable after PrepareEnv returns: RunCityContext and
+// RunSweepContext only read it, every run allocates its own servers,
+// clients, and planner, and the predictor and estimator are read-only at
+// prediction time. One Env may therefore back any number of concurrent
+// runs. Code that wants a variant (e.g. a different Predictor) must copy
+// the struct, never modify it.
 type Env struct {
 	Dataset   *trace.Dataset
 	Interval  time.Duration
@@ -193,12 +194,6 @@ type CityConfig struct {
 	// different, thus by default not sharable"); this toggle quantifies
 	// what that assumption costs.
 	SharedModelCache bool
-	// SharedWireless models each AP's wireless medium as shared: a
-	// transfer that starts while k others are active at the same server
-	// takes (k+1) times as long. Off by default, matching the paper's
-	// implicit per-client AP capacity; the ablation shows the effect at
-	// the evaluation's client densities.
-	SharedWireless bool
 	// Shards splits the run into that many region shards, each advancing
 	// its own event queue on its own goroutine and synchronizing at
 	// movement ticks (see DESIGN.md §16). 0 or 1 runs unsharded; counts
@@ -226,13 +221,13 @@ type CityConfig struct {
 	// CityResult.Spans in canonical order (traces ordered by content with
 	// IDs renumbered; see canonicalSpans). Like the event journal, the
 	// span journal is a deterministic function of the configuration,
-	// byte-identical at every RunSweep worker count and every shard
-	// count.
+	// byte-identical at every RunSweepContext worker count and every
+	// shard count.
 	RecordSpans bool
 	// Faults injects server outages, master blackouts, and transient link
 	// spikes into the run (nil = fault-free). The realized fault schedule
-	// is seeded, so faulty runs stay deterministic at every RunSweep
-	// worker count.
+	// is seeded, so faulty runs stay deterministic at every
+	// RunSweepContext worker count.
 	Faults *FaultModel
 }
 
@@ -288,9 +283,9 @@ type CityResult struct {
 	// Latency is the query latency distribution.
 	Latency *LatencyHist
 
-	// Metrics is the run's frozen metrics registry: the counters above plus
-	// migration/plan-cache/backhaul aggregates and a coarse latency
-	// histogram, ready for JSON export.
+	// Metrics is the run's ledger frozen for JSON export: the counters
+	// above plus migration, plan-cache and outage counts, and the backhaul
+	// ledger's gauges.
 	Metrics obs.Snapshot
 	// Events is the run's event journal (nil unless RecordEvents was set).
 	Events []obs.Event
@@ -338,12 +333,10 @@ func (r *CityResult) P99() time.Duration {
 	return r.Latency.P99()
 }
 
-// simServer is one edge server: a GPU, a layer cache, and its AP's
-// wireless activity.
+// simServer is one edge server: a GPU and a layer cache.
 type simServer struct {
-	gpu      *gpusim.GPU
-	store    *layerStore
-	wireless int // active transfers on this AP
+	gpu   *gpusim.GPU
+	store *layerStore
 }
 
 // simClient is one mobile user's simulation state.
@@ -381,45 +374,6 @@ type simClient struct {
 	upPlan  tracing.SpanID
 }
 
-// simMetrics is the per-run metrics registry with its hot-path metrics
-// resolved once up front (registry lookups take a mutex; the query loop
-// must not).
-type simMetrics struct {
-	reg *obs.Registry
-
-	queries, windowQueries               *obs.Counter
-	connections, hits, misses, partials  *obs.Counter
-	migOrdered, migCompleted, migBytes   *obs.Counter
-	truncations, truncatedLayers         *obs.Counter
-	planMisses                           *obs.Counter
-	serverDowns, failovers, localFallbks *obs.Counter
-	latency                              *obs.Histogram
-}
-
-// newSimMetrics builds the run-local registry and resolves its metrics.
-func newSimMetrics() *simMetrics {
-	reg := obs.NewRegistry()
-	return &simMetrics{
-		reg:             reg,
-		queries:         reg.Counter("queries_total"),
-		windowQueries:   reg.Counter("queries_window_total"),
-		connections:     reg.Counter("connections_total"),
-		hits:            reg.Counter("cache_hits_total"),
-		misses:          reg.Counter("cache_misses_total"),
-		partials:        reg.Counter("cache_partials_total"),
-		migOrdered:      reg.Counter("migrations_ordered_total"),
-		migCompleted:    reg.Counter("migrations_completed_total"),
-		migBytes:        reg.Counter("migration_bytes_total"),
-		truncations:     reg.Counter("migrations_truncated_total"),
-		truncatedLayers: reg.Counter("migration_truncated_layers_total"),
-		planMisses:      reg.Counter("plan_cache_local_misses_total"),
-		serverDowns:     reg.Counter("server_downs_total"),
-		failovers:       reg.Counter("failovers_total"),
-		localFallbks:    reg.Counter("local_fallbacks_total"),
-		latency:         reg.Histogram("query_latency_ns"),
-	}
-}
-
 // world wires everything together for one run.
 type world struct {
 	env     *Env
@@ -438,9 +392,19 @@ type world struct {
 	smap   *geo.ShardMap
 	shards []*simShard
 
-	met     *simMetrics
-	journal *obs.Journal    // nil unless cfg.RecordEvents
-	tracer  *tracing.Tracer // nil unless cfg.RecordSpans
+	// The serial tick phase's ledger: what it counts that CityResult has
+	// no field for, and its journal events (nil unless cfg.RecordEvents).
+	// Only the tick writes them; the window phase counts on its shard.
+	planMisses, serverDowns int
+	migOrdered, truncations int
+	truncatedLayers         int
+	migBytes                int64
+	events                  []obs.Event
+
+	// tracer is the one recorder every shard shares (nil unless
+	// cfg.RecordSpans): trace IDs must be unique across the run so that
+	// canonicalSpans can group a trace whose spans several shards record.
+	tracer *tracing.Tracer
 	// srvNames and cliNames intern the span track names up front so the
 	// query loop records spans without formatting (or allocating).
 	srvNames []string
@@ -502,39 +466,37 @@ func (w *world) clientNode(id int) string {
 	return w.cliNames[id]
 }
 
-// event appends one journal entry at the given virtual time; a no-op
-// unless the run records events. Callers pass their own shard's clock (or
-// the tick time in the serial phase) — there is no global "current time"
-// once shards advance independently.
+// event appends one tick-phase journal entry at the tick time; a no-op
+// unless the run records events. The window phase's one event, a
+// migration completion, goes to its shard's own slice instead.
 func (w *world) event(now time.Duration, t obs.EventType, client int, server, target geo.ServerID, layers int, bytes int64) {
-	if w.journal == nil {
-		return
+	if w.cfg.RecordEvents {
+		w.events = append(w.events, obs.NewEvent(now, t, client, int(server), int(target), layers, bytes))
 	}
-	w.journal.Record(obs.NewEvent(now, t, client, int(server), int(target), layers, bytes))
 }
 
 // trackPlan notes the first time this run uses a plan entry, feeding the
-// plan_cache_miss metric and journal event. Tick phase only: seenPlans is
+// plan_cache_miss count and journal event. Tick phase only: seenPlans is
 // not synchronized.
 func (w *world) trackPlan(now time.Duration, entry *core.PlanEntry, client int, sid geo.ServerID) {
 	if w.seenPlans[entry] {
 		return
 	}
 	w.seenPlans[entry] = true
-	w.met.planMisses.Inc()
+	w.planMisses++
 	w.event(now, obs.EventPlanCacheMiss, client, sid, geo.NoServer,
 		len(entry.Plan.ServerLayers()), entry.Plan.ServerBytes())
 }
 
-// RunCity executes one large-scale simulation run.
+// RunCity is RunCityContext without a context. It is kept, as a one-line
+// wrapper, only because the benchmark module (bench/city.go) calls it.
 func RunCity(env *Env, cfg CityConfig) (*CityResult, error) {
 	return RunCityContext(context.Background(), env, cfg)
 }
 
-// RunCitySharded executes one large-scale simulation run split across
-// `shards` region shards (see CityConfig.Shards); it overrides any shard
-// count already in cfg. The merged result — metrics, event journal, span
-// journal — is byte-identical to the unsharded run of the same config.
+// RunCitySharded is RunCityContext with cfg.Shards set to shards. It is
+// kept, as a one-line wrapper, only because the benchmark module
+// (bench/city.go) calls it.
 func RunCitySharded(ctx context.Context, env *Env, cfg CityConfig, shards int) (*CityResult, error) {
 	cfg.Shards = shards
 	return RunCityContext(ctx, env, cfg)
@@ -555,21 +517,49 @@ func RunCityContext(ctx context.Context, env *Env, cfg CityConfig) (*CityResult,
 		return nil, fmt.Errorf("edgesim: run canceled: %w", err)
 	}
 
-	// Freeze the run's metrics: merge the per-shard window partials and
-	// fold in the quiesced backhaul ledger, then snapshot the registry.
-	// The journals are canonically ordered, so the whole result is a
-	// deterministic function of the configuration at every shard count.
-	for _, sh := range w.shards {
-		w.res.TotalQueries += sh.totalQueries
-		w.res.WindowQueries += sh.windowQueries
-		w.res.SumLatency += sh.sumLatency
-		w.res.Latency.Merge(sh.latency)
-	}
-	w.res.Traffic.RecordMetrics(w.met.reg)
-	w.res.Metrics = w.met.reg.Snapshot()
-	w.res.Events = canonicalEvents(w.journal.Events())
-	w.res.Spans = canonicalSpans(w.tracer.Spans())
+	w.freeze()
 	return w.res, nil
+}
+
+// freeze builds the result after the final barrier: it merges the shards'
+// window-phase partials into the tick phase's counts, snapshots the whole
+// ledger as metrics, and canonically orders the journals. Every merge is
+// an order-free sum, or a multiset that canonicalization orders, so the
+// result is a deterministic function of the configuration at every shard
+// count.
+func (w *world) freeze() {
+	r := w.res
+	migCompleted := 0
+	for _, sh := range w.shards {
+		r.TotalQueries += sh.totalQueries
+		r.WindowQueries += sh.windowQueries
+		r.SumLatency += sh.sumLatency
+		r.Latency.Merge(sh.latency)
+		migCompleted += sh.migCompleted
+		w.events = append(w.events, sh.events...)
+	}
+	reg := obs.NewRegistry()
+	r.Traffic.RecordMetrics(reg)
+	r.Metrics = reg.Snapshot()
+	r.Metrics.Counters = map[string]int64{
+		"queries_total":                    int64(r.TotalQueries),
+		"queries_window_total":             int64(r.WindowQueries),
+		"connections_total":                int64(r.Connections),
+		"cache_hits_total":                 int64(r.Hits),
+		"cache_misses_total":               int64(r.Misses),
+		"cache_partials_total":             int64(r.Partials),
+		"migrations_ordered_total":         int64(w.migOrdered),
+		"migrations_completed_total":       int64(migCompleted),
+		"migration_bytes_total":            w.migBytes,
+		"migrations_truncated_total":       int64(w.truncations),
+		"migration_truncated_layers_total": int64(w.truncatedLayers),
+		"plan_cache_local_misses_total":    int64(w.planMisses),
+		"server_downs_total":               int64(w.serverDowns),
+		"failovers_total":                  int64(r.Failovers),
+		"local_fallbacks_total":            int64(r.LocalFallbacks),
+	}
+	r.Events = canonicalEvents(w.events)
+	r.Spans = canonicalSpans(w.tracer.Spans())
 }
 
 // newWorld validates the configuration and builds one run's world, every
@@ -623,7 +613,6 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 		planner:   planner,
 		servers:   make([]*simServer, env.Placement.Len()),
 		clients:   make([]*simClient, 0, len(env.Dataset.Test)),
-		met:       newSimMetrics(),
 		seenPlans: make(map[*core.PlanEntry]bool),
 		res: &CityResult{
 			Model:   cfg.Model,
@@ -641,9 +630,6 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 	w.shards = make([]*simShard, w.smap.Count())
 	for i := range w.shards {
 		w.shards[i] = newSimShard(w, i)
-	}
-	if cfg.RecordEvents {
-		w.journal = obs.NewJournal()
 	}
 	if cfg.RecordSpans {
 		w.tracer = tracing.New()
@@ -724,8 +710,6 @@ func (w *world) tick(k int) {
 			c.connectedAt = now
 			w.res.Connections++
 			w.res.Hits++
-			w.met.connections.Inc()
-			w.met.hits.Inc()
 			w.event(now, obs.EventHandoff, c.id, prev, sid, 0, 0)
 			w.servers[c.home].store.touch(now, w.storeKey(c.id), w.ttl())
 		case sid != c.cur && sid != geo.NoServer:
@@ -762,7 +746,7 @@ func (w *world) updateFaults(now time.Duration) {
 		if down {
 			// A crashed server loses every cached layer.
 			w.servers[id].store = newLayerStore(w.model.NumLayers())
-			w.met.serverDowns.Inc()
+			w.serverDowns++
 			w.event(now, obs.EventServerDown, 0, geo.ServerID(id), geo.NoServer, 0, 0)
 		} else {
 			w.event(now, obs.EventServerUp, 0, geo.ServerID(id), geo.NoServer, 0, 0)
@@ -792,7 +776,6 @@ func (w *world) faultStep(now time.Duration, c *simClient, sid geo.ServerID, pos
 			return true
 		}
 		w.res.Failovers++
-		w.met.failovers.Inc()
 		w.event(now, obs.EventFailover, c.id, home, sid, 0, 0)
 		w.instant(now, tracing.StageFailover, w.clientNode(c.id))
 		w.reconnect(now, c, sid)
@@ -819,7 +802,6 @@ func (w *world) failover(now time.Duration, c *simClient, down geo.ServerID, pos
 		return
 	}
 	w.res.Failovers++
-	w.met.failovers.Inc()
 	w.event(now, obs.EventFailover, c.id, down, nid, 0, 0)
 	w.instant(now, tracing.StageFailover, w.clientNode(c.id))
 	w.reconnect(now, c, nid)
@@ -860,7 +842,6 @@ func (w *world) localFallback(now time.Duration, c *simClient, down geo.ServerID
 	c.curSet.Reset(w.model.NumLayers())
 	c.split = partition.Split{}
 	w.res.LocalFallbacks++
-	w.met.localFallbks.Inc()
 	w.event(now, obs.EventLocalFallback, c.id, down, geo.NoServer, 0, 0)
 	w.instant(now, tracing.StageFailover, w.clientNode(c.id))
 	w.issueQuery(c)
@@ -887,26 +868,11 @@ func (w *world) storeKey(clientID int) int {
 }
 
 // transfer schedules `then` on the given shard's engine after a wireless
-// transfer of duration base to or from server sid. Under SharedWireless
-// the duration stretches by the number of transfers already active on
-// that AP (an approximation of processor sharing: rates are fixed at
-// transfer start). sid must belong to sh's region: the AP's wireless
-// counter is only coherent on its owner shard. client and kind name the
-// transfer for the link-spike hash (see faultState.stretch).
-func (w *world) transfer(sh *simShard, client, kind int, sid geo.ServerID, base time.Duration, then func()) {
-	// Transient wireless spikes (nil-safe).
-	base = w.faults.stretch(sh.eng.Now(), client, kind, base)
-	if base <= 0 || sid == geo.NoServer || !w.cfg.SharedWireless {
-		sh.eng.After(base, then)
-		return
-	}
-	srv := w.servers[sid]
-	d := base * time.Duration(srv.wireless+1)
-	srv.wireless++
-	sh.eng.After(d, func() {
-		srv.wireless--
-		then()
-	})
+// transfer of duration base, stretched by any transient link spike (nil-
+// safe). client and kind name the transfer for the spike hash (see
+// faultState.stretch).
+func (w *world) transfer(sh *simShard, client, kind int, base time.Duration, then func()) {
+	sh.eng.After(w.faults.stretch(sh.eng.Now(), client, kind, base), then)
 }
 
 // reconnect attaches the client to a new edge server: computes the current
@@ -930,7 +896,6 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 	c.connectedAt = now
 	srv := w.servers[sid]
 	w.res.Connections++
-	w.met.connections.Inc()
 	w.event(now, obs.EventHandoff, c.id, prev, sid, 0, 0)
 
 	entry, err := w.planner.PlanFor(srv.gpu.Sample(now))
@@ -951,12 +916,10 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 	case ModeOptimal:
 		c.curSet.AddAll(planLayers)
 		w.res.Hits++
-		w.met.hits.Inc()
 	case ModeIONN, ModeRouting:
 		// From scratch: the baseline never reuses cached layers, and a
 		// routing client only ever uploads once (to its home).
 		w.res.Misses++
-		w.met.misses.Inc()
 		w.event(now, obs.EventColdStart, c.id, sid, geo.NoServer, len(planLayers), 0)
 		c.home = sid
 	case ModePerDNN:
@@ -973,14 +936,11 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 		switch {
 		case len(planLayers) == 0 || have == len(planLayers):
 			w.res.Hits++
-			w.met.hits.Inc()
 		case have == 0:
 			w.res.Misses++
-			w.met.misses.Inc()
 			w.event(now, obs.EventColdStart, c.id, sid, geo.NoServer, len(planLayers), 0)
 		default:
 			w.res.Partials++
-			w.met.partials.Inc()
 			w.event(now, obs.EventPartialHit, c.id, sid, geo.NoServer, have, 0)
 		}
 		srv.store.touch(now, w.storeKey(c.id), w.ttl())
@@ -1037,7 +997,7 @@ func (w *world) uploadNext(c *simClient, gen int) {
 		sid = c.home
 	}
 	start := sh.eng.Now()
-	w.transfer(sh, c.id, linkKindUpload, c.cur, w.cfg.Link.UpTime(bytes), func() {
+	w.transfer(sh, c.id, linkKindUpload, w.cfg.Link.UpTime(bytes), func() {
 		if c.gen != gen {
 			return
 		}
@@ -1085,7 +1045,7 @@ type queryChain struct {
 	qt                 tracing.TraceID
 	root               tracing.SpanID
 	local              bool         // fully client-local: no stage after client.compute
-	exec, ap           geo.ServerID // executing server; AP of the wireless hop
+	exec               geo.ServerID // executing server
 	routeUp, routeDown time.Duration
 }
 
@@ -1140,7 +1100,6 @@ func (q *queryChain) issueNext() {
 			w.res.Traffic.AddDown(c.cur, now, q.split.DownBytes)
 		}
 	}
-	q.ap = c.cur // the wireless hop is always at the client's current AP
 	sh.eng.After(q.split.ClientTime, q.step)
 }
 
@@ -1158,7 +1117,7 @@ func (q *queryChain) advance() {
 			return
 		}
 		q.stage, q.mark = stageTransferUp, now
-		w.transfer(sh, q.c.id, linkKindQueryUp, q.ap, w.cfg.Link.UpTime(sp.UpBytes)+q.routeUp, q.step)
+		w.transfer(sh, q.c.id, linkKindQueryUp, w.cfg.Link.UpTime(sp.UpBytes)+q.routeUp, q.step)
 	case stageTransferUp:
 		w.tracer.Record(q.qt, q.root, tracing.StageTransferUp, cnode, q.mark, now)
 		gpu := w.servers[q.exec].gpu
@@ -1170,7 +1129,7 @@ func (q *queryChain) advance() {
 		w.servers[q.exec].gpu.End()
 		w.tracer.Record(q.qt, q.root, tracing.StageExecCompute, w.serverNode(q.exec), q.mark, now)
 		q.stage, q.mark = stageTransferDown, now
-		w.transfer(sh, q.c.id, linkKindQueryDown, q.ap, w.cfg.Link.DownTime(sp.DownBytes)+q.routeDown, q.step)
+		w.transfer(sh, q.c.id, linkKindQueryDown, w.cfg.Link.DownTime(sp.DownBytes)+q.routeDown, q.step)
 	case stageTransferDown:
 		w.tracer.Record(q.qt, q.root, tracing.StageTransferDown, cnode, q.mark, now)
 		q.finish(now)
@@ -1191,11 +1150,8 @@ func (q *queryChain) finish(now time.Duration) {
 	sh.totalQueries++
 	sh.sumLatency += lat
 	sh.latency.Add(lat)
-	w.met.queries.Inc()
-	w.met.latency.ObserveDuration(lat)
 	if q.issue-q.connectedAt <= w.env.Interval {
 		sh.windowQueries++
-		w.met.windowQueries.Inc()
 	}
 	q.stage = stageGap
 	sh.eng.After(w.cfg.QueryGap, q.step)
@@ -1238,8 +1194,8 @@ func (w *world) migrate(now time.Duration, c *simClient, k int) {
 		w.trackPlan(now, entry, c.id, tid)
 		sched := w.policy.TruncateForTransfer(entry.Schedule, c.cur, tid)
 		if dropped := scheduleLayers(entry.Schedule) - scheduleLayers(sched); dropped > 0 {
-			w.met.truncations.Inc()
-			w.met.truncatedLayers.Add(int64(dropped))
+			w.truncations++
+			w.truncatedLayers += dropped
 			w.event(now, obs.EventFractionTruncated, c.id, c.cur, tid, dropped, w.policy.CapBytes(c.cur, tid))
 		}
 
@@ -1267,8 +1223,8 @@ func (w *world) migrate(now time.Duration, c *simClient, k int) {
 		}
 		w.res.Traffic.AddUp(c.cur, now, bytes)
 		w.res.Traffic.AddDown(tid, now, bytes)
-		w.met.migOrdered.Inc()
-		w.met.migBytes.Add(bytes)
+		w.migOrdered++
+		w.migBytes += bytes
 		w.event(now, obs.EventMigrationOrdered, c.id, c.cur, tid, len(send), bytes)
 		// One trace per migration: an order instant on the source server's
 		// track, and a completion instant on the target's track parented to
@@ -1289,8 +1245,11 @@ func (w *world) migrate(now time.Duration, c *simClient, k int) {
 			}
 			done := dsh.eng.Now()
 			dst.store.add(done, key, layers, w.ttl())
-			w.met.migCompleted.Inc()
-			w.event(done, obs.EventMigrationCompleted, c.id, from, tid, len(layers), bytes)
+			dsh.migCompleted++
+			if w.cfg.RecordEvents {
+				dsh.events = append(dsh.events, obs.NewEvent(done, obs.EventMigrationCompleted,
+					c.id, int(from), int(tid), len(layers), bytes))
+			}
 			w.tracer.Record(mt, order, tracing.StageMigrate, w.serverNode(tid), done, done)
 		})
 	}

@@ -1,6 +1,7 @@
 package edgesim
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -163,7 +164,7 @@ func TestRunFractional(t *testing.T) {
 	env := smallEnv(t)
 	cfg := DefaultCityConfig(dnn.ModelInception, ModePerDNN, 100)
 	m := dnn.Inception21k()
-	out, err := RunFractional(env, cfg, 0.06, m.TotalWeightBytes()/3)
+	out, err := RunFractional(context.Background(), env, cfg, 0.06, m.TotalWeightBytes()/3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +189,14 @@ func TestRunFractional(t *testing.T) {
 func TestRunFractionalValidation(t *testing.T) {
 	env := smallEnv(t)
 	cfg := DefaultCityConfig(dnn.ModelInception, ModeIONN, 0)
-	if _, err := RunFractional(env, cfg, 0.06, 1<<20); err == nil {
+	if _, err := RunFractional(context.Background(), env, cfg, 0.06, 1<<20); err == nil {
 		t.Error("non-PerDNN mode accepted")
 	}
 	cfg = DefaultCityConfig(dnn.ModelInception, ModePerDNN, 100)
-	if _, err := RunFractional(env, cfg, 0, 1<<20); err == nil {
+	if _, err := RunFractional(context.Background(), env, cfg, 0, 1<<20); err == nil {
 		t.Error("zero share accepted")
 	}
-	if _, err := RunFractional(env, cfg, 0.06, 0); err == nil {
+	if _, err := RunFractional(context.Background(), env, cfg, 0.06, 0); err == nil {
 		t.Error("zero cap accepted")
 	}
 }

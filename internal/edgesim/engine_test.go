@@ -222,30 +222,3 @@ func TestLayerStoreTouch(t *testing.T) {
 	}
 	s.touch(0, 99, 10*time.Second)
 }
-
-func TestLayerStoreMissingFrom(t *testing.T) {
-	s := newLayerStore(10)
-	ids := []dnn.LayerID{1, 2, 3}
-	missing := s.missingFrom(0, 1, ids)
-	if len(missing) != 3 {
-		t.Errorf("missing = %v", missing)
-	}
-	s.add(0, 1, []dnn.LayerID{2}, time.Minute)
-	missing = s.missingFrom(time.Second, 1, ids)
-	if len(missing) != 2 || missing[0] != 1 || missing[1] != 3 {
-		t.Errorf("missing = %v", missing)
-	}
-}
-
-func TestLayerStoreResidentBytes(t *testing.T) {
-	m := dnn.MobileNetV1()
-	s := newLayerStore(m.NumLayers())
-	s.add(0, 1, []dnn.LayerID{0}, time.Minute)
-	want := m.Layer(0).WeightBytes
-	if got := s.residentBytes(time.Second, m); got != want {
-		t.Errorf("residentBytes = %d, want %d", got, want)
-	}
-	if got := s.residentBytes(2*time.Minute, m); got != 0 {
-		t.Errorf("residentBytes after expiry = %d", got)
-	}
-}

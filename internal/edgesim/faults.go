@@ -26,8 +26,8 @@ func (w FaultWindow) Contains(t time.Duration) bool {
 // order, and each link-spike draw is a pure hash of (Seed, virtual time,
 // client, transfer kind) — never of engine scheduling order — so a faulty
 // run, including its event journal, is a deterministic function of the
-// configuration and is byte-identical at every RunSweep worker count and
-// every RunCitySharded shard count.
+// configuration and is byte-identical at every RunSweepContext worker
+// count and every CityConfig.Shards count.
 //
 // A nil *FaultModel (the CityConfig default) injects nothing.
 type FaultModel struct {

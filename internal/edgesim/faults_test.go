@@ -164,7 +164,7 @@ func faultSweepJournal(t *testing.T, env *Env, workers int) []byte {
 	cfgs[1].Mode, cfgs[1].Radius = ModeIONN, 0
 	cfgs[2].Faults.Seed = 99
 	cfgs[2].Faults.LinkFaultProb = 0.2
-	outs := RunSweep(SweepConfigs(env, cfgs...), workers)
+	outs := RunSweepContext(context.Background(), SweepConfigs(env, cfgs...), workers)
 	if err := SweepErr(outs); err != nil {
 		t.Fatal(err)
 	}

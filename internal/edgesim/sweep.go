@@ -31,32 +31,44 @@ func SweepConfigs(env *Env, cfgs ...CityConfig) []SweepRun {
 	return runs
 }
 
-// RunSweep executes the given simulation runs concurrently on a bounded
-// worker pool and returns their outcomes in input order. workers <= 0 uses
-// GOMAXPROCS. Each run is the same deterministic RunCity call it would be
-// sequentially — environments are read-only, every run owns its servers and
-// planner state, and the shared plan cache returns identical immutable
-// entries to every run — so RunSweep(runs, w) produces byte-identical
-// results for every w, including w = 1.
+// RunSweepContext executes the given simulation runs concurrently on a
+// bounded worker pool and returns their outcomes in input order. workers
+// <= 0 uses GOMAXPROCS. Each run is the same deterministic RunCityContext
+// call it would be sequentially — environments are read-only, every run
+// owns its servers and planner state, and the shared plan cache returns
+// identical immutable entries to every run — so the outcomes are
+// byte-identical for every worker count, including 1.
 //
 // One run's failure does not stop the others; callers inspect per-outcome
-// errors (or use SweepErr for the first one).
-func RunSweep(runs []SweepRun, workers int) []SweepOutcome {
-	return RunSweepContext(context.Background(), runs, workers)
-}
-
-// RunSweepContext is RunSweep under a context: runs already in flight when
+// errors (or use SweepErr for the first one). Runs already in flight when
 // the context is canceled abort at their next movement tick, runs not yet
 // started fail immediately, and every outcome whose run was cut short
 // carries the context error.
 func RunSweepContext(ctx context.Context, runs []SweepRun, workers int) []SweepOutcome {
+	out := make([]SweepOutcome, len(runs))
+	forEachOrdered(len(runs), workers, func(i int) {
+		if err := ctx.Err(); err != nil {
+			out[i] = SweepOutcome{Run: runs[i], Err: err}
+			return
+		}
+		res, err := RunCityContext(ctx, runs[i].Env, runs[i].Cfg)
+		out[i] = SweepOutcome{Run: runs[i], Result: res, Err: err}
+	})
+	return out
+}
+
+// forEachOrdered calls do(i) for every i in [0, n) on a pool of workers
+// goroutines (<= 0 means GOMAXPROCS, and never more than n), handing out
+// indexes in increasing order; it returns when every call has. Callers
+// store results by index, so the output order is the input order at every
+// worker count.
+func forEachOrdered(n, workers int, do func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(runs) {
-		workers = len(runs)
+	if workers > n {
+		workers = n
 	}
-	out := make([]SweepOutcome, len(runs))
 	var (
 		mu   sync.Mutex
 		next int
@@ -71,20 +83,14 @@ func RunSweepContext(ctx context.Context, runs []SweepRun, workers int) []SweepO
 				i := next
 				next++
 				mu.Unlock()
-				if i >= len(runs) {
+				if i >= n {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					out[i] = SweepOutcome{Run: runs[i], Err: err}
-					continue
-				}
-				res, err := RunCityContext(ctx, runs[i].Env, runs[i].Cfg)
-				out[i] = SweepOutcome{Run: runs[i], Result: res, Err: err}
+				do(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // SweepErr returns the first error among the outcomes, or nil.

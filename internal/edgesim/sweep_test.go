@@ -1,6 +1,7 @@
 package edgesim
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -48,7 +49,7 @@ func TestRunSweepMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		outs := RunSweep(SweepConfigs(env, cfgs...), workers)
+		outs := RunSweepContext(context.Background(), SweepConfigs(env, cfgs...), workers)
 		if len(outs) != len(cfgs) {
 			t.Fatalf("workers=%d: %d outcomes for %d runs", workers, len(outs), len(cfgs))
 		}
@@ -76,7 +77,7 @@ func TestRunSweepPerRunErrors(t *testing.T) {
 	bad := DefaultCityConfig("bogus", ModeIONN, 0)
 	bad.MaxSteps = 20
 
-	outs := RunSweep(SweepConfigs(env, good, bad, good), 2)
+	outs := RunSweepContext(context.Background(), SweepConfigs(env, good, bad, good), 2)
 	if outs[0].Err != nil || outs[2].Err != nil {
 		t.Fatalf("good runs failed: %v, %v", outs[0].Err, outs[2].Err)
 	}
@@ -96,20 +97,20 @@ func TestRunSweepPerRunErrors(t *testing.T) {
 
 // TestRunSweepEmptyAndWorkerClamp: degenerate inputs are harmless.
 func TestRunSweepEmptyAndWorkerClamp(t *testing.T) {
-	if outs := RunSweep(nil, 8); len(outs) != 0 {
+	if outs := RunSweepContext(context.Background(), nil, 8); len(outs) != 0 {
 		t.Fatalf("empty sweep returned %d outcomes", len(outs))
 	}
 	env := smallEnv(t)
 	cfg := DefaultCityConfig(dnn.ModelMobileNet, ModeOptimal, 0)
 	cfg.MaxSteps = 10
-	outs := RunSweep(SweepConfigs(env, cfg), 64) // workers ≫ runs
+	outs := RunSweepContext(context.Background(), SweepConfigs(env, cfg), 64) // workers ≫ runs
 	if len(outs) != 1 || outs[0].Err != nil {
 		t.Fatalf("single-run sweep: %+v", outs)
 	}
 }
 
 // TestConcurrentRunCitySharedEnv drives several RunCity calls over one Env
-// from separate goroutines — the invariant RunSweep relies on, and the
+// from separate goroutines — the invariant RunSweepContext relies on, and the
 // scenario the race detector checks in CI. Identical configs must agree.
 func TestConcurrentRunCitySharedEnv(t *testing.T) {
 	env := smallEnv(t)

@@ -84,33 +84,3 @@ func TestSharedModelCacheRaisesHits(t *testing.T) {
 	// but also unlocks migrations from sources that would otherwise be
 	// cold — so only the hit ratio is asserted.
 }
-
-// TestSharedWirelessSlowsButPreservesOrdering: AP sharing can only slow
-// transfers down, and at the evaluation's client densities (few clients per
-// AP) the effect on window-query counts must be modest — the validation
-// behind the paper's implicit per-client AP capacity assumption.
-func TestSharedWirelessSlowsButPreservesOrdering(t *testing.T) {
-	env := smallEnv(t)
-	dedicated := DefaultCityConfig(dnn.ModelResNet, ModePerDNN, 100)
-	dRes, err := RunCity(env, dedicated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := dedicated
-	shared.SharedWireless = true
-	sRes, err := RunCity(env, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sRes.TotalQueries > dRes.TotalQueries {
-		t.Errorf("AP sharing increased throughput: %d > %d", sRes.TotalQueries, dRes.TotalQueries)
-	}
-	if sRes.MeanLatency() < dRes.MeanLatency() {
-		t.Errorf("AP sharing reduced latency: %v < %v", sRes.MeanLatency(), dRes.MeanLatency())
-	}
-	// At ~10 clients over hundreds of servers, the degradation is small.
-	if float64(sRes.WindowQueries) < float64(dRes.WindowQueries)*0.85 {
-		t.Errorf("AP sharing cost too much at low density: %d vs %d",
-			sRes.WindowQueries, dRes.WindowQueries)
-	}
-}

@@ -180,9 +180,9 @@ func checkJournalMapRange(pass *Pass, rng *ast.RangeStmt) {
 }
 
 // emitsJournalEvent reports whether the call records or constructs a
-// journal event: any call into internal/obs that touches Event or Journal,
-// an append of obs.Event values, or a call to a local emission helper
-// (a function or method named event/emit/record* by convention).
+// journal event: any call into internal/obs that takes or returns an
+// Event, an append of obs.Event values, or a call to a local emission
+// helper (a function or method named event/emit/record* by convention).
 func emitsJournalEvent(info *types.Info, call *ast.CallExpr) bool {
 	// append(events, obs.Event{...}) or append of anything Event-typed.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
@@ -200,12 +200,9 @@ func emitsJournalEvent(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	if fn.Pkg().Path() == obsPath {
-		// Journal.Record, NewEvent, typed constructors — all obs entry
-		// points that put an event on the record.
+		// NewEvent, WithRun, typed constructors — all obs entry points
+		// that put an event on the record.
 		sig := funcSig(fn)
-		if recv := sig.Recv(); recv != nil && isNamed(recv.Type(), obsPath, "Journal") {
-			return true
-		}
 		if sig.Results().Len() == 1 && isNamed(sig.Results().At(0).Type(), obsPath, "Event") {
 			return true
 		}

@@ -7,8 +7,8 @@ import (
 	"perdnn/internal/obs"
 )
 
-func emitLiteral(j *obs.Journal, now time.Duration) {
-	j.Record(obs.Event{T: now, Type: "handoff"}) // want "ad-hoc obs.Event literal"
+func emitLiteral(events []obs.Event, now time.Duration) []obs.Event {
+	return append(events, obs.Event{T: now, Type: "handoff"}) // want "ad-hoc obs.Event literal"
 }
 
 func buildLiteral(now time.Duration) obs.Event {
@@ -19,8 +19,8 @@ func buildLiteral(now time.Duration) obs.Event {
 	}
 }
 
-func emitConstructed(j *obs.Journal, now time.Duration) {
-	j.Record(obs.NewEvent(now, "handoff", 1, 0, -1, 0, 0)) // ok: constructor states every field
+func emitConstructed(events []obs.Event, now time.Duration) []obs.Event {
+	return append(events, obs.NewEvent(now, "handoff", 1, 0, -1, 0, 0)) // ok: constructor states every field
 }
 
 func labelRun(e obs.Event) obs.Event {

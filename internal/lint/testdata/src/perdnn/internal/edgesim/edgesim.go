@@ -18,13 +18,13 @@ type Env struct {
 }
 
 type world struct {
-	journal *obs.Journal
-	now     time.Duration
+	events []obs.Event
+	now    time.Duration
 }
 
 // event is a journal-emission helper, recognized by name convention.
 func (w *world) event(t obs.EventType, server, target int) {
-	w.journal.Record(obs.NewEvent(w.now, t, 0, server, target, 0, 0))
+	w.events = append(w.events, obs.NewEvent(w.now, t, 0, server, target, 0, 0))
 }
 
 func wallClock() time.Duration {
@@ -51,7 +51,7 @@ func seededRand(seed int64, n int) int {
 
 func emitUnsorted(w *world, caches map[int]int64) {
 	for id, b := range caches { // want "map iteration order reaches the journal"
-		w.journal.Record(obs.NewEvent(w.now, "migration_ordered", 0, id, -1, 0, b))
+		w.events = append(w.events, obs.NewEvent(w.now, "migration_ordered", 0, id, -1, 0, b))
 	}
 }
 

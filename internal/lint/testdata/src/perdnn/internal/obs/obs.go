@@ -25,11 +25,3 @@ func (e Event) WithRun(run string) Event {
 	e.Run = run
 	return e
 }
-
-type Journal struct {
-	events []Event
-}
-
-func (j *Journal) Record(e Event) {
-	j.events = append(j.events, e)
-}

@@ -1,16 +1,16 @@
 // Package obs is the observability layer shared by the simulator and the
 // live daemons: a dependency-free metrics registry (atomic counters, gauges,
-// and fixed-bucket histograms with deterministic merge), a structured JSONL
-// event journal for the simulation's migration/cold-start/cache events, a
-// leveled component-tagged logger on log/slog, and an opt-in debug HTTP
-// listener serving the registry as JSON plus net/http/pprof.
+// and fixed-bucket histograms with deterministic merge), the journal event
+// vocabulary with its fixed-shape constructor and JSONL writer, a leveled
+// component-tagged logger on log/slog, and an opt-in debug HTTP listener
+// serving the registry as JSON plus net/http/pprof.
 //
 // Everything here is deterministic where the simulator needs it to be:
 // snapshots sort metric names, histograms bucket by value (never by arrival
-// order), merges are commutative bucketwise additions, and journals preserve
-// the exact order events were recorded in. A per-run registry or journal
-// filled by a single-threaded simulation run therefore serializes to
-// byte-identical output no matter how many runs execute concurrently.
+// order), merges are commutative bucketwise additions, and WriteJSONL
+// writes events in slice order with a fixed field order. The package keeps
+// no journal of its own: a city run collects its events in plain slices and
+// orders them canonically before they reach WriteJSONL.
 package obs
 
 import (

@@ -62,9 +62,6 @@ func NewTrafficAccount(interval time.Duration) (*TrafficAccount, error) {
 	}, nil
 }
 
-// Interval returns the bucket width.
-func (a *TrafficAccount) Interval() time.Duration { return a.interval }
-
 func (a *TrafficAccount) slot(at time.Duration) int {
 	if at < 0 {
 		return 0

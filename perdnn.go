@@ -25,7 +25,7 @@
 //     cmd/perdnn-edge, cmd/perdnn-client).
 //   - Distributed tracing: per-query spans across simulation and live
 //     runs, exported as a JSONL journal or a Perfetto-loadable trace
-//     (Tracer, WithTracer, WritePerfettoTrace).
+//     (Tracer, LiveConfig.Tracer, WritePerfettoTrace).
 //
 // Quick start:
 //
@@ -46,17 +46,17 @@
 //			perdnn.ServerSpec{ID: 2, Slowdown: 4}))
 //	fmt.Println(plan) // hops, bottleneck stage, estimated latency
 //
-// Long-running entry points have context-first variants (RunCityContext,
-// RunSweepContext, DialLive) and accept functional options (WithSlowdown,
-// WithLink, WithFaults, WithRetryPolicy, WithDeadline). Failures surface
-// typed sentinels — ErrServerDown, ErrMasterDown, ErrRetryBudgetExhausted,
-// ErrLocalFallback — testable with errors.Is.
+// Long-running entry points take a context first (RunCityContext,
+// RunSweepContext, DialLive): bound them with context.WithTimeout, and set
+// everything else — shards, faults, retry policy, upload window, tracer —
+// on their config struct. Failures surface typed sentinels —
+// ErrServerDown, ErrMasterDown, ErrRetryBudgetExhausted, ErrLocalFallback
+// — testable with errors.Is.
 package perdnn
 
 import (
 	"context"
 	"io"
-	"time"
 
 	"perdnn/internal/core"
 	"perdnn/internal/dnn"
@@ -119,32 +119,17 @@ type (
 	LiveClient = mobile.Client
 )
 
-// options collects the knobs shared by the facade's variadic entry points.
+// options collects Plan's knobs.
 type options struct {
 	slowdown  float64
 	link      Link
-	retry     *RetryPolicy
-	faults    *FaultModel
-	deadline  time.Duration
-	window    int
-	tracer    *Tracer
 	objective Objective
 	maxHops   int
 	servers   []ServerSpec
 	minCut    bool
-	shards    int
 }
 
-func buildOptions(opts []Option) options {
-	o := options{slowdown: 1.0, link: partition.LabWiFi(), maxHops: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
-// Option configures a facade call (Plan, RunCityContext, DialLive,
-// ...). Options that do not apply to a call are ignored.
+// Option configures a Plan call.
 type Option func(*options)
 
 // WithSlowdown sets the server contention slowdown factor used when
@@ -153,32 +138,6 @@ func WithSlowdown(s float64) Option { return func(o *options) { o.slowdown = s }
 
 // WithLink sets the client-server network link used to price transfers.
 func WithLink(l Link) Option { return func(o *options) { o.link = l } }
-
-// WithRetryPolicy overrides the retry policy of live-path operations.
-func WithRetryPolicy(p RetryPolicy) Option { return func(o *options) { o.retry = &p } }
-
-// WithFaults injects a failure model into a simulation run.
-func WithFaults(f FaultModel) Option { return func(o *options) { o.faults = &f } }
-
-// WithUploadWindow sets the live client's streaming upload window: how
-// many schedule units UploadAllContext keeps in flight ahead of the edge's
-// acks (see mobile.DefaultUploadWindow).
-func WithUploadWindow(n int) Option { return func(o *options) { o.window = n } }
-
-// WithDeadline bounds the whole call: the context handed to the operation
-// is canceled after d.
-func WithDeadline(d time.Duration) Option { return func(o *options) { o.deadline = d } }
-
-// WithTracer records a live client's request spans (register, plan fetch,
-// upload units, queries) into t; see NewWallClockTracer.
-func WithTracer(t *Tracer) Option { return func(o *options) { o.tracer = t } }
-
-// WithShards splits a city run into n region shards, each advancing its
-// own event queue on its own goroutine with barrier synchronization at
-// movement ticks. Results — journals included — are byte-identical to the
-// unsharded run; only the wall time changes. 0 or 1 keeps the
-// single-queue engine.
-func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
 // WithObjective selects what Plan minimizes: end-to-end latency (the
 // default) or pipeline bottleneck time (SEIFER-style throughput).
@@ -200,15 +159,6 @@ func WithServers(servers ...ServerSpec) Option {
 // arbitrary DAG models via minimum s-t cut (Hu et al.) instead of the
 // Fig 5 shortest path. It implies a single hop.
 func WithMinCut() Option { return func(o *options) { o.minCut = true } }
-
-// withDeadline applies the deadline option to a context; the returned
-// cancel must always be called.
-func (o options) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if o.deadline > 0 {
-		return context.WithTimeout(ctx, o.deadline)
-	}
-	return context.WithCancel(ctx)
-}
 
 // Re-exported model types.
 type (
@@ -307,7 +257,7 @@ type (
 	MigrationPolicy = core.MigrationPolicy
 	// Env is a prepared large-scale simulation environment. It is
 	// immutable once prepared, so one Env backs any number of concurrent
-	// runs (see RunSweep).
+	// runs (see RunSweepContext).
 	Env = edgesim.Env
 	// CityConfig / CityResult parameterize and report city runs.
 	CityConfig = edgesim.CityConfig
@@ -392,7 +342,10 @@ func LabWiFi() Link { return partition.LabWiFi() }
 // single-split plan (the failover target of a multi-hop chain) and
 // UploadSchedule() orders the server-side layers for transmission.
 func Plan(prof *ModelProfile, opts ...Option) (*OffloadPlan, error) {
-	o := buildOptions(opts)
+	o := options{slowdown: 1.0, link: partition.LabWiFi(), maxHops: 1}
+	for _, opt := range opts {
+		opt(&o)
+	}
 	if o.minCut {
 		p, err := partition.PartitionMinCut(partition.Request{Profile: prof, Slowdown: o.slowdown, Link: o.link})
 		if err != nil {
@@ -436,25 +389,11 @@ func PrepareCity(base *Dataset) (*Env, error) {
 	return edgesim.PrepareEnv(base, edgesim.DefaultEnvConfig())
 }
 
-// RunCity executes one large-scale simulation run. Prefer RunCityContext
-// for cancelable runs and fault injection.
-func RunCity(env *Env, cfg CityConfig) (*CityResult, error) { return edgesim.RunCity(env, cfg) }
-
 // RunCityContext executes one large-scale simulation run under a context:
-// cancellation aborts the run at its next movement tick. WithFaults
-// injects a failure model (overriding cfg.Faults), WithShards spreads the
-// run across region shards (overriding cfg.Shards), and WithDeadline
-// bounds the run's wall time.
-func RunCityContext(ctx context.Context, env *Env, cfg CityConfig, opts ...Option) (*CityResult, error) {
-	o := buildOptions(opts)
-	if o.faults != nil {
-		cfg.Faults = o.faults
-	}
-	if o.shards > 0 {
-		cfg.Shards = o.shards
-	}
-	ctx, cancel := o.withDeadline(ctx)
-	defer cancel()
+// cancellation (or deadline expiry) aborts the run at its next movement
+// tick. cfg.Faults injects a failure model and cfg.Shards spreads the run
+// across region shards; results are byte-identical at every shard count.
+func RunCityContext(ctx context.Context, env *Env, cfg CityConfig) (*CityResult, error) {
 	return edgesim.RunCityContext(ctx, env, cfg)
 }
 
@@ -464,38 +403,19 @@ func SweepConfigs(env *Env, cfgs ...CityConfig) []SweepRun {
 	return edgesim.SweepConfigs(env, cfgs...)
 }
 
-// RunSweep executes simulation runs concurrently on a bounded worker pool
-// (workers <= 0 uses GOMAXPROCS) and returns outcomes in input order.
-// Results are deterministic and identical at every worker count.
-func RunSweep(runs []SweepRun, workers int) []SweepOutcome {
-	return edgesim.RunSweep(runs, workers)
-}
-
-// RunSweepContext is RunSweep under a context: canceled runs carry the
-// context error in their outcome.
+// RunSweepContext executes simulation runs concurrently on a bounded
+// worker pool (workers <= 0 uses GOMAXPROCS) and returns outcomes in input
+// order. Results are deterministic and identical at every worker count;
+// runs cut short by the context carry its error in their outcome.
 func RunSweepContext(ctx context.Context, runs []SweepRun, workers int) []SweepOutcome {
 	return edgesim.RunSweepContext(ctx, runs, workers)
 }
 
 // DialLive connects a live client to a master daemon, retrying transient
-// failures. WithRetryPolicy overrides the client's backoff (taking
-// precedence over cfg.Retry), WithUploadWindow sets the streaming upload's
-// in-flight window, WithTracer records the client's request spans, and
-// WithDeadline bounds the registration. Unreachable masters surface errors
-// wrapping ErrMasterDown.
-func DialLive(ctx context.Context, cfg LiveConfig, opts ...Option) (*LiveClient, error) {
-	o := buildOptions(opts)
-	if o.retry != nil {
-		cfg.Retry = o.retry
-	}
-	if o.window > 0 {
-		cfg.UploadWindow = o.window
-	}
-	if o.tracer != nil {
-		cfg.Tracer = o.tracer
-	}
-	ctx, cancel := o.withDeadline(ctx)
-	defer cancel()
+// failures under cfg.Retry until ctx is done. cfg.UploadWindow sets the
+// streaming upload's in-flight window and cfg.Tracer records the client's
+// request spans. Unreachable masters surface errors wrapping ErrMasterDown.
+func DialLive(ctx context.Context, cfg LiveConfig) (*LiveClient, error) {
 	return mobile.DialContext(ctx, cfg)
 }
 
@@ -519,7 +439,7 @@ func SingleDefaults(model ModelName) SingleConfig { return edgesim.DefaultSingle
 
 // Re-exported distributed-tracing types (internal/obs/tracing). City runs
 // record spans when CityConfig.RecordSpans is set (CityResult.Spans); live
-// clients record through WithTracer / LiveConfig.Tracer.
+// clients record through LiveConfig.Tracer.
 type (
 	// Tracer records request-scoped spans; nil is a valid disabled tracer.
 	Tracer = tracing.Tracer

@@ -103,7 +103,7 @@ func TestFacadeCityFlow(t *testing.T) {
 	}
 	cfg := perdnn.CityDefaults(perdnn.ModelMobileNet, perdnn.ModePerDNN, 100)
 	cfg.MaxSteps = 30
-	res, err := perdnn.RunCity(env, cfg)
+	res, err := perdnn.RunCityContext(context.Background(), env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFacadeCityFlow(t *testing.T) {
 	// The tracing surface: RecordSpans yields a validating span journal
 	// that serializes to JSONL and Perfetto through the facade.
 	cfg.RecordSpans = true
-	res, err = perdnn.RunCity(env, cfg)
+	res, err = perdnn.RunCityContext(context.Background(), env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,16 +284,17 @@ func TestFacadeSentinels(t *testing.T) {
 	retry := perdnn.DefaultRetryPolicy()
 	retry.MaxAttempts = 2
 	retry.BaseDelay = time.Millisecond
-	_, err = perdnn.DialLive(context.Background(),
-		perdnn.LiveConfig{ID: 1, Model: perdnn.ModelMobileNet, MasterAddr: addr},
-		perdnn.WithRetryPolicy(retry), perdnn.WithDeadline(10*time.Second))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err = perdnn.DialLive(ctx,
+		perdnn.LiveConfig{ID: 1, Model: perdnn.ModelMobileNet, MasterAddr: addr, Retry: &retry})
 	if !errors.Is(err, perdnn.ErrMasterDown) || !errors.Is(err, perdnn.ErrRetryBudgetExhausted) {
 		t.Errorf("DialLive err = %v, want ErrMasterDown and ErrRetryBudgetExhausted", err)
 	}
 }
 
-// TestFacadeFaultyCity: WithFaults flows into the run and churn shows up
-// in the result; WithDeadline + a canceled context abort cleanly.
+// TestFacadeFaultyCity: cfg.Faults flows into the run and churn shows up
+// in the result; a canceled context aborts cleanly.
 func TestFacadeFaultyCity(t *testing.T) {
 	base, err := perdnn.GenerateKAIST()
 	if err != nil {
@@ -305,9 +306,8 @@ func TestFacadeFaultyCity(t *testing.T) {
 	}
 	cfg := perdnn.CityDefaults(perdnn.ModelMobileNet, perdnn.ModePerDNN, 100)
 	cfg.MaxSteps = 30
-	res, err := perdnn.RunCityContext(context.Background(), env, cfg,
-		perdnn.WithFaults(perdnn.FaultModel{Seed: 3, ServerOutageProb: 0.1, OutageIntervals: 2}),
-		perdnn.WithDeadline(5*time.Minute))
+	cfg.Faults = &perdnn.FaultModel{Seed: 3, ServerOutageProb: 0.1, OutageIntervals: 2}
+	res, err := perdnn.RunCityContext(context.Background(), env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
