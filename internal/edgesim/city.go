@@ -366,6 +366,10 @@ type simClient struct {
 	split      partition.Split // decomposition of the current assignment
 	local      bool            // degraded to client-local execution
 	chain      *queryChain     // the live generation's query chain
+	// cold is the entry's cold-start split table when this generation
+	// started with nothing on the server (see world.coldSplits): after k
+	// uploaded units the split is cold[k]. Nil otherwise.
+	cold []partition.Split
 
 	// upTrace/upPlan are the current handoff's trace and its plan span:
 	// the upload.unit spans of the session parent under them (zero when
@@ -411,11 +415,14 @@ type world struct {
 	cliNames []string
 	faults   *faultState // nil unless cfg.Faults is set
 	srvDown  []bool      // per-server outage state, updated at tick time
-	// seenPlans tracks run-local plan novelty for the plan_cache_miss
-	// event: the process-wide cache's hit state depends on concurrent
-	// runs, so the journal records "first use within this run" instead,
-	// which is deterministic at every worker count.
-	seenPlans map[*core.PlanEntry]bool
+	// seenPlans holds every plan entry this run has used, with its
+	// cold-start split table (nil until a client starts cold on it).
+	// Presence is run-local plan novelty for the plan_cache_miss event:
+	// the process-wide cache's hit state depends on concurrent runs, so
+	// the journal records "first use within this run" instead, which is
+	// deterministic at every worker count. The tick phase writes the map;
+	// the window phase reads tables only through simClient.cold.
+	seenPlans map[*core.PlanEntry][]partition.Split
 }
 
 // shardOf returns the shard owning server id's region.
@@ -442,6 +449,27 @@ func (w *world) splitFor(c *simClient) partition.Split {
 		}
 	}
 	return partition.Decompose(w.prof, loc)
+}
+
+// coldSplits returns the split table of the client's plan entry for a
+// connection that starts with nothing on the server: entry k is splitFor
+// after the first k units of c.pending are uploaded. The upload queue of a
+// cold start is every non-empty schedule unit, so the table is a pure
+// function of the entry, built by the first cold start that uses it.
+// Tick phase only, with c.curSet empty; it leaves c.curSet empty.
+func (w *world) coldSplits(c *simClient) []partition.Split {
+	if cold := w.seenPlans[c.entry]; cold != nil {
+		return cold
+	}
+	cold := make([]partition.Split, len(c.pending)+1)
+	cold[0] = w.splitFor(c)
+	for k, chunk := range c.pending {
+		c.curSet.AddAll(chunk)
+		cold[k+1] = w.splitFor(c)
+	}
+	c.curSet.Reset(w.model.NumLayers())
+	w.seenPlans[c.entry] = cold
+	return cold
 }
 
 // nodeMaster is the span track for control-plane work (planning), which
@@ -479,10 +507,10 @@ func (w *world) event(now time.Duration, t obs.EventType, client int, server, ta
 // plan_cache_miss count and journal event. Tick phase only: seenPlans is
 // not synchronized.
 func (w *world) trackPlan(now time.Duration, entry *core.PlanEntry, client int, sid geo.ServerID) {
-	if w.seenPlans[entry] {
+	if _, ok := w.seenPlans[entry]; ok {
 		return
 	}
-	w.seenPlans[entry] = true
+	w.seenPlans[entry] = nil
 	w.planMisses++
 	w.event(now, obs.EventPlanCacheMiss, client, sid, geo.NoServer,
 		len(entry.Plan.ServerLayers()), entry.Plan.ServerBytes())
@@ -613,7 +641,7 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 		planner:   planner,
 		servers:   make([]*simServer, env.Placement.Len()),
 		clients:   make([]*simClient, 0, len(env.Dataset.Test)),
-		seenPlans: make(map[*core.PlanEntry]bool),
+		seenPlans: make(map[*core.PlanEntry][]partition.Split),
 		res: &CityResult{
 			Model:   cfg.Model,
 			Mode:    cfg.Mode,
@@ -840,7 +868,7 @@ func (w *world) localFallback(now time.Duration, c *simClient, down geo.ServerID
 	c.entry = nil
 	c.pending, c.nextUnit = c.pending[:0], 0
 	c.curSet.Reset(w.model.NumLayers())
-	c.split = partition.Split{}
+	c.split, c.cold = partition.Split{}, nil
 	w.res.LocalFallbacks++
 	w.event(now, obs.EventLocalFallback, c.id, down, geo.NoServer, 0, 0)
 	w.instant(now, tracing.StageFailover, w.clientNode(c.id))
@@ -912,6 +940,7 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 	planLayers := entry.Plan.ServerLayers()
 
 	c.curSet.Reset(w.model.NumLayers())
+	cold := false // nothing of ours on the server: upload from scratch
 	switch w.cfg.Mode {
 	case ModeOptimal:
 		c.curSet.AddAll(planLayers)
@@ -919,6 +948,7 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 	case ModeIONN, ModeRouting:
 		// From scratch: the baseline never reuses cached layers, and a
 		// routing client only ever uploads once (to its home).
+		cold = true
 		w.res.Misses++
 		w.event(now, obs.EventColdStart, c.id, sid, geo.NoServer, len(planLayers), 0)
 		c.home = sid
@@ -933,6 +963,7 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 				}
 			}
 		}
+		cold = have == 0
 		switch {
 		case len(planLayers) == 0 || have == len(planLayers):
 			w.res.Hits++
@@ -963,7 +994,12 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 			c.pending = append(c.pending, ids[from:len(ids):len(ids)])
 		}
 	}
-	c.split = w.splitFor(c)
+	if cold {
+		c.cold = w.coldSplits(c)
+		c.split = c.cold[0]
+	} else {
+		c.split, c.cold = w.splitFor(c), nil
+	}
 
 	w.uploadNext(c, c.gen)
 	w.issueQuery(c)
@@ -1005,7 +1041,11 @@ func (w *world) uploadNext(c *simClient, gen int) {
 			w.clientNode(c.id), start, sh.eng.Now())
 		w.servers[sid].store.add(sh.eng.Now(), w.storeKey(c.id), chunk, w.ttl())
 		c.curSet.AddAll(chunk)
-		c.split = w.splitFor(c)
+		if c.cold != nil {
+			c.split = c.cold[c.nextUnit]
+		} else {
+			c.split = w.splitFor(c)
+		}
 		w.uploadNext(c, gen)
 	})
 }

@@ -20,6 +20,10 @@ const (
 	latHistGrowth  = 1.018
 )
 
+// logLatHistGrowth is math.Log(latHistGrowth), taken once: latBucket runs
+// per completed query and divides by it.
+var logLatHistGrowth = math.Log(latHistGrowth)
+
 // NewLatencyHist returns an empty histogram.
 func NewLatencyHist() *LatencyHist {
 	return &LatencyHist{counts: make([]int64, latHistBuckets)}
@@ -29,7 +33,7 @@ func latBucket(d time.Duration) int {
 	if d <= latHistMin {
 		return 0
 	}
-	b := int(math.Log(float64(d)/float64(latHistMin)) / math.Log(latHistGrowth))
+	b := int(math.Log(float64(d)/float64(latHistMin)) / logLatHistGrowth)
 	if b >= latHistBuckets {
 		return latHistBuckets - 1
 	}

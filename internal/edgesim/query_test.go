@@ -1,6 +1,7 @@
 package edgesim
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -104,5 +105,57 @@ func TestOldGenerationQueryFinishesOnOldShard(t *testing.T) {
 	newSh.step(shardStep{until: time.Minute})
 	if newSh.totalQueries < 2 {
 		t.Errorf("new shard counted %d queries in a minute, want a running chain", newSh.totalQueries)
+	}
+}
+
+// TestColdSplitsMatchDecompose holds every cold-start split table a short
+// run builds to what splitFor computes from the plan entry: row k is the
+// split with the entry's first k non-empty schedule units on the server.
+func TestColdSplitsMatchDecompose(t *testing.T) {
+	env := smallEnv(t)
+	for _, mode := range []Mode{ModePerDNN, ModeIONN} {
+		for _, model := range []dnn.ModelName{dnn.ModelMobileNet, dnn.ModelResNet} {
+			cfg := DefaultCityConfig(model, mode, 100)
+			cfg.MaxSteps = 20
+			w, steps, err := newWorld(env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.runShards(context.Background(), steps); err != nil {
+				t.Fatal(err)
+			}
+			probe := &simClient{sh: w.shards[0]}
+			tables := 0
+			for entry, cold := range w.seenPlans {
+				if cold == nil {
+					continue
+				}
+				tables++
+				probe.curSet.Reset(w.model.NumLayers())
+				k := 0
+				check := func() {
+					if k >= len(cold) {
+						t.Fatalf("%s %v: table has %d rows, the schedule more non-empty units", model, mode, len(cold))
+					}
+					if want := w.splitFor(probe); cold[k] != want {
+						t.Errorf("%s %v: row %d = %+v, splitFor %+v", model, mode, k, cold[k], want)
+					}
+					k++
+				}
+				check()
+				for _, u := range entry.Schedule {
+					if len(u.Layers) > 0 {
+						probe.curSet.AddAll(u.Layers)
+						check()
+					}
+				}
+				if k != len(cold) {
+					t.Errorf("%s %v: table has %d rows, want %d", model, mode, len(cold), k)
+				}
+			}
+			if tables == 0 {
+				t.Errorf("%s %v: no connection started cold", model, mode)
+			}
+		}
 	}
 }

@@ -326,3 +326,32 @@ func TestPlacementSearchAllocs(t *testing.T) {
 		t.Errorf("Nearest allocates %.0f times, budget 1", n)
 	}
 }
+
+// TestWithinMatchesBruteForce holds Within's ring bound to a full scan over
+// a Geolife-sized placement (about 3,900 servers on 50 m cells): the same
+// IDs in the same order, at radii from zero to past four rings, for random
+// points and for points on cell corners, where a point is farthest from
+// its own center.
+func TestWithinMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	grid := NewHexGrid(50)
+	pts := make([]Point, 0, 4000)
+	for i := 0; i < 4000; i++ {
+		pts = append(pts, Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000})
+	}
+	pl := NewPlacement(grid, pts)
+	probes := make([]Point, 0, 900)
+	for i := 0; i < 300; i++ {
+		probes = append(probes, Point{X: rng.Float64()*8400 - 200, Y: rng.Float64()*8400 - 200})
+		c := grid.Center(grid.CellAt(pts[rng.Intn(len(pts))]))
+		a := math.Pi/6 + float64(rng.Intn(6))*math.Pi/3
+		probes = append(probes, c, Point{X: c.X + grid.Radius*math.Cos(a), Y: c.Y + grid.Radius*math.Sin(a)})
+	}
+	for _, p := range probes {
+		for _, radius := range []float64{0, 25, 50, 75, 100, 150, 217} {
+			if got, want := pl.Within(p, radius), bruteWithin(pl, p, radius); !slices.Equal(got, want) {
+				t.Fatalf("Within(%v, %v) = %v, full scan %v", p, radius, got, want)
+			}
+		}
+	}
+}

@@ -178,7 +178,10 @@ func (pl *Placement) Nearest(p Point, k int) []ServerID {
 // (50 m or 100 m) from the predicted location".
 func (pl *Placement) Within(p Point, radius float64) []ServerID {
 	center := pl.grid.CellAt(p)
-	maxRing := int((radius+2*pl.grid.Radius)/(1.5*pl.grid.Radius)) + 1
+	// A ring-r center is at least (1.5r - 1)R from any point in the center
+	// cell (the bound Nearest stops on), so no ring past this one can hold
+	// a server within radius.
+	maxRing := int((radius + pl.grid.Radius) / (1.5 * pl.grid.Radius))
 	var buf [32]cand
 	cands := buf[:0]
 	for r := 0; r <= maxRing; r++ {

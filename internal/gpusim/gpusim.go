@@ -103,10 +103,12 @@ type GPU struct {
 	params Params
 
 	mu sync.Mutex
-	// rng is built from seed at the first draw (randLocked): a city run
-	// never samples half its servers, and seeding costs 607 words each.
+	// rng wraps src from the first draw on (randLocked). src is
+	// math/rand's stream for the GPU's seed, but computes its words as
+	// draws ask for them: most of a city run's GPUs draw a handful of
+	// numbers, and a new src costs one struct, not a seeded register.
 	rng      *rand.Rand
-	seed     int64
+	src      source
 	inflight int
 	// activity[i] is the instantaneous GPU activity of in-flight client i;
 	// resampled as clients come and go.
@@ -118,20 +120,21 @@ type GPU struct {
 // New returns a GPU backed by the given contention-free device profile.
 // The seed makes all stochastic behaviour reproducible.
 func New(dev profile.Device, params Params, seed int64) *GPU {
-	return &GPU{
+	g := &GPU{
 		dev:      dev,
 		params:   params,
-		seed:     seed,
 		activity: make([]float64, 0, 8),
 		temp:     params.IdleTempC,
 	}
+	g.src.Seed(seed)
+	return g
 }
 
-// randLocked returns the GPU's random stream, seeding it on first use.
-// Callers must hold g.mu.
+// randLocked returns the GPU's random stream, the one
+// rand.New(rand.NewSource(seed)) would return. Callers must hold g.mu.
 func (g *GPU) randLocked() *rand.Rand {
 	if g.rng == nil {
-		g.rng = rand.New(rand.NewSource(g.seed))
+		g.rng = rand.New(&g.src)
 	}
 	return g.rng
 }

@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -78,3 +79,55 @@ func TestNewSeedsNothing(t *testing.T) {
 }
 
 var sinkGPU *GPU
+
+// TestSourceMatchesMathRand holds source to rand.NewSource's stream, draw
+// for draw, through the rngTap draws it computes from two seed words, the
+// materialization, and well past it. The seeds cover the reduction modulo
+// 2³¹−1: zero, negative, the modulus itself (which reduces to zero) and
+// values above it.
+func TestSourceMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, -5, 3863, 1<<31 - 1, 1 << 31, 1 << 40} {
+		var src source
+		src.Seed(seed)
+		got, want := rand.New(&src), rand.New(rand.NewSource(seed))
+		for i := 0; i < 2400; i++ {
+			var g, w any
+			switch i % 4 {
+			case 0:
+				g, w = got.Float64(), want.Float64()
+			case 1:
+				g, w = got.NormFloat64(), want.NormFloat64()
+			case 2:
+				g, w = got.Int63n(1000003), want.Int63n(1000003)
+			case 3:
+				g, w = got.Uint64(), want.Uint64()
+			}
+			if g != w {
+				t.Fatalf("seed %d draw %d: source %v, math/rand %v", seed, i, g, w)
+			}
+		}
+	}
+}
+
+// TestFirstSampleAllocs holds a new GPU's first draw to the rand.Rand that
+// wraps its source: the stream itself is computed, not seeded.
+func TestFirstSampleAllocs(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
+	}
+	dev, params := profile.ServerTitanXp(), DefaultParams()
+	gpus := make([]*GPU, 101)
+	for i := range gpus {
+		gpus[i] = New(dev, params, int64(i))
+	}
+	i := 0
+	n := testing.AllocsPerRun(100, func() {
+		sinkStats = gpus[i].Sample(time.Second)
+		i++
+	})
+	if n > 1 {
+		t.Errorf("a new GPU's first Sample allocates %.0f times, budget 1", n)
+	}
+}
+
+var sinkStats Stats
