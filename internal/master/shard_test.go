@@ -243,12 +243,12 @@ func TestShardHandoffLive(t *testing.T) {
 	// span roots it and the adopter's span parents to the sender's.
 	var sent, adopted []tracing.Span
 	for _, s := range mA.Tracer().Spans()[spansBeforeA:] {
-		if s.Stage == tracing.StageHandoff {
+		if s.Stage == tracing.StageShardHandoff {
 			sent = append(sent, s)
 		}
 	}
 	for _, s := range mB.Tracer().Spans()[spansBeforeB:] {
-		if s.Stage == tracing.StageHandoff {
+		if s.Stage == tracing.StageShardHandoff {
 			adopted = append(adopted, s)
 		}
 	}

@@ -285,7 +285,7 @@ func (c *Client) switchMaster(ctx context.Context, addr string) error {
 	c.master = conn
 	c.cfg.MasterAddr = addr
 	c.met.Counter("master_handoffs_total").Inc()
-	c.tr.Record(c.tr.NewTrace(), 0, tracing.StageHandoff, c.node, start, c.tr.Now())
+	c.tr.Record(c.tr.NewTrace(), 0, tracing.StageShardHandoff, c.node, start, c.tr.Now())
 	c.log.Info("re-homed to shard master", "addr", addr)
 	return nil
 }
@@ -788,7 +788,7 @@ func (c *Client) localFallback(sp partition.Split, cause error) (time.Duration, 
 	c.queries.Inc()
 	c.queryLatency.ObserveDuration(total)
 	fbNow := c.tr.Now()
-	c.tr.Record(c.tr.NewTrace(), 0, tracing.StageFailover, c.node, fbNow, fbNow)
+	c.tr.Record(c.tr.NewTrace(), 0, tracing.StageLocalFallback, c.node, fbNow, fbNow)
 	c.log.Warn("query degraded to local execution", "err", cause)
 	return total, fmt.Errorf("mobile: query: %w: %w", core.ErrLocalFallback, cause)
 }
