@@ -48,7 +48,6 @@ import (
 	"perdnn/internal/core"
 	"perdnn/internal/dnn"
 	"perdnn/internal/edgesim"
-	"perdnn/internal/obs"
 	"perdnn/internal/obs/tracing"
 	"perdnn/internal/partition"
 	"perdnn/internal/trace"
@@ -233,7 +232,7 @@ func writeEvents(path string, outs []edgesim.SweepOutcome) error {
 		for i := range events {
 			events[i] = events[i].WithRun(label)
 		}
-		if err := obs.WriteJSONL(f, events); err != nil {
+		if err := edgesim.WriteEvents(f, events); err != nil {
 			_ = f.Close()
 			return err
 		}

@@ -508,6 +508,9 @@ func (s *Server) migrate(ctx context.Context, m *wire.Migrate, rc tracing.SpanCo
 	if resp.Ack == nil || !resp.Ack.OK {
 		return 0, fmt.Errorf("edged: peer %s rejected migration", m.PeerAddr)
 	}
-	s.tr.RecordWith(trace, span, parent, tracing.StageMigrate, s.node, start, s.tr.Now())
+	// An edge knows its peer by address only: the target's ID is on the
+	// master's order span this push is parented to.
+	s.tr.RecordWithAttrs(trace, span, parent, tracing.StageMigrate, s.node, start, s.tr.Now(),
+		tracing.NewAttrs(m.ClientID, tracing.NoID, tracing.NoID, len(send), bytes))
 	return len(send), nil
 }

@@ -1,57 +1,92 @@
 package edgesim
 
 import (
+	"cmp"
+	"encoding/json"
+	"fmt"
+	"io"
 	"sort"
+	"time"
 
-	"perdnn/internal/obs"
 	"perdnn/internal/obs/tracing"
 )
 
 // This file defines the canonical order of a run's journals: the merge
 // rule that makes sharded output byte-identical to unsharded output.
 //
-// A sharded run records events and spans from several engines interleaved
-// through one shared journal/tracer, so record order (and the tracer's
-// allocation order for trace/span IDs) depends on goroutine scheduling.
-// What does NOT depend on scheduling is the content: the barrier protocol
-// makes every event's fields — virtual timestamps included — a pure
-// function of the configuration. Canonicalization therefore discards
-// order and identity and rebuilds both from content: events are sorted by
-// their full field tuple, and traces are re-ordered by their span content
-// with trace/span IDs renumbered sequentially in that order (parent links
-// remapped). Applying the same pass to the single-shard run yields the
-// same bytes.
+// A run records every fact once, as a span into one tracer: the query
+// stages, the plan and upload spans, and the decision instants (handoffs,
+// cache hits and misses, migrations, outages, failovers). A sharded run
+// records them from several engines interleaved, so record order (and the
+// tracer's allocation order for trace/span IDs) depends on goroutine
+// scheduling. What does NOT depend on scheduling is the content: the
+// barrier protocol makes every span's fields — virtual timestamps and
+// attributes included — a pure function of the configuration.
+// Canonicalization therefore discards order and identity and rebuilds both
+// from content: traces are re-ordered by their span content with trace/span
+// IDs renumbered sequentially in that order (parent links remapped), and
+// the event journal is the decision instants stripped of identity and
+// sorted by the same span comparator. Applying the same pass to the
+// single-shard run yields the same bytes.
 
-// canonicalEvents sorts a journal into canonical order (in place; the
-// slice is returned for convenience). The sort key is the entire event,
-// so any two journals holding the same multiset of events serialize
-// identically.
-func canonicalEvents(events []obs.Event) []obs.Event {
-	sort.Slice(events, func(i, j int) bool {
-		return eventCmp(&events[i], &events[j]) < 0
-	})
-	return events
+// isDecision reports whether a stage is one of the simulator's decision
+// instants: the facts the -events journal lists.
+func isDecision(s tracing.Stage) bool {
+	switch s {
+	case tracing.StageHandoff, tracing.StageColdStart, tracing.StagePartialHit,
+		tracing.StagePlanCacheMiss, tracing.StageMigrationOrdered,
+		tracing.StageMigrationCompleted, tracing.StageFractionTruncated,
+		tracing.StageServerDown, tracing.StageServerUp,
+		tracing.StageFailover, tracing.StageLocalFallback:
+		return true
+	}
+	return false
 }
 
-func eventCmp(a, b *obs.Event) int {
-	switch {
-	case a.T != b.T:
-		return cmpDur(a.T, b.T)
-	case a.Type != b.Type:
-		return cmpStr(string(a.Type), string(b.Type))
-	case a.Client != b.Client:
-		return a.Client - b.Client
-	case a.Server != b.Server:
-		return a.Server - b.Server
-	case a.Target != b.Target:
-		return a.Target - b.Target
-	case a.Layers != b.Layers:
-		return a.Layers - b.Layers
-	case a.Bytes != b.Bytes:
-		return cmpI64(a.Bytes, b.Bytes)
-	default:
-		return cmpStr(a.Run, b.Run)
+// decisionEvents projects a run's records onto its event journal: the
+// decision instants, without the trace, span, parent and track the journal
+// does not name, sorted by spanCmp — for them (time, stage, attributes,
+// run). Any two runs holding the same multiset of decisions yield the same
+// journal.
+func decisionEvents(recs []tracing.Span) []tracing.Span {
+	var out []tracing.Span
+	for _, s := range recs {
+		if !isDecision(s.Stage) {
+			continue
+		}
+		s.Trace, s.ID, s.Parent, s.Node = 0, 0, 0, ""
+		out = append(out, s)
 	}
+	sort.Slice(out, func(i, j int) bool { return spanCmp(&out[i], &out[j]) < 0 })
+	return out
+}
+
+// eventLine is one line of the -events journal. Server and Target always
+// serialize, -1 meaning none, since 0 is a valid server; Client, Layers
+// and Bytes are omitted when zero.
+type eventLine struct {
+	T      time.Duration `json:"t_ns"`
+	Type   tracing.Stage `json:"type"`
+	Run    string        `json:"run,omitempty"`
+	Client int           `json:"client,omitempty"`
+	Server int           `json:"server"`
+	Target int           `json:"target"`
+	Layers int           `json:"layers,omitempty"`
+	Bytes  int64         `json:"bytes,omitempty"`
+}
+
+// WriteEvents writes an event journal (CityResult.Events) as JSONL: one
+// compact object per decision instant, in slice order, its type the
+// instant's stage. Identical slices produce byte-identical output.
+func WriteEvents(w io.Writer, events []tracing.Span) error {
+	enc := json.NewEncoder(w)
+	for i := range events {
+		e, a := &events[i], &events[i].Attrs
+		if err := enc.Encode(eventLine{e.Start, e.Stage, e.Run, a.Client, a.Server, a.Target, a.Layers, a.Bytes}); err != nil {
+			return fmt.Errorf("edgesim: encoding event %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // canonicalSpans rewrites a span journal into canonical order: spans are
@@ -103,7 +138,9 @@ func canonicalSpans(spans []tracing.Span) []tracing.Span {
 
 // spanCmp orders spans by content only — never by recorded IDs, which
 // depend on scheduling. Roots (spans recorded without a parent) sort
-// before children so a trace always leads with its root.
+// before children so a trace always leads with its root. The attributes
+// break ties between instants that share time, stage and track, such as
+// two migrations ordered from one server at one tick.
 func spanCmp(a, b *tracing.Span) int {
 	ar, br := 0, 0
 	if a.Parent != 0 {
@@ -116,15 +153,37 @@ func spanCmp(a, b *tracing.Span) int {
 	case ar != br:
 		return ar - br
 	case a.Start != b.Start:
-		return cmpDur(a.Start, b.Start)
+		return cmp.Compare(a.Start, b.Start)
 	case a.End != b.End:
-		return cmpDur(a.End, b.End)
+		return cmp.Compare(a.End, b.End)
 	case a.Stage != b.Stage:
-		return cmpStr(string(a.Stage), string(b.Stage))
+		return cmp.Compare(a.Stage, b.Stage)
 	case a.Node != b.Node:
-		return cmpStr(a.Node, b.Node)
+		return cmp.Compare(a.Node, b.Node)
+	case a.Attrs != b.Attrs:
+		return attrCmp(&a.Attrs, &b.Attrs)
 	default:
-		return cmpStr(a.Run, b.Run)
+		return cmp.Compare(a.Run, b.Run)
+	}
+}
+
+// attrCmp orders attribute blocks field by field, in serialization order.
+func attrCmp(a, b *tracing.Attrs) int {
+	switch {
+	case a.Client != b.Client:
+		return cmp.Compare(a.Client, b.Client)
+	case a.Server != b.Server:
+		return cmp.Compare(a.Server, b.Server)
+	case a.Target != b.Target:
+		return cmp.Compare(a.Target, b.Target)
+	case a.Layers != b.Layers:
+		return cmp.Compare(a.Layers, b.Layers)
+	case a.Bytes != b.Bytes:
+		return cmp.Compare(a.Bytes, b.Bytes)
+	case a.Hops != b.Hops:
+		return cmp.Compare(a.Hops, b.Hops)
+	default:
+		return cmp.Compare(a.EstLatency, b.EstLatency)
 	}
 }
 
@@ -138,28 +197,4 @@ func traceCmp(a, b []tracing.Span) int {
 		}
 	}
 	return len(a) - len(b)
-}
-
-func cmpDur[T ~int64](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpI64(a, b int64) int { return cmpDur(a, b) }
-
-func cmpStr(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }

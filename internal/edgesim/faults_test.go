@@ -9,7 +9,7 @@ import (
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/geo"
-	"perdnn/internal/obs"
+	"perdnn/internal/obs/tracing"
 )
 
 // faultyCfg is the canonical faulty PerDNN cell used across these tests:
@@ -28,10 +28,10 @@ func faultyCfg() CityConfig {
 	return cfg
 }
 
-func countEvents(events []obs.Event, t obs.EventType) int {
+func countEvents(events []tracing.Span, stage tracing.Stage) int {
 	n := 0
 	for _, e := range events {
-		if e.Type == t {
+		if e.Stage == stage {
 			n++
 		}
 	}
@@ -122,10 +122,10 @@ func TestFaultyRunReportsChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := countEvents(res.Events, obs.EventServerDown); n == 0 {
+	if n := countEvents(res.Events, tracing.StageServerDown); n == 0 {
 		t.Error("no server_down events; outage probability too low for the test")
 	}
-	if countEvents(res.Events, obs.EventServerDown) != int(res.Metrics.Counters["server_downs_total"]) {
+	if countEvents(res.Events, tracing.StageServerDown) != int(res.Metrics.Counters["server_downs_total"]) {
 		t.Error("server_down events disagree with server_downs_total")
 	}
 	if res.Failovers+res.LocalFallbacks == 0 {
@@ -137,10 +137,10 @@ func TestFaultyRunReportsChurn(t *testing.T) {
 	if res.LocalFallbacks != int(res.Metrics.Counters["local_fallbacks_total"]) {
 		t.Errorf("LocalFallbacks %d != counter %d", res.LocalFallbacks, res.Metrics.Counters["local_fallbacks_total"])
 	}
-	if countEvents(res.Events, obs.EventFailover) != res.Failovers {
+	if countEvents(res.Events, tracing.StageFailover) != res.Failovers {
 		t.Error("failover events disagree with Failovers")
 	}
-	if countEvents(res.Events, obs.EventLocalFallback) != res.LocalFallbacks {
+	if countEvents(res.Events, tracing.StageLocalFallback) != res.LocalFallbacks {
 		t.Error("local_fallback events disagree with LocalFallbacks")
 	}
 
@@ -148,7 +148,7 @@ func TestFaultyRunReportsChurn(t *testing.T) {
 		t.Errorf("fault-free run reports churn: %d failovers, %d fallbacks",
 			baseline.Failovers, baseline.LocalFallbacks)
 	}
-	if countEvents(baseline.Events, obs.EventServerDown) != 0 {
+	if countEvents(baseline.Events, tracing.StageServerDown) != 0 {
 		t.Error("fault-free run has server_down events")
 	}
 	if res.P95() < baseline.P95() {
@@ -170,7 +170,7 @@ func faultSweepJournal(t *testing.T, env *Env, workers int) []byte {
 	}
 	var buf bytes.Buffer
 	for _, o := range outs {
-		if err := obs.WriteJSONL(&buf, o.Result.Events); err != nil {
+		if err := WriteEvents(&buf, o.Result.Events); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"perdnn/internal/dnn"
-	"perdnn/internal/obs"
 )
 
 // cityLedger is everything a city run counts: the result's counters, the
@@ -25,7 +24,7 @@ type cityLedger struct {
 func ledgerOf(t *testing.T, res *CityResult) cityLedger {
 	t.Helper()
 	h := sha256.New()
-	if err := obs.WriteJSONL(h, res.Events); err != nil {
+	if err := WriteEvents(h, res.Events); err != nil {
 		t.Fatal(err)
 	}
 	return cityLedger{

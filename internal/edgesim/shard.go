@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"perdnn/internal/obs"
 	"perdnn/internal/partition"
 )
 
@@ -24,14 +23,12 @@ type simShard struct {
 	// Window-phase ledger: every fact a shard records while its window
 	// runs lands here, in plain fields no other shard touches, and is
 	// merged after the final barrier (world.freeze). The merged totals are
-	// order-free sums and the events a multiset that canonicalEvents
-	// orders, so they are identical at every shard count.
+	// order-free sums, so they are identical at every shard count.
 	totalQueries  int
 	windowQueries int
 	sumLatency    time.Duration
 	latency       *LatencyHist
 	migCompleted  int
-	events        []obs.Event // migration_completed; nil unless RecordEvents
 
 	// locBuf is the shard-local location scratch splitFor decomposes
 	// through, so the hot upload/query loop allocates nothing (the PR 5

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"perdnn/internal/dnn"
-	"perdnn/internal/obs"
 	"perdnn/internal/obs/tracing"
 	"perdnn/internal/trace"
 )
@@ -41,7 +40,7 @@ func runJournals(t *testing.T, env *Env, cfg CityConfig, shards int) (*CityResul
 		t.Fatal(err)
 	}
 	var ev, sp bytes.Buffer
-	if err := obs.WriteJSONL(&ev, res.Events); err != nil {
+	if err := WriteEvents(&ev, res.Events); err != nil {
 		t.Fatal(err)
 	}
 	if err := tracing.WriteJSONL(&sp, res.Spans); err != nil {
@@ -123,7 +122,7 @@ func TestShardedSweepDeterministic(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		for _, o := range outs {
-			if err := obs.WriteJSONL(&buf, o.Result.Events); err != nil {
+			if err := WriteEvents(&buf, o.Result.Events); err != nil {
 				t.Fatal(err)
 			}
 			if err := tracing.WriteJSONL(&buf, o.Result.Spans); err != nil {
@@ -191,8 +190,8 @@ var benchEnvOnce = sync.OnceValues(func() (*Env, error) {
 })
 
 // BenchmarkShardedCity measures one large city run at several shard
-// counts; the 4-shard case against the 1-shard baseline is the PR's
-// speedup gate (recorded in BENCH_PR10.json).
+// counts; the 4-shard case against the 1-shard baseline is the sharding
+// speedup (EXPERIMENTS.md "Region-sharded city runs").
 func BenchmarkShardedCity(b *testing.B) {
 	env, err := benchEnvOnce()
 	if err != nil {

@@ -104,7 +104,7 @@ func TestSpansNestAndTileLatency(t *testing.T) {
 	queries := 0
 	for id, a := range traces {
 		if a.root == nil {
-			continue // handoff / migrate / failover traces
+			continue // plan, migration and decision-instant traces
 		}
 		queries++
 		if got, want := a.children, int64(a.root.Duration()); got != want {

@@ -41,21 +41,11 @@ func TestEnvMutate(t *testing.T) {
 }
 
 func TestObsJournal(t *testing.T) {
-	RunFixture(t, fixtureRoot, ObsJournal, "obsuser")
+	RunFixture(t, fixtureRoot, ObsJournal, "attruser")
 }
 
 func TestObsJournalSpans(t *testing.T) {
 	RunFixture(t, fixtureRoot, ObsJournal, "spanuser")
-}
-
-func TestFacadeOpts(t *testing.T) {
-	RunFixture(t, fixtureRoot, FacadeOpts, "perdnn")
-}
-
-func TestFacadeOptsIgnoresOtherPackages(t *testing.T) {
-	// The notsim fixture is not the facade package, so the analyzer stays
-	// silent regardless of its signatures.
-	RunFixture(t, fixtureRoot, FacadeOpts, "notsim")
 }
 
 func TestLockHygiene(t *testing.T) {
@@ -76,8 +66,8 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 			t.Fatalf("Lookup(%q) does not round-trip", a.Name)
 		}
 	}
-	if len(names) < 7 {
-		t.Fatalf("suite has %d analyzers, want >= 7", len(names))
+	if len(names) < 6 {
+		t.Fatalf("suite has %d analyzers, want >= 6", len(names))
 	}
 	if Lookup("nope") != nil {
 		t.Fatal("Lookup of unknown name should be nil")
@@ -125,7 +115,7 @@ func TestFixturesFailWithoutAnalyzer(t *testing.T) {
 		Run:  func(*Pass) error { return nil },
 	}
 	fixtures := [][]string{
-		{"obsuser"},
+		{"attruser"},
 		{"lockuser"},
 		{"perdnn/internal/mobile"},
 		{"perdnn/internal/edgesim", "perdnn/internal/simdep"},

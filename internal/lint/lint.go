@@ -1,8 +1,8 @@
 // Package lint is perdnn's in-tree static-analysis suite. It enforces the
 // invariants the simulator's headline numbers rest on — bit-for-bit
 // determinism of runs and journals, sentinel-error discipline, context
-// plumbing on the live path, Env immutability, and fixed-field-order
-// journal events — as compile-time checks instead of review lore.
+// plumbing on the live path, Env immutability, and fixed-shape journal
+// spans — as compile-time checks instead of review lore.
 //
 // The suite is deliberately self-contained: it mirrors the shape of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, diagnostics, testdata
@@ -290,7 +290,6 @@ func All() []*Analyzer {
 		CtxFlow,
 		EnvMutate,
 		ObsJournal,
-		FacadeOpts,
 		LockHygiene,
 	}
 }

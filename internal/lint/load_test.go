@@ -66,8 +66,8 @@ func TestLoadSinglePackage(t *testing.T) {
 	if pkg.ImportPath != "perdnn/internal/obs" {
 		t.Fatalf("import path %q", pkg.ImportPath)
 	}
-	if pkg.Types.Scope().Lookup("NewEvent") == nil {
-		t.Fatal("type info missing obs.NewEvent")
+	if pkg.Types.Scope().Lookup("NewRegistry") == nil {
+		t.Fatal("type info missing obs.NewRegistry")
 	}
 	if len(pkg.Info.Uses) == 0 {
 		t.Fatal("no uses recorded; type checking did not run")

@@ -4,27 +4,29 @@ import (
 	"go/ast"
 )
 
-// ObsJournal enforces fixed-shape journal records: outside internal/obs,
-// events must be built with the obs constructors (obs.NewEvent and the
-// Event.WithRun combinator), never as ad-hoc obs.Event composite
-// literals. A keyed literal silently zero-fills omitted fields, and for
-// Server/Target the zero value is a *valid server ID* — the constructors
-// force both to be stated (with -1 meaning "none"), which is what keeps
-// journal lines byte-identical and semantically unambiguous across
-// emission sites. The same rule covers the span journal: outside
+// ObsJournal enforces fixed-shape journal records. Outside
 // internal/obs/tracing, tracing.Span values come only from the Tracer
-// recording methods (Record, RecordWith) and the Span.WithRun combinator,
-// never as ad-hoc literals — a hand-rolled span can skip ID allocation
-// and break the journal's uniqueness and determinism contracts.
-// _test.go files may use literals to state expectations.
+// recording methods (Record, RecordWith and their Attrs forms) and the
+// Span.WithRun combinator, never as ad-hoc literals — a hand-rolled span
+// can skip ID allocation and break the journal's uniqueness and
+// determinism contracts. An attribute block is built with
+// tracing.NewAttrs, never as a literal that sets fields: a keyed literal
+// silently zero-fills omitted fields, and for Server/Target the zero value
+// is a *valid server ID* — the constructor forces both to be stated (with
+// -1 meaning "none"), which keeps the event journal projected from the
+// spans unambiguous. The empty literal is allowed: it is the documented
+// "no attributes" value. _test.go files may use literals to state
+// expectations.
 var ObsJournal = &Analyzer{
 	Name: "obsjournal",
-	Doc:  "journal events and spans are built by obs/tracing constructors, not ad-hoc literals",
+	Doc:  "spans and their attribute blocks are built by tracing constructors, not ad-hoc literals",
 	Run:  runObsJournal,
 }
 
 func runObsJournal(pass *Pass) error {
-	pkg := pass.Pkg.Path()
+	if pass.Pkg.Path() == tracingPath {
+		return nil
+	}
 	for _, file := range pass.Files {
 		if pass.InTestFile(file.Pos()) {
 			continue
@@ -38,13 +40,13 @@ func runObsJournal(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			if pkg != obsPath && isNamed(tv.Type, obsPath, "Event") {
-				pass.Reportf(lit.Pos(),
-					"ad-hoc obs.Event literal: use obs.NewEvent (fixed field order, explicit Server/Target) so omitted fields cannot silently become server 0")
-			}
-			if pkg != tracingPath && isNamed(tv.Type, tracingPath, "Span") {
+			if isNamed(tv.Type, tracingPath, "Span") {
 				pass.Reportf(lit.Pos(),
 					"ad-hoc tracing.Span literal: record spans through Tracer.Record/RecordWith so IDs are allocated and the journal stays deterministic")
+			}
+			if len(lit.Elts) > 0 && isNamed(tv.Type, tracingPath, "Attrs") {
+				pass.Reportf(lit.Pos(),
+					"ad-hoc tracing.Attrs literal: use tracing.NewAttrs (fixed field order, explicit Server/Target) so omitted fields cannot silently become server 0")
 			}
 			return true
 		})

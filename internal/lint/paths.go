@@ -10,9 +10,7 @@ import (
 // encodes. Fixtures stub these packages under the same import paths in
 // testdata/src, so matching is exact, not suffix-based.
 const (
-	facadePath  = "perdnn"
 	corePath    = "perdnn/internal/core"
-	obsPath     = "perdnn/internal/obs"
 	tracingPath = "perdnn/internal/obs/tracing"
 	edgesimPath = "perdnn/internal/edgesim"
 )

@@ -20,8 +20,8 @@ import (
 //     rand.Shuffle, ...): they draw from the process-global source, whose
 //     state depends on every other goroutine; all randomness must flow
 //     from a run-scoped rand.New(rand.NewSource(seed));
-//   - `range` over a map whose body emits journal events or accumulates
-//     obs.Event values: Go map order is deliberately randomized, so
+//   - `range` over a map whose body records spans or accumulates
+//     tracing.Span values: Go map order is deliberately randomized, so
 //     anything journal-bound must iterate a sorted copy of the keys.
 var SimDeterminism = &Analyzer{
 	Name: "simdeterminism",
@@ -144,8 +144,9 @@ func checkGlobalRand(pass *Pass, sel *ast.SelectorExpr) {
 		fn.Name())
 }
 
-// checkJournalMapRange flags `range m` over a map when the loop body emits
-// journal events, because map iteration order would leak into the journal.
+// checkJournalMapRange flags `range m` over a map when the loop body
+// records journal spans, because map iteration order would leak into the
+// journal.
 func checkJournalMapRange(pass *Pass, rng *ast.RangeStmt) {
 	tv, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
@@ -167,7 +168,7 @@ func checkJournalMapRange(pass *Pass, rng *ast.RangeStmt) {
 		if !ok {
 			return true
 		}
-		if emitsJournalEvent(pass.TypesInfo, call) {
+		if recordsJournal(pass.TypesInfo, call) {
 			emit = call
 			return false
 		}
@@ -175,45 +176,33 @@ func checkJournalMapRange(pass *Pass, rng *ast.RangeStmt) {
 	})
 	if emit != nil {
 		pass.Reportf(rng.Pos(),
-			"map iteration order reaches the journal (event emitted in loop body): iterate a sorted copy of the keys")
+			"map iteration order reaches the journal (span recorded in loop body): iterate a sorted copy of the keys")
 	}
 }
 
-// emitsJournalEvent reports whether the call records or constructs a
-// journal event: any call into internal/obs that takes or returns an
-// Event, an append of obs.Event values, or a call to a local emission
-// helper (a function or method named event/emit/record* by convention).
-func emitsJournalEvent(info *types.Info, call *ast.CallExpr) bool {
-	// append(events, obs.Event{...}) or append of anything Event-typed.
+// recordsJournal reports whether the call puts a span on the record: a
+// Tracer recording method (Record, RecordWith and their Attrs forms), an
+// append of tracing.Span values, or a call to a local recording helper
+// (a function or method named emit/record* by convention, such as
+// world.recordDecision in edgesim).
+func recordsJournal(info *types.Info, call *ast.CallExpr) bool {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && len(call.Args) > 0 {
 			if tv, ok := info.Types[call.Args[0]]; ok {
-				if s, ok := tv.Type.Underlying().(*types.Slice); ok && isNamed(s.Elem(), obsPath, "Event") {
+				if s, ok := tv.Type.Underlying().(*types.Slice); ok && isNamed(s.Elem(), tracingPath, "Span") {
 					return true
 				}
 			}
 		}
 	}
-	obj := calleeObject(info, call)
-	fn, ok := obj.(*types.Func)
+	fn, ok := calleeObject(info, call).(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return false
 	}
-	if fn.Pkg().Path() == obsPath {
-		// NewEvent, WithRun, typed constructors — all obs entry points
-		// that put an event on the record.
-		sig := funcSig(fn)
-		if sig.Results().Len() == 1 && isNamed(sig.Results().At(0).Type(), obsPath, "Event") {
-			return true
-		}
-		for i := 0; i < sig.Params().Len(); i++ {
-			if isNamed(sig.Params().At(i).Type(), obsPath, "Event") {
-				return true
-			}
-		}
-		return false
+	name := fn.Name()
+	if recv := funcSig(fn).Recv(); recv != nil && isNamed(recv.Type(), tracingPath, "Tracer") {
+		return strings.HasPrefix(name, "Record")
 	}
-	// Local emission helpers by convention (world.event in edgesim).
-	name := strings.ToLower(fn.Name())
-	return name == "event" || name == "emit" || strings.HasPrefix(name, "record")
+	name = strings.ToLower(name)
+	return name == "emit" || strings.HasPrefix(name, "record")
 }

@@ -8,7 +8,7 @@ import (
 	"sort"
 	"time"
 
-	"perdnn/internal/obs"
+	"perdnn/internal/obs/tracing"
 )
 
 // Env mirrors the real Env's immutability contract for envmutate fixtures.
@@ -18,13 +18,15 @@ type Env struct {
 }
 
 type world struct {
-	events []obs.Event
-	now    time.Duration
+	decisions *tracing.Tracer
+	spans     []tracing.Span
+	now       time.Duration
 }
 
-// event is a journal-emission helper, recognized by name convention.
-func (w *world) event(t obs.EventType, server, target int) {
-	w.events = append(w.events, obs.NewEvent(w.now, t, 0, server, target, 0, 0))
+// recordDecision is a journal-recording helper, recognized by name
+// convention.
+func (w *world) recordDecision(stage tracing.Stage, server, target int) {
+	w.decisions.RecordAttrs(w.decisions.NewTrace(), 0, stage, "", w.now, w.now, tracing.NewAttrs(0, server, target, 0, 0))
 }
 
 func wallClock() time.Duration {
@@ -49,34 +51,38 @@ func seededRand(seed int64, n int) int {
 	return rng.Intn(n)
 }
 
-func emitUnsorted(w *world, caches map[int]int64) {
+func recordUnsorted(w *world, caches map[int]int64) {
 	for id, b := range caches { // want "map iteration order reaches the journal"
-		w.events = append(w.events, obs.NewEvent(w.now, "migration_ordered", 0, id, -1, 0, b))
+		w.decisions.RecordAttrs(1, 0, "migration_ordered", "", w.now, w.now, tracing.NewAttrs(0, id, -1, 0, b))
 	}
 }
 
-func emitViaHelper(w *world, caches map[int]int64) {
+func recordViaHelper(w *world, caches map[int]int64) {
 	for id := range caches { // want "map iteration order reaches the journal"
-		w.event("handoff", id, -1)
+		w.recordDecision("handoff", id, -1)
 	}
 }
 
-func accumulateEvents(caches map[int]int64, now time.Duration) []obs.Event {
-	var out []obs.Event
-	for id, b := range caches { // want "map iteration order reaches the journal"
-		out = append(out, obs.NewEvent(now, "cold_start", 0, id, -1, 0, b))
+func accumulateSpans(w *world, caches map[int]int64) {
+	for _, s := range w.spans { // ok: slice iteration is ordered
+		w.spans = append(w.spans, s)
 	}
-	return out
+	for range caches { // ok: no loop variables, order cannot leak
+		w.spans = append(w.spans, w.spans[0])
+	}
+	for id := range caches { // want "map iteration order reaches the journal"
+		w.spans = append(w.spans, w.spans[id].WithRun("r"))
+	}
 }
 
-func emitSorted(w *world, caches map[int]int64) {
+func recordSorted(w *world, caches map[int]int64) {
 	ids := make([]int, 0, len(caches))
 	for id := range caches { // ok: feeds only the sorted slice below
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for _, id := range ids { // ok: slice iteration is ordered
-		w.event("handoff", id, -1)
+		w.recordDecision("handoff", id, -1)
 	}
 }
 

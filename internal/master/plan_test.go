@@ -12,6 +12,7 @@ import (
 	"perdnn/internal/edged"
 	"perdnn/internal/geo"
 	"perdnn/internal/obs"
+	"perdnn/internal/obs/tracing"
 	"perdnn/internal/partition"
 	"perdnn/internal/wire"
 )
@@ -150,6 +151,62 @@ func TestChainCandidatesAndStatsFanOut(t *testing.T) {
 		if got := e.srv.Metrics().Counter("requests_total").Value(); got != e.want {
 			t.Errorf("%s edge served %d stats requests, want %d", e.name, got, e.want)
 		}
+	}
+}
+
+// TestPlanSpanCarriesDecision: the master's plan span states the decision
+// it answered with — client, requested edge, server-side layers and bytes,
+// the returned plan's hop count and its estimated latency.
+func TestPlanSpanCarriesDecision(t *testing.T) {
+	ctx := context.Background()
+	grid := geo.NewHexGrid(50)
+	_, firstAddr := startEdged(t)
+	_, nearAddr := startEdged(t)
+	cfg := DefaultConfig([]EdgeInfo{
+		{Addr: firstAddr, Location: grid.Center(geo.HexCell{Q: 0, R: 0})},
+		{Addr: nearAddr, Location: grid.Center(geo.HexCell{Q: 1, R: 0})},
+	})
+	cfg.MaxHops = 3
+	cfg.Objective = partition.ObjectiveThroughput
+	cfg.Tracer = tracing.New()
+	m, addr := startMaster(t, cfg)
+	conn, err := wire.DialContext(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // test teardown
+	mustRegister(t, conn, 7)
+	sid := m.Placement().ServerAt(cfg.Edges[0].Location)
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
+		Type:    wire.MsgPlanRequest,
+		PlanReq: &wire.PlanReq{ClientID: 7, Server: sid},
+	})
+	if err != nil || resp.PlanResp == nil {
+		t.Fatalf("plan: %v %+v", err, resp)
+	}
+	plan := resp.PlanResp
+	if len(plan.Chain) != 2 {
+		t.Fatalf("chain of %d hops, want 2", len(plan.Chain))
+	}
+	var spans []tracing.Span
+	for _, s := range m.Tracer().Spans() {
+		if s.Stage == tracing.StagePlan {
+			spans = append(spans, s)
+		}
+	}
+	if len(spans) != 1 {
+		t.Fatalf("%d plan spans, want 1", len(spans))
+	}
+	a := spans[0].Attrs
+	if a.Client != 7 || a.Server != int(sid) || a.Target != tracing.NoID {
+		t.Errorf("plan span names client %d, edge %d, target %d; want 7, %d, -1", a.Client, a.Server, a.Target, sid)
+	}
+	if a.Layers != len(plan.ServerLayers) || a.Bytes <= 0 {
+		t.Errorf("plan span carries %d layers / %d bytes, plan has %d server layers", a.Layers, a.Bytes, len(plan.ServerLayers))
+	}
+	if a.Hops != len(plan.Chain) || a.EstLatency != time.Duration(plan.EstLatencyNs) {
+		t.Errorf("plan span carries %d hops, est %v; plan has %d hops, est %v",
+			a.Hops, a.EstLatency, len(plan.Chain), time.Duration(plan.EstLatencyNs))
 	}
 }
 

@@ -1,16 +1,14 @@
 // Package obs is the observability layer shared by the simulator and the
 // live daemons: a dependency-free metrics registry (atomic counters, gauges,
-// and fixed-bucket histograms with deterministic merge), the journal event
-// vocabulary with its fixed-shape constructor and JSONL writer, a leveled
+// and fixed-bucket histograms with deterministic merge), a leveled
 // component-tagged logger on log/slog, and an opt-in debug HTTP listener
-// serving the registry as JSON plus net/http/pprof.
+// serving the registry as JSON plus net/http/pprof. Records — spans and the
+// decision instants a city run's event journal projects — live in
+// obs/tracing.
 //
 // Everything here is deterministic where the simulator needs it to be:
 // snapshots sort metric names, histograms bucket by value (never by arrival
-// order), merges are commutative bucketwise additions, and WriteJSONL
-// writes events in slice order with a fixed field order. The package keeps
-// no journal of its own: a city run collects its events in plain slices and
-// orders them canonically before they reach WriteJSONL.
+// order), and merges are commutative bucketwise additions.
 package obs
 
 import (

@@ -54,14 +54,15 @@ type perfettoEvent struct {
 	Args *perfettoArgs `json:"args,omitempty"`
 }
 
-// perfettoArgs carries span identity (and track names for metadata events)
-// into the Perfetto UI's detail panel.
+// perfettoArgs carries span identity and attributes (and track names for
+// metadata events) into the Perfetto UI's detail panel.
 type perfettoArgs struct {
 	Name   string  `json:"name,omitempty"`
 	Trace  TraceID `json:"trace,omitempty"`
 	Span   SpanID  `json:"span,omitempty"`
 	Parent SpanID  `json:"parent,omitempty"`
 	Run    string  `json:"run,omitempty"`
+	*Attrs
 }
 
 // perfettoFile is the outer trace_event JSON object.
@@ -141,6 +142,9 @@ func WritePerfetto(w io.Writer, spans []Span) error {
 		pid := pids[s.Run]
 		tid := tids[track{s.Run, s.Node}]
 		args := &perfettoArgs{Trace: s.Trace, Span: s.ID, Parent: s.Parent, Run: s.Run}
+		if s.Attrs != (Attrs{}) {
+			args.Attrs = &s.Attrs
+		}
 		if s.End == s.Start {
 			events = append(events, perfettoEvent{
 				Name: string(s.Stage), Ph: "i", Pid: pid, Tid: tid,

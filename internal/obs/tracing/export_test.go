@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenSpans builds a small deterministic journal exercising every export
 // shape: a root query with same-node and cross-node children, an instant
-// migration pair, and a run label.
+// migration pair carrying attributes, and a run label.
 func goldenSpans() []Span {
 	tr := New()
 	q := tr.NewTrace()
@@ -26,14 +26,41 @@ func goldenSpans() []Span {
 	tr.RecordWith(q, root, 0, StageQuery, "client/0", 0, 10*time.Millisecond)
 
 	m := tr.NewTrace()
-	order := tr.Record(m, 0, StageMigrate, "server/3", 4*time.Millisecond, 4*time.Millisecond)
-	tr.Record(m, order, StageMigrate, "server/5", 8*time.Millisecond, 8*time.Millisecond)
+	mig := NewAttrs(0, 3, 5, 12, 1<<20)
+	order := tr.RecordAttrs(m, 0, StageMigrationOrdered, "server/3", 4*time.Millisecond, 4*time.Millisecond, mig)
+	tr.RecordAttrs(m, order, StageMigrationCompleted, "server/5", 8*time.Millisecond, 8*time.Millisecond, mig)
 
 	spans := tr.Spans()
 	for i := range spans {
 		spans[i] = spans[i].WithRun("golden/cell")
 	}
 	return spans
+}
+
+// TestSpanJSONAttrs: a span without attributes serializes exactly as the
+// fixed fields alone; a span with them appends the block, server 0 and
+// NoID included.
+func TestSpanJSONAttrs(t *testing.T) {
+	spans := goldenSpans()
+	plain, err := json.Marshal(spans[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantPlain = `{"trace":1,"span":4,"parent":1,"stage":"exec.compute","node":"server/3","start_ns":5000000,"end_ns":9000000,"run":"golden/cell"}`
+	if string(plain) != wantPlain {
+		t.Errorf("span without attributes:\n got %s\nwant %s", plain, wantPlain)
+	}
+	tr := New()
+	tr.RecordAttrs(1, 0, StagePlan, "master", 0, 0, NewAttrs(0, 0, NoID, 4, 512).WithEstimate(1, time.Millisecond))
+	withAttrs, err := json.Marshal(tr.Spans()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantAttrs = `{"trace":1,"span":1,"stage":"plan","node":"master","start_ns":0,"end_ns":0,` +
+		`"client":0,"server":0,"target":-1,"layers":4,"bytes":512,"hops":1,"est_latency_ns":1000000}`
+	if string(withAttrs) != wantAttrs {
+		t.Errorf("span with attributes:\n got %s\nwant %s", withAttrs, wantAttrs)
+	}
 }
 
 func TestWriteJSONLRoundTrip(t *testing.T) {
@@ -146,7 +173,7 @@ func TestPerfettoShape(t *testing.T) {
 	}
 	// 1 process (golden/cell) + 3 tracks (client/0, server/3, server/5),
 	// 5 duration spans, 2 instants, and 2 flow arrows
-	// (query→exec.compute, migrate→migrate).
+	// (query→exec.compute, migration_ordered→migration_completed).
 	if counts["M"] != 4 {
 		t.Fatalf("got %d metadata events, want 4: %v", counts["M"], counts)
 	}

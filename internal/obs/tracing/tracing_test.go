@@ -130,4 +130,15 @@ func TestRecordSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("RecordWith allocates %.1f allocs/op in steady state, want 0", allocs)
 	}
+	tr.Reset()
+	a := NewAttrs(3, 7, NoID, 12, 1<<20).WithEstimate(2, time.Millisecond)
+	allocs = testing.AllocsPerRun(chunkSpans/2, func() {
+		tr.RecordAttrs(trace, 0, StagePlan, "master", time.Millisecond, time.Millisecond, a)
+	})
+	if allocs != 0 {
+		t.Fatalf("RecordAttrs allocates %.1f allocs/op in steady state, want 0", allocs)
+	}
+	if got := tr.Spans()[0].Attrs; got != a {
+		t.Fatalf("recorded attributes %+v, want %+v", got, a)
+	}
 }

@@ -370,8 +370,8 @@ func TestPlanChainThroughputBound(t *testing.T) {
 }
 
 // TestPlanChainThroughputBeatsSingleSplit: on loaded servers a K>=2 chain
-// pipeline outruns the best single-split pipeline (this mirrors the
-// BENCH_PR8 acceptance criterion in-test).
+// pipeline outruns the best single-split pipeline (the chain-vs-single
+// result DESIGN.md §15.2 quotes, held in-test).
 func TestPlanChainThroughputBeatsSingleSplit(t *testing.T) {
 	m, err := dnn.ZooModel("inception")
 	if err != nil {

@@ -21,8 +21,8 @@ import (
 //     results against these references over the model zoo x slowdown x link
 //     grid, so the scratch-buffer fast paths cannot silently drift.
 //   - Perf trajectory: BenchmarkReferencePartition runs solver and
-//     reference in one test binary, so the solver's speedup (frozen in
-//     BENCH_PR5.json) stays measurable under identical conditions.
+//     reference in one test binary, so the solver's speedup (EXPERIMENTS.md
+//     "Hot-path performance") stays measurable under identical conditions.
 
 // referenceSuccessors rebuilds the successor table the way Model.Successors
 // did before topology caching: a fresh [][]LayerID per call.

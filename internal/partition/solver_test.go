@@ -212,7 +212,7 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkReferencePartition runs the scratch solver and the pre-PR-5
 // reference on the same request in one binary, per zoo model — the
-// comparison whose frozen numbers are in BENCH_PR5.json.
+// comparison whose numbers are in EXPERIMENTS.md "Hot-path performance".
 func BenchmarkReferencePartition(b *testing.B) {
 	for _, name := range dnn.ZooNames() {
 		m, err := dnn.ZooModel(name)

@@ -635,7 +635,8 @@ func (g *referenceGobConn) RoundTrip(e *Envelope) (*Envelope, error) {
 func (g *referenceGobConn) Close() error { return g.c.Close() }
 
 // BenchmarkRoundTripGobReference is the same exchange over the pre-v2 gob
-// transport, the same-binary baseline for BENCH_PR6.json.
+// transport, the same-binary baseline for the result DESIGN.md §12.6
+// quotes.
 func BenchmarkRoundTripGobReference(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
