@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -102,8 +103,12 @@ func TestPlanEntryLayersMatchPlan(t *testing.T) {
 		}
 		// The schedule lists each server layer once, so set counts are
 		// layer counts (the simulator's truncation tally relies on it).
-		if got := len(partition.FlattenSchedule(e.Schedule)); got != len(want) {
-			t.Errorf("slowdown %v: schedule lists %d layers, plan %d", slowdown, got, len(want))
+		listed := 0
+		for _, u := range e.Schedule {
+			listed += len(u.Layers)
+		}
+		if listed != len(want) {
+			t.Errorf("slowdown %v: schedule lists %d layers, plan %d", slowdown, listed, len(want))
 		}
 		for _, id := range want {
 			if !e.Layers.Has(id) {
@@ -232,37 +237,50 @@ func TestPolicyTargetsAllocs(t *testing.T) {
 	}
 }
 
+// TestPolicyFractionalCaps: the tighter endpoint's cap wins, and Want
+// returns the entry's own set uncapped, the schedule prefix that fits the
+// cap otherwise, with the layers the cut dropped.
 func TestPolicyFractionalCaps(t *testing.T) {
 	pol, _ := policyEnv(t)
+	e, err := testPlanner(t).PlanAtSlowdown(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Schedule) < 2 {
+		t.Fatalf("plan schedules %d units, want at least 2 to cut between", len(e.Schedule))
+	}
+	ids := func(s dnn.LayerSet) []dnn.LayerID { return s.AppendIDs(nil) }
 	if pol.CapBytes(1, 2) != -1 {
 		t.Error("uncapped transfer has a budget")
 	}
-	pol.FractionCapBytes = map[geo.ServerID]int64{1: 100, 2: 50}
-	if got := pol.CapBytes(1, 3); got != 100 {
+	if got, dropped := pol.Want(e, 1, 2); !slices.Equal(ids(got), ids(e.Layers)) || dropped != 0 {
+		t.Errorf("uncapped Want = %d layers, %d dropped; want the entry's %d, 0", got.Count(), dropped, e.Layers.Count())
+	}
+
+	// Cap src just above the first half of the schedule, dst above the
+	// whole of it: the src cap is the tighter and cuts the plan.
+	half := partition.ScheduleBytes(e.Schedule[:len(e.Schedule)/2])
+	pol.FractionCapBytes = map[geo.ServerID]int64{1: half + 1, 2: 1 << 40}
+	if got := pol.CapBytes(1, 3); got != half+1 {
 		t.Errorf("src cap = %d", got)
 	}
-	if got := pol.CapBytes(3, 2); got != 50 {
+	if got := pol.CapBytes(3, 2); got != 1<<40 {
 		t.Errorf("dst cap = %d", got)
 	}
-	if got := pol.CapBytes(1, 2); got != 50 {
+	if got := pol.CapBytes(1, 2); got != half+1 {
 		t.Errorf("tightest cap = %d", got)
 	}
-	units := []partition.UploadUnit{
-		{Layers: []dnn.LayerID{0}, Bytes: 60},
-		{Layers: []dnn.LayerID{1}, Bytes: 60},
+	n := e.Plan.Model.NumLayers()
+	want := partition.ScheduleSet(partition.TruncateSchedule(e.Schedule, half+1), n)
+	got, dropped := pol.Want(e, 1, 2)
+	if !slices.Equal(ids(got), ids(want)) {
+		t.Errorf("capped Want = %v, want %v", ids(got), ids(want))
 	}
-	if got := pol.TruncateForTransfer(units, 3, 4); len(got) != 2 {
-		t.Errorf("uncapped truncation = %d units", len(got))
+	if w := e.Layers.Count() - want.Count(); dropped != w || dropped == 0 {
+		t.Errorf("capped Want dropped %d layers, want %d (> 0)", dropped, w)
 	}
-	if got := pol.TruncateForTransfer(units, 1, 4); len(got) != 1 {
-		t.Errorf("capped truncation = %d units", len(got))
-	}
-}
-
-func TestPolicyTTL(t *testing.T) {
-	pol, _ := policyEnv(t)
-	if got := pol.TTL(20 * time.Second); got != 100*time.Second {
-		t.Errorf("TTL = %v", got)
+	if got, dropped := pol.Want(e, 3, 2); !slices.Equal(ids(got), ids(e.Layers)) || dropped != 0 {
+		t.Errorf("a cap the whole schedule fits cut it: %d layers, %d dropped", got.Count(), dropped)
 	}
 }
 

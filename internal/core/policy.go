@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"time"
 
+	"perdnn/internal/dnn"
 	"perdnn/internal/geo"
 	"perdnn/internal/mobility"
 	"perdnn/internal/partition"
@@ -13,7 +13,7 @@ import (
 // (Section III.B.2): predict the client's next location from its recent
 // trajectory, take every edge server within Radius of the prediction, and
 // send the server-side layers of a speculative ("future") partitioning
-// plan, truncated for crowded servers under fractional migration.
+// plan, truncated for crowded servers under fractional migration (Want).
 type MigrationPolicy struct {
 	// Predictor is the trained mobility predictor (linear SVR by default).
 	Predictor mobility.Predictor
@@ -100,18 +100,19 @@ func (p *MigrationPolicy) CapBytes(src, dst geo.ServerID) int64 {
 	return budget
 }
 
-// TruncateForTransfer applies the fractional cap to a schedule for a
-// src->dst transfer.
-func (p *MigrationPolicy) TruncateForTransfer(units []partition.UploadUnit, src, dst geo.ServerID) []partition.UploadUnit {
+// Want returns what dst should hold of e when the client's layers move
+// there from src, and how many of e's layers the fractional cap dropped.
+// Uncapped, the set is e.Layers itself, shared and read-only; under a cap
+// it is the schedule prefix that fits CapBytes(src, dst).
+func (p *MigrationPolicy) Want(e *PlanEntry, src, dst geo.ServerID) (dnn.LayerSet, int) {
 	cap := p.CapBytes(src, dst)
 	if cap < 0 {
-		return units
+		return e.Layers, 0
 	}
-	return partition.TruncateSchedule(units, cap)
-}
-
-// TTL returns the cache lifetime of migrated layers given the prediction
-// interval.
-func (p *MigrationPolicy) TTL(interval time.Duration) time.Duration {
-	return time.Duration(p.TTLIntervals) * interval
+	sched := partition.TruncateSchedule(e.Schedule, cap)
+	if len(sched) == len(e.Schedule) {
+		return e.Layers, 0
+	}
+	want := partition.ScheduleSet(sched, e.Plan.Model.NumLayers())
+	return want, e.Layers.Count() - want.Count()
 }

@@ -94,6 +94,16 @@ func (s LayerSet) Subtract(other LayerSet) {
 	}
 }
 
+// AppendIDs appends the set's members to dst in ascending ID order.
+func (s LayerSet) AppendIDs(dst []LayerID) []LayerID {
+	for i, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, LayerID(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
+
 // WeightBytes returns the total weight size of the set's layers in m, the
 // model the set was sized for.
 func (s LayerSet) WeightBytes(m *Model) int64 {

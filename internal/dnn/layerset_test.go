@@ -1,6 +1,9 @@
 package dnn
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestLayerSetBasics(t *testing.T) {
 	s := NewLayerSet(130)
@@ -55,5 +58,11 @@ func TestLayerSetBulkOps(t *testing.T) {
 	}
 	if got := NewLayerSet(130).WeightBytes(m); got != 0 {
 		t.Errorf("empty WeightBytes = %d", got)
+	}
+
+	// AppendIDs lists the members in ascending order after what dst holds.
+	got := other.AppendIDs([]LayerID{99})
+	if want := []LayerID{99, 2, 7, 129}; !slices.Equal(got, want) {
+		t.Errorf("AppendIDs = %v, want %v", got, want)
 	}
 }

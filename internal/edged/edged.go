@@ -470,15 +470,10 @@ func (s *Server) migrate(ctx context.Context, m *wire.Migrate, rc tracing.SpanCo
 	send := make([]dnn.LayerID, 0, len(m.Layers))
 	var bytes int64
 	for _, id := range m.Layers {
-		if !cached.Has(id) {
-			continue
+		if cached.Has(id) {
+			send = append(send, id)
+			bytes += s.model.Layer(id).WeightBytes
 		}
-		w := s.model.Layer(id).WeightBytes
-		if m.CapBytes > 0 && bytes+w > m.CapBytes {
-			break
-		}
-		send = append(send, id)
-		bytes += w
 	}
 	if len(send) == 0 {
 		return 0, nil

@@ -247,7 +247,7 @@ func TestMigrateWithNothingCachedIsNoop(t *testing.T) {
 // tells a whole plan delivered from a push it must order again.
 func TestMigrateAckCountsPushedLayers(t *testing.T) {
 	ctx := context.Background()
-	addrA, srvA := startEdge(t, testConfig())
+	addrA, _ := startEdge(t, testConfig())
 	addrB, _ := startEdge(t, testConfig())
 	conn, err := wire.DialContext(ctx, addrA)
 	if err != nil {
@@ -255,15 +255,7 @@ func TestMigrateAckCountsPushedLayers(t *testing.T) {
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
 
-	// With a cap of the first weighted layer's bytes, everything before the
-	// second weighted layer fits (the layers between weigh nothing).
-	var weighted []dnn.LayerID
-	for id := dnn.LayerID(0); len(weighted) < 2; id++ {
-		if srvA.model.Layer(id).WeightBytes > 0 {
-			weighted = append(weighted, id)
-		}
-	}
-	order := make([]dnn.LayerID, int(weighted[1])+3)
+	order := make([]dnn.LayerID, 8)
 	for i := range order {
 		order[i] = dnn.LayerID(i)
 	}
@@ -279,18 +271,16 @@ func TestMigrateAckCountsPushedLayers(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		client int
-		cap    int64
 		want   int64
 	}{
-		{"nothing cached", 3, 0, 0},
-		{"partial cache", partial, 0, 4},
-		{"full cache", full, 0, int64(len(order))},
-		{"full cache again (peer already holds it)", full, 0, int64(len(order))},
-		{"cut by CapBytes", full, srvA.model.Layer(weighted[0]).WeightBytes, int64(weighted[1])},
+		{"nothing cached", 3, 0},
+		{"partial cache", partial, 4},
+		{"full cache", full, int64(len(order))},
+		{"full cache again (peer already holds it)", full, int64(len(order))},
 	} {
 		resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 			Type:    wire.MsgMigrateRequest,
-			Migrate: &wire.Migrate{ClientID: tc.client, Layers: order, PeerAddr: addrB, CapBytes: tc.cap},
+			Migrate: &wire.Migrate{ClientID: tc.client, Layers: order, PeerAddr: addrB},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -1225,16 +1225,7 @@ func (q *queryChain) finish(done time.Duration) {
 // Tick phase only: it reads and writes stores across shard boundaries,
 // which is safe exactly because every shard engine sits at the barrier.
 func (w *world) migrate(now time.Duration, c *simClient, k int) {
-	lo := k - w.cfg.HistoryLen + 1
-	if lo < 0 {
-		lo = 0
-	}
-	hi := k + 1
-	if hi > c.tr.Len() {
-		hi = c.tr.Len()
-	}
-	recent := c.tr.Points[lo:hi]
-	targets, ok := w.policy.Targets(recent, c.cur)
+	targets, ok := w.policy.Targets(c.tr.Points[:k+1], c.cur)
 	if !ok {
 		return
 	}
@@ -1257,17 +1248,12 @@ func (w *world) migrate(now time.Duration, c *simClient, k int) {
 			panic(fmt.Sprintf("edgesim: future plan: %v", err))
 		}
 		w.trackPlan(now, entry, c.id, tid)
-		// What the target should hold: the plan's server-side layers, or
-		// under a fractional cap the schedule prefix that fits it.
-		want := entry.Layers
-		if sched := w.policy.TruncateForTransfer(entry.Schedule, c.cur, tid); len(sched) < len(entry.Schedule) {
-			want = partition.ScheduleSet(sched, n)
-			if dropped := entry.Layers.Count() - want.Count(); dropped > 0 {
-				w.truncations++
-				w.truncatedLayers += dropped
-				w.recordDecision(now, tracing.StageFractionTruncated, w.serverNode(c.cur),
-					attrs(c.id, c.cur, tid, dropped, w.policy.CapBytes(c.cur, tid)))
-			}
+		want, dropped := w.policy.Want(entry, c.cur, tid)
+		if dropped > 0 {
+			w.truncations++
+			w.truncatedLayers += dropped
+			w.recordDecision(now, tracing.StageFractionTruncated, w.serverNode(c.cur),
+				attrs(c.id, c.cur, tid, dropped, w.policy.CapBytes(c.cur, tid)))
 		}
 
 		// Send what the source has and the target lacks: a few word ops.
@@ -1293,8 +1279,8 @@ func (w *world) migrate(now time.Duration, c *simClient, k int) {
 		// it (a cross-node flow arrow in the Perfetto export). If the target
 		// dies in transit the completion is simply never recorded. The
 		// completion mutates the target's store, so it is scheduled on the
-		// target's shard — the sharded analogue of a cross-shard migration
-		// order delivered over the wire.
+		// target's shard — the sharded analogue of the edge-to-edge push
+		// landing at the target daemon.
 		a := attrs(c.id, c.cur, tid, send.Count(), bytes)
 		mt := w.decisions.NewTrace()
 		order := w.decisions.RecordAttrs(mt, 0, tracing.StageMigrationOrdered, w.serverNode(c.cur), now, now, a)

@@ -66,9 +66,9 @@ type Config struct {
 	// edge placement (every shard master is configured with the complete
 	// edge set so the map is identical everywhere). Trajectory reports for
 	// clients that crossed out of the region are handed off to the owning
-	// peer (MsgShardHandoff) and answered with a redirect; predicted
-	// migration targets in another region are routed to that region's
-	// master (MsgShardMigrate). Shards <= 1 keeps single-master behavior.
+	// peer (MsgShardHandoff) and answered with a redirect. Predicted
+	// migration targets are ordered by the client's owner in any region.
+	// Shards <= 1 keeps single-master behavior.
 	Shard  int
 	Shards int
 	// Peers[i] is the listen address of shard i's master; required (and
@@ -110,7 +110,7 @@ type Master struct {
 	tr        *tracing.Tracer
 	edges     *wire.Pool    // reused conns for stats pings and migration orders
 	smap      *geo.ShardMap // region ownership map; nil in single-master mode
-	peers     *wire.Pool    // shard-to-shard conns for handoffs and migrations; nil unless sharded
+	peers     *wire.Pool    // shard-to-shard conns for handoffs; nil unless sharded
 
 	// Handles of the per-request metrics, resolved once.
 	requests, planRequests, chainPlans   *obs.Counter
@@ -364,11 +364,6 @@ func (m *Master) dispatch(ctx context.Context, req *wire.Envelope, conn uint64) 
 		err := m.adoptClient(req.Handoff)
 		m.recordStage(req.Trace, tracing.StageShardHandoff, start, tracing.Attrs{})
 		return wire.NewAck(err)
-	case wire.MsgShardMigrate:
-		if req.ShardMig == nil {
-			return wire.NewAck(errors.New("master: shard migrate without body"))
-		}
-		return wire.NewCountAck(m.acceptShardMigration(ctx, req.ShardMig))
 	case wire.MsgPlanRequest:
 		if req.PlanReq == nil {
 			return wire.NewAck(errors.New("master: plan request without body"))
@@ -433,8 +428,9 @@ func (m *Master) ensurePlannerLocked(model dnn.ModelName) error {
 //
 // Only the predicted targets that are due are ordered: new to the
 // prediction, never completely pushed, or pushed refreshAfter reports ago.
-// Orders run synchronously, so the report's ack still means "the layers
-// are there".
+// The client's owner orders every target itself, in its own region or
+// another: each master knows every edge and pings it live. Orders run
+// synchronously, so the report's ack still means "the layers are there".
 func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Envelope, error) {
 	m.trajectoryPoints.Add(int64(len(t.Points)))
 	m.mu.Lock()
@@ -477,45 +473,28 @@ func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Enve
 		return nil, nil
 	}
 	due := m.dueTargets(cs, report, targets)
-	complete := due[:0]
+	done := due[:0]
 	for _, tid := range due {
-		var done bool
-		if owner := m.shardOf(tid); owner != m.cfg.Shard {
-			// The predicted destination sits in another region: its
-			// owner has the live view of that region's edges, so route
-			// the order there instead of planning against a foreign GPU.
-			done = m.orderShardMigration(ctx, model, t.ClientID, curAddr, tid, owner)
-		} else {
-			whole, err := m.orderMigration(ctx, model, t.ClientID, curAddr, tid, nil)
-			if err != nil {
-				m.migErrors.Inc()
-				m.log.Warn("migration order failed", "client", t.ClientID, "target", int(tid), "err", err)
-				continue
-			}
-			m.migOrdered.Inc()
-			m.log.Debug("migration ordered", "client", t.ClientID, "target", int(tid))
-			done = whole > 0
+		complete, err := m.orderMigration(ctx, model, t.ClientID, cur, curAddr, tid)
+		if err != nil {
+			m.migErrors.Inc()
+			m.log.Warn("migration order failed", "client", t.ClientID, "target", int(tid), "err", err)
+			continue
 		}
-		if done {
-			complete = append(complete, tid)
+		m.migOrdered.Inc()
+		m.log.Debug("migration ordered", "client", t.ClientID, "target", int(tid))
+		if complete {
+			done = append(done, tid)
 		}
 	}
 	if m.log.Enabled(ctx, slog.LevelDebug) {
 		m.log.Debug("trajectory report", "client", t.ClientID, "report", report,
-			"targets", len(targets), "due", len(due), "complete", len(complete))
+			"targets", len(targets), "due", len(due), "complete", len(done))
 	}
-	if len(complete) > 0 {
-		m.markOrdered(cs, report, cur, complete)
+	if len(done) > 0 {
+		m.markOrdered(cs, report, cur, done)
 	}
 	return nil, nil
-}
-
-// shardOf returns the shard owning a server; a single master owns them all.
-func (m *Master) shardOf(id geo.ServerID) int {
-	if m.smap == nil {
-		return m.cfg.Shard
-	}
-	return m.smap.ShardOf(id)
 }
 
 // dueTargets filters targets, in place, down to those to order on this
@@ -640,97 +619,29 @@ func (m *Master) adoptClient(h *wire.ShardHandoff) error {
 	return nil
 }
 
-// orderShardMigration routes a predicted migration whose destination
-// region belongs to another shard: that shard's master plans against its
-// own edge and orders the client's current edge (at curAddr, in this
-// master's region) to push the layers. It reports whether the owner
-// acknowledged a complete push. Failures are logged, not returned —
-// proactive migration is best-effort, like the local ordering path.
-func (m *Master) orderShardMigration(ctx context.Context, model dnn.ModelName, client int, curAddr string, target geo.ServerID, owner int) bool {
-	ctx, cancel := context.WithTimeout(ctx, wire.DefaultSendTimeout)
-	defer cancel()
-	resp, err := m.peers.RoundTrip(ctx, m.cfg.Peers[owner], &wire.Envelope{
-		Type: wire.MsgShardMigrate,
-		ShardMig: &wire.ShardMigrate{
-			ClientID:   client,
-			Model:      model,
-			Target:     target,
-			SourceAddr: curAddr,
-		},
-	})
-	if err == nil && (resp.Ack == nil || !resp.Ack.OK) {
-		reason := "rejected"
-		if resp.Ack != nil && resp.Ack.Error != "" {
-			reason = resp.Ack.Error
-		}
-		err = fmt.Errorf("master: shard %d: %s", owner, reason)
-	}
-	if err != nil {
-		m.migErrors.Inc()
-		m.log.Warn("cross-shard migration failed", "client", client, "target", int(target), "owner", owner, "err", err)
-		return false
-	}
-	m.met.Counter("shard_migrations_out_total").Inc()
-	m.log.Debug("cross-shard migration routed", "client", client, "target", int(target), "owner", owner)
-	return resp.Ack.Seq > 0
-}
-
-// acceptShardMigration handles a migration order routed from another
-// shard: this master owns the destination region, so it plans against the
-// target edge's live GPU statistics and tells the client's current edge
-// (in the sender's region) to push the layers. Layers carried in the
-// message are a precomputed fallback, used only when local planning fails.
-// The count returned rides the ack to the routing master: the layers
-// pushed when they were the whole plan, 0 when the push was partial or
-// empty, so that master can treat the target like one of its own.
-func (m *Master) acceptShardMigration(ctx context.Context, sm *wire.ShardMigrate) (int, error) {
-	if m.smap == nil {
-		return 0, errors.New("master: shard migrate sent to an unsharded master")
-	}
-	if owner := m.smap.ShardOf(sm.Target); owner != m.cfg.Shard {
-		return 0, fmt.Errorf("master: server %d owned by shard %d, this is shard %d", sm.Target, owner, m.cfg.Shard)
-	}
-	m.mu.Lock()
-	err := m.ensurePlannerLocked(sm.Model)
-	m.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	whole, err := m.orderMigration(ctx, sm.Model, sm.ClientID, sm.SourceAddr, sm.Target, sm.Layers)
-	if err != nil {
-		return 0, err
-	}
-	m.met.Counter("shard_migrations_in_total").Inc()
-	return whole, nil
-}
-
-// orderMigration computes a future plan for the target and tells the
-// client's current edge server (at curAddr) to push the plan's layers
-// there. When the target cannot be pinged or planned against, fallback —
-// the layer list a routing shard master precomputed, nil on the local
-// path — is ordered instead; with none, the ping or plan error is returned.
-// whole is the layer count the source edge acknowledged when that was every
-// layer of the order — the target now holds the plan — and 0 when the push
-// was partial or empty.
-func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client int, curAddr string, target geo.ServerID, fallback []dnn.LayerID) (whole int, err error) {
+// orderMigration computes a future plan for the target from its live GPU
+// statistics, asks the policy what the target should hold of it (Want),
+// and tells the client's current edge server cur (at curAddr) to push
+// those layers there. complete reports that the source acknowledged every
+// ordered layer, so the target now holds the set.
+func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client int, cur geo.ServerID, curAddr string, target geo.ServerID) (complete bool, err error) {
 	tAddr, ok := m.EdgeAddr(target)
 	if !ok {
-		return 0, fmt.Errorf("master: no address for server %d", target)
+		return false, fmt.Errorf("master: no address for server %d", target)
 	}
 	m.mu.Lock()
-	planner := m.planners[model]
+	planner, pol := m.planners[model], m.policy
 	m.mu.Unlock()
-	layers := fallback
 	st, err := m.pingStats(ctx, tAddr)
-	if err == nil {
-		var entry *core.PlanEntry
-		if entry, err = planner.PlanFor(*st); err == nil {
-			layers = partition.FlattenSchedule(entry.Schedule)
-		}
+	if err != nil {
+		return false, err
 	}
-	if err != nil && len(fallback) == 0 {
-		return 0, err
+	entry, err := planner.PlanFor(*st)
+	if err != nil {
+		return false, err
 	}
+	want, _ := pol.Want(entry, cur, target)
+	layers := want.AppendIDs(make([]dnn.LayerID, 0, want.Count()))
 	ctx, cancel := context.WithTimeout(ctx, wire.DefaultSendTimeout)
 	defer cancel()
 	// One trace per migration order, rooted at the master; the context
@@ -750,32 +661,16 @@ func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client
 		Trace: tracing.SpanContext{Trace: mt, Span: span},
 	})
 	if err != nil {
-		return 0, fmt.Errorf("master: edge %s: %w: %w", curAddr, core.ErrServerDown, err)
+		return false, fmt.Errorf("master: edge %s: %w: %w", curAddr, core.ErrServerDown, err)
 	}
 	if resp.Ack == nil || !resp.Ack.OK {
-		return 0, fmt.Errorf("master: edge %s rejected migration order", curAddr)
+		return false, fmt.Errorf("master: edge %s rejected migration order", curAddr)
 	}
 	if m.tr != nil {
 		m.tr.RecordWithAttrs(mt, span, 0, tracing.StageMigrate, nodeMaster, start, m.tr.Now(),
-			tracing.NewAttrs(client, tracing.NoID, int(target), len(layers), weightBytes(planner.Profile().Model, layers)))
+			tracing.NewAttrs(client, tracing.NoID, int(target), len(layers), want.WeightBytes(planner.Profile().Model)))
 	}
-	if resp.Ack.Seq != int64(len(layers)) {
-		return 0, nil
-	}
-	return len(layers), nil
-}
-
-// weightBytes sums the weights of the given layers of model (0 if any ID
-// is out of range: a routed fallback list is the peer's, not checked here).
-func weightBytes(model *dnn.Model, layers []dnn.LayerID) int64 {
-	if model.CheckLayers(layers) != nil {
-		return 0
-	}
-	var sum int64
-	for _, id := range layers {
-		sum += model.Layer(id).WeightBytes
-	}
-	return sum
+	return len(layers) > 0 && resp.Ack.Seq == int64(len(layers)), nil
 }
 
 // pingStats fetches the live GPU statistics of an edge daemon. A daemon

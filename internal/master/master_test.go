@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 var (
 	fixtureOnce   sync.Once
 	fixtureEdges  []EdgeInfo
+	fixtureEdged  []*edged.Server // fixtureEdged[i] serves fixtureEdges[i]
 	fixtureMaster *Master
 	fixtureAddr   string
 	fixtureErr    error
@@ -47,6 +49,7 @@ func fixture(t *testing.T) (edgeAddr string, loc geo.Point, masterAddr string, m
 			}
 			go esrv.ServeContext(ctx, eln) //nolint:errcheck // lives for the test binary
 			fixtureEdges = append(fixtureEdges, EdgeInfo{Addr: eln.Addr().String(), Location: loc})
+			fixtureEdged = append(fixtureEdged, esrv)
 		}
 
 		mm, err := New(DefaultConfig(fixtureEdges))
@@ -255,6 +258,96 @@ func TestTrajectoryTriggersMigration(t *testing.T) {
 	}
 	if got := m.Placement().Len(); got != 2 {
 		t.Errorf("placement has %d servers", got)
+	}
+}
+
+// TestCompleteOrderPushesWhatTheSimulatorWould is the sim-vs-live
+// agreement check for one migration: the source edge holds the whole model,
+// the idle target nothing, so the simulator's world.migrate would push
+// exactly Want of the target's future plan (the source's set and the
+// target's empty one change nothing). A complete live order must move that
+// set: the source's migration_bytes_total grows by its weight, and the
+// target then holds exactly its layers.
+func TestCompleteOrderPushesWhatTheSimulatorWould(t *testing.T) {
+	ctx := context.Background()
+	_, _, masterAddr, m := fixture(t)
+	const clientID = 56
+	conn := dialMaster(t, masterAddr)
+	registerAs(t, conn, clientID, dnn.ModelMobileNet)
+	mdl, err := dnn.ZooModel(dnn.ModelMobileNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]dnn.LayerID, mdl.NumLayers())
+	for i := range all {
+		all[i] = dnn.LayerID(i)
+	}
+	edgeA, err := wire.DialContext(ctx, fixtureEdges[0].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edgeA.Close() //nolint:errcheck // test teardown
+	if resp, err := edgeA.RoundTripContext(ctx, &wire.Envelope{
+		Type:   wire.MsgUploadLayers,
+		Upload: &wire.Upload{ClientID: clientID, Layers: all},
+	}); err != nil || resp.Ack == nil || !resp.Ack.OK {
+		t.Fatalf("seed upload: %v %+v", err, resp)
+	}
+
+	cur := m.Placement().ServerAt(fixtureEdges[0].Location)
+	target := m.Placement().ServerAt(fixtureEdges[1].Location)
+	m.mu.Lock()
+	planner, pol := m.planners[dnn.ModelMobileNet], m.policy
+	m.mu.Unlock()
+	// What the simulator computes for this target, from its stats now.
+	wantSet := func() dnn.LayerSet {
+		st, err := m.pingStats(ctx, fixtureEdges[1].Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, err := planner.PlanFor(*st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, dropped := pol.Want(entry, cur, target)
+		if dropped != 0 {
+			t.Fatalf("an uncapped master cut %d layers", dropped)
+		}
+		return want
+	}
+	want := wantSet()
+	if want.Count() == 0 {
+		t.Fatal("the target's future plan offloads nothing")
+	}
+
+	bytes := fixtureEdged[0].Metrics().Counter("migration_bytes_total")
+	ordered := m.Metrics().Counter("migrations_ordered_total")
+	bytesBefore, orderedBefore := bytes.Value(), ordered.Value()
+	report(t, conn, clientID, fixtureEdges[0].Location)
+	report(t, conn, clientID, fixtureEdges[0].Location) // standing still predicts the neighbour
+	if got := ordered.Value() - orderedBefore; got != 1 {
+		t.Fatalf("two reports ordered %d migrations, want 1", got)
+	}
+	if again := wantSet(); !slices.Equal(again.AppendIDs(nil), want.AppendIDs(nil)) {
+		t.Fatal("the target's plan changed during the test; it must stay idle")
+	}
+	if got, w := bytes.Value()-bytesBefore, want.WeightBytes(mdl); got != w {
+		t.Errorf("source pushed %d bytes, the simulator's set weighs %d", got, w)
+	}
+	edgeB, err := wire.DialContext(ctx, fixtureEdges[1].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edgeB.Close() //nolint:errcheck // test teardown
+	resp, err := edgeB.RoundTripContext(ctx, &wire.Envelope{
+		Type: wire.MsgHasRequest,
+		Has:  &wire.Has{ClientID: clientID, Layers: all},
+	})
+	if err != nil || resp.Has == nil {
+		t.Fatalf("has: %v %+v", err, resp)
+	}
+	if got := resp.Has.Layers; !slices.Equal(got, want.AppendIDs(nil)) {
+		t.Errorf("target holds %d layers, want the simulator's %d", len(got), want.Count())
 	}
 }
 

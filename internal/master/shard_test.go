@@ -264,9 +264,9 @@ func TestShardHandoffLive(t *testing.T) {
 }
 
 // TestShardMigrationOrderedOncePerRefresh: a predicted target in another
-// shard's region is routed to that shard's master, whose ack carries the
-// push count back — so the routing master suppresses it like one of its own
-// instead of routing it again on every report.
+// shard's region is ordered by the client's own master, like a target in
+// its own region: once per refresh, and without a request to any peer
+// master.
 func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 	shardFixture(t)
 	ctx := t.Context()
@@ -288,13 +288,13 @@ func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 		t.Fatal("no fixture edge within Radius of the source")
 	}
 	counter := func(m *Master, name string) int64 { return m.Metrics().Counter(name).Value() }
-	outBefore := counter(home, "shard_migrations_out_total")
+	orderedBefore := counter(home, "migrations_ordered_total")
 	suppressedBefore := counter(home, "migrations_suppressed_total")
 	errorsBefore := counter(home, "migration_errors_total")
 	pushesBefore := shardEdged[src].Metrics().Counter("migrations_total").Value()
-	inBefore := make([]int64, len(targets))
-	for i, e := range targets {
-		inBefore[i] = counter(shardMasters[shardEdgeOf[e]], "shard_migrations_in_total")
+	peerRequestsBefore := make([]int64, numShards)
+	for i, m := range shardMasters {
+		peerRequestsBefore[i] = counter(m, "requests_total")
 	}
 
 	// The source edge holds the whole model, so every push is complete.
@@ -320,13 +320,13 @@ func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 
 	conn := dialMaster(t, shardAddrs[shardEdgeOf[src]])
 	registerAs(t, conn, clientID, dnn.ModelMobileNet)
-	const reports = 5 // routed on report 2, suppressed on 3-5
+	const reports = 5 // ordered on report 2, suppressed on 3-5
 	for i := 0; i < reports; i++ {
 		report(t, conn, clientID, here)
 	}
 	n := int64(len(targets))
-	if got := counter(home, "shard_migrations_out_total") - outBefore; got != n {
-		t.Errorf("%d reports routed %d cross-shard orders, want %d (one per target)", reports, got, n)
+	if got := counter(home, "migrations_ordered_total") - orderedBefore; got != n {
+		t.Errorf("%d reports ordered %d migrations, want %d (one per target)", reports, got, n)
 	}
 	if got := counter(home, "migrations_suppressed_total") - suppressedBefore; got != 3*n {
 		t.Errorf("migrations_suppressed_total grew by %d, want %d", got, 3*n)
@@ -337,9 +337,12 @@ func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 	if got := shardEdged[src].Metrics().Counter("migrations_total").Value() - pushesBefore; got != n {
 		t.Errorf("the source edge pushed %d times, want %d", got, n)
 	}
-	for i, e := range targets {
-		if got := counter(shardMasters[shardEdgeOf[e]], "shard_migrations_in_total") - inBefore[i]; got != 1 {
-			t.Errorf("shard %d accepted %d orders for edge %d, want 1", shardEdgeOf[e], got, e)
+	for i, m := range shardMasters {
+		if m == home {
+			continue
+		}
+		if got := counter(m, "requests_total") - peerRequestsBefore[i]; got != 0 {
+			t.Errorf("peer master %d answered %d requests, want 0", i, got)
 		}
 	}
 }

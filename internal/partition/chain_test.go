@@ -523,7 +523,10 @@ func TestChainUploadScheduleMultiHop(t *testing.T) {
 	for _, hop := range cp.Hops {
 		want = append(want, hop.Layers...)
 	}
-	got := FlattenSchedule(units)
+	var got []dnn.LayerID
+	for _, u := range units {
+		got = append(got, u.Layers...)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("multi-hop schedule order diverges: got %d layers, want %d", len(got), len(want))
 	}

@@ -92,16 +92,3 @@ func ScheduleSet(units []UploadUnit, n int) dnn.LayerSet {
 	}
 	return s
 }
-
-// FlattenSchedule returns the layer IDs of the units in transmission order.
-func FlattenSchedule(units []UploadUnit) []dnn.LayerID {
-	n := 0
-	for _, u := range units {
-		n += len(u.Layers)
-	}
-	out := make([]dnn.LayerID, 0, n)
-	for _, u := range units {
-		out = append(out, u.Layers...)
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -189,19 +190,17 @@ func TestTruncateSchedule(t *testing.T) {
 	}
 }
 
-func TestFlattenSchedule(t *testing.T) {
+// TestScheduleSet: the set holds every layer the units list, sized for the
+// model.
+func TestScheduleSet(t *testing.T) {
 	units := []UploadUnit{
 		{Layers: []dnn.LayerID{3, 4}},
 		{Layers: []dnn.LayerID{0}},
 	}
-	got := FlattenSchedule(units)
-	want := []dnn.LayerID{3, 4, 0}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
+	if got, want := ScheduleSet(units, 70).AppendIDs(nil), []dnn.LayerID{0, 3, 4}; !slices.Equal(got, want) {
+		t.Errorf("ScheduleSet = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("FlattenSchedule[%d] = %d, want %d", i, got[i], want[i])
-		}
+	if n := ScheduleSet(nil, 70).Count(); n != 0 {
+		t.Errorf("empty schedule's set holds %d layers", n)
 	}
 }

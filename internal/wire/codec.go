@@ -164,7 +164,6 @@ func appendEnvelopeBody(dst []byte, e *Envelope) ([]byte, error) {
 		dst = appendVarint(dst, int64(m.ClientID))
 		dst = appendLayers(dst, m.Layers)
 		dst = appendString(dst, m.PeerAddr)
-		dst = appendVarint(dst, m.CapBytes)
 	case MsgUploadLayers, MsgUploadUnit:
 		if e.Upload == nil {
 			return append(dst, 0), nil
@@ -238,17 +237,6 @@ func appendEnvelopeBody(dst []byte, e *Envelope) ([]byte, error) {
 			dst = appendFloat(dst, p.X)
 			dst = appendFloat(dst, p.Y)
 		}
-	case MsgShardMigrate:
-		if e.ShardMig == nil {
-			return append(dst, 0), nil
-		}
-		m := e.ShardMig
-		dst = append(dst, 1)
-		dst = appendVarint(dst, int64(m.ClientID))
-		dst = appendString(dst, string(m.Model))
-		dst = appendVarint(dst, int64(m.Target))
-		dst = appendLayers(dst, m.Layers)
-		dst = appendString(dst, m.SourceAddr)
 	default:
 		return dst, fmt.Errorf("unknown message type %d", e.Type)
 	}
@@ -276,14 +264,12 @@ type recvScratch struct {
 	ack        Ack
 	forward    Forward
 	handoff    ShardHandoff
-	shardMig   ShardMigrate
 
 	points       []geo.Point
 	handoffPts   []geo.Point
 	migrateIDs   []dnn.LayerID
 	uploadIDs    []dnn.LayerID
 	hasIDs       []dnn.LayerID
-	shardMigIDs  []dnn.LayerID
 	serverLayers []dnn.LayerID
 	uploadOrder  [][]dnn.LayerID
 	planHops     []PlanHop
@@ -291,7 +277,6 @@ type recvScratch struct {
 
 	modelMemo string
 	peerMemo  string
-	srcMemo   string
 	errMemo   string
 }
 
@@ -533,7 +518,6 @@ func decodeEnvelope(payload []byte, t MsgType, env *Envelope, s *recvScratch) er
 			s.migrateIDs = d.layers(s.migrateIDs)
 			s.migrate.Layers = s.migrateIDs
 			s.migrate.PeerAddr = d.string(&s.peerMemo)
-			s.migrate.CapBytes = d.varint()
 			env.Migrate = &s.migrate
 		case MsgUploadLayers, MsgUploadUnit:
 			s.upload.ClientID = int(d.varint())
@@ -576,14 +560,6 @@ func decodeEnvelope(payload []byte, t MsgType, env *Envelope, s *recvScratch) er
 			s.handoffPts = d.points(s.handoffPts)
 			s.handoff.History = s.handoffPts
 			env.Handoff = &s.handoff
-		case MsgShardMigrate:
-			s.shardMig.ClientID = int(d.varint())
-			s.shardMig.Model = dnn.ModelName(d.string(&s.modelMemo))
-			s.shardMig.Target = geo.ServerID(d.varint())
-			s.shardMigIDs = d.layers(s.shardMigIDs)
-			s.shardMig.Layers = s.shardMigIDs
-			s.shardMig.SourceAddr = d.string(&s.srcMemo)
-			env.ShardMig = &s.shardMig
 		}
 	}
 	// Optional trace tail. Absent bytes mean "no context" (frames from

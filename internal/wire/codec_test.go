@@ -52,7 +52,7 @@ func goldenEnvelopes() []struct {
 		{"stats-response", &Envelope{Type: MsgStatsResponse, Stats: &StatsMsg{Sample: &gpusim.Stats{
 			ActiveClients: 3, KernelUtil: 0.4, MemUtil: 0.2, MemUsedMB: 2100, TempC: 55}}}},
 		{"migrate", &Envelope{Type: MsgMigrateRequest, Migrate: &Migrate{
-			ClientID: 9, Layers: []dnn.LayerID{0, 2}, PeerAddr: "10.0.0.2:7101", CapBytes: 1 << 20}}},
+			ClientID: 9, Layers: []dnn.LayerID{0, 2}, PeerAddr: "10.0.0.2:7101"}}},
 		{"upload-layers", &Envelope{Type: MsgUploadLayers, Upload: &Upload{
 			ClientID: 9, Layers: []dnn.LayerID{1, 2, 3}, Bytes: 999}}},
 		{"upload-unit", &Envelope{Type: MsgUploadUnit, Upload: &Upload{
@@ -107,8 +107,7 @@ func goldenEnvelopes() []struct {
 				Hops: []ForwardHop{{Addr: "127.0.0.1:7102", ServerBaseNs: 1000, Intensity: 0.1, InBytes: 64}}}}},
 		{"forward-nil-body", &Envelope{Type: MsgForward}},
 		// v4 additions: sharded control plane. Master-to-master client
-		// ownership handoff (and its master-to-client redirect form) plus
-		// the cross-shard proactive migration order.
+		// ownership handoff and its master-to-client redirect form.
 		{"shard-handoff", &Envelope{Type: MsgShardHandoff, Handoff: &ShardHandoff{
 			ClientID: 7, Model: dnn.ModelMobileNet, FromShard: 0, ToShard: 2,
 			Addr:    "10.0.0.12:7001",
@@ -121,10 +120,12 @@ func goldenEnvelopes() []struct {
 			Handoff: &ShardHandoff{ClientID: 3, Model: dnn.ModelResNet, FromShard: 1, ToShard: 0,
 				Addr: "10.0.0.11:7001", History: []geo.Point{{X: -5, Y: 2.5}}}}},
 		{"shard-handoff-nil-body", &Envelope{Type: MsgShardHandoff}},
-		{"shard-migrate", &Envelope{Type: MsgShardMigrate, ShardMig: &ShardMigrate{
-			ClientID: 7, Model: dnn.ModelMobileNet, Target: 14,
-			Layers: []dnn.LayerID{3, 4, 5}, SourceAddr: "10.0.0.5:7101"}}},
-		{"shard-migrate-nil-body", &Envelope{Type: MsgShardMigrate}},
+		// v5: a migration order carries no byte cap, and the master's
+		// orders carry the span context of the order's trace.
+		{"migrate-traced", &Envelope{Type: MsgMigrateRequest,
+			Trace:   tracing.SpanContext{Trace: 12, Span: 34},
+			Migrate: &Migrate{ClientID: 7, Layers: []dnn.LayerID{3, 4, 5}, PeerAddr: "10.0.0.5:7101"}}},
+		{"migrate-nil-body", &Envelope{Type: MsgMigrateRequest}},
 	}
 }
 
@@ -217,9 +218,6 @@ func normalize(e *Envelope) *Envelope {
 	}
 	if out.Handoff != nil && len(out.Handoff.History) == 0 {
 		out.Handoff.History = nil
-	}
-	if out.ShardMig != nil {
-		nilIfEmpty(&out.ShardMig.Layers)
 	}
 	return out
 }
@@ -340,11 +338,12 @@ func TestTraceTailRejectsNonCanonical(t *testing.T) {
 }
 
 // TestVersionMismatchTypedSentinel: a peer speaking another protocol
-// version (here: a hand-built v1 frame, and raw gob-era bytes) is rejected
+// version (here: hand-built v1 and v4 frames, and raw gob-era bytes) is rejected
 // with ErrProtoVersion, not a decode panic or a confusing parse error.
 func TestVersionMismatchTypedSentinel(t *testing.T) {
 	for _, raw := range [][]byte{
 		{1, byte(MsgAck), 0, 0, 0, 1, 0},  // well-formed frame, version 1
+		{4, byte(MsgAck), 0, 0, 0, 1, 0},  // well-formed frame, version 4
 		[]byte("\x1f\xff\x81\x03gob-ish"), // the old gob protocol's opening bytes
 	} {
 		client, raw2 := rawPipe(t)

@@ -46,7 +46,8 @@ import (
 )
 
 // MsgType tags an Envelope. Values are part of the wire format and must
-// never be renumbered; new types are appended.
+// never be renumbered; new types are appended. Value 18, v4's cross-shard
+// migration order, was retired in v5 and is not reused.
 type MsgType int
 
 // Message types.
@@ -79,13 +80,11 @@ const (
 	// downstream reply arrives.
 	MsgForward
 	// Sharded control plane (master -> master, and master -> client as a
-	// redirect): ownership handoff of a client crossing a region boundary,
-	// and a cross-shard proactive cache migration order.
+	// redirect): ownership handoff of a client crossing a region boundary.
 	MsgShardHandoff
-	MsgShardMigrate
 
 	// maxMsgType bounds the valid type range for frame validation.
-	maxMsgType = MsgShardMigrate
+	maxMsgType = MsgShardHandoff
 )
 
 // Protocol framing parameters.
@@ -94,8 +93,10 @@ const (
 	// Version 1 was the gob protocol (implicit, never tagged); version 2
 	// was the initial binary framing; version 3 extends PlanResp with the
 	// multi-hop chain tail and adds MsgForward; version 4 adds the sharded
-	// control plane's MsgShardHandoff and MsgShardMigrate.
-	ProtoVersion byte = 4
+	// control plane; version 5 retires v4's cross-shard migration order
+	// (type 18) and Migrate's byte cap: a master orders every target itself
+	// and cuts the layer list before the order.
+	ProtoVersion byte = 5
 	// headerLen is version(1) + type(1) + payload length(4).
 	headerLen = 6
 	// MaxFrameBytes bounds a frame's payload; larger length prefixes are
@@ -147,7 +148,6 @@ type Envelope struct {
 	Ack        *Ack
 	Forward    *Forward
 	Handoff    *ShardHandoff
-	ShardMig   *ShardMigrate
 }
 
 // Register announces a client and its model to the master. The model is
@@ -246,17 +246,14 @@ type StatsMsg struct {
 }
 
 // Migrate instructs an edge server to push a client's cached layers to a
-// peer edge server.
+// peer edge server. Layers is already what the peer should hold: a
+// fractional cut is made before the order, not by the edge.
 //
-// Encoding: ClientID varint, Layers id-list, PeerAddr string, CapBytes
-// varint.
+// Encoding: ClientID varint, Layers id-list, PeerAddr string.
 type Migrate struct {
 	ClientID int
 	Layers   []dnn.LayerID
 	PeerAddr string
-	// CapBytes limits the transfer (fractional migration); <= 0 is
-	// unlimited.
-	CapBytes int64
 }
 
 // Upload declares layer weights arriving at an edge server (from a client
@@ -353,24 +350,6 @@ type ShardHandoff struct {
 	History   []geo.Point
 }
 
-// ShardMigrate asks the master owning Target's region to accept a
-// proactive cross-shard cache migration: the sender owns the client's
-// current edge server (reachable at SourceAddr) and predicted movement
-// into the receiver's region. The receiver adopts the plan and instructs
-// SourceAddr to push the listed layers to Target's edge daemon
-// (MsgMigrateRequest), so layer bytes flow edge-to-edge exactly as in the
-// single-master path.
-//
-// Encoding: ClientID varint, Model string, Target varint, Layers id-list,
-// SourceAddr string.
-type ShardMigrate struct {
-	ClientID   int
-	Model      dnn.ModelName
-	Target     geo.ServerID
-	Layers     []dnn.LayerID
-	SourceAddr string
-}
-
 // Ack is a generic success/failure reply.
 //
 // Encoding: OK byte, Error string, Seq varint.
@@ -382,10 +361,8 @@ type Ack struct {
 	// received and cached. On the MsgAck that answers a migration order it
 	// is a layer count instead: an edge answering MsgMigrateRequest reports
 	// how many of the ordered layers it pushed to the peer (0 when it holds
-	// nothing for the client, fewer than ordered when it holds part or
-	// CapBytes cut the list), and a shard master answering MsgShardMigrate
-	// reports the layers pushed when they were the whole plan it ordered,
-	// 0 otherwise. Zero elsewhere.
+	// nothing for the client, fewer than ordered when it holds part). Zero
+	// elsewhere.
 	Seq int64
 }
 
@@ -454,11 +431,6 @@ func (e *Envelope) Clone() *Envelope {
 		v := *e.Handoff
 		v.History = append([]geo.Point(nil), e.Handoff.History...)
 		out.Handoff = &v
-	}
-	if e.ShardMig != nil {
-		v := *e.ShardMig
-		v.Layers = append([]dnn.LayerID(nil), e.ShardMig.Layers...)
-		out.ShardMig = &v
 	}
 	return out
 }

@@ -93,7 +93,7 @@ func TestEnvelopeCarriesAllBodies(t *testing.T) {
 		{Type: MsgStatsResponse, Stats: &StatsMsg{Sample: &stats}},
 		{Type: MsgUploadLayers, Upload: &Upload{ClientID: 1, Layers: []dnn.LayerID{1, 2, 3}, Bytes: 999}},
 		{Type: MsgExecRequest, ExecReq: &ExecReq{ClientID: 1, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100}},
-		{Type: MsgMigrateRequest, Migrate: &Migrate{ClientID: 1, Layers: []dnn.LayerID{4}, PeerAddr: "x:1", CapBytes: 5}},
+		{Type: MsgMigrateRequest, Migrate: &Migrate{ClientID: 1, Layers: []dnn.LayerID{4}, PeerAddr: "x:1"}},
 		{Type: MsgHasRequest, Has: &Has{ClientID: 1, Layers: []dnn.LayerID{9}}},
 	}
 	go func() {
