@@ -13,10 +13,10 @@ import (
 // cityAllocsPerQuery is the whole-run allocation budget of a short PerDNN
 // city, per simulated query: world construction, handoffs, uploads and
 // migration orders amortized over the queries they serve. The query loop
-// itself — three events through the value heap, stepped by the generation's
-// queryChain — allocates nothing; the closure tower it replaced cost ≈ 10.
-// A migration check allocates nothing either, and an order one set of a few
-// words.
+// itself — three events through the engine's calendar of pooled nodes,
+// stepped by the generation's queryChain — allocates nothing; the closure
+// tower it replaced cost ≈ 10. A migration check allocates nothing either,
+// and an order one set of a few words.
 const cityAllocsPerQuery = 1.5
 
 func TestCityQueryAllocBudget(t *testing.T) {

@@ -146,8 +146,10 @@ func (g *GPU) Device() profile.Device { return g.dev }
 // follows a first-order filter toward the load-determined target with a
 // 45-second time constant. Callers must hold g.mu.
 func (g *GPU) advanceLocked(now time.Duration) {
-	if now < g.lastAt {
-		// Out-of-order sampling (e.g. concurrent live clients): keep state.
+	if now <= g.lastAt {
+		// No time has passed (ExecTime at Begin's instant; the filter's
+		// step would be 1 - exp(0) = 0), or out-of-order sampling (e.g.
+		// concurrent live clients): keep state.
 		return
 	}
 	target := g.params.IdleTempC + g.params.TempPerClient*float64(g.inflight)

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +85,23 @@ func TestThermalRampAndThrottle(t *testing.T) {
 	cooled := g.Sample(30 * time.Minute).TempC
 	if cooled > p.IdleTempC+5 {
 		t.Errorf("temp did not cool: %v", cooled)
+	}
+}
+
+// TestExecTimeAtBeginInstantKeepsThermalState: an ExecTime at the instant
+// of the Begin before it leaves the thermal filter bit for bit where Begin
+// left it.
+func TestExecTimeAtBeginInstantKeepsThermalState(t *testing.T) {
+	g := newGPU(3)
+	for i := 0; i < 4; i++ {
+		g.Begin(0)
+	}
+	const at = 7 * time.Second
+	g.Begin(at)
+	temp, lastAt := g.temp, g.lastAt
+	g.ExecTime(10*time.Millisecond, 0.5, at)
+	if math.Float64bits(g.temp) != math.Float64bits(temp) || g.lastAt != lastAt {
+		t.Errorf("ExecTime at Begin's instant moved the thermal state: temp %v -> %v, lastAt %v -> %v", temp, g.temp, lastAt, g.lastAt)
 	}
 }
 
