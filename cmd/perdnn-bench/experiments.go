@@ -107,6 +107,40 @@ var kaistBase = sync.OnceValues(func() (*trace.Dataset, error) {
 	return trace.Generate(trace.KAISTConfig())
 })
 
+// traceDatasets are the two synthetic mobility datasets, in report order.
+var traceDatasets = []struct {
+	name string
+	gen  func() (*trace.Dataset, error)
+}{
+	{"KAIST", kaistBase},
+	{"Geolife", geolifeBase},
+}
+
+// runDatasets prints the statistics the trace generators are tuned to
+// match: split sizes, speeds at 20 s sampling, and the 50 m edge-server
+// placement with its futile-prediction ratio.
+func runDatasets(context.Context, bool) error {
+	for _, d := range traceDatasets {
+		base, err := d.gen()
+		if err != nil {
+			return err
+		}
+		ds, err := base.Resample(20 * time.Second)
+		if err != nil {
+			return err
+		}
+		st, err := ds.ComputeStats(50)
+		if err != nil {
+			return err
+		}
+		pl := placementFor(ds)
+		fmt.Printf("%-8s %v\n", d.name, st)
+		fmt.Printf("%-8s %.1f x %.1f km, %d edge servers (50 m cells), futile ratio %.2f (n=5, t=20 s)\n",
+			"", ds.Area.Width()/1000, ds.Area.Height()/1000, pl.Len(), mobility.FutileRatio(ds.Test, pl, 5))
+	}
+	return nil
+}
+
 // runFig6 prints the trajectory-length and interval sensitivity (Fig 6).
 func runFig6(_ context.Context, quick bool) error {
 	base, err := geolifeBase()
@@ -207,15 +241,8 @@ func runTable2(context.Context, bool) error {
 
 // runTable3 prints mobility predictor accuracy (Table III).
 func runTable3(_ context.Context, quick bool) error {
-	datasets := []struct {
-		name string
-		gen  func() (*trace.Dataset, error)
-	}{
-		{"KAIST", kaistBase},
-		{"Geolife", geolifeBase},
-	}
 	fmt.Printf("%-9s %-8s %7s %7s %9s %10s\n", "dataset", "model", "top-1", "top-2", "MAE (m)", "fit time")
-	for _, d := range datasets {
+	for _, d := range traceDatasets {
 		base, err := d.gen()
 		if err != nil {
 			return err

@@ -3,8 +3,12 @@
 //
 // Usage:
 //
-//	perdnn-bench [-exp all|table1,fig1,fig4,fig6,fig7,table2,table3,fig9,traffic,fig10,ablations]
+//	perdnn-bench [-exp all|table1,datasets,fig1,fig4,fig6,fig7,table2,table3,fig9,traffic,fig10,ablations]
 //	             [-quick] [-workers N]
+//
+// datasets prints the synthetic mobility traces' statistics (split sizes,
+// speeds, edge-server count, futile-prediction ratio) that the generators
+// are tuned to match; it is the same in quick and full mode.
 //
 // -quick shrinks datasets and training budgets so the whole suite finishes
 // in well under a minute; the full run takes several minutes and produces
@@ -44,6 +48,7 @@ func main() {
 		fn   func(ctx context.Context, quick bool) error
 	}{
 		{"table1", runTable1},
+		{"datasets", runDatasets},
 		{"fig1", runFig1},
 		{"fig4", runFig4},
 		{"fig6", runFig6},

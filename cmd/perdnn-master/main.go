@@ -33,7 +33,6 @@ import (
 	"strings"
 	"syscall"
 
-	"perdnn/internal/estimator"
 	"perdnn/internal/geo"
 	"perdnn/internal/master"
 	"perdnn/internal/obs"
@@ -86,7 +85,6 @@ func main() {
 func run() error {
 	listen := flag.String("listen", ":7100", "listen address")
 	radius := flag.Float64("radius", 100, "proactive migration radius r in meters")
-	estimatorPath := flag.String("estimator", "", "load a trained estimator JSON (from perdnn-estimator) instead of training at startup")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address (off when empty)")
 	traceOn := flag.Bool("trace", false, "record request spans; export them at /trace on -debug-addr")
@@ -113,20 +111,6 @@ func run() error {
 	cfg.Logger = obs.NewLogger(os.Stderr, level, "master")
 	if *traceOn {
 		cfg.Tracer = tracing.NewWallClock()
-	}
-	if *estimatorPath != "" {
-		f, err := os.Open(*estimatorPath)
-		if err != nil {
-			return err
-		}
-		est, err := estimator.ReadServerEstimatorJSON(f)
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		cfg.Estimator = est
 	}
 	m, err := master.New(cfg)
 	if err != nil {

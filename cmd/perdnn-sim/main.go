@@ -31,7 +31,8 @@
 // -hops cell, -queries inferences stream through the chain the partitioner
 // plans over K identical servers at -slowdown, and the row reports planned
 // hops, bottleneck estimate, and the simulated steady-state throughput.
-// -trace/-spans export the per-query stage spans the same way.
+// -trace/-spans export the per-query stage spans the same way; -events and
+// -csv have no pipeline counterpart and are rejected.
 package main
 
 import (
@@ -140,16 +141,16 @@ func run() error {
 		radii = append(radii, r)
 	}
 	models := splitList(*model)
-	if *pipeline {
-		return runPipeline(models, splitList(*hops), *slowdown, *queries, *objective, *parallel,
-			exportPaths{trace: *tracePath, spans: *spansPath})
-	}
-	if len(models) == 0 || len(modes) == 0 || len(radii) == 0 {
-		return fmt.Errorf("need at least one model, mode and radius")
-	}
 	cells := len(models) * len(modes) * len(radii)
-	if *csvPath != "" && cells > 1 {
-		return fmt.Errorf("-csv needs a single model/mode/radius cell, got %d", cells)
+	paths := exportPaths{csv: *csvPath, events: *eventsPath, trace: *tracePath, spans: *spansPath}
+	if err := checkExports(*pipeline, cells, paths); err != nil {
+		return err
+	}
+	if *pipeline {
+		return runPipeline(models, splitList(*hops), *slowdown, *queries, *objective, *parallel, paths)
+	}
+	if cells == 0 {
+		return fmt.Errorf("need at least one model, mode and radius")
 	}
 
 	fmt.Printf("generating %s dataset...\n", *dataset)
@@ -198,7 +199,6 @@ func run() error {
 		}
 	}
 
-	paths := exportPaths{csv: *csvPath, events: *eventsPath, trace: *tracePath, spans: *spansPath}
 	if len(cfgs) == 1 {
 		return runOne(ctx, env, cfgs[0], paths)
 	}
@@ -208,6 +208,21 @@ func run() error {
 // exportPaths carries the optional output-file flags through the runners.
 type exportPaths struct {
 	csv, events, trace, spans string
+}
+
+// checkExports rejects output flags a run would silently ignore: the
+// pipeline experiment writes only -trace and -spans, and the -csv ledger
+// belongs to a single city cell.
+func checkExports(pipeline bool, cells int, paths exportPaths) error {
+	switch {
+	case pipeline && paths.events != "":
+		return fmt.Errorf("-events is not supported with -pipeline")
+	case pipeline && paths.csv != "":
+		return fmt.Errorf("-csv is not supported with -pipeline")
+	case !pipeline && paths.csv != "" && cells > 1:
+		return fmt.Errorf("-csv needs a single model/mode/radius cell, got %d", cells)
+	}
+	return nil
 }
 
 // cellLabel names one sweep cell for the event journal's Run field.

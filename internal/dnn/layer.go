@@ -75,9 +75,9 @@ type LayerID int
 // Shape describes an activation tensor (channels x height x width) flowing
 // between layers. FC outputs use H = W = 1.
 type Shape struct {
-	C int `json:"c"`
-	H int `json:"h"`
-	W int `json:"w"`
+	C int
+	H int
+	W int
 }
 
 // Elems returns the number of elements in the tensor.
@@ -92,30 +92,30 @@ func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.C, s.H, s.W) }
 // Hyper holds the hyperparameters of a layer — the training-time-fixed
 // values the paper's estimators use as features (Section III.C.1).
 type Hyper struct {
-	Kernel  int `json:"kernel,omitempty"`  // spatial kernel size (square)
-	Stride  int `json:"stride,omitempty"`  // spatial stride
-	Pad     int `json:"pad,omitempty"`     // spatial zero padding
-	Groups  int `json:"groups,omitempty"`  // conv groups (C for depthwise)
-	OutputK int `json:"outputK,omitempty"` // output channels / FC units
+	Kernel  int // spatial kernel size (square)
+	Stride  int // spatial stride
+	Pad     int // spatial zero padding
+	Groups  int // conv groups (C for depthwise)
+	OutputK int // output channels / FC units
 }
 
 // Layer is one node of the model DAG.
 type Layer struct {
-	ID     LayerID   `json:"id"`
-	Name   string    `json:"name"`
-	Type   LayerType `json:"type"`
-	Hyper  Hyper     `json:"hyper"`
-	Inputs []LayerID `json:"inputs"` // predecessor layers; empty for the first layer
+	ID     LayerID
+	Name   string
+	Type   LayerType
+	Hyper  Hyper
+	Inputs []LayerID // predecessor layers; empty for the first layer
 
-	In  Shape `json:"in"`  // input tensor shape (post-concat for multi-input layers)
-	Out Shape `json:"out"` // output tensor shape
+	In  Shape // input tensor shape (post-concat for multi-input layers)
+	Out Shape // output tensor shape
 
 	// WeightBytes is the size of the layer's trained parameters in bytes;
 	// it is what incremental upload and proactive migration move around.
-	WeightBytes int64 `json:"weightBytes"`
+	WeightBytes int64
 	// FLOPs is the number of floating-point operations one inference of
 	// this layer performs; execution-time profiles derive from it.
-	FLOPs int64 `json:"flops"`
+	FLOPs int64
 }
 
 // InputBytes returns the size of the layer's input activation, i.e. the

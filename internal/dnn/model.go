@@ -8,12 +8,12 @@ import (
 // Model is an immutable, topologically ordered DNN layer DAG. Layer i's
 // inputs always have IDs < i, so a single forward scan executes the model.
 type Model struct {
-	Name   string  `json:"name"`
-	Layers []Layer `json:"layers"`
+	Name   string
+	Layers []Layer
 
 	// topo lazily computes the cached Topology exactly once (sync.OnceValue).
-	// It is installed by the package's constructors (Builder.Build,
-	// ReadJSON); Topo falls back to an uncached computation when nil.
+	// It is installed by the package's constructor (Builder.Build); Topo
+	// falls back to an uncached computation when nil.
 	topo func() *Topology
 }
 
@@ -127,16 +127,6 @@ func (m *Model) Validate() error {
 		return fmt.Errorf("dnn: model %q final layer has successors", m.Name)
 	}
 	return nil
-}
-
-// CountByType returns the number of layers of each type, used by tests and
-// the model-inventory report.
-func (m *Model) CountByType() map[LayerType]int {
-	out := make(map[LayerType]int, 8)
-	for i := range m.Layers {
-		out[m.Layers[i].Type]++
-	}
-	return out
 }
 
 // String implements fmt.Stringer with the Table I summary line.

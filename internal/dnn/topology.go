@@ -67,9 +67,9 @@ func computeTopology(m *Model) *Topology {
 	return t
 }
 
-// initTopo installs the lazy, concurrency-safe topology cache. Every model
-// constructor in this package (Builder.Build, ReadJSON) calls it before the
-// model escapes, so planners always hit the cached path.
+// initTopo installs the lazy, concurrency-safe topology cache. The
+// package's model constructor (Builder.Build) calls it before the model
+// escapes, so planners always hit the cached path.
 func (m *Model) initTopo() {
 	m.topo = sync.OnceValue(func() *Topology { return computeTopology(m) })
 }

@@ -116,7 +116,10 @@ func TestInceptionFCDominatesSize(t *testing.T) {
 
 func TestResNetShortcutTopology(t *testing.T) {
 	m := ResNet50()
-	counts := m.CountByType()
+	counts := map[LayerType]int{}
+	for i := range m.Layers {
+		counts[m.Layers[i].Type]++
+	}
 	if counts[EltwiseAdd] != 16 {
 		t.Errorf("ResNet-50 has %d eltwise adds, want 16", counts[EltwiseAdd])
 	}

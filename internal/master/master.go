@@ -75,8 +75,8 @@ type Config struct {
 	// must have length Shards) when Shards > 1. Peers[Shard] names this
 	// master and is only used in redirects.
 	Peers []string
-	// Estimator, when non-nil, is used instead of training one at startup
-	// (load it from perdnn-estimator's JSON output).
+	// Estimator, when non-nil, is used instead of training one at startup,
+	// so that several masters in one process can share one trained forest.
 	Estimator *estimator.ServerEstimator
 	// Logger receives the daemon's structured log output; nil defaults to
 	// info-level logging on stderr tagged with component=master.
