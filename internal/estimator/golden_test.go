@@ -29,7 +29,9 @@ func forestHash(f *Forest) string {
 // hold on both sides of it: the unstable sort's tie order decides the order
 // of every float sum, so they move only if the sort's permutation does —
 // and then every plan behind bench/golden/city-seed1.json is free to move
-// with them.
+// with them. That permutation is sortKeyed's (sortkeyed.go): a copy of the
+// standard library's pdqsort kept in the repo, because the tie order of an
+// unstable sort is unspecified and could change with a toolchain.
 func TestForestGolden(t *testing.T) {
 	for seed, want := range map[int64]string{
 		1: "a4e601072aa9c78673ff723e969b8ca886d961cd01a11ec03fb7b3c9bcc2b25d",

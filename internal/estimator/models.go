@@ -34,11 +34,13 @@ var _ TimeModel = (*RFWithLoad)(nil)
 // Name implements TimeModel.
 func (m *RFWithLoad) Name() string { return "RF w/ server load info" }
 
-// Train implements TimeModel.
+// Train implements TimeModel. Zero fields of Config mean
+// DefaultForestConfig's values; set fields, Seed included, are kept.
 func (m *RFWithLoad) Train(samples []gpusim.Sample) error {
 	cfg := m.Config
-	if cfg.NumTrees == 0 {
-		cfg = DefaultForestConfig()
+	if cfg.Seed == 0 {
+		// TrainForest fills every other zero field with the same default.
+		cfg.Seed = DefaultForestConfig().Seed
 	}
 	x := make([][]float64, 0, len(samples))
 	y := make([]float64, 0, len(samples))

@@ -85,6 +85,28 @@ func TestLLPerLoadFallsBackToNearestLoad(t *testing.T) {
 	}
 }
 
+// TestRFWithLoadKeepsSeed checks that Train fills only the zero fields of
+// Config: a zero config trains DefaultForestConfig's seed, and an explicit
+// seed is the one trained, as RunFig4 relies on.
+func TestRFWithLoadKeepsSeed(t *testing.T) {
+	samples := smallProfilingRun(t)
+	hash := func(cfg ForestConfig) string {
+		t.Helper()
+		m := &RFWithLoad{Config: cfg}
+		if err := m.Train(samples); err != nil {
+			t.Fatal(err)
+		}
+		return forestHash(m.forest)
+	}
+	zero, seed1, seed3 := hash(ForestConfig{}), hash(ForestConfig{Seed: 1}), hash(ForestConfig{Seed: 3})
+	if zero != seed1 {
+		t.Errorf("zero config trained %s, want the seed-1 forest %s", zero, seed1)
+	}
+	if seed3 == seed1 {
+		t.Errorf("Seed 3 trained the seed-1 forest %s", seed1)
+	}
+}
+
 func TestRunFig4ReproducesShape(t *testing.T) {
 	cfg := Fig4Config{
 		CorpusSize: 16,

@@ -1,9 +1,6 @@
 package estimator
 
-import (
-	"math/rand"
-	"slices"
-)
+import "math/rand"
 
 // treeNode is one node of a CART regression tree, stored in a flat slice.
 // Leaves have left == -1.
@@ -34,16 +31,6 @@ type treeConfig struct {
 type keyed struct {
 	key float64
 	idx int
-}
-
-func byKey(a, b keyed) int {
-	if a.key < b.key {
-		return -1
-	}
-	if a.key > b.key {
-		return 1
-	}
-	return 0
 }
 
 // grower holds what the nodes of one tree share while it grows. cur and
@@ -124,7 +111,7 @@ func (g *grower) grow(idx []int, depth int) int32 {
 		for j, i := range idx {
 			cur[j] = keyed{g.x[i][f], i}
 		}
-		slices.SortFunc(cur, byKey)
+		sortKeyed(cur)
 
 		// Prefix sums over the sorted order for O(n) split scanning.
 		var sumL, sumSqL, sumT, sumSqT float64
