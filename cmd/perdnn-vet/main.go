@@ -2,27 +2,23 @@
 // compile-time form of the invariants PerDNN's reproduction numbers rest
 // on: deterministic simulation runs, sentinel-error discipline, context
 // plumbing on the live path, Env immutability, fixed-shape journal
-// events, and lock hygiene. See internal/lint for the analyzers and the
+// spans, and lock hygiene. See internal/lint for the analyzers and the
 // call graph behind the interprocedural ones.
 //
 // Usage:
 //
 //	go run ./cmd/perdnn-vet [flags] [packages]
 //
-// With no package patterns it analyzes ./.... Exits 1 when any analyzer
-// reports a finding, so CI can use it as a hard gate. Suppress a finding
-// at a specific line with a justified directive:
+// With no package patterns it analyzes ./.... It always runs the whole
+// suite and exits 1 when any analyzer reports a finding, so CI can use it
+// as a hard gate; no finding can be suppressed.
 //
-//	//perdnn:vet-ignore <analyzer> <reason>
-//
-// Output modes: the default is the classic file:line:col form; -json
-// emits one machine-readable array; -github emits GitHub Actions
-// workflow commands (::error file=...) so findings annotate the PR diff
-// inline.
+// Output modes: the default is the classic file:line:col form; -github
+// emits GitHub Actions workflow commands (::error file=...) so findings
+// annotate the PR diff inline. -list prints the roster and exits.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,21 +27,10 @@ import (
 	"perdnn/internal/lint"
 )
 
-// jsonDiagnostic is the -json wire shape, one element per finding.
-type jsonDiagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
 func main() {
 	var (
-		list   = flag.Bool("list", false, "list analyzers and exit")
-		only   = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-		asJSON = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		gh     = flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
+		list = flag.Bool("list", false, "list analyzers and exit")
+		gh   = flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
@@ -60,51 +45,21 @@ func main() {
 		}
 		return
 	}
-	if *asJSON && *gh {
-		fmt.Fprintln(os.Stderr, "perdnn-vet: -json and -github are mutually exclusive")
-		os.Exit(2)
-	}
-
-	analyzers, err := lint.Select(*only)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perdnn-vet: %v\n", err)
-		os.Exit(2)
-	}
 
 	pkgs, err := lint.Load("", flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "perdnn-vet: %v\n", err)
 		os.Exit(2)
 	}
-	diags, err := lint.RunAnalyzers(pkgs, analyzers)
+	diags, err := lint.RunAnalyzers(pkgs, lint.All())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "perdnn-vet: %v\n", err)
 		os.Exit(2)
 	}
-	switch {
-	case *asJSON:
-		out := make([]jsonDiagnostic, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiagnostic{
-				Analyzer: d.Analyzer,
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "perdnn-vet: %v\n", err)
-			os.Exit(2)
-		}
-	case *gh:
-		for _, d := range diags {
+	for _, d := range diags {
+		if *gh {
 			fmt.Println(githubAnnotation(d))
-		}
-	default:
-		for _, d := range diags {
+		} else {
 			fmt.Println(d)
 		}
 	}

@@ -136,7 +136,7 @@ func (c *PlanCache) Len() int {
 // keys requested.
 func (c *PlanCache) Computes() int64 { return c.computes.Load() }
 
-// CacheStats summarizes how plan requests were served. Every entryFor call
+// CacheStats summarizes how plan requests were served. Every settle call
 // lands in exactly one bucket, so Hits + Misses + Coalesced equals the
 // total number of plan requests.
 type CacheStats struct {

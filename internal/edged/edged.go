@@ -296,7 +296,7 @@ func (s *Server) upload(u *wire.Upload) error {
 	s.uploads.Inc()
 	s.uploadBytes.Add(bytes)
 	s.log.Debug("layers uploaded", "client", u.ClientID, "layers", len(added), "bytes", bytes)
-	s.sleep(time.Duration(float64(bytes) * 8 / s.cfg.LinkBps * float64(time.Second)))
+	s.sleep(s.wireTime(bytes))
 	return nil
 }
 
@@ -367,19 +367,34 @@ func (s *Server) cachedLayers(client int) (dnn.LayerSet, bool) {
 // query trace when the request carried a span context.
 func (s *Server) exec(r *wire.ExecReq, rc tracing.SpanContext, reply *execReply) *wire.Envelope {
 	trace, parent := s.traceRoot(rc)
+	exec := s.runOnGPU(trace, parent, r.InputBytes, r.ServerBaseNs, r.Intensity)
+	return reply.set(exec, 0)
+}
+
+// runOnGPU realizes one stage of a query on this server: the ingress
+// transfer of inBytes (the sender accounts its duration; this side realizes
+// the wall time), the wait for the GPU, and the kernel time under the live
+// load. It records the exec.queue and exec.compute spans under parent and
+// returns the kernel time.
+func (s *Server) runOnGPU(trace tracing.TraceID, parent tracing.SpanID, inBytes, baseNs int64, intensity float64) time.Duration {
 	qStart := s.tr.Now()
-	// Input transfer.
-	s.sleep(time.Duration(float64(r.InputBytes) * 8 / s.cfg.LinkBps * float64(time.Second)))
+	s.sleep(s.wireTime(inBytes))
 	s.gpu.Begin(s.now())
 	cStart := s.tr.Now()
 	s.tr.Record(trace, parent, tracing.StageExecQueue, s.node, qStart, cStart)
-	exec := s.gpu.ExecTime(time.Duration(r.ServerBaseNs), r.Intensity, s.now())
+	exec := s.gpu.ExecTime(time.Duration(baseNs), intensity, s.now())
 	s.sleep(exec)
 	s.gpu.End()
 	s.tr.Record(trace, parent, tracing.StageExecCompute, s.node, cStart, s.tr.Now())
 	s.execs.Inc()
 	s.execNs.ObserveDuration(exec)
-	return reply.set(exec, 0)
+	return exec
+}
+
+// wireTime prices b bytes against this server's link: serialization time
+// only, without the RTT/2 that partition.Link adds.
+func (s *Server) wireTime(b int64) time.Duration {
+	return time.Duration(float64(b) * 8 / s.cfg.LinkBps * float64(time.Second))
 }
 
 // forward executes the first hop of a multi-hop pipelined query on this
@@ -391,25 +406,12 @@ func (s *Server) exec(r *wire.ExecReq, rc tracing.SpanContext, reply *execReply)
 func (s *Server) forward(ctx context.Context, f *wire.Forward, rc tracing.SpanContext, reply *execReply) *wire.Envelope {
 	trace, parent := s.traceRoot(rc)
 	hop := f.Hops[0]
-	qStart := s.tr.Now()
-	// Ingress activation transfer, realized against this server's link (the
-	// sender accounts the duration; this side realizes the wall time).
-	s.sleep(time.Duration(float64(hop.InBytes) * 8 / s.cfg.LinkBps * float64(time.Second)))
-	s.gpu.Begin(s.now())
-	cStart := s.tr.Now()
-	s.tr.Record(trace, parent, tracing.StageExecQueue, s.node, qStart, cStart)
-	exec := s.gpu.ExecTime(time.Duration(hop.ServerBaseNs), hop.Intensity, s.now())
-	s.sleep(exec)
-	s.gpu.End()
-	s.tr.Record(trace, parent, tracing.StageExecCompute, s.node, cStart, s.tr.Now())
-	s.execs.Inc()
-	s.execNs.ObserveDuration(exec)
-	total := exec
+	total := s.runOnGPU(trace, parent, hop.InBytes, hop.ServerBaseNs, hop.Intensity)
 	if len(f.Hops) > 1 {
 		next := f.Hops[1]
 		// Egress activation transfer edge→edge, priced against this
 		// server's link and realized by the receiving hop.
-		total += time.Duration(float64(next.InBytes) * 8 / s.cfg.LinkBps * float64(time.Second))
+		total += s.wireTime(next.InBytes)
 		span := s.tr.NewSpanID()
 		hStart := s.tr.Now()
 		fctx, cancel := context.WithTimeout(ctx, wire.DefaultRecvTimeout)

@@ -7,8 +7,8 @@ import (
 
 // EnvMutate enforces the immutability contract behind the parallel sweep
 // engine: an *edgesim.Env is shared, unsynchronized, by every concurrent
-// RunSweep worker, so after PrepareEnv returns nothing may write through
-// it. Code that wants a variant must copy the struct value
+// RunSweepContext worker, so after PrepareEnv returns nothing may write
+// through it. Code that wants a variant must copy the struct value
 // (`v := *env; v.Predictor = p`) — writes to a value copy are fine and are
 // not flagged. Outside _test.go files the analyzer reports any field
 // assignment (including op-assign and ++/--) or whole-struct store made

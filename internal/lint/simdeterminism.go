@@ -9,7 +9,7 @@ import (
 
 // SimDeterminism enforces the simulator's core contract: a run — including
 // its event journal — is a pure function of its configuration, so results
-// and journals are byte-identical at every RunSweep worker count.
+// and journals are byte-identical at every RunSweepContext worker count.
 //
 // In the simulation packages (edgesim, simnet, mobility, estimator,
 // gpusim, geo) it forbids, outside _test.go files:

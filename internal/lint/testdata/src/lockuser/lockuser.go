@@ -130,12 +130,11 @@ func (s *S) WaitGroupUnderLock(wg *sync.WaitGroup) {
 func (s *S) Sanctioned() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//perdnn:vet-ignore lockhygiene fixture exercises a line-above suppression
-	time.Sleep(time.Millisecond)
+	time.Sleep(time.Millisecond) // want "time.Sleep while s.mu is held"
 }
 
 func (s *S) SanctionedInline(wg *sync.WaitGroup) {
 	s.mu.Lock()
-	wg.Wait() //perdnn:vet-ignore lockhygiene fixture exercises a same-line suppression
+	wg.Wait() // want "WaitGroup.Wait while s.mu is held"
 	s.mu.Unlock()
 }

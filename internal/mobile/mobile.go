@@ -135,38 +135,52 @@ func DialContext(ctx context.Context, cfg Config) (*Client, error) {
 	regTrace := c.tr.NewTrace()
 	regSpan := c.tr.NewSpanID()
 	regStart := c.tr.Now()
-	err = retry.Do(ctx, "master registration", func(ctx context.Context) error {
-		conn, err := wire.DialContext(ctx, cfg.MasterAddr)
-		if err != nil {
-			c.met.Counter("master_retries_total").Inc()
-			c.retryInstant()
-			return fmt.Errorf("%w: %w", core.ErrMasterDown, err)
-		}
-		resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
-			Type:     wire.MsgRegister,
-			Register: &wire.Register{ClientID: cfg.ID, Model: cfg.Model},
-			Trace:    tracing.SpanContext{Trace: regTrace, Span: regSpan},
-		})
-		if err != nil {
-			closeQuietly(conn, c.log, "master conn")
-			c.met.Counter("master_retries_total").Inc()
-			c.retryInstant()
-			return fmt.Errorf("%w: registering: %w", core.ErrMasterDown, err)
-		}
-		if resp.Ack == nil || !resp.Ack.OK {
-			closeQuietly(conn, c.log, "master conn")
-			// A rejected registration is a hard failure, not an outage,
-			// but the protocol cannot distinguish; let the policy retry.
-			return fmt.Errorf("mobile: registration rejected: %s", ackError(resp))
-		}
-		c.master = conn
-		return nil
-	})
+	c.master, err = c.register(ctx, cfg.MasterAddr, tracing.SpanContext{Trace: regTrace, Span: regSpan})
 	if err != nil {
 		return nil, fmt.Errorf("mobile: dialing master: %w", err)
 	}
 	c.tr.RecordWith(regTrace, regSpan, 0, tracing.StageRegister, c.node, regStart, c.tr.Now())
 	return c, nil
+}
+
+// register dials the master at addr and registers the client there under
+// the retry policy, returning the registered connection. sc parents the
+// master's register span (zero for none). A client that already holds a
+// master connection is re-homing, and the retry op and errors say so.
+func (c *Client) register(ctx context.Context, addr string, sc tracing.SpanContext) (*wire.Conn, error) {
+	op, re := "master registration", ""
+	if c.master != nil {
+		op, re = "master handoff", "re-"
+	}
+	var conn *wire.Conn
+	err := c.retry.Do(ctx, op, func(ctx context.Context) error {
+		nc, err := wire.DialContext(ctx, addr)
+		if err != nil {
+			c.met.Counter("master_retries_total").Inc()
+			c.retryInstant()
+			return fmt.Errorf("%w: %w", core.ErrMasterDown, err)
+		}
+		resp, err := nc.RoundTripContext(ctx, &wire.Envelope{
+			Type:     wire.MsgRegister,
+			Register: &wire.Register{ClientID: c.cfg.ID, Model: c.cfg.Model},
+			Trace:    sc,
+		})
+		if err != nil {
+			closeQuietly(nc, c.log, "master conn")
+			c.met.Counter("master_retries_total").Inc()
+			c.retryInstant()
+			return fmt.Errorf("%w: %sregistering: %w", core.ErrMasterDown, re, err)
+		}
+		if resp.Ack == nil || !resp.Ack.OK {
+			closeQuietly(nc, c.log, "master conn")
+			// A rejected registration is a hard failure, not an outage,
+			// but the protocol cannot distinguish; let the policy retry.
+			return fmt.Errorf("mobile: %sregistration rejected: %s", re, ackError(resp))
+		}
+		conn = nc
+		return nil
+	})
+	return conn, err
 }
 
 // Metrics exposes the client's metrics registry (connects, uploads,
@@ -253,31 +267,7 @@ func (c *Client) ReportLocationContext(ctx context.Context, p geo.Point) error {
 // state after the peer accepts the handoff).
 func (c *Client) switchMaster(ctx context.Context, addr string) error {
 	start := c.tr.Now()
-	var conn *wire.Conn
-	err := c.retry.Do(ctx, "master handoff", func(ctx context.Context) error {
-		nc, err := wire.DialContext(ctx, addr)
-		if err != nil {
-			c.met.Counter("master_retries_total").Inc()
-			c.retryInstant()
-			return fmt.Errorf("%w: %w", core.ErrMasterDown, err)
-		}
-		resp, err := nc.RoundTripContext(ctx, &wire.Envelope{
-			Type:     wire.MsgRegister,
-			Register: &wire.Register{ClientID: c.cfg.ID, Model: c.cfg.Model},
-		})
-		if err != nil {
-			closeQuietly(nc, c.log, "master conn")
-			c.met.Counter("master_retries_total").Inc()
-			c.retryInstant()
-			return fmt.Errorf("%w: re-registering: %w", core.ErrMasterDown, err)
-		}
-		if resp.Ack == nil || !resp.Ack.OK {
-			closeQuietly(nc, c.log, "master conn")
-			return fmt.Errorf("mobile: re-registration rejected: %s", ackError(resp))
-		}
-		conn = nc
-		return nil
-	})
+	conn, err := c.register(ctx, addr, tracing.SpanContext{})
 	if err != nil {
 		return fmt.Errorf("mobile: switching master to %s: %w", addr, err)
 	}

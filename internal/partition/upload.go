@@ -56,8 +56,9 @@ func SequentialSchedule(plan *Plan, chunkLayers int) []UploadUnit {
 
 // TruncateSchedule returns the longest prefix of units whose total size
 // stays within maxBytes, for fractional migration to crowded servers
-// (Section IV.B.5). At least one unit is returned if any unit fits alone;
-// maxBytes <= 0 returns nil.
+// (Section IV.B.5). The prefix stops at the first unit that does not fit,
+// so a first unit larger than maxBytes yields no units even when a later
+// one would fit alone; maxBytes <= 0 returns nil.
 func TruncateSchedule(units []UploadUnit, maxBytes int64) []UploadUnit {
 	if maxBytes <= 0 {
 		return nil

@@ -188,6 +188,15 @@ func TestTruncateSchedule(t *testing.T) {
 	if got := TruncateSchedule(units, 600); len(got) != 3 {
 		t.Errorf("600-byte budget returned %d units, want 3", len(got))
 	}
+	// Only a prefix is ever kept: an oversized first unit blocks a later
+	// unit that would fit alone.
+	big := []UploadUnit{
+		{Layers: []dnn.LayerID{0}, Bytes: 300},
+		{Layers: []dnn.LayerID{1}, Bytes: 100},
+	}
+	if got := TruncateSchedule(big, 150); len(got) != 0 {
+		t.Errorf("150-byte budget behind a 300-byte first unit returned %d units, want 0", len(got))
+	}
 }
 
 // TestScheduleSet: the set holds every layer the units list, sized for the
