@@ -262,11 +262,12 @@ func BenchmarkFig9Sweep(b *testing.B) {
 // round of the repo benchmark's city-sim workload (seed-1 Geolife env,
 // PerDNN, r = 100, MaxSteps 40, every zoo model once), so
 //
-//	go test -run '^$' -bench CityRound -cpuprofile cpu.out .
+//	go test -run '^$' -bench CityRound/plain -cpuprofile cpu.out .
 //
 // names where a simulated query's host time goes without touching bench/.
+// The plain sub-benchmark records nothing, as the workload does; spans
+// sets RecordSpans, so the pair prices a traced round.
 func BenchmarkCityRound(b *testing.B) {
-	b.ReportAllocs()
 	tcfg := trace.GeolifeConfig()
 	tcfg.Seed = 1 // the seed of bench/golden/city-seed1.json
 	ds, err := trace.Generate(tcfg)
@@ -277,25 +278,35 @@ func BenchmarkCityRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	round := func() (queries int) {
-		for _, model := range dnn.ZooNames() {
-			cfg := edgesim.DefaultCityConfig(model, edgesim.ModePerDNN, 100)
-			cfg.MaxSteps = 40
-			res, err := edgesim.RunCity(env, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			queries += res.TotalQueries
+	for _, spans := range []bool{false, true} {
+		name := "plain"
+		if spans {
+			name = "spans"
 		}
-		return queries
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			round := func() (queries int) {
+				for _, model := range dnn.ZooNames() {
+					cfg := edgesim.DefaultCityConfig(model, edgesim.ModePerDNN, 100)
+					cfg.MaxSteps = 40
+					cfg.RecordSpans = spans
+					res, err := edgesim.RunCity(env, cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					queries += res.TotalQueries
+				}
+				return queries
+			}
+			round() // fill the process-wide plan cache, as the benchmark's set-up does
+			queries := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				queries += round()
+			}
+			b.ReportMetric(float64(queries)/b.Elapsed().Seconds(), "queries/s")
+		})
 	}
-	round() // fill the process-wide plan cache, as the benchmark's set-up does
-	queries := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		queries += round()
-	}
-	b.ReportMetric(float64(queries)/b.Elapsed().Seconds(), "queries/s")
 }
 
 // BenchmarkTrainServerEstimator is the profile entry point for start-up:

@@ -66,6 +66,10 @@ func DefaultConfig(model dnn.ModelName) Config {
 type Server struct {
 	cfg   Config
 	model *dnn.Model
+	// gpuMu serializes the connection goroutines' GPU calls (a GPU is
+	// not safe for concurrent use). Each call is its own critical
+	// section; it is never held across a sleep.
+	gpuMu sync.Mutex
 	gpu   *gpusim.GPU
 	start time.Time
 	log   *slog.Logger
@@ -212,7 +216,10 @@ func (s *Server) dispatch(ctx context.Context, req *wire.Envelope, reply *execRe
 	s.requests.Inc()
 	switch req.Type {
 	case wire.MsgStatsRequest:
-		st := s.gpu.Sample(s.now())
+		now := s.now()
+		s.gpuMu.Lock()
+		st := s.gpu.Sample(now)
+		s.gpuMu.Unlock()
 		return &wire.Envelope{Type: wire.MsgStatsResponse, Stats: &wire.StatsMsg{Sample: &st}}
 	case wire.MsgUploadLayers:
 		if req.Upload == nil {
@@ -379,12 +386,20 @@ func (s *Server) exec(r *wire.ExecReq, rc tracing.SpanContext, reply *execReply)
 func (s *Server) runOnGPU(trace tracing.TraceID, parent tracing.SpanID, inBytes, baseNs int64, intensity float64) time.Duration {
 	qStart := s.tr.Now()
 	s.sleep(s.wireTime(inBytes))
-	s.gpu.Begin(s.now())
+	now := s.now()
+	s.gpuMu.Lock()
+	s.gpu.Begin(now)
+	s.gpuMu.Unlock()
 	cStart := s.tr.Now()
 	s.tr.Record(trace, parent, tracing.StageExecQueue, s.node, qStart, cStart)
-	exec := s.gpu.ExecTime(time.Duration(baseNs), intensity, s.now())
+	now = s.now()
+	s.gpuMu.Lock()
+	exec := s.gpu.ExecTime(time.Duration(baseNs), intensity, now)
+	s.gpuMu.Unlock()
 	s.sleep(exec)
+	s.gpuMu.Lock()
 	s.gpu.End()
+	s.gpuMu.Unlock()
 	s.tr.Record(trace, parent, tracing.StageExecCompute, s.node, cStart, s.tr.Now())
 	s.execs.Inc()
 	s.execNs.ObserveDuration(exec)

@@ -3,6 +3,7 @@ package edged
 import (
 	"context"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -430,5 +431,74 @@ func TestCloseBeforeServe(t *testing.T) {
 	case <-time.After(time.Second):
 		ln.Close() //nolint:errcheck // unblock the leaked Accept
 		t.Fatal("ServeContext after Close is still accepting")
+	}
+}
+
+// TestConcurrentExecAndStats drives exec, forward and stats requests at one
+// daemon from concurrent connections. The simulated GPU takes no lock of
+// its own, so the daemon's gpuMu is all that keeps these calls apart: under
+// -race an unserialized GPU call fails here. Once every request drains, the
+// GPU's in-flight count must be back at zero (every Begin met its End).
+func TestConcurrentExecAndStats(t *testing.T) {
+	cfg := testConfig()
+	cfg.TimeScale = 0.001 // sleep briefly, so requests overlap on the GPU
+	addr, _ := startEdge(t, cfg)
+	ctx := context.Background()
+	const perConn = 40
+	requests := []*wire.Envelope{
+		{Type: wire.MsgExecRequest, ExecReq: &wire.ExecReq{ClientID: 1,
+			ServerBaseNs: int64(5 * time.Millisecond), Intensity: 0.2, InputBytes: 4 << 10}},
+		{Type: wire.MsgForward, Forward: &wire.Forward{ClientID: 2, DownBytes: 1 << 10, Hops: []wire.ForwardHop{
+			{Addr: addr, ServerBaseNs: int64(3 * time.Millisecond), Intensity: 0.4, InBytes: 2 << 10},
+			{Addr: addr, ServerBaseNs: int64(2 * time.Millisecond), Intensity: 0.1, InBytes: 1 << 10},
+		}}},
+		{Type: wire.MsgStatsRequest},
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 3*len(requests); i++ {
+		req := requests[i%len(requests)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := wire.DialContext(ctx, addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close() //nolint:errcheck // test teardown
+			for j := 0; j < perConn; j++ {
+				resp, err := conn.RoundTripContext(ctx, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if req.Type == wire.MsgStatsRequest {
+					if resp.Type != wire.MsgStatsResponse || resp.Stats == nil || resp.Stats.Sample == nil {
+						t.Errorf("bad stats response %+v", resp)
+						return
+					}
+				} else if resp.Type != wire.MsgExecResponse || resp.ExecResp == nil || resp.ExecResp.ExecNs <= 0 {
+					t.Errorf("bad %v response %+v", req.Type, resp)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	conn, err := wire.DialContext(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // test teardown
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{Type: wire.MsgStatsRequest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stats == nil || resp.Stats.Sample == nil {
+		t.Fatalf("bad stats response %+v", resp)
+	}
+	if n := resp.Stats.Sample.ActiveClients; n != 0 {
+		t.Errorf("ActiveClients = %d after every request drained, want 0", n)
 	}
 }

@@ -369,6 +369,7 @@ type simClient struct {
 	split      partition.Split // decomposition of the current assignment
 	local      bool            // degraded to client-local execution
 	chain      *queryChain     // the live generation's query chain
+	upload     *uploadChain    // the latest generation's upload chain
 	// cold is the entry's cold-start split table when this generation
 	// started with nothing on the server (see world.coldSplits): after k
 	// uploaded units the split is cold[k]. Nil otherwise.
@@ -1018,44 +1019,88 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 		c.split, c.cold = w.splitFor(c), nil
 	}
 
-	w.uploadNext(c, c.gen)
+	w.startUpload(c)
 	w.issueQuery(c)
 }
 
-// uploadNext ships the next missing chunk over the wireless uplink. It
-// only ever runs for the client's live generation (callers check gen), so
-// c.sh is the shard owning both the client's chain and the serving AP.
-func (w *world) uploadNext(c *simClient, gen int) {
-	if w.cfg.Mode == ModeOptimal || c.gen != gen || c.nextUnit == len(c.pending) {
+// uploadChain is a connection generation's upload loop: the units of
+// c.pending go up the wireless uplink one at a time, and every unit hands
+// the engine the same bound step, so an upload allocates nothing. Like a
+// queryChain it is touched only by its generation's shard, or by the serial
+// tick. A reconnect while a unit is on the air leaves that event to expire
+// against the bumped generation and starts a fresh chain; an idle chain is
+// reused.
+type uploadChain struct {
+	w    *world
+	c    *simClient
+	sh   *simShard
+	gen  int
+	step func() // done, bound once
+	busy bool   // a unit is on the air
+
+	// What the unit on the air captured when it left.
+	chunk []dnn.LayerID
+	sid   geo.ServerID // the server storing it
+	start time.Duration
+}
+
+// startUpload runs the client's live generation's upload queue. Tick
+// phase only.
+func (w *world) startUpload(c *simClient) {
+	if w.cfg.Mode == ModeOptimal || len(c.pending) == 0 {
 		return
 	}
-	sh := c.sh
-	chunk := c.pending[c.nextUnit]
+	u := c.upload
+	if u == nil || u.busy {
+		u = &uploadChain{w: w, c: c}
+		u.step = u.done
+		c.upload = u
+	}
+	u.gen, u.sh = c.gen, c.sh
+	u.next()
+}
+
+// next ships the next missing chunk, if any, over the wireless uplink.
+// It only ever runs for the client's live generation, so u.sh is the shard
+// owning both the client's chain and the serving AP.
+func (u *uploadChain) next() {
+	w, c := u.w, u.c
+	if c.nextUnit == len(c.pending) {
+		return
+	}
+	u.chunk = c.pending[c.nextUnit]
 	c.nextUnit++
 	var bytes int64
-	for _, id := range chunk {
+	for _, id := range u.chunk {
 		bytes += w.model.Layer(id).WeightBytes
 	}
-	sid := c.cur
+	u.sid = c.cur
 	if w.cfg.Mode == ModeRouting && c.home != geo.NoServer {
-		sid = c.home
+		u.sid = c.home
 	}
-	start := sh.eng.Now()
-	w.transfer(sh, c.id, linkKindUpload, w.cfg.Link.UpTime(bytes), func() {
-		if c.gen != gen {
-			return
-		}
-		w.tracer.Record(c.upTrace, c.upPlan, tracing.StageUploadUnit,
-			w.clientNode(c.id), start, sh.eng.Now())
-		w.servers[sid].store.claim(sh.eng.Now(), w.storeKey(c.id), w.ttl()).AddAll(chunk)
-		c.curSet.AddAll(chunk)
-		if c.cold != nil {
-			c.split = c.cold[c.nextUnit]
-		} else {
-			c.split = w.splitFor(c)
-		}
-		w.uploadNext(c, gen)
-	})
+	u.start = u.sh.eng.Now()
+	u.busy = true
+	w.transfer(u.sh, c.id, linkKindUpload, w.cfg.Link.UpTime(bytes), u.step)
+}
+
+// done lands the unit on the air at its server and ships the next one,
+// unless the client reconnected meanwhile.
+func (u *uploadChain) done() {
+	u.busy = false
+	w, c := u.w, u.c
+	if c.gen != u.gen {
+		return
+	}
+	now := u.sh.eng.Now()
+	w.tracer.Record(c.upTrace, c.upPlan, tracing.StageUploadUnit, w.clientNode(c.id), u.start, now)
+	w.servers[u.sid].store.claim(now, w.storeKey(c.id), w.ttl()).AddAll(u.chunk)
+	c.curSet.AddAll(u.chunk)
+	if c.cold != nil {
+		c.split = c.cold[c.nextUnit]
+	} else {
+		c.split = w.splitFor(c)
+	}
+	u.next()
 }
 
 // queryStage is the event a queryChain's in-flight query waits for next.
@@ -1225,13 +1270,16 @@ func (q *queryChain) finish(done time.Duration) {
 // Tick phase only: it reads and writes stores across shard boundaries,
 // which is safe exactly because every shard engine sits at the barrier.
 func (w *world) migrate(now time.Duration, c *simClient, k int) {
-	targets, ok := w.policy.Targets(c.tr.Points[:k+1], c.cur)
-	if !ok {
-		return
-	}
+	// A source holding nothing of ours sends nothing, so look before
+	// predicting: Targets is pure (the predictor is read-only and Within
+	// records nothing), and skipping it changes no draw or decision.
 	key := w.storeKey(c.id)
 	srcSet, srcOK := w.servers[c.cur].store.get(now, key)
 	if !srcOK {
+		return
+	}
+	targets, ok := w.policy.Targets(c.tr.Points[:k+1], c.cur)
+	if !ok {
 		return
 	}
 	n, send := w.model.NumLayers(), &w.send

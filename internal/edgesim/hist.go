@@ -2,6 +2,7 @@ package edgesim
 
 import (
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -20,15 +21,47 @@ const (
 	latHistGrowth  = 1.018
 )
 
-// logLatHistGrowth is math.Log(latHistGrowth), taken once: latBucket runs
-// per completed query and divides by it.
+// logLatHistGrowth is math.Log(latHistGrowth), taken once.
 var logLatHistGrowth = math.Log(latHistGrowth)
+
+// latLower[b] is the least duration latBucket puts in bucket b (latLower[0]
+// is unused: bucket 0 takes everything below latLower[1]). latJump[l] is
+// the bucket of latHistMin<<(l-1), the least duration whose quotient by
+// latHistMin has bit length l; the table ends at the first l that reaches
+// the last bucket. latBucket is monotone, so a duration d with quotient
+// bit length l lies in a bucket between latJump[l] and latJump[l+1], and
+// Add finds it by binary search over latLower in that range: at most six
+// comparisons (log base latHistGrowth of 2 is under 39), no logarithm.
+var latLower, latJump = latTables()
+
+func latTables() (lower [latHistBuckets]time.Duration, jump []int) {
+	for b := 1; b < latHistBuckets; b++ {
+		lo, hi := lower[b-1], time.Duration(math.MaxInt64)
+		for lo < hi { // least d in [lo, hi] with latBucket(d) >= b
+			mid := lo + (hi-lo)/2
+			if latBucket(mid) >= b {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		lower[b] = lo
+	}
+	jump = []int{0}
+	for l := 1; jump[len(jump)-1] < latHistBuckets-1; l++ {
+		jump = append(jump, latBucket(latHistMin<<(l-1)))
+	}
+	return lower, jump
+}
 
 // NewLatencyHist returns an empty histogram.
 func NewLatencyHist() *LatencyHist {
 	return &LatencyHist{counts: make([]int64, latHistBuckets)}
 }
 
+// latBucket defines the bucket of d: floor(log_growth(d / latHistMin)),
+// clamped to the histogram's range. Add computes the same bucket from the
+// tables above.
 func latBucket(d time.Duration) int {
 	if d <= latHistMin {
 		return 0
@@ -40,9 +73,30 @@ func latBucket(d time.Duration) int {
 	return b
 }
 
+// bucketOf returns latBucket(d) without a logarithm.
+func bucketOf(d time.Duration) int {
+	if d <= latHistMin {
+		return 0
+	}
+	l := bits.Len64(uint64(d / latHistMin))
+	if l >= len(latJump)-1 {
+		return latHistBuckets - 1
+	}
+	lo, hi := latJump[l], latJump[l+1]
+	for lo < hi { // the greatest b in [lo, hi] with latLower[b] <= d
+		mid := int(uint(lo+hi+1) >> 1)
+		if latLower[mid] <= d {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
 // Add records one latency sample.
 func (h *LatencyHist) Add(d time.Duration) {
-	h.counts[latBucket(d)]++
+	h.counts[bucketOf(d)]++
 	h.total++
 }
 

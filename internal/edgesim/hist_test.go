@@ -68,3 +68,35 @@ func TestLatencyHistMonotoneQuantiles(t *testing.T) {
 		prev = v
 	}
 }
+
+// TestLatBucketMatchesLog holds Add's table lookup to latBucket, the
+// logarithm that defines the buckets: at every bucket's lower bound and one
+// nanosecond either side, and on a sweep from 0 to 100 s whose odd step
+// lands at every offset inside the buckets.
+func TestLatBucketMatchesLog(t *testing.T) {
+	check := func(d time.Duration) {
+		if got, want := bucketOf(d), latBucket(d); got != want {
+			t.Fatalf("bucketOf(%d ns) = %d, latBucket = %d", int64(d), got, want)
+		}
+	}
+	for b := 1; b < latHistBuckets; b++ {
+		if latLower[b] <= latLower[b-1] {
+			t.Fatalf("bucket bounds not increasing at %d: %v <= %v", b, latLower[b], latLower[b-1])
+		}
+		if got := latBucket(latLower[b]); got != b {
+			t.Fatalf("latBucket(latLower[%d]) = %d", b, got)
+		}
+		if got := latBucket(latLower[b] - 1); got != b-1 {
+			t.Fatalf("latBucket(latLower[%d] - 1) = %d, want %d", b, got, b-1)
+		}
+		for _, d := range []time.Duration{latLower[b] - 1, latLower[b], latLower[b] + 1} {
+			check(d)
+		}
+	}
+	for d := time.Duration(0); d <= 100*time.Second; d += 7919 {
+		check(d)
+	}
+	for _, d := range []time.Duration{-time.Second, 0, 1, latHistMin, latHistMin + 1, time.Hour, math.MaxInt64} {
+		check(d)
+	}
+}

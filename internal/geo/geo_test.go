@@ -355,3 +355,62 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestServerAtMatchesCellScan holds ServerAt's cell table to its
+// definition: CellAt, then a scan of Centers() for the server whose center
+// lies in that cell, or NoServer. The placement is the Geolife-sized one of
+// TestWithinMatchesBruteForce. Probes fall inside the served area, outside
+// it (including far beyond any table key's 32-bit range), and on every
+// corner of a sample of served cells, where rounding picks the cell.
+func TestServerAtMatchesCellScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	grid := NewHexGrid(50)
+	pts := make([]Point, 0, 4000)
+	for i := 0; i < 4000; i++ {
+		pts = append(pts, Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000})
+	}
+	pl := NewPlacement(grid, pts)
+	centers := pl.Centers()
+	centerCells := make([]HexCell, len(centers))
+	for id, ctr := range centers {
+		centerCells[id] = grid.CellAt(ctr)
+	}
+	scan := func(p Point) ServerID {
+		c := grid.CellAt(p)
+		for id, cc := range centerCells {
+			if cc == c {
+				return ServerID(id)
+			}
+		}
+		return NoServer
+	}
+	probes := make([]Point, 0, 12000)
+	for i := 0; i < 2000; i++ {
+		// Inside: a visited point, jittered within a cell radius.
+		v := pts[rng.Intn(len(pts))]
+		probes = append(probes, Point{X: v.X + (rng.Float64()-0.5)*grid.Radius, Y: v.Y + (rng.Float64()-0.5)*grid.Radius})
+		// Around and outside: a box past the served area on every side.
+		probes = append(probes, Point{X: rng.Float64()*12000 - 2000, Y: rng.Float64()*12000 - 2000})
+	}
+	for i := 0; i < 500; i++ {
+		c := centers[rng.Intn(len(centers))]
+		for k := 0; k < 6; k++ {
+			a := math.Pi/6 + float64(k)*math.Pi/3
+			probes = append(probes, Point{X: c.X + grid.Radius*math.Cos(a), Y: c.Y + grid.Radius*math.Sin(a)})
+		}
+	}
+	probes = append(probes, Point{X: -1e6, Y: 3e6}, Point{X: 1e12, Y: 1e12}, Point{X: -4e11, Y: 7e11})
+	inside := 0
+	for _, p := range probes {
+		got, want := pl.ServerAt(p), scan(p)
+		if got != want {
+			t.Fatalf("ServerAt(%v) = %d, cell scan %d", p, got, want)
+		}
+		if got != NoServer {
+			inside++
+		}
+	}
+	if inside == 0 || inside == len(probes) {
+		t.Fatalf("%d of %d probes served: the probes miss one side", inside, len(probes))
+	}
+}

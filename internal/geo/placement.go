@@ -27,7 +27,73 @@ const NoServer ServerID = -1
 type Placement struct {
 	grid    *HexGrid
 	centers []Point
-	byCell  map[HexCell]ServerID
+	byCell  cellIndex
+}
+
+// cellIndex maps each placed cell to its server: an open-addressing table
+// with linear probing, keyed by the packed axial pair and hashed by one
+// multiplication. It holds at least twice as many slots as servers, so a
+// probe run always ends at an empty slot, and its size follows the server
+// count, not the area the servers span.
+type cellIndex struct {
+	slots []cellSlot // power-of-two length
+	shift uint       // 64 - log2(len(slots)): keeps a hash's top bits
+}
+
+// cellSlot is one table slot; id is NoServer when the slot is empty.
+type cellSlot struct {
+	key uint64
+	id  ServerID
+}
+
+// cellHashMul is 2^64 divided by the golden ratio (Fibonacci hashing).
+const cellHashMul = 0x9E3779B97F4A7C15
+
+// cellKey packs c's axial pair into one word. ok is false for a cell
+// outside the 32-bit range, which no placement holds.
+func cellKey(c HexCell) (key uint64, ok bool) {
+	if int(int32(c.Q)) != c.Q || int(int32(c.R)) != c.R {
+		return 0, false
+	}
+	return uint64(uint32(c.Q))<<32 | uint64(uint32(c.R)), true
+}
+
+func newCellIndex(cells []HexCell) cellIndex {
+	size, bits := 2, uint(1)
+	for size < 2*len(cells) {
+		size, bits = size*2, bits+1
+	}
+	x := cellIndex{slots: make([]cellSlot, size), shift: 64 - bits}
+	for i := range x.slots {
+		x.slots[i].id = NoServer
+	}
+	for id, c := range cells {
+		key, ok := cellKey(c)
+		if !ok {
+			panic(fmt.Sprintf("geo: cell %v out of the placement's 32-bit range", c))
+		}
+		x.slots[x.probe(key)] = cellSlot{key: key, id: ServerID(id)}
+	}
+	return x
+}
+
+// probe returns the slot holding key, or the empty slot ending its run.
+func (x *cellIndex) probe(key uint64) int {
+	mask := len(x.slots) - 1
+	i := int(key * cellHashMul >> x.shift)
+	for x.slots[i].id != NoServer && x.slots[i].key != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns the server placed on c, or NoServer.
+func (x *cellIndex) get(c HexCell) ServerID {
+	key, ok := cellKey(c)
+	if !ok {
+		return NoServer
+	}
+	return x.slots[x.probe(key)].id
 }
 
 // NewPlacement allocates one server per distinct grid cell that contains at
@@ -57,10 +123,9 @@ func NewPlacement(grid *HexGrid, visited []Point) *Placement {
 	pl := &Placement{
 		grid:    grid,
 		centers: make([]Point, 0, len(cells)),
-		byCell:  make(map[HexCell]ServerID, len(cells)),
+		byCell:  newCellIndex(cells),
 	}
-	for i, c := range cells {
-		pl.byCell[c] = ServerID(i)
+	for _, c := range cells {
 		pl.centers = append(pl.centers, grid.Center(c))
 	}
 	return pl
@@ -84,11 +149,7 @@ func (pl *Placement) Center(id ServerID) Point {
 // ServerAt returns the server whose cell contains p, or NoServer if the cell
 // has no allocated server (the client is outside all service areas).
 func (pl *Placement) ServerAt(p Point) ServerID {
-	id, ok := pl.byCell[pl.grid.CellAt(p)]
-	if !ok {
-		return NoServer
-	}
-	return id
+	return pl.byCell.get(pl.grid.CellAt(p))
 }
 
 type cand struct {
@@ -111,7 +172,7 @@ func sortCands(cands []cand) {
 // appends every server placed on one whose center lies within radius of p.
 func (pl *Placement) appendRing(cands []cand, center HexCell, r int, p Point, radius float64) []cand {
 	visit := func(c HexCell) {
-		if id, ok := pl.byCell[c]; ok {
+		if id := pl.byCell.get(c); id != NoServer {
 			if d := p.Dist(pl.centers[id]); d <= radius {
 				cands = append(cands, cand{id: id, d: d})
 			}

@@ -13,13 +13,16 @@
 // of contention; contention is only partially predictable from the client
 // count alone but well captured by the GPU counters; so hyperparameter-only
 // models degrade with load while GPU-aware models do not.
+//
+// A GPU is driven by one goroutine at a time and takes no lock: the city
+// simulator's hot path calls it per event, and the live edge daemon
+// (package edged) serializes its connection goroutines' calls itself.
 package gpusim
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"perdnn/internal/dnn"
@@ -95,15 +98,15 @@ func DefaultParams() Params {
 	}
 }
 
-// GPU is a simulated shared GPU. It is safe for concurrent use; the
-// large-scale simulator drives hundreds of them single-threaded, while the
-// live edge daemon shares one across connection goroutines.
+// GPU is a simulated shared GPU. It is not safe for concurrent use: the
+// city simulator calls each GPU from one goroutine at a time (its shard's
+// window, or the serial tick), and edged serializes its connection
+// goroutines' calls.
 type GPU struct {
 	dev    profile.Device
 	params Params
 
-	mu sync.Mutex
-	// rng wraps src from the first draw on (randLocked). src is
+	// rng wraps src from the first draw on (stream). src is
 	// math/rand's stream for the GPU's seed, but computes its words as
 	// draws ask for them: most of a city run's GPUs draw a handful of
 	// numbers, and a new src costs one struct, not a seeded register.
@@ -130,9 +133,9 @@ func New(dev profile.Device, params Params, seed int64) *GPU {
 	return g
 }
 
-// randLocked returns the GPU's random stream, the one
-// rand.New(rand.NewSource(seed)) would return. Callers must hold g.mu.
-func (g *GPU) randLocked() *rand.Rand {
+// stream returns the GPU's random stream, the one
+// rand.New(rand.NewSource(seed)) would return.
+func (g *GPU) stream() *rand.Rand {
 	if g.rng == nil {
 		g.rng = rand.New(&g.src)
 	}
@@ -142,39 +145,40 @@ func (g *GPU) randLocked() *rand.Rand {
 // Device returns the underlying contention-free device profile.
 func (g *GPU) Device() profile.Device { return g.dev }
 
-// advanceLocked moves the thermal state to virtual time now. Temperature
+// advance moves the thermal state to virtual time now. Temperature
 // follows a first-order filter toward the load-determined target with a
-// 45-second time constant. Callers must hold g.mu.
-func (g *GPU) advanceLocked(now time.Duration) {
+// 45-second time constant.
+func (g *GPU) advance(now time.Duration) {
 	if now <= g.lastAt {
 		// No time has passed (ExecTime at Begin's instant; the filter's
 		// step would be 1 - exp(0) = 0), or out-of-order sampling (e.g.
-		// concurrent live clients): keep state.
+		// live clients whose clock reads raced their turn): keep state.
 		return
 	}
-	target := g.params.IdleTempC + g.params.TempPerClient*float64(g.inflight)
-	dt := (now - g.lastAt).Seconds()
-	alpha := 1 - math.Exp(-dt/45)
-	g.temp += (target - g.temp) * alpha
+	// At its target the filter's step is zero whatever alpha is, so the
+	// exponential is skipped. A GPU advanced only while idle (Begin
+	// advances before it counts its client) stays at IdleTempC: most of a
+	// city run's advances.
+	if target := g.params.IdleTempC + g.params.TempPerClient*float64(g.inflight); target != g.temp {
+		dt := (now - g.lastAt).Seconds()
+		alpha := 1 - math.Exp(-dt/45)
+		g.temp += (target - g.temp) * alpha
+	}
 	g.lastAt = now
 }
 
 // Begin registers one client's in-flight inference and returns the load
 // (including the new client). Pair with End.
 func (g *GPU) Begin(now time.Duration) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.advanceLocked(now)
+	g.advance(now)
 	g.inflight++
-	g.activity = append(g.activity, g.params.ActivityMin+(1-g.params.ActivityMin)*g.randLocked().Float64())
+	g.activity = append(g.activity, g.params.ActivityMin+(1-g.params.ActivityMin)*g.stream().Float64())
 	return g.inflight
 }
 
 // End unregisters one in-flight inference. It panics if no inference is in
 // flight, which always indicates an unbalanced Begin/End bug.
 func (g *GPU) End() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.inflight == 0 {
 		panic("gpusim: End without Begin")
 	}
@@ -187,23 +191,14 @@ func (g *GPU) End() {
 // clients' GPU activity at the moment a request arrives is independent
 // across requests, and this is the variation the GPU counters observe.
 func (g *GPU) Churn() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	for i := range g.activity {
-		g.activity[i] = g.params.ActivityMin + (1-g.params.ActivityMin)*g.randLocked().Float64()
+		g.activity[i] = g.params.ActivityMin + (1-g.params.ActivityMin)*g.stream().Float64()
 	}
 }
 
-// Inflight returns the current number of in-flight inferences.
-func (g *GPU) Inflight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inflight
-}
-
-// contentionLocked returns the effective contention seen by one client:
+// contention returns the effective contention seen by one client:
 // the activity-weighted count of the *other* in-flight clients.
-func (g *GPU) contentionLocked() float64 {
+func (g *GPU) contention() float64 {
 	if g.inflight <= 1 {
 		return 0
 	}
@@ -216,11 +211,11 @@ func (g *GPU) contentionLocked() float64 {
 	return c
 }
 
-// slowdownLocked returns the ground-truth multiplicative slowdown at the
+// slowdown returns the ground-truth multiplicative slowdown at the
 // current contention and thermal state for work of the given memory
 // intensity (see Intensity).
-func (g *GPU) slowdownLocked(intensity float64) float64 {
-	c := g.contentionLocked()
+func (g *GPU) slowdown(intensity float64) float64 {
+	c := g.contention()
 	lin := g.params.LinearSlow + g.params.MemSlow*intensity
 	s := 1 + lin*c + g.params.QuadSlow*c*c
 	if g.temp > g.params.ThrottleAtC {
@@ -241,11 +236,9 @@ func Intensity(l *dnn.Layer) float64 {
 // LayerTime returns the ground-truth execution time of one layer under the
 // current load, including measurement noise. now advances the thermal model.
 func (g *GPU) LayerTime(l *dnn.Layer, now time.Duration) time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.advanceLocked(now)
+	g.advance(now)
 	base := g.dev.LayerTime(l).Seconds()
-	t := base * g.slowdownLocked(Intensity(l)) * (1 + g.randLocked().NormFloat64()*g.params.MeasureNoise)
+	t := base * g.slowdown(Intensity(l)) * (1 + g.stream().NormFloat64()*g.params.MeasureNoise)
 	if t < 0 {
 		t = base
 	}
@@ -257,10 +250,8 @@ func (g *GPU) LayerTime(l *dnn.Layer, now time.Duration) time.Duration {
 // the current load. The simulator uses this to price a whole server-side
 // partition in one call.
 func (g *GPU) ExecTime(baseTotal time.Duration, intensity float64, now time.Duration) time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.advanceLocked(now)
-	t := baseTotal.Seconds() * g.slowdownLocked(intensity) * (1 + g.randLocked().NormFloat64()*g.params.MeasureNoise)
+	g.advance(now)
+	t := baseTotal.Seconds() * g.slowdown(intensity) * (1 + g.stream().NormFloat64()*g.params.MeasureNoise)
 	if t < 0 {
 		t = baseTotal.Seconds()
 	}
@@ -271,20 +262,16 @@ func (g *GPU) ExecTime(baseTotal time.Duration, intensity float64, now time.Dura
 // noise for work of the given memory intensity — used by the simulator's
 // "optimal" oracle and by tests.
 func (g *GPU) MeanSlowdown(intensity float64, now time.Duration) float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.advanceLocked(now)
-	return g.slowdownLocked(intensity)
+	g.advance(now)
+	return g.slowdown(intensity)
 }
 
 // Sample returns an nvml-style statistics sample at virtual time now. The
 // counters observe the hidden activity state with small measurement noise,
 // which is what makes GPU-aware estimation work.
 func (g *GPU) Sample(now time.Duration) Stats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.advanceLocked(now)
-	rng := g.randLocked()
+	g.advance(now)
+	rng := g.stream()
 	var act float64
 	for _, a := range g.activity {
 		act += a

@@ -3,7 +3,6 @@ package gpusim
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -157,29 +156,6 @@ func TestDeterministicWithSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("run diverged at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	g := newGPU(6)
-	l := testLayer(t)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				now := time.Duration(i*50+j) * time.Millisecond
-				g.Begin(now)
-				g.LayerTime(l, now)
-				g.Sample(now)
-				g.End()
-			}
-		}(i)
-	}
-	wg.Wait()
-	if g.Inflight() != 0 {
-		t.Errorf("inflight = %d after balanced use", g.Inflight())
 	}
 }
 

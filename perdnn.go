@@ -219,7 +219,8 @@ const (
 type (
 	// GPUStats is an nvml-style GPU statistics sample.
 	GPUStats = gpusim.Stats
-	// GPU is a simulated shared edge GPU.
+	// GPU is a simulated shared edge GPU. It is not safe for concurrent
+	// use: call it from one goroutine at a time.
 	GPU = gpusim.GPU
 	// ServerEstimator predicts contention slowdown from GPU statistics.
 	ServerEstimator = estimator.ServerEstimator
