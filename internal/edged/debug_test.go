@@ -36,7 +36,7 @@ func TestDebugEndpointServesDaemonMetrics(t *testing.T) {
 	}
 	defer conn.Close()
 	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
-		Type:   wire.MsgUploadLayers,
+		Type:   wire.MsgUploadUnit,
 		Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0, 1}},
 	})
 	if err != nil {

@@ -20,6 +20,7 @@ import (
 	"perdnn/internal/gpusim"
 	"perdnn/internal/obs"
 	"perdnn/internal/obs/tracing"
+	"perdnn/internal/partition"
 	"perdnn/internal/profile"
 	"perdnn/internal/wire"
 )
@@ -206,8 +207,8 @@ type execReply struct {
 	body wire.ExecResp
 }
 
-func (r *execReply) set(exec time.Duration, outputBytes int64) *wire.Envelope {
-	r.body = wire.ExecResp{ExecNs: int64(exec), OutputBytes: outputBytes}
+func (r *execReply) set(exec time.Duration) *wire.Envelope {
+	r.body = wire.ExecResp{ExecNs: int64(exec)}
 	r.env = wire.Envelope{Type: wire.MsgExecResponse, ExecResp: &r.body}
 	return &r.env
 }
@@ -221,14 +222,9 @@ func (s *Server) dispatch(ctx context.Context, req *wire.Envelope, reply *execRe
 		st := s.gpu.Sample(now)
 		s.gpuMu.Unlock()
 		return &wire.Envelope{Type: wire.MsgStatsResponse, Stats: &wire.StatsMsg{Sample: &st}}
-	case wire.MsgUploadLayers:
-		if req.Upload == nil {
-			return wire.NewAck(errors.New("edged: upload without body"))
-		}
-		return wire.NewAck(s.uploadTraced(req.Upload, req.Trace))
 	case wire.MsgUploadUnit:
-		// Streaming upload: same storage path as MsgUploadLayers, but the
-		// ack echoes the unit's sequence number so the client can run a
+		// A client's streaming upload or a peer's migration push. The ack
+		// echoes the unit's sequence number so the client can run a
 		// windowed pipeline (acks are cumulative — units are processed in
 		// arrival order, so acking seq N confirms everything through N).
 		if req.Upload == nil {
@@ -245,12 +241,7 @@ func (s *Server) dispatch(ctx context.Context, req *wire.Envelope, reply *execRe
 		if req.ExecReq == nil {
 			return wire.NewAck(errors.New("edged: exec without body"))
 		}
-		return s.exec(req.ExecReq, req.Trace, reply)
-	case wire.MsgForward:
-		if req.Forward == nil || len(req.Forward.Hops) == 0 {
-			return wire.NewAck(errors.New("edged: forward without hops"))
-		}
-		return s.forward(ctx, req.Forward, req.Trace, reply)
+		return s.exec(ctx, req.ExecReq, req.Trace, reply)
 	case wire.MsgHasRequest:
 		if req.Has == nil {
 			return wire.NewAck(errors.New("edged: has without body"))
@@ -368,14 +359,25 @@ func (s *Server) cachedLayers(client int) (dnn.LayerSet, bool) {
 	return e.layers.Clone(), true
 }
 
-// exec performs the offloaded part of a query under the live GPU load.
+// exec runs one query stage under the live GPU load — a single split's
+// server-side layers, or one hop of a chain — and relays the rest of the
+// chain when the request carries one. The reply covers this stage plus
+// everything downstream, so the client sees a single answer per query.
 // Two spans on this daemon's track — exec.queue (input transfer and wait
 // for the GPU) and exec.compute (kernel time) — link under the client's
 // query trace when the request carried a span context.
-func (s *Server) exec(r *wire.ExecReq, rc tracing.SpanContext, reply *execReply) *wire.Envelope {
+func (s *Server) exec(ctx context.Context, r *wire.ExecReq, rc tracing.SpanContext, reply *execReply) *wire.Envelope {
 	trace, parent := s.traceRoot(rc)
-	exec := s.runOnGPU(trace, parent, r.InputBytes, r.ServerBaseNs, r.Intensity)
-	return reply.set(exec, 0)
+	total := s.runOnGPU(trace, parent, r.InputBytes, r.ServerBaseNs, r.Intensity)
+	if len(r.Next) > 0 {
+		down, err := s.relay(ctx, r, trace, parent)
+		if err != nil {
+			s.met.Counter("forward_failures_total").Inc()
+			return wire.NewAck(err)
+		}
+		total += down
+	}
+	return reply.set(total)
 }
 
 // runOnGPU realizes one stage of a query on this server: the ingress
@@ -412,47 +414,38 @@ func (s *Server) wireTime(b int64) time.Duration {
 	return time.Duration(float64(b) * 8 / s.cfg.LinkBps * float64(time.Second))
 }
 
-// forward executes the first hop of a multi-hop pipelined query on this
-// server's GPU, then relays the remaining chain to the next hop and folds
-// the downstream reply into one end-to-end ExecResp, so the client sees a
-// single answer per query. The span context rides the relay (the migrate
-// pattern): the next hop's spans parent under this node's transfer.hop
-// span, chaining every stage under the client's query trace.
-func (s *Server) forward(ctx context.Context, f *wire.Forward, rc tracing.SpanContext, reply *execReply) *wire.Envelope {
-	trace, parent := s.traceRoot(rc)
-	hop := f.Hops[0]
-	total := s.runOnGPU(trace, parent, hop.InBytes, hop.ServerBaseNs, hop.Intensity)
-	if len(f.Hops) > 1 {
-		next := f.Hops[1]
-		// Egress activation transfer edge→edge, priced against this
-		// server's link and realized by the receiving hop.
-		total += s.wireTime(next.InBytes)
-		span := s.tr.NewSpanID()
-		hStart := s.tr.Now()
-		fctx, cancel := context.WithTimeout(ctx, wire.DefaultRecvTimeout)
-		resp, err := s.peers.RoundTrip(fctx, next.Addr, &wire.Envelope{
-			Type:    wire.MsgForward,
-			Forward: &wire.Forward{ClientID: f.ClientID, Hops: f.Hops[1:], DownBytes: f.DownBytes},
-			Trace:   tracing.SpanContext{Trace: trace, Span: span},
-		})
-		cancel()
-		if err != nil {
-			s.met.Counter("forward_failures_total").Inc()
-			return wire.NewAck(fmt.Errorf("edged: forwarding to %s: %w: %w", next.Addr, core.ErrServerDown, err))
-		}
-		if resp.Type != wire.MsgExecResponse || resp.ExecResp == nil {
-			s.met.Counter("forward_failures_total").Inc()
-			msg := "no ack"
-			if resp.Ack != nil {
-				msg = resp.Ack.Error
-			}
-			return wire.NewAck(fmt.Errorf("edged: hop %s failed: %s", next.Addr, msg))
-		}
-		total += time.Duration(resp.ExecResp.ExecNs)
-		s.tr.RecordWith(trace, span, parent, tracing.StageTransferHop, s.node, hStart, s.tr.Now())
-	}
+// relay sends the rest of r's chain to its next hop and returns what the
+// hop adds to the query: the edge-to-edge transfer of its input, priced on
+// the backhaul as the planner and the simulator price it (the receiving
+// hop realizes the wall time), plus the hop's reply. The span context rides
+// the relay (the migrate pattern): the next hop's spans parent under this
+// node's transfer.hop span, chaining every stage under the client's query
+// trace.
+func (s *Server) relay(ctx context.Context, r *wire.ExecReq, trace tracing.TraceID, parent tracing.SpanID) (time.Duration, error) {
+	next := r.Next[0]
+	span := s.tr.NewSpanID()
+	hStart := s.tr.Now()
+	ctx, cancel := context.WithTimeout(ctx, wire.DefaultRecvTimeout)
+	defer cancel()
 	s.forwards.Inc()
-	return reply.set(total, f.DownBytes)
+	resp, err := s.peers.RoundTrip(ctx, next.Addr, &wire.Envelope{
+		Type: wire.MsgExecRequest,
+		ExecReq: &wire.ExecReq{ClientID: r.ClientID, ServerBaseNs: next.ServerBaseNs,
+			Intensity: next.Intensity, InputBytes: next.InBytes, Next: r.Next[1:]},
+		Trace: tracing.SpanContext{Trace: trace, Span: span},
+	})
+	if err != nil {
+		return 0, fmt.Errorf("edged: forwarding to %s: %w: %w", next.Addr, core.ErrServerDown, err)
+	}
+	if resp.Type != wire.MsgExecResponse || resp.ExecResp == nil {
+		msg := "no ack"
+		if resp.Ack != nil {
+			msg = resp.Ack.Error
+		}
+		return 0, fmt.Errorf("edged: hop %s failed: %s", next.Addr, msg)
+	}
+	s.tr.RecordWith(trace, span, parent, tracing.StageTransferHop, s.node, hStart, s.tr.Now())
+	return partition.DefaultBackhaul().UpTime(next.InBytes) + time.Duration(resp.ExecResp.ExecNs), nil
 }
 
 // has filters the asked layers down to those cached.
@@ -509,15 +502,17 @@ func (s *Server) migrate(ctx context.Context, m *wire.Migrate, rc tracing.SpanCo
 	start := s.tr.Now()
 	// Migration pushes to the same few peers recur as clients move; the
 	// pool reuses warm connections instead of dialing per order.
+	// The push is a one-unit upload stream (Seq 0), the message a client
+	// uploads with.
 	resp, err := s.peers.RoundTrip(ctx, m.PeerAddr, &wire.Envelope{
-		Type:   wire.MsgUploadLayers,
+		Type:   wire.MsgUploadUnit,
 		Upload: &wire.Upload{ClientID: m.ClientID, Layers: send, Bytes: bytes},
 		Trace:  tracing.SpanContext{Trace: trace, Span: span},
 	})
 	if err != nil {
 		return 0, fmt.Errorf("edged: migrating to %s: %w: %w", m.PeerAddr, core.ErrServerDown, err)
 	}
-	if resp.Ack == nil || !resp.Ack.OK {
+	if resp.Type != wire.MsgUploadAck || resp.Ack == nil || !resp.Ack.OK {
 		return 0, fmt.Errorf("edged: peer %s rejected migration", m.PeerAddr)
 	}
 	// An edge knows its peer by address only: the target's ID is on the

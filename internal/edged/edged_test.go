@@ -95,7 +95,7 @@ func TestUploadHasExec(t *testing.T) {
 
 	// Upload two layers, then check presence.
 	resp, err = conn.RoundTripContext(ctx, &wire.Envelope{
-		Type:   wire.MsgUploadLayers,
+		Type:   wire.MsgUploadUnit,
 		Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0, 2}},
 	})
 	if err != nil {
@@ -150,7 +150,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
 	if _, err := conn.RoundTripContext(ctx, &wire.Envelope{
-		Type:   wire.MsgUploadLayers,
+		Type:   wire.MsgUploadUnit,
 		Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0}},
 	}); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestMigrateToPeer(t *testing.T) {
 
 	// Seed A with layers 0..4, then order migration of 0..9 with a cap.
 	if _, err := connA.RoundTripContext(ctx, &wire.Envelope{
-		Type:   wire.MsgUploadLayers,
+		Type:   wire.MsgUploadUnit,
 		Upload: &wire.Upload{ClientID: 9, Layers: []dnn.LayerID{0, 1, 2, 3, 4}},
 	}); err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestMigrateAckCountsPushedLayers(t *testing.T) {
 	const partial, full = 1, 2 // client IDs by what A caches for them
 	for client, layers := range map[int][]dnn.LayerID{partial: order[:4], full: order} {
 		if resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
-			Type:   wire.MsgUploadLayers,
+			Type:   wire.MsgUploadUnit,
 			Upload: &wire.Upload{ClientID: client, Layers: layers},
 		}); err != nil || resp.Ack == nil || !resp.Ack.OK {
 			t.Fatalf("seeding client %d: %v %+v", client, err, resp)
@@ -335,7 +335,6 @@ func TestBadLayerIDsAckError(t *testing.T) {
 	n := dnn.LayerID(srv.model.NumLayers())
 	for _, bad := range [][]dnn.LayerID{{-1}, {n}, {0, 1 << 40}, {2, -7, 3}} {
 		for _, req := range []*wire.Envelope{
-			{Type: wire.MsgUploadLayers, Upload: &wire.Upload{ClientID: 1, Layers: bad, Bytes: 10}},
 			{Type: wire.MsgUploadUnit, Upload: &wire.Upload{ClientID: 1, Layers: bad, Seq: 4}},
 			{Type: wire.MsgHasRequest, Has: &wire.Has{ClientID: 1, Layers: bad}},
 			{Type: wire.MsgMigrateRequest, Migrate: &wire.Migrate{ClientID: 1, Layers: bad, PeerAddr: "127.0.0.1:1"}},
@@ -359,7 +358,7 @@ func TestBadLayerIDsAckError(t *testing.T) {
 		t.Errorf("rejected frames left %d cache entries", got)
 	}
 	// A valid frame next to the rejected ones is priced exactly once.
-	valid := &wire.Envelope{Type: wire.MsgUploadLayers, Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0, n - 1}}}
+	valid := &wire.Envelope{Type: wire.MsgUploadUnit, Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0, n - 1}}}
 	for i := 0; i < 2; i++ {
 		if resp, err := conn.RoundTripContext(ctx, valid); err != nil || resp.Ack == nil || !resp.Ack.OK {
 			t.Fatalf("valid upload: %+v, %v", resp, err)
@@ -390,7 +389,7 @@ func TestChurnedClientsAreSwept(t *testing.T) {
 	start := time.Now()
 	for id := 0; id < clients; id++ {
 		resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
-			Type:   wire.MsgUploadLayers,
+			Type:   wire.MsgUploadUnit,
 			Upload: &wire.Upload{ClientID: id, Layers: []dnn.LayerID{0}},
 		})
 		if err != nil || resp.Ack == nil || !resp.Ack.OK {
@@ -434,7 +433,7 @@ func TestCloseBeforeServe(t *testing.T) {
 	}
 }
 
-// TestConcurrentExecAndStats drives exec, forward and stats requests at one
+// TestConcurrentExecAndStats drives exec, relayed exec and stats requests at one
 // daemon from concurrent connections. The simulated GPU takes no lock of
 // its own, so the daemon's gpuMu is all that keeps these calls apart: under
 // -race an unserialized GPU call fails here. Once every request drains, the
@@ -448,10 +447,10 @@ func TestConcurrentExecAndStats(t *testing.T) {
 	requests := []*wire.Envelope{
 		{Type: wire.MsgExecRequest, ExecReq: &wire.ExecReq{ClientID: 1,
 			ServerBaseNs: int64(5 * time.Millisecond), Intensity: 0.2, InputBytes: 4 << 10}},
-		{Type: wire.MsgForward, Forward: &wire.Forward{ClientID: 2, DownBytes: 1 << 10, Hops: []wire.ForwardHop{
-			{Addr: addr, ServerBaseNs: int64(3 * time.Millisecond), Intensity: 0.4, InBytes: 2 << 10},
-			{Addr: addr, ServerBaseNs: int64(2 * time.Millisecond), Intensity: 0.1, InBytes: 1 << 10},
-		}}},
+		{Type: wire.MsgExecRequest, ExecReq: &wire.ExecReq{ClientID: 2,
+			ServerBaseNs: int64(3 * time.Millisecond), Intensity: 0.4, InputBytes: 2 << 10, Next: []wire.PlanHop{
+				{Addr: addr, ServerBaseNs: int64(2 * time.Millisecond), Intensity: 0.1, InBytes: 1 << 10},
+			}}},
 		{Type: wire.MsgStatsRequest},
 	}
 	var wg sync.WaitGroup

@@ -757,6 +757,9 @@ func (m *Master) plan(ctx context.Context, r *wire.PlanReq) (resp *wire.PlanResp
 			resp.ChainDownBytes = chain.DownBytes
 			resp.ChainClientPreNs = int64(chain.ClientPre)
 			resp.ChainClientPostNs = int64(chain.ClientPost)
+			// The estimate describes the plan served; the client prices its
+			// single-split failover itself.
+			resp.EstLatencyNs = int64(chain.EstLatency)
 			m.chainPlans.Inc()
 		}
 	}

@@ -222,7 +222,7 @@ func TestTrajectoryTriggersMigration(t *testing.T) {
 	}
 	defer edgeA.Close() //nolint:errcheck // test teardown
 	if resp, err := edgeA.RoundTripContext(ctx, &wire.Envelope{
-		Type:   wire.MsgUploadLayers,
+		Type:   wire.MsgUploadUnit,
 		Upload: &wire.Upload{ClientID: clientID, Layers: all},
 	}); err != nil || resp.Ack == nil || !resp.Ack.OK {
 		t.Fatalf("seed upload: %v %+v", err, resp)
@@ -288,7 +288,7 @@ func TestCompleteOrderPushesWhatTheSimulatorWould(t *testing.T) {
 	}
 	defer edgeA.Close() //nolint:errcheck // test teardown
 	if resp, err := edgeA.RoundTripContext(ctx, &wire.Envelope{
-		Type:   wire.MsgUploadLayers,
+		Type:   wire.MsgUploadUnit,
 		Upload: &wire.Upload{ClientID: clientID, Layers: all},
 	}); err != nil || resp.Ack == nil || !resp.Ack.OK {
 		t.Fatalf("seed upload: %v %+v", err, resp)

@@ -312,7 +312,7 @@ func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 	}
 	defer edge.Close() //nolint:errcheck // test teardown
 	if resp, err := edge.RoundTripContext(ctx, &wire.Envelope{
-		Type:   wire.MsgUploadLayers,
+		Type:   wire.MsgUploadUnit,
 		Upload: &wire.Upload{ClientID: clientID, Layers: all},
 	}); err != nil || resp.Ack == nil || !resp.Ack.OK {
 		t.Fatalf("seed upload: %v %+v", err, resp)

@@ -2,6 +2,7 @@ package mobile_test
 
 import (
 	"context"
+	"math"
 	"net"
 	"testing"
 
@@ -12,16 +13,17 @@ import (
 	"perdnn/internal/mobile"
 	"perdnn/internal/obs/tracing"
 	"perdnn/internal/partition"
+	"perdnn/internal/raceguard"
 )
 
-// startEdge runs one edge daemon on a loopback listener and returns its
-// address plus a kill func that cancels the daemon's context, dropping
-// in-flight connections too (Close alone only stops the listener, and a
-// relaying peer holds a pooled connection open).
-func startEdge(t *testing.T, node string, tr *tracing.Tracer) (addr string, kill func()) {
+// startEdge runs one edge daemon at the given time scale on a loopback
+// listener and returns its address plus a kill func that cancels the
+// daemon's context, dropping in-flight connections too (Close alone only
+// stops the listener, and a relaying peer holds a pooled connection open).
+func startEdge(t *testing.T, node string, tr *tracing.Tracer, scale float64) (addr string, kill func()) {
 	t.Helper()
 	cfg := edged.DefaultConfig(dnn.ModelInception)
-	cfg.TimeScale = 0.0005
+	cfg.TimeScale = scale
 	cfg.Tracer = tr
 	cfg.Node = node
 	srv, err := edged.New(cfg)
@@ -44,24 +46,25 @@ func startEdge(t *testing.T, node string, tr *tracing.Tracer) (addr string, kill
 	return ln.Addr().String(), kill
 }
 
-// TestLiveChainQuery drives a 3-node pipelined query over localhost TCP:
-// the client forwards one MsgForward to hop 1, hop 1 executes its stage and
-// relays the remainder to hop 2, and the reply folds the whole chain into
-// one answer. Every node traces, and the assertions prove one query is ONE
-// trace: client root → hop 1 exec + transfer.hop → hop 2 exec, all under
-// the same trace ID. It then kills hop 2 and checks the next query degrades
-// to the single-split failover plan instead of erroring.
-func TestLiveChainQuery(t *testing.T) {
+// chainCluster is the live chain topology: two inception edges in
+// adjacent cells, a master that plans two-hop throughput chains over
+// them, and a client attached to edge 1 (nothing uploaded yet) whose plan
+// rides the chain edge 1 → edge 2. Tracers may be nil.
+type chainCluster struct {
+	killEdge2 func()
+	client    *mobile.Client
+}
+
+func startChainCluster(t *testing.T, scale float64, tr1, tr2, masterTr, clientTr *tracing.Tracer) *chainCluster {
+	t.Helper()
 	grid := geo.NewHexGrid(50)
 	loc1 := grid.Center(geo.HexCell{Q: 0, R: 0})
 	loc2 := grid.Center(geo.HexCell{Q: 1, R: 0})
 
-	tr1 := tracing.NewWallClock()
-	tr2 := tracing.NewWallClock()
-	addr1, _ := startEdge(t, "server/1", tr1)
-	addr2, killEdge2 := startEdge(t, "server/2", tr2)
+	addr1, _ := startEdge(t, "server/1", tr1, scale)
+	addr2, killEdge2 := startEdge(t, "server/2", tr2, scale)
+	cc := &chainCluster{killEdge2: killEdge2}
 
-	masterTr := tracing.NewWallClock()
 	mcfg := master.DefaultConfig([]master.EdgeInfo{
 		{Addr: addr1, Location: loc1},
 		{Addr: addr2, Location: loc2},
@@ -88,45 +91,65 @@ func TestLiveChainQuery(t *testing.T) {
 		}
 	})
 
-	clientTr := tracing.NewWallClock()
 	ctx := context.Background()
-	client, err := mobile.DialContext(ctx, mobile.Config{
+	cc.client, err = mobile.DialContext(ctx, mobile.Config{
 		ID:         7,
 		Model:      dnn.ModelInception,
 		MasterAddr: mln.Addr().String(),
-		TimeScale:  0.0005,
+		TimeScale:  scale,
 		Tracer:     clientTr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close() //nolint:errcheck // test teardown
+	t.Cleanup(func() {
+		if cerr := cc.client.Close(); cerr != nil {
+			t.Logf("closing client: %v", cerr)
+		}
+	})
 
-	server := m.Placement().ServerAt(loc1)
-	if err := client.ConnectContext(ctx, server, addr1); err != nil {
+	if err := cc.client.ConnectContext(ctx, m.Placement().ServerAt(loc1), addr1); err != nil {
 		t.Fatal(err)
 	}
-	chain := client.Chain()
+	chain := cc.client.Chain()
 	if len(chain) < 2 {
 		t.Fatalf("plan chain has %d hops, want >= 2", len(chain))
 	}
 	if chain[0].Addr != addr1 || chain[1].Addr != addr2 {
 		t.Fatalf("chain addrs = %q, %q, want %q, %q", chain[0].Addr, chain[1].Addr, addr1, addr2)
 	}
-	if !client.ChainActive() {
+	if !cc.client.ChainActive() {
 		t.Fatal("chain not active after connect")
 	}
-	if _, err := client.UploadAllContext(ctx); err != nil {
+	return cc
+}
+
+// upload streams the client's whole plan to edge 1.
+func (cc *chainCluster) upload(t *testing.T) {
+	t.Helper()
+	if _, err := cc.client.UploadAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	lat, err := client.QueryContext(ctx)
-	if err != nil {
-		t.Fatalf("chain query: %v", err)
-	}
-	if lat <= 0 {
-		t.Fatalf("chain query latency = %v, want > 0", lat)
-	}
+// TestLiveChainQuery drives a 3-node pipelined query over localhost TCP:
+// the client sends one MsgExecRequest whose Next is hop 2 to hop 1, hop 1
+// executes its stage and relays an MsgExecRequest to hop 2, and the reply
+// folds the whole chain into one answer. Every node traces, and the
+// assertions prove one query is ONE trace: client root → hop 1 exec +
+// transfer.hop → hop 2 exec, all under the same trace ID. The client's
+// estimate, before and after the upload, is the one on the master's plan
+// span. It then kills hop 2 and
+// checks the next query degrades to the single-split failover plan instead
+// of erroring.
+func TestLiveChainQuery(t *testing.T) {
+	tr1 := tracing.NewWallClock()
+	tr2 := tracing.NewWallClock()
+	masterTr := tracing.NewWallClock()
+	clientTr := tracing.NewWallClock()
+	cc := startChainCluster(t, 0.0005, tr1, tr2, masterTr, clientTr)
+	client := cc.client
+	ctx := context.Background()
 
 	byStage := func(spans []tracing.Span, stage tracing.Stage) []tracing.Span {
 		var out []tracing.Span
@@ -137,6 +160,29 @@ func TestLiveChainQuery(t *testing.T) {
 		}
 		return out
 	}
+	plans := byStage(masterTr.Spans(), tracing.StagePlan)
+	if len(plans) != 1 {
+		t.Fatalf("master recorded %d plan spans, want 1", len(plans))
+	}
+	wantEstimate := func(when string) {
+		t.Helper()
+		if a := plans[0].Attrs; a.Hops != len(client.Chain()) || client.EstimatedLatency() != a.EstLatency {
+			t.Errorf("%s: client estimates %v for a %d-hop chain; the master's plan span says %v for %d hops",
+				when, client.EstimatedLatency(), len(client.Chain()), a.EstLatency, a.Hops)
+		}
+	}
+	wantEstimate("after connecting")
+	cc.upload(t)
+	wantEstimate("after the upload")
+
+	lat, err := client.QueryContext(ctx)
+	if err != nil {
+		t.Fatalf("chain query: %v", err)
+	}
+	if lat <= 0 {
+		t.Fatalf("chain query latency = %v, want > 0", lat)
+	}
+
 	roots := byStage(clientTr.Spans(), tracing.StageQuery)
 	if len(roots) != 1 {
 		t.Fatalf("client recorded %d query roots, want 1", len(roots))
@@ -194,7 +240,7 @@ func TestLiveChainQuery(t *testing.T) {
 	// Kill hop 2: the next query hits a mid-chain failure, latches the
 	// chain broken, and degrades to the single-split failover plan — a
 	// valid result, not an error.
-	killEdge2()
+	cc.killEdge2()
 	lat2, err := client.QueryContext(ctx)
 	if err != nil {
 		t.Fatalf("degraded query: %v", err)
@@ -217,5 +263,63 @@ func TestLiveChainQuery(t *testing.T) {
 	}
 	if n := client.Metrics().Counter("chain_queries_total").Value(); n != 1 {
 		t.Errorf("chain_queries_total = %d, want 1", n)
+	}
+}
+
+// TestChainEstimateMatchesLatency: on an idle two-hop chain the latency a
+// query returns is what the plan estimated. The planner prices the hop
+// from edge 1 to edge 2 on the backhaul, so the relay must too, not on the
+// edge's access link.
+func TestChainEstimateMatchesLatency(t *testing.T) {
+	cc := startChainCluster(t, 0, nil, nil, nil, nil)
+	cc.upload(t)
+	est := cc.client.EstimatedLatency()
+	for i := 0; i < 5; i++ {
+		lat, err := cc.client.QueryContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(float64(lat-est)) / float64(lat); d > 0.05 {
+			t.Errorf("query %d: latency %v, estimate %v (%.1f %% off, want <= 5 %%)", i, lat, est, 100*d)
+		}
+	}
+	if n := cc.client.Metrics().Counter("chain_queries_total").Value(); n != 5 {
+		t.Errorf("chain_queries_total = %d, want 5", n)
+	}
+}
+
+// chainQueryAllocBudget is what one two-hop chain query allocates, client
+// and both edges counted together. The client's round trip costs what a
+// single split's does (queryAllocBudget); the rest is edge 1's relay:
+// its timeout context, the cancel watcher of its pooled round trip, the
+// relayed request and the pool's copy of the reply. Before the chain tail
+// rode the ExecReq, the client converted the plan's hops into a second
+// slice on every query and the same measurement read 16.
+const chainQueryAllocBudget = 15
+
+// TestChainQueryAllocBudget gates the chain query the way
+// TestQueryAllocBudget gates the single split.
+func TestChainQueryAllocBudget(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
+	}
+	cc := startChainCluster(t, 0, nil, nil, nil, nil)
+	cc.upload(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i := 0; i < 10; i++ { // warm every conn's buffers and the peer pool
+		if _, err := cc.client.QueryContext(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := cc.client.QueryContext(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}); n > chainQueryAllocBudget {
+		t.Errorf("chain QueryContext allocates %.1f/op across client and both edges, budget %d", n, chainQueryAllocBudget)
+	}
+	if !cc.client.ChainActive() {
+		t.Error("queries left the chain")
 	}
 }

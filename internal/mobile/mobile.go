@@ -633,65 +633,49 @@ func (c *Client) recomputeSplit() {
 }
 
 // QueryContext runs one collaborative inference: client-side layers
-// locally (as a scaled sleep), server-side layers at the edge. It returns
-// the simulated end-to-end latency.
+// locally (as a scaled sleep), server-side layers at the edge — the plan's
+// multi-hop chain while it is usable, its single split otherwise. It
+// returns the simulated end-to-end latency.
 //
-// When the edge stops answering, the retry policy redials with backoff;
-// once the budget is spent the query degrades to fully client-local
-// execution and returns a VALID latency together with an error wrapping
-// core.ErrLocalFallback — callers that accept degraded service check
-// errors.Is(err, core.ErrLocalFallback) and use the result.
+// A chain that fails mid-query is latched broken and the same call
+// degrades to the single split. When the edge stops answering, the retry
+// policy redials with backoff; once the budget is spent the query degrades
+// to fully client-local execution and returns a VALID latency together
+// with an error wrapping core.ErrLocalFallback — callers that accept
+// degraded service check errors.Is(err, core.ErrLocalFallback) and use the
+// result.
 func (c *Client) QueryContext(ctx context.Context) (time.Duration, error) {
 	if c.chainUsable() {
-		lat, handled, err := c.chainQuery(ctx)
-		if handled {
+		p := c.plan
+		lat, err := c.query(ctx, route{
+			pre: time.Duration(p.ChainClientPreNs), first: p.Chain[0], next: p.Chain[1:],
+			down: p.ChainDownBytes, post: time.Duration(p.ChainClientPostNs),
+		})
+		if !errors.Is(err, errChainBroken) {
 			return lat, err
 		}
-		// The chain broke mid-query; degrade to the single-split plan below.
 	}
-	sp := c.split
-	// One trace per query; its context rides the exec request so the
-	// edge's queue/compute spans parent to the client's root span.
-	qt := c.tr.NewTrace()
-	root := c.tr.NewSpanID()
-	qStart := c.tr.Now()
-	total := sp.ClientTime
-	if c.cfg.TimeScale > 0 {
-		time.Sleep(time.Duration(float64(sp.ClientTime) * c.cfg.TimeScale))
-	}
-	c.tr.Record(qt, root, tracing.StageClientCompute, c.node, qStart, c.tr.Now())
-	if sp.ServerBase > 0 {
-		if c.edgeAddr == "" {
-			return 0, errors.New("mobile: plan offloads but no edge connection")
-		}
-		resp, err := c.edgeRoundTrip(ctx, &wire.Envelope{
-			Type: wire.MsgExecRequest,
-			ExecReq: &wire.ExecReq{
-				ClientID:     c.cfg.ID,
-				ServerBaseNs: int64(sp.ServerBase),
-				Intensity:    sp.Intensity,
-				InputBytes:   sp.UpBytes,
-			},
-			Trace: tracing.SpanContext{Trace: qt, Span: root},
-		})
-		switch {
-		case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-			return 0, fmt.Errorf("mobile: query: %w", err)
-		case err != nil:
-			lat, ferr := c.localFallback(sp, err)
-			c.tr.RecordWith(qt, root, 0, tracing.StageQuery, c.node, qStart, c.tr.Now())
-			return lat, ferr
-		case resp.Type != wire.MsgExecResponse || resp.ExecResp == nil:
-			return 0, fmt.Errorf("mobile: query failed: %s", ackError(resp))
-		}
-		link := partition.LabWiFi()
-		total += link.UpTime(sp.UpBytes) + time.Duration(resp.ExecResp.ExecNs) + link.DownTime(sp.DownBytes)
-	}
-	c.tr.RecordWith(qt, root, 0, tracing.StageQuery, c.node, qStart, c.tr.Now())
-	c.queries.Inc()
-	c.queryLatency.ObserveDuration(total)
-	return total, nil
+	sp := &c.split
+	return c.query(ctx, route{
+		pre:   sp.ClientTime,
+		first: wire.PlanHop{ServerBaseNs: int64(sp.ServerBase), Intensity: sp.Intensity, InBytes: sp.UpBytes},
+		down:  sp.DownBytes,
+	})
 }
+
+// route is one query's shape: the client work before and after the
+// server stages, the first stage (run by the attached edge), the stages
+// after it (empty for a single split), and the bytes that come back.
+type route struct {
+	pre, post time.Duration
+	first     wire.PlanHop
+	next      []wire.PlanHop
+	down      int64
+}
+
+// errChainBroken reports a chain query that failed mid-chain and was
+// latched broken; QueryContext answers it by degrading to the split.
+var errChainBroken = errors.New("mobile: chain broken")
 
 // chainUsable reports whether queries should ride the plan's multi-hop
 // chain: the plan carries one, no earlier query broke it, and the chain
@@ -702,78 +686,90 @@ func (c *Client) chainUsable() bool {
 		c.edgeAddr != "" && c.plan.Chain[0].Addr == c.edgeAddr
 }
 
-// chainQuery runs one inference through the multi-hop chain: the client
-// prefix locally, then a single MsgForward carrying every hop to the first
-// edge server, which executes its stage and relays the rest; the reply
-// folds the whole chain's time into one answer. handled is false when the
-// chain failed mid-query — the chain is latched broken and the caller
-// degrades to the plan's single-split fields (the failover plan).
-func (c *Client) chainQuery(ctx context.Context) (lat time.Duration, handled bool, err error) {
-	// One trace per query; the context rides the forward frame, so every
-	// hop's spans chain back under this root.
+// query runs one inference along r: the client prefix locally, then one
+// MsgExecRequest to the attached edge, which runs the first stage and
+// relays r.next, then the client suffix. One trace per query; its context
+// rides the request, so every stage's spans chain back under this root.
+func (c *Client) query(ctx context.Context, r route) (time.Duration, error) {
+	chain := len(r.next) > 0
 	qt := c.tr.NewTrace()
 	root := c.tr.NewSpanID()
 	qStart := c.tr.Now()
-	pre := time.Duration(c.plan.ChainClientPreNs)
-	if c.cfg.TimeScale > 0 && pre > 0 {
-		time.Sleep(time.Duration(float64(pre) * c.cfg.TimeScale))
-	}
+	c.sleep(r.pre)
 	c.tr.Record(qt, root, tracing.StageClientCompute, c.node, qStart, c.tr.Now())
-	hops := make([]wire.ForwardHop, len(c.plan.Chain))
-	for i, h := range c.plan.Chain {
-		hops[i] = wire.ForwardHop{Addr: h.Addr, ServerBaseNs: h.ServerBaseNs,
-			Intensity: h.Intensity, InBytes: h.InBytes}
-	}
-	resp, err := c.edgeRoundTrip(ctx, &wire.Envelope{
-		Type:    wire.MsgForward,
-		Forward: &wire.Forward{ClientID: c.cfg.ID, Hops: hops, DownBytes: c.plan.ChainDownBytes},
-		Trace:   tracing.SpanContext{Trace: qt, Span: root},
-	})
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return 0, true, fmt.Errorf("mobile: query: %w", err)
-	}
-	if err != nil || resp.Type != wire.MsgExecResponse || resp.ExecResp == nil {
-		// Transport failure, or a hop's error ack (a dead downstream
-		// server): latch the chain broken and let the caller degrade.
-		if err == nil {
-			err = fmt.Errorf("mobile: chain rejected: %s", ackError(resp))
+	total := r.pre
+	if r.first.ServerBaseNs > 0 {
+		if c.edgeAddr == "" {
+			return 0, errors.New("mobile: plan offloads but no edge connection")
 		}
-		c.chainBroken = true
-		c.met.Counter("chain_failovers_total").Inc()
-		fbNow := c.tr.Now()
-		c.tr.Record(qt, root, tracing.StageFailover, c.node, fbNow, fbNow)
-		c.tr.RecordWith(qt, root, 0, tracing.StageQuery, c.node, qStart, c.tr.Now())
-		c.log.Warn("chain query degraded to single split", "err", err)
-		return 0, false, nil
+		resp, err := c.edgeRoundTrip(ctx, &wire.Envelope{
+			Type: wire.MsgExecRequest,
+			ExecReq: &wire.ExecReq{
+				ClientID:     c.cfg.ID,
+				ServerBaseNs: r.first.ServerBaseNs,
+				Intensity:    r.first.Intensity,
+				InputBytes:   r.first.InBytes,
+				Next:         r.next,
+			},
+			Trace: tracing.SpanContext{Trace: qt, Span: root},
+		})
+		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			return 0, fmt.Errorf("mobile: query: %w", err)
+		}
+		failed := err != nil || resp.Type != wire.MsgExecResponse || resp.ExecResp == nil
+		switch {
+		case failed && chain:
+			// Transport failure, or a hop's error ack (a dead downstream
+			// server): latch the chain broken; the caller degrades.
+			if err == nil {
+				err = fmt.Errorf("mobile: chain rejected: %s", ackError(resp))
+			}
+			c.chainBroken = true
+			c.met.Counter("chain_failovers_total").Inc()
+			fbNow := c.tr.Now()
+			c.tr.Record(qt, root, tracing.StageFailover, c.node, fbNow, fbNow)
+			c.tr.RecordWith(qt, root, 0, tracing.StageQuery, c.node, qStart, c.tr.Now())
+			c.log.Warn("chain query degraded to single split", "err", err)
+			return 0, errChainBroken
+		case err != nil:
+			lat, ferr := c.localFallback(r.pre, err)
+			c.tr.RecordWith(qt, root, 0, tracing.StageQuery, c.node, qStart, c.tr.Now())
+			return lat, ferr
+		case failed:
+			return 0, fmt.Errorf("mobile: query failed: %s", ackError(resp))
+		}
+		link := partition.LabWiFi()
+		total += link.UpTime(r.first.InBytes) + time.Duration(resp.ExecResp.ExecNs) + link.DownTime(r.down)
 	}
-	post := time.Duration(c.plan.ChainClientPostNs)
-	if post > 0 {
+	if r.post > 0 {
 		postStart := c.tr.Now()
-		if c.cfg.TimeScale > 0 {
-			time.Sleep(time.Duration(float64(post) * c.cfg.TimeScale))
-		}
+		c.sleep(r.post)
 		c.tr.Record(qt, root, tracing.StageClientCompute, c.node, postStart, c.tr.Now())
+		total += r.post
 	}
-	link := partition.LabWiFi()
-	total := pre + link.UpTime(c.plan.Chain[0].InBytes) +
-		time.Duration(resp.ExecResp.ExecNs) +
-		link.DownTime(c.plan.ChainDownBytes) + post
 	c.tr.RecordWith(qt, root, 0, tracing.StageQuery, c.node, qStart, c.tr.Now())
 	c.queries.Inc()
-	c.chainQueries.Inc()
+	if chain {
+		c.chainQueries.Inc()
+	}
 	c.queryLatency.ObserveDuration(total)
-	return total, true, nil
+	return total, nil
+}
+
+// sleep realizes client-side work in scaled wall time.
+func (c *Client) sleep(d time.Duration) {
+	if c.cfg.TimeScale > 0 && d > 0 {
+		time.Sleep(time.Duration(float64(d) * c.cfg.TimeScale))
+	}
 }
 
 // localFallback completes a query on the client alone after the edge went
 // unreachable: the layers planned for the server run locally too. The
-// client-side layers already ran, so only the remainder is realized in
-// wall time.
-func (c *Client) localFallback(sp partition.Split, cause error) (time.Duration, error) {
+// client work already ran (ran), so only the remainder is realized in wall
+// time.
+func (c *Client) localFallback(ran time.Duration, cause error) (time.Duration, error) {
 	total := c.prof.TotalClientTime()
-	if extra := total - sp.ClientTime; extra > 0 && c.cfg.TimeScale > 0 {
-		time.Sleep(time.Duration(float64(extra) * c.cfg.TimeScale))
-	}
+	c.sleep(total - ran)
 	c.met.Counter("local_fallbacks_total").Inc()
 	c.queries.Inc()
 	c.queryLatency.ObserveDuration(total)
@@ -783,8 +779,12 @@ func (c *Client) localFallback(sp partition.Split, cause error) (time.Duration, 
 	return total, fmt.Errorf("mobile: query: %w: %w", core.ErrLocalFallback, cause)
 }
 
-// EstimatedLatency returns the current split's modelled latency (without
-// contention).
+// EstimatedLatency returns the modelled latency of the route queries
+// currently take: the master's estimate of the chain while the chain is
+// active, the current split's (without contention) otherwise.
 func (c *Client) EstimatedLatency() time.Duration {
+	if c.chainUsable() {
+		return time.Duration(c.plan.EstLatencyNs)
+	}
 	return c.split.Latency(partition.LabWiFi(), 1)
 }

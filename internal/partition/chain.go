@@ -112,8 +112,9 @@ type Hop struct {
 	// Exec is the segment execution time at Server.Slowdown.
 	Exec time.Duration
 	// BaseExec is the contention-free segment execution time (what the live
-	// path ships in ExecReq/Forward frames; each edged scales it by its own
-	// live GPU state).
+	// path ships as a hop's ExecReq.ServerBaseNs, and as each entry of the
+	// ExecReq.Next a relay carries; each edged scales it by its own live GPU
+	// state).
 	BaseExec time.Duration
 	// Intensity is the weighted gpusim memory intensity of the segment.
 	Intensity float64

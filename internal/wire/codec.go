@@ -58,9 +58,21 @@ func appendLayers(b []byte, ids []dnn.LayerID) []byte {
 	return b
 }
 
+func appendPlanHops(b []byte, hops []PlanHop) []byte {
+	b = appendUvarint(b, uint64(len(hops)))
+	for _, h := range hops {
+		b = appendVarint(b, int64(h.Server))
+		b = appendString(b, h.Addr)
+		b = appendVarint(b, h.ServerBaseNs)
+		b = appendFloat(b, h.Intensity)
+		b = appendVarint(b, h.InBytes)
+	}
+	return b
+}
+
 // appendFrame appends one complete frame (header + payload) for e to dst.
 func appendFrame(dst []byte, e *Envelope) ([]byte, error) {
-	if e.Type < MsgRegister || e.Type > maxMsgType {
+	if !e.Type.known() {
 		return dst, fmt.Errorf("unknown message type %d", e.Type)
 	}
 	start := len(dst)
@@ -129,14 +141,7 @@ func appendEnvelopeBody(dst []byte, e *Envelope) ([]byte, error) {
 		}
 		dst = appendFloat(dst, p.Slowdown)
 		dst = appendVarint(dst, p.EstLatencyNs)
-		dst = appendUvarint(dst, uint64(len(p.Chain)))
-		for _, h := range p.Chain {
-			dst = appendVarint(dst, int64(h.Server))
-			dst = appendString(dst, h.Addr)
-			dst = appendVarint(dst, h.ServerBaseNs)
-			dst = appendFloat(dst, h.Intensity)
-			dst = appendVarint(dst, h.InBytes)
-		}
+		dst = appendPlanHops(dst, p.Chain)
 		dst = appendVarint(dst, p.ChainDownBytes)
 		dst = appendVarint(dst, p.ChainClientPreNs)
 		dst = appendVarint(dst, p.ChainClientPostNs)
@@ -164,7 +169,7 @@ func appendEnvelopeBody(dst []byte, e *Envelope) ([]byte, error) {
 		dst = appendVarint(dst, int64(m.ClientID))
 		dst = appendLayers(dst, m.Layers)
 		dst = appendString(dst, m.PeerAddr)
-	case MsgUploadLayers, MsgUploadUnit:
+	case MsgUploadUnit:
 		if e.Upload == nil {
 			return append(dst, 0), nil
 		}
@@ -184,13 +189,13 @@ func appendEnvelopeBody(dst []byte, e *Envelope) ([]byte, error) {
 		dst = appendVarint(dst, r.ServerBaseNs)
 		dst = appendFloat(dst, r.Intensity)
 		dst = appendVarint(dst, r.InputBytes)
+		dst = appendPlanHops(dst, r.Next)
 	case MsgExecResponse:
 		if e.ExecResp == nil {
 			return append(dst, 0), nil
 		}
 		dst = append(dst, 1)
 		dst = appendVarint(dst, e.ExecResp.ExecNs)
-		dst = appendVarint(dst, e.ExecResp.OutputBytes)
 	case MsgHasRequest, MsgHasResponse:
 		if e.Has == nil {
 			return append(dst, 0), nil
@@ -206,21 +211,6 @@ func appendEnvelopeBody(dst []byte, e *Envelope) ([]byte, error) {
 		dst = appendBool(dst, e.Ack.OK)
 		dst = appendString(dst, e.Ack.Error)
 		dst = appendVarint(dst, e.Ack.Seq)
-	case MsgForward:
-		if e.Forward == nil {
-			return append(dst, 0), nil
-		}
-		f := e.Forward
-		dst = append(dst, 1)
-		dst = appendVarint(dst, int64(f.ClientID))
-		dst = appendUvarint(dst, uint64(len(f.Hops)))
-		for _, h := range f.Hops {
-			dst = appendString(dst, h.Addr)
-			dst = appendVarint(dst, h.ServerBaseNs)
-			dst = appendFloat(dst, h.Intensity)
-			dst = appendVarint(dst, h.InBytes)
-		}
-		dst = appendVarint(dst, f.DownBytes)
 	case MsgShardHandoff:
 		if e.Handoff == nil {
 			return append(dst, 0), nil
@@ -262,7 +252,6 @@ type recvScratch struct {
 	execResp   ExecResp
 	has        Has
 	ack        Ack
-	forward    Forward
 	handoff    ShardHandoff
 
 	points       []geo.Point
@@ -273,7 +262,7 @@ type recvScratch struct {
 	serverLayers []dnn.LayerID
 	uploadOrder  [][]dnn.LayerID
 	planHops     []PlanHop
-	fwdHops      []ForwardHop
+	nextHops     []PlanHop
 
 	modelMemo string
 	peerMemo  string
@@ -430,23 +419,6 @@ func (d *decoder) planHops(dst []PlanHop) []PlanHop {
 	return dst
 }
 
-// forwardHops is planHops for the Forward body (no server ID field).
-func (d *decoder) forwardHops(dst []ForwardHop) []ForwardHop {
-	n := d.count(11)
-	if n <= cap(dst) {
-		dst = dst[:n]
-	} else {
-		dst = append(dst[:cap(dst)], make([]ForwardHop, n-cap(dst))...)
-	}
-	for i := range dst {
-		dst[i].Addr = d.string(&dst[i].Addr)
-		dst[i].ServerBaseNs = d.varint()
-		dst[i].Intensity = d.float()
-		dst[i].InBytes = d.varint()
-	}
-	return dst
-}
-
 func (d *decoder) layerUnits(dst [][]dnn.LayerID) [][]dnn.LayerID {
 	n := d.count(1)
 	if n <= cap(dst) {
@@ -464,7 +436,7 @@ func (d *decoder) layerUnits(dst [][]dnn.LayerID) [][]dnn.LayerID {
 // bodies and slices in s. On return env's non-matching body pointers are
 // nil and the matching one points into s.
 func decodeEnvelope(payload []byte, t MsgType, env *Envelope, s *recvScratch) error {
-	if t < MsgRegister || t > maxMsgType {
+	if !t.known() {
 		return fmt.Errorf("%w: unknown message type %d", ErrFrame, t)
 	}
 	d := decoder{buf: payload}
@@ -519,7 +491,7 @@ func decodeEnvelope(payload []byte, t MsgType, env *Envelope, s *recvScratch) er
 			s.migrate.Layers = s.migrateIDs
 			s.migrate.PeerAddr = d.string(&s.peerMemo)
 			env.Migrate = &s.migrate
-		case MsgUploadLayers, MsgUploadUnit:
+		case MsgUploadUnit:
 			s.upload.ClientID = int(d.varint())
 			s.uploadIDs = d.layers(s.uploadIDs)
 			s.upload.Layers = s.uploadIDs
@@ -533,9 +505,11 @@ func decodeEnvelope(payload []byte, t MsgType, env *Envelope, s *recvScratch) er
 				Intensity:    d.float(),
 				InputBytes:   d.varint(),
 			}
+			s.nextHops = d.planHops(s.nextHops)
+			s.execReq.Next = s.nextHops
 			env.ExecReq = &s.execReq
 		case MsgExecResponse:
-			s.execResp = ExecResp{ExecNs: d.varint(), OutputBytes: d.varint()}
+			s.execResp = ExecResp{ExecNs: d.varint()}
 			env.ExecResp = &s.execResp
 		case MsgHasRequest, MsgHasResponse:
 			s.has.ClientID = int(d.varint())
@@ -545,12 +519,6 @@ func decodeEnvelope(payload []byte, t MsgType, env *Envelope, s *recvScratch) er
 		case MsgAck, MsgUploadAck:
 			s.ack = Ack{OK: d.bool(), Error: d.string(&s.errMemo), Seq: d.varint()}
 			env.Ack = &s.ack
-		case MsgForward:
-			s.forward.ClientID = int(d.varint())
-			s.fwdHops = d.forwardHops(s.fwdHops)
-			s.forward.Hops = s.fwdHops
-			s.forward.DownBytes = d.varint()
-			env.Forward = &s.forward
 		case MsgShardHandoff:
 			s.handoff.ClientID = int(d.varint())
 			s.handoff.Model = dnn.ModelName(d.string(&s.modelMemo))

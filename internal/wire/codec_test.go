@@ -53,14 +53,12 @@ func goldenEnvelopes() []struct {
 			ActiveClients: 3, KernelUtil: 0.4, MemUtil: 0.2, MemUsedMB: 2100, TempC: 55}}}},
 		{"migrate", &Envelope{Type: MsgMigrateRequest, Migrate: &Migrate{
 			ClientID: 9, Layers: []dnn.LayerID{0, 2}, PeerAddr: "10.0.0.2:7101"}}},
-		{"upload-layers", &Envelope{Type: MsgUploadLayers, Upload: &Upload{
-			ClientID: 9, Layers: []dnn.LayerID{1, 2, 3}, Bytes: 999}}},
 		{"upload-unit", &Envelope{Type: MsgUploadUnit, Upload: &Upload{
 			ClientID: 9, Layers: []dnn.LayerID{11}, Bytes: 4096, Seq: 5}}},
 		{"upload-ack", &Envelope{Type: MsgUploadAck, Ack: &Ack{OK: true, Seq: 5}}},
 		{"exec-request", &Envelope{Type: MsgExecRequest, ExecReq: &ExecReq{
 			ClientID: 9, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100}}},
-		{"exec-response", &Envelope{Type: MsgExecResponse, ExecResp: &ExecResp{ExecNs: 7777, OutputBytes: 42}}},
+		{"exec-response", &Envelope{Type: MsgExecResponse, ExecResp: &ExecResp{ExecNs: 7777}}},
 		{"has-request", &Envelope{Type: MsgHasRequest, Has: &Has{ClientID: 9, Layers: []dnn.LayerID{1, 9}}}},
 		{"has-response", &Envelope{Type: MsgHasResponse, Has: &Has{ClientID: 9, Layers: []dnn.LayerID{9}}}},
 		{"ack-ok", &Envelope{Type: MsgAck, Ack: &Ack{OK: true}}},
@@ -78,8 +76,8 @@ func goldenEnvelopes() []struct {
 			Upload: &Upload{ClientID: 9, Layers: []dnn.LayerID{11}, Bytes: 4096, Seq: 5}}},
 		{"register-traced-nil-body", &Envelope{Type: MsgRegister,
 			Trace: tracing.SpanContext{Trace: 1 << 40, Span: 3}}},
-		// v3 additions: multi-hop chains. The plan-response chain tail and
-		// MsgForward are part of the version-3 format.
+		// v3 additions: multi-hop chains. The plan-response chain tail is
+		// part of the version-3 format.
 		{"plan-response-chain", &Envelope{Type: MsgPlanResponse, PlanResp: &PlanResp{
 			ServerLayers: []dnn.LayerID{0, 1, 2, 3},
 			UploadOrder:  [][]dnn.LayerID{{0, 1}, {2, 3}},
@@ -93,19 +91,6 @@ func goldenEnvelopes() []struct {
 			ChainClientPreNs:  2_000_000,
 			ChainClientPostNs: 500_000,
 		}}},
-		{"forward", &Envelope{Type: MsgForward, Forward: &Forward{
-			ClientID: 9,
-			Hops: []ForwardHop{
-				{Addr: "10.0.0.2:7101", ServerBaseNs: 4_000_000, Intensity: 0.4, InBytes: 150528},
-				{Addr: "10.0.0.4:7101", ServerBaseNs: 6_500_000, Intensity: 0.2, InBytes: 40000},
-			},
-			DownBytes: 4000,
-		}}},
-		{"forward-traced", &Envelope{Type: MsgForward,
-			Trace: tracing.SpanContext{Trace: 99, Span: 4321},
-			Forward: &Forward{ClientID: 9, DownBytes: 16,
-				Hops: []ForwardHop{{Addr: "127.0.0.1:7102", ServerBaseNs: 1000, Intensity: 0.1, InBytes: 64}}}}},
-		{"forward-nil-body", &Envelope{Type: MsgForward}},
 		// v4 additions: sharded control plane. Master-to-master client
 		// ownership handoff and its master-to-client redirect form.
 		{"shard-handoff", &Envelope{Type: MsgShardHandoff, Handoff: &ShardHandoff{
@@ -126,6 +111,18 @@ func goldenEnvelopes() []struct {
 			Trace:   tracing.SpanContext{Trace: 12, Span: 34},
 			Migrate: &Migrate{ClientID: 7, Layers: []dnn.LayerID{3, 4, 5}, PeerAddr: "10.0.0.5:7101"}}},
 		{"migrate-nil-body", &Envelope{Type: MsgMigrateRequest}},
+		// v6: a chain stage is an ExecReq whose Next is the rest of the
+		// chain (the exec-request entries above carry an empty Next).
+		{"exec-request-chain", &Envelope{Type: MsgExecRequest, ExecReq: &ExecReq{
+			ClientID: 9, ServerBaseNs: 4_000_000, Intensity: 0.4, InputBytes: 150528,
+			Next: []PlanHop{
+				{Server: 3, Addr: "10.0.0.4:7101", ServerBaseNs: 6_500_000, Intensity: 0.2, InBytes: 40000},
+				{Server: 5, Addr: "10.0.0.6:7101", ServerBaseNs: 1_500_000, Intensity: 0.3, InBytes: 8000},
+			}}}},
+		{"exec-request-chain-traced", &Envelope{Type: MsgExecRequest,
+			Trace: tracing.SpanContext{Trace: 99, Span: 4321},
+			ExecReq: &ExecReq{ClientID: 9, ServerBaseNs: 1000, Intensity: 0.1, InputBytes: 64,
+				Next: []PlanHop{{Server: 2, Addr: "127.0.0.1:7102", ServerBaseNs: 1000, Intensity: 0.1, InBytes: 64}}}}},
 	}
 }
 
@@ -236,6 +233,22 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	}
 	f.Add(byte(0), []byte{})
 	f.Add(byte(255), []byte{1, 2, 3})
+	// Well-formed bodies under retired type values: v5's MsgUploadLayers
+	// (8) carried an Upload, its MsgForward (16) a chain of hops.
+	for _, old := range []struct {
+		typ MsgType
+		env *Envelope
+	}{
+		{8, &Envelope{Type: MsgUploadUnit, Upload: &Upload{ClientID: 9, Layers: []dnn.LayerID{1, 2, 3}, Bytes: 999}}},
+		{16, &Envelope{Type: MsgExecRequest, ExecReq: &ExecReq{ClientID: 9, ServerBaseNs: 1000, Intensity: 0.1, InputBytes: 64,
+			Next: []PlanHop{{Server: 2, Addr: "127.0.0.1:7102", ServerBaseNs: 1000, Intensity: 0.1, InBytes: 64}}}}},
+	} {
+		frame, err := appendFrame(nil, old.env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(byte(old.typ), frame[headerLen:])
+	}
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
 		var env Envelope
 		var scr recvScratch
@@ -370,6 +383,28 @@ func TestOversizedFrameRejected(t *testing.T) {
 	_, err := client.RecvContext(context.Background())
 	if !errors.Is(err, ErrFrame) {
 		t.Errorf("err = %v, want wrapping ErrFrame", err)
+	}
+}
+
+// TestRetiredTypesRejected: the values v5 and v6 retired — 8 (the
+// edge-to-edge MsgUploadLayers), 16 (MsgForward) and 18 (v4's cross-shard
+// migration order) — are refused by the encoder and fail a receive with
+// ErrFrame, whether or not the frame carries a body.
+func TestRetiredTypesRejected(t *testing.T) {
+	for _, typ := range []MsgType{8, 16, 18} {
+		if _, err := appendFrame(nil, &Envelope{Type: typ}); err == nil {
+			t.Errorf("type %d: appendFrame encoded a retired type", typ)
+		}
+		for _, payload := range [][]byte{{0}, {1, 2, 3}} {
+			client, raw := rawPipe(t)
+			frame := append([]byte{ProtoVersion, byte(typ), 0, 0, 0, byte(len(payload))}, payload...)
+			if _, err := raw.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.RecvContext(context.Background()); !errors.Is(err, ErrFrame) {
+				t.Errorf("type %d, payload %x: err = %v, want wrapping ErrFrame", typ, payload, err)
+			}
+		}
 	}
 }
 

@@ -46,8 +46,9 @@ import (
 )
 
 // MsgType tags an Envelope. Values are part of the wire format and must
-// never be renumbered; new types are appended. Value 18, v4's cross-shard
-// migration order, was retired in v5 and is not reused.
+// never be renumbered; new types are appended. A retired value stays a
+// blank placeholder below and is never reused: both ends of the codec
+// reject it (see known).
 type MsgType int
 
 // Message types.
@@ -62,30 +63,38 @@ const (
 	MsgStatsRequest
 	MsgStatsResponse
 	MsgMigrateRequest
-	// Client/edge -> edge.
-	MsgUploadLayers
+	_ // 8: v5's edge-to-edge MsgUploadLayers, retired in v6
+	// Client/edge -> edge: run one query stage, and relay ExecReq.Next.
 	MsgExecRequest
 	MsgExecResponse
 	MsgHasRequest
 	MsgHasResponse
 	// Generic acknowledgment.
 	MsgAck
-	// Windowed streaming upload (client -> edge): one schedule unit per
-	// MsgUploadUnit, cumulatively acknowledged by MsgUploadAck.
+	// Layer upload (client -> edge, and edge -> edge for a migration
+	// push): one schedule unit per MsgUploadUnit, cumulatively
+	// acknowledged by MsgUploadAck.
 	MsgUploadUnit
 	MsgUploadAck
-	// Multi-hop activation forwarding (client -> edge, edge -> edge): the
-	// receiving server executes Hops[0] and forwards the remainder of the
-	// chain to Hops[1].Addr, answering with MsgExecResponse once the
-	// downstream reply arrives.
-	MsgForward
+	_ // 16: v5's MsgForward chain relay, retired in v6
 	// Sharded control plane (master -> master, and master -> client as a
 	// redirect): ownership handoff of a client crossing a region boundary.
 	MsgShardHandoff
+	_ // 18: v4's cross-shard migration order, retired in v5
 
 	// maxMsgType bounds the valid type range for frame validation.
 	maxMsgType = MsgShardHandoff
 )
+
+// known reports whether t is a message type of this version: in range and
+// not one of the retired values.
+func (t MsgType) known() bool {
+	switch t {
+	case 8, 16, 18:
+		return false
+	}
+	return t >= MsgRegister && t <= maxMsgType
+}
 
 // Protocol framing parameters.
 const (
@@ -95,8 +104,12 @@ const (
 	// multi-hop chain tail and adds MsgForward; version 4 adds the sharded
 	// control plane; version 5 retires v4's cross-shard migration order
 	// (type 18) and Migrate's byte cap: a master orders every target itself
-	// and cuts the layer list before the order.
-	ProtoVersion byte = 5
+	// and cuts the layer list before the order. Version 6 keeps one message
+	// per operation: a chain stage is an ExecReq whose Next carries the
+	// rest of the chain, so MsgForward (type 16) is retired, and a
+	// migration push is an MsgUploadUnit, so MsgUploadLayers (type 8) is
+	// retired; ExecResp loses OutputBytes, which no receiver read.
+	ProtoVersion byte = 6
 	// headerLen is version(1) + type(1) + payload length(4).
 	headerLen = 6
 	// MaxFrameBytes bounds a frame's payload; larger length prefixes are
@@ -146,7 +159,6 @@ type Envelope struct {
 	ExecResp   *ExecResp
 	Has        *Has
 	Ack        *Ack
-	Forward    *Forward
 	Handoff    *ShardHandoff
 }
 
@@ -183,14 +195,15 @@ type PlanReq struct {
 //
 // Encoding: ServerLayers id-list, UploadOrder unit count uvarint then one
 // id-list per unit, Slowdown float64, EstLatencyNs varint, chain hop count
-// uvarint then one PlanHop per hop (Server varint, Addr string, ServerBaseNs
-// varint, Intensity float64, InBytes varint), ChainDownBytes varint,
-// ChainClientPreNs varint, ChainClientPostNs varint. (An id-list is a
-// uvarint count followed by varint layer IDs.)
+// uvarint then one PlanHop per hop (a hop list, see PlanHop),
+// ChainDownBytes varint, ChainClientPreNs varint, ChainClientPostNs varint.
+// (An id-list is a uvarint count followed by varint layer IDs.)
 type PlanResp struct {
 	ServerLayers []dnn.LayerID
 	UploadOrder  [][]dnn.LayerID // schedule units, highest efficiency first
 	Slowdown     float64
+	// EstLatencyNs is the estimate of the plan served: the chain's when
+	// Chain is set, the single split's otherwise.
 	EstLatencyNs int64
 	// Chain is the pipelined multi-hop assignment, in execution order;
 	// empty for single-split plans. ChainDownBytes is the final output
@@ -204,7 +217,10 @@ type PlanResp struct {
 }
 
 // PlanHop is one stage of a multi-hop plan: which server runs it, where to
-// reach that server, and the stage's contention-free cost model.
+// reach that server, and the stage's contention-free cost model. A hop
+// list (PlanResp.Chain, ExecReq.Next) encodes as a uvarint count, then per
+// hop Server varint, Addr string, ServerBaseNs varint, Intensity float64,
+// InBytes varint.
 type PlanHop struct {
 	Server geo.ServerID
 	Addr   string
@@ -265,15 +281,19 @@ type Upload struct {
 	Layers   []dnn.LayerID
 	Bytes    int64
 	// Seq is the schedule-unit sequence number within a windowed upload
-	// stream (MsgUploadUnit); unused by MsgUploadLayers, the edge-to-edge
-	// migration push.
+	// stream; an edge-to-edge migration push is a one-unit stream, Seq 0.
 	Seq int64
 }
 
-// ExecReq asks an edge server to execute the server-side part of a query.
+// ExecReq asks an edge server to execute one stage of a query: the
+// server-side part of a single split, or one hop of a multi-hop chain. The
+// server runs its own stage and, when Next is non-empty, relays an ExecReq
+// for Next[0] carrying Next[1:] to Next[0].Addr; its ExecResp covers its
+// own stage plus everything downstream, so the client sees one answer per
+// query.
 //
 // Encoding: ClientID varint, ServerBaseNs varint, Intensity float64,
-// InputBytes varint.
+// InputBytes varint, Next hop list.
 type ExecReq struct {
 	ClientID int
 	// ServerBaseNs is the contention-free execution time of the offloaded
@@ -283,14 +303,18 @@ type ExecReq struct {
 	// InputBytes is the activation payload size (transfer realized by the
 	// server against its link model).
 	InputBytes int64
+	// Next is the rest of the chain after the receiving server's own
+	// stage; empty for a single split and for a chain's last hop.
+	Next []PlanHop
 }
 
-// ExecResp reports the simulated server execution.
+// ExecResp reports the simulated server execution: the receiving
+// server's stage plus every stage it relayed, with the edge-to-edge
+// transfers between them.
 //
-// Encoding: ExecNs varint, OutputBytes varint.
+// Encoding: ExecNs varint.
 type ExecResp struct {
-	ExecNs      int64
-	OutputBytes int64
+	ExecNs int64
 }
 
 // Has asks which of the listed layers an edge server caches for a client;
@@ -300,35 +324,6 @@ type ExecResp struct {
 type Has struct {
 	ClientID int
 	Layers   []dnn.LayerID
-}
-
-// Forward asks an edge server to execute one stage of a multi-hop query and
-// relay the rest of the chain. Hops[0] is the receiving server's own work;
-// Hops[1:] are forwarded onward to Hops[1].Addr. The server replies with
-// MsgExecResponse covering its own stage plus everything downstream, so the
-// client sees one end-to-end answer per query.
-//
-// Encoding: ClientID varint, hop count uvarint then one ForwardHop per hop
-// (Addr string, ServerBaseNs varint, Intensity float64, InBytes varint),
-// DownBytes varint.
-type Forward struct {
-	ClientID int
-	Hops     []ForwardHop
-	// DownBytes is the final output activation size the last hop reports
-	// back up the chain (transfer realized client-side against its link).
-	DownBytes int64
-}
-
-// ForwardHop is one remaining stage of a forwarded chain.
-type ForwardHop struct {
-	Addr string
-	// ServerBaseNs is the contention-free execution time of the hop's
-	// layers; Intensity their memory intensity; InBytes the activation
-	// payload entering the hop (transfer realized by the receiving server
-	// against its link model).
-	ServerBaseNs int64
-	Intensity    float64
-	InBytes      int64
 }
 
 // ShardHandoff transfers ownership of a client registration between two
@@ -407,6 +402,7 @@ func (e *Envelope) Clone() *Envelope {
 	}
 	if e.ExecReq != nil {
 		v := *e.ExecReq
+		v.Next = append([]PlanHop(nil), e.ExecReq.Next...)
 		out.ExecReq = &v
 	}
 	if e.ExecResp != nil {
@@ -421,11 +417,6 @@ func (e *Envelope) Clone() *Envelope {
 	if e.Ack != nil {
 		v := *e.Ack
 		out.Ack = &v
-	}
-	if e.Forward != nil {
-		v := *e.Forward
-		v.Hops = append([]ForwardHop(nil), e.Forward.Hops...)
-		out.Forward = &v
 	}
 	if e.Handoff != nil {
 		v := *e.Handoff

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -91,8 +92,13 @@ func TestEnvelopeCarriesAllBodies(t *testing.T) {
 		{Type: MsgTrajectory, Trajectory: &Trajectory{ClientID: 1, Points: []geo.Point{{X: 1, Y: 2}}}},
 		{Type: MsgPlanRequest, PlanReq: &PlanReq{ClientID: 1, Server: 7}},
 		{Type: MsgStatsResponse, Stats: &StatsMsg{Sample: &stats}},
-		{Type: MsgUploadLayers, Upload: &Upload{ClientID: 1, Layers: []dnn.LayerID{1, 2, 3}, Bytes: 999}},
+		{Type: MsgUploadUnit, Upload: &Upload{ClientID: 1, Layers: []dnn.LayerID{1, 2, 3}, Bytes: 999, Seq: 2}},
 		{Type: MsgExecRequest, ExecReq: &ExecReq{ClientID: 1, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100}},
+		{Type: MsgExecRequest, ExecReq: &ExecReq{ClientID: 1, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100,
+			Next: []PlanHop{
+				{Server: 2, Addr: "x:2", ServerBaseNs: 700, Intensity: 0.1, InBytes: 64},
+				{Server: 3, Addr: "x:3", ServerBaseNs: 900, Intensity: 0.2, InBytes: 32},
+			}}},
 		{Type: MsgMigrateRequest, Migrate: &Migrate{ClientID: 1, Layers: []dnn.LayerID{4}, PeerAddr: "x:1"}},
 		{Type: MsgHasRequest, Has: &Has{ClientID: 1, Layers: []dnn.LayerID{9}}},
 	}
@@ -124,8 +130,16 @@ func TestEnvelopeCarriesAllBodies(t *testing.T) {
 				t.Errorf("stats payload lost: %+v", echo.Stats)
 			}
 		case 3:
-			if echo.Upload == nil || echo.Upload.Bytes != 999 || len(echo.Upload.Layers) != 3 {
+			if echo.Upload == nil || echo.Upload.Bytes != 999 || len(echo.Upload.Layers) != 3 || echo.Upload.Seq != 2 {
 				t.Errorf("upload payload lost: %+v", echo.Upload)
+			}
+		case 4:
+			if echo.ExecReq == nil || len(echo.ExecReq.Next) != 0 {
+				t.Errorf("single-split exec request grew a chain: %+v", echo.ExecReq)
+			}
+		case 5:
+			if echo.ExecReq == nil || !reflect.DeepEqual(echo.ExecReq.Next, m.ExecReq.Next) {
+				t.Errorf("exec request chain tail lost: %+v", echo.ExecReq)
 			}
 		}
 	}
