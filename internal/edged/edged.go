@@ -32,8 +32,6 @@ type Config struct {
 	Model dnn.ModelName
 	// TTL is the cache lifetime of migrated/uploaded layers.
 	TTL time.Duration
-	// LinkBps prices declared transfers (client uploads, peer migrations).
-	LinkBps float64
 	// TimeScale compresses simulated durations into wall time (0.01 runs
 	// 100x faster than real time). Zero disables sleeping entirely.
 	TimeScale float64
@@ -57,7 +55,6 @@ func DefaultConfig(model dnn.ModelName) Config {
 	return Config{
 		Model:     model,
 		TTL:       100 * time.Second,
-		LinkBps:   35e6,
 		TimeScale: 0.01,
 		GPUSeed:   1,
 	}
@@ -84,22 +81,14 @@ type Server struct {
 	uploads, uploadBytes       *obs.Counter
 	migrations, migrationBytes *obs.Counter
 	execNs                     *obs.Histogram
-	entries                    *obs.Gauge // len(cache)
+	entries                    *obs.Gauge // cache.Len()
 
-	mu      sync.Mutex
-	cache   map[int]*cacheEntry // by client ID
-	sweepAt int                 // cache size that triggers the next sweep of expired entries
+	// mu guards the layer cache, which runs on the daemon clock (now).
+	mu    sync.Mutex
+	cache *core.LayerCache
 
 	srv wire.Server // accept loop, per-connection loop, shutdown
 }
-
-type cacheEntry struct {
-	layers dnn.LayerSet
-	expiry time.Time
-}
-
-// minSweep is the smallest cache size at which expired entries are swept.
-const minSweep = 64
 
 // New creates an edge daemon (not yet serving).
 func New(cfg Config) (*Server, error) {
@@ -119,16 +108,15 @@ func New(cfg Config) (*Server, error) {
 		node = "edged"
 	}
 	s := &Server{
-		cfg:     cfg,
-		model:   m,
-		gpu:     gpusim.New(profile.ServerTitanXp(), gpusim.DefaultParams(), cfg.GPUSeed),
-		start:   time.Now(),
-		log:     logger,
-		met:     obs.NewRegistry(),
-		tr:      cfg.Tracer,
-		node:    node,
-		cache:   make(map[int]*cacheEntry, 8),
-		sweepAt: minSweep,
+		cfg:   cfg,
+		model: m,
+		gpu:   gpusim.New(profile.ServerTitanXp(), gpusim.DefaultParams(), cfg.GPUSeed),
+		start: time.Now(),
+		log:   logger,
+		met:   obs.NewRegistry(),
+		tr:    cfg.Tracer,
+		node:  node,
+		cache: core.NewLayerCache(m.NumLayers(), cfg.TTL),
 	}
 	s.srv = wire.Server{
 		Name: "edged",
@@ -176,7 +164,8 @@ func (s *Server) traceRoot(rc tracing.SpanContext) (tracing.TraceID, tracing.Spa
 	return s.tr.NewTrace(), 0
 }
 
-// now returns the daemon's virtual time for the GPU model.
+// now returns the daemon's virtual time, the clock of the GPU model and
+// the layer cache.
 func (s *Server) now() time.Duration { return time.Since(s.start) }
 
 // sleep realizes a simulated duration in scaled wall time.
@@ -309,35 +298,19 @@ func (s *Server) layerBytes(ids []dnn.LayerID) int64 {
 // addLayers claims ids in the client's cache entry and returns the subset
 // that was newly added (not already live in the cache).
 func (s *Server) addLayers(client int, ids []dnn.LayerID) []dnn.LayerID {
-	now := time.Now()
+	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.cache[client]
-	if !ok || now.After(e.expiry) {
-		if !ok && len(s.cache) >= s.sweepAt {
-			// The cache doubled since the last sweep: drop what expired
-			// meanwhile, so clients that never come back cost amortized
-			// constant work and no memory beyond twice the live set.
-			for id, old := range s.cache {
-				if now.After(old.expiry) {
-					delete(s.cache, id)
-				}
-			}
-			s.sweepAt = max(2*len(s.cache), minSweep)
-		}
-		e = &cacheEntry{layers: dnn.NewLayerSet(s.model.NumLayers())}
-		s.cache[client] = e
-		s.entries.Set(int64(len(s.cache)))
-	}
+	set := s.cache.Claim(now, client)
+	s.entries.Set(int64(s.cache.Len()))
 	added := make([]dnn.LayerID, 0, len(ids))
 	for _, id := range ids {
-		if e.layers.Has(id) {
+		if set.Has(id) {
 			continue
 		}
-		e.layers.Add(id)
+		set.Add(id)
 		added = append(added, id)
 	}
-	e.expiry = now.Add(s.cfg.TTL)
 	return added
 }
 
@@ -345,18 +318,15 @@ func (s *Server) addLayers(client int, ids []dnn.LayerID) []dnn.LayerID {
 // under the lock: an upload for the same client may be adding to the entry
 // while the caller reads.
 func (s *Server) cachedLayers(client int) (dnn.LayerSet, bool) {
+	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.cache[client]
+	set, ok := s.cache.Get(now, client)
+	s.entries.Set(int64(s.cache.Len()))
 	if !ok {
 		return dnn.LayerSet{}, false
 	}
-	if time.Now().After(e.expiry) {
-		delete(s.cache, client)
-		s.entries.Set(int64(len(s.cache)))
-		return dnn.LayerSet{}, false
-	}
-	return e.layers.Clone(), true
+	return set.Clone(), true
 }
 
 // exec runs one query stage under the live GPU load — a single split's
@@ -408,10 +378,10 @@ func (s *Server) runOnGPU(trace tracing.TraceID, parent tracing.SpanID, inBytes,
 	return exec
 }
 
-// wireTime prices b bytes against this server's link: serialization time
-// only, without the RTT/2 that partition.Link adds.
+// wireTime prices b bytes against the access link's uplink: serialization
+// time only, without the RTT/2 that partition.Link adds.
 func (s *Server) wireTime(b int64) time.Duration {
-	return time.Duration(float64(b) * 8 / s.cfg.LinkBps * float64(time.Second))
+	return time.Duration(float64(b) * 8 / partition.LabWiFi().UpBps * float64(time.Second))
 }
 
 // relay sends the rest of r's chain to its next hop and returns what the

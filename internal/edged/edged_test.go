@@ -398,10 +398,10 @@ func TestChurnedClientsAreSwept(t *testing.T) {
 		peak = max(peak, entries.Value())
 	}
 	// About the clients of one TTL are live at a time and the cache holds
-	// at most twice the live set (or the sweep floor); the rest of the
-	// bound is slack for an uneven arrival rate.
+	// at most twice the live set (or core.LayerCache's sweep floor of 64
+	// entries); the rest of the bound is slack for an uneven arrival rate.
 	perTTL := int64(float64(clients)*float64(cfg.TTL)/float64(time.Since(start))) + 1
-	if bound := max(6*perTTL, 4*minSweep); peak > bound {
+	if bound := max(6*perTTL, 4*64); peak > bound {
 		t.Errorf("cache peaked at %d entries for %d churned clients (~%d per TTL), want <= %d", peak, clients, perTTL, bound)
 	}
 }

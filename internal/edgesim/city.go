@@ -68,10 +68,14 @@ func (m Mode) String() string {
 // runs. Code that wants a variant (e.g. a different Predictor) must copy
 // the struct, never modify it.
 type Env struct {
-	Dataset   *trace.Dataset
-	Interval  time.Duration
-	Placement *geo.Placement
-	Predictor mobility.Predictor
+	Dataset  *trace.Dataset
+	Interval time.Duration
+	// HistoryLen is the trajectory length n the Predictor was fitted with.
+	HistoryLen int
+	Placement  *geo.Placement
+	Predictor  mobility.Predictor
+	// Estimator is trained on gpusim.DefaultParams(), the contention
+	// constants every simulated server's GPU runs with.
 	Estimator *estimator.ServerEstimator
 }
 
@@ -130,11 +134,12 @@ func PrepareEnv(base *trace.Dataset, cfg EnvConfig) (*Env, error) {
 		return nil, fmt.Errorf("edgesim: training estimator: %w", estErr)
 	}
 	return &Env{
-		Dataset:   ds,
-		Interval:  cfg.Interval,
-		Placement: pl,
-		Predictor: svr,
-		Estimator: est,
+		Dataset:    ds,
+		Interval:   cfg.Interval,
+		HistoryLen: cfg.HistoryLen,
+		Placement:  pl,
+		Predictor:  svr,
+		Estimator:  est,
 	}, nil
 }
 
@@ -173,15 +178,8 @@ type CityConfig struct {
 	Radius float64
 	// TTLIntervals is the layer cache lifetime in prediction intervals (5).
 	TTLIntervals int
-	// HistoryLen is the trajectory length n (5).
-	HistoryLen int
 	// QueryGap is the pause between queries (0.5 s).
 	QueryGap time.Duration
-	// Link is the wireless access link; Backhaul the inter-server network.
-	Link     partition.Link
-	Backhaul simnet.Backhaul
-	// GPUParams are the hidden contention constants of every server's GPU.
-	GPUParams gpusim.Params
 	// Seed drives the per-server GPU randomness.
 	Seed int64
 	// MaxSteps truncates playback (0 = full trajectories).
@@ -239,11 +237,7 @@ func DefaultCityConfig(model dnn.ModelName, mode Mode, radius float64) CityConfi
 		Mode:         mode,
 		Radius:       radius,
 		TTLIntervals: 5,
-		HistoryLen:   5,
 		QueryGap:     500 * time.Millisecond,
-		Link:         partition.LabWiFi(),
-		Backhaul:     simnet.DefaultBackhaul(),
-		GPUParams:    gpusim.DefaultParams(),
 		Seed:         1,
 	}
 }
@@ -339,7 +333,7 @@ func (r *CityResult) P99() time.Duration {
 // simServer is one edge server: a GPU and a layer cache.
 type simServer struct {
 	gpu   *gpusim.GPU
-	store *layerStore
+	store *core.LayerCache
 }
 
 // simClient is one mobile user's simulation state.
@@ -616,8 +610,8 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 	if cfg.Mode < ModeIONN || cfg.Mode > ModeRouting {
 		return nil, 0, fmt.Errorf("edgesim: invalid mode %d", int(cfg.Mode))
 	}
-	if cfg.TTLIntervals <= 0 || cfg.HistoryLen <= 0 || cfg.QueryGap <= 0 {
-		return nil, 0, fmt.Errorf("edgesim: bad config: ttl=%d n=%d gap=%v", cfg.TTLIntervals, cfg.HistoryLen, cfg.QueryGap)
+	if cfg.TTLIntervals <= 0 || cfg.QueryGap <= 0 {
+		return nil, 0, fmt.Errorf("edgesim: bad config: ttl=%d gap=%v", cfg.TTLIntervals, cfg.QueryGap)
 	}
 	if cfg.Shards < 0 {
 		return nil, 0, fmt.Errorf("edgesim: negative shard count %d", cfg.Shards)
@@ -634,7 +628,7 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 	}
 	client, server := profile.ClientODROID(), profile.ServerTitanXp()
 	prof := profile.NewModelProfile(m, client, server)
-	planner, err := core.NewPlanner(prof, env.Estimator, cfg.Link)
+	planner, err := core.NewPlanner(prof, env.Estimator, partition.LabWiFi())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -693,8 +687,8 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 	}
 	for i := range w.servers {
 		w.servers[i] = &simServer{
-			gpu:   gpusim.New(profile.ServerTitanXp(), cfg.GPUParams, cfg.Seed+int64(i)),
-			store: newLayerStore(m.NumLayers()),
+			gpu:   gpusim.New(profile.ServerTitanXp(), gpusim.DefaultParams(), cfg.Seed+int64(i)),
+			store: core.NewLayerCache(m.NumLayers(), w.ttl()),
 		}
 	}
 	if cfg.Mode == ModePerDNN {
@@ -702,7 +696,7 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 			Predictor:        env.Predictor,
 			Placement:        env.Placement,
 			Radius:           cfg.Radius,
-			HistoryLen:       cfg.HistoryLen,
+			HistoryLen:       env.HistoryLen,
 			TTLIntervals:     cfg.TTLIntervals,
 			FractionCapBytes: cfg.FractionCapBytes,
 		}
@@ -761,7 +755,7 @@ func (w *world) tick(k int) {
 			w.res.Connections++
 			w.res.Hits++
 			w.recordDecision(now, tracing.StageHandoff, w.clientNode(c.id), attrs(c.id, prev, sid, 0, 0))
-			w.servers[c.home].store.touch(now, w.storeKey(c.id), w.ttl())
+			w.servers[c.home].store.Touch(now, w.storeKey(c.id))
 		case sid != c.cur && sid != geo.NoServer:
 			w.reconnect(now, c, sid)
 		case c.cur != geo.NoServer:
@@ -770,7 +764,7 @@ func (w *world) tick(k int) {
 			if w.cfg.Mode == ModeRouting && c.home != geo.NoServer {
 				serving = c.home
 			}
-			w.servers[serving].store.touch(now, w.storeKey(c.id), w.ttl())
+			w.servers[serving].store.Touch(now, w.storeKey(c.id))
 		}
 
 		if w.policy != nil && c.cur != geo.NoServer && k >= 1 {
@@ -795,7 +789,7 @@ func (w *world) updateFaults(now time.Duration) {
 		w.srvDown[id] = down
 		if down {
 			// A crashed server loses every cached layer.
-			w.servers[id].store = newLayerStore(w.model.NumLayers())
+			w.servers[id].store = core.NewLayerCache(w.model.NumLayers(), w.ttl())
 			w.serverDowns++
 			w.recordDecision(now, tracing.StageServerDown, w.serverNode(geo.ServerID(id)),
 				attrs(0, geo.ServerID(id), geo.NoServer, 0, 0))
@@ -849,7 +843,7 @@ func (w *world) failover(now time.Duration, c *simClient, down geo.ServerID, pos
 	}
 	if nid == c.cur {
 		// The previous attachment survives; keep our layers warm there.
-		w.servers[nid].store.touch(now, w.storeKey(c.id), w.ttl())
+		w.servers[nid].store.Touch(now, w.storeKey(c.id))
 		return
 	}
 	w.res.Failovers++
@@ -976,7 +970,7 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 		c.home = sid
 	case ModePerDNN:
 		// What we have here is what the server caches for us of the plan.
-		if cached, ok := srv.store.get(now, w.storeKey(c.id)); ok {
+		if cached, ok := srv.store.Get(now, w.storeKey(c.id)); ok {
 			c.curSet.Union(cached)
 			c.curSet.Intersect(entry.Layers)
 		}
@@ -992,7 +986,7 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 			w.res.Partials++
 			w.recordDecision(now, tracing.StagePartialHit, w.serverNode(sid), attrs(c.id, sid, geo.NoServer, have, 0))
 		}
-		srv.store.touch(now, w.storeKey(c.id), w.ttl())
+		srv.store.Touch(now, w.storeKey(c.id))
 	}
 
 	// Build the upload queue: schedule-ordered chunks of missing layers.
@@ -1080,7 +1074,7 @@ func (u *uploadChain) next() {
 	}
 	u.start = u.sh.eng.Now()
 	u.busy = true
-	w.transfer(u.sh, c.id, linkKindUpload, w.cfg.Link.UpTime(bytes), u.step)
+	w.transfer(u.sh, c.id, linkKindUpload, partition.LabWiFi().UpTime(bytes), u.step)
 }
 
 // done lands the unit on the air at its server and ships the next one,
@@ -1093,7 +1087,7 @@ func (u *uploadChain) done() {
 	}
 	now := u.sh.eng.Now()
 	w.tracer.Record(c.upTrace, c.upPlan, tracing.StageUploadUnit, w.clientNode(c.id), u.start, now)
-	w.servers[u.sid].store.claim(now, w.storeKey(c.id), w.ttl()).AddAll(u.chunk)
+	w.servers[u.sid].store.Claim(now, w.storeKey(c.id)).AddAll(u.chunk)
 	c.curSet.AddAll(u.chunk)
 	if c.cold != nil {
 		c.split = c.cold[c.nextUnit]
@@ -1195,8 +1189,8 @@ func (q *queryChain) issueNext() {
 	if w.cfg.Mode == ModeRouting && c.home != geo.NoServer {
 		q.exec = c.home
 		if q.exec != c.cur {
-			q.routeUp = w.cfg.Backhaul.TransferTime(q.split.UpBytes)
-			q.routeDown = w.cfg.Backhaul.TransferTime(q.split.DownBytes)
+			q.routeUp = partition.DefaultBackhaul().UpTime(q.split.UpBytes)
+			q.routeDown = partition.DefaultBackhaul().DownTime(q.split.DownBytes)
 			w.res.Traffic.AddUp(c.cur, now, q.split.UpBytes)
 			w.res.Traffic.AddDown(q.exec, now, q.split.UpBytes)
 			w.res.Traffic.AddUp(q.exec, now, q.split.DownBytes)
@@ -1206,7 +1200,7 @@ func (q *queryChain) issueNext() {
 	q.mark = now + q.split.ClientTime
 	q.span(tracing.StageClientCompute, cnode, now, q.mark)
 	q.stage = stageTransferUp
-	sh.eng.At(q.mark+w.faults.stretch(q.mark, c.id, linkKindQueryUp, w.cfg.Link.UpTime(q.split.UpBytes)+q.routeUp), q.step)
+	sh.eng.At(q.mark+w.faults.stretch(q.mark, c.id, linkKindQueryUp, partition.LabWiFi().UpTime(q.split.UpBytes)+q.routeUp), q.step)
 }
 
 // advance runs at the event the query waits for: it records the stages
@@ -1224,7 +1218,7 @@ func (q *queryChain) advance() {
 	case stageExecCompute:
 		w.servers[q.exec].gpu.End()
 		q.span(tracing.StageExecCompute, w.serverNode(q.exec), q.mark, now)
-		done := now + w.faults.stretch(now, q.c.id, linkKindQueryDown, w.cfg.Link.DownTime(sp.DownBytes)+q.routeDown)
+		done := now + w.faults.stretch(now, q.c.id, linkKindQueryDown, partition.LabWiFi().DownTime(sp.DownBytes)+q.routeDown)
 		q.span(tracing.StageTransferDown, w.clientNode(q.c.id), now, done)
 		q.finish(done)
 	case stageGap:
@@ -1274,7 +1268,7 @@ func (w *world) migrate(now time.Duration, c *simClient, k int) {
 	// predicting: Targets is pure (the predictor is read-only and Within
 	// records nothing), and skipping it changes no draw or decision.
 	key := w.storeKey(c.id)
-	srcSet, srcOK := w.servers[c.cur].store.get(now, key)
+	srcSet, srcOK := w.servers[c.cur].store.Get(now, key)
 	if !srcOK {
 		return
 	}
@@ -1308,12 +1302,12 @@ func (w *world) migrate(now time.Duration, c *simClient, k int) {
 		send.Reset(n)
 		send.Union(want)
 		send.Intersect(srcSet)
-		if dstSet, ok := dst.store.get(now, key); ok {
+		if dstSet, ok := dst.store.Get(now, key); ok {
 			send.Subtract(dstSet)
 		}
 		// A transfer attempt refreshes the target's TTL even when
 		// everything is already there (duplicate suppression).
-		dst.store.touch(now, key, w.ttl())
+		dst.store.Touch(now, key)
 		bytes := send.WeightBytes(w.model)
 		if bytes == 0 {
 			continue
@@ -1334,12 +1328,12 @@ func (w *world) migrate(now time.Duration, c *simClient, k int) {
 		order := w.decisions.RecordAttrs(mt, 0, tracing.StageMigrationOrdered, w.serverNode(c.cur), now, now, a)
 		layers := send.Clone() // the order's own copy: a few words
 		dsh := w.shardOf(tid)
-		dsh.eng.After(w.cfg.Backhaul.TransferTime(bytes), func() {
+		dsh.eng.After(partition.DefaultBackhaul().UpTime(bytes), func() {
 			if w.isDown(tid) {
 				return // the target died in transit; the layers are lost
 			}
 			done := dsh.eng.Now()
-			dst.store.claim(done, key, w.ttl()).Union(layers)
+			dst.store.Claim(done, key).Union(layers)
 			dsh.migCompleted++
 			w.decisions.RecordAttrs(mt, order, tracing.StageMigrationCompleted, w.serverNode(tid), done, done, a)
 		})

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"perdnn/internal/dnn"
 	"perdnn/internal/raceguard"
 )
 
@@ -306,36 +305,4 @@ func BenchmarkEngineCityDepth(b *testing.B) {
 	if fired != b.N {
 		b.Fatalf("fired %d of %d events", fired, b.N)
 	}
-}
-
-func TestLayerStoreTTL(t *testing.T) {
-	s := newLayerStore(10)
-	s.claim(0, 1, 10*time.Second).AddAll([]dnn.LayerID{1, 2})
-	if set, ok := s.get(5*time.Second, 1); !ok || !set.Has(1) {
-		t.Error("layers missing before expiry")
-	}
-	if _, ok := s.get(11*time.Second, 1); ok {
-		t.Error("layers survived TTL")
-	}
-	// Re-adding after expiry starts fresh.
-	s.claim(20*time.Second, 1, 10*time.Second).AddAll([]dnn.LayerID{3})
-	set, ok := s.get(21*time.Second, 1)
-	if !ok || set.Has(1) || !set.Has(3) {
-		t.Error("expired layers resurrected")
-	}
-}
-
-func TestLayerStoreTouch(t *testing.T) {
-	s := newLayerStore(10)
-	s.claim(0, 1, 10*time.Second).AddAll([]dnn.LayerID{1})
-	s.touch(8*time.Second, 1, 10*time.Second)
-	if _, ok := s.get(15*time.Second, 1); !ok {
-		t.Error("touch did not extend TTL")
-	}
-	// Touching an expired or absent entry is a no-op.
-	s.touch(60*time.Second, 1, 10*time.Second)
-	if _, ok := s.get(61*time.Second, 1); ok {
-		t.Error("touch resurrected expired entry")
-	}
-	s.touch(0, 99, 10*time.Second)
 }

@@ -40,14 +40,8 @@ type EdgeInfo struct {
 type Config struct {
 	// Edges are the managed edge servers.
 	Edges []EdgeInfo
-	// CellRadius sizes the service cells (50 m).
-	CellRadius float64
 	// Radius is the proactive-migration radius r.
 	Radius float64
-	// HistoryLen is the trajectory length n.
-	HistoryLen int
-	// Link prices client-edge transfers inside plans.
-	Link partition.Link
 	// MaxHops enables multi-hop pipelined planning: plan responses carry a
 	// server chain of up to MaxHops stages assembled from the reachable
 	// edges within Radius of the requested server (that server first, then
@@ -91,10 +85,7 @@ type Config struct {
 func DefaultConfig(edges []EdgeInfo) Config {
 	return Config{
 		Edges:         edges,
-		CellRadius:    50,
 		Radius:        100,
-		HistoryLen:    5,
-		Link:          partition.LabWiFi(),
 		EstimatorSeed: 1,
 	}
 }
@@ -155,6 +146,15 @@ const (
 	refreshAfter = ttlIntervals - 1
 )
 
+// cellRadius sizes the service cells in meters and historyLen is the
+// trajectory length n: the paper's values, which the simulator's
+// DefaultEnvConfig shares. Plans price client transfers on
+// partition.LabWiFi, the link the client's own estimates use.
+const (
+	cellRadius = 50
+	historyLen = 5
+)
+
 // New builds a master for the given configuration. The execution-time
 // estimator is trained offline at construction (Section III.C.1); the
 // mobility predictor defaults to dead reckoning and can be replaced with a
@@ -163,8 +163,8 @@ func New(cfg Config) (*Master, error) {
 	if len(cfg.Edges) == 0 {
 		return nil, errors.New("master: no edge servers configured")
 	}
-	if cfg.CellRadius <= 0 || cfg.Radius <= 0 || cfg.HistoryLen <= 0 {
-		return nil, fmt.Errorf("master: bad geometry config %+v", cfg)
+	if cfg.Radius <= 0 {
+		return nil, fmt.Errorf("master: non-positive migration radius %v", cfg.Radius)
 	}
 	if cfg.Shards > 1 {
 		if cfg.Shard < 0 || cfg.Shard >= cfg.Shards {
@@ -178,7 +178,7 @@ func New(cfg Config) (*Master, error) {
 	for _, e := range cfg.Edges {
 		pts = append(pts, e.Location)
 	}
-	pl := geo.NewPlacement(geo.NewHexGrid(cfg.CellRadius), pts)
+	pl := geo.NewPlacement(geo.NewHexGrid(cellRadius), pts)
 
 	est := cfg.Estimator
 	if est == nil {
@@ -218,7 +218,7 @@ func New(cfg Config) (*Master, error) {
 			Predictor:    lin,
 			Placement:    pl,
 			Radius:       cfg.Radius,
-			HistoryLen:   cfg.HistoryLen,
+			HistoryLen:   historyLen,
 			TTLIntervals: ttlIntervals,
 		},
 		planners: make(map[dnn.ModelName]*core.Planner, 4),
@@ -413,7 +413,7 @@ func (m *Master) ensurePlannerLocked(model dnn.ModelName) error {
 		return err
 	}
 	prof := profile.NewModelProfile(mod, profile.ClientODROID(), profile.ServerTitanXp())
-	pl, err := core.NewPlanner(prof, m.est, m.cfg.Link)
+	pl, err := core.NewPlanner(prof, m.est, partition.LabWiFi())
 	if err != nil {
 		return err
 	}
@@ -440,8 +440,8 @@ func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Enve
 		return nil, fmt.Errorf("master: unknown client %d", t.ClientID)
 	}
 	cs.history = append(cs.history, t.Points...)
-	if len(cs.history) > m.cfg.HistoryLen {
-		cs.history = cs.history[len(cs.history)-m.cfg.HistoryLen:]
+	if len(cs.history) > historyLen {
+		cs.history = cs.history[len(cs.history)-historyLen:]
 	}
 	recent := make([]geo.Point, len(cs.history))
 	copy(recent, cs.history)
@@ -609,8 +609,8 @@ func (m *Master) adoptClient(h *wire.ShardHandoff) error {
 	}
 	hist := make([]geo.Point, len(h.History))
 	copy(hist, h.History)
-	if len(hist) > m.cfg.HistoryLen {
-		hist = hist[len(hist)-m.cfg.HistoryLen:]
+	if len(hist) > historyLen {
+		hist = hist[len(hist)-historyLen:]
 	}
 	m.clients[h.ClientID] = &clientState{model: h.Model, history: hist}
 	m.numClients.Set(int64(len(m.clients)))

@@ -1,9 +1,8 @@
-// Package simnet models the networks of the edge deployment: the wireless
-// access links between clients and their edge servers (package partition's
-// Link), and the inter-server backhaul used for proactive DNN migration. It
-// also keeps the per-server, per-interval uplink/downlink traffic ledger
-// behind the paper's backhaul analysis (Section IV.B.4) and the fractional
-// migration experiment (Fig 10).
+// Package simnet keeps the per-server, per-interval uplink/downlink traffic
+// ledger of the inter-server backhaul: the data behind the paper's backhaul
+// analysis (Section IV.B.4) and the fractional migration experiment
+// (Fig 10). The links themselves, the wireless access link and the
+// backhaul alike, are package partition's Link.
 package simnet
 
 import (
@@ -15,30 +14,6 @@ import (
 	"perdnn/internal/geo"
 	"perdnn/internal/obs"
 )
-
-// Backhaul is the inter-server network: a bandwidth shared per transfer and
-// a propagation delay. The paper's backhaul carries DNN layers between edge
-// servers; the evaluation measures the traffic it would need, so the model
-// here converts bytes to time and records the ledger.
-type Backhaul struct {
-	// Bps is the per-transfer bandwidth in bits per second.
-	Bps float64
-	// RTT is the round-trip propagation delay between two edge servers.
-	RTT time.Duration
-}
-
-// DefaultBackhaul returns a 1 Gbps / 2 ms metro backhaul.
-func DefaultBackhaul() Backhaul {
-	return Backhaul{Bps: 1e9, RTT: 2 * time.Millisecond}
-}
-
-// TransferTime returns the time to move bytes between two servers.
-func (b Backhaul) TransferTime(bytes int64) time.Duration {
-	if bytes <= 0 {
-		return 0
-	}
-	return b.RTT/2 + time.Duration(float64(bytes)*8/b.Bps*float64(time.Second))
-}
 
 // TrafficAccount records per-server uplink and downlink bytes in fixed time
 // buckets ("we measured the backhaul traffics of each edge server for each
