@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -97,9 +98,9 @@ type treeOut struct {
 	oobSeen    []bool    // whether the sample was out of bag for this tree
 }
 
-// TrainForest trains a random forest on rows x with targets y. Trees are
-// trained concurrently across a worker pool bounded by GOMAXPROCS, each
-// from its own seeded RNG, so training is deterministic for a given
+// TrainForest trains a random forest on rows x with targets y, all finite.
+// Trees are trained concurrently across a worker pool bounded by GOMAXPROCS,
+// each from its own seeded RNG, so training is deterministic for a given
 // ForestConfig regardless of parallelism.
 func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) {
 	if len(x) == 0 || len(x) != len(y) {
@@ -109,6 +110,14 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 	for r, row := range x {
 		if len(row) != p {
 			return nil, fmt.Errorf("estimator: row %d has %d features, want %d", r, len(row), p)
+		}
+		for c, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("estimator: row %d column %d is %v", r, c, v)
+			}
+		}
+		if math.IsNaN(y[r]) || math.IsInf(y[r], 0) {
+			return nil, fmt.Errorf("estimator: row %d target is %v", r, y[r])
 		}
 	}
 	if cfg.NumTrees <= 0 {
@@ -137,6 +146,7 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 	}
 
 	tc := treeConfig{maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, maxFeatures: cfg.MaxFeatures}
+	orders := presort(x)
 	outs := make([]treeOut, cfg.NumTrees)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > cfg.NumTrees {
@@ -149,6 +159,7 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := newScratch(orders, len(x), len(x))
 			for {
 				mu.Lock()
 				t := next
@@ -157,7 +168,7 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 				if t >= cfg.NumTrees {
 					return
 				}
-				outs[t] = trainOneTree(x, y, tc, seeds[t])
+				outs[t] = trainOneTree(x, y, tc, seeds[t], s)
 			}
 		}()
 	}
@@ -200,24 +211,21 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 	return f, nil
 }
 
-// trainOneTree bootstraps, grows, and evaluates one tree with its own RNG.
-func trainOneTree(x [][]float64, y []float64, tc treeConfig, seed int64) treeOut {
+// trainOneTree bootstraps, grows and evaluates one tree in s with its own RNG.
+func trainOneTree(x [][]float64, y []float64, tc treeConfig, seed int64, s *scratch) treeOut {
 	rng := rand.New(rand.NewSource(seed))
-	boot := make([]int, len(x))
-	inBag := make([]bool, len(x))
-	for i := range boot {
-		boot[i] = rng.Intn(len(x))
-		inBag[boot[i]] = true
+	for i := range s.boot {
+		s.boot[i] = rng.Intn(len(x))
 	}
 	out := treeOut{
 		importance: make([]float64, len(x[0])),
 		oobSum:     make([]float64, len(x)),
 		oobSeen:    make([]bool, len(x)),
 	}
-	out.tree = buildTree(x, y, boot, tc, rng, out.importance)
+	out.tree = s.build(x, y, s.boot, tc, rng, out.importance)
 	// Out-of-bag accumulation: samples this tree never saw.
 	for i := range x {
-		if !inBag[i] {
+		if s.count[i] == 0 {
 			out.oobSum[i] = out.tree.predict(x[i])
 			out.oobSeen[i] = true
 		}

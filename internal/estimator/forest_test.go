@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -142,6 +143,21 @@ func TestForestErrors(t *testing.T) {
 	}
 	if _, err := TrainForest([][]float64{{1, 2}, {1}}, []float64{1, 2}, ForestConfig{}); err == nil {
 		t.Error("ragged rows accepted")
+	}
+	// A non-finite feature or target is named by row and column.
+	for _, c := range []struct {
+		x    [][]float64
+		y    []float64
+		want string
+	}{
+		{[][]float64{{1, 2}, {3, math.NaN()}}, []float64{1, 2}, "row 1 column 1 is NaN"},
+		{[][]float64{{math.Inf(1), 2}, {3, 4}}, []float64{1, 2}, "row 0 column 0 is +Inf"},
+		{[][]float64{{1, 2}, {3, 4}}, []float64{1, math.NaN()}, "row 1 target is NaN"},
+		{[][]float64{{1, 2}, {3, 4}}, []float64{math.Inf(-1), 2}, "row 0 target is -Inf"},
+	} {
+		if _, err := TrainForest(c.x, c.y, ForestConfig{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("TrainForest(%v, %v) error = %v, want %q", c.x, c.y, err, c.want)
+		}
 	}
 }
 

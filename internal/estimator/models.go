@@ -187,6 +187,20 @@ type ServerEstimator struct {
 // TrainServerEstimator profiles a simulated GPU with the given device and
 // contention parameters and fits the slowdown forest.
 func TrainServerEstimator(dev profile.Device, params gpusim.Params, seed int64) (*ServerEstimator, error) {
+	x, y := serverTrainingSet(dev, params, seed)
+	fc := DefaultForestConfig()
+	fc.Seed = seed
+	fc.NumTrees = 40
+	f, err := TrainForest(x, y, fc)
+	if err != nil {
+		return nil, fmt.Errorf("estimator: training server estimator: %w", err)
+	}
+	return &ServerEstimator{dev: dev, forest: f, memo: &slowdownMemo{}}, nil
+}
+
+// serverTrainingSet profiles the GPU and returns the slowdown forest's
+// rows: load features against measured over contention-free layer time.
+func serverTrainingSet(dev profile.Device, params gpusim.Params, seed int64) ([][]float64, []float64) {
 	layers := gpusim.ConvLayerCorpus(seed, 24)
 	cfg := gpusim.DefaultProfilingConfig()
 	cfg.Seed = seed
@@ -203,14 +217,7 @@ func TrainServerEstimator(dev profile.Device, params gpusim.Params, seed int64) 
 		x = append(x, LoadFeatures(samples[i].Stats))
 		y = append(y, samples[i].Time.Seconds()/base.Seconds())
 	}
-	fc := DefaultForestConfig()
-	fc.Seed = seed
-	fc.NumTrees = 40
-	f, err := TrainForest(x, y, fc)
-	if err != nil {
-		return nil, fmt.Errorf("estimator: training server estimator: %w", err)
-	}
-	return &ServerEstimator{dev: dev, forest: f, memo: &slowdownMemo{}}, nil
+	return x, y
 }
 
 // EstimateSlowdown predicts the multiplicative slowdown at the given GPU

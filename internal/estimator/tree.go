@@ -1,6 +1,9 @@
 package estimator
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // treeNode is one node of a CART regression tree, stored in a flat slice.
 // Leaves have left == -1.
@@ -33,9 +36,54 @@ type keyed struct {
 	idx int
 }
 
-// grower holds what the nodes of one tree share while it grows. cur and
-// best are its two scratch buffers, each as long as the bootstrap: a feature
-// is sorted in cur, and when it takes the lead the two trade places.
+// presort returns, for each column of x, its rows in ascending order if the
+// column is tie-free — each value below the next, so no NaN and no value
+// shared by two rows — and nil if not. A bootstrap's equal keys on such a
+// column are copies of one row, identical keyed values, so its sorted order
+// is unique: the one pdqsort finds (DESIGN.md §17.3).
+func presort(x [][]float64) [][]keyed {
+	orders := make([][]keyed, len(x[0]))
+	for f := range orders {
+		o := make([]keyed, len(x))
+		for i, row := range x {
+			o[i] = keyed{row[f], i}
+		}
+		sortKeyed(o)
+		i := 1
+		for i < len(o) && o[i-1].key < o[i].key {
+			i++
+		}
+		if i >= len(o) {
+			orders[f] = o
+		}
+	}
+	return orders
+}
+
+// scratch is one worker's training memory, reused from tree to tree. A
+// tied feature is gathered and sorted in cur; when it takes the lead, cur
+// and best trade places; after the search cur is the partition's spill.
+// lists[f] holds a presorted column f's rows in ascending order, one
+// contiguous segment per node at the node's offset into the bootstrap.
+type scratch struct {
+	orders    [][]keyed // presort(x)
+	boot      []int
+	cur, best []keyed
+	lists     [][]keyed
+	count     []int32 // bootstrap copies of each row of x
+	left      []uint8 // 1 if a row of x goes left at the current split
+}
+
+func newScratch(orders [][]keyed, rows, n int) *scratch {
+	return &scratch{
+		orders: orders, boot: make([]int, n),
+		cur: make([]keyed, n), best: make([]keyed, n),
+		lists: make([][]keyed, len(orders)),
+		count: make([]int32, rows), left: make([]uint8, rows),
+	}
+}
+
+// grower holds what the nodes of one tree share while it grows.
 type grower struct {
 	x          [][]float64
 	y          []float64
@@ -43,19 +91,43 @@ type grower struct {
 	rng        *rand.Rand
 	importance []float64
 	nodes      []treeNode
-	cur, best  []keyed
+	idx        []int
+	*scratch
 }
 
 // buildTree grows a tree on the rows of x indexed by idx, reordering idx as
 // it goes. importance accumulates the total variance reduction attributed
 // to each feature.
 func buildTree(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, importance []float64) *regTree {
+	return newScratch(presort(x), len(x), len(idx)).build(x, y, idx, cfg, rng, importance)
+}
+
+// build grows a tree like buildTree in s, which must be as long as idx.
+// Each presorted column's root order is its forest-wide order with every
+// row repeated as often as the bootstrap drew it: O(n), no sort.
+func (s *scratch) build(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, importance []float64) *regTree {
+	clear(s.count)
+	for _, i := range idx {
+		s.count[i]++
+	}
+	for f, o := range s.orders {
+		if o == nil {
+			continue
+		}
+		list := slices.Grow(s.lists[f][:0], len(idx))
+		for _, e := range o {
+			for c := s.count[e.idx]; c > 0; c-- {
+				list = append(list, e)
+			}
+		}
+		s.lists[f] = list
+	}
 	g := grower{
 		x: x, y: y, cfg: cfg, rng: rng, importance: importance,
 		nodes: make([]treeNode, 0, 2*len(idx)/cfg.minLeaf+1),
-		cur:   make([]keyed, len(idx)), best: make([]keyed, len(idx)),
+		idx:   idx, scratch: s,
 	}
-	g.grow(idx, 0)
+	g.grow(0, len(idx), 0)
 	return &regTree{nodes: g.nodes}
 }
 
@@ -78,15 +150,16 @@ func sse(y []float64, idx []int) float64 {
 	return s
 }
 
-// grow appends the subtree for idx and returns its node index.
+// grow appends the subtree for rows g.idx[lo:hi] and returns its node index.
 //
 // The unstable sort's order among equal keys is part of the result: it sets
 // the order of every prefix sum below, and the winning order is the order
-// the children's rows are gathered in. So each feature is sorted from idx
-// as the parent left it, and the winner is written back into idx, which the
-// children then split between them.
-func (g *grower) grow(idx []int, depth int) int32 {
-	y, cfg := g.y, g.cfg
+// the children's rows are gathered in. So each tied feature is sorted from
+// idx as the parent left it, and the winner is written back into idx, which
+// the children then split between them. A presorted feature has no tie
+// order to keep: it is scanned straight from its segment of g.lists.
+func (g *grower) grow(lo, hi, depth int) int32 {
+	y, cfg, idx := g.y, g.cfg, g.idx[lo:hi]
 	node := int32(len(g.nodes))
 	g.nodes = append(g.nodes, treeNode{left: -1, value: mean(y, idx)})
 
@@ -107,11 +180,16 @@ func (g *grower) grow(idx []int, depth int) int32 {
 	}
 
 	for _, f := range feats {
-		cur := g.cur[:len(idx)]
-		for j, i := range idx {
-			cur[j] = keyed{g.x[i][f], i}
+		cur := g.lists[f]
+		if cur != nil {
+			cur = cur[lo:hi]
+		} else {
+			cur = g.cur[:len(idx)]
+			for j, i := range idx {
+				cur[j] = keyed{g.x[i][f], i}
+			}
+			sortKeyed(cur)
 		}
-		sortKeyed(cur)
 
 		// Prefix sums over the sorted order for O(n) split scanning.
 		var sumL, sumSqL, sumT, sumSqT float64
@@ -123,10 +201,6 @@ func (g *grower) grow(idx []int, depth int) int32 {
 			yi := y[cur[k].idx]
 			sumL += yi
 			sumSqL += yi * yi
-			// Cannot split between equal feature values.
-			if cur[k].key == cur[k+1].key {
-				continue
-			}
 			nL, nR := float64(k+1), float64(len(cur)-k-1)
 			if int(nL) < cfg.minLeaf || int(nR) < cfg.minLeaf {
 				continue
@@ -136,11 +210,14 @@ func (g *grower) grow(idx []int, depth int) int32 {
 			sseL := sumSqL - sumL*sumL/nL
 			sseR := sumSqR - sumR*sumR/nR
 			gain := parentSSE - sseL - sseR
-			if gain > bestGain {
+			// Cannot split between equal feature values. The key test comes
+			// second: a tie is a coin flip to the branch predictor, a new
+			// best gain is rare.
+			if gain > bestGain && cur[k].key != cur[k+1].key {
 				bestFeature, bestK, bestGain = f, k, gain
 			}
 		}
-		if bestFeature == f { // f (tried once per node) took the lead: keep its order
+		if bestFeature == f && g.lists[f] == nil { // f (tried once per node) took the lead: keep its order
 			g.cur, g.best = g.best, g.cur
 		}
 	}
@@ -151,16 +228,43 @@ func (g *grower) grow(idx []int, depth int) int32 {
 	g.importance[bestFeature] += bestGain
 
 	best := g.best[:len(idx)]
+	if g.lists[bestFeature] != nil {
+		best = g.lists[bestFeature][lo:hi]
+	}
 	for j, e := range best {
 		idx[j] = e.idx
+		g.left[e.idx] = 0
+		if j <= bestK {
+			g.left[e.idx] = 1
+		}
 	}
 	g.nodes[node].feature = bestFeature
 	g.nodes[node].threshold = (best[bestK].key + best[bestK+1].key) / 2
-	l := g.grow(idx[:bestK+1], depth+1)
-	r := g.grow(idx[bestK+1:], depth+1)
+	g.partition(lo, hi, bestFeature)
+	mid := lo + bestK + 1
+	l := g.grow(lo, mid, depth+1)
+	r := g.grow(mid, hi, depth+1)
 	g.nodes[node].left = l
 	g.nodes[node].right = r
 	return node
+}
+
+// partition splits every presorted segment lists[f][lo:hi] stably into the
+// left child's rows (g.left) followed by the right child's, so each child's
+// segment is again ascending. The winner's own segment is split already.
+func (g *grower) partition(lo, hi, winner int) {
+	for f, list := range g.lists {
+		if list == nil || f == winner {
+			continue
+		}
+		seg, spill, n, m := list[lo:hi], g.cur[:hi-lo], 0, 0
+		for _, e := range seg {
+			l := int(g.left[e.idx]) // no branch: the side is a coin flip
+			seg[n], spill[m] = e, e
+			n, m = n+l, m+1-l
+		}
+		copy(seg[n:], spill[:m])
+	}
 }
 
 // predict walks the tree for one feature vector.
