@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -18,9 +19,9 @@ import (
 	"perdnn/internal/trace"
 )
 
-// placementFor builds the 50 m hex placement of a resampled dataset.
+// placementFor builds the paper's hex placement of a resampled dataset.
 func placementFor(ds *trace.Dataset) *geo.Placement {
-	return geo.NewPlacement(geo.NewHexGrid(50), ds.AllPoints())
+	return geo.NewPlacement(geo.NewHexGrid(geo.CellRadius), ds.AllPoints())
 }
 
 // cityEnvFns lazily prepares one simulation environment per dataset: an
@@ -80,7 +81,8 @@ func cityMaxSteps(quick bool) int {
 // runFig9 prints the large-scale simulation results (Fig 9). All cells of
 // the dataset × model × system matrix run as one parallel sweep; results
 // print in the fixed paper order regardless of completion order.
-func runFig9(ctx context.Context, quick bool) error {
+func runFig9(ctx context.Context, w io.Writer, quick bool) error {
+	before := core.SharedPlans().Stats()
 	datasets := []string{"kaist", "geolife"}
 	envs, err := cityEnvsFor(datasets...)
 	if err != nil {
@@ -112,15 +114,15 @@ func runFig9(ctx context.Context, quick bool) error {
 	i := 0
 	for di, dataset := range datasets {
 		env := envs[di]
-		fmt.Printf("--- %s: %d servers, %d clients, mean speed %.1f m/s ---\n",
+		fmt.Fprintf(w, "--- %s: %d servers, %d clients, mean speed %.1f m/s ---\n",
 			dataset, env.Placement.Len(), len(env.Dataset.Test), env.Dataset.MeanSpeed())
-		fmt.Printf("%-10s %-8s %5s %10s %8s %8s %8s %8s %10s %10s %10s\n",
+		fmt.Fprintf(w, "%-10s %-8s %5s %10s %8s %8s %8s %8s %10s %10s %10s\n",
 			"model", "system", "r", "windowQ", "hit%", "hits", "misses", "partial",
 			"mean lat", "p95", "p99")
 		for range dnn.ZooNames() {
 			for range specs {
 				res := outs[i].Result
-				fmt.Printf("%-10s %-8s %5.0f %10d %7.0f%% %8d %8d %8d %10v %10v %10v\n",
+				fmt.Fprintf(w, "%-10s %-8s %5.0f %10d %7.0f%% %8d %8d %8d %10v %10v %10v\n",
 					res.Model, res.Mode, res.Radius, res.WindowQueries,
 					res.HitRatio()*100, res.Hits, res.Misses, res.Partials,
 					res.MeanLatency().Round(time.Millisecond),
@@ -129,21 +131,17 @@ func runFig9(ctx context.Context, quick bool) error {
 			}
 		}
 	}
-	printPlanCacheStats()
+	// How much the process-wide singleflight plan cache saved the sweep.
+	after := core.SharedPlans().Stats()
+	st := core.CacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses, Coalesced: after.Coalesced - before.Coalesced}
+	fmt.Fprintf(w, "plan cache: %d requests, %d misses, %d hits, %d coalesced (%.0f%% served cached)\n",
+		st.Requests(), st.Misses, st.Hits, st.Coalesced, st.HitRatio()*100)
 	return nil
 }
 
-// printPlanCacheStats reports the process-wide plan-cache counters — how
-// much the singleflight cache saved across the sweep's runs.
-func printPlanCacheStats() {
-	st := core.SharedPlans().Stats()
-	fmt.Printf("plan cache: %d requests, %d misses, %d hits, %d coalesced (%.0f%% served cached)\n",
-		st.Requests(), st.Misses, st.Hits, st.Coalesced, st.HitRatio()*100)
-}
-
 // runTraffic prints the backhaul traffic statistics (Section IV.B.4).
-func runTraffic(ctx context.Context, quick bool) error {
-	fmt.Printf("%-10s %-10s %5s %12s %12s %14s %10s %10s\n",
+func runTraffic(ctx context.Context, w io.Writer, quick bool) error {
+	fmt.Fprintf(w, "%-10s %-10s %5s %12s %12s %14s %10s %10s\n",
 		"dataset", "model", "r", "peak up", "peak down", "share <100Mbps", "mean lat", "p95")
 	datasets := []string{"kaist", "geolife"}
 	envs, err := cityEnvsFor(datasets...)
@@ -167,25 +165,25 @@ func runTraffic(ctx context.Context, quick bool) error {
 		res := o.Result
 		_, up := res.Traffic.PeakUp()
 		_, down := res.Traffic.PeakDown()
-		fmt.Printf("%-10s %-10s %5.0f %9.0f Mbps %9.0f Mbps %13.0f%% %10v %10v\n",
+		fmt.Fprintf(w, "%-10s %-10s %5.0f %9.0f Mbps %9.0f Mbps %13.0f%% %10v %10v\n",
 			datasets[i/len(radii)], dnn.ModelInception, res.Radius, up/1e6, down/1e6,
 			res.Traffic.ShareUnderBps(100e6)*100,
 			res.MeanLatency().Round(time.Millisecond), res.P95().Round(time.Millisecond))
 	}
-	fmt.Println("\npaper: KAIST Inception peak 616/205 Mbps, Geolife 667/359 Mbps;")
-	fmt.Println("       60~70% of servers needed less than 100 Mbps.")
+	fmt.Fprintln(w, "\npaper: KAIST Inception peak 616/205 Mbps, Geolife 667/359 Mbps;")
+	fmt.Fprintln(w, "       60~70% of servers needed less than 100 Mbps.")
 	return nil
 }
 
 // runFig10 prints the fractional-migration results (Fig 10). The two
 // model/cap specs are independent pairs of runs, so they execute
 // concurrently and print in spec order.
-func runFig10(ctx context.Context, quick bool) error {
+func runFig10(ctx context.Context, w io.Writer, quick bool) error {
 	env, err := cityEnv("kaist")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-10s %-10s %12s %12s %10s %10s\n",
+	fmt.Fprintf(w, "%-10s %-10s %12s %12s %10s %10s\n",
 		"model", "cap", "peak full", "peak capped", "peak cut", "query loss")
 	specs := []struct {
 		model dnn.ModelName
@@ -217,46 +215,46 @@ func runFig10(ctx context.Context, quick bool) error {
 		out := outs[i]
 		_, fullPeak := out.Full.Traffic.PeakUp()
 		_, capPeak := out.Capped.Traffic.PeakUp()
-		fmt.Printf("%-10s %7d MB %7.0f Mbps %7.0f Mbps %9.0f%% %9.1f%%\n",
+		fmt.Fprintf(w, "%-10s %7d MB %7.0f Mbps %7.0f Mbps %9.0f%% %9.1f%%\n",
 			spec.model, spec.capMB, fullPeak/1e6, capPeak/1e6,
 			out.PeakUplinkReduction()*100, out.QueryLoss()*100)
 	}
-	fmt.Println("\npaper: Inception 616->206 Mbps (-67%) at 2% query loss;")
-	fmt.Println("       ResNet 469->268 Mbps (-43%) at 1% query loss.")
+	fmt.Fprintln(w, "\npaper: Inception 616->206 Mbps (-67%) at 2% query loss;")
+	fmt.Fprintln(w, "       ResNet 469->268 Mbps (-43%) at 1% query loss.")
 	return nil
 }
 
 // runAblations prints the design-choice ablations called out in DESIGN.md.
-func runAblations(ctx context.Context, quick bool) error {
-	if err := ablationUploadOrder(); err != nil {
+func runAblations(ctx context.Context, w io.Writer, quick bool) error {
+	if err := ablationUploadOrder(w); err != nil {
 		return err
 	}
-	if err := ablationGPUAware(); err != nil {
+	if err := ablationGPUAware(w); err != nil {
 		return err
 	}
-	if err := ablationTTLAndRadius(ctx, quick); err != nil {
+	if err := ablationTTLAndRadius(ctx, w, quick); err != nil {
 		return err
 	}
-	if err := ablationPredictor(ctx, quick); err != nil {
+	if err := ablationPredictor(ctx, w, quick); err != nil {
 		return err
 	}
-	if err := ablationRouting(ctx, quick); err != nil {
+	if err := ablationRouting(ctx, w, quick); err != nil {
 		return err
 	}
-	if err := ablationSharedModels(ctx, quick); err != nil {
+	if err := ablationSharedModels(ctx, w, quick); err != nil {
 		return err
 	}
-	if err := ablationMultiDNN(); err != nil {
+	if err := ablationMultiDNN(w); err != nil {
 		return err
 	}
-	return ablationMinCut()
+	return ablationMinCut(w)
 }
 
 // ablationMinCut compares the Fig 5 frontier partitioner against the exact
 // min-cut optimum (Hu et al.) across models and contention levels.
-func ablationMinCut() error {
-	fmt.Println("\n-- ablation: frontier (Fig 5) vs exact min-cut partitioning --")
-	fmt.Printf("%-10s %9s %14s %14s %8s\n", "model", "slowdown", "frontier", "min-cut", "gap")
+func ablationMinCut(w io.Writer) error {
+	fmt.Fprintln(w, "\n-- ablation: frontier (Fig 5) vs exact min-cut partitioning --")
+	fmt.Fprintf(w, "%-10s %9s %14s %14s %8s\n", "model", "slowdown", "frontier", "min-cut", "gap")
 	link := partition.LabWiFi()
 	for _, name := range dnn.ZooNames() {
 		m, err := dnn.ZooModel(name)
@@ -274,7 +272,7 @@ func ablationMinCut() error {
 			if minCut > 0 {
 				gap = frontier.Seconds()/minCut.Seconds() - 1
 			}
-			fmt.Printf("%-10s %8.0fx %14v %14v %7.1f%%\n", name, slowdown,
+			fmt.Fprintf(w, "%-10s %8.0fx %14v %14v %7.1f%%\n", name, slowdown,
 				frontier.Round(time.Millisecond), minCut.Round(time.Millisecond), gap*100)
 		}
 	}
@@ -283,16 +281,16 @@ func ablationMinCut() error {
 
 // ablationMultiDNN compares upload strategies for clients running several
 // DNNs at once (the paper's Section VI extension).
-func ablationMultiDNN() error {
-	fmt.Println("\n-- extension: multi-DNN client (Inception + ResNet on one uplink) --")
-	fmt.Printf("%-12s %10s %14s %14s %12s\n", "strategy", "queries", "mean lat[0]", "mean lat[1]", "upload done")
+func ablationMultiDNN(w io.Writer) error {
+	fmt.Fprintln(w, "\n-- extension: multi-DNN client (Inception + ResNet on one uplink) --")
+	fmt.Fprintf(w, "%-12s %10s %14s %14s %12s\n", "strategy", "queries", "mean lat[0]", "mean lat[1]", "upload done")
 	for _, s := range []edgesim.UploadStrategy{edgesim.UploadSequential, edgesim.UploadJoint} {
 		res, err := edgesim.RunMultiDNN(edgesim.DefaultMultiConfig(s))
 		if err != nil {
 			return err
 		}
 		lats := res.MeanLatencyPerModel(2)
-		fmt.Printf("%-12s %10d %14v %14v %12v\n",
+		fmt.Fprintf(w, "%-12s %10d %14v %14v %12v\n",
 			res.Strategy, len(res.Queries),
 			lats[0].Round(time.Millisecond), lats[1].Round(time.Millisecond),
 			res.UploadDone.Round(time.Second))
@@ -302,13 +300,13 @@ func ablationMultiDNN() error {
 
 // ablationRouting compares PerDNN's re-offloading against the Section III.A
 // alternative of keeping the session and routing through the backhaul.
-func ablationRouting(ctx context.Context, quick bool) error {
+func ablationRouting(ctx context.Context, w io.Writer, quick bool) error {
 	env, err := cityEnv("geolife")
 	if err != nil {
 		return err
 	}
-	fmt.Println("\n-- ablation: re-offload (PerDNN) vs session routing (Geolife, ResNet) --")
-	fmt.Printf("%-10s %10s %12s %14s %16s\n", "system", "windowQ", "mean lat", "cold starts", "backhaul total")
+	fmt.Fprintln(w, "\n-- ablation: re-offload (PerDNN) vs session routing (Geolife, ResNet) --")
+	fmt.Fprintf(w, "%-10s %10s %12s %14s %16s\n", "system", "windowQ", "mean lat", "cold starts", "backhaul total")
 	var cfgs []edgesim.CityConfig
 	for _, spec := range []struct {
 		mode   edgesim.Mode
@@ -325,24 +323,24 @@ func ablationRouting(ctx context.Context, quick bool) error {
 	for _, o := range outs {
 		res := o.Result
 		up, _ := res.Traffic.TotalBytes()
-		fmt.Printf("%-10s %10d %12v %14d %13.1f GB\n",
+		fmt.Fprintf(w, "%-10s %10d %12v %14d %13.1f GB\n",
 			res.Mode, res.WindowQueries, res.MeanLatency().Round(time.Millisecond),
 			res.Misses, float64(up)/1e9)
 	}
-	fmt.Println("routing avoids cold starts but pays continuous backhaul and extra latency,")
-	fmt.Println("the trade-off behind the paper's decision to re-offload (Section III.A).")
+	fmt.Fprintln(w, "routing avoids cold starts but pays continuous backhaul and extra latency,")
+	fmt.Fprintln(w, "the trade-off behind the paper's decision to re-offload (Section III.A).")
 	return nil
 }
 
 // ablationSharedModels quantifies the paper's personalized-model assumption
 // by allowing layer caches to be shared across clients.
-func ablationSharedModels(ctx context.Context, quick bool) error {
+func ablationSharedModels(ctx context.Context, w io.Writer, quick bool) error {
 	env, err := cityEnv("geolife")
 	if err != nil {
 		return err
 	}
-	fmt.Println("\n-- ablation: personalized vs shared models (Geolife, ResNet, r=50) --")
-	fmt.Printf("%-14s %8s %10s %16s\n", "models", "hit%", "windowQ", "backhaul total")
+	fmt.Fprintln(w, "\n-- ablation: personalized vs shared models (Geolife, ResNet, r=50) --")
+	fmt.Fprintf(w, "%-14s %8s %10s %16s\n", "models", "hit%", "windowQ", "backhaul total")
 	variants := []bool{false, true}
 	var cfgs []edgesim.CityConfig
 	for _, shared := range variants {
@@ -362,7 +360,7 @@ func ablationSharedModels(ctx context.Context, quick bool) error {
 		if variants[i] {
 			name = "shared"
 		}
-		fmt.Printf("%-14s %7.0f%% %10d %13.1f GB\n",
+		fmt.Fprintf(w, "%-14s %7.0f%% %10d %13.1f GB\n",
 			name, res.HitRatio()*100, res.WindowQueries, float64(up)/1e9)
 	}
 	return nil
@@ -370,9 +368,9 @@ func ablationSharedModels(ctx context.Context, quick bool) error {
 
 // ablationUploadOrder compares the efficiency-first schedule against naive
 // front-to-back uploading.
-func ablationUploadOrder() error {
-	fmt.Println("-- ablation: upload order (queries completed during full upload) --")
-	fmt.Printf("%-10s %18s %18s\n", "model", "efficiency-first", "front-to-back")
+func ablationUploadOrder(w io.Writer) error {
+	fmt.Fprintln(w, "-- ablation: upload order (queries completed during full upload) --")
+	fmt.Fprintf(w, "%-10s %18s %18s\n", "model", "efficiency-first", "front-to-back")
 	link := partition.LabWiFi()
 	for _, model := range dnn.ZooNames() {
 		m, err := dnn.ZooModel(model)
@@ -380,26 +378,21 @@ func ablationUploadOrder() error {
 			return err
 		}
 		prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-		req := partition.Request{Profile: prof, Slowdown: 1, Link: link}
-		plan, err := partition.Partition(req)
-		if err != nil {
-			return err
-		}
-		eff, err := partition.UploadSchedule(req, plan)
+		plan, eff, err := partition.PlanAndSchedule(partition.Request{Profile: prof, Slowdown: 1, Link: link})
 		if err != nil {
 			return err
 		}
 		seq := partition.SequentialSchedule(plan, 16)
 		window := link.UpTime(plan.ServerBytes())
-		qEff, err := edgesim.UploadReplay(model, 500*time.Millisecond, link, eff, window, 0)
+		qEff, err := edgesim.UploadReplay(model, eff, window)
 		if err != nil {
 			return err
 		}
-		qSeq, err := edgesim.UploadReplay(model, 500*time.Millisecond, link, seq, window, 0)
+		qSeq, err := edgesim.UploadReplay(model, seq, window)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %18d %18d\n", model, qEff, qSeq)
+		fmt.Fprintf(w, "%-10s %18d %18d\n", model, qEff, qSeq)
 	}
 	return nil
 }
@@ -410,12 +403,12 @@ func ablationUploadOrder() error {
 // both servers' statistics and picks the lower estimated latency;
 // load-blind planning cannot distinguish them and on average lands on the
 // crowded one half the time.
-func ablationGPUAware() error {
-	fmt.Println("\n-- ablation: GPU-aware server selection (Inception mean query latency) --")
-	fmt.Printf("%-15s %14s %14s %14s\n", "crowded load", "GPU-aware", "load-blind", "advantage")
+func ablationGPUAware(w io.Writer) error {
+	fmt.Fprintln(w, "\n-- ablation: GPU-aware server selection (Inception mean query latency) --")
+	fmt.Fprintf(w, "%-15s %14s %14s %14s\n", "crowded load", "GPU-aware", "load-blind", "advantage")
 	m := dnn.Inception21k()
 	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-	est, err := estimatorOnce()
+	est, err := estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), 1)
 	if err != nil {
 		return err
 	}
@@ -451,28 +444,22 @@ func ablationGPUAware() error {
 			aware = crowdedLat
 		}
 		blind := (idleLat + crowdedLat) / 2
-		fmt.Printf("%2d clients      %14v %14v %13.2fx\n", k,
+		fmt.Fprintf(w, "%2d clients      %14v %14v %13.2fx\n", k,
 			aware.Round(time.Millisecond), blind.Round(time.Millisecond),
 			float64(blind)/float64(aware))
 	}
 	return nil
 }
 
-var estimatorOnceV = sync.OnceValues(func() (*estimator.ServerEstimator, error) {
-	return estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), 1)
-})
-
-func estimatorOnce() (*estimator.ServerEstimator, error) { return estimatorOnceV() }
-
 // ablationTTLAndRadius sweeps the TTL and migration radius. Both sweeps are
 // independent along their axes, so each runs as one parallel batch.
-func ablationTTLAndRadius(ctx context.Context, quick bool) error {
+func ablationTTLAndRadius(ctx context.Context, w io.Writer, quick bool) error {
 	env, err := cityEnv("geolife")
 	if err != nil {
 		return err
 	}
-	fmt.Println("\n-- ablation: TTL (Geolife, ResNet, r=100) --")
-	fmt.Printf("%-6s %8s %10s\n", "TTL", "hit%", "windowQ")
+	fmt.Fprintln(w, "\n-- ablation: TTL (Geolife, ResNet, r=100) --")
+	fmt.Fprintf(w, "%-6s %8s %10s\n", "TTL", "hit%", "windowQ")
 	ttls := []int{1, 2, 5, 10}
 	var ttlCfgs []edgesim.CityConfig
 	for _, ttl := range ttls {
@@ -486,11 +473,11 @@ func ablationTTLAndRadius(ctx context.Context, quick bool) error {
 		return err
 	}
 	for i, o := range outs {
-		fmt.Printf("%-6d %7.0f%% %10d\n", ttls[i], o.Result.HitRatio()*100, o.Result.WindowQueries)
+		fmt.Fprintf(w, "%-6d %7.0f%% %10d\n", ttls[i], o.Result.HitRatio()*100, o.Result.WindowQueries)
 	}
 
-	fmt.Println("\n-- ablation: migration radius r (Geolife, ResNet) --")
-	fmt.Printf("%-6s %8s %10s %12s\n", "r", "hit%", "windowQ", "peak up")
+	fmt.Fprintln(w, "\n-- ablation: migration radius r (Geolife, ResNet) --")
+	fmt.Fprintf(w, "%-6s %8s %10s %12s\n", "r", "hit%", "windowQ", "peak up")
 	var radiusCfgs []edgesim.CityConfig
 	for _, r := range []float64{25, 50, 100, 150, 200} {
 		cfg := edgesim.DefaultCityConfig(dnn.ModelResNet, edgesim.ModePerDNN, r)
@@ -504,7 +491,7 @@ func ablationTTLAndRadius(ctx context.Context, quick bool) error {
 	for _, o := range outs {
 		res := o.Result
 		_, up := res.Traffic.PeakUp()
-		fmt.Printf("%-6.0f %7.0f%% %10d %7.0f Mbps\n",
+		fmt.Fprintf(w, "%-6.0f %7.0f%% %10d %7.0f Mbps\n",
 			res.Radius, res.HitRatio()*100, res.WindowQueries, up/1e6)
 	}
 	return nil
@@ -514,13 +501,13 @@ func ablationTTLAndRadius(ctx context.Context, quick bool) error {
 // predictor gets its own copied Env (an Env is immutable once prepared, so
 // variants are copies, never in-place edits), and the copies sweep in
 // parallel.
-func ablationPredictor(ctx context.Context, quick bool) error {
+func ablationPredictor(ctx context.Context, w io.Writer, quick bool) error {
 	env, err := cityEnv("geolife")
 	if err != nil {
 		return err
 	}
-	fmt.Println("\n-- ablation: predictor in the full loop (Geolife, ResNet, r=100) --")
-	fmt.Printf("%-8s %8s %10s\n", "pred", "hit%", "windowQ")
+	fmt.Fprintln(w, "\n-- ablation: predictor in the full loop (Geolife, ResNet, r=100) --")
+	fmt.Fprintf(w, "%-8s %8s %10s\n", "pred", "hit%", "windowQ")
 
 	preds := []mobility.Predictor{
 		env.Predictor, // the trained SVR
@@ -530,7 +517,7 @@ func ablationPredictor(ctx context.Context, quick bool) error {
 	var runs []edgesim.SweepRun
 	for _, p := range preds {
 		if p != env.Predictor {
-			if err := p.Fit(env.Dataset.Train, env.Placement, 5); err != nil {
+			if err := p.Fit(env.Dataset.Train, env.Placement, env.HistoryLen); err != nil {
 				return err
 			}
 		}
@@ -545,7 +532,7 @@ func ablationPredictor(ctx context.Context, quick bool) error {
 		return err
 	}
 	for i, o := range outs {
-		fmt.Printf("%-8s %7.0f%% %10d\n",
+		fmt.Fprintf(w, "%-8s %7.0f%% %10d\n",
 			preds[i].Name(), o.Result.HitRatio()*100, o.Result.WindowQueries)
 	}
 	return nil

@@ -16,14 +16,16 @@
 // pool for the city-scale experiments (0 = GOMAXPROCS); results are
 // identical at every worker count. Ctrl-C (or SIGTERM) cancels the sweep
 // in flight at its next movement tick and skips the remaining experiments.
-// Performance is measured by the benchmark in bench/ (bash bench/run.sh),
-// not here.
+// TestQuickGolden pins the -quick output to testdata/quick, one golden file
+// per experiment. Performance is measured by the benchmark in bench/ (bash
+// bench/run.sh), not here.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -35,6 +37,35 @@ import (
 // runs.
 var benchWorkers int
 
+// experiment is one table or figure of the evaluation; run writes its rows
+// to w.
+type experiment struct {
+	name string
+	run  func(ctx context.Context, w io.Writer, quick bool) error
+}
+
+// experiments lists every experiment in report order.
+var experiments = []experiment{
+	{"table1", runTable1},
+	{"datasets", runDatasets},
+	{"fig1", runFig1},
+	{"fig4", runFig4},
+	{"fig6", runFig6},
+	{"fig7", runFig7},
+	{"table2", runTable2},
+	{"table3", runTable3},
+	{"fig9", runFig9},
+	{"traffic", runTraffic},
+	{"fig10", runFig10},
+	{"ablations", runAblations},
+}
+
+// runExperiment writes one experiment's banner and rows to w.
+func runExperiment(ctx context.Context, w io.Writer, e experiment, quick bool) error {
+	fmt.Fprintf(w, "\n===== %s =====\n", e.name)
+	return e.run(ctx, w, quick)
+}
+
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments to run")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast pass")
@@ -43,24 +74,6 @@ func main() {
 	benchWorkers = *workers
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 
-	all := []struct {
-		name string
-		fn   func(ctx context.Context, quick bool) error
-	}{
-		{"table1", runTable1},
-		{"datasets", runDatasets},
-		{"fig1", runFig1},
-		{"fig4", runFig4},
-		{"fig6", runFig6},
-		{"fig7", runFig7},
-		{"table2", runTable2},
-		{"table3", runTable3},
-		{"fig9", runFig9},
-		{"traffic", runTraffic},
-		{"fig10", runFig10},
-		{"ablations", runAblations},
-	}
-
 	want := map[string]bool{}
 	for _, name := range strings.Split(*exp, ",") {
 		want[strings.TrimSpace(name)] = true
@@ -68,7 +81,7 @@ func main() {
 	runAll := want["all"]
 
 	failed := false
-	for _, e := range all {
+	for _, e := range experiments {
 		if !runAll && !want[e.name] {
 			continue
 		}
@@ -76,8 +89,7 @@ func main() {
 			failed = true
 			break
 		}
-		fmt.Printf("\n===== %s =====\n", e.name)
-		if err := e.fn(ctx, *quick); err != nil {
+		if err := runExperiment(ctx, os.Stdout, e, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "perdnn-bench: %s: %v\n", e.name, err)
 			failed = true
 		}

@@ -33,8 +33,8 @@ func run() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Two edge servers in adjacent 50 m cells.
-	grid := geo.NewHexGrid(50)
+	// Two edge servers in adjacent cells of the master's grid.
+	grid := geo.NewHexGrid(geo.CellRadius)
 	locs := []geo.Point{grid.Center(geo.HexCell{Q: 0, R: 0}), grid.Center(geo.HexCell{Q: 1, R: 0})}
 	edges := make([]master.EdgeInfo, 0, len(locs))
 	for i, loc := range locs {

@@ -83,9 +83,11 @@ type Env struct {
 type EnvConfig struct {
 	// Interval is the prediction/movement interval t (20 s in the paper).
 	Interval time.Duration
-	// CellRadius is the hex cell radius (50 m).
+	// CellRadius is the hex cell radius (geo.CellRadius, as the live
+	// master uses).
 	CellRadius float64
-	// HistoryLen is the trajectory length n (5).
+	// HistoryLen is the trajectory length n (mobility.HistoryLen, as the
+	// live master uses).
 	HistoryLen int
 	// Seed drives predictor and estimator training.
 	Seed int64
@@ -97,8 +99,8 @@ type EnvConfig struct {
 func DefaultEnvConfig() EnvConfig {
 	return EnvConfig{
 		Interval:        20 * time.Second,
-		CellRadius:      50,
-		HistoryLen:      5,
+		CellRadius:      geo.CellRadius,
+		HistoryLen:      mobility.HistoryLen,
 		Seed:            1,
 		MaxTrainWindows: 20000,
 	}
@@ -237,7 +239,7 @@ func DefaultCityConfig(model dnn.ModelName, mode Mode, radius float64) CityConfi
 		Mode:         mode,
 		Radius:       radius,
 		TTLIntervals: 5,
-		QueryGap:     500 * time.Millisecond,
+		QueryGap:     queryGap,
 		Seed:         1,
 	}
 }

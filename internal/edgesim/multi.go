@@ -2,19 +2,17 @@ package edgesim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/partition"
-	"perdnn/internal/profile"
 )
 
 // The paper's future work (Section VI) includes "applications
-// simultaneously running multiple DNNs". This file implements that
-// extension for the single-client scenario: a client interleaves queries
-// over several models while uploading all of them over one uplink, and the
-// upload order can either finish one model at a time or jointly rank every
-// model's schedule units by efficiency.
+// simultaneously running multiple DNNs". RunMultiDNN is that extension of
+// the single-client scenario: a client interleaves queries over several
+// models while uploading all of them over one uplink.
 
 // UploadStrategy orders uploads across multiple models.
 type UploadStrategy int
@@ -47,10 +45,6 @@ type MultiConfig struct {
 	Models []dnn.ModelName
 	// Duration is the simulated time span.
 	Duration time.Duration
-	// QueryGap is the pause after each query completes.
-	QueryGap time.Duration
-	// Link is the wireless access link.
-	Link partition.Link
 	// Strategy orders the uploads.
 	Strategy UploadStrategy
 }
@@ -61,8 +55,6 @@ func DefaultMultiConfig(strategy UploadStrategy) MultiConfig {
 	return MultiConfig{
 		Models:   []dnn.ModelName{dnn.ModelInception, dnn.ModelResNet},
 		Duration: time.Minute,
-		QueryGap: 500 * time.Millisecond,
-		Link:     partition.LabWiFi(),
 		Strategy: strategy,
 	}
 }
@@ -108,12 +100,6 @@ func (r *MultiResult) MeanLatencyPerModel(numModels int) []time.Duration {
 	return out
 }
 
-// multiUnit is one upload unit tagged with its model.
-type multiUnit struct {
-	model int
-	unit  partition.UploadUnit
-}
-
 // RunMultiDNN simulates a client running several DNNs concurrently against
 // one uncontended edge server while uploading them all.
 func RunMultiDNN(cfg MultiConfig) (*MultiResult, error) {
@@ -123,94 +109,48 @@ func RunMultiDNN(cfg MultiConfig) (*MultiResult, error) {
 	if cfg.Strategy != UploadSequential && cfg.Strategy != UploadJoint {
 		return nil, fmt.Errorf("edgesim: invalid upload strategy %d", int(cfg.Strategy))
 	}
-	if cfg.Duration <= 0 || cfg.QueryGap <= 0 {
-		return nil, fmt.Errorf("edgesim: bad timing config: %v / %v", cfg.Duration, cfg.QueryGap)
+	if cfg.Duration <= 0 {
+		return nil, fmt.Errorf("edgesim: non-positive duration %v", cfg.Duration)
 	}
-
-	type modelState struct {
-		model     *dnn.Model
-		prof      *profile.ModelProfile
-		sched     []partition.UploadUnit
-		prefixLat []time.Duration
-		uploaded  int // units fully uploaded
-	}
-	states := make([]*modelState, 0, len(cfg.Models))
-	var allUnits []multiUnit
-	for mi, name := range cfg.Models {
-		m, err := dnn.ZooModel(name)
+	res := &MultiResult{Strategy: cfg.Strategy}
+	models := make([]replayModel, len(cfg.Models))
+	for i, name := range cfg.Models {
+		prof, _, sched, err := labPlan(name)
 		if err != nil {
 			return nil, err
 		}
-		prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-		req := partition.Request{Profile: prof, Slowdown: 1, Link: cfg.Link}
-		plan, err := partition.Partition(req)
-		if err != nil {
-			return nil, err
-		}
-		sched, err := partition.UploadSchedule(req, plan)
-		if err != nil {
-			return nil, err
-		}
-		st := &modelState{model: m, prof: prof, sched: sched}
-		st.prefixLat = prefixLatencies(prof, sched, cfg.Link)
-		states = append(states, st)
+		models[i] = replayModel{sched: sched, lat: prefixLatencies(prof, sched)}
 		for _, u := range sched {
-			allUnits = append(allUnits, multiUnit{model: mi, unit: u})
+			res.UploadDone += partition.LabWiFi().UpTime(u.Bytes)
 		}
 	}
-
-	// Global upload order. The joint strategy k-way-merges the per-model
-	// schedules: at each step it ships the model whose next unit has the
-	// highest efficiency. Within-model order is preserved, which the
-	// prefix-latency bookkeeping below relies on.
-	if cfg.Strategy == UploadJoint {
-		heads := make([]int, len(states))
-		merged := make([]multiUnit, 0, len(allUnits))
-		for len(merged) < len(allUnits) {
-			best := -1
-			for mi, st := range states {
-				if heads[mi] >= len(st.sched) {
-					continue
-				}
-				if best < 0 || st.sched[heads[mi]].Efficiency > states[best].sched[heads[best]].Efficiency {
-					best = mi
-				}
-			}
-			merged = append(merged, multiUnit{model: best, unit: states[best].sched[heads[best]]})
-			heads[best]++
-		}
-		allUnits = merged
-	}
-	// Completion time of each global unit over the shared uplink.
-	unitDone := make([]time.Duration, len(allUnits))
-	var cum time.Duration
-	for i, mu := range allUnits {
-		cum += cfg.Link.UpTime(mu.unit.Bytes)
-		unitDone[i] = cum
-	}
-
-	res := &MultiResult{Strategy: cfg.Strategy, UploadDone: cum}
-	now := time.Duration(0)
-	next := 0 // round-robin model index
-	gi := 0   // global upload progress
-	for now < cfg.Duration {
-		// Advance upload state to `now`.
-		for gi < len(allUnits) && now >= unitDone[gi] {
-			states[allUnits[gi].model].uploaded++
-			gi++
-		}
-		// The schedule-prefix latency needs the per-model count of
-		// *contiguously* uploaded units; with the joint order a model's
-		// units still arrive in its own schedule order (stable sort), so
-		// the count is the prefix length.
-		st := states[next]
-		lat := st.prefixLat[st.uploaded]
-		if now+lat > cfg.Duration {
-			break
-		}
-		res.Queries = append(res.Queries, MultiQuery{Model: next, Issued: now, Latency: lat})
-		now += lat + cfg.QueryGap
-		next = (next + 1) % len(cfg.Models)
-	}
+	replay(models, uploadOrder(models, cfg.Strategy), 0, math.MaxInt, cfg.Duration, func(m int, issued, lat time.Duration) {
+		res.Queries = append(res.Queries, MultiQuery{Model: m, Issued: issued, Latency: lat})
+	})
 	return res, nil
+}
+
+// uploadOrder is the order in which the models' units share the uplink, as
+// replay takes it: each model's whole schedule in turn (sequential), or a
+// k-way merge that always ships the model whose next unit has the highest
+// efficiency (joint).
+func uploadOrder(models []replayModel, strategy UploadStrategy) []int {
+	var order []int
+	heads := make([]int, len(models))
+	for {
+		best := -1
+		for m := range models {
+			if heads[m] == len(models[m].sched) {
+				continue
+			}
+			if best < 0 || strategy == UploadJoint && models[m].sched[heads[m]].Efficiency > models[best].sched[heads[best]].Efficiency {
+				best = m
+			}
+		}
+		if best < 0 {
+			return order
+		}
+		order = append(order, best)
+		heads[best]++
+	}
 }

@@ -15,6 +15,7 @@ import (
 // and every stage (client prefix, each transfer link, each hop's GPU, the
 // trip home) is a FIFO resource serving one query at a time, so queries
 // overlap across stages exactly as they would in a SEIFER-style pipeline.
+// The client reaches the chain over the lab Wi-Fi (partition.LabWiFi).
 type PipelineConfig struct {
 	// Model is the zoo model to run.
 	Model dnn.ModelName
@@ -30,8 +31,6 @@ type PipelineConfig struct {
 	// IssueGap is the pause between consecutive query issues; 0 saturates
 	// the pipeline (the throughput-measurement regime).
 	IssueGap time.Duration
-	// Link is the client's wireless access link.
-	Link partition.Link
 	// RecordSpans enables the run's tracing journal: one trace per query
 	// whose child stage spans tile the root query span exactly.
 	RecordSpans bool
@@ -46,7 +45,6 @@ func DefaultPipelineConfig(model dnn.ModelName, servers []partition.ServerSpec, 
 		Servers:    servers,
 		MaxHops:    maxHops,
 		Objective:  obj,
-		Link:       partition.LabWiFi(),
 	}
 }
 
@@ -84,8 +82,8 @@ type pipeStage struct {
 
 // pipelineStages flattens a chain plan into the FIFO stage sequence a query
 // traverses: client prefix, uplink, then each hop's GPU with its ingress
-// link, and finally the downlink plus client suffix.
-func pipelineStages(plan *partition.ChainPlan, link partition.Link) []pipeStage {
+// link, and finally the lab-link downlink plus client suffix.
+func pipelineStages(plan *partition.ChainPlan) []pipeStage {
 	const client = "client/0"
 	stages := make([]pipeStage, 0, 2*len(plan.Hops)+3)
 	stages = append(stages, pipeStage{stage: tracing.StageClientCompute, node: client, service: plan.ClientPre})
@@ -102,7 +100,7 @@ func pipelineStages(plan *partition.ChainPlan, link partition.Link) []pipeStage 
 		)
 	}
 	if len(plan.Hops) > 0 {
-		stages = append(stages, pipeStage{stage: tracing.StageTransferDown, node: client, service: link.DownTime(plan.DownBytes)})
+		stages = append(stages, pipeStage{stage: tracing.StageTransferDown, node: client, service: partition.LabWiFi().DownTime(plan.DownBytes)})
 	}
 	stages = append(stages, pipeStage{stage: tracing.StageClientCompute, node: client, service: plan.ClientPost})
 	return stages
@@ -131,7 +129,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
 	plan, err := partition.PlanChain(partition.ChainRequest{
 		Profile:   prof,
-		Link:      cfg.Link,
+		Link:      partition.LabWiFi(),
 		Servers:   cfg.Servers,
 		MaxHops:   cfg.MaxHops,
 		Objective: cfg.Objective,
@@ -140,7 +138,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 		return nil, err
 	}
 
-	stages := pipelineStages(plan, cfg.Link)
+	stages := pipelineStages(plan)
 	res := &PipelineResult{
 		Plan:        plan,
 		Completions: make([]time.Duration, 0, cfg.NumQueries),

@@ -7,8 +7,8 @@ import (
 	"perdnn/internal/profile"
 )
 
-// prefixLatencies returns the query latency after each prefix of an upload
-// schedule: out[k] is the latency with the layers of the first k units at
+// prefixLatencies returns the query latency on the lab link after each
+// prefix of an upload schedule: out[k] is the latency with the layers of the first k units at
 // the server and everything else on the client. Uploads follow the schedule
 // and fractional migration takes a prefix of it, so every reachable cache
 // state during an upload is one of these prefixes.
@@ -17,7 +17,8 @@ import (
 // across prefixes instead of materializing a fresh offloaded-set map per
 // prefix, so the pass costs one Decompose per prefix and a single
 // allocation for the result.
-func prefixLatencies(prof *profile.ModelProfile, sched []partition.UploadUnit, link partition.Link) []time.Duration {
+func prefixLatencies(prof *profile.ModelProfile, sched []partition.UploadUnit) []time.Duration {
+	link := partition.LabWiFi()
 	loc := partition.AllClient(prof.Model)
 	out := make([]time.Duration, len(sched)+1)
 	for k := 0; k <= len(sched); k++ {

@@ -2,6 +2,7 @@ package edgesim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"perdnn/internal/dnn"
@@ -9,12 +10,18 @@ import (
 	"perdnn/internal/profile"
 )
 
+// queryGap is the pause between a query's completion and the client's next
+// query (0.5 s in Section IV.A). The single-client experiments (Fig 1, Fig
+// 7, Table II, the upload-order ablation, the multi-DNN extension) use it
+// on the lab Wi-Fi (partition.LabWiFi); city runs default to it.
+const queryGap = 500 * time.Millisecond
+
 // SingleConfig describes the single-client experiment of Section IV.A: a
-// client issues DNN queries 0.5 s apart while incrementally uploading its
-// model to edge server A, then switches to edge server B mid-run. With
-// MigrateFraction == 0 nothing is migrated ahead of time (the IONN
-// baseline); with a positive fraction, that share of the server-side bytes
-// (in efficiency order) is already at B when the client arrives (PM).
+// client issues DNN queries while incrementally uploading its model to edge
+// server A, then switches to edge server B mid-run. With MigrateFraction ==
+// 0 nothing is migrated ahead of time (the IONN baseline); with a positive
+// fraction, that share of the server-side bytes (in efficiency order) is
+// already at B when the client arrives (PM).
 type SingleConfig struct {
 	// Model is the zoo model to run.
 	Model dnn.ModelName
@@ -27,23 +34,11 @@ type SingleConfig struct {
 	// proactively migrated to B, taken as a prefix of the efficiency-first
 	// schedule. 0 reproduces IONN; 1 reproduces full PM.
 	MigrateFraction float64
-	// QueryGap is the pause between a query's completion and the next
-	// query (0.5 s in the paper).
-	QueryGap time.Duration
-	// Link is the wireless access link (the paper's lab Wi-Fi by default).
-	Link partition.Link
 }
 
 // DefaultSingleConfig returns the Fig 1 setup for the given model.
 func DefaultSingleConfig(model dnn.ModelName) SingleConfig {
-	return SingleConfig{
-		Model:              model,
-		NumQueries:         40,
-		SwitchAfterQueries: 20,
-		MigrateFraction:    0,
-		QueryGap:           500 * time.Millisecond,
-		Link:               partition.LabWiFi(),
-	}
+	return SingleConfig{Model: model, NumQueries: 40, SwitchAfterQueries: 20}
 }
 
 // QueryRecord is one executed query.
@@ -91,122 +86,45 @@ func RunSingle(cfg SingleConfig) (*SingleResult, error) {
 	if cfg.MigrateFraction < 0 || cfg.MigrateFraction > 1 {
 		return nil, fmt.Errorf("edgesim: migrate fraction %v out of [0,1]", cfg.MigrateFraction)
 	}
-	m, err := dnn.ZooModel(cfg.Model)
+	prof, plan, sched, err := labPlan(cfg.Model)
 	if err != nil {
 		return nil, err
 	}
-	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-	req := partition.Request{Profile: prof, Slowdown: 1, Link: cfg.Link}
-	plan, err := partition.Partition(req)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := partition.UploadSchedule(req, plan)
-	if err != nil {
-		return nil, err
-	}
-
-	// Latency after each schedule prefix (uploads follow the schedule, and
-	// fractional migration takes a prefix, so every reachable state is a
-	// prefix).
-	prefixLat := prefixLatencies(prof, sched, cfg.Link)
-	// Unit completion offsets from upload start.
-	unitDone := make([]time.Duration, len(sched))
-	var cum time.Duration
-	for i, u := range sched {
-		cum += cfg.Link.UpTime(u.Bytes)
-		unitDone[i] = cum
-	}
-
+	lat := prefixLatencies(prof, sched)
 	res := &SingleResult{
 		Queries:     make([]QueryRecord, 0, cfg.NumQueries),
 		ServerBytes: plan.ServerBytes(),
-		UploadTime:  cfg.Link.UpTime(plan.ServerBytes()),
+		UploadTime:  partition.LabWiFi().UpTime(plan.ServerBytes()),
 	}
-
-	// Pre-migrated prefix at server B.
-	preUnits := 0
+	migrated := 0
 	if cfg.MigrateFraction > 0 {
-		budget := int64(cfg.MigrateFraction * float64(plan.ServerBytes()))
-		pre := partition.TruncateSchedule(sched, budget)
-		preUnits = len(pre)
+		pre := partition.TruncateSchedule(sched, int64(cfg.MigrateFraction*float64(plan.ServerBytes())))
+		migrated = len(pre)
 		res.MigratedBytes = partition.ScheduleBytes(pre)
 	}
-
-	// prefixAt returns the number of schedule units present at the current
-	// server at time now, given the server's upload start time and its
-	// initial prefix.
-	prefixAt := func(now, uploadStart time.Duration, initial int) int {
-		k := initial
-		for k < len(sched) {
-			// Uploading resumes at unit `initial`; completion time of unit
-			// j (j >= initial) is uploadStart + (unitDone[j] - base).
-			var base time.Duration
-			if initial > 0 {
-				base = unitDone[initial-1]
-			}
-			if now >= uploadStart+(unitDone[k]-base) {
-				k++
-				continue
-			}
-			break
+	at := func(server int) func(int, time.Duration, time.Duration) {
+		return func(_ int, issued, lat time.Duration) {
+			res.Queries = append(res.Queries, QueryRecord{Issued: issued, Latency: lat, Server: server})
 		}
-		return k
 	}
-
-	now := time.Duration(0)
-	server := 0
-	uploadStart := time.Duration(0)
-	initial := 0
-	for q := 0; q < cfg.NumQueries; q++ {
-		if q == cfg.SwitchAfterQueries && cfg.SwitchAfterQueries > 0 {
-			server = 1
-			uploadStart = now
-			initial = preUnits
-			res.SwitchAt = now
-		}
-		k := prefixAt(now, uploadStart, initial)
-		lat := prefixLat[k]
-		res.Queries = append(res.Queries, QueryRecord{Issued: now, Latency: lat, Server: server})
-		now += lat + cfg.QueryGap
-	}
+	// Server A starts empty at t = 0. Server B holds the migrated prefix
+	// when the client arrives and uploads the rest from then on.
+	res.SwitchAt = replay([]replayModel{{sched: sched, lat: lat}}, make([]int, len(sched)),
+		0, cfg.SwitchAfterQueries, math.MaxInt64, at(0))
+	replay([]replayModel{{sched: sched, lat: lat, held: migrated}}, make([]int, len(sched)-migrated),
+		res.SwitchAt, cfg.NumQueries-cfg.SwitchAfterQueries, math.MaxInt64, at(1))
 	return res, nil
 }
 
 // UploadReplay counts the queries a client completes within `window` while
-// uploading a model's server side following an arbitrary unit schedule
-// (used by the upload-order ablation). preUnits schedule units are already
-// present at the server when the replay starts.
-func UploadReplay(model dnn.ModelName, gap time.Duration, link partition.Link, sched []partition.UploadUnit, window time.Duration, preUnits int) (int, error) {
-	m, err := dnn.ZooModel(model)
+// uploading a model's server side, from an empty server, following an
+// arbitrary unit schedule (used by the upload-order ablation).
+func UploadReplay(model dnn.ModelName, sched []partition.UploadUnit, window time.Duration) (int, error) {
+	prof, _, _, err := labPlan(model)
 	if err != nil {
 		return 0, err
 	}
-	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-
-	prefixLat := prefixLatencies(prof, sched, link)
-	unitDone := make([]time.Duration, len(sched))
-	var cum time.Duration
-	for i := preUnits; i < len(sched); i++ {
-		cum += link.UpTime(sched[i].Bytes)
-		unitDone[i] = cum
-	}
-
-	now := time.Duration(0)
-	count := 0
-	k := preUnits
-	for {
-		for k < len(sched) && now >= unitDone[k] {
-			k++
-		}
-		done := now + prefixLat[k]
-		if done > window {
-			break
-		}
-		count++
-		now = done + gap
-	}
-	return count, nil
+	return uploadCount(prefixLatencies(prof, sched), sched, 0, window), nil
 }
 
 // UploadThroughput reproduces one column of Table II: the number of queries
@@ -220,32 +138,87 @@ type UploadThroughput struct {
 	HitCount   int
 }
 
-// RunUploadThroughput measures the Table II row for one model: two
-// UploadReplays over the efficiency-first schedule within the full-upload
-// window, from an empty server (miss) and from a complete one (hit).
-func RunUploadThroughput(model dnn.ModelName, gap time.Duration, link partition.Link) (*UploadThroughput, error) {
+// RunUploadThroughput measures the Table II row for one model: two replays
+// over the efficiency-first schedule within the full-upload window, from an
+// empty server (miss) and from a complete one (hit).
+func RunUploadThroughput(model dnn.ModelName) (*UploadThroughput, error) {
+	prof, plan, sched, err := labPlan(model)
+	if err != nil {
+		return nil, err
+	}
+	lat := prefixLatencies(prof, sched)
+	window := partition.LabWiFi().UpTime(plan.ServerBytes())
+	return &UploadThroughput{
+		Model:      model,
+		UploadTime: window,
+		MissCount:  uploadCount(lat, sched, 0, window),
+		HitCount:   uploadCount(lat, sched, len(sched), window),
+	}, nil
+}
+
+// uploadCount counts the queries that end within window while a server
+// holding the first `held` units of sched uploads the rest.
+func uploadCount(lat []time.Duration, sched []partition.UploadUnit, held int, window time.Duration) int {
+	n := 0
+	replay([]replayModel{{sched: sched, lat: lat, held: held}}, make([]int, len(sched)-held),
+		0, math.MaxInt, window, func(int, time.Duration, time.Duration) { n++ })
+	return n
+}
+
+// labPlan profiles a zoo model on the paper's ODROID client and Titan Xp
+// server and plans it, with its efficiency-first upload schedule, for an
+// uncontended server on the lab link.
+func labPlan(model dnn.ModelName) (*profile.ModelProfile, *partition.Plan, []partition.UploadUnit, error) {
 	m, err := dnn.ZooModel(model)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-	req := partition.Request{Profile: prof, Slowdown: 1, Link: link}
-	plan, err := partition.Partition(req)
+	plan, sched, err := partition.PlanAndSchedule(partition.Request{Profile: prof, Slowdown: 1, Link: partition.LabWiFi()})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	sched, err := partition.UploadSchedule(req, plan)
-	if err != nil {
-		return nil, err
+	return prof, plan, sched, nil
+}
+
+// replayModel is one model the replayed client queries.
+type replayModel struct {
+	// sched is the model's upload schedule and lat[k] the query latency
+	// with its first k units at the server (prefixLatencies).
+	sched []partition.UploadUnit
+	lat   []time.Duration
+	// held is how many units of sched the server holds.
+	held int
+}
+
+// replay advances one client against one uncontended server. From start,
+// units upload back to back over the lab link: order[i] names the model
+// whose next unit of sched is the i-th to upload. Meanwhile the client
+// queries the models round robin, pausing queryGap after each query, and a
+// query costs its model's latency at the prefix held when it is issued.
+// The replay stops after budget queries, or before the first query that
+// would end past deadline (math.MaxInt64: none). It hands each query to
+// emit and returns the time the next query would be issued.
+func replay(models []replayModel, order []int, start time.Duration, budget int, deadline time.Duration, emit func(model int, issued, lat time.Duration)) time.Duration {
+	link := partition.LabWiFi()
+	now, uploaded, next := start, start, 0 // uploaded: when order[:next] finished
+	for q := 0; q < budget; q++ {
+		for ; next < len(order); next++ {
+			m := &models[order[next]]
+			done := uploaded + link.UpTime(m.sched[m.held].Bytes)
+			if now < done {
+				break
+			}
+			uploaded = done
+			m.held++
+		}
+		m := &models[q%len(models)]
+		lat := m.lat[m.held]
+		if now+lat > deadline {
+			break
+		}
+		emit(q%len(models), now, lat)
+		now += lat + queryGap
 	}
-	window := link.UpTime(plan.ServerBytes())
-	miss, err := UploadReplay(model, gap, link, sched, window, 0)
-	if err != nil {
-		return nil, err
-	}
-	hit, err := UploadReplay(model, gap, link, sched, window, len(sched))
-	if err != nil {
-		return nil, err
-	}
-	return &UploadThroughput{Model: model, UploadTime: window, MissCount: miss, HitCount: hit}, nil
+	return now
 }

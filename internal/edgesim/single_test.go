@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"perdnn/internal/dnn"
-	"perdnn/internal/partition"
 )
 
 func TestRunSingleValidation(t *testing.T) {
@@ -110,9 +109,6 @@ func TestFig7ProactiveMigrationRemovesSpike(t *testing.T) {
 // TestTable2Throughput reproduces Table II's shape: upload times follow
 // model size at 35 Mbps, hit beats miss, and large models gain most.
 func TestTable2Throughput(t *testing.T) {
-	link := partition.LabWiFi()
-	gap := 500 * time.Millisecond
-
 	// Paper: upload 3.7 / 29.3 / 22.4 s; miss 4/33/14; hit 5/44/34.
 	wants := map[dnn.ModelName]struct {
 		uploadLo, uploadHi time.Duration
@@ -124,7 +120,7 @@ func TestTable2Throughput(t *testing.T) {
 		dnn.ModelResNet:    {21 * time.Second, 26 * time.Second, 12, 24, 30, 38},
 	}
 	for model, want := range wants {
-		got, err := RunUploadThroughput(model, gap, link)
+		got, err := RunUploadThroughput(model)
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}
@@ -157,5 +153,32 @@ func TestSingleDeterministic(t *testing.T) {
 		if a.Queries[i] != b.Queries[i] {
 			t.Fatalf("query %d differs", i)
 		}
+	}
+}
+
+// TestSwitchAtFirstQuery: with SwitchAfterQueries = 0 the client starts at
+// server B, so every query runs there, and under full PM the first query
+// already runs at the steady latency: no cold start.
+func TestSwitchAtFirstQuery(t *testing.T) {
+	cfg := DefaultSingleConfig(dnn.ModelInception)
+	cfg.MigrateFraction = 1
+	ref, err := RunSingle(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steady := ref.Queries[len(ref.Queries)-1].Latency
+
+	cfg.SwitchAfterQueries = 0
+	res, err := RunSingle(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range res.Queries {
+		if q.Server != 1 {
+			t.Fatalf("query %d ran on server %d, want 1", i, q.Server)
+		}
+	}
+	if peak := res.PeakAfterSwitch(); peak != steady {
+		t.Errorf("peak after switch %v, want the steady %v", peak, steady)
 	}
 }

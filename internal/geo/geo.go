@@ -14,6 +14,11 @@ import (
 	"math"
 )
 
+// CellRadius is the radius in meters of the hexagonal service cells, one
+// edge server per visited cell (Section IV.B.1: the service range of a
+// typical Wi-Fi AP).
+const CellRadius = 50
+
 // Point is a position in a local planar coordinate system. Units are meters.
 // Trajectory datasets are projected into this system before use so that
 // Euclidean distance is meaningful.

@@ -146,15 +146,6 @@ const (
 	refreshAfter = ttlIntervals - 1
 )
 
-// cellRadius sizes the service cells in meters and historyLen is the
-// trajectory length n: the paper's values, which the simulator's
-// DefaultEnvConfig shares. Plans price client transfers on
-// partition.LabWiFi, the link the client's own estimates use.
-const (
-	cellRadius = 50
-	historyLen = 5
-)
-
 // New builds a master for the given configuration. The execution-time
 // estimator is trained offline at construction (Section III.C.1); the
 // mobility predictor defaults to dead reckoning and can be replaced with a
@@ -178,7 +169,7 @@ func New(cfg Config) (*Master, error) {
 	for _, e := range cfg.Edges {
 		pts = append(pts, e.Location)
 	}
-	pl := geo.NewPlacement(geo.NewHexGrid(cellRadius), pts)
+	pl := geo.NewPlacement(geo.NewHexGrid(geo.CellRadius), pts)
 
 	est := cfg.Estimator
 	if est == nil {
@@ -218,7 +209,7 @@ func New(cfg Config) (*Master, error) {
 			Predictor:    lin,
 			Placement:    pl,
 			Radius:       cfg.Radius,
-			HistoryLen:   historyLen,
+			HistoryLen:   mobility.HistoryLen,
 			TTLIntervals: ttlIntervals,
 		},
 		planners: make(map[dnn.ModelName]*core.Planner, 4),
@@ -413,6 +404,8 @@ func (m *Master) ensurePlannerLocked(model dnn.ModelName) error {
 		return err
 	}
 	prof := profile.NewModelProfile(mod, profile.ClientODROID(), profile.ServerTitanXp())
+	// Plans price client transfers on the link the client's own
+	// estimates use.
 	pl, err := core.NewPlanner(prof, m.est, partition.LabWiFi())
 	if err != nil {
 		return err
@@ -440,8 +433,8 @@ func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Enve
 		return nil, fmt.Errorf("master: unknown client %d", t.ClientID)
 	}
 	cs.history = append(cs.history, t.Points...)
-	if len(cs.history) > historyLen {
-		cs.history = cs.history[len(cs.history)-historyLen:]
+	if len(cs.history) > mobility.HistoryLen {
+		cs.history = cs.history[len(cs.history)-mobility.HistoryLen:]
 	}
 	recent := make([]geo.Point, len(cs.history))
 	copy(recent, cs.history)
@@ -609,8 +602,8 @@ func (m *Master) adoptClient(h *wire.ShardHandoff) error {
 	}
 	hist := make([]geo.Point, len(h.History))
 	copy(hist, h.History)
-	if len(hist) > historyLen {
-		hist = hist[len(hist)-historyLen:]
+	if len(hist) > mobility.HistoryLen {
+		hist = hist[len(hist)-mobility.HistoryLen:]
 	}
 	m.clients[h.ClientID] = &clientState{model: h.Model, history: hist}
 	m.numClients.Set(int64(len(m.clients)))

@@ -18,6 +18,11 @@ import (
 	"perdnn/internal/trace"
 )
 
+// HistoryLen is the trajectory length n: a prediction reads the client's
+// five most recent locations (Section III.D; the Fig 6 sweep shows the
+// error flat from n = 2 on).
+const HistoryLen = 5
+
 // Predictor ranks the edge servers a client is most likely to visit next.
 // Coordinate-based predictors (SVR, LSTM) expose the raw predicted point as
 // well; the Markov model only ranks discrete servers.

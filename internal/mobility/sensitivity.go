@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -38,10 +39,9 @@ type SensitivityConfig struct {
 	NIntervals []time.Duration
 	// TIntervals are the intervals of the right plot (default 15-60 s).
 	TIntervals []time.Duration
-	// NFixed is the trajectory length for the interval sweep (paper: 5).
+	// NFixed is the trajectory length for the interval sweep (HistoryLen
+	// in the paper).
 	NFixed int
-	// CellRadius is the hex cell radius for server placement (50 m).
-	CellRadius float64
 	// MaxTrainWindows caps SVR training set size per fit.
 	MaxTrainWindows int
 }
@@ -59,8 +59,7 @@ func DefaultSensitivityConfig() SensitivityConfig {
 		Ns:              []int{1, 2, 3, 4, 5, 6, 7, 8},
 		NIntervals:      secs(15, 20, 25, 30),
 		TIntervals:      secs(15, 20, 25, 30, 35, 40, 45, 50, 55, 60),
-		NFixed:          5,
-		CellRadius:      50,
+		NFixed:          HistoryLen,
 		MaxTrainWindows: 12000,
 	}
 }
@@ -69,7 +68,7 @@ func DefaultSensitivityConfig() SensitivityConfig {
 // its native interval; every swept interval must be a multiple of it).
 func RunSensitivity(base *trace.Dataset, cfg SensitivityConfig) (*SensitivityResult, error) {
 	if len(cfg.Ns) == 0 {
-		cfg = DefaultSensitivityConfig()
+		return nil, errors.New("mobility: sensitivity needs at least one trajectory length")
 	}
 	res := &SensitivityResult{
 		Ns:        cfg.Ns,
@@ -84,7 +83,7 @@ func RunSensitivity(base *trace.Dataset, cfg SensitivityConfig) (*SensitivityRes
 		if err != nil {
 			return nil, fmt.Errorf("mobility: sensitivity resample: %w", err)
 		}
-		pl := geo.NewPlacement(geo.NewHexGrid(cfg.CellRadius), ds.AllPoints())
+		pl := geo.NewPlacement(geo.NewHexGrid(geo.CellRadius), ds.AllPoints())
 		maes := make([]float64, 0, len(cfg.Ns))
 		for _, n := range cfg.Ns {
 			svr := &SVR{Seed: 1}
@@ -107,7 +106,7 @@ func RunSensitivity(base *trace.Dataset, cfg SensitivityConfig) (*SensitivityRes
 		if err != nil {
 			return nil, fmt.Errorf("mobility: sensitivity resample: %w", err)
 		}
-		pl := geo.NewPlacement(geo.NewHexGrid(cfg.CellRadius), ds.AllPoints())
+		pl := geo.NewPlacement(geo.NewHexGrid(geo.CellRadius), ds.AllPoints())
 
 		svr := &SVR{Seed: 1}
 		if err := fitSVRCapped(svr, ds.Train, pl, cfg.NFixed, cfg.MaxTrainWindows); err != nil {
@@ -123,7 +122,7 @@ func RunSensitivity(base *trace.Dataset, cfg SensitivityConfig) (*SensitivityRes
 		// accuracy when the predicted location is inside the service
 		// range of the next edge server" — the predicted point must land
 		// within a cell radius of the next server's center.
-		a := serviceRangeAccuracy(svr, ds.Test, pl, cfg.NFixed, cfg.CellRadius)
+		a := serviceRangeAccuracy(svr, ds.Test, pl, cfg.NFixed)
 		bc := a * (1 - futile)
 
 		res.FutileRatio = append(res.FutileRatio, futile)
@@ -138,8 +137,9 @@ func RunSensitivity(base *trace.Dataset, cfg SensitivityConfig) (*SensitivityRes
 }
 
 // serviceRangeAccuracy returns the fraction of non-futile predictions whose
-// predicted point lands within `radius` of the actual next server's center.
-func serviceRangeAccuracy(p Predictor, test []trace.Trajectory, pl *geo.Placement, n int, radius float64) float64 {
+// predicted point lands within a cell radius of the actual next server's
+// center.
+func serviceRangeAccuracy(p Predictor, test []trace.Trajectory, pl *geo.Placement, n int) float64 {
 	var hits, total int
 	for _, tr := range test {
 		for i := n - 1; i+1 < tr.Len(); i++ {
@@ -153,7 +153,7 @@ func serviceRangeAccuracy(p Predictor, test []trace.Trajectory, pl *geo.Placemen
 			if !ok {
 				continue
 			}
-			if pt.Dist(pl.Center(next)) <= radius {
+			if pt.Dist(pl.Center(next)) <= geo.CellRadius {
 				hits++
 			}
 		}

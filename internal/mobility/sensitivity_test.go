@@ -28,7 +28,6 @@ func TestRunSensitivityShapes(t *testing.T) {
 		NIntervals:      []time.Duration{20 * time.Second},
 		TIntervals:      []time.Duration{15 * time.Second, 30 * time.Second, 60 * time.Second},
 		NFixed:          5,
-		CellRadius:      50,
 		MaxTrainWindows: 3000,
 	}
 	res, err := RunSensitivity(base, cfg)
@@ -72,8 +71,7 @@ func TestRunSensitivityShapes(t *testing.T) {
 
 func TestRunSensitivityDefaultsOnBadConfig(t *testing.T) {
 	base := sensitivityDataset(t)
-	// An empty config falls back to the full default sweep; just check it
-	// does not error with a truncated version derived from defaults.
+	// A truncated version of the default sweep runs without error.
 	cfg := DefaultSensitivityConfig()
 	cfg.Ns = cfg.Ns[:2]
 	cfg.NIntervals = cfg.NIntervals[:1]
@@ -81,6 +79,16 @@ func TestRunSensitivityDefaultsOnBadConfig(t *testing.T) {
 	cfg.MaxTrainWindows = 1500
 	if _, err := RunSensitivity(base, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunSensitivityRejectsEmptyNs: a config without trajectory lengths is
+// an error, not a silent switch to the default sweep.
+func TestRunSensitivityRejectsEmptyNs(t *testing.T) {
+	cfg := DefaultSensitivityConfig()
+	cfg.Ns = nil
+	if res, err := RunSensitivity(sensitivityDataset(t), cfg); err == nil {
+		t.Fatalf("empty Ns accepted: %+v", res)
 	}
 }
 
