@@ -423,8 +423,8 @@ func runOne(ctx context.Context, env *edgesim.Env, cfg edgesim.CityConfig, paths
 	fmt.Printf("mode=%s model=%s r=%.0fm ttl=%d\n", res.Mode, res.Model, res.Radius, cfg.TTLIntervals)
 	fmt.Printf("  total queries:        %d (mean latency %v, p50 %v, p95 %v, p99 %v)\n",
 		res.TotalQueries, res.MeanLatency().Round(time.Millisecond),
-		res.Latency.P50().Round(time.Millisecond), res.Latency.P95().Round(time.Millisecond),
-		res.Latency.P99().Round(time.Millisecond))
+		res.P50().Round(time.Millisecond), res.P95().Round(time.Millisecond),
+		res.P99().Round(time.Millisecond))
 	fmt.Printf("  cold-start-window Q:  %d\n", res.WindowQueries)
 	fmt.Printf("  connections:          %d (hit %d / miss %d / partial %d, hit ratio %.0f%%)\n",
 		res.Connections, res.Hits, res.Misses, res.Partials, res.HitRatio()*100)

@@ -25,4 +25,11 @@ var (
 	// valid — the error only reports the degraded path, so callers can
 	// count fallbacks (or escalate) with errors.Is.
 	ErrLocalFallback = errors.New("degraded to client-local execution")
+
+	// ErrExecRefused marks an exec request no client of the edge's model
+	// could send: a stage above the model's total server time or
+	// activation bytes, an intensity outside [0, 1], or a relay list
+	// longer than the model or naming one address twice. The edge refuses
+	// it before any work or relay.
+	ErrExecRefused = errors.New("exec request outside the model's bounds")
 )

@@ -233,7 +233,7 @@ func TestRetryNoRetriesPolicy(t *testing.T) {
 }
 
 func TestSentinelsDistinct(t *testing.T) {
-	sentinels := []error{ErrServerDown, ErrMasterDown, ErrRetryBudgetExhausted, ErrLocalFallback}
+	sentinels := []error{ErrServerDown, ErrMasterDown, ErrRetryBudgetExhausted, ErrLocalFallback, ErrExecRefused}
 	for i, a := range sentinels {
 		for j, b := range sentinels {
 			if (i == j) != errors.Is(a, b) {

@@ -76,6 +76,11 @@ type Server struct {
 	node  string     // span track name
 	peers *wire.Pool // reused conns for migration pushes to peer edges
 
+	// maxBaseNs and maxInBytes bound an exec stage by the whole model: its
+	// total contention-free server time, and its input plus every layer's
+	// output (a branchy cut ships several tensors at once).
+	maxBaseNs, maxInBytes int64
+
 	// Handles of the per-request metrics, resolved once.
 	requests, execs, forwards  *obs.Counter
 	uploads, uploadBytes       *obs.Counter
@@ -107,16 +112,24 @@ func New(cfg Config) (*Server, error) {
 	if node == "" {
 		node = "edged"
 	}
+	dev := profile.ServerTitanXp()
+	topo := m.Topo()
+	maxIn := topo.InBytes
+	for _, b := range topo.OutBytes {
+		maxIn += b
+	}
 	s := &Server{
-		cfg:   cfg,
-		model: m,
-		gpu:   gpusim.New(profile.ServerTitanXp(), gpusim.DefaultParams(), cfg.GPUSeed),
-		start: time.Now(),
-		log:   logger,
-		met:   obs.NewRegistry(),
-		tr:    cfg.Tracer,
-		node:  node,
-		cache: core.NewLayerCache(m.NumLayers(), cfg.TTL),
+		cfg:        cfg,
+		model:      m,
+		maxBaseNs:  int64(dev.ModelTime(m)),
+		maxInBytes: maxIn,
+		gpu:        gpusim.New(dev, gpusim.DefaultParams(), cfg.GPUSeed),
+		start:      time.Now(),
+		log:        logger,
+		met:        obs.NewRegistry(),
+		tr:         cfg.Tracer,
+		node:       node,
+		cache:      core.NewLayerCache(m.NumLayers(), cfg.TTL),
 	}
 	s.srv = wire.Server{
 		Name: "edged",
@@ -275,11 +288,7 @@ func (s *Server) upload(u *wire.Upload) error {
 		s.log.Debug("layers already cached", "client", u.ClientID, "layers", len(u.Layers))
 		return nil
 	}
-	bytes := u.Bytes
-	if bytes <= 0 || len(added) != len(u.Layers) {
-		// No declared size, or a partial duplicate: price what was new.
-		bytes = s.layerBytes(added)
-	}
+	bytes := s.layerBytes(added)
 	s.uploads.Inc()
 	s.uploadBytes.Add(bytes)
 	s.log.Debug("layers uploaded", "client", u.ClientID, "layers", len(added), "bytes", bytes)
@@ -337,6 +346,10 @@ func (s *Server) cachedLayers(client int) (dnn.LayerSet, bool) {
 // for the GPU) and exec.compute (kernel time) — link under the client's
 // query trace when the request carried a span context.
 func (s *Server) exec(ctx context.Context, r *wire.ExecReq, rc tracing.SpanContext, reply *execReply) *wire.Envelope {
+	if fault := s.execFault(r); fault != "" {
+		s.met.Counter("exec_refused_" + fault + "_total").Inc()
+		return wire.NewAck(fmt.Errorf("edged: %w: %s", core.ErrExecRefused, fault))
+	}
 	trace, parent := s.traceRoot(rc)
 	total := s.runOnGPU(trace, parent, r.InputBytes, r.ServerBaseNs, r.Intensity)
 	if len(r.Next) > 0 {
@@ -348,6 +361,45 @@ func (s *Server) exec(ctx context.Context, r *wire.ExecReq, rc tracing.SpanConte
 		total += down
 	}
 	return reply.set(total)
+}
+
+// execFault names what no request for the model could carry, or returns
+// "": a Next list longer than the model has layers ("hops") or naming an
+// address twice ("repeat"), or a stage — this server's or any hop's —
+// that stageFault refuses.
+func (s *Server) execFault(r *wire.ExecReq) string {
+	if len(r.Next) > s.model.NumLayers() {
+		return "hops"
+	}
+	if f := s.stageFault(r.ServerBaseNs, r.InputBytes, r.Intensity); f != "" {
+		return f
+	}
+	for i, h := range r.Next {
+		if f := s.stageFault(h.ServerBaseNs, h.InBytes, h.Intensity); f != "" {
+			return f
+		}
+		for _, g := range r.Next[:i] {
+			if g.Addr == h.Addr {
+				return "repeat"
+			}
+		}
+	}
+	return ""
+}
+
+// stageFault refuses a stage whose base time ("base") or input ("input")
+// lies outside [0, the whole model's], or whose intensity is NaN or
+// outside [0, 1] ("intensity").
+func (s *Server) stageFault(baseNs, inBytes int64, intensity float64) string {
+	switch {
+	case baseNs < 0 || baseNs > s.maxBaseNs:
+		return "base"
+	case inBytes < 0 || inBytes > s.maxInBytes:
+		return "input"
+	case !(intensity >= 0 && intensity <= 1): // NaN fails both
+		return "intensity"
+	}
+	return ""
 }
 
 // runOnGPU realizes one stage of a query on this server: the ingress
@@ -476,7 +528,7 @@ func (s *Server) migrate(ctx context.Context, m *wire.Migrate, rc tracing.SpanCo
 	// uploads with.
 	resp, err := s.peers.RoundTrip(ctx, m.PeerAddr, &wire.Envelope{
 		Type:   wire.MsgUploadUnit,
-		Upload: &wire.Upload{ClientID: m.ClientID, Layers: send, Bytes: bytes},
+		Upload: &wire.Upload{ClientID: m.ClientID, Layers: send},
 		Trace:  tracing.SpanContext{Trace: trace, Span: span},
 	})
 	if err != nil {

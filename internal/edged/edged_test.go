@@ -2,12 +2,19 @@ package edged
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"perdnn/internal/core"
 	"perdnn/internal/dnn"
+	"perdnn/internal/profile"
 	"perdnn/internal/wire"
 )
 
@@ -500,4 +507,144 @@ func TestConcurrentExecAndStats(t *testing.T) {
 	if n := resp.Stats.Sample.ActiveClients; n != 0 {
 		t.Errorf("ActiveClients = %d after every request drained, want 0", n)
 	}
+}
+
+// TestUploadChargesModelWeights: a unit is charged its layers' weight
+// bytes and never a size its sender declares. A frame in v6's upload
+// layout, which declared 1 TiB for one layer, is malformed under the
+// current version and charges nothing; the same unit without the declared
+// size is charged the layer's weights.
+func TestUploadChargesModelWeights(t *testing.T) {
+	ctx := context.Background()
+	addr, srv := startEdge(t, testConfig())
+	body := binary.AppendVarint([]byte{1}, 1) // presence, ClientID
+	body = binary.AppendUvarint(body, 1)      // one layer ID
+	body = binary.AppendVarint(body, 0)       // layer 0
+	v6 := binary.AppendVarint(body, 1<<40)    // v6's declared Bytes
+	v6 = binary.AppendVarint(v6, 0)           // Seq
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close() //nolint:errcheck // test teardown
+	if _, err := raw.Write(append([]byte{wire.ProtoVersion, byte(wire.MsgUploadUnit), 0, 0, 0, byte(len(v6))}, v6...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(raw); err != nil {
+		t.Logf("reading the v6-layout frame's answer: %v", err)
+	}
+	if got := srv.Metrics().Counter("upload_bytes_total").Value(); got != 0 {
+		t.Fatalf("a v6-layout unit declaring 1 TiB was charged %d bytes", got)
+	}
+
+	conn, err := wire.DialContext(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // test teardown
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{Type: wire.MsgUploadUnit,
+		Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0}}})
+	if err != nil || resp.Ack == nil || !resp.Ack.OK {
+		t.Fatalf("upload: %+v, %v", resp, err)
+	}
+	if got, want := srv.Metrics().Counter("upload_bytes_total").Value(), srv.model.Layer(0).WeightBytes; got != want {
+		t.Errorf("upload_bytes_total = %d, want layer 0's %d weight bytes", got, want)
+	}
+}
+
+// TestExecRefusals: an exec request no client of the model could send is
+// refused before any GPU work or relay — its own stage or any hop above
+// the model's total server time or activation bytes, an intensity that is
+// NaN or outside [0, 1], a relay list longer than the model has layers or
+// naming one address twice — with an error ack wrapping ErrExecRefused
+// and one count under its reason. A request at every bound runs.
+func TestExecRefusals(t *testing.T) {
+	m, err := dnn.ZooModel(testConfig().Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxBase := int64(profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp()).TotalServerBase())
+	maxIn := m.Topo().InBytes
+	for _, b := range m.Topo().OutBytes {
+		maxIn += b
+	}
+	ok := func() wire.ExecReq {
+		return wire.ExecReq{ClientID: 1, ServerBaseNs: maxBase, Intensity: 1, InputBytes: maxIn}
+	}
+	hop := func(addr string) wire.PlanHop {
+		return wire.PlanHop{Addr: addr, ServerBaseNs: 1000, Intensity: 0.5, InBytes: 64}
+	}
+	manyHops := make([]wire.PlanHop, m.NumLayers()+1)
+	for i := range manyHops {
+		manyHops[i] = hop(fmt.Sprintf("127.0.0.1:%d", 1+i))
+	}
+	cases := []struct {
+		name, reason string
+		edit         func(r *wire.ExecReq)
+	}{
+		{"base", "base", func(r *wire.ExecReq) { r.ServerBaseNs = maxBase + 1 }},
+		{"hop-base", "base", func(r *wire.ExecReq) {
+			r.Next = []wire.PlanHop{hop("127.0.0.1:1")}
+			r.Next[0].ServerBaseNs = maxBase + 1
+		}},
+		{"input", "input", func(r *wire.ExecReq) { r.InputBytes = maxIn + 1 }},
+		{"hop-input", "input", func(r *wire.ExecReq) {
+			r.Next = []wire.PlanHop{hop("127.0.0.1:1"), hop("127.0.0.1:2")}
+			r.Next[1].InBytes = maxIn + 1
+		}},
+		{"intensity-nan", "intensity", func(r *wire.ExecReq) { r.Intensity = math.NaN() }},
+		{"intensity-negative", "intensity", func(r *wire.ExecReq) { r.Intensity = -0.1 }},
+		{"hop-intensity", "intensity", func(r *wire.ExecReq) {
+			r.Next = []wire.PlanHop{hop("127.0.0.1:1")}
+			r.Next[0].Intensity = 1.5
+		}},
+		{"hops", "hops", func(r *wire.ExecReq) { r.Next = manyHops }},
+		{"repeat", "repeat", func(r *wire.ExecReq) {
+			r.Next = []wire.PlanHop{hop("127.0.0.1:1"), hop("127.0.0.1:2"), hop("127.0.0.1:1")}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			addr, srv := startEdge(t, testConfig())
+			conn, err := wire.DialContext(ctx, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close() //nolint:errcheck // test teardown
+			req := ok()
+			c.edit(&req)
+			resp, err := conn.RoundTripContext(ctx, &wire.Envelope{Type: wire.MsgExecRequest, ExecReq: &req})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Ack == nil || resp.Ack.OK || !strings.Contains(resp.Ack.Error, core.ErrExecRefused.Error()) {
+				t.Errorf("want an error ack wrapping ErrExecRefused, got %+v", resp)
+			}
+			met := srv.Metrics()
+			if got := met.Counter("exec_refused_" + c.reason + "_total").Value(); got != 1 {
+				t.Errorf("exec_refused_%s_total = %d, want 1", c.reason, got)
+			}
+			if e, f := met.Counter("execs_total").Value(), met.Counter("forwards_total").Value(); e != 0 || f != 0 {
+				t.Errorf("refused request ran: %d execs, %d forwards", e, f)
+			}
+		})
+	}
+	t.Run("at-bounds", func(t *testing.T) {
+		ctx := context.Background()
+		addr, _ := startEdge(t, testConfig())
+		conn, err := wire.DialContext(ctx, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close() //nolint:errcheck // test teardown
+		req := ok()
+		resp, err := conn.RoundTripContext(ctx, &wire.Envelope{Type: wire.MsgExecRequest, ExecReq: &req})
+		if err != nil || resp.Type != wire.MsgExecResponse {
+			t.Errorf("a request at every bound was refused: %+v, %v", resp, err)
+		}
+	})
 }

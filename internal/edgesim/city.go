@@ -278,7 +278,7 @@ type CityResult struct {
 	// SumLatency accumulates query latencies for MeanLatency.
 	SumLatency time.Duration
 	// Latency is the query latency distribution.
-	Latency *LatencyHist
+	Latency *obs.Histogram
 
 	// Metrics is the run's ledger frozen for JSON export: the counters
 	// above plus migration, plan-cache and outage counts, and the backhaul
@@ -313,7 +313,7 @@ func (r *CityResult) P50() time.Duration {
 	if r.Latency == nil {
 		return 0
 	}
-	return r.Latency.P50()
+	return time.Duration(r.Latency.P50())
 }
 
 // P95 returns the 95th-percentile query latency (0 with no samples).
@@ -321,7 +321,7 @@ func (r *CityResult) P95() time.Duration {
 	if r.Latency == nil {
 		return 0
 	}
-	return r.Latency.P95()
+	return time.Duration(r.Latency.P95())
 }
 
 // P99 returns the 99th-percentile query latency (0 with no samples).
@@ -329,7 +329,7 @@ func (r *CityResult) P99() time.Duration {
 	if r.Latency == nil {
 		return 0
 	}
-	return r.Latency.P99()
+	return time.Duration(r.Latency.P99())
 }
 
 // simServer is one edge server: a GPU and a layer cache.
@@ -660,7 +660,7 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 			Mode:    cfg.Mode,
 			Radius:  cfg.Radius,
 			Traffic: traffic,
-			Latency: NewLatencyHist(),
+			Latency: &obs.Histogram{},
 		},
 	}
 	shardCount := cfg.Shards
@@ -860,7 +860,7 @@ func (w *world) liveNeighbor(pos geo.Point) geo.ServerID {
 		if w.isDown(id) {
 			continue
 		}
-		if w.env.Placement.Center(id).Dist(pos) > w.cfg.Faults.failoverRadius() {
+		if w.env.Placement.Center(id).Dist(pos) > failoverRadius {
 			break // Nearest is distance-ordered; the rest are farther
 		}
 		return id
@@ -1251,7 +1251,7 @@ func (q *queryChain) finish(done time.Duration) {
 	w.tracer.RecordWith(q.qt, q.root, 0, tracing.StageQuery, w.clientNode(q.c.id), q.issue, done)
 	sh.totalQueries++
 	sh.sumLatency += lat
-	sh.latency.Add(lat)
+	sh.latency.ObserveDuration(lat)
 	if q.issue-q.connectedAt <= w.env.Interval {
 		sh.windowQueries++
 	}

@@ -53,16 +53,19 @@ type FaultModel struct {
 	MasterBlackouts []FaultWindow
 
 	// LinkFaultProb is the per-transfer probability of a transient
-	// wireless latency spike; LinkSpikeFactor multiplies the spiked
-	// transfer's duration (<= 1 means 4).
-	LinkFaultProb   float64
-	LinkSpikeFactor float64
-
-	// FailoverRadius bounds the search for a live neighbor when a
-	// client's server is down (meters; <= 0 means 150). With no live
-	// server within the radius the client falls back to local execution.
-	FailoverRadius float64
+	// wireless latency spike, which multiplies the transfer's duration by
+	// linkSpikeFactor.
+	LinkFaultProb float64
 }
+
+const (
+	// linkSpikeFactor stretches a spiked transfer.
+	linkSpikeFactor = 4
+	// failoverRadius bounds the search for a live neighbor when a
+	// client's server is down (meters). With no live server within it the
+	// client falls back to local execution.
+	failoverRadius = 150
+)
 
 // Enabled reports whether the model injects any faults.
 func (f *FaultModel) Enabled() bool { return f != nil }
@@ -98,20 +101,6 @@ func (f *FaultModel) outageLen() int {
 		return 2
 	}
 	return f.OutageIntervals
-}
-
-func (f *FaultModel) spikeFactor() float64 {
-	if f.LinkSpikeFactor <= 1 {
-		return 4
-	}
-	return f.LinkSpikeFactor
-}
-
-func (f *FaultModel) failoverRadius() float64 {
-	if f.FailoverRadius <= 0 {
-		return 150
-	}
-	return f.FailoverRadius
 }
 
 // faultState is one run's realized fault schedule. Every query after
@@ -213,7 +202,7 @@ func (s *faultState) stretch(now time.Duration, client, kind int, base time.Dura
 	h = splitmix64(h ^ uint64(now))
 	h = splitmix64(h ^ uint64(client)<<2 ^ uint64(kind))
 	if float64(h>>11)/(1<<53) < s.model.LinkFaultProb {
-		return time.Duration(float64(base) * s.model.spikeFactor())
+		return time.Duration(float64(base) * linkSpikeFactor)
 	}
 	return base
 }

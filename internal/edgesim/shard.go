@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"perdnn/internal/obs"
 	"perdnn/internal/partition"
 )
 
@@ -27,7 +28,7 @@ type simShard struct {
 	totalQueries  int
 	windowQueries int
 	sumLatency    time.Duration
-	latency       *LatencyHist
+	latency       *obs.Histogram
 	migCompleted  int
 
 	// locBuf is the shard-local location scratch splitFor decomposes
@@ -51,7 +52,7 @@ type shardStep struct {
 
 // newSimShard returns an idle shard at virtual time zero.
 func newSimShard(w *world, id int) *simShard {
-	return &simShard{w: w, id: id, eng: NewEngine(), latency: NewLatencyHist()}
+	return &simShard{w: w, id: id, eng: NewEngine(), latency: &obs.Histogram{}}
 }
 
 // step advances the shard's engine to one barrier.

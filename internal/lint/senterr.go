@@ -10,7 +10,7 @@ import (
 
 // SentErr enforces the sentinel-error discipline around internal/core's
 // typed sentinels (ErrServerDown, ErrMasterDown, ErrRetryBudgetExhausted,
-// ErrLocalFallback). The live path wraps these through several layers
+// ErrLocalFallback, ErrExecRefused). The live path wraps these through several layers
 // (`%w: %w` chains), so identity comparison and string matching both break
 // the moment a wrap is added or a message is reworded. Outside _test.go
 // files it reports:

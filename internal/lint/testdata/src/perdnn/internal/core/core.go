@@ -5,8 +5,9 @@ package core
 import "errors"
 
 var (
-	ErrServerDown = errors.New("edge server down")
-	ErrMasterDown = errors.New("master unreachable")
+	ErrServerDown  = errors.New("edge server down")
+	ErrMasterDown  = errors.New("master unreachable")
+	ErrExecRefused = errors.New("exec request outside the model's bounds")
 )
 
 // NotASentinel is package-level but not an Err* sentinel.

@@ -49,6 +49,10 @@ func wrapMissing(addr string) error {
 	return fmt.Errorf("edge %s: %s", addr, core.ErrMasterDown) // want "verb other than %w"
 }
 
+func refuseWrongVerb(reason string) error {
+	return fmt.Errorf("edged: %v: %s", core.ErrExecRefused, reason) // want "verb other than %w"
+}
+
 func wrapRight(addr string, err error) error {
 	return fmt.Errorf("edge %s: %w: %w", addr, core.ErrServerDown, err) // ok: sentinel under %w
 }

@@ -96,6 +96,7 @@ type Master struct {
 	placement *geo.Placement
 	edgesByID map[geo.ServerID]EdgeInfo
 	est       *estimator.ServerEstimator
+	policy    *core.MigrationPolicy // built in New, never changed
 	log       *slog.Logger
 	met       *obs.Registry
 	tr        *tracing.Tracer
@@ -113,7 +114,6 @@ type Master struct {
 	lastConn atomic.Uint64 // connection IDs handed out so far
 
 	mu       sync.Mutex
-	policy   *core.MigrationPolicy // immutable; SetPredictor swaps in a new one
 	planners map[dnn.ModelName]*core.Planner
 	clients  map[int]*clientState
 
@@ -148,8 +148,7 @@ const (
 
 // New builds a master for the given configuration. The execution-time
 // estimator is trained offline at construction (Section III.C.1); the
-// mobility predictor defaults to dead reckoning and can be replaced with a
-// trained SVR via SetPredictor.
+// mobility predictor is dead reckoning.
 func New(cfg Config) (*Master, error) {
 	if len(cfg.Edges) == 0 {
 		return nil, errors.New("master: no edge servers configured")
@@ -253,15 +252,6 @@ func (m *Master) recordStage(rc tracing.SpanContext, stage tracing.Stage, start 
 		trace, parent = m.tr.NewTrace(), 0
 	}
 	m.tr.RecordAttrs(trace, parent, stage, nodeMaster, start, m.tr.Now(), a)
-}
-
-// SetPredictor swaps in a trained mobility predictor.
-func (m *Master) SetPredictor(p mobility.Predictor) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pol := *m.policy
-	pol.Predictor = p
-	m.policy = &pol
 }
 
 // Placement exposes the server placement (for clients to find their cell).
@@ -441,7 +431,6 @@ func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Enve
 	cs.reports++
 	report := cs.reports
 	model := cs.model
-	pol := m.policy
 	m.mu.Unlock()
 
 	if m.smap != nil && len(recent) > 0 {
@@ -461,7 +450,7 @@ func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Enve
 	if !ok {
 		return nil, nil
 	}
-	targets, ok := pol.Targets(recent, cur)
+	targets, ok := m.policy.Targets(recent, cur)
 	if !ok {
 		return nil, nil
 	}
@@ -623,7 +612,7 @@ func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client
 		return false, fmt.Errorf("master: no address for server %d", target)
 	}
 	m.mu.Lock()
-	planner, pol := m.planners[model], m.policy
+	planner := m.planners[model]
 	m.mu.Unlock()
 	st, err := m.pingStats(ctx, tAddr)
 	if err != nil {
@@ -633,7 +622,7 @@ func (m *Master) orderMigration(ctx context.Context, model dnn.ModelName, client
 	if err != nil {
 		return false, err
 	}
-	want, _ := pol.Want(entry, cur, target)
+	want, _ := m.policy.Want(entry, cur, target)
 	layers := want.AppendIDs(make([]dnn.LayerID, 0, want.Count()))
 	ctx, cancel := context.WithTimeout(ctx, wire.DefaultSendTimeout)
 	defer cancel()

@@ -530,7 +530,7 @@ func (c *Client) streamPending(ctx context.Context, window, limit int) (int, err
 			u.start = c.tr.Now()
 			err := c.edge.SendContext(ctx, &wire.Envelope{
 				Type:   wire.MsgUploadUnit,
-				Upload: &wire.Upload{ClientID: c.cfg.ID, Layers: u.layers, Bytes: u.bytes, Seq: int64(next)},
+				Upload: &wire.Upload{ClientID: c.cfg.ID, Layers: u.layers, Seq: int64(next)},
 				Trace:  tracing.SpanContext{Trace: c.upTrace, Span: u.span},
 			})
 			if err != nil {

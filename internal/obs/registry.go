@@ -15,12 +15,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing metric. The zero value is ready to
@@ -56,112 +53,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// histBuckets is one bucket per int64 bit length: bucket b holds values in
-// [2^(b-1), 2^b), bucket 0 holds values <= 0 and bucket 1 holds exactly 1.
-const histBuckets = 64
-
-// Histogram is a fixed-bucket power-of-two histogram over int64 samples
-// (typically latency nanoseconds or byte counts). Buckets are determined by
-// the sample value alone, so two histograms fed the same multiset of samples
-// are identical regardless of arrival order, and Merge is a commutative
-// bucketwise addition — the determinism contract the parallel sweep relies
-// on. The zero value is ready to use; all methods are safe for concurrent
-// use.
-type Histogram struct {
-	counts [histBuckets]atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64
-}
-
-// histBucket maps a sample to its bucket index.
-func histBucket(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(v))
-}
-
-// histMid returns a representative value for bucket b: the geometric-ish
-// midpoint 1.5 * 2^(b-1) of [2^(b-1), 2^b), clamped at the top.
-func histMid(b int) int64 {
-	switch {
-	case b <= 0:
-		return 0
-	case b == 1:
-		return 1
-	case b >= 63:
-		return math.MaxInt64
-	}
-	return 3 << (b - 2)
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v int64) {
-	h.counts[histBucket(v)].Add(1)
-	h.count.Add(1)
-	if v > 0 {
-		h.sum.Add(v)
-	}
-}
-
-// ObserveDuration records a duration sample in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all positive samples.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Merge adds every bucket of o into h. Addition commutes, so merging a set
-// of histograms yields the same result in any order — the deterministic
-// merge the sweep aggregation depends on.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for b := range o.counts {
-		if n := o.counts[b].Load(); n > 0 {
-			h.counts[b].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-}
-
-// Quantile returns the representative value at quantile q in [0,1], or 0
-// for an empty histogram.
-func (h *Histogram) Quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(total-1))
-	var seen int64
-	for b := 0; b < histBuckets; b++ {
-		seen += h.counts[b].Load()
-		if seen > target {
-			return histMid(b)
-		}
-	}
-	return histMid(histBuckets - 1)
-}
-
-// P50 returns the median sample value.
-func (h *Histogram) P50() int64 { return h.Quantile(0.50) }
-
-// P95 returns the 95th-percentile sample value.
-func (h *Histogram) P95() int64 { return h.Quantile(0.95) }
-
-// P99 returns the 99th-percentile sample value.
-func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
 
 // Registry is a named collection of metrics. Lookups get-or-create under a
 // mutex; the returned metric objects update lock-free, so callers should
@@ -219,8 +110,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // BucketCount is one non-empty histogram bucket in a snapshot: Bucket is
-// the power-of-two bucket index (values in [2^(Bucket-1), 2^Bucket)), Le
-// its inclusive upper bound, Count the samples in it.
+// the log-spaced bucket index, Le its inclusive upper bound, Count the
+// samples in it.
 type BucketCount struct {
 	Bucket int   `json:"bucket"`
 	Le     int64 `json:"le"`
@@ -235,34 +126,6 @@ type HistogramSnapshot struct {
 	P95     int64         `json:"p95"`
 	P99     int64         `json:"p99"`
 	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
-// histLe returns bucket b's inclusive upper bound.
-func histLe(b int) int64 {
-	if b <= 0 {
-		return 0
-	}
-	if b >= 63 {
-		return math.MaxInt64
-	}
-	return 1<<b - 1
-}
-
-// snapshot freezes one histogram.
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-		P50:   h.P50(),
-		P95:   h.P95(),
-		P99:   h.P99(),
-	}
-	for b := 0; b < histBuckets; b++ {
-		if n := h.counts[b].Load(); n > 0 {
-			s.Buckets = append(s.Buckets, BucketCount{Bucket: b, Le: histLe(b), Count: n})
-		}
-	}
-	return s
 }
 
 // Snapshot is a frozen, deterministic view of a registry: plain maps and

@@ -27,19 +27,20 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-// TestHistogramBuckets: samples land in the power-of-two bucket that
-// contains them, non-positive samples in bucket 0.
+// TestHistogramBuckets: samples land in the log-spaced bucket that
+// contains them, samples up to 1 µs in bucket 0.
 func TestHistogramBuckets(t *testing.T) {
 	cases := []struct {
-		v      int64
+		v      time.Duration
 		bucket int
 	}{
-		{-5, 0}, {0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3},
-		{1024, 11}, {math.MaxInt64, 63},
+		{-5, 0}, {0, 0}, {1, 0}, {time.Microsecond, 0}, {10 * time.Microsecond, 129},
+		{100 * time.Microsecond, 259}, {time.Millisecond, 388}, {time.Second, 775},
+		{math.MaxInt64, 1026},
 	}
 	for _, c := range cases {
-		if got := histBucket(c.v); got != c.bucket {
-			t.Errorf("histBucket(%d) = %d, want %d", c.v, got, c.bucket)
+		if got := bucketOf(c.v); got != c.bucket {
+			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.bucket)
 		}
 	}
 	var h Histogram

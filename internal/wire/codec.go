@@ -177,7 +177,6 @@ func appendEnvelopeBody(dst []byte, e *Envelope) ([]byte, error) {
 		dst = append(dst, 1)
 		dst = appendVarint(dst, int64(u.ClientID))
 		dst = appendLayers(dst, u.Layers)
-		dst = appendVarint(dst, u.Bytes)
 		dst = appendVarint(dst, u.Seq)
 	case MsgExecRequest:
 		if e.ExecReq == nil {
@@ -495,7 +494,6 @@ func decodeEnvelope(payload []byte, t MsgType, env *Envelope, s *recvScratch) er
 			s.upload.ClientID = int(d.varint())
 			s.uploadIDs = d.layers(s.uploadIDs)
 			s.upload.Layers = s.uploadIDs
-			s.upload.Bytes = d.varint()
 			s.upload.Seq = d.varint()
 			env.Upload = &s.upload
 		case MsgExecRequest:

@@ -54,7 +54,7 @@ func goldenEnvelopes() []struct {
 		{"migrate", &Envelope{Type: MsgMigrateRequest, Migrate: &Migrate{
 			ClientID: 9, Layers: []dnn.LayerID{0, 2}, PeerAddr: "10.0.0.2:7101"}}},
 		{"upload-unit", &Envelope{Type: MsgUploadUnit, Upload: &Upload{
-			ClientID: 9, Layers: []dnn.LayerID{11}, Bytes: 4096, Seq: 5}}},
+			ClientID: 9, Layers: []dnn.LayerID{11}, Seq: 5}}},
 		{"upload-ack", &Envelope{Type: MsgUploadAck, Ack: &Ack{OK: true, Seq: 5}}},
 		{"exec-request", &Envelope{Type: MsgExecRequest, ExecReq: &ExecReq{
 			ClientID: 9, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100}}},
@@ -73,7 +73,7 @@ func goldenEnvelopes() []struct {
 			ExecReq: &ExecReq{ClientID: 9, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100}}},
 		{"upload-unit-traced", &Envelope{Type: MsgUploadUnit,
 			Trace:  tracing.SpanContext{Trace: 1, Span: 2},
-			Upload: &Upload{ClientID: 9, Layers: []dnn.LayerID{11}, Bytes: 4096, Seq: 5}}},
+			Upload: &Upload{ClientID: 9, Layers: []dnn.LayerID{11}, Seq: 5}}},
 		{"register-traced-nil-body", &Envelope{Type: MsgRegister,
 			Trace: tracing.SpanContext{Trace: 1 << 40, Span: 3}}},
 		// v3 additions: multi-hop chains. The plan-response chain tail is
@@ -239,7 +239,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		typ MsgType
 		env *Envelope
 	}{
-		{8, &Envelope{Type: MsgUploadUnit, Upload: &Upload{ClientID: 9, Layers: []dnn.LayerID{1, 2, 3}, Bytes: 999}}},
+		{8, &Envelope{Type: MsgUploadUnit, Upload: &Upload{ClientID: 9, Layers: []dnn.LayerID{1, 2, 3}}}},
 		{16, &Envelope{Type: MsgExecRequest, ExecReq: &ExecReq{ClientID: 9, ServerBaseNs: 1000, Intensity: 0.1, InputBytes: 64,
 			Next: []PlanHop{{Server: 2, Addr: "127.0.0.1:7102", ServerBaseNs: 1000, Intensity: 0.1, InBytes: 64}}}}},
 	} {
@@ -351,12 +351,14 @@ func TestTraceTailRejectsNonCanonical(t *testing.T) {
 }
 
 // TestVersionMismatchTypedSentinel: a peer speaking another protocol
-// version (here: hand-built v1 and v4 frames, and raw gob-era bytes) is rejected
-// with ErrProtoVersion, not a decode panic or a confusing parse error.
+// version (here: hand-built v1, v4 and v6 frames, and raw gob-era bytes) is
+// rejected with ErrProtoVersion, not a decode panic or a confusing parse
+// error.
 func TestVersionMismatchTypedSentinel(t *testing.T) {
 	for _, raw := range [][]byte{
 		{1, byte(MsgAck), 0, 0, 0, 1, 0},  // well-formed frame, version 1
 		{4, byte(MsgAck), 0, 0, 0, 1, 0},  // well-formed frame, version 4
+		{6, byte(MsgAck), 0, 0, 0, 1, 0},  // well-formed frame, version 6
 		[]byte("\x1f\xff\x81\x03gob-ish"), // the old gob protocol's opening bytes
 	} {
 		client, raw2 := rawPipe(t)

@@ -21,10 +21,10 @@
 // connection with ErrProtoVersion instead of misparsing the stream (the
 // pre-v2 gob protocol fails this check on its first byte).
 //
-// Layer weights are simulated: upload and migration messages declare byte
-// sizes and the receiving daemon realizes the transfer time against its
-// configured link speed (scaled by its time-scale), rather than shipping
-// opaque payloads. This keeps the live path faithful in timing while
+// Layer weights are simulated: upload and migration messages name layers,
+// and the receiving daemon prices them from its model's weight sizes and
+// realizes the transfer time against its link (scaled by its time-scale),
+// rather than shipping opaque payloads. This keeps the live path faithful in timing while
 // staying runnable on a laptop.
 package wire
 
@@ -108,8 +108,10 @@ const (
 	// per operation: a chain stage is an ExecReq whose Next carries the
 	// rest of the chain, so MsgForward (type 16) is retired, and a
 	// migration push is an MsgUploadUnit, so MsgUploadLayers (type 8) is
-	// retired; ExecResp loses OutputBytes, which no receiver read.
-	ProtoVersion byte = 6
+	// retired; ExecResp loses OutputBytes, which no receiver read. Version
+	// 7 drops Upload's declared Bytes: the receiving edge prices a unit
+	// from its model's layer weights.
+	ProtoVersion byte = 7
 	// headerLen is version(1) + type(1) + payload length(4).
 	headerLen = 6
 	// MaxFrameBytes bounds a frame's payload; larger length prefixes are
@@ -275,11 +277,10 @@ type Migrate struct {
 // Upload declares layer weights arriving at an edge server (from a client
 // or a peer).
 //
-// Encoding: ClientID varint, Layers id-list, Bytes varint, Seq varint.
+// Encoding: ClientID varint, Layers id-list, Seq varint.
 type Upload struct {
 	ClientID int
 	Layers   []dnn.LayerID
-	Bytes    int64
 	// Seq is the schedule-unit sequence number within a windowed upload
 	// stream; an edge-to-edge migration push is a one-unit stream, Seq 0.
 	Seq int64

@@ -92,7 +92,7 @@ func TestEnvelopeCarriesAllBodies(t *testing.T) {
 		{Type: MsgTrajectory, Trajectory: &Trajectory{ClientID: 1, Points: []geo.Point{{X: 1, Y: 2}}}},
 		{Type: MsgPlanRequest, PlanReq: &PlanReq{ClientID: 1, Server: 7}},
 		{Type: MsgStatsResponse, Stats: &StatsMsg{Sample: &stats}},
-		{Type: MsgUploadUnit, Upload: &Upload{ClientID: 1, Layers: []dnn.LayerID{1, 2, 3}, Bytes: 999, Seq: 2}},
+		{Type: MsgUploadUnit, Upload: &Upload{ClientID: 1, Layers: []dnn.LayerID{1, 2, 3}, Seq: 2}},
 		{Type: MsgExecRequest, ExecReq: &ExecReq{ClientID: 1, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100}},
 		{Type: MsgExecRequest, ExecReq: &ExecReq{ClientID: 1, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100,
 			Next: []PlanHop{
@@ -130,7 +130,7 @@ func TestEnvelopeCarriesAllBodies(t *testing.T) {
 				t.Errorf("stats payload lost: %+v", echo.Stats)
 			}
 		case 3:
-			if echo.Upload == nil || echo.Upload.Bytes != 999 || len(echo.Upload.Layers) != 3 || echo.Upload.Seq != 2 {
+			if echo.Upload == nil || len(echo.Upload.Layers) != 3 || echo.Upload.Seq != 2 {
 				t.Errorf("upload payload lost: %+v", echo.Upload)
 			}
 		case 4:

@@ -50,8 +50,8 @@
 // RunSweepContext, DialLive): bound them with context.WithTimeout, and set
 // everything else — shards, faults, retry policy, upload window, tracer —
 // on their config struct. Failures surface typed sentinels —
-// ErrServerDown, ErrMasterDown, ErrRetryBudgetExhausted, ErrLocalFallback
-// — testable with errors.Is.
+// ErrServerDown, ErrMasterDown, ErrRetryBudgetExhausted, ErrLocalFallback,
+// ErrExecRefused — testable with errors.Is.
 package perdnn
 
 import (
@@ -88,6 +88,9 @@ var (
 	// ErrLocalFallback marks queries that degraded to client-local
 	// execution; results carrying it are still valid.
 	ErrLocalFallback = core.ErrLocalFallback
+	// ErrExecRefused marks exec requests an edge server refused because
+	// no client of its model could have sent them.
+	ErrExecRefused = core.ErrExecRefused
 	// ErrProtoVersion marks connections rejected because the peer speaks
 	// a different wire-protocol version.
 	ErrProtoVersion = wire.ErrProtoVersion

@@ -263,6 +263,7 @@ func TestFacadeSentinels(t *testing.T) {
 	sentinels := []error{
 		perdnn.ErrServerDown, perdnn.ErrMasterDown,
 		perdnn.ErrRetryBudgetExhausted, perdnn.ErrLocalFallback,
+		perdnn.ErrExecRefused,
 	}
 	for i, a := range sentinels {
 		for j, b := range sentinels {
