@@ -162,3 +162,45 @@ func TestCheckLayers(t *testing.T) {
 		}
 	}
 }
+
+// TestTopologyCrossMatchesRescan pins the frontier sweep against a direct
+// rescan of the DAG: at every frontier p of each zoo model, Cross[p] is
+// the input at 0, the final output at n, and otherwise the summed output
+// of every layer before p with a consumer at or after p.
+func TestTopologyCrossMatchesRescan(t *testing.T) {
+	for _, name := range ZooNames() {
+		m, err := ZooModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := m.NumLayers()
+		cross := m.Topo().Cross
+		if len(cross) != n+1 {
+			t.Fatalf("%s: %d frontiers for %d layers", name, len(cross), n)
+		}
+		for p := 0; p <= n; p++ {
+			var want int64
+			switch p {
+			case 0:
+				want = m.Layers[0].InputBytes()
+			case n:
+				want = m.Layers[n-1].OutputBytes()
+			default:
+				crosses := make(map[LayerID]bool)
+				for j := p; j < n; j++ {
+					for _, in := range m.Layers[j].Inputs {
+						if int(in) < p {
+							crosses[in] = true
+						}
+					}
+				}
+				for i := range crosses {
+					want += m.Layers[i].OutputBytes()
+				}
+			}
+			if cross[p] != want {
+				t.Fatalf("%s: Cross[%d] = %d, rescan %d", name, p, cross[p], want)
+			}
+		}
+	}
+}

@@ -20,6 +20,10 @@ type Topology struct {
 	OutBytes []int64
 	// InBytes caches the model input size, Layers[0].InputBytes().
 	InBytes int64
+	// Cross[p] is the activation bytes that cross frontier p in 0..n: the
+	// model input at 0, the final output at n, and in between the output
+	// of every layer i < p with a consumer at or after p.
+	Cross []int64
 }
 
 // computeTopology builds the topology view of m.
@@ -63,8 +67,35 @@ func computeTopology(m *Model) *Topology {
 	}
 	if n > 0 {
 		t.InBytes = m.Layers[0].InputBytes()
+		t.Cross = crossBytes(t, n)
 	}
 	return t
+}
+
+// crossBytes sweeps the frontier once, O(n): layer p-1's output joins the
+// crossing set at p, and outputs whose last consumer sits at p-1 leave it.
+// The sums are exact int64 arithmetic, so they equal a rescan.
+func crossBytes(t *Topology, n int) []int64 {
+	cross := make([]int64, n+1)
+	// expire[p] collects the output bytes of layers whose last consumer is
+	// at position p; the final layer's output never enters the set.
+	expire := make([]int64, n)
+	for j := range n {
+		if t.LastUse[j] > j {
+			expire[t.LastUse[j]] += t.OutBytes[j]
+		}
+	}
+	cross[0] = t.InBytes
+	var bytes int64
+	for p := 1; p < n; p++ {
+		if t.LastUse[p-1] >= p {
+			bytes += t.OutBytes[p-1]
+		}
+		bytes -= expire[p-1]
+		cross[p] = bytes
+	}
+	cross[n] = t.OutBytes[n-1]
+	return cross
 }
 
 // initTopo installs the lazy, concurrency-safe topology cache. The

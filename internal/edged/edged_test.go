@@ -19,7 +19,7 @@ import (
 )
 
 // startEdge runs an edge daemon on a random port.
-func startEdge(t *testing.T, cfg Config) (string, *Server) {
+func startEdge(t testing.TB, cfg Config) (string, *Server) {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"perdnn/internal/obs/tracing"
@@ -22,12 +22,15 @@ import (
 // scheduling. What does NOT depend on scheduling is the content: the
 // barrier protocol makes every span's fields — virtual timestamps and
 // attributes included — a pure function of the configuration.
-// Canonicalization therefore discards order and identity and rebuilds both
-// from content: traces are re-ordered by their span content with trace/span
-// IDs renumbered sequentially in that order (parent links remapped), and
-// the event journal is the decision instants stripped of identity and
-// sorted by the same span comparator. Applying the same pass to the
-// single-shard run yields the same bytes.
+//
+// Canonical identity follows from the trace shape: every simulated trace
+// is one root and its direct children (a query and its stages, a plan and
+// its upload units, a migration order and its completion, or a lone
+// decision instant). The recorded IDs therefore carry nothing but the
+// grouping and the roots; traces and spans are ordered by content and
+// numbered by position. The event journal is the decision instants
+// stripped of identity and sorted by the same span comparator. Applying
+// the same pass to the single-shard run yields the same bytes.
 
 // isDecision reports whether a stage is one of the simulator's decision
 // instants: the facts the -events journal lists.
@@ -57,7 +60,7 @@ func decisionEvents(recs []tracing.Span) []tracing.Span {
 		s.Trace, s.ID, s.Parent, s.Node = 0, 0, 0, ""
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return spanCmp(&out[i], &out[j]) < 0 })
+	slices.SortFunc(out, spanOrder)
 	return out
 }
 
@@ -89,52 +92,63 @@ func WriteEvents(w io.Writer, events []tracing.Span) error {
 	return nil
 }
 
-// canonicalSpans rewrites a span journal into canonical order: spans are
-// grouped by trace, each trace's spans are sorted root-first then by
-// content, traces are ordered by comparing their sorted span sequences,
-// and trace/span IDs are renumbered sequentially in that order with
-// parent links remapped (a parent that was never recorded — e.g. a query
-// still in flight at the end of the run — maps to 0). The rewrite uses no
-// part of the original IDs except the grouping and the parent structure,
-// so journals recorded under different schedules but with the same span
-// content serialize identically.
+// canonicalSpans rewrites a run's records in place into canonical order
+// and returns them: grouped by a counting sort on the trace ID (1..T, from
+// the run's one tracer), each trace sorted by spanCmp, root first, and the
+// traces by traceCmp. A span's ID becomes its output position from 1, a
+// trace's its rank, and a child's parent its root's new ID (0 when the
+// root was never recorded: a query the run's end cut off).
 func canonicalSpans(spans []tracing.Span) []tracing.Span {
-	if len(spans) == 0 {
-		return spans
+	var last tracing.TraceID
+	for i := range spans {
+		last = max(last, spans[i].Trace)
 	}
-	groups := make(map[tracing.TraceID][]tracing.Span, len(spans)/2+1)
-	for _, s := range spans {
-		groups[s.Trace] = append(groups[s.Trace], s)
+	// end[t] counts trace t-1's spans, then (prefix-summed) is where trace
+	// t begins in grouped, and after the scatter where it ends.
+	end := make([]int, last+2)
+	for i := range spans {
+		end[spans[i].Trace+1]++
 	}
-	traces := make([][]tracing.Span, 0, len(groups))
-	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool { return spanCmp(&g[i], &g[j]) < 0 })
-		traces = append(traces, g)
+	for t := 1; t < len(end); t++ {
+		end[t] += end[t-1]
 	}
-	sort.Slice(traces, func(i, j int) bool { return traceCmp(traces[i], traces[j]) < 0 })
+	grouped := make([]tracing.Span, len(spans))
+	for i := range spans {
+		t := spans[i].Trace
+		grouped[end[t]] = spans[i]
+		end[t]++
+	}
+	traces := make([][]tracing.Span, 0, last+1)
+	lo := 0
+	for _, hi := range end[:last+1] {
+		if hi > lo {
+			g := grouped[lo:hi]
+			slices.SortFunc(g, spanOrder)
+			traces = append(traces, g)
+		}
+		lo = hi
+	}
+	slices.SortFunc(traces, traceCmp)
 
-	out := make([]tracing.Span, 0, len(spans))
-	ids := make(map[tracing.SpanID]tracing.SpanID)
-	var nextSpan uint64
+	out := spans[:0]
 	for ti, g := range traces {
-		clear(ids)
-		for i := range g {
-			nextSpan++
-			ids[g[i].ID] = tracing.SpanID(nextSpan)
+		var root tracing.SpanID
+		if g[0].Parent == 0 {
+			root = tracing.SpanID(len(out) + 1)
 		}
 		for _, s := range g {
-			s.Trace = tracing.TraceID(ti + 1)
-			s.ID = ids[s.ID]
-			if p, ok := ids[s.Parent]; ok {
-				s.Parent = p
-			} else {
-				s.Parent = 0
+			s.Trace, s.ID = tracing.TraceID(ti+1), tracing.SpanID(len(out)+1)
+			if s.Parent != 0 {
+				s.Parent = root
 			}
 			out = append(out, s)
 		}
 	}
 	return out
 }
+
+// spanOrder is spanCmp for slices.SortFunc.
+func spanOrder(a, b tracing.Span) int { return spanCmp(&a, &b) }
 
 // spanCmp orders spans by content only — never by recorded IDs, which
 // depend on scheduling. Roots (spans recorded without a parent) sort

@@ -220,7 +220,7 @@ type CityConfig struct {
 	// latency exactly, every handoff a plan trace parenting its
 	// upload.unit spans, and every decision an instant span — all stamped
 	// from the virtual clock and recorded into CityResult.Spans in
-	// canonical order (traces ordered by content with IDs renumbered; see
+	// canonical order (traces ordered by content, IDs their positions; see
 	// canonicalSpans). Like the event journal, the span journal is a
 	// deterministic function of the configuration, byte-identical at every
 	// RunSweepContext worker count and every shard count.
@@ -599,7 +599,7 @@ func (w *world) freeze() {
 		r.Events = decisionEvents(recs)
 	}
 	if w.cfg.RecordSpans {
-		r.Spans = canonicalSpans(recs)
+		r.Spans = canonicalSpans(recs) // rewrites recs: the events are copied out first
 	}
 }
 

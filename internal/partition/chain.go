@@ -321,16 +321,15 @@ type chainSegment struct {
 // caller owns it. Not safe for concurrent use; PlanChain draws one from a
 // pool per call.
 type chainScratch struct {
-	servers       []ServerSpec
-	cross, expire []int64
-	prefC, prefB  []float64
-	prefW         []int64
-	prev, cur     []float64
-	enterVal      []float64
-	enterSrv      []int32
-	parentPos     []int32
-	parentSrv     []int32
-	segs          []chainSegment
+	servers      []ServerSpec
+	prefC, prefB []float64
+	prefW        []int64
+	prev, cur    []float64
+	enterVal     []float64
+	enterSrv     []int32
+	parentPos    []int32
+	parentSrv    []int32
+	segs         []chainSegment
 }
 
 // chainScratchPool shares warmed-up DP scratch across PlanChain calls.
@@ -441,35 +440,6 @@ func chainBottleneck(p *ChainPlan) time.Duration {
 	return bottleneck
 }
 
-// chainCrossBytes returns, for every frontier position p in 0..n, the exact
-// activation bytes alive across it: the model input at p == 0, the outputs
-// of layers i < p with any consumer >= p in between, and the final output
-// at p == n. Maintained with the same incremental expiry sweep as
-// Solver.frontierCosts, so the totals are bit-identical to a rescan. The
-// returned slice aliases sc and is valid until sc is reused.
-func chainCrossBytes(sc *chainScratch, topo *dnn.Topology, n int) []int64 {
-	sc.cross = grow(sc.cross, n+1)
-	sc.expire = grow(sc.expire, n)
-	cross, expire := sc.cross, sc.expire
-	clear(expire)
-	for j := 0; j < n; j++ {
-		if topo.LastUse[j] > j {
-			expire[topo.LastUse[j]] += topo.OutBytes[j]
-		}
-	}
-	cross[0] = topo.InBytes
-	var bytes int64
-	for p := 1; p <= n; p++ {
-		if topo.LastUse[p-1] >= p {
-			bytes += topo.OutBytes[p-1]
-		}
-		bytes -= expire[p-1]
-		cross[p] = bytes
-	}
-	cross[n] = topo.OutBytes[n-1]
-	return cross
-}
-
 // planChainDP is the K-segment DP. State: best[h][j][p] is the cheapest way
 // to have executed layers [0,p) where the h-th (latest) server segment runs
 // on candidate j and ends at frontier p. "Cheapest" is total elapsed time
@@ -493,8 +463,7 @@ func planChainDP(req ChainRequest, sc *chainScratch) (*ChainPlan, error) {
 	hopCap := maxHops(req)
 	throughput := req.Objective == ObjectiveThroughput
 
-	topo := m.Topo()
-	cross := chainCrossBytes(sc, topo, n)
+	cross := m.Topo().Cross
 
 	sc.prefC = grow(sc.prefC, n+1) // client seconds
 	sc.prefB = grow(sc.prefB, n+1) // contention-free server seconds

@@ -237,8 +237,7 @@ func TestPlanChainBruteForce(t *testing.T) {
 	m := toyChainModel()
 	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
 	n := m.NumLayers()
-	topo := m.Topo()
-	cross := chainCrossBytes(new(chainScratch), topo, n)
+	cross := m.Topo().Cross
 	prefC := make([]float64, n+1)
 	prefB := make([]float64, n+1)
 	prefW := make([]int64, n+1)
@@ -446,14 +445,14 @@ func TestPlanChainMemoryStarved(t *testing.T) {
 	}
 }
 
-// TestChainCrossBytesMatchesFrontierCosts pins the shared crossing-bytes
-// sweep against the Fig 5 solver's frontier costs.
+// TestChainCrossBytesMatchesFrontierCosts: the crossing bytes the chain
+// DP prices (dnn.Topology.Cross) are the Fig 5 solver's frontier costs.
 func TestChainCrossBytesMatchesFrontierCosts(t *testing.T) {
 	for _, name := range dnn.ZooNames() {
 		m, _ := dnn.ZooModel(name)
 		n := m.NumLayers()
 		link := LabWiFi()
-		cross := chainCrossBytes(new(chainScratch), m.Topo(), n)
+		cross := m.Topo().Cross
 		s := NewSolver()
 		s.frontierCosts(m, link)
 		for p := 0; p < n; p++ {

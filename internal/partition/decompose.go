@@ -81,8 +81,12 @@ func Decompose(prof *profile.ModelProfile, loc []Location) Split {
 	return sp
 }
 
-// Latency prices the split at a given link and server slowdown — it matches
-// Evaluate exactly when slowdown equals the request's.
+// Latency prices the split at a given link and server slowdown. It is not
+// Evaluate's price: it charges RTT/2 once per direction where Evaluate
+// charges it per crossing tensor, and rounds the summed times once where
+// Evaluate rounds each layer's and each tensor's. At the request's
+// slowdown the two differ by half an RTT per extra crossing tensor plus at
+// most 1 ns per layer and per crossing tensor.
 func (sp Split) Latency(link Link, slowdown float64) time.Duration {
 	return sp.ClientTime +
 		link.UpTime(sp.UpBytes) +

@@ -284,8 +284,9 @@ func TestPlanAccessors(t *testing.T) {
 	}
 }
 
-// TestDecomposeMatchesEvaluate cross-checks the Split pricing against the
-// reference evaluator on many assignments.
+// TestDecomposeMatchesEvaluate cross-checks the Split pricing against
+// Evaluate on random assignments, within the bound checkSplitLatency
+// states.
 func TestDecomposeMatchesEvaluate(t *testing.T) {
 	m := dnn.ResNet50()
 	req := reqFor(t, m, 2)
@@ -299,20 +300,7 @@ func TestDecomposeMatchesEvaluate(t *testing.T) {
 				loc[i] = AtClient
 			}
 		}
-		want, err := Evaluate(req, loc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := Decompose(req.Profile, loc).Latency(req.Link, req.Slowdown)
-		diff := got - want
-		if diff < 0 {
-			diff = -diff
-		}
-		// RTT accounting differs: Evaluate charges RTT/2 per crossing
-		// tensor, Decompose once per direction; allow that slack.
-		if diff > 100*req.Link.RTT {
-			t.Errorf("trial %d: Decompose %v vs Evaluate %v", trial, got, want)
-		}
+		checkSplitLatency(t, req, loc)
 	}
 }
 
@@ -329,5 +317,99 @@ func TestDecomposeIntensityBounds(t *testing.T) {
 	spc := Decompose(prof, AllClient(m))
 	if spc.ServerBase != 0 || spc.Intensity != 0 || spc.UpBytes != 0 || spc.DownBytes != 0 {
 		t.Errorf("all-client split has server components: %+v", spc)
+	}
+}
+
+// crossingTensors counts the tensors Evaluate charges a transfer for under
+// loc, per direction: the model input, every output with a consumer on the
+// other side, and the final output.
+func crossingTensors(m *dnn.Model, loc []Location) (up, down int) {
+	topo := m.Topo()
+	if loc[0] == AtServer {
+		up++
+	}
+	for i := range m.Layers {
+		var toServer, toClient bool
+		for _, s := range topo.Succ[i] {
+			if loc[s] != loc[i] {
+				toServer = toServer || loc[s] == AtServer
+				toClient = toClient || loc[s] == AtClient
+			}
+		}
+		if toServer {
+			up++
+		}
+		if toClient {
+			down++
+		}
+	}
+	if loc[m.OutputLayer()] == AtServer {
+		down++
+	}
+	return up, down
+}
+
+// checkSplitLatency states how far Split.Latency sits from Evaluate at the
+// request's slowdown: Evaluate charges half an RTT per crossing tensor
+// where Split.Latency charges it once per direction, and the two round
+// differently, by at most 1 ns per layer and per crossing tensor. It
+// returns the number of extra crossing tensors.
+func checkSplitLatency(t *testing.T, req Request, loc []Location) int {
+	t.Helper()
+	m := req.Profile.Model
+	eval, err := Evaluate(req, loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, down := crossingTensors(m, loc)
+	extra := max(up-1, 0) + max(down-1, 0)
+	slack := time.Duration(m.NumLayers() + up + down)
+	gap := eval - time.Duration(extra)*(req.Link.RTT/2) - Decompose(req.Profile, loc).Latency(req.Link, req.Slowdown)
+	if gap < -slack || gap > slack {
+		t.Fatalf("%s at slowdown %v: Evaluate %v, Split.Latency + %d half RTTs off by %v (bound %v)",
+			m.Name, req.Slowdown, eval, extra, gap, slack)
+	}
+	return extra
+}
+
+// TestSplitLatencyBound holds checkSplitLatency's bound for solver plans
+// on the planner's slowdown grid (1 to 100 in steps of 0.25) and for every
+// prefix of each model's upload schedule, and checks that the plans reach
+// assignments with extra crossing tensors.
+func TestSplitLatencyBound(t *testing.T) {
+	extra := 0
+	s := NewSolver()
+	for _, name := range dnn.ZooNames() {
+		m, err := dnn.ZooModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 4; q <= 400; q++ {
+			req := reqFor(t, m, float64(q)/4)
+			plan, err := s.Partition(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			extra += checkSplitLatency(t, req, plan.Loc)
+		}
+		req := reqFor(t, m, 1)
+		plan, err := Partition(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units, err := UploadSchedule(req, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loc := AllClient(m)
+		for _, u := range units {
+			for _, id := range u.Layers {
+				loc[id] = AtServer
+			}
+			extra += checkSplitLatency(t, req, loc)
+		}
+	}
+	if extra == 0 {
+		t.Fatal("no assignment crossed more than one tensor in a direction")
 	}
 }

@@ -30,7 +30,6 @@ type solveStep struct {
 type Solver struct {
 	// Shortest-path scratch.
 	crossUp, crossDown []time.Duration
-	expire             []int64 // bytes whose last use is at position p
 	steps              []solveStep
 	loc                []Location
 	plan               Plan
@@ -157,52 +156,19 @@ func (s *Solver) Partition(req Request) (*Plan, error) {
 
 // frontierCosts fills s.crossUp/s.crossDown with, for every frontier
 // position p in 0..n, the cost of switching execution from client to server
-// (crossUp) or server to client (crossDown) at p: the transfer time of every
-// tensor produced before p and consumed at or after p. Position n
-// additionally accounts for returning the final output to the client in
-// crossDown[n] (and makes crossUp[n] unreachable: execution may not end on
-// the server).
-//
-// The crossing-byte totals are maintained incrementally along the frontier —
-// layer p-1's output joins the crossing set at p, and tensors whose last
-// consumer sits at p-1 leave it — so the sweep is O(n) instead of the
-// quadratic rescan of the original implementation. The sums are exact int64
-// arithmetic, so the costs are bit-identical to the rescan's.
+// (crossUp) or server to client (crossDown) at p: the transfer time of the
+// topology's crossing bytes at p (dnn.Topology.Cross). Position n accounts
+// for returning the final output to the client in crossDown[n] (and makes
+// crossUp[n] unreachable: execution may not end on the server).
 func (s *Solver) frontierCosts(m *dnn.Model, link Link) {
-	topo := m.Topo()
+	cross := m.Topo().Cross
 	n := m.NumLayers()
 	s.crossUp = grow(s.crossUp, n+1)
 	s.crossDown = grow(s.crossDown, n+1)
-	s.expire = grow(s.expire, n)
-	for i := range s.expire {
-		s.expire[i] = 0
-	}
-	// expire[p] collects the output bytes of layers whose last consumer is
-	// at position p. Only layers that ever enter the crossing set matter
-	// (LastUse > own position); this excludes the final layer.
-	for j := 0; j < n; j++ {
-		if topo.LastUse[j] > j {
-			s.expire[topo.LastUse[j]] += topo.OutBytes[j]
-		}
-	}
-
-	// Crossing bytes at p: model input if p == 0 (layer 0 not yet run),
-	// else outputs of layers i < p with any consumer >= p.
-	s.crossUp[0] = link.UpTime(topo.InBytes)
-	s.crossDown[0] = link.DownTime(topo.InBytes)
-	var bytes int64
-	for p := 1; p <= n; p++ {
-		if topo.LastUse[p-1] >= p {
-			bytes += topo.OutBytes[p-1]
-		}
-		bytes -= s.expire[p-1]
+	for p, bytes := range cross {
 		s.crossUp[p] = link.UpTime(bytes)
 		s.crossDown[p] = link.DownTime(bytes)
 	}
-	// Ending at position n on the server means the final output still has
-	// to come down; folding it here lets the DP simply terminate at the
-	// client side of position n.
-	s.crossDown[n] = link.DownTime(topo.OutBytes[n-1])
 	s.crossUp[n] = time.Duration(math.MaxInt64 / 4)
 }
 
