@@ -220,8 +220,9 @@ func TestPolicyTargets(t *testing.T) {
 	}
 }
 
-// TestPolicyTargetsAllocs: one migration step costs the predictor's two
-// allocations and the slice Within returns, which Targets filters in place.
+// TestPolicyTargetsAllocs: one migration step costs the slice Within
+// returns, which Targets filters in place; the SVR's prediction allocates
+// nothing.
 func TestPolicyTargetsAllocs(t *testing.T) {
 	if raceguard.Enabled {
 		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
@@ -232,8 +233,8 @@ func TestPolicyTargetsAllocs(t *testing.T) {
 		recent[i] = pl.Center(0).Add(geo.Point{X: float64(i) * 10})
 	}
 	cur := pl.ServerAt(recent[len(recent)-1])
-	if n := testing.AllocsPerRun(100, func() { pol.Targets(recent, cur) }); n > 3 {
-		t.Errorf("Targets allocates %.0f times, budget 3", n)
+	if n := testing.AllocsPerRun(100, func() { pol.Targets(recent, cur) }); n > 1 {
+		t.Errorf("Targets allocates %.0f times, budget 1", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -56,46 +57,95 @@ type Forest struct {
 // NumTrees returns the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.bounds) - 1 }
 
-// flattenTrees packs per-tree node slices into the forest's arena,
-// preserving node order within each tree and rebasing child indices to
-// global arena positions.
-func (f *Forest) flattenTrees(trees []*regTree) {
-	total := 0
-	for _, t := range trees {
-		total += len(t.nodes)
-	}
-	f.feature = make([]int32, 0, total)
-	f.threshold = make([]float64, 0, total)
-	f.left = make([]int32, 0, total)
-	f.right = make([]int32, 0, total)
-	f.value = make([]float64, 0, total)
-	f.bounds = make([]int32, 0, len(trees)+1)
-	for _, t := range trees {
-		start := int32(len(f.value))
-		f.bounds = append(f.bounds, start)
-		for _, n := range t.nodes {
-			l, r := n.left, n.right
-			if l >= 0 {
-				l += start
-				r += start
-			}
-			f.feature = append(f.feature, int32(n.feature))
-			f.threshold = append(f.threshold, n.threshold)
-			f.left = append(f.left, l)
-			f.right = append(f.right, r)
-			f.value = append(f.value, n.value)
-		}
-	}
-	f.bounds = append(f.bounds, int32(len(f.value)))
+// treeOut is one tree's training output: its nodes, the impurity decrease
+// it credits to each feature, and its prediction on each row it never saw.
+// While a worker holds it, it points into the worker's scratch.
+type treeOut struct {
+	nodes      []treeNode
+	importance []float64
+	oob        []oobPred
 }
 
-// treeOut is the full output of one tree's training pass, merged into the
-// forest in tree order so results do not depend on goroutine scheduling.
-type treeOut struct {
-	tree       *regTree
-	importance []float64
-	oobSum     []float64 // prediction on each out-of-bag sample (0 if in-bag)
-	oobSeen    []bool    // whether the sample was out of bag for this tree
+// oobPred is a tree's prediction on one out-of-bag row of x.
+type oobPred struct {
+	row  int32
+	pred float64
+}
+
+// merger folds finished trees into the forest in tree order, so results
+// do not depend on goroutine scheduling: floating-point sums run in tree
+// order, and a tree's nodes land in the arena after its predecessor's. A
+// tree finished ahead of an earlier one waits in pending, copied out of
+// its worker's scratch at its exact size; every other tree is merged
+// straight from the scratch it grew in.
+type merger struct {
+	f       *Forest
+	pending []treeOut // pending[t] is tree t, finished but not merged
+	merged  int       // trees merged so far
+	oobSum  []float64 // sum of out-of-bag predictions on each row of x
+	oobCnt  []int32   // trees each row of x was out of bag for
+}
+
+// add merges tree t, or parks a copy of it if an earlier tree is still
+// growing, and then merges every parked tree whose turn has come.
+func (m *merger) add(t int, o treeOut) {
+	if t != m.merged {
+		m.pending[t] = treeOut{slices.Clone(o.nodes), slices.Clone(o.importance), slices.Clone(o.oob)}
+		return
+	}
+	m.merge(o)
+	for m.merged < len(m.pending) && m.pending[m.merged].nodes != nil {
+		m.merge(m.pending[m.merged])
+		m.pending[m.merged-1] = treeOut{}
+	}
+}
+
+// merge appends the next tree to the forest, rebasing its child indices
+// to arena positions.
+func (m *merger) merge(o treeOut) {
+	f := m.f
+	m.reserve(len(o.nodes))
+	start := int32(len(f.value))
+	f.bounds = append(f.bounds, start)
+	for _, n := range o.nodes {
+		l, r := n.left, n.right
+		if l >= 0 {
+			l += start
+			r += start
+		}
+		f.feature = append(f.feature, int32(n.feature))
+		f.threshold = append(f.threshold, n.threshold)
+		f.left = append(f.left, l)
+		f.right = append(f.right, r)
+		f.value = append(f.value, n.value)
+	}
+	for j, v := range o.importance {
+		f.importance[j] += v
+	}
+	for _, e := range o.oob {
+		m.oobSum[e.row] += e.pred
+		m.oobCnt[e.row]++
+	}
+	m.merged++
+}
+
+// reserve makes room in the arena for n more nodes. The arena is sized for
+// the whole forest as projected from the trees merged so far — as many
+// trees as the mean one, this one included, plus a sixteenth — so it is
+// allocated once or twice and ends within a few percent of its length.
+func (m *merger) reserve(n int) {
+	f := m.f
+	have := len(f.value)
+	if have+n <= cap(f.value) {
+		return
+	}
+	c := (have + n) * len(m.pending) / (m.merged + 1)
+	c += c / 16
+	f.feature = slices.Grow(f.feature, c-have)
+	f.threshold = slices.Grow(f.threshold, c-have)
+	f.left = slices.Grow(f.left, c-have)
+	f.right = slices.Grow(f.right, c-have)
+	f.value = slices.Grow(f.value, c-have)
 }
 
 // TrainForest trains a random forest on rows x with targets y, all finite.
@@ -147,11 +197,18 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 
 	tc := treeConfig{maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, maxFeatures: cfg.MaxFeatures}
 	orders := presort(x)
-	outs := make([]treeOut, cfg.NumTrees)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.NumTrees {
-		workers = cfg.NumTrees
+	f := &Forest{
+		importance: make([]float64, p),
+		nFeatures:  p,
+		bounds:     make([]int32, 0, cfg.NumTrees+1),
 	}
+	m := &merger{
+		f:       f,
+		pending: make([]treeOut, cfg.NumTrees),
+		oobSum:  make([]float64, len(x)),
+		oobCnt:  make([]int32, len(x)),
+	}
+	workers := min(runtime.GOMAXPROCS(0), cfg.NumTrees)
 	var next int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -160,6 +217,7 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 		go func() {
 			defer wg.Done()
 			s := newScratch(orders, len(x), len(x))
+			rng := rand.New(rand.NewSource(0))
 			for {
 				mu.Lock()
 				t := next
@@ -168,69 +226,50 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 				if t >= cfg.NumTrees {
 					return
 				}
-				outs[t] = trainOneTree(x, y, tc, seeds[t], s)
+				rng.Seed(seeds[t])
+				o := trainOneTree(x, y, tc, rng, s)
+				mu.Lock()
+				m.add(t, o)
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
+	f.bounds = append(f.bounds, int32(len(f.value)))
 
-	// Merge in tree order: floating-point accumulation order stays fixed.
-	f := &Forest{
-		importance: make([]float64, p),
-		nFeatures:  p,
-	}
-	trees := make([]*regTree, 0, cfg.NumTrees)
-	oobSum := make([]float64, len(x))
-	oobCnt := make([]int, len(x))
-	for t := range outs {
-		trees = append(trees, outs[t].tree)
-		for j, v := range outs[t].importance {
-			f.importance[j] += v
-		}
-		for i := range x {
-			if outs[t].oobSeen[i] {
-				oobSum[i] += outs[t].oobSum[i]
-				oobCnt[i]++
-			}
-		}
-	}
 	// Out-of-bag MAE: an unbiased generalization-error estimate without a
 	// held-out set, computed over samples left out by at least one tree.
 	var errSum float64
 	var errN int
 	for i := range x {
-		if oobCnt[i] > 0 {
-			errSum += absFloat(oobSum[i]/float64(oobCnt[i]) - y[i])
+		if m.oobCnt[i] > 0 {
+			errSum += absFloat(m.oobSum[i]/float64(m.oobCnt[i]) - y[i])
 			errN++
 		}
 	}
 	if errN > 0 {
 		f.oobMAE = errSum / float64(errN)
 	}
-	f.flattenTrees(trees)
 	return f, nil
 }
 
-// trainOneTree bootstraps, grows and evaluates one tree in s with its own RNG.
-func trainOneTree(x [][]float64, y []float64, tc treeConfig, seed int64, s *scratch) treeOut {
-	rng := rand.New(rand.NewSource(seed))
+// trainOneTree bootstraps, grows and evaluates one tree in s, drawing from
+// rng, which the caller has seeded for this tree. The result lives in s
+// until s grows the next tree.
+func trainOneTree(x [][]float64, y []float64, tc treeConfig, rng *rand.Rand, s *scratch) treeOut {
 	for i := range s.boot {
 		s.boot[i] = rng.Intn(len(x))
 	}
-	out := treeOut{
-		importance: make([]float64, len(x[0])),
-		oobSum:     make([]float64, len(x)),
-		oobSeen:    make([]bool, len(x)),
-	}
-	out.tree = s.build(x, y, s.boot, tc, rng, out.importance)
+	clear(s.importance)
+	tree := regTree{nodes: s.build(x, y, s.boot, tc, rng, s.importance)}
 	// Out-of-bag accumulation: samples this tree never saw.
-	for i := range x {
-		if s.count[i] == 0 {
-			out.oobSum[i] = out.tree.predict(x[i])
-			out.oobSeen[i] = true
+	s.oob = s.oob[:0]
+	for i, c := range s.count {
+		if c == 0 {
+			s.oob = append(s.oob, oobPred{int32(i), tree.predict(x[i])})
 		}
 	}
-	return out
+	return treeOut{tree.nodes, s.importance, s.oob}
 }
 
 func absFloat(v float64) float64 {

@@ -207,6 +207,8 @@ func serverTrainingSet(dev profile.Device, params gpusim.Params, seed int64) ([]
 	cfg.SamplesPerLevel = 30
 	samples := gpusim.ProfilingRun(dev, params, layers, cfg)
 
+	// The rows share one backing array.
+	flat := make([]float64, len(samples)*numLoadFeatures)
 	x := make([][]float64, 0, len(samples))
 	y := make([]float64, 0, len(samples))
 	for i := range samples {
@@ -214,7 +216,8 @@ func serverTrainingSet(dev profile.Device, params gpusim.Params, seed int64) ([]
 		if base <= 0 {
 			continue
 		}
-		x = append(x, LoadFeatures(samples[i].Stats))
+		row := flat[len(x)*numLoadFeatures:]
+		x = append(x, LoadFeaturesInto(row[:numLoadFeatures:numLoadFeatures], samples[i].Stats))
 		y = append(y, samples[i].Time.Seconds()/base.Seconds())
 	}
 	return x, y

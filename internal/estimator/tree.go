@@ -65,13 +65,20 @@ func presort(x [][]float64) [][]keyed {
 // and best trade places; after the search cur is the partition's spill.
 // lists[f] holds a presorted column f's rows in ascending order, one
 // contiguous segment per node at the node's offset into the bootstrap.
+// A tree grows in nodes, which has room for the largest tree minLeaf
+// allows; feats holds one node's candidate features, and importance and
+// oob the tree's other results (forest.go).
 type scratch struct {
-	orders    [][]keyed // presort(x)
-	boot      []int
-	cur, best []keyed
-	lists     [][]keyed
-	count     []int32 // bootstrap copies of each row of x
-	left      []uint8 // 1 if a row of x goes left at the current split
+	orders     [][]keyed // presort(x)
+	boot       []int
+	cur, best  []keyed
+	lists      [][]keyed
+	count      []int32 // bootstrap copies of each row of x
+	left       []uint8 // 1 if a row of x goes left at the current split
+	nodes      []treeNode
+	feats      []int
+	importance []float64
+	oob        []oobPred
 }
 
 func newScratch(orders [][]keyed, rows, n int) *scratch {
@@ -80,6 +87,8 @@ func newScratch(orders [][]keyed, rows, n int) *scratch {
 		cur: make([]keyed, n), best: make([]keyed, n),
 		lists: make([][]keyed, len(orders)),
 		count: make([]int32, rows), left: make([]uint8, rows),
+		feats: make([]int, len(orders)), importance: make([]float64, len(orders)),
+		oob: make([]oobPred, 0, rows),
 	}
 }
 
@@ -90,7 +99,6 @@ type grower struct {
 	cfg        treeConfig
 	rng        *rand.Rand
 	importance []float64
-	nodes      []treeNode
 	idx        []int
 	*scratch
 }
@@ -99,13 +107,14 @@ type grower struct {
 // it goes. importance accumulates the total variance reduction attributed
 // to each feature.
 func buildTree(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, importance []float64) *regTree {
-	return newScratch(presort(x), len(x), len(idx)).build(x, y, idx, cfg, rng, importance)
+	return &regTree{nodes: newScratch(presort(x), len(x), len(idx)).build(x, y, idx, cfg, rng, importance)}
 }
 
-// build grows a tree like buildTree in s, which must be as long as idx.
-// Each presorted column's root order is its forest-wide order with every
-// row repeated as often as the bootstrap drew it: O(n), no sort.
-func (s *scratch) build(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, importance []float64) *regTree {
+// build grows a tree like buildTree in s, which must be as long as idx, and
+// returns its nodes, which stay valid until s grows the next tree. Each
+// presorted column's root order is its forest-wide order with every row
+// repeated as often as the bootstrap drew it: O(n), no sort.
+func (s *scratch) build(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, importance []float64) []treeNode {
 	clear(s.count)
 	for _, i := range idx {
 		s.count[i]++
@@ -122,13 +131,25 @@ func (s *scratch) build(x [][]float64, y []float64, idx []int, cfg treeConfig, r
 		}
 		s.lists[f] = list
 	}
-	g := grower{
-		x: x, y: y, cfg: cfg, rng: rng, importance: importance,
-		nodes: make([]treeNode, 0, 2*len(idx)/cfg.minLeaf+1),
-		idx:   idx, scratch: s,
-	}
+	// A binary tree whose leaves hold at least minLeaf of the n rows has at
+	// most 2n/minLeaf+1 nodes.
+	s.nodes = slices.Grow(s.nodes[:0], 2*len(idx)/cfg.minLeaf+1)
+	g := grower{x: x, y: y, cfg: cfg, rng: rng, importance: importance, idx: idx, scratch: s}
 	g.grow(0, len(idx), 0)
-	return &regTree{nodes: g.nodes}
+	return s.nodes
+}
+
+// perm is g.rng.Perm(p) in g.feats: the same Intn(i+1) draws, so the
+// same permutation and the same rng state after it, without a slice per
+// node.
+func (g *grower) perm() []int {
+	m := g.feats
+	for i := range m {
+		j := g.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }
 
 func mean(y []float64, idx []int) float64 {
@@ -174,7 +195,7 @@ func (g *grower) grow(lo, hi, depth int) int32 {
 	bestFeature, bestK, bestGain := -1, 0, 0.0
 
 	// Candidate features: a random subset of size maxFeatures.
-	feats := g.rng.Perm(len(g.x[0]))
+	feats := g.perm()
 	if cfg.maxFeatures < len(feats) {
 		feats = feats[:cfg.maxFeatures]
 	}

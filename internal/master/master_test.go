@@ -27,7 +27,7 @@ var (
 	fixtureErr    error
 )
 
-func fixture(t *testing.T) (edgeAddr string, loc geo.Point, masterAddr string, m *Master) {
+func fixture(t testing.TB) (edgeAddr string, loc geo.Point, masterAddr string, m *Master) {
 	t.Helper()
 	ctx := context.Background()
 	fixtureOnce.Do(func() {

@@ -54,7 +54,11 @@ func Windows(trs []trace.Trajectory, n int) []Window {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]Window, 0, 1024)
+	total := 0
+	for _, tr := range trs {
+		total += max(tr.Len()-n, 0)
+	}
+	out := make([]Window, 0, total)
 	for _, tr := range trs {
 		for i := 0; i+n < tr.Len(); i++ {
 			out = append(out, Window{In: tr.Points[i : i+n], Target: tr.Points[i+n]})

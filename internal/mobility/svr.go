@@ -63,69 +63,90 @@ func (s *SVR) Fit(train []trace.Trajectory, pl *geo.Placement, n int) error {
 	}
 	s.norm = norm
 
-	wins := Windows(train, n)
-	if len(wins) == 0 {
+	// The windows are read in place. std holds the standardized points of
+	// every trajectory long enough for a window, x then y, one trajectory
+	// after another; window i's 2n features are the 2n values from
+	// 2*starts[i] on, the bias feature 1 follows them, and its target is the
+	// point after them.
+	points, wins := 0, 0
+	for _, tr := range train {
+		if tr.Len() > n {
+			points += tr.Len()
+			wins += tr.Len() - n
+		}
+	}
+	if wins == 0 {
 		return fmt.Errorf("mobility: trajectories too short for n=%d", n)
 	}
-	x := make([][]float64, 0, len(wins))
-	yx := make([]float64, 0, len(wins))
-	yy := make([]float64, 0, len(wins))
-	for _, w := range wins {
-		x = append(x, s.features(w.In))
-		tgt := norm.ToStd(w.Target)
-		yx = append(yx, tgt.X)
-		yy = append(yy, tgt.Y)
+	std := make([]float64, 0, 2*points)
+	starts := make([]int32, 0, wins)
+	for _, tr := range train {
+		if tr.Len() <= n {
+			continue
+		}
+		first := len(std) / 2
+		for _, p := range tr.Points {
+			q := norm.ToStd(p)
+			std = append(std, q.X, q.Y)
+		}
+		for i := 0; i+n < tr.Len(); i++ {
+			starts = append(starts, int32(first+i))
+		}
 	}
 
 	rng := rand.New(rand.NewSource(s.Seed + 17))
-	s.wx = s.trainOne(x, yx, rng)
-	s.wy = s.trainOne(x, yy, rng)
+	order := make([]int, wins)
+	s.wx = s.trainOne(std, starts, 0, rng, order)
+	s.wy = s.trainOne(std, starts, 1, rng, order)
 	return nil
 }
 
-// features flattens the standardized recent locations; the final slot is
-// the bias feature.
-func (s *SVR) features(recent []geo.Point) []float64 {
-	f := make([]float64, 0, 2*s.n+1)
-	// Pad by repeating the oldest point if the history is short.
-	for i := 0; i < s.n; i++ {
-		j := i - (s.n - len(recent))
-		if j < 0 {
-			j = 0
-		}
-		p := s.norm.ToStd(recent[j])
-		f = append(f, p.X, p.Y)
-	}
-	return append(f, 1)
-}
-
-// trainOne runs SGD on the epsilon-insensitive subgradient for one output.
-func (s *SVR) trainOne(x [][]float64, y []float64, rng *rand.Rand) []float64 {
-	w := make([]float64, len(x[0]))
+// trainOne runs SGD on the epsilon-insensitive subgradient for one output,
+// the x (axis 0) or y (axis 1) of the windows' targets (see Fit). Each
+// epoch visits the windows in rng.Perm's order, drawn into order. The
+// bias feature is 1, so its product and its updates are the bias weight
+// and lr themselves.
+func (s *SVR) trainOne(std []float64, starts []int32, axis int, rng *rand.Rand, order []int) []float64 {
+	f := 2 * s.n // features before the bias
+	w := make([]float64, f+1)
 	step := 0
 	for e := 0; e < s.Epochs; e++ {
-		for _, i := range rng.Perm(len(x)) {
+		for _, i := range permInto(rng, order) {
 			step++
 			lr := s.LR0 / (1 + 0.0005*float64(step))
-			pred := dot(w, x[i])
-			r := pred - y[i]
+			xi := std[2*int(starts[i]):][:f]
+			pred := dot(w[:f], xi) + w[f]
+			r := pred - std[2*int(starts[i])+f+axis]
 			// L2 shrink (bias exempt).
-			for j := 0; j < len(w)-1; j++ {
+			for j := 0; j < f; j++ {
 				w[j] -= lr * s.Lambda * w[j]
 			}
 			switch {
 			case r > s.Epsilon:
-				for j, v := range x[i] {
+				for j, v := range xi {
 					w[j] -= lr * v
 				}
+				w[f] -= lr
 			case r < -s.Epsilon:
-				for j, v := range x[i] {
+				for j, v := range xi {
 					w[j] += lr * v
 				}
+				w[f] += lr
 			}
 		}
 	}
 	return w
+}
+
+// permInto is rng.Perm(len(m)) in m: the same Intn(i+1) draws, so the same
+// permutation and the same rng state after it, without a slice per call.
+func permInto(rng *rand.Rand, m []int) []int {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }
 
 func dot(w, x []float64) float64 {
@@ -136,13 +157,25 @@ func dot(w, x []float64) float64 {
 	return sum
 }
 
-// PredictPoint implements Predictor.
+// PredictPoint implements Predictor. It allocates nothing: both dot
+// products are summed straight from the standardized points, in the order
+// Fit's features are (x and y of each point, oldest first, then the bias).
 func (s *SVR) PredictPoint(recent []geo.Point) (geo.Point, bool) {
 	if s.wx == nil || len(recent) == 0 {
 		return geo.Point{}, false
 	}
-	f := s.features(recent)
-	return s.norm.FromStd(geo.Point{X: dot(s.wx, f), Y: dot(s.wy, f)}), true
+	var x, y float64
+	for i := 0; i < s.n; i++ {
+		// The last n points; the oldest repeats to pad a short history.
+		p := s.norm.ToStd(recent[max(i-(s.n-len(recent)), 0)])
+		x += s.wx[2*i] * p.X
+		x += s.wx[2*i+1] * p.Y
+		y += s.wy[2*i] * p.X
+		y += s.wy[2*i+1] * p.Y
+	}
+	x += s.wx[2*s.n] // times the bias feature, 1
+	y += s.wy[2*s.n]
+	return s.norm.FromStd(geo.Point{X: x, Y: y}), true
 }
 
 // Rank implements Predictor: the k servers nearest the predicted point.

@@ -165,7 +165,7 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // WriteJSON writes the registry snapshot as indented JSON (the /metrics
-// payload). encoding/json sorts map keys, so the output is deterministic
+// payload without its process health). encoding/json sorts map keys, so the output is deterministic
 // for a quiesced registry.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")
