@@ -259,13 +259,6 @@ func (s *Server) dispatch(ctx context.Context, req *wire.Envelope, reply *execRe
 	}
 }
 
-// upload stores declared layers, realizing the transfer time. Pricing is
-// idempotent at the layer level: layers already cached cost nothing, so a
-// client that resends a unit whose delivery it could not confirm (a
-// connection killed between delivery and ack) is not double-charged —
-// the cache claim under the lock is the exactly-once point, even when an
-// old connection's handler is still draining buffered units concurrently
-// with a resend on a fresh one.
 // uploadTraced is upload plus a span on this daemon's track covering the
 // cache claim and the realized transfer, linked under the sender's trace
 // when the envelope carried one.
@@ -277,6 +270,13 @@ func (s *Server) uploadTraced(u *wire.Upload, rc tracing.SpanContext) error {
 	return err
 }
 
+// upload stores declared layers, realizing the transfer time. Pricing is
+// idempotent at the layer level: layers already cached cost nothing, so a
+// client that resends a unit whose delivery it could not confirm (a
+// connection killed between delivery and ack) is not double-charged —
+// the cache claim under the lock is the exactly-once point, even when an
+// old connection's handler is still draining buffered units concurrently
+// with a resend on a fresh one.
 func (s *Server) upload(u *wire.Upload) error {
 	// Layer IDs come off the wire and index the cache bitsets and the model
 	// unchecked from here on.

@@ -88,7 +88,9 @@ func FuzzDispatch(f *testing.F) {
 		if m := req.Migrate; m != nil {
 			m.PeerAddr = peers[0]
 		}
-		reply := srv.dispatch(t.Context(), req, new(execReply))
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		reply := srv.dispatch(ctx, req, new(execReply))
 		if reply == nil {
 			t.Fatalf("type %d: no reply", req.Type)
 		}

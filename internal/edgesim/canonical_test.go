@@ -1,6 +1,7 @@
 package edgesim
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sort"
@@ -64,7 +65,9 @@ func recordedSpans(t *testing.T, cfg CityConfig) []tracing.Span {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.runShards(t.Context(), steps); err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if err := w.runShards(ctx, steps); err != nil {
 		t.Fatal(err)
 	}
 	return w.decisions.Spans()

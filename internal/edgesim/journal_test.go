@@ -194,7 +194,9 @@ func TestEachFactRecordedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.runShards(t.Context(), steps); err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if err := w.runShards(ctx, steps); err != nil {
 		t.Fatal(err)
 	}
 	recs := w.decisions.Spans()

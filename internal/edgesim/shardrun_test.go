@@ -2,6 +2,7 @@ package edgesim
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -35,7 +36,9 @@ func shardCfg(faulty bool) CityConfig {
 // journals to JSONL.
 func runJournals(t *testing.T, env *Env, cfg CityConfig, shards int) (*CityResult, []byte, []byte) {
 	t.Helper()
-	res, err := RunCitySharded(t.Context(), env, cfg, shards)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	res, err := RunCitySharded(ctx, env, cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +113,15 @@ func TestShardedCityDeterministic(t *testing.T) {
 // workers 1/2/8 — the satellite's shard-journal determinism grid.
 func TestShardedSweepDeterministic(t *testing.T) {
 	env := smallEnv(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	journal := func(shards, workers int) []byte {
 		cfgs := []CityConfig{shardCfg(false), shardCfg(true)}
 		for i := range cfgs {
 			cfgs[i].Shards = shards
 			cfgs[i].MaxSteps = 25
 		}
-		outs := RunSweepContext(t.Context(), SweepConfigs(env, cfgs...), workers)
+		outs := RunSweepContext(ctx, SweepConfigs(env, cfgs...), workers)
 		if err := SweepErr(outs); err != nil {
 			t.Fatal(err)
 		}
@@ -153,10 +158,12 @@ func TestShardedCityValidation(t *testing.T) {
 	env := smallEnv(t)
 	cfg := DefaultCityConfig(dnn.ModelMobileNet, ModeRouting, 0)
 	cfg.MaxSteps = 4
-	if _, err := RunCitySharded(t.Context(), env, cfg, 2); err == nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if _, err := RunCitySharded(ctx, env, cfg, 2); err == nil {
 		t.Error("ModeRouting accepted with 2 shards")
 	}
-	if _, err := RunCitySharded(t.Context(), env, cfg, 1); err != nil {
+	if _, err := RunCitySharded(ctx, env, cfg, 1); err != nil {
 		t.Errorf("ModeRouting rejected with 1 shard: %v", err)
 	}
 	cfg = DefaultCityConfig(dnn.ModelMobileNet, ModeIONN, 0)

@@ -16,8 +16,6 @@ type Fig4Config struct {
 	CorpusSize int
 	// Profiling configures the measurement harness.
 	Profiling gpusim.ProfilingConfig
-	// TestFraction of samples is held out for MAE evaluation.
-	TestFraction float64
 	// Seed drives corpus generation and the train/test split.
 	Seed int64
 }
@@ -26,10 +24,9 @@ type Fig4Config struct {
 // conv layers profiled from 1 to 16 concurrent clients.
 func DefaultFig4Config() Fig4Config {
 	return Fig4Config{
-		CorpusSize:   30,
-		Profiling:    gpusim.DefaultProfilingConfig(),
-		TestFraction: 0.3,
-		Seed:         1,
+		CorpusSize: 30,
+		Profiling:  gpusim.DefaultProfilingConfig(),
+		Seed:       1,
 	}
 }
 
@@ -59,11 +56,12 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 	layers := gpusim.ConvLayerCorpus(cfg.Seed, cfg.CorpusSize)
 	samples := gpusim.ProfilingRun(profile.ServerTitanXp(), gpusim.DefaultParams(), layers, cfg.Profiling)
 
+	const testFraction = 0.3 // of the samples, held out for MAE evaluation
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
 	perm := rng.Perm(len(samples))
-	nTest := int(float64(len(samples)) * cfg.TestFraction)
+	nTest := int(float64(len(samples)) * testFraction)
 	if nTest < 1 || nTest >= len(samples) {
-		return nil, fmt.Errorf("estimator: bad test fraction %v for %d samples", cfg.TestFraction, len(samples))
+		return nil, fmt.Errorf("estimator: test fraction %v of %d samples is empty", testFraction, len(samples))
 	}
 	test := make([]gpusim.Sample, 0, nTest)
 	train := make([]gpusim.Sample, 0, len(samples)-nTest)
@@ -105,7 +103,7 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 		for _, k := range res.Clients {
 			var sum float64
 			for _, i := range byLoad[k] {
-				pred := m.Predict(&test[i].Layer, test[i].Stats)
+				pred := m.Predict(test[i].Layer, test[i].Stats)
 				sum += math.Abs(pred - test[i].Time.Seconds())
 			}
 			maes = append(maes, sum/float64(len(byLoad[k]))*1e6)

@@ -25,10 +25,10 @@ type ForestConfig struct {
 }
 
 // DefaultForestConfig returns the configuration used for the paper's
-// execution-time estimators.
-func DefaultForestConfig() ForestConfig {
-	return ForestConfig{NumTrees: 60, MaxDepth: 16, MinLeaf: 3, Seed: 1}
-}
+// execution-time estimators, the one TrainForest's zero fields take.
+func DefaultForestConfig() ForestConfig { return defaultForest }
+
+var defaultForest = ForestConfig{NumTrees: 60, MaxDepth: 16, MinLeaf: 3, Seed: 1}
 
 // Forest is a trained random-forest regressor.
 //
@@ -171,13 +171,13 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 		}
 	}
 	if cfg.NumTrees <= 0 {
-		cfg.NumTrees = 60
+		cfg.NumTrees = defaultForest.NumTrees
 	}
 	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 16
+		cfg.MaxDepth = defaultForest.MaxDepth
 	}
 	if cfg.MinLeaf <= 0 {
-		cfg.MinLeaf = 3
+		cfg.MinLeaf = defaultForest.MinLeaf
 	}
 	if cfg.MaxFeatures <= 0 {
 		// Regression forests want most features available per split.

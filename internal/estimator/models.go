@@ -40,12 +40,12 @@ func (m *RFWithLoad) Train(samples []gpusim.Sample) error {
 	cfg := m.Config
 	if cfg.Seed == 0 {
 		// TrainForest fills every other zero field with the same default.
-		cfg.Seed = DefaultForestConfig().Seed
+		cfg.Seed = defaultForest.Seed
 	}
 	x := make([][]float64, 0, len(samples))
 	y := make([]float64, 0, len(samples))
 	for i := range samples {
-		x = append(x, CombinedFeatures(&samples[i].Layer, samples[i].Stats))
+		x = append(x, CombinedFeatures(samples[i].Layer, samples[i].Stats))
 		y = append(y, samples[i].Time.Seconds())
 	}
 	f, err := TrainForest(x, y, cfg)
@@ -94,7 +94,7 @@ func (m *LLPerLoad) Train(samples []gpusim.Sample) error {
 		x := make([][]float64, 0, len(idx))
 		y := make([]float64, 0, len(idx))
 		for _, i := range idx {
-			x = append(x, logAugment(LayerFeatures(&samples[i].Layer)))
+			x = append(x, logAugment(LayerFeatures(samples[i].Layer)))
 			y = append(y, samples[i].Time.Seconds())
 		}
 		r, err := TrainScaledRidge(x, y, 1e-4)
@@ -155,7 +155,7 @@ func (m *LLWithLoad) Train(samples []gpusim.Sample) error {
 		if samples[i].Time <= 0 {
 			continue
 		}
-		x = append(x, logAugment(CombinedFeatures(&samples[i].Layer, samples[i].Stats)))
+		x = append(x, logAugment(CombinedFeatures(samples[i].Layer, samples[i].Stats)))
 		y = append(y, math.Log(samples[i].Time.Seconds()))
 	}
 	r, err := TrainScaledRidge(x, y, 1e-4)
@@ -212,7 +212,7 @@ func serverTrainingSet(dev profile.Device, params gpusim.Params, seed int64) ([]
 	x := make([][]float64, 0, len(samples))
 	y := make([]float64, 0, len(samples))
 	for i := range samples {
-		base := dev.LayerTime(&samples[i].Layer)
+		base := dev.LayerTime(samples[i].Layer)
 		if base <= 0 {
 			continue
 		}

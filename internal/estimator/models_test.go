@@ -58,7 +58,7 @@ func TestTimeModelsTrainAndPredict(t *testing.T) {
 		if err := m.Train(samples); err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		pred := m.Predict(&samples[0].Layer, samples[0].Stats)
+		pred := m.Predict(samples[0].Layer, samples[0].Stats)
 		if pred < 0 {
 			t.Errorf("%s: negative prediction %v", m.Name(), pred)
 		}
@@ -80,7 +80,7 @@ func TestLLPerLoadFallsBackToNearestLoad(t *testing.T) {
 	// nearest profiled level.
 	st := samples[len(samples)-1].Stats
 	st.ActiveClients = 50
-	if pred := m.Predict(&samples[0].Layer, st); pred < 0 {
+	if pred := m.Predict(samples[0].Layer, st); pred < 0 {
 		t.Errorf("fallback prediction %v", pred)
 	}
 }
@@ -113,8 +113,7 @@ func TestRunFig4ReproducesShape(t *testing.T) {
 		Profiling: gpusim.ProfilingConfig{
 			MaxClients: 12, SamplesPerLevel: 25, DwellPerSample: time.Second, Seed: 3,
 		},
-		TestFraction: 0.3,
-		Seed:         3,
+		Seed: 3,
 	}
 	res, err := RunFig4(cfg)
 	if err != nil {

@@ -46,36 +46,35 @@ type Stats struct {
 	TempC float64 `json:"tempC"`
 }
 
-// Params holds the hidden ground-truth interference constants. They are
-// exported so experiments can construct alternative hardware, but estimator
-// code must never read them — only profiling samples.
+// Params holds the hidden ground-truth interference constants, unexported:
+// DefaultParams is the only GPU there is, and no estimator can read them.
 type Params struct {
-	// LinearSlow and QuadSlow shape slowdown(c) = 1 + LinearSlow*c +
-	// QuadSlow*c^2, where c is the effective contention (other clients
+	// linearSlow and quadSlow shape slowdown(c) = 1 + linearSlow*c +
+	// quadSlow*c^2, where c is the effective contention (other clients
 	// weighted by their instantaneous GPU activity).
-	LinearSlow float64
-	QuadSlow   float64
-	// MemSlow adds contention sensitivity proportional to a layer's memory
+	linearSlow float64
+	quadSlow   float64
+	// memSlow adds contention sensitivity proportional to a layer's memory
 	// intensity: memory-bound kernels suffer more from bandwidth sharing.
 	// This layer-by-load interaction is what separates the random forest
 	// from additive (log-)linear models in Fig 4.
-	MemSlow float64
-	// ActivityMin..1 is the range of each competing client's instantaneous
+	memSlow float64
+	// activityMin..1 is the range of each competing client's instantaneous
 	// GPU activity; the random draw is what hyperparameter-only estimators
 	// cannot see.
-	ActivityMin float64
-	// IdleTempC is the temperature at zero load; TempPerClient the rise per
-	// active client; ThrottleAtC the throttling knee; ThrottlePerC the
+	activityMin float64
+	// idleTempC is the temperature at zero load; tempPerClient the rise per
+	// active client; throttleAtC the throttling knee; throttlePerC the
 	// fractional slowdown per degree above the knee.
-	IdleTempC     float64
-	TempPerClient float64
-	ThrottleAtC   float64
-	ThrottlePerC  float64
-	// MeasureNoise is the relative sigma of run-to-run timing noise.
-	MeasureNoise float64
-	// BaseMemMB and MemPerClientMB shape resident memory.
-	BaseMemMB      float64
-	MemPerClientMB float64
+	idleTempC     float64
+	tempPerClient float64
+	throttleAtC   float64
+	throttlePerC  float64
+	// measureNoise is the relative sigma of run-to-run timing noise.
+	measureNoise float64
+	// baseMemMB and memPerClientMB shape resident memory.
+	baseMemMB      float64
+	memPerClientMB float64
 }
 
 // DefaultParams returns the constants used throughout the evaluation,
@@ -84,17 +83,17 @@ type Params struct {
 // and GPU-aware models as clients increase).
 func DefaultParams() Params {
 	return Params{
-		LinearSlow:     0.22,
-		QuadSlow:       0.065,
-		MemSlow:        0.55,
-		ActivityMin:    0.25,
-		IdleTempC:      31,
-		TempPerClient:  5.5,
-		ThrottleAtC:    74,
-		ThrottlePerC:   0.012,
-		MeasureNoise:   0.03,
-		BaseMemMB:      450,
-		MemPerClientMB: 780,
+		linearSlow:     0.22,
+		quadSlow:       0.065,
+		memSlow:        0.55,
+		activityMin:    0.25,
+		idleTempC:      31,
+		tempPerClient:  5.5,
+		throttleAtC:    74,
+		throttlePerC:   0.012,
+		measureNoise:   0.03,
+		baseMemMB:      450,
+		memPerClientMB: 780,
 	}
 }
 
@@ -127,7 +126,7 @@ func New(dev profile.Device, params Params, seed int64) *GPU {
 		dev:      dev,
 		params:   params,
 		activity: make([]float64, 0, 8),
-		temp:     params.IdleTempC,
+		temp:     params.idleTempC,
 	}
 	g.src.Seed(seed)
 	return g
@@ -157,9 +156,9 @@ func (g *GPU) advance(now time.Duration) {
 	}
 	// At its target the filter's step is zero whatever alpha is, so the
 	// exponential is skipped. A GPU advanced only while idle (Begin
-	// advances before it counts its client) stays at IdleTempC: most of a
+	// advances before it counts its client) stays at idleTempC: most of a
 	// city run's advances.
-	if target := g.params.IdleTempC + g.params.TempPerClient*float64(g.inflight); target != g.temp {
+	if target := g.params.idleTempC + g.params.tempPerClient*float64(g.inflight); target != g.temp {
 		dt := (now - g.lastAt).Seconds()
 		alpha := 1 - math.Exp(-dt/45)
 		g.temp += (target - g.temp) * alpha
@@ -172,7 +171,7 @@ func (g *GPU) advance(now time.Duration) {
 func (g *GPU) Begin(now time.Duration) int {
 	g.advance(now)
 	g.inflight++
-	g.activity = append(g.activity, g.params.ActivityMin+(1-g.params.ActivityMin)*g.stream().Float64())
+	g.activity = append(g.activity, g.params.activityMin+(1-g.params.activityMin)*g.stream().Float64())
 	return g.inflight
 }
 
@@ -192,7 +191,7 @@ func (g *GPU) End() {
 // across requests, and this is the variation the GPU counters observe.
 func (g *GPU) Churn() {
 	for i := range g.activity {
-		g.activity[i] = g.params.ActivityMin + (1-g.params.ActivityMin)*g.stream().Float64()
+		g.activity[i] = g.params.activityMin + (1-g.params.activityMin)*g.stream().Float64()
 	}
 }
 
@@ -216,10 +215,10 @@ func (g *GPU) contention() float64 {
 // intensity (see Intensity).
 func (g *GPU) slowdown(intensity float64) float64 {
 	c := g.contention()
-	lin := g.params.LinearSlow + g.params.MemSlow*intensity
-	s := 1 + lin*c + g.params.QuadSlow*c*c
-	if g.temp > g.params.ThrottleAtC {
-		s *= 1 + (g.temp-g.params.ThrottleAtC)*g.params.ThrottlePerC
+	lin := g.params.linearSlow + g.params.memSlow*intensity
+	s := 1 + lin*c + g.params.quadSlow*c*c
+	if g.temp > g.params.throttleAtC {
+		s *= 1 + (g.temp-g.params.throttleAtC)*g.params.throttlePerC
 	}
 	return s
 }
@@ -238,7 +237,7 @@ func Intensity(l *dnn.Layer) float64 {
 func (g *GPU) LayerTime(l *dnn.Layer, now time.Duration) time.Duration {
 	g.advance(now)
 	base := g.dev.LayerTime(l).Seconds()
-	t := base * g.slowdown(Intensity(l)) * (1 + g.stream().NormFloat64()*g.params.MeasureNoise)
+	t := base * g.slowdown(Intensity(l)) * (1 + g.stream().NormFloat64()*g.params.measureNoise)
 	if t < 0 {
 		t = base
 	}
@@ -251,7 +250,7 @@ func (g *GPU) LayerTime(l *dnn.Layer, now time.Duration) time.Duration {
 // partition in one call.
 func (g *GPU) ExecTime(baseTotal time.Duration, intensity float64, now time.Duration) time.Duration {
 	g.advance(now)
-	t := baseTotal.Seconds() * g.slowdown(intensity) * (1 + g.stream().NormFloat64()*g.params.MeasureNoise)
+	t := baseTotal.Seconds() * g.slowdown(intensity) * (1 + g.stream().NormFloat64()*g.params.measureNoise)
 	if t < 0 {
 		t = baseTotal.Seconds()
 	}
@@ -278,7 +277,7 @@ func (g *GPU) Sample(now time.Duration) Stats {
 	}
 	kutil := clamp01(0.05 + 0.058*act + rng.NormFloat64()*0.012)
 	mutil := clamp01(0.55*kutil + 0.02 + rng.NormFloat64()*0.01)
-	mem := g.params.BaseMemMB + g.params.MemPerClientMB*float64(g.inflight) +
+	mem := g.params.baseMemMB + g.params.memPerClientMB*float64(g.inflight) +
 		rng.NormFloat64()*25
 	return Stats{
 		ActiveClients: g.inflight,

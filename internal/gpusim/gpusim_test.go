@@ -73,7 +73,7 @@ func TestThermalRampAndThrottle(t *testing.T) {
 		t.Errorf("temp did not ramp under load: %v -> %v", cold, hot)
 	}
 	p := DefaultParams()
-	target := p.IdleTempC + p.TempPerClient*12
+	target := p.idleTempC + p.tempPerClient*12
 	if hot < target-5 || hot > target+5 {
 		t.Errorf("steady temp %v, want near %v", hot, target)
 	}
@@ -82,7 +82,7 @@ func TestThermalRampAndThrottle(t *testing.T) {
 		g.End()
 	}
 	cooled := g.Sample(30 * time.Minute).TempC
-	if cooled > p.IdleTempC+5 {
+	if cooled > p.idleTempC+5 {
 		t.Errorf("temp did not cool: %v", cooled)
 	}
 }

@@ -8,12 +8,13 @@ import (
 	"perdnn/internal/profile"
 )
 
-// Sample is one estimator training example: the layer being measured, the
-// GPU statistics recorded when its request arrived, and the measured
-// execution time. This mirrors the paper's extended perf_client harness,
-// which "records its GPU statistics whenever receiving a DNN request".
+// Sample is one estimator training example: the layer being measured (in
+// the slice ProfilingRun was given), the GPU statistics recorded when its
+// request arrived, and the measured execution time. This mirrors the
+// paper's extended perf_client harness, which "records its GPU statistics
+// whenever receiving a DNN request".
 type Sample struct {
-	Layer dnn.Layer     `json:"layer"`
+	Layer *dnn.Layer    `json:"layer"`
 	Stats Stats         `json:"stats"`
 	Time  time.Duration `json:"time"`
 }
@@ -72,9 +73,9 @@ func ProfilingRun(dev profile.Device, params Params, layers []dnn.Layer, cfg Pro
 		now += 90 * time.Second
 		for s := 0; s < cfg.SamplesPerLevel; s++ {
 			for _, li := range rng.Perm(len(layers)) {
-				l := layers[li]
+				l := &layers[li]
 				stats := gpu.Sample(now)
-				t := gpu.LayerTime(&l, now)
+				t := gpu.LayerTime(l, now)
 				out = append(out, Sample{Layer: l, Stats: stats, Time: t})
 				now += cfg.DwellPerSample
 			}
@@ -111,11 +112,8 @@ func ConvLayerCorpus(seed int64, n int) []dnn.Layer {
 			stride = 2
 		}
 		b := dnn.NewBuilder("corpus", dnn.Shape{C: inC, H: hw, W: hw})
-		ref := b.Conv("conv", outC, k, stride, k/2)
-		m := b.Build()
-		l := *m.Layer(0)
-		_ = ref
-		out = append(out, l)
+		b.Conv("conv", outC, k, stride, k/2)
+		out = append(out, *b.Build().Layer(0))
 	}
 	return out
 }

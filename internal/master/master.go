@@ -53,8 +53,6 @@ type Config struct {
 	// or pipeline throughput (bottleneck-stage minimization). Ignored when
 	// MaxHops <= 1.
 	Objective partition.Objective
-	// EstimatorSeed seeds the offline estimator training.
-	EstimatorSeed int64
 	// Shard and Shards enable shard-owner mode: this master owns region
 	// Shard of Shards total, computed by geo.NewShardMap over the full
 	// edge placement (every shard master is configured with the complete
@@ -69,7 +67,7 @@ type Config struct {
 	// must have length Shards) when Shards > 1. Peers[Shard] names this
 	// master and is only used in redirects.
 	Peers []string
-	// Estimator, when non-nil, is used instead of training one at startup,
+	// Estimator, when non-nil, replaces the one trained (seed 1) at startup,
 	// so that several masters in one process can share one trained forest.
 	Estimator *estimator.ServerEstimator
 	// Logger receives the daemon's structured log output; nil defaults to
@@ -84,9 +82,8 @@ type Config struct {
 // DefaultConfig returns the paper's parameters for a given edge set.
 func DefaultConfig(edges []EdgeInfo) Config {
 	return Config{
-		Edges:         edges,
-		Radius:        100,
-		EstimatorSeed: 1,
+		Edges:  edges,
+		Radius: 100,
 	}
 }
 
@@ -172,7 +169,7 @@ func New(cfg Config) (*Master, error) {
 
 	est := cfg.Estimator
 	if est == nil {
-		trained, err := estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), cfg.EstimatorSeed)
+		trained, err := estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), 1)
 		if err != nil {
 			return nil, fmt.Errorf("master: training estimator: %w", err)
 		}

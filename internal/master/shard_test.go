@@ -142,7 +142,8 @@ func edgeInShard(t *testing.T, s int) int {
 // master. The handoff itself is one trace spanning both masters.
 func TestShardHandoffLive(t *testing.T) {
 	shardFixture(t)
-	ctx := t.Context()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 
 	eA := edgeInShard(t, 0)
 	fromShard := shardEdgeOf[eA]
@@ -269,7 +270,8 @@ func TestShardHandoffLive(t *testing.T) {
 // master.
 func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 	shardFixture(t)
-	ctx := t.Context()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	const clientID = 4242
 	src := edgeInShard(t, 0)
 	home := shardMasters[shardEdgeOf[src]]
@@ -353,7 +355,8 @@ func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 // master — never duplicated, never lost.
 func TestShardRingCrossings(t *testing.T) {
 	shardFixture(t)
-	ctx := t.Context()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 
 	handoffsBefore := make([]int64, numShards)
 	for i, m := range shardMasters {

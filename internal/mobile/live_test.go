@@ -19,10 +19,10 @@ import (
 
 // trainEstimator trains, once per test binary, the slowdown forest
 // master.New would train at every start: same device, parameters and
-// default EstimatorSeed, so it is the forest each cluster helper's master
-// would have built for itself.
+// seed 1, so it is the forest each cluster helper's master would have
+// built for itself.
 var trainEstimator = sync.OnceValues(func() (*estimator.ServerEstimator, error) {
-	return estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), master.DefaultConfig(nil).EstimatorSeed)
+	return estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), 1)
 })
 
 // sharedEstimator is the master.Config.Estimator of every test cluster.

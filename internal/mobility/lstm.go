@@ -14,13 +14,12 @@ import (
 // predicted coordinates. Trained from scratch with backpropagation through
 // time, MAE loss, and the Adam optimizer (lr 0.001), per Section III.D.
 type LSTM struct {
-	// Hidden is the cell state width (the paper uses 16-32).
+	// Hidden is the cell state width (the paper uses 16-32; default 16).
 	Hidden int
-	// Epochs, BatchSize, LR configure training.
-	Epochs    int
-	BatchSize int
-	LR        float64
-	// MaxExamples subsamples the training windows to bound training time.
+	// Epochs is the number of training passes (default 20).
+	Epochs int
+	// MaxExamples subsamples the training windows to bound training time
+	// (default 3000).
 	MaxExamples int
 	// Seed drives initialization and shuffling.
 	Seed int64
@@ -36,6 +35,12 @@ type LSTM struct {
 	// Cached dimensions.
 	inDim, hid int
 }
+
+// The LSTM's minibatch size and Adam learning rate.
+const (
+	lstmBatchSize = 32
+	lstmLR        = 0.001
+)
 
 var _ Predictor = (*LSTM)(nil)
 
@@ -57,25 +62,20 @@ func (l *LSTM) Fit(train []trace.Trajectory, pl *geo.Placement, n int) error {
 	if err := checkFitArgs(train, pl, n); err != nil {
 		return err
 	}
-	if l.Hidden <= 0 {
-		l.Hidden = 16
+	l.hid = l.Hidden
+	if l.hid <= 0 {
+		l.hid = 16
 	}
-	if l.Epochs <= 0 {
-		l.Epochs = 20
+	epochs, maxExamples := l.Epochs, l.MaxExamples
+	if epochs <= 0 {
+		epochs = 20
 	}
-	if l.BatchSize <= 0 {
-		l.BatchSize = 32
-	}
-	if l.LR <= 0 {
-		l.LR = 0.001
-	}
-	if l.MaxExamples <= 0 {
-		l.MaxExamples = 3000
+	if maxExamples <= 0 {
+		maxExamples = 3000
 	}
 	l.pl = pl
 	l.n = n
 	l.inDim = 2
-	l.hid = l.Hidden
 
 	norm, err := FitNormalizer(train)
 	if err != nil {
@@ -88,9 +88,9 @@ func (l *LSTM) Fit(train []trace.Trajectory, pl *geo.Placement, n int) error {
 		return fmt.Errorf("mobility: trajectories too short for n=%d", n)
 	}
 	rng := rand.New(rand.NewSource(l.Seed + 29))
-	if len(wins) > l.MaxExamples {
-		idx := rng.Perm(len(wins))[:l.MaxExamples]
-		sub := make([]Window, 0, l.MaxExamples)
+	if len(wins) > maxExamples {
+		idx := rng.Perm(len(wins))[:maxExamples]
+		sub := make([]Window, 0, maxExamples)
 		for _, i := range idx {
 			sub = append(sub, wins[i])
 		}
@@ -113,10 +113,10 @@ func (l *LSTM) Fit(train []trace.Trajectory, pl *geo.Placement, n int) error {
 	}
 
 	grad := make([]float64, pTotal)
-	for e := 0; e < l.Epochs; e++ {
+	for e := 0; e < epochs; e++ {
 		perm := rng.Perm(len(wins))
-		for start := 0; start < len(perm); start += l.BatchSize {
-			end := start + l.BatchSize
+		for start := 0; start < len(perm); start += lstmBatchSize {
+			end := start + lstmBatchSize
 			if end > len(perm) {
 				end = len(perm)
 			}
@@ -281,7 +281,7 @@ func (l *LSTM) adamStep(grad []float64, batch float64) {
 		g := grad[i] / batch
 		l.m[i] = beta1*l.m[i] + (1-beta1)*g
 		l.v[i] = beta2*l.v[i] + (1-beta2)*g*g
-		l.theta[i] -= l.LR * (l.m[i] / bc1) / (math.Sqrt(l.v[i]/bc2) + eps)
+		l.theta[i] -= lstmLR * (l.m[i] / bc1) / (math.Sqrt(l.v[i]/bc2) + eps)
 	}
 }
 

@@ -12,19 +12,17 @@ import (
 // model — a prediction suffix tree built from sequence frequencies — ranks
 // the next server. Given a fresh trajectory, the longest matching context
 // is found and, following Jacquet et al.'s universal predictor, only a
-// fraction (SubseqRatio) of that context is used for the final prediction.
+// fraction (subseqRatio) of that context is used for the final prediction.
+// The suffix tree is as deep as the trajectory length n given to Fit.
 type Markov struct {
-	// MaxOrder bounds the suffix-tree depth (default: the trajectory
-	// length n given to Fit).
-	MaxOrder int
-	// SubseqRatio is the fraction of the longest matching context used for
-	// prediction (the paper's a = 0.7).
-	SubseqRatio float64
-
 	pl   *geo.Placement
 	n    int
 	root *pstNode
 }
+
+// subseqRatio is the fraction of the longest matching context used for
+// prediction (the paper's a = 0.7).
+const subseqRatio = 0.7
 
 var _ Predictor = (*Markov)(nil)
 
@@ -51,12 +49,6 @@ func (m *Markov) Fit(train []trace.Trajectory, pl *geo.Placement, n int) error {
 	if err := checkFitArgs(train, pl, n); err != nil {
 		return err
 	}
-	if m.SubseqRatio <= 0 || m.SubseqRatio > 1 {
-		m.SubseqRatio = 0.7
-	}
-	if m.MaxOrder <= 0 {
-		m.MaxOrder = n
-	}
 	m.pl = pl
 	m.n = n
 	m.root = newPSTNode()
@@ -65,10 +57,10 @@ func (m *Markov) Fit(train []trace.Trajectory, pl *geo.Placement, n int) error {
 		seq := discretize(tr.Points, pl)
 		for i := 0; i < len(seq)-1; i++ {
 			next := seq[i+1]
-			// Insert every context suffix ending at i, up to MaxOrder.
+			// Insert every context suffix ending at i, up to depth n.
 			node := m.root
 			node.counts[next]++
-			for d := 0; d < m.MaxOrder && i-d >= 0; d++ {
+			for d := 0; d < n && i-d >= 0; d++ {
 				sym := seq[i-d]
 				child, ok := node.children[sym]
 				if !ok {
@@ -94,7 +86,7 @@ func (m *Markov) Rank(recent []geo.Point, k int) []geo.ServerID {
 	// location.
 	depth := 0
 	node := m.root
-	for d := 0; d < len(seq) && d < m.MaxOrder; d++ {
+	for d := 0; d < len(seq) && d < m.n; d++ {
 		child, ok := node.children[seq[len(seq)-1-d]]
 		if !ok {
 			break
@@ -102,9 +94,9 @@ func (m *Markov) Rank(recent []geo.Point, k int) []geo.ServerID {
 		node = child
 		depth = d + 1
 	}
-	// Use only SubseqRatio of the longest match (Jacquet et al.): re-walk
+	// Use only subseqRatio of the longest match (Jacquet et al.): re-walk
 	// to the truncated depth.
-	use := int(float64(depth) * m.SubseqRatio)
+	use := int(float64(depth) * subseqRatio)
 	if use < 1 && depth >= 1 {
 		use = 1
 	}

@@ -15,13 +15,8 @@ import (
 // regularization. "Linear SVR showed an accuracy similar to RNN and was
 // faster than RNN in terms of both training and testing" (Section IV.B.2).
 type SVR struct {
-	// Epsilon is the insensitive-tube half width in standardized units.
-	Epsilon float64
-	// Lambda is the L2 regularization strength.
-	Lambda float64
-	// Epochs is the number of SGD passes; LR0 the initial learning rate.
+	// Epochs is the number of SGD passes (default 30).
 	Epochs int
-	LR0    float64
 	// Seed drives example shuffling.
 	Seed int64
 
@@ -31,6 +26,15 @@ type SVR struct {
 	wx   []float64 // weights for predicting x (2n features + bias at end)
 	wy   []float64
 }
+
+// The SVR's SGD: svrEpsilon is the insensitive-tube half width in
+// standardized units, svrLambda the L2 regularization strength, svrLR0 the
+// initial learning rate.
+const (
+	svrEpsilon = 0.002
+	svrLambda  = 1e-6
+	svrLR0     = 0.05
+)
 
 var _ Predictor = (*SVR)(nil)
 
@@ -42,17 +46,9 @@ func (s *SVR) Fit(train []trace.Trajectory, pl *geo.Placement, n int) error {
 	if err := checkFitArgs(train, pl, n); err != nil {
 		return err
 	}
-	if s.Epsilon <= 0 {
-		s.Epsilon = 0.002
-	}
-	if s.Lambda <= 0 {
-		s.Lambda = 1e-6
-	}
-	if s.Epochs <= 0 {
-		s.Epochs = 30
-	}
-	if s.LR0 <= 0 {
-		s.LR0 = 0.05
+	epochs := s.Epochs
+	if epochs <= 0 {
+		epochs = 30
 	}
 	s.pl = pl
 	s.n = n
@@ -96,38 +92,38 @@ func (s *SVR) Fit(train []trace.Trajectory, pl *geo.Placement, n int) error {
 
 	rng := rand.New(rand.NewSource(s.Seed + 17))
 	order := make([]int, wins)
-	s.wx = s.trainOne(std, starts, 0, rng, order)
-	s.wy = s.trainOne(std, starts, 1, rng, order)
+	s.wx = s.trainOne(std, starts, 0, epochs, rng, order)
+	s.wy = s.trainOne(std, starts, 1, epochs, rng, order)
 	return nil
 }
 
 // trainOne runs SGD on the epsilon-insensitive subgradient for one output,
-// the x (axis 0) or y (axis 1) of the windows' targets (see Fit). Each
-// epoch visits the windows in rng.Perm's order, drawn into order. The
+// the x (axis 0) or y (axis 1) of the windows' targets (see Fit). Each of
+// the epochs visits the windows in rng.Perm's order, drawn into order. The
 // bias feature is 1, so its product and its updates are the bias weight
 // and lr themselves.
-func (s *SVR) trainOne(std []float64, starts []int32, axis int, rng *rand.Rand, order []int) []float64 {
+func (s *SVR) trainOne(std []float64, starts []int32, axis, epochs int, rng *rand.Rand, order []int) []float64 {
 	f := 2 * s.n // features before the bias
 	w := make([]float64, f+1)
 	step := 0
-	for e := 0; e < s.Epochs; e++ {
+	for e := 0; e < epochs; e++ {
 		for _, i := range permInto(rng, order) {
 			step++
-			lr := s.LR0 / (1 + 0.0005*float64(step))
+			lr := svrLR0 / (1 + 0.0005*float64(step))
 			xi := std[2*int(starts[i]):][:f]
 			pred := dot(w[:f], xi) + w[f]
 			r := pred - std[2*int(starts[i])+f+axis]
 			// L2 shrink (bias exempt).
 			for j := 0; j < f; j++ {
-				w[j] -= lr * s.Lambda * w[j]
+				w[j] -= lr * svrLambda * w[j]
 			}
 			switch {
-			case r > s.Epsilon:
+			case r > svrEpsilon:
 				for j, v := range xi {
 					w[j] -= lr * v
 				}
 				w[f] -= lr
-			case r < -s.Epsilon:
+			case r < -svrEpsilon:
 				for j, v := range xi {
 					w[j] += lr * v
 				}
