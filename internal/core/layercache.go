@@ -22,7 +22,7 @@ import (
 type LayerCache struct {
 	numLayers int
 	ttl       time.Duration
-	entries   map[int]*cacheEntry // keyed by client ID
+	entries   map[int]*cacheEntry // keyed by client ID; nil until the first Claim
 	sweepAt   int                 // size at which a new client triggers a sweep
 }
 
@@ -37,8 +37,19 @@ const minSweep = 64
 // NewLayerCache returns an empty cache for a model with numLayers layers
 // whose entries live for ttl after their last Claim or Touch.
 func NewLayerCache(numLayers int, ttl time.Duration) *LayerCache {
-	return &LayerCache{numLayers: numLayers, ttl: ttl, entries: make(map[int]*cacheEntry, 4), sweepAt: minSweep}
+	c := MakeLayerCache(numLayers, ttl)
+	return &c
 }
+
+// MakeLayerCache returns a cache as NewLayerCache does, by value, for a
+// caller that keeps many caches in one array. It allocates nothing.
+func MakeLayerCache(numLayers int, ttl time.Duration) LayerCache {
+	return LayerCache{numLayers: numLayers, ttl: ttl, sweepAt: minSweep}
+}
+
+// Reset empties the cache, as if it had just been made: a crashed server
+// loses every cached layer.
+func (c *LayerCache) Reset() { *c = MakeLayerCache(c.numLayers, c.ttl) }
 
 // Get returns the client's cached layer set, evicting it first if expired.
 // The returned set is live — mutate only through Claim.
@@ -57,6 +68,9 @@ func (c *LayerCache) Get(now time.Duration, client int) (dnn.LayerSet, bool) {
 // Claim refreshes the TTL of the client's cached layers, starting an empty
 // entry if none is live, and returns the set for the caller to add to.
 func (c *LayerCache) Claim(now time.Duration, client int) dnn.LayerSet {
+	if c.entries == nil {
+		c.entries = make(map[int]*cacheEntry, 4)
+	}
 	e, ok := c.entries[client]
 	if !ok || now > e.expiry {
 		if !ok && len(c.entries) >= c.sweepAt {

@@ -332,10 +332,11 @@ func (r *CityResult) P99() time.Duration {
 	return time.Duration(r.Latency.P99())
 }
 
-// simServer is one edge server: a GPU and a layer cache.
+// simServer is one edge server: a GPU and a layer cache. A run keeps its
+// servers in one array, and a server allocates only once it is used.
 type simServer struct {
-	gpu   *gpusim.GPU
-	store *core.LayerCache
+	gpu   gpusim.GPU
+	store core.LayerCache
 }
 
 // simClient is one mobile user's simulation state.
@@ -387,7 +388,7 @@ type world struct {
 	prof    *profile.ModelProfile
 	planner *core.Planner
 	policy  *core.MigrationPolicy
-	servers []*simServer
+	servers []simServer
 	clients []*simClient
 	res     *CityResult
 
@@ -652,7 +653,7 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 		model:     m,
 		prof:      prof,
 		planner:   planner,
-		servers:   make([]*simServer, env.Placement.Len()),
+		servers:   make([]simServer, env.Placement.Len()),
 		clients:   make([]*simClient, 0, len(env.Dataset.Test)),
 		seenPlans: make(map[*core.PlanEntry][]partition.Split),
 		res: &CityResult{
@@ -688,9 +689,9 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 		w.decisions = tracing.New()
 	}
 	for i := range w.servers {
-		w.servers[i] = &simServer{
-			gpu:   gpusim.New(profile.ServerTitanXp(), gpusim.DefaultParams(), cfg.Seed+int64(i)),
-			store: core.NewLayerCache(m.NumLayers(), w.ttl()),
+		w.servers[i] = simServer{
+			gpu:   gpusim.Make(server, gpusim.DefaultParams(), cfg.Seed+int64(i)),
+			store: core.MakeLayerCache(m.NumLayers(), w.ttl()),
 		}
 	}
 	if cfg.Mode == ModePerDNN {
@@ -791,7 +792,7 @@ func (w *world) updateFaults(now time.Duration) {
 		w.srvDown[id] = down
 		if down {
 			// A crashed server loses every cached layer.
-			w.servers[id].store = core.NewLayerCache(w.model.NumLayers(), w.ttl())
+			w.servers[id].store.Reset()
 			w.serverDowns++
 			w.recordDecision(now, tracing.StageServerDown, w.serverNode(geo.ServerID(id)),
 				attrs(0, geo.ServerID(id), geo.NoServer, 0, 0))
@@ -932,7 +933,7 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 	c.sh = w.shardOf(sid)
 	c.local = false
 	c.connectedAt = now
-	srv := w.servers[sid]
+	srv := &w.servers[sid]
 	w.res.Connections++
 	w.recordDecision(now, tracing.StageHandoff, w.clientNode(c.id), attrs(c.id, prev, sid, 0, 0))
 
@@ -1213,7 +1214,7 @@ func (q *queryChain) advance() {
 	switch q.stage {
 	case stageTransferUp:
 		q.span(tracing.StageTransferUp, w.clientNode(q.c.id), q.mark, now)
-		gpu := w.servers[q.exec].gpu
+		gpu := &w.servers[q.exec].gpu
 		gpu.Begin(now)
 		q.stage, q.mark = stageExecCompute, now
 		sh.eng.After(gpu.ExecTime(sp.ServerBase, sp.Intensity, now), q.step)
@@ -1283,7 +1284,7 @@ func (w *world) migrate(now time.Duration, c *simClient, k int) {
 		if w.isDown(tid) {
 			continue // never push layers at a downed server
 		}
-		dst := w.servers[tid]
+		dst := &w.servers[tid]
 		// Future partitioning plan for the target, from its current GPU
 		// state ("we use the current GPU workloads ... under the
 		// assumption that [they] do not change so abruptly").

@@ -16,8 +16,9 @@ import (
 // itself — three events through the engine's calendar of pooled nodes,
 // stepped by the generation's queryChain — allocates nothing; the closure
 // tower it replaced cost ≈ 10. A migration check allocates nothing either,
-// and an order one set of a few words.
-const cityAllocsPerQuery = 1.5
+// and an order one set of a few words. The run measures 0.36; the budget
+// leaves a quarter of that as margin.
+const cityAllocsPerQuery = 0.45
 
 func TestCityQueryAllocBudget(t *testing.T) {
 	if raceguard.Enabled {
@@ -38,9 +39,50 @@ func TestCityQueryAllocBudget(t *testing.T) {
 		t.Fatal("the run completed no query")
 	}
 	if per := n / float64(queries); per > cityAllocsPerQuery {
-		t.Errorf("%.0f allocations for %d queries = %.2f per query, budget %.1f", n, queries, per, cityAllocsPerQuery)
+		t.Errorf("%.0f allocations for %d queries = %.2f per query, budget %.2f", n, queries, per, cityAllocsPerQuery)
 	} else {
 		t.Logf("%.0f allocations for %d queries = %.2f per query", n, queries, per)
+	}
+}
+
+// worldAllocsPerServerCount bounds how many more objects newWorld may
+// allocate for one placement than for another of the same clients: a
+// run's servers are one array, and a server allocates nothing until it
+// is used, so only the shard map's tile maps, which resize a few more
+// times for a placement of more tiles, move the count (by 6 when the
+// servers double).
+const worldAllocsPerServerCount = 8
+
+func TestNewWorldAllocs(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
+	}
+	small := smallEnv(t)
+	// The same clients over a placement with servers on a second, shifted
+	// copy of every visited point as well.
+	pts := small.Dataset.AllPoints()
+	for _, p := range pts {
+		pts = append(pts, p.Add(geo.Point{X: 5000, Y: 5000}))
+	}
+	big := *small
+	big.Placement = geo.NewPlacement(small.Placement.Grid(), pts)
+	if 2*big.Placement.Len() < 3*small.Placement.Len() {
+		t.Fatalf("%d servers against %d: the second placement did not grow", big.Placement.Len(), small.Placement.Len())
+	}
+	cfg := DefaultCityConfig(dnn.ModelMobileNet, ModePerDNN, 100)
+	allocs := func(env *Env) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := newWorld(env, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a, b := allocs(small), allocs(&big)
+	if b-a > worldAllocsPerServerCount || a-b > worldAllocsPerServerCount {
+		t.Errorf("newWorld: %.0f allocations for %d servers, %.0f for %d, want within %d",
+			a, small.Placement.Len(), b, big.Placement.Len(), worldAllocsPerServerCount)
+	} else {
+		t.Logf("newWorld: %.0f allocations for %d servers, %.0f for %d", a, small.Placement.Len(), b, big.Placement.Len())
 	}
 }
 

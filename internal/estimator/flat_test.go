@@ -2,6 +2,8 @@ package estimator
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"perdnn/internal/gpusim"
@@ -22,27 +24,38 @@ func testServerEstimator(t *testing.T) *ServerEstimator {
 }
 
 // walkPerTree predicts by walking the forest tree by tree with tree-local
-// semantics — the pre-flattening representation reconstructed from the
-// arena. It is the oracle the arena layout is checked against.
+// semantics, every child index checked against its tree's span of the
+// arena.
 func walkPerTree(f *Forest, row []float64) float64 {
 	var sum float64
 	for t := 0; t < f.NumTrees(); t++ {
-		start := f.bounds[t]
+		start, end := f.bounds[t], f.bounds[t+1]
 		n := start // root is the tree's first node
-		for f.left[n] >= 0 {
-			// Children of tree t must stay inside tree t.
-			if f.left[n] < start || f.right[n] >= f.bounds[t+1] {
+		for f.right[n] != 0 {
+			// Children of tree t must stay inside tree t, after their parent.
+			if f.right[n] <= n+1 || f.right[n] >= end {
 				panic("arena child index escapes its tree")
 			}
-			if row[f.feature[n]] <= f.threshold[n] {
-				n = f.left[n]
+			if row[f.feature[n]] <= f.split[n] {
+				n++
 			} else {
 				n = f.right[n]
 			}
 		}
-		sum += f.value[n]
+		sum += f.split[n]
 	}
 	return sum / float64(f.NumTrees())
+}
+
+// walkTrees predicts as the forest did before its arena was compacted: one
+// walk per tree over the nodes training handed the merger, summed in tree
+// order.
+func walkTrees(trees [][]treeNode, row []float64) float64 {
+	var sum float64
+	for _, nodes := range trees {
+		sum += (&regTree{nodes: nodes}).predict(row)
+	}
+	return sum / float64(len(trees))
 }
 
 func TestFlatForestMatchesPerTreeWalk(t *testing.T) {
@@ -60,16 +73,78 @@ func TestFlatForestMatchesPerTreeWalk(t *testing.T) {
 	}
 }
 
+// TestForestMatchesMergedTrees is the compact arena's oracle: on the
+// pinned forests, Predict equals a walk over the per-tree nodes training
+// handed the merger, on every training row and on rows that sit exactly
+// on a split threshold, where <= has to go left.
+func TestForestMatchesMergedTrees(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("a sequential comparison: the race detector has nothing to find, and slows it tenfold")
+	}
+	for _, rf := range testRecordedForests(t) {
+		// Every 25th internal node's threshold, set into a training row.
+		rows, k := slices.Clone(rf.x), 0
+		for _, nodes := range rf.trees {
+			for _, n := range nodes {
+				if n.left < 0 {
+					continue
+				}
+				if k++; k%25 == 0 {
+					row := slices.Clone(rf.x[k%len(rf.x)])
+					row[n.feature] = n.threshold
+					rows = append(rows, row)
+				}
+			}
+		}
+		if len(rows) < 1000 {
+			t.Fatalf("%s: %d rows, want >= 1000", rf.name, len(rows))
+		}
+		for i, row := range rows {
+			if got, want := rf.f.Predict(row), walkTrees(rf.trees, row); got != want {
+				t.Fatalf("%s row %d: Predict %v != per-tree walk %v", rf.name, i, got, want)
+			}
+			if got, want := rf.f.Predict(row), walkPerTree(rf.f, row); got != want {
+				t.Fatalf("%s row %d: Predict %v != arena walk %v", rf.name, i, got, want)
+			}
+		}
+		t.Logf("%s: %d trees, %d nodes, %d rows", rf.name, len(rf.trees), len(rf.f.split), len(rows))
+	}
+}
+
+// TestForestStoredBytes holds the arena to its layout: 13 bytes a node in
+// three arrays whose capacity is within 1 % of the node count.
+func TestForestStoredBytes(t *testing.T) {
+	for _, rf := range testRecordedForests(t) {
+		f, n := rf.f, 0
+		for _, nodes := range rf.trees {
+			n += len(nodes)
+		}
+		if len(f.split) != n || len(f.right) != n || len(f.feature) != n {
+			t.Fatalf("%s: arena lengths %d/%d/%d, want the %d nodes trained", rf.name, len(f.split), len(f.right), len(f.feature), n)
+		}
+		for name, c := range map[string]int{"split": cap(f.split), "right": cap(f.right), "feature": cap(f.feature)} {
+			if c-n > n/100 {
+				t.Errorf("%s: %s has capacity %d for %d nodes, more than 1 %% spare", rf.name, name, c, n)
+			}
+		}
+		bytes := cap(f.split)*8 + cap(f.right)*4 + cap(f.feature)
+		if perNode := float64(bytes) / float64(n); perNode > 14 {
+			t.Errorf("%s: %d bytes for %d nodes = %.2f a node, want <= 14", rf.name, bytes, n, perNode)
+		} else {
+			t.Logf("%s: %d bytes for %d nodes = %.2f a node", rf.name, bytes, n, perNode)
+		}
+	}
+}
+
 func TestFlatForestArenaInvariants(t *testing.T) {
 	x, y := makeNonlinear(5, 400)
 	f, err := TrainForest(x, y, ForestConfig{NumTrees: 8, MaxDepth: 8, MinLeaf: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(f.value)
-	if len(f.feature) != n || len(f.threshold) != n || len(f.left) != n || len(f.right) != n {
-		t.Fatalf("arena arrays disagree on length: %d/%d/%d/%d/%d",
-			len(f.feature), len(f.threshold), len(f.left), len(f.right), n)
+	n := len(f.split)
+	if len(f.feature) != n || len(f.right) != n {
+		t.Fatalf("arena arrays disagree on length: %d/%d/%d", len(f.feature), len(f.split), len(f.right))
 	}
 	if f.NumTrees() != 8 {
 		t.Fatalf("NumTrees = %d, want 8", f.NumTrees())
@@ -80,6 +155,28 @@ func TestFlatForestArenaInvariants(t *testing.T) {
 	for t2 := 0; t2 < f.NumTrees(); t2++ {
 		if f.bounds[t2] >= f.bounds[t2+1] {
 			t.Fatalf("tree %d is empty in the arena", t2)
+		}
+	}
+}
+
+// TestTrainForestFeatureLimit: a node stores its feature in one byte.
+func TestTrainForestFeatureLimit(t *testing.T) {
+	for _, p := range []int{255, 256} {
+		x := make([][]float64, 8)
+		y := make([]float64, len(x))
+		for i := range x {
+			x[i] = make([]float64, p)
+			for j := range x[i] {
+				x[i][j] = float64(i * j)
+			}
+			y[i] = float64(i)
+		}
+		_, err := TrainForest(x, y, ForestConfig{NumTrees: 2, MinLeaf: 1, Seed: 1})
+		if p <= 255 && err != nil {
+			t.Errorf("%d features: %v", p, err)
+		}
+		if p > 255 && (err == nil || !strings.Contains(err.Error(), "features")) {
+			t.Errorf("%d features: error %v, want one naming the feature count", p, err)
 		}
 	}
 }

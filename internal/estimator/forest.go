@@ -36,16 +36,19 @@ var defaultForest = ForestConfig{NumTrees: 60, MaxDepth: 16, MinLeaf: 3, Seed: 1
 // rather than a slice of per-tree node slices: Predict walks sixty-odd
 // root-to-leaf paths per call, and keeping each node field in its own dense
 // array keeps those walks inside a handful of cache lines instead of
-// chasing a pointer per tree. Children hold global arena indices; leaves
-// have left == -1.
+// chasing a pointer per tree. Each tree is stored in preorder, so an
+// internal node's left child is the node after it, and a node takes 13
+// bytes.
 type Forest struct {
-	feature   []int32
-	threshold []float64
-	left      []int32
-	right     []int32
-	value     []float64
+	// split[n] is internal node n's threshold, or leaf n's value.
+	split []float64
+	// right[n] is internal node n's right child, an arena index; 0 marks
+	// a leaf (index 0 is the first tree's root, nobody's child).
+	right []int32
+	// feature[n] is the feature internal node n splits on.
+	feature []uint8
 	// bounds[t] is the arena index of tree t's root (trees are stored
-	// contiguously, root first), with a final sentinel at len(value), so
+	// contiguously, root first), with a final sentinel at len(split), so
 	// tree t spans bounds[t]..bounds[t+1].
 	bounds []int32
 
@@ -84,6 +87,9 @@ type merger struct {
 	merged  int       // trees merged so far
 	oobSum  []float64 // sum of out-of-bag predictions on each row of x
 	oobCnt  []int32   // trees each row of x was out of bag for
+	// onTree, if set, sees each tree's nodes as they are merged, in tree
+	// order; the nodes are valid only during the call.
+	onTree func(nodes []treeNode)
 }
 
 // add merges tree t, or parks a copy of it if an earlier tree is still
@@ -100,24 +106,28 @@ func (m *merger) add(t int, o treeOut) {
 	}
 }
 
-// merge appends the next tree to the forest, rebasing its child indices
-// to arena positions.
+// merge appends the next tree to the forest, rebasing its right children
+// to arena positions. A tree grows in preorder (grow appends a node before
+// its subtrees), so its left children need no index; neither do the
+// means an internal node holds, which no prediction reads.
 func (m *merger) merge(o treeOut) {
 	f := m.f
 	m.reserve(len(o.nodes))
-	start := int32(len(f.value))
+	start := int32(len(f.split))
 	f.bounds = append(f.bounds, start)
 	for _, n := range o.nodes {
-		l, r := n.left, n.right
-		if l >= 0 {
-			l += start
-			r += start
+		if n.left < 0 {
+			f.split = append(f.split, n.value)
+			f.right = append(f.right, 0)
+			f.feature = append(f.feature, 0)
+		} else {
+			f.split = append(f.split, n.threshold)
+			f.right = append(f.right, n.right+start)
+			f.feature = append(f.feature, uint8(n.feature))
 		}
-		f.feature = append(f.feature, int32(n.feature))
-		f.threshold = append(f.threshold, n.threshold)
-		f.left = append(f.left, l)
-		f.right = append(f.right, r)
-		f.value = append(f.value, n.value)
+	}
+	if m.onTree != nil {
+		m.onTree(o.nodes)
 	}
 	for j, v := range o.importance {
 		f.importance[j] += v
@@ -132,31 +142,59 @@ func (m *merger) merge(o treeOut) {
 // reserve makes room in the arena for n more nodes. The arena is sized for
 // the whole forest as projected from the trees merged so far — as many
 // trees as the mean one, this one included, plus a sixteenth — so it is
-// allocated once or twice and ends within a few percent of its length.
+// allocated once or twice, and trim cuts it to its length.
 func (m *merger) reserve(n int) {
 	f := m.f
-	have := len(f.value)
-	if have+n <= cap(f.value) {
+	have := len(f.split)
+	if have+n <= cap(f.split) {
 		return
 	}
 	c := (have + n) * len(m.pending) / (m.merged + 1)
 	c += c / 16
-	f.feature = slices.Grow(f.feature, c-have)
-	f.threshold = slices.Grow(f.threshold, c-have)
-	f.left = slices.Grow(f.left, c-have)
+	f.split = slices.Grow(f.split, c-have)
 	f.right = slices.Grow(f.right, c-have)
-	f.value = slices.Grow(f.value, c-have)
+	f.feature = slices.Grow(f.feature, c-have)
 }
 
-// TrainForest trains a random forest on rows x with targets y, all finite.
-// Trees are trained concurrently across a worker pool bounded by GOMAXPROCS,
-// each from its own seeded RNG, so training is deterministic for a given
-// ForestConfig regardless of parallelism.
+// trim leaves each arena array's capacity within 1 % of its length,
+// copying it out if the projection left more unused: a forest is kept for
+// the life of its estimator.
+func (m *merger) trim() {
+	f := m.f
+	f.split = trimmed(f.split)
+	f.right = trimmed(f.right)
+	f.feature = trimmed(f.feature)
+}
+
+// trimmed returns s, or a copy of s of capacity len(s) if s has more than
+// 1 % of its length to spare.
+func trimmed[T any](s []T) []T {
+	if cap(s)-len(s) <= len(s)/100 {
+		return s
+	}
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
+}
+
+// TrainForest trains a random forest on rows x with targets y, all finite,
+// of at most 255 features. Trees are trained concurrently across a worker
+// pool bounded by GOMAXPROCS, each from its own seeded RNG, so training is
+// deterministic for a given ForestConfig regardless of parallelism.
 func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) {
+	return trainForest(x, y, cfg, nil)
+}
+
+// trainForest is TrainForest, handing each tree's nodes to onTree (if not
+// nil) in tree order as they are merged.
+func trainForest(x [][]float64, y []float64, cfg ForestConfig, onTree func([]treeNode)) (*Forest, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("estimator: bad training set: %d rows, %d targets", len(x), len(y))
 	}
 	p := len(x[0])
+	if p > math.MaxUint8 {
+		return nil, fmt.Errorf("estimator: %d features, at most %d fit a node", p, math.MaxUint8)
+	}
 	for r, row := range x {
 		if len(row) != p {
 			return nil, fmt.Errorf("estimator: row %d has %d features, want %d", r, len(row), p)
@@ -207,6 +245,7 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 		pending: make([]treeOut, cfg.NumTrees),
 		oobSum:  make([]float64, len(x)),
 		oobCnt:  make([]int32, len(x)),
+		onTree:  onTree,
 	}
 	workers := min(runtime.GOMAXPROCS(0), cfg.NumTrees)
 	var next int
@@ -235,7 +274,8 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 		}()
 	}
 	wg.Wait()
-	f.bounds = append(f.bounds, int32(len(f.value)))
+	m.trim()
+	f.bounds = append(f.bounds, int32(len(f.split)))
 
 	// Out-of-bag MAE: an unbiased generalization-error estimate without a
 	// held-out set, computed over samples left out by at least one tree.
@@ -297,14 +337,14 @@ func (f *Forest) Predict(row []float64) float64 {
 	numTrees := len(f.bounds) - 1
 	for t := 0; t < numTrees; t++ {
 		n := f.bounds[t]
-		for f.left[n] >= 0 {
-			if row[f.feature[n]] <= f.threshold[n] {
-				n = f.left[n]
+		for r := f.right[n]; r != 0; r = f.right[n] {
+			if row[f.feature[n]] <= f.split[n] {
+				n++
 			} else {
-				n = f.right[n]
+				n = r
 			}
 		}
-		sum += f.value[n]
+		sum += f.split[n]
 	}
 	return sum / float64(numTrees)
 }

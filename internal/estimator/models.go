@@ -36,7 +36,10 @@ func (m *RFWithLoad) Name() string { return "RF w/ server load info" }
 
 // Train implements TimeModel. Zero fields of Config mean
 // DefaultForestConfig's values; set fields, Seed included, are kept.
-func (m *RFWithLoad) Train(samples []gpusim.Sample) error {
+func (m *RFWithLoad) Train(samples []gpusim.Sample) error { return m.train(samples, nil) }
+
+// train is Train, handing each tree's nodes to onTree as trainForest does.
+func (m *RFWithLoad) train(samples []gpusim.Sample, onTree func([]treeNode)) error {
 	cfg := m.Config
 	if cfg.Seed == 0 {
 		// TrainForest fills every other zero field with the same default.
@@ -48,7 +51,7 @@ func (m *RFWithLoad) Train(samples []gpusim.Sample) error {
 		x = append(x, CombinedFeatures(samples[i].Layer, samples[i].Stats))
 		y = append(y, samples[i].Time.Seconds())
 	}
-	f, err := TrainForest(x, y, cfg)
+	f, err := trainForest(x, y, cfg, onTree)
 	if err != nil {
 		return fmt.Errorf("estimator: training RF: %w", err)
 	}
@@ -187,11 +190,17 @@ type ServerEstimator struct {
 // TrainServerEstimator profiles a simulated GPU with the given device and
 // contention parameters and fits the slowdown forest.
 func TrainServerEstimator(dev profile.Device, params gpusim.Params, seed int64) (*ServerEstimator, error) {
+	return trainServerEstimator(dev, params, seed, nil)
+}
+
+// trainServerEstimator is TrainServerEstimator, handing each tree's nodes
+// to onTree as trainForest does.
+func trainServerEstimator(dev profile.Device, params gpusim.Params, seed int64, onTree func([]treeNode)) (*ServerEstimator, error) {
 	x, y := serverTrainingSet(dev, params, seed)
 	fc := DefaultForestConfig()
 	fc.Seed = seed
 	fc.NumTrees = 40
-	f, err := TrainForest(x, y, fc)
+	f, err := trainForest(x, y, fc, onTree)
 	if err != nil {
 		return nil, fmt.Errorf("estimator: training server estimator: %w", err)
 	}

@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -93,10 +94,11 @@ func TestRFWithLoadKeepsSeed(t *testing.T) {
 	hash := func(cfg ForestConfig) string {
 		t.Helper()
 		m := &RFWithLoad{Config: cfg}
-		if err := m.Train(samples); err != nil {
+		var trees [][]treeNode
+		if err := m.train(samples, func(nodes []treeNode) { trees = append(trees, slices.Clone(nodes)) }); err != nil {
 			t.Fatal(err)
 		}
-		return forestHash(m.forest)
+		return forestHash(m.forest, trees)
 	}
 	zero, seed1, seed3 := hash(ForestConfig{}), hash(ForestConfig{Seed: 1}), hash(ForestConfig{Seed: 3})
 	if zero != seed1 {

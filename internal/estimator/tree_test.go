@@ -199,8 +199,8 @@ func TestTrainForestAllocs(t *testing.T) {
 	})
 	perTree := allocs / float64(cfg.NumTrees)
 	if perTree > 16 {
-		t.Errorf("TrainForest: %.0f allocations for %d trees (%d nodes) = %.1f per tree, want <= 16", allocs, cfg.NumTrees, len(f.value), perTree)
+		t.Errorf("TrainForest: %.0f allocations for %d trees (%d nodes) = %.1f per tree, want <= 16", allocs, cfg.NumTrees, len(f.split), perTree)
 	} else {
-		t.Logf("%.0f allocations for %d trees (%d nodes) = %.1f per tree", allocs, cfg.NumTrees, len(f.value), perTree)
+		t.Logf("%.0f allocations for %d trees (%d nodes) = %.1f per tree", allocs, cfg.NumTrees, len(f.split), perTree)
 	}
 }

@@ -100,34 +100,54 @@ func DefaultParams() Params {
 // GPU is a simulated shared GPU. It is not safe for concurrent use: the
 // city simulator calls each GPU from one goroutine at a time (its shard's
 // window, or the serial tick), and edged serializes its connection
-// goroutines' calls.
+// goroutines' calls. A GPU must not be copied after its first draw: its
+// stream wraps its own source.
 type GPU struct {
-	dev    profile.Device
-	params Params
+	hw *hardware
 
-	// rng wraps src from the first draw on (stream). src is
-	// math/rand's stream for the GPU's seed, but computes its words as
-	// draws ask for them: most of a city run's GPUs draw a handful of
-	// numbers, and a new src costs one struct, not a seeded register.
-	rng      *rand.Rand
+	// rng wraps src from the first draw on (stream), once drawn is set.
+	// src is math/rand's stream for the GPU's seed, but computes its
+	// words as draws ask for them: most of a city run's GPUs draw a
+	// handful of numbers, and a new src costs one struct, not a seeded
+	// register.
+	rng      rand.Rand
+	drawn    bool
 	src      source
 	inflight int
 	// activity[i] is the instantaneous GPU activity of in-flight client i;
-	// resampled as clients come and go.
+	// resampled as clients come and go. Nil until the first Begin.
 	activity []float64
 	temp     float64
 	lastAt   time.Duration
 }
 
+// hardware is what a GPU reads and never writes: its contention-free
+// device profile and its interference constants.
+type hardware struct {
+	dev    profile.Device
+	params Params
+}
+
+// titanXp is the hardware of every GPU built on profile.ServerTitanXp and
+// DefaultParams, all of a city run's thousands among them: they share it
+// rather than each carrying a copy.
+var titanXp = hardware{profile.ServerTitanXp(), DefaultParams()}
+
 // New returns a GPU backed by the given contention-free device profile.
 // The seed makes all stochastic behaviour reproducible.
 func New(dev profile.Device, params Params, seed int64) *GPU {
-	g := &GPU{
-		dev:      dev,
-		params:   params,
-		activity: make([]float64, 0, 8),
-		temp:     params.idleTempC,
+	g := Make(dev, params, seed)
+	return &g
+}
+
+// Make returns a GPU as New does, by value, for a caller that keeps many
+// GPUs in one array. It allocates nothing on the default hardware.
+func Make(dev profile.Device, params Params, seed int64) GPU {
+	hw := &titanXp
+	if dev != hw.dev || params != hw.params {
+		hw = &hardware{dev, params}
 	}
+	g := GPU{hw: hw, temp: params.idleTempC}
 	g.src.Seed(seed)
 	return g
 }
@@ -135,14 +155,14 @@ func New(dev profile.Device, params Params, seed int64) *GPU {
 // stream returns the GPU's random stream, the one
 // rand.New(rand.NewSource(seed)) would return.
 func (g *GPU) stream() *rand.Rand {
-	if g.rng == nil {
-		g.rng = rand.New(&g.src)
+	if !g.drawn {
+		g.rng, g.drawn = *rand.New(&g.src), true
 	}
-	return g.rng
+	return &g.rng
 }
 
 // Device returns the underlying contention-free device profile.
-func (g *GPU) Device() profile.Device { return g.dev }
+func (g *GPU) Device() profile.Device { return g.hw.dev }
 
 // advance moves the thermal state to virtual time now. Temperature
 // follows a first-order filter toward the load-determined target with a
@@ -158,7 +178,7 @@ func (g *GPU) advance(now time.Duration) {
 	// exponential is skipped. A GPU advanced only while idle (Begin
 	// advances before it counts its client) stays at idleTempC: most of a
 	// city run's advances.
-	if target := g.params.idleTempC + g.params.tempPerClient*float64(g.inflight); target != g.temp {
+	if target := g.hw.params.idleTempC + g.hw.params.tempPerClient*float64(g.inflight); target != g.temp {
 		dt := (now - g.lastAt).Seconds()
 		alpha := 1 - math.Exp(-dt/45)
 		g.temp += (target - g.temp) * alpha
@@ -171,7 +191,10 @@ func (g *GPU) advance(now time.Duration) {
 func (g *GPU) Begin(now time.Duration) int {
 	g.advance(now)
 	g.inflight++
-	g.activity = append(g.activity, g.params.activityMin+(1-g.params.activityMin)*g.stream().Float64())
+	if g.activity == nil {
+		g.activity = make([]float64, 0, 8)
+	}
+	g.activity = append(g.activity, g.hw.params.activityMin+(1-g.hw.params.activityMin)*g.stream().Float64())
 	return g.inflight
 }
 
@@ -191,7 +214,7 @@ func (g *GPU) End() {
 // across requests, and this is the variation the GPU counters observe.
 func (g *GPU) Churn() {
 	for i := range g.activity {
-		g.activity[i] = g.params.activityMin + (1-g.params.activityMin)*g.stream().Float64()
+		g.activity[i] = g.hw.params.activityMin + (1-g.hw.params.activityMin)*g.stream().Float64()
 	}
 }
 
@@ -215,10 +238,10 @@ func (g *GPU) contention() float64 {
 // intensity (see Intensity).
 func (g *GPU) slowdown(intensity float64) float64 {
 	c := g.contention()
-	lin := g.params.linearSlow + g.params.memSlow*intensity
-	s := 1 + lin*c + g.params.quadSlow*c*c
-	if g.temp > g.params.throttleAtC {
-		s *= 1 + (g.temp-g.params.throttleAtC)*g.params.throttlePerC
+	lin := g.hw.params.linearSlow + g.hw.params.memSlow*intensity
+	s := 1 + lin*c + g.hw.params.quadSlow*c*c
+	if g.temp > g.hw.params.throttleAtC {
+		s *= 1 + (g.temp-g.hw.params.throttleAtC)*g.hw.params.throttlePerC
 	}
 	return s
 }
@@ -236,8 +259,8 @@ func Intensity(l *dnn.Layer) float64 {
 // current load, including measurement noise. now advances the thermal model.
 func (g *GPU) LayerTime(l *dnn.Layer, now time.Duration) time.Duration {
 	g.advance(now)
-	base := g.dev.LayerTime(l).Seconds()
-	t := base * g.slowdown(Intensity(l)) * (1 + g.stream().NormFloat64()*g.params.measureNoise)
+	base := g.hw.dev.LayerTime(l).Seconds()
+	t := base * g.slowdown(Intensity(l)) * (1 + g.stream().NormFloat64()*g.hw.params.measureNoise)
 	if t < 0 {
 		t = base
 	}
@@ -250,7 +273,7 @@ func (g *GPU) LayerTime(l *dnn.Layer, now time.Duration) time.Duration {
 // partition in one call.
 func (g *GPU) ExecTime(baseTotal time.Duration, intensity float64, now time.Duration) time.Duration {
 	g.advance(now)
-	t := baseTotal.Seconds() * g.slowdown(intensity) * (1 + g.stream().NormFloat64()*g.params.measureNoise)
+	t := baseTotal.Seconds() * g.slowdown(intensity) * (1 + g.stream().NormFloat64()*g.hw.params.measureNoise)
 	if t < 0 {
 		t = baseTotal.Seconds()
 	}
@@ -277,7 +300,7 @@ func (g *GPU) Sample(now time.Duration) Stats {
 	}
 	kutil := clamp01(0.05 + 0.058*act + rng.NormFloat64()*0.012)
 	mutil := clamp01(0.55*kutil + 0.02 + rng.NormFloat64()*0.01)
-	mem := g.params.baseMemMB + g.params.memPerClientMB*float64(g.inflight) +
+	mem := g.hw.params.baseMemMB + g.hw.params.memPerClientMB*float64(g.inflight) +
 		rng.NormFloat64()*25
 	return Stats{
 		ActiveClients: g.inflight,

@@ -66,15 +66,20 @@ func TestGPUStreamGolden(t *testing.T) {
 	}
 }
 
-// TestNewSeedsNothing holds New to the GPU and its activity slice: a city
-// run builds thousands of GPUs and draws from about half of them.
+// TestNewSeedsNothing holds New to the GPU itself and Make to nothing: a
+// city run builds thousands of GPUs in one array, shares one device
+// profile and Params among them, and draws from about half of them.
 func TestNewSeedsNothing(t *testing.T) {
 	if raceguard.Enabled {
 		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
 	}
 	dev, params := profile.ServerTitanXp(), DefaultParams()
-	if n := testing.AllocsPerRun(100, func() { sinkGPU = New(dev, params, 1) }); n > 2 {
-		t.Errorf("New allocates %.0f times, budget 2", n)
+	if n := testing.AllocsPerRun(100, func() { sinkGPU = New(dev, params, 1) }); n > 1 {
+		t.Errorf("New allocates %.0f times, budget 1", n)
+	}
+	gpus := make([]GPU, 1)
+	if n := testing.AllocsPerRun(100, func() { gpus[0] = Make(dev, params, 1) }); n != 0 {
+		t.Errorf("Make allocates %.0f times, want 0", n)
 	}
 }
 
