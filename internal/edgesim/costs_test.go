@@ -60,6 +60,9 @@ type costEntry struct {
 const (
 	costsGOMAXPROCS = 1
 	costsTolerance  = 0.01
+	// tracedSteps is the traced round's playback length, short enough
+	// that the round allocates well under 256 MB with the collector off.
+	tracedSteps = 8
 )
 
 // memDelta runs f and returns the bytes and objects it allocated. Two
@@ -79,8 +82,9 @@ func memDelta(f func()) (bytes, allocs int64) {
 
 // measureCosts takes every ledger entry: the repo benchmark's city-sim
 // set-up and round (seed-1 Geolife, PerDNN, r = 100, MaxSteps 40, every zoo
-// model once, as BenchmarkCityRound), one run's world construction, and
-// the start-up trainings.
+// model once, as BenchmarkCityRound), the same round traced over its first
+// tracedSteps steps, one run's world construction, and the start-up
+// trainings.
 func measureCosts(t *testing.T) []costEntry {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(costsGOMAXPROCS))
 	var out []costEntry
@@ -120,6 +124,31 @@ func measureCosts(t *testing.T) []costEntry {
 	add("city_round.plain.sim_queries", gateExact, queries)
 	add("city_round.plain.bytes", gateToolchain, bytes)
 	add("city_round.plain.allocs", gateToolchain, allocs)
+
+	// The traced round records every span, so it runs tracedSteps steps:
+	// at 40 the collector-off window would allocate about 1 GB.
+	var spans, events int64
+	bytes, allocs = memDelta(func() {
+		for _, model := range dnn.ZooNames() {
+			cfg := cityCfg(model)
+			cfg.MaxSteps, cfg.RecordSpans = tracedSteps, true
+			res, err := RunCity(env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans += int64(len(res.Spans))
+			for _, s := range res.Spans {
+				if isDecision(s.Stage) {
+					events++
+				}
+			}
+		}
+	})
+	traced := fmt.Sprintf("city_round.spans_%dsteps.", tracedSteps)
+	add(traced+"spans", gateExact, spans)
+	add(traced+"decision_events", gateExact, events)
+	add(traced+"bytes", gateToolchain, bytes)
+	add(traced+"allocs", gateToolchain, allocs)
 
 	bytes, allocs = memDelta(func() {
 		if _, _, err := newWorld(env, cityCfg(dnn.ModelMobileNet)); err != nil {

@@ -57,12 +57,18 @@ type chainCluster struct {
 
 func startChainCluster(t *testing.T, scale float64, tr1, tr2, masterTr, clientTr *tracing.Tracer) *chainCluster {
 	t.Helper()
+	addr1, _ := startEdge(t, "server/1", tr1, scale)
+	addr2, killEdge2 := startEdge(t, "server/2", tr2, scale)
+	return dialChainCluster(t, scale, addr1, addr2, killEdge2, masterTr, clientTr)
+}
+
+// dialChainCluster is startChainCluster over two running edges: the
+// master, and the client attached to the edge at addr1.
+func dialChainCluster(t *testing.T, scale float64, addr1, addr2 string, killEdge2 func(), masterTr, clientTr *tracing.Tracer) *chainCluster {
+	t.Helper()
 	grid := geo.NewHexGrid(50)
 	loc1 := grid.Center(geo.HexCell{Q: 0, R: 0})
 	loc2 := grid.Center(geo.HexCell{Q: 1, R: 0})
-
-	addr1, _ := startEdge(t, "server/1", tr1, scale)
-	addr2, killEdge2 := startEdge(t, "server/2", tr2, scale)
 	cc := &chainCluster{killEdge2: killEdge2}
 
 	mcfg := master.DefaultConfig([]master.EdgeInfo{

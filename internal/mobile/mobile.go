@@ -205,6 +205,15 @@ func ackError(e *wire.Envelope) string {
 	return "no ack"
 }
 
+// execError describes a failed answer to an exec request: the edge's
+// error ack, or an exec time no edge can take.
+func execError(e *wire.Envelope) string {
+	if e.ExecResp != nil && e.ExecResp.ExecNs < 0 {
+		return fmt.Sprintf("negative exec time %d ns", e.ExecResp.ExecNs)
+	}
+	return ackError(e)
+}
+
 func closeQuietly(conn *wire.Conn, log *slog.Logger, what string) {
 	if err := conn.Close(); err != nil {
 		log.Warn("closing "+what, "err", err)
@@ -716,13 +725,15 @@ func (c *Client) query(ctx context.Context, r route) (time.Duration, error) {
 		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			return 0, fmt.Errorf("mobile: query: %w", err)
 		}
-		failed := err != nil || resp.Type != wire.MsgExecResponse || resp.ExecResp == nil
+		// An exec time below zero is no answer: taking it would report a
+		// latency below the client's own work.
+		failed := err != nil || resp.Type != wire.MsgExecResponse || resp.ExecResp == nil || resp.ExecResp.ExecNs < 0
 		switch {
 		case failed && chain:
 			// Transport failure, or a hop's error ack (a dead downstream
 			// server): latch the chain broken; the caller degrades.
 			if err == nil {
-				err = fmt.Errorf("mobile: chain rejected: %s", ackError(resp))
+				err = fmt.Errorf("mobile: chain rejected: %s", execError(resp))
 			}
 			c.chainBroken = true
 			c.met.Counter("chain_failovers_total").Inc()
@@ -736,7 +747,7 @@ func (c *Client) query(ctx context.Context, r route) (time.Duration, error) {
 			c.tr.RecordWith(qt, root, 0, tracing.StageQuery, c.node, qStart, c.tr.Now())
 			return lat, ferr
 		case failed:
-			return 0, fmt.Errorf("mobile: query failed: %s", ackError(resp))
+			return 0, fmt.Errorf("mobile: query failed: %s", execError(resp))
 		}
 		link := partition.LabWiFi()
 		total += link.UpTime(r.first.InBytes) + time.Duration(resp.ExecResp.ExecNs) + link.DownTime(r.down)

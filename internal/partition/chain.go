@@ -205,26 +205,6 @@ func (p *ChainPlan) UploadSchedule() ([]UploadUnit, error) {
 	return units, nil
 }
 
-// chunkLayers splits ids into contiguous runs of at most chunk layers,
-// mirroring SequentialSchedule's unit shape.
-func chunkLayers(m *dnn.Model, ids []dnn.LayerID, chunk int) []UploadUnit {
-	units := make([]UploadUnit, 0, len(ids)/chunk+1)
-	for start := 0; start < len(ids); {
-		end := start + 1
-		for end < len(ids) && end-start < chunk && ids[end] == ids[end-1]+1 {
-			end++
-		}
-		run := ids[start:end]
-		var bytes int64
-		for _, id := range run {
-			bytes += m.Layer(id).WeightBytes
-		}
-		units = append(units, UploadUnit{Layers: append([]dnn.LayerID(nil), run...), Bytes: bytes})
-		start = end
-	}
-	return units
-}
-
 // String implements fmt.Stringer with a compact summary.
 func (p *ChainPlan) String() string {
 	var b strings.Builder

@@ -29,24 +29,28 @@ func UploadSchedule(req Request, plan *Plan) ([]UploadUnit, error) {
 
 // SequentialSchedule returns the naive front-to-back upload order: the
 // plan's server-side layers in topological order, chunked into units of at
-// most chunkLayers. It is the ablation baseline for the efficiency-first
-// schedule.
-func SequentialSchedule(plan *Plan, chunkLayers int) []UploadUnit {
-	if chunkLayers <= 0 {
-		chunkLayers = 16
+// most chunk layers (16 when chunk <= 0). It is the ablation baseline for
+// the efficiency-first schedule.
+func SequentialSchedule(plan *Plan, chunk int) []UploadUnit {
+	if chunk <= 0 {
+		chunk = 16
 	}
-	ids := plan.ServerLayers()
-	units := make([]UploadUnit, 0, len(ids)/chunkLayers+1)
+	return chunkLayers(plan.Model, plan.ServerLayers(), chunk)
+}
+
+// chunkLayers splits ids into contiguous runs of at most chunk layers.
+func chunkLayers(m *dnn.Model, ids []dnn.LayerID, chunk int) []UploadUnit {
+	units := make([]UploadUnit, 0, len(ids)/chunk+1)
 	for start := 0; start < len(ids); {
 		end := start + 1
 		// Units stay contiguous and bounded.
-		for end < len(ids) && end-start < chunkLayers && ids[end] == ids[end-1]+1 {
+		for end < len(ids) && end-start < chunk && ids[end] == ids[end-1]+1 {
 			end++
 		}
 		run := ids[start:end]
 		var bytes int64
 		for _, id := range run {
-			bytes += plan.Model.Layer(id).WeightBytes
+			bytes += m.Layer(id).WeightBytes
 		}
 		units = append(units, UploadUnit{Layers: append([]dnn.LayerID(nil), run...), Bytes: bytes})
 		start = end

@@ -6,9 +6,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"perdnn/internal/geo"
@@ -20,8 +21,11 @@ import (
 // time interval in two directions").
 type TrafficAccount struct {
 	interval time.Duration
-	up       map[geo.ServerID][]int64
-	down     map[geo.ServerID][]int64
+	// up[id][slot] and down[id][slot] are the bytes server id sent and
+	// received in interval slot. Server IDs are dense placement indices,
+	// so the tables hold a row for every ID up to the highest one seen;
+	// the row of a server that carried no traffic is empty.
+	up, down [][]int64
 }
 
 // NewTrafficAccount creates a ledger with the given bucket width (the
@@ -30,121 +34,108 @@ func NewTrafficAccount(interval time.Duration) (*TrafficAccount, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("simnet: non-positive accounting interval %v", interval)
 	}
-	return &TrafficAccount{
-		interval: interval,
-		up:       make(map[geo.ServerID][]int64, 64),
-		down:     make(map[geo.ServerID][]int64, 64),
-	}, nil
+	return &TrafficAccount{interval: interval}, nil
 }
 
-func (a *TrafficAccount) slot(at time.Duration) int {
-	if at < 0 {
-		return 0
+// add adds bytes to rows[id] at virtual time at's slot, growing the table
+// to the ID and the row to the slot with one slices.Grow each. A negative
+// ID panics; a negative time counts in slot 0.
+func (a *TrafficAccount) add(rows [][]int64, id geo.ServerID, at time.Duration, bytes int64) [][]int64 {
+	if bytes <= 0 {
+		return rows
 	}
-	return int(at / a.interval)
-}
-
-func addTo(m map[geo.ServerID][]int64, id geo.ServerID, slot int, bytes int64) {
-	buckets := m[id]
-	for len(buckets) <= slot {
-		buckets = append(buckets, 0)
+	slot := int(max(at, 0) / a.interval)
+	if n := int(id) + 1; n > len(rows) {
+		rows = slices.Grow(rows, n-len(rows))[:n]
 	}
-	buckets[slot] += bytes
-	m[id] = buckets
+	if n := slot + 1; n > len(rows[id]) {
+		rows[id] = slices.Grow(rows[id], n-len(rows[id]))[:n]
+	}
+	rows[id][slot] += bytes
+	return rows
 }
 
 // AddUp records bytes sent from server id at virtual time `at`.
 func (a *TrafficAccount) AddUp(id geo.ServerID, at time.Duration, bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	addTo(a.up, id, a.slot(at), bytes)
+	a.up = a.add(a.up, id, at, bytes)
 }
 
 // AddDown records bytes received by server id at virtual time `at`.
 func (a *TrafficAccount) AddDown(id geo.ServerID, at time.Duration, bytes int64) {
-	if bytes <= 0 {
-		return
+	a.down = a.add(a.down, id, at, bytes)
+}
+
+// get returns s[i], or the zero value past the end of s: an unseen
+// server's row, an unrecorded slot's bytes.
+func get[E any](s []E, i int) E {
+	if i < len(s) {
+		return s[i]
 	}
-	addTo(a.down, id, a.slot(at), bytes)
+	var zero E
+	return zero
 }
 
-// bpsOf converts a byte bucket to average bits per second over the interval.
-func (a *TrafficAccount) bpsOf(bytes int64) float64 {
-	return float64(bytes) * 8 / a.interval.Seconds()
-}
-
-// PeakUpBps returns the highest per-interval uplink rate of server id.
-func (a *TrafficAccount) PeakUpBps(id geo.ServerID) float64 {
+// peakBps returns the highest per-interval rate of one row in bits per
+// second.
+func (a *TrafficAccount) peakBps(row []int64) float64 {
 	var peak int64
-	for _, b := range a.up[id] {
-		if b > peak {
-			peak = b
-		}
+	for _, b := range row {
+		peak = max(peak, b)
 	}
-	return a.bpsOf(peak)
+	return float64(peak) * 8 / a.interval.Seconds()
 }
 
-// PeakDownBps returns the highest per-interval downlink rate of server id.
-func (a *TrafficAccount) PeakDownBps(id geo.ServerID) float64 {
-	var peak int64
-	for _, b := range a.down[id] {
-		if b > peak {
-			peak = b
-		}
-	}
-	return a.bpsOf(peak)
+// peakUpBps returns the highest per-interval uplink rate of server id.
+func (a *TrafficAccount) peakUpBps(id geo.ServerID) float64 {
+	return a.peakBps(get(a.up, int(id)))
 }
 
-// PeakUp returns the most loaded server by peak uplink rate.
-func (a *TrafficAccount) PeakUp() (geo.ServerID, float64) {
+// peakDownBps returns the highest per-interval downlink rate of server id.
+func (a *TrafficAccount) peakDownBps(id geo.ServerID) float64 {
+	return a.peakBps(get(a.down, int(id)))
+}
+
+// peakOf returns the lowest-ID server with the highest peak rate in rows,
+// or NoServer when no row carries traffic.
+func (a *TrafficAccount) peakOf(rows [][]int64) (geo.ServerID, float64) {
 	best, bestBps := geo.NoServer, 0.0
-	for id := range a.up {
-		if bps := a.PeakUpBps(id); bps > bestBps {
-			best, bestBps = id, bps
+	for id, row := range rows {
+		if bps := a.peakBps(row); bps > bestBps {
+			best, bestBps = geo.ServerID(id), bps
 		}
 	}
 	return best, bestBps
 }
 
-// PeakDown returns the most loaded server by peak downlink rate.
-func (a *TrafficAccount) PeakDown() (geo.ServerID, float64) {
-	best, bestBps := geo.NoServer, 0.0
-	for id := range a.down {
-		if bps := a.PeakDownBps(id); bps > bestBps {
-			best, bestBps = id, bps
-		}
-	}
-	return best, bestBps
-}
+// PeakUp returns the most loaded server by peak uplink rate, the lowest ID
+// among equal peaks.
+func (a *TrafficAccount) PeakUp() (geo.ServerID, float64) { return a.peakOf(a.up) }
+
+// PeakDown returns the most loaded server by peak downlink rate, the
+// lowest ID among equal peaks.
+func (a *TrafficAccount) PeakDown() (geo.ServerID, float64) { return a.peakOf(a.down) }
 
 // TotalBytes returns the ledger-wide byte totals.
 func (a *TrafficAccount) TotalBytes() (up, down int64) {
-	for _, bs := range a.up {
-		for _, b := range bs {
-			up += b
+	sum := func(rows [][]int64) (total int64) {
+		for _, row := range rows {
+			for _, b := range row {
+				total += b
+			}
 		}
+		return total
 	}
-	for _, bs := range a.down {
-		for _, b := range bs {
-			down += b
-		}
-	}
-	return up, down
+	return sum(a.up), sum(a.down)
 }
 
-// ActiveServers returns every server that sent or received any bytes.
-func (a *TrafficAccount) ActiveServers() []geo.ServerID {
-	seen := make(map[geo.ServerID]struct{}, len(a.up)+len(a.down))
-	for id := range a.up {
-		seen[id] = struct{}{}
-	}
-	for id := range a.down {
-		seen[id] = struct{}{}
-	}
-	out := make([]geo.ServerID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
+// activeServers returns every server that sent or received any bytes, in
+// ID order.
+func (a *TrafficAccount) activeServers() []geo.ServerID {
+	var out []geo.ServerID
+	for id := range max(len(a.up), len(a.down)) {
+		if len(get(a.up, id)) > 0 || len(get(a.down, id)) > 0 {
+			out = append(out, geo.ServerID(id))
+		}
 	}
 	return out
 }
@@ -153,13 +144,13 @@ func (a *TrafficAccount) ActiveServers() []geo.ServerID {
 // and downlink both stay under the threshold — the paper's "60~70% of the
 // servers needed less than 100 Mbps" statistic.
 func (a *TrafficAccount) ShareUnderBps(threshold float64) float64 {
-	servers := a.ActiveServers()
+	servers := a.activeServers()
 	if len(servers) == 0 {
 		return 1
 	}
 	n := 0
 	for _, id := range servers {
-		if a.PeakUpBps(id) < threshold && a.PeakDownBps(id) < threshold {
+		if a.peakUpBps(id) < threshold && a.peakDownBps(id) < threshold {
 			n++
 		}
 	}
@@ -167,28 +158,17 @@ func (a *TrafficAccount) ShareUnderBps(threshold float64) float64 {
 }
 
 // WriteCSV dumps the ledger as per-server per-interval rows
-// (server,interval_start_s,up_bytes,down_bytes), skipping empty slots —
-// the raw data behind the paper's backhaul analysis, ready for plotting.
+// (server,interval_start_s,up_bytes,down_bytes) in server order, skipping
+// empty slots — the raw data behind the paper's backhaul analysis, ready
+// for plotting.
 func (a *TrafficAccount) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "server,interval_start_s,up_bytes,down_bytes"); err != nil {
 		return fmt.Errorf("simnet: writing csv header: %w", err)
 	}
-	servers := a.ActiveServers()
-	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
-	for _, id := range servers {
-		up, down := a.up[id], a.down[id]
-		slots := len(up)
-		if len(down) > slots {
-			slots = len(down)
-		}
-		for s := 0; s < slots; s++ {
-			var u, d int64
-			if s < len(up) {
-				u = up[s]
-			}
-			if s < len(down) {
-				d = down[s]
-			}
+	for _, id := range a.activeServers() {
+		up, down := get(a.up, int(id)), get(a.down, int(id))
+		for s := range max(len(up), len(down)) {
+			u, d := get(up, s), get(down, s)
 			if u == 0 && d == 0 {
 				continue
 			}
@@ -213,33 +193,22 @@ func (a *TrafficAccount) RecordMetrics(reg *obs.Registry) {
 	_, peakDown := a.PeakDown()
 	reg.Gauge("backhaul_peak_up_bps").Set(int64(peakUp))
 	reg.Gauge("backhaul_peak_down_bps").Set(int64(peakDown))
-	reg.Gauge("backhaul_active_servers").Set(int64(len(a.ActiveServers())))
+	reg.Gauge("backhaul_active_servers").Set(int64(len(a.activeServers())))
 }
 
 // TopByPeakUp returns the k servers with the highest peak uplink rate,
-// most loaded first — the crowded-server set for fractional migration.
+// most loaded first and the lowest ID first among equal peaks — the
+// crowded-server set for fractional migration.
 func (a *TrafficAccount) TopByPeakUp(k int) []geo.ServerID {
-	type entry struct {
-		id  geo.ServerID
-		bps float64
-	}
-	entries := make([]entry, 0, len(a.up))
-	for id := range a.up {
-		entries = append(entries, entry{id: id, bps: a.PeakUpBps(id)})
-	}
-	// Insertion-sort by descending bps (k is small, lists moderate).
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && (entries[j].bps > entries[j-1].bps ||
-			(entries[j].bps == entries[j-1].bps && entries[j].id < entries[j-1].id)); j-- {
-			entries[j], entries[j-1] = entries[j-1], entries[j]
+	peaks := make([]float64, len(a.up))
+	var ids []geo.ServerID
+	for id, row := range a.up {
+		if len(row) > 0 {
+			peaks[id] = a.peakBps(row)
+			ids = append(ids, geo.ServerID(id))
 		}
 	}
-	if k > len(entries) {
-		k = len(entries)
-	}
-	out := make([]geo.ServerID, 0, k)
-	for _, e := range entries[:k] {
-		out = append(out, e.id)
-	}
-	return out
+	// Stable over ascending IDs, so equal peaks keep ID order.
+	slices.SortStableFunc(ids, func(x, y geo.ServerID) int { return cmp.Compare(peaks[y], peaks[x]) })
+	return slices.Clip(ids[:min(k, len(ids))])
 }

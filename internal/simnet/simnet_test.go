@@ -1,12 +1,15 @@
 package simnet
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"perdnn/internal/geo"
 	"perdnn/internal/partition"
+	"perdnn/internal/raceguard"
 )
 
 // TestBackhaulTransferTime checks the transfer times of the backhaul whose
@@ -47,11 +50,11 @@ func TestTrafficAccountPeaks(t *testing.T) {
 	a.AddUp(s1, -time.Second, 1) // clamped to slot 0, not a panic
 
 	wantPeak := float64(50<<20) * 8 / 20
-	if got := a.PeakUpBps(s1); got != wantPeak {
-		t.Errorf("PeakUpBps = %v, want %v", got, wantPeak)
+	if got := a.peakUpBps(s1); got != wantPeak {
+		t.Errorf("peakUpBps = %v, want %v", got, wantPeak)
 	}
-	if got := a.PeakDownBps(s2); got != wantPeak {
-		t.Errorf("PeakDownBps = %v, want %v", got, wantPeak)
+	if got := a.peakDownBps(s2); got != wantPeak {
+		t.Errorf("peakDownBps = %v, want %v", got, wantPeak)
 	}
 	if id, bps := a.PeakUp(); id != s1 || bps != wantPeak {
 		t.Errorf("PeakUp = %v/%v", id, bps)
@@ -73,7 +76,7 @@ func TestTrafficIgnoresNonPositive(t *testing.T) {
 	if up, down := a.TotalBytes(); up != 0 || down != 0 {
 		t.Errorf("non-positive bytes recorded: %d/%d", up, down)
 	}
-	if len(a.ActiveServers()) != 0 {
+	if len(a.activeServers()) != 0 {
 		t.Error("phantom active servers")
 	}
 }
@@ -106,6 +109,67 @@ func TestTopByPeakUp(t *testing.T) {
 	}
 	if got := a.TopByPeakUp(99); len(got) != 3 {
 		t.Errorf("TopByPeakUp(99) = %v", got)
+	}
+	// Equal peaks go in ID order, whatever order the servers arrived in.
+	a.AddUp(7, 0, 300)
+	a.AddUp(0, 0, 300)
+	a.AddUp(5, time.Second, 300)
+	if got := a.TopByPeakUp(4); !slices.Equal(got, []geo.ServerID{0, 2, 5, 7}) {
+		t.Errorf("TopByPeakUp(4) with ties = %v, want [0 2 5 7]", got)
+	}
+}
+
+// TestPeakTiesLowestID checks that among servers with equal peaks PeakUp
+// and PeakDown name the lowest ID, whatever order the bytes arrived in.
+func TestPeakTiesLowestID(t *testing.T) {
+	a, _ := NewTrafficAccount(time.Second)
+	for _, id := range []geo.ServerID{9, 4, 6} {
+		a.AddUp(id, 0, 500)
+		a.AddDown(id, time.Duration(id)*time.Second, 700)
+	}
+	a.AddUp(2, 0, 100)
+	if id, bps := a.PeakUp(); id != 4 || bps != 4000 {
+		t.Errorf("PeakUp = %v/%v, want 4/4000", id, bps)
+	}
+	if id, bps := a.PeakDown(); id != 4 || bps != 5600 {
+		t.Errorf("PeakDown = %v/%v, want 4/5600", id, bps)
+	}
+}
+
+// allocsPerRowBudget bounds what the ledger allocates per server row. It
+// reads 2.81: one slices.Grow to a server's first slot, the doubling
+// growth from there to 40 slots, and the table's own growth. The budget
+// is that plus a quarter. A row grown one append at a time from slot 0
+// reads 7.05.
+const allocsPerRowBudget = 3.5
+
+// TestAddAllocsPerRow is the ledger's allocation gate: 200 servers × 40
+// slots, each server first seen at a drawn slot and then in every later
+// one, as servers join a city run at random times.
+func TestAddAllocsPerRow(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const servers, slots = 200, 40
+	rng := rand.New(rand.NewSource(1))
+	first := make([]int, servers)
+	for i := range first {
+		first[i] = rng.Intn(slots)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		a, _ := NewTrafficAccount(time.Second)
+		for s := range slots {
+			for id, f := range first {
+				if f <= s {
+					a.AddUp(geo.ServerID(id), time.Duration(s)*time.Second, 1)
+				}
+			}
+		}
+	})
+	if perRow := (allocs - 1) / servers; perRow > allocsPerRowBudget {
+		t.Errorf("%.2f allocations per server row, budget %.1f", perRow, allocsPerRowBudget)
+	} else {
+		t.Logf("%.2f allocations per server row (budget %.1f)", perRow, allocsPerRowBudget)
 	}
 }
 
