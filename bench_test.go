@@ -48,8 +48,10 @@ func BenchmarkFig5Partitioning(b *testing.B) {
 //	go test -run '^$' -bench CityRound/plain -cpuprofile cpu.out .
 //
 // names where a simulated query's host time goes without touching bench/.
-// The plain sub-benchmark records nothing, as the workload does; spans
-// sets RecordSpans, so the pair prices a traced round.
+// The plain sub-benchmark records nothing and leaves Shards at 0, as the
+// workload does, so it shards by GOMAXPROCS; one-shard is the same round
+// on one engine, the serial profile; spans sets RecordSpans, so the pair
+// plain/spans prices a traced round.
 func BenchmarkCityRound(b *testing.B) {
 	tcfg := trace.GeolifeConfig()
 	tcfg.Seed = 1 // the seed of bench/golden/city-seed1.json
@@ -61,18 +63,19 @@ func BenchmarkCityRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, spans := range []bool{false, true} {
-		name := "plain"
-		if spans {
-			name = "spans"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, sub := range []struct {
+		name   string
+		shards int
+		spans  bool
+	}{{"plain", 0, false}, {"one-shard", 1, false}, {"spans", 0, true}} {
+		b.Run(sub.name, func(b *testing.B) {
 			b.ReportAllocs()
 			round := func() (queries int) {
 				for _, model := range dnn.ZooNames() {
 					cfg := edgesim.DefaultCityConfig(model, edgesim.ModePerDNN, 100)
 					cfg.MaxSteps = 40
-					cfg.RecordSpans = spans
+					cfg.Shards = sub.shards
+					cfg.RecordSpans = sub.spans
 					res, err := edgesim.RunCity(env, cfg)
 					if err != nil {
 						b.Fatal(err)

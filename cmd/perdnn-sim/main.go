@@ -16,7 +16,10 @@
 //
 // -shards splits every run into that many region shards, each advancing
 // its own event queue on its own goroutine — results and journals stay
-// byte-identical to the unsharded engine, only wall time changes.
+// byte-identical to the unsharded engine, only wall time changes. The
+// default, 0, shards a single cell by GOMAXPROCS and runs each cell of a
+// multi-worker sweep, a routing cell and a -trace/-spans cell on one
+// engine; -shards 1 always runs one engine.
 //
 // The -fault-* flags inject a deterministic failure model (server outage
 // windows, transient link faults) into every cell; churn shows up as
@@ -95,7 +98,7 @@ func run() error {
 	ttl := flag.Int("ttl", 5, "layer cache TTL in prediction intervals")
 	steps := flag.Int("steps", 0, "max trajectory steps (0 = full playback)")
 	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "region shards per run, each on its own goroutine (0 or 1 = single event queue)")
+	shards := flag.Int("shards", 0, "region shards per run, each on its own goroutine (1 = single event queue; 0 = by GOMAXPROCS, one queue in a multi-worker sweep, routing or a traced run)")
 	csvPath := flag.String("csv", "", "write the per-server backhaul ledger as CSV to this path (single run only)")
 	eventsPath := flag.String("events", "", "write the runs' event journals as JSONL to this path (deterministic across -parallel)")
 	tracePath := flag.String("trace", "", "write a Perfetto-loadable trace of the runs' spans to this path (deterministic across -parallel)")

@@ -1,9 +1,24 @@
 package main
 
 import (
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// TestRoutingAtDefaultShards: -shards 0, the default, resolves to one
+// engine for routing runs (a routing client's home server may sit in
+// another region), so a routing cell runs on a multi-core host rather
+// than failing the sharded-routing check.
+func TestRoutingAtDefaultShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer func(args []string) { os.Args = args }(os.Args)
+	os.Args = []string{"perdnn-sim", "-mode", "routing", "-radius", "0", "-model", "mobilenet", "-steps", "4"}
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestCheckExports(t *testing.T) {
 	tests := []struct {

@@ -22,8 +22,8 @@ import (
 type LayerCache struct {
 	numLayers int
 	ttl       time.Duration
-	entries   map[int]*cacheEntry // keyed by client ID; nil until the first Claim
-	sweepAt   int                 // size at which a new client triggers a sweep
+	entries   map[int]cacheEntry // keyed by client ID; nil until the first Claim
+	sweepAt   int                // size at which a new client triggers a sweep
 }
 
 type cacheEntry struct {
@@ -66,10 +66,11 @@ func (c *LayerCache) Get(now time.Duration, client int) (dnn.LayerSet, bool) {
 }
 
 // Claim refreshes the TTL of the client's cached layers, starting an empty
-// entry if none is live, and returns the set for the caller to add to.
+// entry if none is live, and returns the set for the caller to add to. The
+// map keeps entries by value, so a new entry allocates only its set's words.
 func (c *LayerCache) Claim(now time.Duration, client int) dnn.LayerSet {
 	if c.entries == nil {
-		c.entries = make(map[int]*cacheEntry, 4)
+		c.entries = make(map[int]cacheEntry, 4)
 	}
 	e, ok := c.entries[client]
 	if !ok || now > e.expiry {
@@ -81,10 +82,10 @@ func (c *LayerCache) Claim(now time.Duration, client int) dnn.LayerSet {
 			}
 			c.sweepAt = max(2*len(c.entries), minSweep)
 		}
-		e = &cacheEntry{set: dnn.NewLayerSet(c.numLayers)}
-		c.entries[client] = e
+		e = cacheEntry{set: dnn.NewLayerSet(c.numLayers)}
 	}
 	e.expiry = now + c.ttl
+	c.entries[client] = e
 	return e.set
 }
 
@@ -92,6 +93,7 @@ func (c *LayerCache) Claim(now time.Duration, client int) dnn.LayerSet {
 func (c *LayerCache) Touch(now time.Duration, client int) {
 	if e, ok := c.entries[client]; ok && now <= e.expiry {
 		e.expiry = now + c.ttl
+		c.entries[client] = e
 	}
 }
 

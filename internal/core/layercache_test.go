@@ -103,3 +103,26 @@ func TestLayerCacheSweepChangesNoAnswer(t *testing.T) {
 		}
 	}
 }
+
+// TestLayerCacheClaimAllocs gates what a new client costs once the map has
+// room: entries live in the map by value, so a Claim allocates only its
+// set's words.
+func TestLayerCacheClaimAllocs(t *testing.T) {
+	const ttl = time.Second
+	c := NewLayerCache(64, ttl)
+	const grown = 4096
+	for id := 0; id < grown; id++ {
+		c.Claim(0, id)
+	}
+	for id := 0; id < grown; id++ {
+		c.Get(2*ttl, id) // evicts: the map keeps its room
+	}
+	next := grown
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Claim(2*ttl, next)
+		next++
+	})
+	if allocs != 1 {
+		t.Errorf("a new client's Claim allocates %v objects, want 1 (its set's words)", allocs)
+	}
+}

@@ -196,11 +196,14 @@ type CityConfig struct {
 	SharedModelCache bool
 	// Shards splits the run into that many region shards, each advancing
 	// its own event queue on its own goroutine and synchronizing at
-	// movement ticks (see DESIGN.md §16). 0 or 1 runs unsharded; counts
-	// above the server count are clamped. ModeRouting requires 1 shard:
-	// a routing client's queries execute at a home server that may sit in
-	// another shard's region. The journals and the result are
-	// byte-identical at every shard count.
+	// movement ticks (see DESIGN.md §16). 1 runs unsharded; counts above
+	// the server count are clamped. 0 uses the machine: four shards per
+	// GOMAXPROCS, or one engine under GOMAXPROCS 1, in a RunSweepContext
+	// pool of several workers, in ModeRouting and with RecordSpans.
+	// ModeRouting accepts no other count above 1: a routing client's
+	// queries execute at a home server that may sit in another shard's
+	// region. The journals and the result are byte-identical at every
+	// shard count.
 	Shards int
 	// RecordEvents enables the run's event journal: the decision instants
 	// — handoffs, cold starts, partial hits, run-local plan-cache misses,
@@ -419,17 +422,27 @@ type world struct {
 	cliNames []string
 	faults   *faultState // nil unless cfg.Faults is set
 	srvDown  []bool      // per-server outage state, updated at tick time
-	// seenPlans holds every plan entry this run has used, with its
-	// cold-start split table (nil until a client starts cold on it).
-	// Presence is run-local plan novelty for the plan_cache_miss event:
-	// the process-wide cache's hit state depends on concurrent runs, so
-	// the journal records "first use within this run" instead, which is
-	// deterministic at every worker count. The tick phase writes the map;
-	// the window phase reads tables only through simClient.cold.
-	seenPlans map[*core.PlanEntry][]partition.Split
+	// seenPlans holds every plan entry this run has used, with the splits
+	// its connections reuse (see planSplits). Presence is run-local plan
+	// novelty for the plan_cache_miss event: the process-wide cache's hit
+	// state depends on concurrent runs, so the journal records "first use
+	// within this run" instead, which is deterministic at every worker
+	// count. The tick phase writes the map; the window phase reads tables
+	// only through simClient.cold.
+	seenPlans map[*core.PlanEntry]planSplits
 	// send is migrate's scratch set (tick phase only): the layers a target
 	// lacks.
 	send dnn.LayerSet
+}
+
+// planSplits are the splits of a plan entry that are pure functions of
+// it, each computed by the first connection that needs it: the cold-start
+// table (see world.coldSplits) and the split of a hit, whose server holds
+// every planned layer (see world.fullSplit).
+type planSplits struct {
+	cold    []partition.Split
+	full    partition.Split
+	hasFull bool
 }
 
 // shardOf returns the shard owning server id's region.
@@ -465,18 +478,31 @@ func (w *world) splitFor(c *simClient) partition.Split {
 // function of the entry, built by the first cold start that uses it.
 // Tick phase only, with c.curSet empty; it leaves c.curSet empty.
 func (w *world) coldSplits(c *simClient) []partition.Split {
-	if cold := w.seenPlans[c.entry]; cold != nil {
-		return cold
+	ps := w.seenPlans[c.entry]
+	if ps.cold != nil {
+		return ps.cold
 	}
-	cold := make([]partition.Split, len(c.pending)+1)
-	cold[0] = w.splitFor(c)
+	ps.cold = make([]partition.Split, len(c.pending)+1)
+	ps.cold[0] = w.splitFor(c)
 	for k, chunk := range c.pending {
 		c.curSet.AddAll(chunk)
-		cold[k+1] = w.splitFor(c)
+		ps.cold[k+1] = w.splitFor(c)
 	}
 	c.curSet.Reset(w.model.NumLayers())
-	w.seenPlans[c.entry] = cold
-	return cold
+	w.seenPlans[c.entry] = ps
+	return ps.cold
+}
+
+// fullSplit returns splitFor of a hit on the client's plan entry: c.curSet
+// holds exactly the entry's layers, so the split is a pure function of the
+// entry, decomposed by the first hit that uses it. Tick phase only.
+func (w *world) fullSplit(c *simClient) partition.Split {
+	ps := w.seenPlans[c.entry]
+	if !ps.hasFull {
+		ps.full, ps.hasFull = w.splitFor(c), true
+		w.seenPlans[c.entry] = ps
+	}
+	return ps.full
 }
 
 // nodeMaster is the span track for control-plane work (planning), which
@@ -520,7 +546,7 @@ func (w *world) trackPlan(now time.Duration, entry *core.PlanEntry, client int, 
 	if _, ok := w.seenPlans[entry]; ok {
 		return
 	}
-	w.seenPlans[entry] = nil
+	w.seenPlans[entry] = planSplits{}
 	w.planMisses++
 	w.recordDecision(now, tracing.StagePlanCacheMiss, nodeMaster, attrs(client, sid, geo.NoServer,
 		entry.Layers.Count(), entry.Plan.ServerBytes()))
@@ -616,10 +642,11 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 	if cfg.TTLIntervals <= 0 || cfg.QueryGap <= 0 {
 		return nil, 0, fmt.Errorf("edgesim: bad config: ttl=%d gap=%v", cfg.TTLIntervals, cfg.QueryGap)
 	}
-	if cfg.Shards < 0 {
+	shards := shardCount(cfg, env.Placement.Len(), 1)
+	if shards < 0 {
 		return nil, 0, fmt.Errorf("edgesim: negative shard count %d", cfg.Shards)
 	}
-	if cfg.Shards > 1 && cfg.Mode == ModeRouting {
+	if shards > 1 && cfg.Mode == ModeRouting {
 		return nil, 0, fmt.Errorf("edgesim: ModeRouting requires a single shard: a routing client's home server may sit in another shard's region")
 	}
 	if err := cfg.Faults.Validate(); err != nil {
@@ -655,7 +682,7 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 		planner:   planner,
 		servers:   make([]simServer, env.Placement.Len()),
 		clients:   make([]*simClient, 0, len(env.Dataset.Test)),
-		seenPlans: make(map[*core.PlanEntry][]partition.Split),
+		seenPlans: make(map[*core.PlanEntry]planSplits),
 		res: &CityResult{
 			Model:   cfg.Model,
 			Mode:    cfg.Mode,
@@ -664,11 +691,7 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 			Latency: &obs.Histogram{},
 		},
 	}
-	shardCount := cfg.Shards
-	if shardCount < 1 {
-		shardCount = 1
-	}
-	w.smap = geo.NewShardMap(env.Placement, shardCount)
+	w.smap = geo.NewShardMap(env.Placement, shards)
 	w.shards = make([]*simShard, w.smap.Count())
 	for i := range w.shards {
 		w.shards[i] = newSimShard(w, i)
@@ -960,9 +983,11 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 
 	c.curSet.Reset(w.model.NumLayers())
 	cold := false // nothing of ours on the server: upload from scratch
+	hit := false  // every planned layer is on the server
 	switch w.cfg.Mode {
 	case ModeOptimal:
 		c.curSet.Union(entry.Layers)
+		hit = true
 		w.res.Hits++
 	case ModeIONN, ModeRouting:
 		// From scratch: the baseline never reuses cached layers, and a
@@ -981,6 +1006,7 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 		cold = have == 0
 		switch {
 		case have == planLayers:
+			hit = true
 			w.res.Hits++
 		case have == 0:
 			w.res.Misses++
@@ -998,7 +1024,11 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 		c.pendingIDs = make([]dnn.LayerID, 0, planLayers)
 	}
 	ids := c.pendingIDs[:0]
-	for _, u := range entry.Schedule {
+	units := entry.Schedule
+	if hit {
+		units = nil // every planned layer is on the server
+	}
+	for _, u := range units {
 		from := len(ids)
 		for _, id := range u.Layers {
 			if !c.curSet.Has(id) {
@@ -1009,10 +1039,13 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 			c.pending = append(c.pending, ids[from:len(ids):len(ids)])
 		}
 	}
-	if cold {
+	switch {
+	case cold:
 		c.cold = w.coldSplits(c)
 		c.split = c.cold[0]
-	} else {
+	case hit:
+		c.split, c.cold = w.fullSplit(c), nil
+	default:
 		c.split, c.cold = w.splitFor(c), nil
 	}
 

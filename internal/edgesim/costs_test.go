@@ -1,6 +1,7 @@
 package edgesim
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -103,14 +104,17 @@ func measureCosts(t *testing.T) []costEntry {
 	}
 	add("env.live_heap_bytes", gateTolerance, envLiveHeap(t, ds, ecfg))
 
+	// The round entries name their shard count: Shards 0 resolves by
+	// GOMAXPROCS, and the plain entries' history is one engine's.
 	cityCfg := func(model dnn.ModelName) CityConfig {
 		cfg := DefaultCityConfig(model, ModePerDNN, 100)
 		cfg.MaxSteps = 40
+		cfg.Shards = 1
 		return cfg
 	}
-	round := func() (queries int64) {
+	round := func(shards int) (queries int64) {
 		for _, model := range dnn.ZooNames() {
-			res, err := RunCity(env, cityCfg(model))
+			res, err := RunCitySharded(context.Background(), env, cityCfg(model), shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,12 +122,18 @@ func measureCosts(t *testing.T) []costEntry {
 		}
 		return queries
 	}
-	round() // fill the process-wide plan cache, as the benchmark's set-up does
+	round(1) // fill the process-wide plan cache, as the benchmark's set-up does
 	var queries int64
-	bytes, allocs := memDelta(func() { queries = round() })
+	bytes, allocs := memDelta(func() { queries = round(1) })
 	add("city_round.plain.sim_queries", gateExact, queries)
 	add("city_round.plain.bytes", gateToolchain, bytes)
 	add("city_round.plain.allocs", gateToolchain, allocs)
+	// Eight shards run goroutines, whose scheduling moves what the round
+	// allocates a little.
+	bytes, allocs = memDelta(func() { queries = round(8) })
+	add("city_round.shards8.sim_queries", gateExact, queries)
+	add("city_round.shards8.bytes", gateTolerance, bytes)
+	add("city_round.shards8.allocs", gateTolerance, allocs)
 
 	// The traced round records every span, so it runs tracedSteps steps:
 	// at 40 the collector-off window would allocate about 1 GB.

@@ -228,12 +228,14 @@ func TestLocalQueryCountedAtIssue(t *testing.T) {
 	}
 }
 
-// TestColdSplitsMatchDecompose holds every cold-start split table a short
-// run builds to what splitFor computes from the plan entry: row k is the
-// split with the entry's first k non-empty schedule units on the server.
+// TestColdSplitsMatchDecompose holds every split a short run caches per
+// plan entry to what splitFor computes from the entry: row k of a
+// cold-start table is the split with the entry's first k non-empty
+// schedule units on the server, and a hit's split the one with all of the
+// entry's layers there.
 func TestColdSplitsMatchDecompose(t *testing.T) {
 	env := smallEnv(t)
-	for _, mode := range []Mode{ModePerDNN, ModeIONN} {
+	for _, mode := range []Mode{ModePerDNN, ModeIONN, ModeOptimal} {
 		for _, model := range []dnn.ModelName{dnn.ModelMobileNet, dnn.ModelResNet} {
 			cfg := DefaultCityConfig(model, mode, 100)
 			cfg.MaxSteps = 20
@@ -245,8 +247,17 @@ func TestColdSplitsMatchDecompose(t *testing.T) {
 				t.Fatal(err)
 			}
 			probe := &simClient{sh: w.shards[0]}
-			tables := 0
-			for entry, cold := range w.seenPlans {
+			tables, fulls := 0, 0
+			for entry, ps := range w.seenPlans {
+				if ps.hasFull {
+					fulls++
+					probe.curSet.Reset(w.model.NumLayers())
+					probe.curSet.Union(entry.Layers)
+					if want := w.splitFor(probe); ps.full != want {
+						t.Errorf("%s %v: hit split = %+v, splitFor %+v", model, mode, ps.full, want)
+					}
+				}
+				cold := ps.cold
 				if cold == nil {
 					continue
 				}
@@ -273,8 +284,11 @@ func TestColdSplitsMatchDecompose(t *testing.T) {
 					t.Errorf("%s %v: table has %d rows, want %d", model, mode, len(cold), k)
 				}
 			}
-			if tables == 0 {
+			if tables == 0 && mode != ModeOptimal {
 				t.Errorf("%s %v: no connection started cold", model, mode)
+			}
+			if fulls == 0 && mode != ModeIONN {
+				t.Errorf("%s %v: no connection was a hit", model, mode)
 			}
 		}
 	}

@@ -2,11 +2,39 @@ package edgesim
 
 import (
 	"context"
+	"runtime"
 	"time"
 
 	"perdnn/internal/obs"
 	"perdnn/internal/partition"
 )
+
+// shardsPerProc is how many region shards an auto-sharded run starts per
+// processor. Regions carry uneven load, so more regions than processors
+// let the Go scheduler even them out; the multiplier is the fastest of a
+// paired sweep (EXPERIMENTS.md "Region-sharded city runs").
+const shardsPerProc = 4
+
+// shardCount resolves cfg.Shards to the number of region shards a run
+// uses, given the server count and how many runs execute concurrently
+// with it (a sweep's worker pool; 1 for a lone run). A positive count is
+// kept, clamped to the server count; a negative one is returned for
+// newWorld to reject. 0 means "use the machine": shardsPerProc per
+// GOMAXPROCS, except where a single engine is as fast or required — one
+// processor, a sweep whose other runs already fill the cores, a routing
+// run (its home servers cross regions), and a run recording spans (every
+// span takes the one shared tracer's mutex).
+func shardCount(cfg CityConfig, servers, concurrent int) int {
+	n := cfg.Shards
+	if n == 0 {
+		procs := runtime.GOMAXPROCS(0)
+		n = shardsPerProc * procs
+		if procs == 1 || concurrent > 1 || cfg.Mode == ModeRouting || cfg.RecordSpans {
+			n = 1
+		}
+	}
+	return min(n, max(servers, 1))
+}
 
 // simShard owns one region of the city: the servers geo.ShardMap assigns
 // to it, the clients currently attached to those servers, and a private

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -196,9 +197,9 @@ var benchEnvOnce = sync.OnceValues(func() (*Env, error) {
 	return PrepareEnv(base, ecfg)
 })
 
-// BenchmarkShardedCity measures one large city run at several shard
-// counts; the 4-shard case against the 1-shard baseline is the sharding
-// speedup (EXPERIMENTS.md "Region-sharded city runs").
+// BenchmarkShardedCity measures one large KAIST city run at several
+// shard counts; the 4-shard case against the 1-shard baseline is the
+// sharding speedup of a run whose windows, not its ticks, carry it.
 func BenchmarkShardedCity(b *testing.B) {
 	env, err := benchEnvOnce()
 	if err != nil {
@@ -219,5 +220,112 @@ func BenchmarkShardedCity(b *testing.B) {
 				b.ReportMetric(float64(res.TotalQueries), "queries")
 			}
 		})
+	}
+}
+
+// TestAutoShardsMatchOneShard: Shards 0 resolves by GOMAXPROCS, so under
+// 1, 2 and 4 processors a run must equal the one-shard run field for
+// field, journals included, with and without faults. The events-only
+// configuration shards whenever GOMAXPROCS > 1; the span-recording one
+// resolves to one engine.
+func TestAutoShardsMatchOneShard(t *testing.T) {
+	env := smallEnv(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(cfg CityConfig) (*CityResult, []byte, []byte) {
+		t.Helper()
+		res, err := RunCityContext(context.Background(), env, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ev, sp bytes.Buffer
+		if err := WriteEvents(&ev, res.Events); err != nil {
+			t.Fatal(err)
+		}
+		if err := tracing.WriteJSONL(&sp, res.Spans); err != nil {
+			t.Fatal(err)
+		}
+		return res, ev.Bytes(), sp.Bytes()
+	}
+	for _, faulty := range []bool{false, true} {
+		for _, spans := range []bool{false, true} {
+			cfg := shardCfg(faulty)
+			cfg.MaxSteps = 25
+			cfg.RecordSpans = spans
+			cfg.Shards = 1
+			want, wantEv, wantSp := run(cfg)
+			if len(wantEv) == 0 || spans != (len(wantSp) > 0) {
+				t.Fatalf("faulty=%v spans=%v: the one-shard run recorded %d event and %d span bytes", faulty, spans, len(wantEv), len(wantSp))
+			}
+			cfg.Shards = 0
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				wantShards := 1
+				if procs > 1 && !spans {
+					wantShards = shardsPerProc * procs
+				}
+				if n := shardCount(cfg, env.Placement.Len(), 1); n != wantShards {
+					t.Errorf("faulty=%v spans=%v procs=%d: Shards 0 resolves to %d, want %d", faulty, spans, procs, n, wantShards)
+				}
+				got, ev, sp := run(cfg)
+				if !bytes.Equal(ev, wantEv) || !bytes.Equal(sp, wantSp) {
+					t.Errorf("faulty=%v spans=%v procs=%d: journals differ from one shard (%d/%d event, %d/%d span bytes)",
+						faulty, spans, procs, len(ev), len(wantEv), len(sp), len(wantSp))
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("faulty=%v spans=%v procs=%d: result differs from one shard:\n%+v\nvs\n%+v", faulty, spans, procs, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestShardCountRule is the table of Shards 0's resolution: by GOMAXPROCS
+// where a run has the machine to itself, one engine where it does not or
+// cannot shard, and every count clamped to the server count.
+func TestShardCountRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	plain := DefaultCityConfig(dnn.ModelMobileNet, ModePerDNN, 100)
+	with := func(f func(*CityConfig)) CityConfig {
+		cfg := plain
+		f(&cfg)
+		return cfg
+	}
+	for _, tc := range []struct {
+		name                       string
+		cfg                        CityConfig
+		procs, servers, concurrent int
+		want                       int
+	}{
+		{"auto, one processor", plain, 1, 1000, 1, 1},
+		{"auto, two processors", plain, 2, 1000, 1, 2 * shardsPerProc},
+		{"auto, four processors", plain, 4, 1000, 1, 4 * shardsPerProc},
+		{"auto, clamped to the servers", plain, 4, 3, 1, 3},
+		{"auto, multi-worker sweep", plain, 4, 1000, 2, 1},
+		{"auto, one-worker sweep", plain, 2, 1000, 1, 2 * shardsPerProc},
+		{"auto, routing", with(func(c *CityConfig) { c.Mode = ModeRouting }), 4, 1000, 1, 1},
+		{"auto, spans", with(func(c *CityConfig) { c.RecordSpans = true }), 4, 1000, 1, 1},
+		{"auto, events only", with(func(c *CityConfig) { c.RecordEvents = true }), 2, 1000, 1, 2 * shardsPerProc},
+		{"explicit, kept on one processor", with(func(c *CityConfig) { c.Shards = 3 }), 1, 1000, 4, 3},
+		{"explicit, clamped to the servers", with(func(c *CityConfig) { c.Shards = 1 << 20 }), 2, 1000, 1, 1000},
+		{"negative, left for newWorld", with(func(c *CityConfig) { c.Shards = -1 }), 2, 1000, 1, -1},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		if got := shardCount(tc.cfg, tc.servers, tc.concurrent); got != tc.want {
+			t.Errorf("%s: shardCount = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+
+	// End to end: the sweep resolves its runs with its pool size, and a
+	// routing run at the default count runs rather than failing.
+	env := smallEnv(t)
+	runtime.GOMAXPROCS(2)
+	routing := DefaultCityConfig(dnn.ModelMobileNet, ModeRouting, 0)
+	routing.MaxSteps = 4
+	if _, err := RunCity(env, routing); err != nil {
+		t.Errorf("routing at Shards 0: %v", err)
+	}
+	outs := RunSweepContext(context.Background(), SweepConfigs(env, routing, routing), 2)
+	if err := SweepErr(outs); err != nil {
+		t.Errorf("routing sweep at Shards 0: %v", err)
 	}
 }

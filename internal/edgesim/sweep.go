@@ -37,7 +37,9 @@ func SweepConfigs(env *Env, cfgs ...CityConfig) []SweepRun {
 // call it would be sequentially — environments are read-only, every run
 // owns its servers and planner state, and the shared plan cache returns
 // identical immutable entries to every run — so the outcomes are
-// byte-identical for every worker count, including 1.
+// byte-identical for every worker count, including 1. With more than one
+// worker a run whose Shards is 0 runs on one engine: the pool's other runs
+// already fill the cores (see shardCount).
 //
 // One run's failure does not stop the others; callers inspect per-outcome
 // errors (or use SweepErr for the first one). Runs already in flight when
@@ -46,12 +48,17 @@ func SweepConfigs(env *Env, cfgs ...CityConfig) []SweepRun {
 // carries the context error.
 func RunSweepContext(ctx context.Context, runs []SweepRun, workers int) []SweepOutcome {
 	out := make([]SweepOutcome, len(runs))
-	forEachOrdered(len(runs), workers, func(i int) {
+	pool := poolSize(len(runs), workers)
+	forEachOrdered(len(runs), pool, func(i int) {
 		if err := ctx.Err(); err != nil {
 			out[i] = SweepOutcome{Run: runs[i], Err: err}
 			return
 		}
-		res, err := RunCityContext(ctx, runs[i].Env, runs[i].Cfg)
+		cfg := runs[i].Cfg
+		if env := runs[i].Env; env != nil {
+			cfg.Shards = shardCount(cfg, env.Placement.Len(), pool)
+		}
+		res, err := RunCityContext(ctx, runs[i].Env, cfg)
 		out[i] = SweepOutcome{Run: runs[i], Result: res, Err: err}
 	})
 	return out
@@ -63,12 +70,7 @@ func RunSweepContext(ctx context.Context, runs []SweepRun, workers int) []SweepO
 // store results by index, so the output order is the input order at every
 // worker count.
 func forEachOrdered(n, workers int, do func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = poolSize(n, workers)
 	var (
 		mu   sync.Mutex
 		next int
@@ -91,6 +93,15 @@ func forEachOrdered(n, workers int, do func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// poolSize is the number of goroutines forEachOrdered runs for n calls
+// on workers (<= 0 means GOMAXPROCS): never more than n.
+func poolSize(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
 }
 
 // SweepErr returns the first error among the outcomes, or nil.

@@ -396,7 +396,8 @@ func PrepareCity(base *Dataset) (*Env, error) {
 // RunCityContext executes one large-scale simulation run under a context:
 // cancellation (or deadline expiry) aborts the run at its next movement
 // tick. cfg.Faults injects a failure model and cfg.Shards spreads the run
-// across region shards; results are byte-identical at every shard count.
+// across region shards (0, the default, by GOMAXPROCS); results are
+// byte-identical at every shard count.
 func RunCityContext(ctx context.Context, env *Env, cfg CityConfig) (*CityResult, error) {
 	return edgesim.RunCityContext(ctx, env, cfg)
 }
