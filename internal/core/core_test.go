@@ -118,6 +118,28 @@ func TestPlanEntryLayersMatchPlan(t *testing.T) {
 		if got, want := e.Layers.WeightBytes(e.Plan.Model), e.Plan.ServerBytes(); got != want {
 			t.Errorf("slowdown %v: set weighs %d bytes, plan %d", slowdown, got, want)
 		}
+		// Row k of the split table is the first k units decomposed afresh;
+		// a cold start uploads one unit a row, so none may be empty.
+		if len(e.Splits) != len(e.Schedule)+1 {
+			t.Fatalf("slowdown %v: %d split rows for %d units", slowdown, len(e.Splits), len(e.Schedule))
+		}
+		for k := range e.Splits {
+			loc := partition.AllClient(e.Plan.Model)
+			for _, u := range e.Schedule[:k] {
+				if len(u.Layers) == 0 {
+					t.Fatalf("slowdown %v: empty schedule unit", slowdown)
+				}
+				for _, id := range u.Layers {
+					loc[id] = partition.AtServer
+				}
+			}
+			if want := partition.Decompose(p.Profile(), loc); e.Splits[k] != want {
+				t.Errorf("slowdown %v: row %d = %+v, Decompose %+v", slowdown, k, e.Splits[k], want)
+			}
+		}
+		if got, want := e.Splits[len(e.Schedule)], partition.Decompose(p.Profile(), e.Plan.Loc); got != want {
+			t.Errorf("slowdown %v: last row = %+v, the plan's split %+v", slowdown, got, want)
+		}
 	}
 }
 

@@ -23,13 +23,16 @@ import (
 // PlanEntry is a partitioning plan bundled with its upload schedule.
 // Entries are immutable once built and are shared freely across goroutines
 // and across simulation runs (via PlanCache); consumers must not modify
-// the plan or the schedule in place.
+// any of its fields in place.
 type PlanEntry struct {
 	Plan     *partition.Plan
 	Schedule []partition.UploadUnit
 	// Layers is the plan's server-side layers as a set: every layer the
 	// schedule uploads, so "what does a server lack" is a few word ops.
 	Layers dnn.LayerSet
+	// Splits is partition.ScheduleSplits of the schedule: row k prices a
+	// server holding the first k units, the last row the whole plan.
+	Splits []partition.Split
 }
 
 // Planner produces partitioning plans for one client model against servers
@@ -135,7 +138,12 @@ func (p *Planner) planAt(slowdown float64) (*PlanEntry, error) {
 			f.err = fmt.Errorf("core: planning at slowdown %.2f: %w", slowdown, err)
 			return
 		}
-		f.entry = &PlanEntry{Plan: plan, Schedule: sched, Layers: partition.ScheduleSet(sched, plan.Model.NumLayers())}
+		f.entry = &PlanEntry{
+			Plan:     plan,
+			Schedule: sched,
+			Layers:   partition.ScheduleSet(sched, plan.Model.NumLayers()),
+			Splits:   partition.ScheduleSplits(p.prof, sched),
+		}
 	})
 	return f.entry, f.err
 }

@@ -9,12 +9,11 @@ import "math/bits"
 // Model.CheckLayers first.
 type LayerSet struct {
 	words []uint64
-	n     int
 }
 
 // NewLayerSet returns an empty set for a model with n layers.
 func NewLayerSet(n int) LayerSet {
-	return LayerSet{words: make([]uint64, (n+63)/64), n: n}
+	return LayerSet{words: make([]uint64, (n+63)/64)}
 }
 
 // Add inserts a layer ID.
@@ -53,7 +52,6 @@ func (s *LayerSet) Reset(n int) {
 		s.words = make([]uint64, words)
 	}
 	s.words = s.words[:words]
-	s.n = n
 	for i := range s.words {
 		s.words[i] = 0
 	}
@@ -61,7 +59,7 @@ func (s *LayerSet) Reset(n int) {
 
 // Clone returns an independent copy.
 func (s LayerSet) Clone() LayerSet {
-	out := LayerSet{words: make([]uint64, len(s.words)), n: s.n}
+	out := LayerSet{words: make([]uint64, len(s.words))}
 	copy(out.words, s.words)
 	return out
 }

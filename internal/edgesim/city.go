@@ -106,6 +106,10 @@ func DefaultEnvConfig() EnvConfig {
 	}
 }
 
+// minTrainLen is the shortest trajectory PrepareEnv keeps when it caps
+// the SVR's training set (mobility.CapTrain).
+const minTrainLen = 8
+
 // PrepareEnv resamples the dataset, places servers on visited cells, and
 // trains the mobility predictor (linear SVR, the paper's choice) and the
 // GPU execution-time estimator. The two training passes are independent and
@@ -127,7 +131,7 @@ func PrepareEnv(base *trace.Dataset, cfg EnvConfig) (*Env, error) {
 		est, estErr = estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), cfg.Seed)
 	}()
 	svr := &mobility.SVR{Seed: cfg.Seed}
-	svrErr := svr.Fit(capTrain(ds.Train, cfg.MaxTrainWindows), pl, cfg.HistoryLen)
+	svrErr := svr.Fit(mobility.CapTrain(ds.Train, cfg.MaxTrainWindows, minTrainLen), pl, cfg.HistoryLen)
 	<-done
 	if svrErr != nil {
 		return nil, fmt.Errorf("edgesim: training predictor: %w", svrErr)
@@ -143,33 +147,6 @@ func PrepareEnv(base *trace.Dataset, cfg EnvConfig) (*Env, error) {
 		Predictor:  svr,
 		Estimator:  est,
 	}, nil
-}
-
-// capTrain truncates trajectories so the total sample count stays under cap.
-func capTrain(train []trace.Trajectory, cap int) []trace.Trajectory {
-	if cap <= 0 {
-		return train
-	}
-	total := 0
-	for _, tr := range train {
-		total += tr.Len()
-	}
-	if total <= cap {
-		return train
-	}
-	frac := float64(cap) / float64(total)
-	out := make([]trace.Trajectory, 0, len(train))
-	for _, tr := range train {
-		keep := int(float64(tr.Len()) * frac)
-		if keep < 8 {
-			continue
-		}
-		out = append(out, trace.Trajectory{User: tr.User, Interval: tr.Interval, Points: tr.Points[:keep]})
-	}
-	if len(out) == 0 {
-		return train
-	}
-	return out
 }
 
 // CityConfig parameterizes one simulation run.
@@ -370,9 +347,10 @@ type simClient struct {
 	local      bool            // degraded to client-local execution
 	chain      *queryChain     // the live generation's query chain
 	upload     *uploadChain    // the latest generation's upload chain
-	// cold is the entry's cold-start split table when this generation
-	// started with nothing on the server (see world.coldSplits): after k
-	// uploaded units the split is cold[k]. Nil otherwise.
+	// cold is the entry's split table (core.PlanEntry.Splits) when this
+	// generation started with nothing on the server: its upload queue is
+	// then the whole schedule, so after k uploaded units the split is
+	// cold[k]. Nil otherwise.
 	cold []partition.Split
 
 	// upTrace/upPlan are the current handoff's trace and its plan span:
@@ -422,27 +400,15 @@ type world struct {
 	cliNames []string
 	faults   *faultState // nil unless cfg.Faults is set
 	srvDown  []bool      // per-server outage state, updated at tick time
-	// seenPlans holds every plan entry this run has used, with the splits
-	// its connections reuse (see planSplits). Presence is run-local plan
-	// novelty for the plan_cache_miss event: the process-wide cache's hit
+	// seenPlans holds every plan entry this run has used: run-local plan
+	// novelty for the plan_cache_miss event. The process-wide cache's hit
 	// state depends on concurrent runs, so the journal records "first use
 	// within this run" instead, which is deterministic at every worker
-	// count. The tick phase writes the map; the window phase reads tables
-	// only through simClient.cold.
-	seenPlans map[*core.PlanEntry]planSplits
+	// count. Only the tick phase touches it.
+	seenPlans map[*core.PlanEntry]struct{}
 	// send is migrate's scratch set (tick phase only): the layers a target
 	// lacks.
 	send dnn.LayerSet
-}
-
-// planSplits are the splits of a plan entry that are pure functions of
-// it, each computed by the first connection that needs it: the cold-start
-// table (see world.coldSplits) and the split of a hit, whose server holds
-// every planned layer (see world.fullSplit).
-type planSplits struct {
-	cold    []partition.Split
-	full    partition.Split
-	hasFull bool
 }
 
 // shardOf returns the shard owning server id's region.
@@ -452,8 +418,8 @@ func (w *world) shardOf(id geo.ServerID) *simShard {
 
 // splitFor decomposes the client's current assignment — the layers in its
 // curSet on the server, everything else on the client — through the owning
-// shard's reused location scratch, so the per-upload re-decompositions in
-// the query loop allocate nothing.
+// shard's reused location scratch, so it allocates nothing. Only partial
+// hits need it: cold starts and hits read their entry's Splits.
 func (w *world) splitFor(c *simClient) partition.Split {
 	sh := c.sh
 	n := w.model.NumLayers()
@@ -469,40 +435,6 @@ func (w *world) splitFor(c *simClient) partition.Split {
 		}
 	}
 	return partition.Decompose(w.prof, loc)
-}
-
-// coldSplits returns the split table of the client's plan entry for a
-// connection that starts with nothing on the server: entry k is splitFor
-// after the first k units of c.pending are uploaded. The upload queue of a
-// cold start is every non-empty schedule unit, so the table is a pure
-// function of the entry, built by the first cold start that uses it.
-// Tick phase only, with c.curSet empty; it leaves c.curSet empty.
-func (w *world) coldSplits(c *simClient) []partition.Split {
-	ps := w.seenPlans[c.entry]
-	if ps.cold != nil {
-		return ps.cold
-	}
-	ps.cold = make([]partition.Split, len(c.pending)+1)
-	ps.cold[0] = w.splitFor(c)
-	for k, chunk := range c.pending {
-		c.curSet.AddAll(chunk)
-		ps.cold[k+1] = w.splitFor(c)
-	}
-	c.curSet.Reset(w.model.NumLayers())
-	w.seenPlans[c.entry] = ps
-	return ps.cold
-}
-
-// fullSplit returns splitFor of a hit on the client's plan entry: c.curSet
-// holds exactly the entry's layers, so the split is a pure function of the
-// entry, decomposed by the first hit that uses it. Tick phase only.
-func (w *world) fullSplit(c *simClient) partition.Split {
-	ps := w.seenPlans[c.entry]
-	if !ps.hasFull {
-		ps.full, ps.hasFull = w.splitFor(c), true
-		w.seenPlans[c.entry] = ps
-	}
-	return ps.full
 }
 
 // nodeMaster is the span track for control-plane work (planning), which
@@ -546,7 +478,7 @@ func (w *world) trackPlan(now time.Duration, entry *core.PlanEntry, client int, 
 	if _, ok := w.seenPlans[entry]; ok {
 		return
 	}
-	w.seenPlans[entry] = planSplits{}
+	w.seenPlans[entry] = struct{}{}
 	w.planMisses++
 	w.recordDecision(now, tracing.StagePlanCacheMiss, nodeMaster, attrs(client, sid, geo.NoServer,
 		entry.Layers.Count(), entry.Plan.ServerBytes()))
@@ -682,7 +614,7 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 		planner:   planner,
 		servers:   make([]simServer, env.Placement.Len()),
 		clients:   make([]*simClient, 0, len(env.Dataset.Test)),
-		seenPlans: make(map[*core.PlanEntry]planSplits),
+		seenPlans: make(map[*core.PlanEntry]struct{}),
 		res: &CityResult{
 			Model:   cfg.Model,
 			Mode:    cfg.Mode,
@@ -1041,10 +973,10 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 	}
 	switch {
 	case cold:
-		c.cold = w.coldSplits(c)
+		c.cold = entry.Splits
 		c.split = c.cold[0]
 	case hit:
-		c.split, c.cold = w.fullSplit(c), nil
+		c.split, c.cold = entry.Splits[len(entry.Splits)-1], nil
 	default:
 		c.split, c.cold = w.splitFor(c), nil
 	}

@@ -176,7 +176,7 @@ func measureCosts(t *testing.T) []costEntry {
 	add("train_server_estimator.seed1.bytes", gateTolerance, bytes)
 	add("train_server_estimator.seed1.allocs", gateTolerance, allocs)
 
-	train := capTrain(env.Dataset.Train, ecfg.MaxTrainWindows)
+	train := mobility.CapTrain(env.Dataset.Train, ecfg.MaxTrainWindows, minTrainLen)
 	bytes, allocs = memDelta(func() {
 		svr := &mobility.SVR{Seed: ecfg.Seed}
 		if err := svr.Fit(train, env.Placement, ecfg.HistoryLen); err != nil {

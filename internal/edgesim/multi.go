@@ -119,7 +119,7 @@ func RunMultiDNN(cfg MultiConfig) (*MultiResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		models[i] = replayModel{sched: sched, lat: prefixLatencies(prof, sched)}
+		models[i] = replayModel{sched: sched, splits: partition.ScheduleSplits(prof, sched)}
 		for _, u := range sched {
 			res.UploadDone += partition.LabWiFi().UpTime(u.Bytes)
 		}

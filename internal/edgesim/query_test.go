@@ -228,11 +228,11 @@ func TestLocalQueryCountedAtIssue(t *testing.T) {
 	}
 }
 
-// TestColdSplitsMatchDecompose holds every split a short run caches per
-// plan entry to what splitFor computes from the entry: row k of a
-// cold-start table is the split with the entry's first k non-empty
-// schedule units on the server, and a hit's split the one with all of the
-// entry's layers there.
+// TestColdSplitsMatchDecompose holds the split table of every plan entry
+// a short run used to what splitFor computes from the entry: row k is the
+// split with the entry's first k schedule units on the server, so a cold
+// start's upload queue walks the rows one unit at a time, and the last row
+// is a hit's split, with all of the entry's layers there.
 func TestColdSplitsMatchDecompose(t *testing.T) {
 	env := smallEnv(t)
 	for _, mode := range []Mode{ModePerDNN, ModeIONN, ModeOptimal} {
@@ -246,49 +246,28 @@ func TestColdSplitsMatchDecompose(t *testing.T) {
 			if err := w.runShards(context.Background(), steps); err != nil {
 				t.Fatal(err)
 			}
+			if len(w.seenPlans) == 0 {
+				t.Fatalf("%s %v: the run used no plan", model, mode)
+			}
 			probe := &simClient{sh: w.shards[0]}
-			tables, fulls := 0, 0
-			for entry, ps := range w.seenPlans {
-				if ps.hasFull {
-					fulls++
-					probe.curSet.Reset(w.model.NumLayers())
-					probe.curSet.Union(entry.Layers)
-					if want := w.splitFor(probe); ps.full != want {
-						t.Errorf("%s %v: hit split = %+v, splitFor %+v", model, mode, ps.full, want)
-					}
+			for entry := range w.seenPlans {
+				if len(entry.Splits) != len(entry.Schedule)+1 {
+					t.Fatalf("%s %v: table has %d rows, schedule %d units", model, mode, len(entry.Splits), len(entry.Schedule))
 				}
-				cold := ps.cold
-				if cold == nil {
-					continue
-				}
-				tables++
 				probe.curSet.Reset(w.model.NumLayers())
-				k := 0
-				check := func() {
-					if k >= len(cold) {
-						t.Fatalf("%s %v: table has %d rows, the schedule more non-empty units", model, mode, len(cold))
+				for k := range entry.Splits {
+					if k > 0 {
+						probe.curSet.AddAll(entry.Schedule[k-1].Layers)
 					}
-					if want := w.splitFor(probe); cold[k] != want {
-						t.Errorf("%s %v: row %d = %+v, splitFor %+v", model, mode, k, cold[k], want)
-					}
-					k++
-				}
-				check()
-				for _, u := range entry.Schedule {
-					if len(u.Layers) > 0 {
-						probe.curSet.AddAll(u.Layers)
-						check()
+					if want := w.splitFor(probe); entry.Splits[k] != want {
+						t.Errorf("%s %v: row %d = %+v, splitFor %+v", model, mode, k, entry.Splits[k], want)
 					}
 				}
-				if k != len(cold) {
-					t.Errorf("%s %v: table has %d rows, want %d", model, mode, len(cold), k)
+				probe.curSet.Reset(w.model.NumLayers())
+				probe.curSet.Union(entry.Layers)
+				if got, want := entry.Splits[len(entry.Schedule)], w.splitFor(probe); got != want {
+					t.Errorf("%s %v: last row = %+v, hit splitFor %+v", model, mode, got, want)
 				}
-			}
-			if tables == 0 && mode != ModeOptimal {
-				t.Errorf("%s %v: no connection started cold", model, mode)
-			}
-			if fulls == 0 && mode != ModeIONN {
-				t.Errorf("%s %v: no connection was a hit", model, mode)
 			}
 		}
 	}

@@ -60,8 +60,7 @@ type simShard struct {
 	migCompleted  int
 
 	// locBuf is the shard-local location scratch splitFor decomposes
-	// through, so the hot upload/query loop allocates nothing (the PR 5
-	// pooled-scratch discipline, one pool per shard).
+	// through, so a partial hit's upload loop allocates nothing.
 	locBuf []partition.Location
 
 	// Barrier channels to the coordinator; nil on single-shard runs,

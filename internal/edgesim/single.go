@@ -90,7 +90,7 @@ func RunSingle(cfg SingleConfig) (*SingleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	lat := prefixLatencies(prof, sched)
+	splits := partition.ScheduleSplits(prof, sched)
 	res := &SingleResult{
 		Queries:     make([]QueryRecord, 0, cfg.NumQueries),
 		ServerBytes: plan.ServerBytes(),
@@ -109,9 +109,9 @@ func RunSingle(cfg SingleConfig) (*SingleResult, error) {
 	}
 	// Server A starts empty at t = 0. Server B holds the migrated prefix
 	// when the client arrives and uploads the rest from then on.
-	res.SwitchAt = replay([]replayModel{{sched: sched, lat: lat}}, make([]int, len(sched)),
+	res.SwitchAt = replay([]replayModel{{sched: sched, splits: splits}}, make([]int, len(sched)),
 		0, cfg.SwitchAfterQueries, math.MaxInt64, at(0))
-	replay([]replayModel{{sched: sched, lat: lat, held: migrated}}, make([]int, len(sched)-migrated),
+	replay([]replayModel{{sched: sched, splits: splits, held: migrated}}, make([]int, len(sched)-migrated),
 		res.SwitchAt, cfg.NumQueries-cfg.SwitchAfterQueries, math.MaxInt64, at(1))
 	return res, nil
 }
@@ -124,7 +124,7 @@ func UploadReplay(model dnn.ModelName, sched []partition.UploadUnit, window time
 	if err != nil {
 		return 0, err
 	}
-	return uploadCount(prefixLatencies(prof, sched), sched, 0, window), nil
+	return uploadCount(partition.ScheduleSplits(prof, sched), sched, 0, window), nil
 }
 
 // UploadThroughput reproduces one column of Table II: the number of queries
@@ -146,21 +146,21 @@ func RunUploadThroughput(model dnn.ModelName) (*UploadThroughput, error) {
 	if err != nil {
 		return nil, err
 	}
-	lat := prefixLatencies(prof, sched)
+	splits := partition.ScheduleSplits(prof, sched)
 	window := partition.LabWiFi().UpTime(plan.ServerBytes())
 	return &UploadThroughput{
 		Model:      model,
 		UploadTime: window,
-		MissCount:  uploadCount(lat, sched, 0, window),
-		HitCount:   uploadCount(lat, sched, len(sched), window),
+		MissCount:  uploadCount(splits, sched, 0, window),
+		HitCount:   uploadCount(splits, sched, len(sched), window),
 	}, nil
 }
 
 // uploadCount counts the queries that end within window while a server
 // holding the first `held` units of sched uploads the rest.
-func uploadCount(lat []time.Duration, sched []partition.UploadUnit, held int, window time.Duration) int {
+func uploadCount(splits []partition.Split, sched []partition.UploadUnit, held int, window time.Duration) int {
 	n := 0
-	replay([]replayModel{{sched: sched, lat: lat, held: held}}, make([]int, len(sched)-held),
+	replay([]replayModel{{sched: sched, splits: splits, held: held}}, make([]int, len(sched)-held),
 		0, math.MaxInt, window, func(int, time.Duration, time.Duration) { n++ })
 	return n
 }
@@ -183,10 +183,11 @@ func labPlan(model dnn.ModelName) (*profile.ModelProfile, *partition.Plan, []par
 
 // replayModel is one model the replayed client queries.
 type replayModel struct {
-	// sched is the model's upload schedule and lat[k] the query latency
-	// with its first k units at the server (prefixLatencies).
-	sched []partition.UploadUnit
-	lat   []time.Duration
+	// sched is the model's upload schedule and splits its
+	// partition.ScheduleSplits: splits[k] prices a query with the first k
+	// units at the server.
+	sched  []partition.UploadUnit
+	splits []partition.Split
 	// held is how many units of sched the server holds.
 	held int
 }
@@ -213,7 +214,7 @@ func replay(models []replayModel, order []int, start time.Duration, budget int, 
 			m.held++
 		}
 		m := &models[q%len(models)]
-		lat := m.lat[m.held]
+		lat := m.splits[m.held].Latency(link, 1)
 		if now+lat > deadline {
 			break
 		}

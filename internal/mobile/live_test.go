@@ -40,11 +40,12 @@ func sharedEstimator(tb testing.TB) *estimator.ServerEstimator {
 // and the edge daemons themselves (for server-side metric assertions).
 func liveCluster(t *testing.T) (string, []master.EdgeInfo, *master.Master, []*edged.Server) {
 	t.Helper()
-	return liveLine(t, 2)
+	return liveLine(t, 2, 0.0005)
 }
 
-// liveLine is liveCluster over n edge daemons in a row of adjacent cells.
-func liveLine(t *testing.T, n int) (string, []master.EdgeInfo, *master.Master, []*edged.Server) {
+// liveLine is liveCluster over n edge daemons in a row of adjacent cells,
+// each compressing its simulated time by scale (0: no sleeps at all).
+func liveLine(t *testing.T, n int, scale float64) (string, []master.EdgeInfo, *master.Master, []*edged.Server) {
 	t.Helper()
 	ctx := context.Background()
 	grid := geo.NewHexGrid(50)
@@ -57,7 +58,7 @@ func liveLine(t *testing.T, n int) (string, []master.EdgeInfo, *master.Master, [
 	servers := make([]*edged.Server, 0, n)
 	for i, loc := range locs {
 		cfg := edged.DefaultConfig(dnn.ModelMobileNet)
-		cfg.TimeScale = 0.0005
+		cfg.TimeScale = scale
 		cfg.GPUSeed = int64(i + 1)
 		srv, err := edged.New(cfg)
 		if err != nil {
@@ -219,7 +220,7 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 // per target on every report.
 func TestWalkAcrossThreeEdgesPushesOncePerRefresh(t *testing.T) {
 	ctx := context.Background()
-	masterAddr, edges, m, servers := liveLine(t, 3)
+	masterAddr, edges, m, servers := liveLine(t, 3, 0.0005)
 	pl := m.Placement()
 	client, err := mobile.DialContext(ctx, mobile.Config{
 		ID:         11,

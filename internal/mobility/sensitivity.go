@@ -87,7 +87,7 @@ func RunSensitivity(base *trace.Dataset, cfg SensitivityConfig) (*SensitivityRes
 		maes := make([]float64, 0, len(cfg.Ns))
 		for _, n := range cfg.Ns {
 			svr := &SVR{Seed: 1}
-			if err := fitSVRCapped(svr, ds.Train, pl, n, cfg.MaxTrainWindows); err != nil {
+			if err := svr.Fit(CapTrain(ds.Train, cfg.MaxTrainWindows, n+2), pl, n); err != nil {
 				return nil, err
 			}
 			mae, err := MAE(svr, Windows(ds.Test, n))
@@ -109,7 +109,7 @@ func RunSensitivity(base *trace.Dataset, cfg SensitivityConfig) (*SensitivityRes
 		pl := geo.NewPlacement(geo.NewHexGrid(geo.CellRadius), ds.AllPoints())
 
 		svr := &SVR{Seed: 1}
-		if err := fitSVRCapped(svr, ds.Train, pl, cfg.NFixed, cfg.MaxTrainWindows); err != nil {
+		if err := svr.Fit(CapTrain(ds.Train, cfg.MaxTrainWindows, cfg.NFixed+2), pl, cfg.NFixed); err != nil {
 			return nil, err
 		}
 		mae, err := MAE(svr, Windows(ds.Test, cfg.NFixed))
@@ -164,27 +164,33 @@ func serviceRangeAccuracy(p Predictor, test []trace.Trajectory, pl *geo.Placemen
 	return float64(hits) / float64(total)
 }
 
-// fitSVRCapped trains an SVR on at most maxWindows training windows by
-// truncating each trajectory proportionally — enough signal for the sweep
-// at a fraction of the cost.
-func fitSVRCapped(svr *SVR, train []trace.Trajectory, pl *geo.Placement, n, maxWindows int) error {
+// CapTrain truncates each trajectory proportionally so the total sample
+// count stays within maxSamples, dropping those left shorter than minLen
+// (a fit needs a window and a next point). It returns train itself when
+// maxSamples <= 0, when the total already fits, or when nothing would be
+// left. Enough signal for a fit at a fraction of its cost.
+func CapTrain(train []trace.Trajectory, maxSamples, minLen int) []trace.Trajectory {
+	if maxSamples <= 0 {
+		return train
+	}
 	total := 0
 	for _, tr := range train {
 		total += tr.Len()
 	}
-	if maxWindows > 0 && total > maxWindows {
-		frac := float64(maxWindows) / float64(total)
-		capped := make([]trace.Trajectory, 0, len(train))
-		for _, tr := range train {
-			keep := int(float64(tr.Len()) * frac)
-			if keep < n+2 {
-				continue
-			}
-			capped = append(capped, trace.Trajectory{User: tr.User, Interval: tr.Interval, Points: tr.Points[:keep]})
-		}
-		if len(capped) > 0 {
-			train = capped
-		}
+	if total <= maxSamples {
+		return train
 	}
-	return svr.Fit(train, pl, n)
+	frac := float64(maxSamples) / float64(total)
+	out := make([]trace.Trajectory, 0, len(train))
+	for _, tr := range train {
+		keep := int(float64(tr.Len()) * frac)
+		if keep < minLen {
+			continue
+		}
+		out = append(out, trace.Trajectory{User: tr.User, Interval: tr.Interval, Points: tr.Points[:keep]})
+	}
+	if len(out) == 0 {
+		return train
+	}
+	return out
 }

@@ -81,6 +81,30 @@ func Decompose(prof *profile.ModelProfile, loc []Location) Split {
 	return sp
 }
 
+// ScheduleSplits returns the split after each prefix of an upload schedule:
+// row k has the layers of the first k units on the server and everything
+// else on the client, so the last row is the whole schedule's split. Uploads
+// follow the schedule and fractional migration takes a prefix of it, so
+// every cache state reached from an empty server is one of these rows. One
+// location slice is updated in place from row to row, so a row costs one
+// Decompose. It panics on an empty unit, which no schedule this package
+// builds contains: a row per unit is a row per upload.
+func ScheduleSplits(prof *profile.ModelProfile, sched []UploadUnit) []Split {
+	loc := AllClient(prof.Model)
+	out := make([]Split, len(sched)+1)
+	out[0] = Decompose(prof, loc)
+	for k, u := range sched {
+		if len(u.Layers) == 0 {
+			panic("partition: ScheduleSplits empty upload unit")
+		}
+		for _, id := range u.Layers {
+			loc[id] = AtServer
+		}
+		out[k+1] = Decompose(prof, loc)
+	}
+	return out
+}
+
 // Latency prices the split at a given link and server slowdown. It is not
 // Evaluate's price: it charges RTT/2 once per direction where Evaluate
 // charges it per crossing tensor, and rounds the summed times once where

@@ -213,3 +213,18 @@ func TestScheduleSet(t *testing.T) {
 		t.Errorf("empty schedule's set holds %d layers", n)
 	}
 }
+
+// TestScheduleSplitsRejectsEmptyUnit: a row per unit must be a row per
+// upload, so an empty unit is a caller's bug, not a repeated row.
+func TestScheduleSplitsRejectsEmptyUnit(t *testing.T) {
+	req, _, units := scheduleFor(t, dnn.ModelMobileNet)
+	if rows := ScheduleSplits(req.Profile, units); len(rows) != len(units)+1 {
+		t.Fatalf("%d rows for %d units", len(rows), len(units))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an empty unit did not panic")
+		}
+	}()
+	ScheduleSplits(req.Profile, append(slices.Clip(units), UploadUnit{}))
+}
