@@ -33,7 +33,7 @@ func main() {
 func run() error {
 	listen := flag.String("listen", ":7101", "listen address")
 	model := flag.String("model", "inception", "zoo model served")
-	ttl := flag.Duration("ttl", 100*time.Second, "layer cache TTL")
+	ttl := flag.Duration("ttl", 100*time.Second, "layer cache TTL in modelled time: it lasts ttl × timescale of wall time (ttl at timescale 0)")
 	timescale := flag.Float64("timescale", 0.01, "wall-time scale for simulated work")
 	seed := flag.Int64("seed", 1, "GPU simulation seed")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")

@@ -30,10 +30,14 @@ type Config struct {
 	// Model is the zoo model whose layers this deployment serves (used to
 	// size layer bitsets and price weights).
 	Model dnn.ModelName
-	// TTL is the cache lifetime of migrated/uploaded layers.
+	// TTL is the cache lifetime of migrated/uploaded layers in modelled
+	// time, as the simulator prices it: it lasts TTL × TimeScale of wall
+	// time (1 s for the default 100 s at 0.01).
 	TTL time.Duration
-	// TimeScale compresses simulated durations into wall time (0.01 runs
-	// 100x faster than real time). Zero disables sleeping entirely.
+	// TimeScale compresses modelled durations into wall time (0.01 runs
+	// 100x faster than real time): the daemon sleeps a duration times it,
+	// and its clock reads wall time divided by it. Zero disables sleeping
+	// entirely, and the clock is then wall time.
 	TimeScale float64
 	// GPUSeed seeds the simulated GPU.
 	GPUSeed int64
@@ -177,11 +181,18 @@ func (s *Server) traceRoot(rc tracing.SpanContext) (tracing.TraceID, tracing.Spa
 	return s.tr.NewTrace(), 0
 }
 
-// now returns the daemon's virtual time, the clock of the GPU model and
-// the layer cache.
-func (s *Server) now() time.Duration { return time.Since(s.start) }
+// now returns the daemon clock, the modelled time since New that the GPU
+// model and the layer cache run on: wall time elapsed divided by
+// TimeScale, or wall time at TimeScale 0.
+func (s *Server) now() time.Duration {
+	d := time.Since(s.start)
+	if s.cfg.TimeScale > 0 {
+		d = time.Duration(float64(d) / s.cfg.TimeScale)
+	}
+	return d
+}
 
-// sleep realizes a simulated duration in scaled wall time.
+// sleep realizes a modelled duration in scaled wall time.
 func (s *Server) sleep(d time.Duration) {
 	if s.cfg.TimeScale <= 0 || d <= 0 {
 		return

@@ -14,32 +14,20 @@ import (
 
 	"perdnn/internal/core"
 	"perdnn/internal/dnn"
+	"perdnn/internal/livetest"
 	"perdnn/internal/profile"
 	"perdnn/internal/wire"
 )
 
-// startEdge runs an edge daemon on a random port.
+// startEdge serves an edge daemon on a loopback port until the test ends.
 func startEdge(t testing.TB, cfg Config) (string, *Server) {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		if serr := srv.ServeContext(context.Background(), ln); serr != nil {
-			t.Errorf("serve: %v", serr)
-		}
-	}()
-	t.Cleanup(func() {
-		if cerr := srv.Close(); cerr != nil {
-			t.Logf("close: %v", cerr)
-		}
-	})
-	return ln.Addr().String(), srv
+	addr, _ := livetest.Serve(t, srv)
+	return addr, srv
 }
 
 func testConfig() Config {
@@ -172,6 +160,43 @@ func TestCacheTTLExpiry(t *testing.T) {
 	}
 	if len(resp.Has.Layers) != 0 {
 		t.Error("layer survived TTL")
+	}
+}
+
+// TestCacheTTLIsModelledTime: the TTL is modelled time, as the simulator
+// prices it. At DefaultConfig (TimeScale 0.01, TTL 100 s) an uploaded
+// layer is still cached after 0.5 s of wall time (50 modelled seconds) and
+// gone after 1.2 s (120). A lookup does not refresh the TTL.
+func TestCacheTTLIsModelledTime(t *testing.T) {
+	ctx := context.Background()
+	addr, _ := startEdge(t, DefaultConfig(dnn.ModelMobileNet))
+	conn, err := wire.DialContext(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // test teardown
+	roundTrip := func(req *wire.Envelope) *wire.Envelope {
+		t.Helper()
+		resp, err := conn.RoundTripContext(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	layer := []dnn.LayerID{0}
+	if resp := roundTrip(&wire.Envelope{Type: wire.MsgUploadUnit, Upload: &wire.Upload{ClientID: 1, Layers: layer}}); resp.Ack == nil || !resp.Ack.OK {
+		t.Fatalf("upload: %+v", resp)
+	}
+	held := func() int {
+		return len(roundTrip(&wire.Envelope{Type: wire.MsgHasRequest, Has: &wire.Has{ClientID: 1, Layers: layer}}).Has.Layers)
+	}
+	time.Sleep(500 * time.Millisecond)
+	if held() != 1 {
+		t.Fatal("layer gone after 50 modelled seconds of a 100 s TTL")
+	}
+	time.Sleep(700 * time.Millisecond)
+	if held() != 0 {
+		t.Error("layers survived 120 modelled seconds of a 100 s TTL")
 	}
 }
 

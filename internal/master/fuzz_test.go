@@ -3,17 +3,13 @@ package master
 import (
 	"context"
 	"encoding/hex"
-	"io"
-	"log/slog"
 	"net"
 	"os"
 	"strings"
 	"testing"
 
 	"perdnn/internal/dnn"
-	"perdnn/internal/edged"
 	"perdnn/internal/geo"
-	"perdnn/internal/obs"
 	"perdnn/internal/wire"
 )
 
@@ -70,30 +66,12 @@ func FuzzDispatch(f *testing.F) {
 	grid := geo.NewHexGrid(geo.CellRadius)
 	var edges []EdgeInfo
 	for _, cell := range []geo.HexCell{{Q: 0, R: 0}, {Q: 1, R: 0}, {Q: 0, R: 1}} {
-		ecfg := edged.DefaultConfig(dnn.ModelInception)
-		ecfg.TimeScale = 0
-		ecfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-		esrv, err := edged.New(ecfg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			f.Fatal(err)
-		}
-		go esrv.ServeContext(context.Background(), ln) //nolint:errcheck // closed by cleanup
-		f.Cleanup(func() { _ = esrv.Close() })
-		edges = append(edges, EdgeInfo{Addr: ln.Addr().String(), Location: grid.Center(cell)})
+		_, addr := startEdged(f, dnn.ModelInception, 1)
+		edges = append(edges, EdgeInfo{Addr: addr, Location: grid.Center(cell)})
 	}
-	_, _, _, shared := fixture(f)
 	cfg := DefaultConfig(edges)
 	cfg.MaxHops = 3
-	cfg.Estimator = shared.est
-	cfg.Logger = obs.NewLogger(io.Discard, slog.LevelError, "master")
-	m, err := New(cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
+	m := newMaster(f, cfg)
 	f.Cleanup(func() { _ = m.Close() })
 	ids := make([]geo.ServerID, 0, len(edges))
 	for _, e := range edges {

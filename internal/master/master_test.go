@@ -3,9 +3,7 @@ package master
 import (
 	"context"
 	"net"
-	"os"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,66 +13,21 @@ import (
 	"perdnn/internal/wire"
 )
 
-// The shared test fixture: two edge daemons in adjacent cells and one
-// master, reused across tests because master construction trains the
-// execution-time estimator.
-var (
-	fixtureOnce   sync.Once
-	fixtureEdges  []EdgeInfo
-	fixtureEdged  []*edged.Server // fixtureEdged[i] serves fixtureEdges[i]
-	fixtureMaster *Master
-	fixtureAddr   string
-	fixtureErr    error
-)
-
-func fixture(t testing.TB) (edgeAddr string, loc geo.Point, masterAddr string, m *Master) {
-	t.Helper()
-	ctx := context.Background()
-	fixtureOnce.Do(func() {
-		grid := geo.NewHexGrid(50)
-		locs := []geo.Point{grid.Center(geo.HexCell{Q: 0, R: 0}), grid.Center(geo.HexCell{Q: 1, R: 0})}
-		for i, loc := range locs {
-			ecfg := edged.DefaultConfig(dnn.ModelMobileNet)
-			ecfg.TimeScale = 0
-			ecfg.GPUSeed = int64(i + 1)
-			esrv, err := edged.New(ecfg)
-			if err != nil {
-				fixtureErr = err
-				return
-			}
-			eln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				fixtureErr = err
-				return
-			}
-			go esrv.ServeContext(ctx, eln) //nolint:errcheck // lives for the test binary
-			fixtureEdges = append(fixtureEdges, EdgeInfo{Addr: eln.Addr().String(), Location: loc})
-			fixtureEdged = append(fixtureEdged, esrv)
-		}
-
-		mm, err := New(DefaultConfig(fixtureEdges))
-		if err != nil {
-			fixtureErr = err
-			return
-		}
-		mln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fixtureErr = err
-			return
-		}
-		go mm.ServeContext(ctx, mln) //nolint:errcheck // lives for the test binary
-		fixtureMaster = mm
-		fixtureAddr = mln.Addr().String()
-	})
-	if fixtureErr != nil {
-		t.Fatal(fixtureErr)
-	}
-	return fixtureEdges[0].Addr, fixtureEdges[0].Location, fixtureAddr, fixtureMaster
+// cluster is one test's live cluster: two edge daemons in adjacent cells
+// and a master over them, all stopped with the test.
+type cluster struct {
+	edges []EdgeInfo
+	edged []*edged.Server // edged[i] serves edges[i]
+	m     *Master
+	addr  string // the master's
 }
 
-// TestMain keeps os.Exit semantics while allowing the shared fixture.
-func TestMain(m *testing.M) {
-	os.Exit(m.Run())
+func fixture(t testing.TB) *cluster {
+	t.Helper()
+	c := &cluster{}
+	c.edges, c.edged = startEdges(t, geo.HexCell{Q: 0, R: 0}, geo.HexCell{Q: 1, R: 0})
+	c.m, c.addr = startMaster(t, DefaultConfig(c.edges))
+	return c
 }
 
 func TestNewValidation(t *testing.T) {
@@ -90,7 +43,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestRegisterAndPlan(t *testing.T) {
 	ctx := context.Background()
-	addr, loc, masterAddr, m := fixture(t)
+	c := fixture(t)
+	addr, loc, masterAddr, m := c.edges[0].Addr, c.edges[0].Location, c.addr, c.m
 
 	conn, err := wire.DialContext(ctx, masterAddr)
 	if err != nil {
@@ -149,7 +103,7 @@ func TestRegisterAndPlan(t *testing.T) {
 
 func TestRegisterUnknownModel(t *testing.T) {
 	ctx := context.Background()
-	_, _, masterAddr, _ := fixture(t)
+	masterAddr := fixture(t).addr
 	conn, err := wire.DialContext(ctx, masterAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +123,7 @@ func TestRegisterUnknownModel(t *testing.T) {
 
 func TestTrajectoryUnknownClient(t *testing.T) {
 	ctx := context.Background()
-	_, _, masterAddr, _ := fixture(t)
+	masterAddr := fixture(t).addr
 	conn, err := wire.DialContext(ctx, masterAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +146,8 @@ func TestTrajectoryUnknownClient(t *testing.T) {
 // order A to push them to B.
 func TestTrajectoryTriggersMigration(t *testing.T) {
 	ctx := context.Background()
-	_, _, masterAddr, m := fixture(t)
+	c := fixture(t)
+	masterAddr, m := c.addr, c.m
 	conn, err := wire.DialContext(ctx, masterAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +171,7 @@ func TestTrajectoryTriggersMigration(t *testing.T) {
 	for i := 0; i < mdl.NumLayers(); i++ {
 		all = append(all, dnn.LayerID(i))
 	}
-	edgeA, err := wire.DialContext(ctx, fixtureEdges[0].Addr)
+	edgeA, err := wire.DialContext(ctx, c.edges[0].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +185,7 @@ func TestTrajectoryTriggersMigration(t *testing.T) {
 
 	// Walk from A toward B; the dead-reckoning predictor extrapolates into
 	// B's neighbourhood and the master orders the migration synchronously.
-	a := fixtureEdges[0].Location
+	a := c.edges[0].Location
 	for i := 0; i < 5; i++ {
 		resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 			Type:       wire.MsgTrajectory,
@@ -241,7 +196,7 @@ func TestTrajectoryTriggersMigration(t *testing.T) {
 		}
 	}
 
-	edgeB, err := wire.DialContext(ctx, fixtureEdges[1].Addr)
+	edgeB, err := wire.DialContext(ctx, c.edges[1].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +225,8 @@ func TestTrajectoryTriggersMigration(t *testing.T) {
 // target then holds exactly its layers.
 func TestCompleteOrderPushesWhatTheSimulatorWould(t *testing.T) {
 	ctx := context.Background()
-	_, _, masterAddr, m := fixture(t)
+	c := fixture(t)
+	masterAddr, m := c.addr, c.m
 	const clientID = 56
 	conn := dialMaster(t, masterAddr)
 	registerAs(t, conn, clientID, dnn.ModelMobileNet)
@@ -282,7 +238,7 @@ func TestCompleteOrderPushesWhatTheSimulatorWould(t *testing.T) {
 	for i := range all {
 		all[i] = dnn.LayerID(i)
 	}
-	edgeA, err := wire.DialContext(ctx, fixtureEdges[0].Addr)
+	edgeA, err := wire.DialContext(ctx, c.edges[0].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,14 +250,14 @@ func TestCompleteOrderPushesWhatTheSimulatorWould(t *testing.T) {
 		t.Fatalf("seed upload: %v %+v", err, resp)
 	}
 
-	cur := m.Placement().ServerAt(fixtureEdges[0].Location)
-	target := m.Placement().ServerAt(fixtureEdges[1].Location)
+	cur := m.Placement().ServerAt(c.edges[0].Location)
+	target := m.Placement().ServerAt(c.edges[1].Location)
 	m.mu.Lock()
 	planner, pol := m.planners[dnn.ModelMobileNet], m.policy
 	m.mu.Unlock()
 	// What the simulator computes for this target, from its stats now.
 	wantSet := func() dnn.LayerSet {
-		st, err := m.pingStats(ctx, fixtureEdges[1].Addr)
+		st, err := m.pingStats(ctx, c.edges[1].Addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,11 +276,11 @@ func TestCompleteOrderPushesWhatTheSimulatorWould(t *testing.T) {
 		t.Fatal("the target's future plan offloads nothing")
 	}
 
-	bytes := fixtureEdged[0].Metrics().Counter("migration_bytes_total")
+	bytes := c.edged[0].Metrics().Counter("migration_bytes_total")
 	ordered := m.Metrics().Counter("migrations_ordered_total")
 	bytesBefore, orderedBefore := bytes.Value(), ordered.Value()
-	report(t, conn, clientID, fixtureEdges[0].Location)
-	report(t, conn, clientID, fixtureEdges[0].Location) // standing still predicts the neighbour
+	report(t, conn, clientID, c.edges[0].Location)
+	report(t, conn, clientID, c.edges[0].Location) // standing still predicts the neighbour
 	if got := ordered.Value() - orderedBefore; got != 1 {
 		t.Fatalf("two reports ordered %d migrations, want 1", got)
 	}
@@ -334,7 +290,7 @@ func TestCompleteOrderPushesWhatTheSimulatorWould(t *testing.T) {
 	if got, w := bytes.Value()-bytesBefore, want.WeightBytes(mdl); got != w {
 		t.Errorf("source pushed %d bytes, the simulator's set weighs %d", got, w)
 	}
-	edgeB, err := wire.DialContext(ctx, fixtureEdges[1].Addr)
+	edgeB, err := wire.DialContext(ctx, c.edges[1].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,10 +310,7 @@ func TestCompleteOrderPushesWhatTheSimulatorWould(t *testing.T) {
 // TestCloseBeforeServe: a Close that runs before ServeContext has a
 // listener to close must still stop the daemon, not leave it in Accept.
 func TestCloseBeforeServe(t *testing.T) {
-	m, err := New(DefaultConfig([]EdgeInfo{{Addr: "127.0.0.1:1", Location: geo.Point{}}}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMaster(t, DefaultConfig([]EdgeInfo{{Addr: "127.0.0.1:1", Location: geo.Point{}}}))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"perdnn/internal/dnn"
 	"perdnn/internal/geo"
 	"perdnn/internal/gpusim"
+	"perdnn/internal/livetest"
 	"perdnn/internal/obs"
 	"perdnn/internal/profile"
 	"perdnn/internal/wire"
@@ -55,21 +55,7 @@ func startScriptedEdge(t *testing.T) *scriptedEdge {
 			}, nil
 		},
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.addr = ln.Addr().String()
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeContext(context.Background(), ln) }()
-	t.Cleanup(func() {
-		if err := srv.Close(); err != nil {
-			t.Errorf("closing scripted edge: %v", err)
-		}
-		if err := <-done; err != nil {
-			t.Errorf("scripted edge serve: %v", err)
-		}
-	})
+	e.addr, _ = livetest.Serve(t, srv)
 	return e
 }
 

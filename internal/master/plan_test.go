@@ -4,66 +4,68 @@ import (
 	"context"
 	"io"
 	"log/slog"
-	"net"
 	"testing"
 	"time"
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/edged"
 	"perdnn/internal/geo"
+	"perdnn/internal/livetest"
 	"perdnn/internal/obs"
 	"perdnn/internal/obs/tracing"
 	"perdnn/internal/partition"
 	"perdnn/internal/wire"
 )
 
-// startMaster serves a master over cfg (with the shared fixture's trained
-// estimator) and returns it with its address; the daemon and every
-// connection handler have exited once the cleanup returns.
-func startMaster(t *testing.T, cfg Config) (*Master, string) {
+// newMaster builds a master over cfg with the test binary's trained
+// estimator and a quiet logger.
+func newMaster(t testing.TB, cfg Config) *Master {
 	t.Helper()
-	_, _, _, shared := fixture(t)
-	cfg.Estimator = shared.est
+	cfg.Estimator = livetest.Estimator(t)
 	cfg.Logger = obs.NewLogger(io.Discard, slog.LevelError, "master")
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- m.ServeContext(ctx, ln) }()
-	t.Cleanup(func() {
-		cancel()
-		if err := <-done; err != nil {
-			t.Errorf("master serve: %v", err)
-		}
-	})
-	return m, ln.Addr().String()
+	return m
 }
 
-func startEdged(t *testing.T) (*edged.Server, string) {
+// startMaster serves newMaster(cfg) and returns it with its address.
+func startMaster(t testing.TB, cfg Config) (*Master, string) {
 	t.Helper()
-	cfg := edged.DefaultConfig(dnn.ModelInception)
+	m := newMaster(t, cfg)
+	addr, _ := livetest.Serve(t, m)
+	return m, addr
+}
+
+// startEdged serves an edge daemon of model at TimeScale 0, its GPU seeded
+// with seed.
+func startEdged(t testing.TB, model dnn.ModelName, seed int64) (*edged.Server, string) {
+	t.Helper()
+	cfg := edged.DefaultConfig(model)
 	cfg.TimeScale = 0
+	cfg.GPUSeed = seed
+	cfg.Logger = obs.NewLogger(io.Discard, slog.LevelError, "edged")
 	srv, err := edged.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addr, _ := livetest.Serve(t, srv)
+	return srv, addr
+}
+
+// startEdges serves a MobileNet edge daemon at the centre of each cell,
+// the i-th one's GPU seeded i+1.
+func startEdges(t testing.TB, cells ...geo.HexCell) ([]EdgeInfo, []*edged.Server) {
+	t.Helper()
+	grid := geo.NewHexGrid(50)
+	infos := make([]EdgeInfo, len(cells))
+	servers := make([]*edged.Server, len(cells))
+	for i, cell := range cells {
+		srv, addr := startEdged(t, dnn.ModelMobileNet, int64(i+1))
+		infos[i], servers[i] = EdgeInfo{Addr: addr, Location: grid.Center(cell)}, srv
 	}
-	go srv.ServeContext(context.Background(), ln) //nolint:errcheck // closed by cleanup
-	t.Cleanup(func() {
-		if err := srv.Close(); err != nil {
-			t.Logf("closing edge: %v", err)
-		}
-	})
-	return srv, ln.Addr().String()
+	return infos, servers
 }
 
 // mustRegister registers an inception client (the zoo model whose idle
@@ -93,17 +95,10 @@ func waitClients(t *testing.T, m *Master, want int64) {
 func TestChainCandidatesAndStatsFanOut(t *testing.T) {
 	ctx := context.Background()
 	grid := geo.NewHexGrid(50)
-	first, firstAddr := startEdged(t)
-	near, nearAddr := startEdged(t)
-	far, farAddr := startEdged(t)
-	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := deadLn.Addr().String()
-	if err := deadLn.Close(); err != nil {
-		t.Fatal(err)
-	}
+	first, firstAddr := startEdged(t, dnn.ModelInception, 1)
+	near, nearAddr := startEdged(t, dnn.ModelInception, 1)
+	far, farAddr := startEdged(t, dnn.ModelInception, 1)
+	deadAddr := livetest.DeadAddr(t)
 	cfg := DefaultConfig([]EdgeInfo{
 		{Addr: firstAddr, Location: grid.Center(geo.HexCell{Q: 0, R: 0})},
 		{Addr: deadAddr, Location: grid.Center(geo.HexCell{Q: 0, R: 1})}, // 87 m: a candidate, unreachable
@@ -160,8 +155,8 @@ func TestChainCandidatesAndStatsFanOut(t *testing.T) {
 func TestPlanSpanCarriesDecision(t *testing.T) {
 	ctx := context.Background()
 	grid := geo.NewHexGrid(50)
-	_, firstAddr := startEdged(t)
-	_, nearAddr := startEdged(t)
+	_, firstAddr := startEdged(t, dnn.ModelInception, 1)
+	_, nearAddr := startEdged(t, dnn.ModelInception, 1)
 	cfg := DefaultConfig([]EdgeInfo{
 		{Addr: firstAddr, Location: grid.Center(geo.HexCell{Q: 0, R: 0})},
 		{Addr: nearAddr, Location: grid.Center(geo.HexCell{Q: 1, R: 0})},

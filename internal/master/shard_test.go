@@ -5,107 +5,61 @@ import (
 	"log/slog"
 	"net"
 	"os"
-	"sync"
 	"testing"
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/edged"
-	"perdnn/internal/estimator"
 	"perdnn/internal/geo"
-	"perdnn/internal/gpusim"
+	"perdnn/internal/livetest"
 	"perdnn/internal/mobile"
 	"perdnn/internal/obs"
 	"perdnn/internal/obs/tracing"
-	"perdnn/internal/profile"
 	"perdnn/internal/wire"
 )
 
-// The sharded fixture: four edge daemons in a 2x2 cell block, one master
-// per shard (Shards=4 puts each edge in its own region), all sharing one
-// trained estimator. Built once — master construction is the expensive
-// part — and reused across the shard tests.
-var (
-	shardOnce    sync.Once
-	shardErr     error
-	shardEdges   []EdgeInfo
-	shardEdged   []*edged.Server // shardEdged[i] serves shardEdges[i]
-	shardEdgeOf  []int           // shardEdgeOf[i] = shard owning shardEdges[i]
-	shardMasters []*Master
-	shardAddrs   []string
-)
+// shardCluster is the sharded live cluster: four edge daemons in a 2x2
+// cell block and one master per shard (Shards=4 puts each edge in its own
+// region), all stopped with the test.
+type shardCluster struct {
+	edges   []EdgeInfo
+	edged   []*edged.Server // edged[i] serves edges[i]
+	edgeOf  []int           // edgeOf[i] = shard owning edges[i]
+	masters []*Master
+	addrs   []string
+}
 
 const numShards = 4
 
-func shardFixture(t *testing.T) {
+func shardFixture(t *testing.T) *shardCluster {
 	t.Helper()
-	ctx := context.Background()
-	shardOnce.Do(func() {
-		grid := geo.NewHexGrid(50)
-		cells := []geo.HexCell{{Q: 0, R: 0}, {Q: 1, R: 0}, {Q: 0, R: 1}, {Q: 1, R: 1}}
-		for i, cell := range cells {
-			ecfg := edged.DefaultConfig(dnn.ModelMobileNet)
-			ecfg.TimeScale = 0
-			ecfg.GPUSeed = int64(i + 1)
-			esrv, err := edged.New(ecfg)
-			if err != nil {
-				shardErr = err
-				return
-			}
-			eln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				shardErr = err
-				return
-			}
-			go esrv.ServeContext(ctx, eln) //nolint:errcheck // lives for the test binary
-			shardEdges = append(shardEdges, EdgeInfo{Addr: eln.Addr().String(), Location: grid.Center(cell)})
-			shardEdged = append(shardEdged, esrv)
-		}
-
-		// Train the estimator once; every shard master shares it.
-		est, err := estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), 1)
-		if err != nil {
-			shardErr = err
-			return
-		}
-
-		lns := make([]net.Listener, numShards)
-		for i := range lns {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				shardErr = err
-				return
-			}
-			lns[i] = ln
-			shardAddrs = append(shardAddrs, ln.Addr().String())
-		}
-		for i := 0; i < numShards; i++ {
-			cfg := DefaultConfig(shardEdges)
-			cfg.Shard = i
-			cfg.Shards = numShards
-			cfg.Peers = shardAddrs
-			cfg.Estimator = est
-			cfg.Tracer = tracing.NewWallClock()
-			cfg.Logger = obs.NewLogger(os.Stderr, slog.LevelWarn, "master")
-			m, err := New(cfg)
-			if err != nil {
-				shardErr = err
-				return
-			}
-			go m.ServeContext(ctx, lns[i]) //nolint:errcheck // lives for the test binary
-			shardMasters = append(shardMasters, m)
-		}
-
-		// Every master builds the identical shard map; recompute it here to
-		// learn which shard owns each edge.
-		smap := geo.NewShardMap(shardMasters[0].Placement(), numShards)
-		for _, e := range shardEdges {
-			sid := shardMasters[0].Placement().ServerAt(e.Location)
-			shardEdgeOf = append(shardEdgeOf, smap.ShardOf(sid))
-		}
-	})
-	if shardErr != nil {
-		t.Fatal(shardErr)
+	c := &shardCluster{}
+	c.edges, c.edged = startEdges(t, geo.HexCell{Q: 0, R: 0}, geo.HexCell{Q: 1, R: 0}, geo.HexCell{Q: 0, R: 1}, geo.HexCell{Q: 1, R: 1})
+	// Every master's config names every shard's address, so all listen
+	// before any is built.
+	lns := make([]net.Listener, numShards)
+	for i := range lns {
+		lns[i] = livetest.Listen(t)
+		c.addrs = append(c.addrs, lns[i].Addr().String())
 	}
+	for i, ln := range lns {
+		cfg := DefaultConfig(c.edges)
+		cfg.Shard = i
+		cfg.Shards = numShards
+		cfg.Peers = c.addrs
+		cfg.Tracer = tracing.NewWallClock()
+		m := newMaster(t, cfg)
+		livetest.ServeOn(t, ln, m)
+		c.masters = append(c.masters, m)
+	}
+
+	// Every master builds the identical shard map; recompute it here to
+	// learn which shard owns each edge.
+	smap := geo.NewShardMap(c.masters[0].Placement(), numShards)
+	for _, e := range c.edges {
+		sid := c.masters[0].Placement().ServerAt(e.Location)
+		c.edgeOf = append(c.edgeOf, smap.ShardOf(sid))
+	}
+	return c
 }
 
 func TestShardConfigValidation(t *testing.T) {
@@ -124,14 +78,14 @@ func TestShardConfigValidation(t *testing.T) {
 }
 
 // edgeInShard returns the index of the first fixture edge owned by shard s.
-func edgeInShard(t *testing.T, s int) int {
+func (c *shardCluster) edgeInShard(t *testing.T, s int) int {
 	t.Helper()
-	for i, owner := range shardEdgeOf {
+	for i, owner := range c.edgeOf {
 		if owner == s {
 			return i
 		}
 	}
-	t.Fatalf("no fixture edge in shard %d (ownership %v)", s, shardEdgeOf)
+	t.Fatalf("no fixture edge in shard %d (ownership %v)", s, c.edgeOf)
 	return -1
 }
 
@@ -141,31 +95,30 @@ func edgeInShard(t *testing.T, s int) int {
 // ReportLocationContext, and completes another query planned by the new
 // master. The handoff itself is one trace spanning both masters.
 func TestShardHandoffLive(t *testing.T) {
-	shardFixture(t)
+	c := shardFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 
-	eA := edgeInShard(t, 0)
-	fromShard := shardEdgeOf[eA]
+	eA := c.edgeInShard(t, 0)
+	fromShard := c.edgeOf[eA]
 	var eB int
-	for i, owner := range shardEdgeOf {
+	for i, owner := range c.edgeOf {
 		if owner != fromShard {
 			eB = i
 			break
 		}
 	}
-	toShard := shardEdgeOf[eB]
-	mA, mB := shardMasters[fromShard], shardMasters[toShard]
+	toShard := c.edgeOf[eB]
+	mA, mB := c.masters[fromShard], c.masters[toShard]
 	handoffsBefore := mA.Metrics().Counter("shard_handoffs_total").Value()
 	adoptionsBefore := mB.Metrics().Counter("shard_adoptions_total").Value()
-	// The shard masters are shared by the package's tests; spans, like the
-	// counters, are read as what this test adds.
+	// Spans, like the counters, are read as what this test adds.
 	spansBeforeA, spansBeforeB := mA.Tracer().Len(), mB.Tracer().Len()
 
 	cl, err := mobile.DialContext(ctx, mobile.Config{
 		ID:         42,
 		Model:      dnn.ModelMobileNet,
-		MasterAddr: shardAddrs[fromShard],
+		MasterAddr: c.addrs[fromShard],
 		Tracer:     tracing.NewWallClock(),
 		Logger:     obs.NewLogger(os.Stderr, slog.LevelWarn, "mobile"),
 	})
@@ -175,7 +128,7 @@ func TestShardHandoffLive(t *testing.T) {
 	defer cl.Close() //nolint:errcheck // test teardown
 
 	// Attach to shard A's edge and complete a query before the crossing.
-	locA, locB := shardEdges[eA].Location, shardEdges[eB].Location
+	locA, locB := c.edges[eA].Location, c.edges[eB].Location
 	if err := cl.ReportLocationContext(ctx, locA); err != nil {
 		t.Fatalf("report in home shard: %v", err)
 	}
@@ -183,7 +136,7 @@ func TestShardHandoffLive(t *testing.T) {
 		t.Fatalf("home-shard report re-homed the client %d times", got)
 	}
 	sidA := mA.Placement().ServerAt(locA)
-	if err := cl.ConnectContext(ctx, sidA, shardEdges[eA].Addr); err != nil {
+	if err := cl.ConnectContext(ctx, sidA, c.edges[eA].Addr); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.UploadAllContext(ctx); err != nil {
@@ -210,7 +163,7 @@ func TestShardHandoffLive(t *testing.T) {
 
 	// Complete a query after the handoff, planned by the new master.
 	sidB := mB.Placement().ServerAt(locB)
-	if err := cl.ConnectContext(ctx, sidB, shardEdges[eB].Addr); err != nil {
+	if err := cl.ConnectContext(ctx, sidB, c.edges[eB].Addr); err != nil {
 		t.Fatalf("connect via new master: %v", err)
 	}
 	if _, err := cl.UploadAllContext(ctx); err != nil {
@@ -269,19 +222,19 @@ func TestShardHandoffLive(t *testing.T) {
 // its own region: once per refresh, and without a request to any peer
 // master.
 func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
-	shardFixture(t)
+	c := shardFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	const clientID = 4242
-	src := edgeInShard(t, 0)
-	home := shardMasters[shardEdgeOf[src]]
-	here := shardEdges[src].Location
+	src := c.edgeInShard(t, 0)
+	home := c.masters[c.edgeOf[src]]
+	here := c.edges[src].Location
 	// The foreign edges the prediction takes in from the source's centre.
 	var targets []int
-	for i, e := range shardEdges {
+	for i, e := range c.edges {
 		if i != src && e.Location.Dist(here) <= home.cfg.Radius {
-			if shardEdgeOf[i] == shardEdgeOf[src] {
-				t.Fatalf("fixture edge %d shares shard %d with the source", i, shardEdgeOf[src])
+			if c.edgeOf[i] == c.edgeOf[src] {
+				t.Fatalf("fixture edge %d shares shard %d with the source", i, c.edgeOf[src])
 			}
 			targets = append(targets, i)
 		}
@@ -293,9 +246,9 @@ func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 	orderedBefore := counter(home, "migrations_ordered_total")
 	suppressedBefore := counter(home, "migrations_suppressed_total")
 	errorsBefore := counter(home, "migration_errors_total")
-	pushesBefore := shardEdged[src].Metrics().Counter("migrations_total").Value()
+	pushesBefore := c.edged[src].Metrics().Counter("migrations_total").Value()
 	peerRequestsBefore := make([]int64, numShards)
-	for i, m := range shardMasters {
+	for i, m := range c.masters {
 		peerRequestsBefore[i] = counter(m, "requests_total")
 	}
 
@@ -308,7 +261,7 @@ func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 	for i := range all {
 		all[i] = dnn.LayerID(i)
 	}
-	edge, err := wire.DialContext(ctx, shardEdges[src].Addr)
+	edge, err := wire.DialContext(ctx, c.edges[src].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +273,7 @@ func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 		t.Fatalf("seed upload: %v %+v", err, resp)
 	}
 
-	conn := dialMaster(t, shardAddrs[shardEdgeOf[src]])
+	conn := dialMaster(t, c.addrs[c.edgeOf[src]])
 	registerAs(t, conn, clientID, dnn.ModelMobileNet)
 	const reports = 5 // ordered on report 2, suppressed on 3-5
 	for i := 0; i < reports; i++ {
@@ -336,10 +289,10 @@ func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 	if got := counter(home, "migration_errors_total") - errorsBefore; got != 0 {
 		t.Errorf("%d migration errors", got)
 	}
-	if got := shardEdged[src].Metrics().Counter("migrations_total").Value() - pushesBefore; got != n {
+	if got := c.edged[src].Metrics().Counter("migrations_total").Value() - pushesBefore; got != n {
 		t.Errorf("the source edge pushed %d times, want %d", got, n)
 	}
-	for i, m := range shardMasters {
+	for i, m := range c.masters {
 		if m == home {
 			continue
 		}
@@ -354,12 +307,12 @@ func TestShardMigrationOrderedOncePerRefresh(t *testing.T) {
 // crossing, and after the walk its registration lives on exactly one
 // master — never duplicated, never lost.
 func TestShardRingCrossings(t *testing.T) {
-	shardFixture(t)
+	c := shardFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 
 	handoffsBefore := make([]int64, numShards)
-	for i, m := range shardMasters {
+	for i, m := range c.masters {
 		handoffsBefore[i] = m.Metrics().Counter("shard_handoffs_total").Value()
 	}
 
@@ -367,7 +320,7 @@ func TestShardRingCrossings(t *testing.T) {
 	// then walk the ring three times.
 	ring := make([]int, 0, numShards)
 	for s := 0; s < numShards; s++ {
-		ring = append(ring, edgeInShard(t, s))
+		ring = append(ring, c.edgeInShard(t, s))
 	}
 	const laps = 3
 	path := make([]int, 0, laps*len(ring))
@@ -378,7 +331,7 @@ func TestShardRingCrossings(t *testing.T) {
 	cl, err := mobile.DialContext(ctx, mobile.Config{
 		ID:         77,
 		Model:      dnn.ModelMobileNet,
-		MasterAddr: shardAddrs[shardEdgeOf[path[0]]],
+		MasterAddr: c.addrs[c.edgeOf[path[0]]],
 		Logger:     obs.NewLogger(os.Stderr, slog.LevelWarn, "mobile"),
 	})
 	if err != nil {
@@ -387,13 +340,13 @@ func TestShardRingCrossings(t *testing.T) {
 	defer cl.Close() //nolint:errcheck // test teardown
 
 	crossings := 0
-	cur := shardEdgeOf[path[0]]
+	cur := c.edgeOf[path[0]]
 	for _, e := range path {
-		if shardEdgeOf[e] != cur {
+		if c.edgeOf[e] != cur {
 			crossings++
-			cur = shardEdgeOf[e]
+			cur = c.edgeOf[e]
 		}
-		if err := cl.ReportLocationContext(ctx, shardEdges[e].Location); err != nil {
+		if err := cl.ReportLocationContext(ctx, c.edges[e].Location); err != nil {
 			t.Fatalf("report at edge %d: %v", e, err)
 		}
 	}
@@ -405,7 +358,7 @@ func TestShardRingCrossings(t *testing.T) {
 		t.Errorf("client re-homed %d times for %d crossings", got, crossings)
 	}
 	var handoffs int64
-	for i, m := range shardMasters {
+	for i, m := range c.masters {
 		handoffs += m.Metrics().Counter("shard_handoffs_total").Value() - handoffsBefore[i]
 	}
 	if handoffs != int64(crossings) {
@@ -414,9 +367,9 @@ func TestShardRingCrossings(t *testing.T) {
 
 	// Exactly one master still knows the client: the final region's owner
 	// accepts its report, every other master rejects it as unknown.
-	last := shardEdges[path[len(path)-1]].Location
+	last := c.edges[path[len(path)-1]].Location
 	owners := 0
-	for i, addr := range shardAddrs {
+	for i, addr := range c.addrs {
 		conn, err := wire.DialContext(context.Background(), addr)
 		if err != nil {
 			t.Fatal(err)

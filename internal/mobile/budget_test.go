@@ -2,60 +2,24 @@ package mobile_test
 
 import (
 	"context"
-	"io"
-	"log/slog"
-	"net"
 	"testing"
 
 	"perdnn/internal/dnn"
-	"perdnn/internal/edged"
-	"perdnn/internal/geo"
-	"perdnn/internal/master"
 	"perdnn/internal/mobile"
-	"perdnn/internal/obs"
 	"perdnn/internal/raceguard"
 )
 
 // warmClient is the steady state a live query runs in: one edge daemon and
-// a master on loopback, both serving under a cancellable context, and a
-// client (cancellable context too) attached with its whole plan uploaded.
-// TimeScale is 0 everywhere, so a query costs the program's own work only.
+// a master on loopback, and a client (cancellable context) attached with
+// its whole plan uploaded. TimeScale is 0 everywhere, so a query costs the
+// program's own work only.
 func warmClient(tb testing.TB) (context.Context, *mobile.Client) {
 	tb.Helper()
+	c := topology{Edges: 1, Model: dnn.ModelMobileNet}.start(tb)
 	ctx, cancel := context.WithCancel(context.Background())
-	quiet := obs.NewLogger(io.Discard, slog.LevelError+1, "test")
-	served := make(chan error, 2) // one slot per daemon
-	listen := func() net.Listener {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return ln
-	}
-
-	ecfg := edged.DefaultConfig(dnn.ModelMobileNet)
-	ecfg.TimeScale = 0
-	ecfg.Logger = quiet
-	edge, err := edged.New(ecfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	eln := listen()
-	go func() { served <- edge.ServeContext(ctx, eln) }()
-
-	loc := geo.NewHexGrid(50).Center(geo.HexCell{})
-	mcfg := master.DefaultConfig([]master.EdgeInfo{{Addr: eln.Addr().String(), Location: loc}})
-	mcfg.Logger = quiet
-	mcfg.Estimator = sharedEstimator(tb)
-	m, err := master.New(mcfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	mln := listen()
-	go func() { served <- m.ServeContext(ctx, mln) }()
-
+	tb.Cleanup(cancel)
 	client, err := mobile.DialContext(ctx, mobile.Config{
-		ID: 1, Model: dnn.ModelMobileNet, MasterAddr: mln.Addr().String(), Logger: quiet,
+		ID: 1, Model: dnn.ModelMobileNet, MasterAddr: c.addr, Logger: quietLogger(),
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -64,14 +28,8 @@ func warmClient(tb testing.TB) (context.Context, *mobile.Client) {
 		if err := client.Close(); err != nil {
 			tb.Logf("closing client: %v", err)
 		}
-		cancel()
-		for i := 0; i < cap(served); i++ {
-			if err := <-served; err != nil {
-				tb.Errorf("serve: %v", err)
-			}
-		}
 	})
-	if err := client.ConnectContext(ctx, m.Placement().ServerAt(loc), eln.Addr().String()); err != nil {
+	if err := client.ConnectContext(ctx, c.m.Placement().ServerAt(c.edges[0].Location), c.edges[0].Addr); err != nil {
 		tb.Fatal(err)
 	}
 	if _, err := client.UploadAllContext(ctx); err != nil {

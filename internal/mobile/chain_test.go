@@ -3,12 +3,9 @@ package mobile_test
 import (
 	"context"
 	"math"
-	"net"
 	"testing"
 
 	"perdnn/internal/dnn"
-	"perdnn/internal/edged"
-	"perdnn/internal/geo"
 	"perdnn/internal/master"
 	"perdnn/internal/mobile"
 	"perdnn/internal/obs/tracing"
@@ -16,93 +13,40 @@ import (
 	"perdnn/internal/raceguard"
 )
 
-// startEdge runs one edge daemon at the given time scale on a loopback
-// listener and returns its address plus a kill func that cancels the
-// daemon's context, dropping in-flight connections too (Close alone only
-// stops the listener, and a relaying peer holds a pooled connection open).
-func startEdge(t *testing.T, node string, tr *tracing.Tracer, scale float64) (addr string, kill func()) {
-	t.Helper()
-	cfg := edged.DefaultConfig(dnn.ModelInception)
-	cfg.TimeScale = scale
-	cfg.Tracer = tr
-	cfg.Node = node
-	srv, err := edged.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go srv.ServeContext(ctx, ln) //nolint:errcheck // closed by kill
-	kill = func() {
-		cancel()
-		if cerr := srv.Close(); cerr != nil {
-			t.Logf("closing edge %s: %v", node, cerr)
-		}
-	}
-	t.Cleanup(kill)
-	return ln.Addr().String(), kill
-}
-
 // chainCluster is the live chain topology: two inception edges in
-// adjacent cells, a master that plans two-hop throughput chains over
-// them, and a client attached to edge 1 (nothing uploaded yet) whose plan
-// rides the chain edge 1 → edge 2. Tracers may be nil.
+// adjacent cells, a master that plans two-hop throughput chains over them,
+// and a client attached to edge 0 (nothing uploaded yet) whose plan rides
+// the chain edge 0 → edge 1.
 type chainCluster struct {
-	killEdge2 func()
-	client    *mobile.Client
+	*cluster
+	client *mobile.Client
 }
 
-func startChainCluster(t *testing.T, scale float64, tr1, tr2, masterTr, clientTr *tracing.Tracer) *chainCluster {
+// startChainCluster starts topo as the chain topology; topo's scale,
+// tracers and master edits are kept (an edit runs after the chain
+// settings, so it may re-point edge 0).
+func startChainCluster(t *testing.T, topo topology, clientTr *tracing.Tracer) *chainCluster {
 	t.Helper()
-	addr1, _ := startEdge(t, "server/1", tr1, scale)
-	addr2, killEdge2 := startEdge(t, "server/2", tr2, scale)
-	return dialChainCluster(t, scale, addr1, addr2, killEdge2, masterTr, clientTr)
-}
-
-// dialChainCluster is startChainCluster over two running edges: the
-// master, and the client attached to the edge at addr1.
-func dialChainCluster(t *testing.T, scale float64, addr1, addr2 string, killEdge2 func(), masterTr, clientTr *tracing.Tracer) *chainCluster {
-	t.Helper()
-	grid := geo.NewHexGrid(50)
-	loc1 := grid.Center(geo.HexCell{Q: 0, R: 0})
-	loc2 := grid.Center(geo.HexCell{Q: 1, R: 0})
-	cc := &chainCluster{killEdge2: killEdge2}
-
-	mcfg := master.DefaultConfig([]master.EdgeInfo{
-		{Addr: addr1, Location: loc1},
-		{Addr: addr2, Location: loc2},
-	})
-	// Throughput chaining splits the server work across both hops even when
-	// both GPUs are idle: halving each stage shrinks the pipeline's
-	// bottleneck, which a single split cannot.
-	mcfg.MaxHops = 2
-	mcfg.Objective = partition.ObjectiveThroughput
-	mcfg.Tracer = masterTr
-	mcfg.Estimator = sharedEstimator(t)
-	m, err := master.New(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go m.ServeContext(context.Background(), mln) //nolint:errcheck // closed by cleanup
-	t.Cleanup(func() {
-		if cerr := m.Close(); cerr != nil {
-			t.Logf("closing master: %v", cerr)
+	topo.Edges, topo.Model = 2, dnn.ModelInception
+	edit := topo.Master
+	topo.Master = func(cfg *master.Config) {
+		// Throughput chaining splits the server work across both hops even
+		// when both GPUs are idle: halving each stage shrinks the pipeline's
+		// bottleneck, which a single split cannot.
+		cfg.MaxHops = 2
+		cfg.Objective = partition.ObjectiveThroughput
+		if edit != nil {
+			edit(cfg)
 		}
-	})
-
+	}
+	cc := &chainCluster{cluster: topo.start(t)}
 	ctx := context.Background()
+	var err error
 	cc.client, err = mobile.DialContext(ctx, mobile.Config{
 		ID:         7,
 		Model:      dnn.ModelInception,
-		MasterAddr: mln.Addr().String(),
-		TimeScale:  scale,
+		MasterAddr: cc.addr,
+		TimeScale:  topo.Scale,
 		Tracer:     clientTr,
 	})
 	if err != nil {
@@ -114,15 +58,16 @@ func dialChainCluster(t *testing.T, scale float64, addr1, addr2 string, killEdge
 		}
 	})
 
-	if err := cc.client.ConnectContext(ctx, m.Placement().ServerAt(loc1), addr1); err != nil {
+	first, second := cc.edges[0], cc.edges[1]
+	if err := cc.client.ConnectContext(ctx, cc.m.Placement().ServerAt(first.Location), first.Addr); err != nil {
 		t.Fatal(err)
 	}
 	chain := cc.client.Chain()
 	if len(chain) < 2 {
 		t.Fatalf("plan chain has %d hops, want >= 2", len(chain))
 	}
-	if chain[0].Addr != addr1 || chain[1].Addr != addr2 {
-		t.Fatalf("chain addrs = %q, %q, want %q, %q", chain[0].Addr, chain[1].Addr, addr1, addr2)
+	if chain[0].Addr != first.Addr || chain[1].Addr != second.Addr {
+		t.Fatalf("chain addrs = %q, %q, want %q, %q", chain[0].Addr, chain[1].Addr, first.Addr, second.Addr)
 	}
 	if !cc.client.ChainActive() {
 		t.Fatal("chain not active after connect")
@@ -153,7 +98,7 @@ func TestLiveChainQuery(t *testing.T) {
 	tr2 := tracing.NewWallClock()
 	masterTr := tracing.NewWallClock()
 	clientTr := tracing.NewWallClock()
-	cc := startChainCluster(t, 0.0005, tr1, tr2, masterTr, clientTr)
+	cc := startChainCluster(t, topology{Scale: 0.0005, EdgeTracers: []*tracing.Tracer{tr1, tr2}, MasterTracer: masterTr}, clientTr)
 	client := cc.client
 	ctx := context.Background()
 
@@ -246,7 +191,7 @@ func TestLiveChainQuery(t *testing.T) {
 	// Kill hop 2: the next query hits a mid-chain failure, latches the
 	// chain broken, and degrades to the single-split failover plan — a
 	// valid result, not an error.
-	cc.killEdge2()
+	cc.stops[1]()
 	lat2, err := client.QueryContext(ctx)
 	if err != nil {
 		t.Fatalf("degraded query: %v", err)
@@ -277,7 +222,7 @@ func TestLiveChainQuery(t *testing.T) {
 // from edge 1 to edge 2 on the backhaul, so the relay must too, not on the
 // edge's access link.
 func TestChainEstimateMatchesLatency(t *testing.T) {
-	cc := startChainCluster(t, 0, nil, nil, nil, nil)
+	cc := startChainCluster(t, topology{}, nil)
 	cc.upload(t)
 	est := cc.client.EstimatedLatency()
 	for i := 0; i < 5; i++ {
@@ -309,7 +254,7 @@ func TestChainQueryAllocBudget(t *testing.T) {
 	if raceguard.Enabled {
 		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
 	}
-	cc := startChainCluster(t, 0, nil, nil, nil, nil)
+	cc := startChainCluster(t, topology{}, nil)
 	cc.upload(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

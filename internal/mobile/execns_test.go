@@ -2,10 +2,11 @@ package mobile_test
 
 import (
 	"context"
-	"net"
 	"sync/atomic"
 	"testing"
 
+	"perdnn/internal/livetest"
+	"perdnn/internal/master"
 	"perdnn/internal/wire"
 )
 
@@ -14,10 +15,6 @@ import (
 // request, answers it with a negative exec time.
 func startLyingEdge(t *testing.T, backend string, lie func(*wire.ExecReq) bool) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := &wire.Server{Name: "lying edge", Log: quietLogger(), Open: func() (wire.Dispatch, func()) {
 		var conn *wire.Conn
 		dispatch := func(ctx context.Context, req *wire.Envelope) *wire.Envelope {
@@ -44,13 +41,8 @@ func startLyingEdge(t *testing.T, backend string, lie func(*wire.ExecReq) bool) 
 			}
 		}
 	}}
-	go srv.ServeContext(context.Background(), ln) //nolint:errcheck // closed by cleanup
-	t.Cleanup(func() {
-		if cerr := srv.Close(); cerr != nil {
-			t.Logf("closing lying edge: %v", cerr)
-		}
-	})
-	return ln.Addr().String()
+	addr, _ := livetest.Serve(t, srv)
+	return addr
 }
 
 // TestNegativeExecTimeIsRefused has the client's edge answer a negative
@@ -59,11 +51,11 @@ func startLyingEdge(t *testing.T, backend string, lie func(*wire.ExecReq) bool) 
 // latency.
 func TestNegativeExecTimeIsRefused(t *testing.T) {
 	const scale = 0.0005
-	addr1, _ := startEdge(t, "server/1", nil, scale)
-	addr2, killEdge2 := startEdge(t, "server/2", nil, scale)
 	var lieAll atomic.Bool
-	front := startLyingEdge(t, addr1, func(r *wire.ExecReq) bool { return lieAll.Load() || len(r.Next) > 0 })
-	cc := dialChainCluster(t, scale, front, addr2, killEdge2, nil, nil)
+	lie := func(r *wire.ExecReq) bool { return lieAll.Load() || len(r.Next) > 0 }
+	cc := startChainCluster(t, topology{Scale: scale, Master: func(cfg *master.Config) {
+		cfg.Edges[0].Addr = startLyingEdge(t, cfg.Edges[0].Addr, lie)
+	}}, nil)
 	cc.upload(t)
 	client, ctx := cc.client, context.Background()
 	latencies := client.Metrics().Histogram("query_latency_ns")

@@ -16,6 +16,7 @@ import (
 	"perdnn/internal/core"
 	"perdnn/internal/dnn"
 	"perdnn/internal/geo"
+	"perdnn/internal/livetest"
 	"perdnn/internal/mobile"
 )
 
@@ -202,11 +203,11 @@ func uploadAll(t *testing.T, client *mobile.Client) {
 // without starting over.
 func TestReconnectAndResumeMidUpload(t *testing.T) {
 	ctx := context.Background()
-	masterAddr, edges, m, _ := liveCluster(t)
-	proxy := newFlakyProxy(t, edges[0].Addr)
-	client := dialFastClient(t, masterAddr)
+	c := twoEdges.start(t)
+	proxy := newFlakyProxy(t, c.edges[0].Addr)
+	client := dialFastClient(t, c.addr)
 
-	serverA := m.Placement().ServerAt(edges[0].Location)
+	serverA := c.m.Placement().ServerAt(c.edges[0].Location)
 	if serverA == geo.NoServer {
 		t.Fatal("no cell for edge A")
 	}
@@ -257,11 +258,11 @@ func TestReconnectAndResumeMidUpload(t *testing.T) {
 // return a usable client-local latency wrapped with core.ErrLocalFallback.
 func TestDeadEdgeDegradesToLocalFallback(t *testing.T) {
 	ctx := context.Background()
-	masterAddr, edges, m, _ := liveCluster(t)
-	proxy := newFlakyProxy(t, edges[0].Addr)
-	client := dialFastClient(t, masterAddr)
+	c := twoEdges.start(t)
+	proxy := newFlakyProxy(t, c.edges[0].Addr)
+	client := dialFastClient(t, c.addr)
 
-	serverA := m.Placement().ServerAt(edges[0].Location)
+	serverA := c.m.Placement().ServerAt(c.edges[0].Location)
 	if err := client.ConnectContext(ctx, serverA, proxy.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +304,11 @@ func TestDeadEdgeDegradesToLocalFallback(t *testing.T) {
 // instead of burning the fallback path — callers who canceled don't want a
 // degraded answer.
 func TestQueryContextCancelBeatsFallback(t *testing.T) {
-	masterAddr, edges, m, _ := liveCluster(t)
-	proxy := newFlakyProxy(t, edges[0].Addr)
-	client := dialFastClient(t, masterAddr)
+	c := twoEdges.start(t)
+	proxy := newFlakyProxy(t, c.edges[0].Addr)
+	client := dialFastClient(t, c.addr)
 
-	if err := client.ConnectContext(context.Background(), m.Placement().ServerAt(edges[0].Location), proxy.Addr()); err != nil {
+	if err := client.ConnectContext(context.Background(), c.m.Placement().ServerAt(c.edges[0].Location), proxy.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	uploadAll(t, client)
@@ -326,19 +327,10 @@ func TestQueryContextCancelBeatsFallback(t *testing.T) {
 // TestDialMasterRetryExhausted: an unreachable master fails fast with both
 // typed sentinels rather than hanging.
 func TestDialMasterRetryExhausted(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	if err := ln.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = mobile.DialContext(context.Background(), mobile.Config{
+	_, err := mobile.DialContext(context.Background(), mobile.Config{
 		ID:         1,
 		Model:      dnn.ModelMobileNet,
-		MasterAddr: addr,
+		MasterAddr: livetest.DeadAddr(t),
 		Retry:      fastRetry(),
 		Logger:     quietLogger(),
 	})

@@ -2,108 +2,82 @@ package mobile_test
 
 import (
 	"context"
-	"net"
-	"sync"
+	"fmt"
 	"testing"
 	"time"
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/edged"
-	"perdnn/internal/estimator"
 	"perdnn/internal/geo"
-	"perdnn/internal/gpusim"
+	"perdnn/internal/livetest"
 	"perdnn/internal/master"
 	"perdnn/internal/mobile"
-	"perdnn/internal/profile"
+	"perdnn/internal/obs/tracing"
 )
 
-// trainEstimator trains, once per test binary, the slowdown forest
-// master.New would train at every start: same device, parameters and
-// seed 1, so it is the forest each cluster helper's master would have
-// built for itself.
-var trainEstimator = sync.OnceValues(func() (*estimator.ServerEstimator, error) {
-	return estimator.TrainServerEstimator(profile.ServerTitanXp(), gpusim.DefaultParams(), 1)
-})
+// topology is a live test cluster: Edges edge daemons serving Model in a
+// row of adjacent cells, each compressing modelled time by Scale (0: no
+// sleeps at all), and a master over them. EdgeTracers[i], where there is
+// one, traces edge i as node "server/i"; Master, when set, edits the
+// master's config before the master is built.
+type topology struct {
+	Edges        int
+	Model        dnn.ModelName
+	Scale        float64
+	EdgeTracers  []*tracing.Tracer
+	MasterTracer *tracing.Tracer
+	Master       func(*master.Config)
+}
 
-// sharedEstimator is the master.Config.Estimator of every test cluster.
-func sharedEstimator(tb testing.TB) *estimator.ServerEstimator {
+// twoEdges is the topology most live tests run on.
+var twoEdges = topology{Edges: 2, Model: dnn.ModelMobileNet, Scale: 0.0005}
+
+// cluster is a started topology. Every daemon runs on loopback until the
+// test ends.
+type cluster struct {
+	addr    string // the master's
+	m       *master.Master
+	edges   []master.EdgeInfo // as the master's config names them
+	servers []*edged.Server   // servers[i] runs at edges[i]'s cell
+	stops   []func()          // stops[i] stops servers[i]
+}
+
+func (topo topology) start(tb testing.TB) *cluster {
 	tb.Helper()
-	est, err := trainEstimator()
+	grid := geo.NewHexGrid(50)
+	c := &cluster{}
+	for i := 0; i < topo.Edges; i++ {
+		cfg := edged.DefaultConfig(topo.Model)
+		cfg.TimeScale = topo.Scale
+		cfg.GPUSeed = int64(i + 1)
+		cfg.Logger = quietLogger()
+		cfg.Node = fmt.Sprintf("server/%d", i)
+		if i < len(topo.EdgeTracers) {
+			cfg.Tracer = topo.EdgeTracers[i]
+		}
+		srv, err := edged.New(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		addr, stop := livetest.Serve(tb, srv)
+		c.edges = append(c.edges, master.EdgeInfo{Addr: addr, Location: grid.Center(geo.HexCell{Q: i, R: 0})})
+		c.servers = append(c.servers, srv)
+		c.stops = append(c.stops, stop)
+	}
+	mcfg := master.DefaultConfig(c.edges)
+	mcfg.Estimator = livetest.Estimator(tb)
+	mcfg.Logger = quietLogger()
+	mcfg.Tracer = topo.MasterTracer
+	if topo.Master != nil {
+		topo.Master(&mcfg)
+	}
+	m, err := master.New(mcfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return est
-}
-
-// liveCluster starts two edge daemons in adjacent cells and a master over
-// localhost TCP, returning the master address, the edge infos, the master,
-// and the edge daemons themselves (for server-side metric assertions).
-func liveCluster(t *testing.T) (string, []master.EdgeInfo, *master.Master, []*edged.Server) {
-	t.Helper()
-	return liveLine(t, 2, 0.0005)
-}
-
-// liveLine is liveCluster over n edge daemons in a row of adjacent cells,
-// each compressing its simulated time by scale (0: no sleeps at all).
-func liveLine(t *testing.T, n int, scale float64) (string, []master.EdgeInfo, *master.Master, []*edged.Server) {
-	t.Helper()
-	ctx := context.Background()
-	grid := geo.NewHexGrid(50)
-	locs := make([]geo.Point, n)
-	for i := range locs {
-		locs[i] = grid.Center(geo.HexCell{Q: i, R: 0})
-	}
-
-	edges := make([]master.EdgeInfo, 0, n)
-	servers := make([]*edged.Server, 0, n)
-	for i, loc := range locs {
-		cfg := edged.DefaultConfig(dnn.ModelMobileNet)
-		cfg.TimeScale = scale
-		cfg.GPUSeed = int64(i + 1)
-		srv, err := edged.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			if serveErr := srv.ServeContext(ctx, ln); serveErr != nil {
-				t.Errorf("edge serve: %v", serveErr)
-			}
-		}()
-		t.Cleanup(func() {
-			if cerr := srv.Close(); cerr != nil {
-				t.Logf("closing edge: %v", cerr)
-			}
-		})
-		edges = append(edges, master.EdgeInfo{Addr: ln.Addr().String(), Location: loc})
-		servers = append(servers, srv)
-	}
-
-	mcfg := master.DefaultConfig(edges)
-	mcfg.Radius = 100
-	mcfg.Estimator = sharedEstimator(t)
-	m, err := master.New(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		if serveErr := m.ServeContext(ctx, mln); serveErr != nil {
-			t.Errorf("master serve: %v", serveErr)
-		}
-	}()
-	t.Cleanup(func() {
-		if cerr := m.Close(); cerr != nil {
-			t.Logf("closing master: %v", cerr)
-		}
-	})
-	return mln.Addr().String(), edges, m, servers
+	c.addr, _ = livetest.Serve(tb, m)
+	c.m, c.edges = m, mcfg.Edges
+	return c
 }
 
 // TestLiveOffloadingEndToEnd drives the full networked path: register,
@@ -112,13 +86,13 @@ func liveLine(t *testing.T, n int, scale float64) (string, []master.EdgeInfo, *m
 // finds the layers already cached (hit).
 func TestLiveOffloadingEndToEnd(t *testing.T) {
 	ctx := context.Background()
-	masterAddr, edges, m, _ := liveCluster(t)
-	pl := m.Placement()
+	c := twoEdges.start(t)
+	pl := c.m.Placement()
 
 	client, err := mobile.DialContext(ctx, mobile.Config{
 		ID:         7,
 		Model:      dnn.ModelMobileNet,
-		MasterAddr: masterAddr,
+		MasterAddr: c.addr,
 		TimeScale:  0.0005,
 	})
 	if err != nil {
@@ -130,14 +104,14 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 		}
 	}()
 
-	serverA := pl.ServerAt(edges[0].Location)
-	serverB := pl.ServerAt(edges[1].Location)
+	serverA := pl.ServerAt(c.edges[0].Location)
+	serverB := pl.ServerAt(c.edges[1].Location)
 	if serverA == geo.NoServer || serverB == geo.NoServer || serverA == serverB {
 		t.Fatalf("bad placement: %v %v", serverA, serverB)
 	}
 
 	// Connect to A: cold, so nothing cached.
-	if err := client.ConnectContext(ctx, serverA, edges[0].Addr); err != nil {
+	if err := client.ConnectContext(ctx, serverA, c.edges[0].Addr); err != nil {
 		t.Fatal(err)
 	}
 	present, total := client.CacheState()
@@ -184,7 +158,7 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 
 	// Walk from A toward B; each report lets the master predict and
 	// proactively migrate layers A -> B.
-	a := edges[0].Location
+	a := c.edges[0].Location
 	for i := 0; i < 5; i++ {
 		p := geo.Point{X: a.X + float64(i)*8, Y: a.Y}
 		if err := client.ReportLocationContext(ctx, p); err != nil {
@@ -195,7 +169,7 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 	// Give the synchronous migration a moment to land at B.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := client.ConnectContext(ctx, serverB, edges[1].Addr); err != nil {
+		if err := client.ConnectContext(ctx, serverB, c.edges[1].Addr); err != nil {
 			t.Fatal(err)
 		}
 		present, total = client.CacheState()
@@ -220,12 +194,12 @@ func TestLiveOffloadingEndToEnd(t *testing.T) {
 // per target on every report.
 func TestWalkAcrossThreeEdgesPushesOncePerRefresh(t *testing.T) {
 	ctx := context.Background()
-	masterAddr, edges, m, servers := liveLine(t, 3, 0.0005)
-	pl := m.Placement()
+	c := topology{Edges: 3, Model: dnn.ModelMobileNet, Scale: 0.0005}.start(t)
+	pl := c.m.Placement()
 	client, err := mobile.DialContext(ctx, mobile.Config{
 		ID:         11,
 		Model:      dnn.ModelMobileNet,
-		MasterAddr: masterAddr,
+		MasterAddr: c.addr,
 		TimeScale:  0.0005,
 	})
 	if err != nil {
@@ -236,14 +210,14 @@ func TestWalkAcrossThreeEdgesPushesOncePerRefresh(t *testing.T) {
 			t.Logf("closing client: %v", cerr)
 		}
 	}()
-	addrOf := make(map[geo.ServerID]string, len(edges))
-	for _, e := range edges {
+	addrOf := make(map[geo.ServerID]string, len(c.edges))
+	for _, e := range c.edges {
 		addrOf[pl.ServerAt(e.Location)] = e.Addr
 	}
 
 	// 8 m a report from the first centre to the last: 87 m between centres,
 	// so about eleven reports per cell.
-	from, to := edges[0].Location, edges[2].Location
+	from, to := c.edges[0].Location, c.edges[2].Location
 	const stride = 8.0
 	reports := int(from.Dist(to)/stride) + 1
 	cur, attaches := geo.NoServer, 0
@@ -275,18 +249,18 @@ func TestWalkAcrossThreeEdgesPushesOncePerRefresh(t *testing.T) {
 	}
 
 	var pushes int64
-	for _, s := range servers {
+	for _, s := range c.servers {
 		pushes += s.Metrics().Counter("migrations_total").Value()
 	}
 	// An edge is pushed to when it enters the prediction and then once per
 	// four reports while it stays, so no edge sees more than reports/4 + 1
 	// pushes. Ordering every target on every report costs about two pushes
 	// per report here.
-	if bound := int64(len(edges) * (reports/4 + 1)); pushes > bound || pushes == 0 {
+	if bound := int64(len(c.edges) * (reports/4 + 1)); pushes > bound || pushes == 0 {
 		t.Errorf("%d reports cost %d pushes, want 1..%d", reports, pushes, bound)
 	}
-	ordered := m.Metrics().Counter("migrations_ordered_total").Value()
-	suppressed := m.Metrics().Counter("migrations_suppressed_total").Value()
+	ordered := c.m.Metrics().Counter("migrations_ordered_total").Value()
+	suppressed := c.m.Metrics().Counter("migrations_suppressed_total").Value()
 	if ordered >= int64(reports) || suppressed < ordered {
 		t.Errorf("master ordered %d and suppressed %d targets over %d reports; most targets of an ongoing walk are suppressed", ordered, suppressed, reports)
 	}

@@ -17,7 +17,7 @@ import (
 // A. The daemon must answer both from a consistent copy of the cache entry
 // the upload is still writing. Run under -race.
 func TestMigrateAndHasDuringWindowedUpload(t *testing.T) {
-	masterAddr, edges, m, servers := liveCluster(t)
+	c := twoEdges.start(t)
 	ctx := context.Background()
 	model, err := dnn.ZooModel(dnn.ModelMobileNet)
 	if err != nil {
@@ -37,7 +37,7 @@ func TestMigrateAndHasDuringWindowedUpload(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		conn, err := wire.DialContext(ctx, edges[0].Addr)
+		conn, err := wire.DialContext(ctx, c.edges[0].Addr)
 		if err != nil {
 			t.Errorf("prober dial: %v", err)
 			close(probed)
@@ -53,7 +53,7 @@ func TestMigrateAndHasDuringWindowedUpload(t *testing.T) {
 			id := int(current.Load())
 			resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 				Type:    wire.MsgMigrateRequest,
-				Migrate: &wire.Migrate{ClientID: id, Layers: all, PeerAddr: edges[1].Addr},
+				Migrate: &wire.Migrate{ClientID: id, Layers: all, PeerAddr: c.edges[1].Addr},
 			})
 			if err != nil || resp.Ack == nil || !resp.Ack.OK {
 				t.Errorf("migrate during upload: %v %+v", err, resp)
@@ -72,18 +72,18 @@ func TestMigrateAndHasDuringWindowedUpload(t *testing.T) {
 	}()
 	<-probed
 
-	server := m.Placement().ServerAt(edges[0].Location)
+	server := c.m.Placement().ServerAt(c.edges[0].Location)
 	var uploaded int64
 	for id := 100; id < 108; id++ {
 		current.Store(int64(id))
 		client, err := mobile.DialContext(ctx, mobile.Config{
-			ID: id, Model: dnn.ModelMobileNet, MasterAddr: masterAddr,
+			ID: id, Model: dnn.ModelMobileNet, MasterAddr: c.addr,
 			TimeScale: 0.0005, UploadWindow: 4, Logger: quietLogger(),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := client.ConnectContext(ctx, server, edges[0].Addr); err != nil {
+		if err := client.ConnectContext(ctx, server, c.edges[0].Addr); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := client.UploadAllContext(ctx); err != nil {
@@ -100,7 +100,7 @@ func TestMigrateAndHasDuringWindowedUpload(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	// Exactly-once pricing at A survives the overlap.
-	if got := servers[0].Metrics().Counter("upload_bytes_total").Value(); got != uploaded {
+	if got := c.servers[0].Metrics().Counter("upload_bytes_total").Value(); got != uploaded {
 		t.Errorf("edge A priced %d upload bytes, clients sent %d", got, uploaded)
 	}
 }

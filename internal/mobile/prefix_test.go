@@ -18,8 +18,8 @@ import (
 // replays charge for the same prefix.
 func TestUploadPrefixPricedAsSimulated(t *testing.T) {
 	ctx := context.Background()
-	masterAddr, edges, m, _ := liveLine(t, 1, 0)
-	client, err := mobile.DialContext(ctx, mobile.Config{ID: 9, Model: dnn.ModelMobileNet, MasterAddr: masterAddr, Logger: quietLogger()})
+	c := topology{Edges: 1, Model: dnn.ModelMobileNet}.start(t)
+	client, err := mobile.DialContext(ctx, mobile.Config{ID: 9, Model: dnn.ModelMobileNet, MasterAddr: c.addr, Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestUploadPrefixPricedAsSimulated(t *testing.T) {
 			t.Logf("closing client: %v", cerr)
 		}
 	})
-	if err := client.ConnectContext(ctx, m.Placement().ServerAt(edges[0].Location), edges[0].Addr); err != nil {
+	if err := client.ConnectContext(ctx, c.m.Placement().ServerAt(c.edges[0].Location), c.edges[0].Addr); err != nil {
 		t.Fatal(err)
 	}
 	if len(client.Chain()) != 0 {

@@ -30,14 +30,14 @@ func planBytes(t *testing.T, client *mobile.Client) int64 {
 // once, and queries offload.
 func TestWindowedUploadStreams(t *testing.T) {
 	ctx := context.Background()
-	masterAddr, edges, m, servers := liveCluster(t)
-	client := dialFastClient(t, masterAddr)
+	c := twoEdges.start(t)
+	client := dialFastClient(t, c.addr)
 
-	serverA := m.Placement().ServerAt(edges[0].Location)
+	serverA := c.m.Placement().ServerAt(c.edges[0].Location)
 	if serverA == geo.NoServer {
 		t.Fatal("no cell for edge A")
 	}
-	if err := client.ConnectContext(ctx, serverA, edges[0].Addr); err != nil {
+	if err := client.ConnectContext(ctx, serverA, c.edges[0].Addr); err != nil {
 		t.Fatal(err)
 	}
 	_, total := client.CacheState()
@@ -59,10 +59,10 @@ func TestWindowedUploadStreams(t *testing.T) {
 	if n2, err := client.UploadAllContext(context.Background()); err != nil || n2 != 0 {
 		t.Fatalf("second UploadAll: n=%d err=%v, want 0 units", n2, err)
 	}
-	if got, want := servers[0].Metrics().Counter("upload_bytes_total").Value(), planBytes(t, client); got != want {
+	if got, want := c.servers[0].Metrics().Counter("upload_bytes_total").Value(), planBytes(t, client); got != want {
 		t.Errorf("edge priced %d upload bytes, want exactly %d", got, want)
 	}
-	if got := servers[0].Metrics().Counter("uploads_total").Value(); got != int64(n) {
+	if got := c.servers[0].Metrics().Counter("uploads_total").Value(); got != int64(n) {
 		t.Errorf("edge counted %d uploads, client streamed %d units", got, n)
 	}
 	if _, err := client.QueryContext(ctx); err != nil {
@@ -78,11 +78,11 @@ func TestWindowedUploadStreams(t *testing.T) {
 // the kill (acked or not) were not re-sent.
 func TestKillMidStreamResumesWithoutResend(t *testing.T) {
 	ctx := context.Background()
-	masterAddr, edges, m, servers := liveCluster(t)
-	proxy := newFlakyProxy(t, edges[0].Addr)
-	client := dialFastClient(t, masterAddr)
+	c := twoEdges.start(t)
+	proxy := newFlakyProxy(t, c.edges[0].Addr)
+	client := dialFastClient(t, c.addr)
 
-	serverA := m.Placement().ServerAt(edges[0].Location)
+	serverA := c.m.Placement().ServerAt(c.edges[0].Location)
 	if serverA == geo.NoServer {
 		t.Fatal("no cell for edge A")
 	}
@@ -114,7 +114,7 @@ func TestKillMidStreamResumesWithoutResend(t *testing.T) {
 	// Exactly-once delivery: the edge priced every plan layer once. A
 	// lost-resend bug undercounts; a blind restart (or a resend racing an
 	// old handler without server-side dedup) double-counts.
-	if got, want := servers[0].Metrics().Counter("upload_bytes_total").Value(), planBytes(t, client); got != want {
+	if got, want := c.servers[0].Metrics().Counter("upload_bytes_total").Value(), planBytes(t, client); got != want {
 		t.Errorf("edge priced %d upload bytes across kill+resume, want exactly %d", got, want)
 	}
 

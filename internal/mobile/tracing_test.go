@@ -2,13 +2,9 @@ package mobile_test
 
 import (
 	"context"
-	"net"
 	"testing"
 
 	"perdnn/internal/dnn"
-	"perdnn/internal/edged"
-	"perdnn/internal/geo"
-	"perdnn/internal/master"
 	"perdnn/internal/mobile"
 	"perdnn/internal/obs/tracing"
 )
@@ -19,54 +15,15 @@ import (
 // the traces the client started, so one query reads as a single trace
 // spanning client, master, and edge tracks.
 func TestLiveTracePropagation(t *testing.T) {
-	grid := geo.NewHexGrid(50)
-	loc := grid.Center(geo.HexCell{Q: 0, R: 0})
-
-	edgeTr := tracing.NewWallClock()
-	ecfg := edged.DefaultConfig(dnn.ModelMobileNet)
-	ecfg.TimeScale = 0.0005
-	ecfg.Tracer = edgeTr
-	ecfg.Node = "server/0"
-	srv, err := edged.New(ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.ServeContext(context.Background(), eln) //nolint:errcheck // closed by cleanup
-	t.Cleanup(func() {
-		if cerr := srv.Close(); cerr != nil {
-			t.Logf("closing edge: %v", cerr)
-		}
-	})
-
-	masterTr := tracing.NewWallClock()
-	mcfg := master.DefaultConfig([]master.EdgeInfo{{Addr: eln.Addr().String(), Location: loc}})
-	mcfg.Tracer = masterTr
-	mcfg.Estimator = sharedEstimator(t)
-	m, err := master.New(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go m.ServeContext(context.Background(), mln) //nolint:errcheck // closed by cleanup
-	t.Cleanup(func() {
-		if cerr := m.Close(); cerr != nil {
-			t.Logf("closing master: %v", cerr)
-		}
-	})
+	edgeTr, masterTr := tracing.NewWallClock(), tracing.NewWallClock()
+	c := topology{Edges: 1, Model: dnn.ModelMobileNet, Scale: 0.0005, EdgeTracers: []*tracing.Tracer{edgeTr}, MasterTracer: masterTr}.start(t)
 
 	clientTr := tracing.NewWallClock()
 	ctx := context.Background()
 	client, err := mobile.DialContext(ctx, mobile.Config{
 		ID:         3,
 		Model:      dnn.ModelMobileNet,
-		MasterAddr: mln.Addr().String(),
+		MasterAddr: c.addr,
 		TimeScale:  0.0005,
 		Tracer:     clientTr,
 	})
@@ -78,8 +35,8 @@ func TestLiveTracePropagation(t *testing.T) {
 		t.Fatal("Tracer accessor does not return the configured tracer")
 	}
 
-	server := m.Placement().ServerAt(loc)
-	if err := client.ConnectContext(ctx, server, eln.Addr().String()); err != nil {
+	server := c.m.Placement().ServerAt(c.edges[0].Location)
+	if err := client.ConnectContext(ctx, server, c.edges[0].Addr); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.UploadAllContext(ctx); err != nil {

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net"
 	"reflect"
 	"testing"
 	"time"
 
 	"perdnn"
+	"perdnn/internal/livetest"
 	"perdnn/internal/partition"
 )
 
@@ -274,20 +274,13 @@ func TestFacadeSentinels(t *testing.T) {
 	}
 
 	// A dead master: DialLive must fail fast with both sentinels.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	if err := ln.Close(); err != nil {
-		t.Fatal(err)
-	}
+	addr := livetest.DeadAddr(t)
 	retry := perdnn.DefaultRetryPolicy()
 	retry.MaxAttempts = 2
 	retry.BaseDelay = time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_, err = perdnn.DialLive(ctx,
+	_, err := perdnn.DialLive(ctx,
 		perdnn.LiveConfig{ID: 1, Model: perdnn.ModelMobileNet, MasterAddr: addr, Retry: &retry})
 	if !errors.Is(err, perdnn.ErrMasterDown) || !errors.Is(err, perdnn.ErrRetryBudgetExhausted) {
 		t.Errorf("DialLive err = %v, want ErrMasterDown and ErrRetryBudgetExhausted", err)
