@@ -17,9 +17,9 @@
 //	perdnn-master -listen :7100 -shard 0 -shards 2 \
 //	    -peer 10.0.0.1:7100 -peer 10.0.0.2:7100 -edge ... -edge ...
 //
-// Each master then owns its region's registrations and plans; clients
-// whose trajectories cross a region boundary are handed off to the owning
-// peer and redirected transparently.
+// Each master then owns its region's registrations and plans; a client
+// whose trajectory crosses a region boundary is redirected, with its
+// history, to the owning master, which no master ever dials.
 package main
 
 import (

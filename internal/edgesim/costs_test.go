@@ -209,12 +209,35 @@ func envLiveHeap(t *testing.T, ds *trace.Dataset, ecfg EnvConfig) int64 {
 // TestCostLedger compares the costs with BENCH_COSTS.json, or rewrites it
 // under -update. A cost that moves fails here until the ledger is updated
 // with the change that moved it, so every such change shows as its diff.
+// The rewrite keeps the recorded value of a tolerance entry whose reading
+// is within its tolerance, so a reading's drift from run to run is no diff.
 func TestCostLedger(t *testing.T) {
 	if raceguard.Enabled {
 		t.Skip("race detector instrumentation allocates and slows the Geolife set-up tenfold")
 	}
 	got := measureCosts(t)
+	data, err := os.ReadFile(costsFile)
+	if err != nil && !*updateCosts {
+		t.Fatal(err)
+	}
+	var want costLedger
+	if err == nil {
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameGo := want.Go == runtime.Version()
+	byName := make(map[string]costEntry, len(want.Entries))
+	for _, e := range want.Entries {
+		byName[e.Name] = e
+	}
 	if *updateCosts {
+		for i, g := range got {
+			w, ok := byName[g.Name]
+			if ok && sameGo && g.Gate == gateTolerance && w.Gate == g.Gate && withinTolerance(g.Value, w.Value, want.Tolerance) {
+				got[i].Value = w.Value
+			}
+		}
 		data, err := json.MarshalIndent(costLedger{
 			Go: runtime.Version(), GOMAXPROCS: costsGOMAXPROCS, Tolerance: costsTolerance, Entries: got,
 		}, "", "  ")
@@ -226,21 +249,8 @@ func TestCostLedger(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(costsFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want costLedger
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	sameGo := want.Go == runtime.Version()
 	if !sameGo {
 		t.Logf("ledger taken with %s, running %s: only the %q entries gate", want.Go, runtime.Version(), gateExact)
-	}
-	byName := make(map[string]costEntry, len(want.Entries))
-	for _, e := range want.Entries {
-		byName[e.Name] = e
 	}
 	for _, g := range got {
 		w, ok := byName[g.Name]
@@ -255,7 +265,7 @@ func TestCostLedger(t *testing.T) {
 				t.Errorf("%s = %d, ledger %d (%s)", g.Name, g.Value, w.Value, relDiff(g.Value, w.Value))
 			}
 		case sameGo && g.Gate == gateTolerance:
-			if math.Abs(float64(g.Value-w.Value)) > want.Tolerance*float64(w.Value) {
+			if !withinTolerance(g.Value, w.Value, want.Tolerance) {
 				t.Errorf("%s = %d, ledger %d (%s, tolerance %.0f %%)", g.Name, g.Value, w.Value, relDiff(g.Value, w.Value), 100*want.Tolerance)
 			}
 		}
@@ -264,6 +274,12 @@ func TestCostLedger(t *testing.T) {
 	for name := range byName {
 		t.Errorf("ledger entry %s is no longer measured (rerun with -update)", name)
 	}
+}
+
+// withinTolerance reports whether got lies within the relative distance
+// tol of the recorded value want.
+func withinTolerance(got, want int64, tol float64) bool {
+	return math.Abs(float64(got-want)) <= tol*float64(want)
 }
 
 func relDiff(got, want int64) string {

@@ -42,6 +42,16 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
+// Finite reports whether every coordinate of pts is a finite number.
+func Finite(pts []Point) bool {
+	for _, p := range pts {
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Norm returns the Euclidean length of p treated as a vector.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 

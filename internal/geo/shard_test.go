@@ -1,8 +1,11 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 )
 
 // gridPlacement places servers on every cell of a w x h block of the plane.
@@ -89,6 +92,62 @@ func TestShardAtMatchesServerShard(t *testing.T) {
 				t.Errorf("ShardAt(%v) = %d, ShardOf(ServerAt) = %d", p, s, got)
 			}
 		}
+	}
+}
+
+// TestShardAtOutsideEveryTile: a point in no occupied super-tile belongs to
+// the shard of its nearest server, ties by lowest ID, near the placement
+// and 10,000 km from it alike; a point that is not finite gets an answer at
+// once.
+func TestShardAtOutsideEveryTile(t *testing.T) {
+	pl := gridPlacement(t, 1200, 900, 300)
+	m := NewShardMap(pl, 4)
+	centers := pl.Centers()
+	nearest := func(p Point) ServerID {
+		ids := make([]ServerID, len(centers))
+		for i := range ids {
+			ids[i] = ServerID(i)
+		}
+		sort.SliceStable(ids, func(i, j int) bool { return p.Dist(centers[ids[i]]) < p.Dist(centers[ids[j]]) })
+		return ids[0]
+	}
+	rng := rand.New(rand.NewSource(3))
+	checked := 0
+	for i := 0; i < 400; i++ {
+		scale := 3000.0
+		if i%2 == 1 {
+			scale = 1e7
+		}
+		p := Point{X: (rng.Float64()*2 - 1) * scale, Y: (rng.Float64()*2 - 1) * scale}
+		if _, ok := m.byTile[m.tileOf(pl.grid.CellAt(p))]; ok {
+			continue
+		}
+		checked++
+		want := nearest(p)
+		if got := m.ShardAt(p); got != m.ShardOf(want) {
+			t.Errorf("ShardAt(%v) = %d, nearest server %d is in shard %d", p, got, want, m.ShardOf(want))
+		}
+		if i%2 == 0 && pl.Nearest(p, 1)[0] != want {
+			t.Errorf("Nearest(%v, 1) = %v, brute force %d", p, pl.Nearest(p, 1), want)
+		}
+	}
+	if checked < 200 {
+		t.Fatalf("only %d of 400 points fell outside every tile", checked)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, p := range []Point{{X: math.NaN()}, {Y: math.NaN()}, {X: math.Inf(1)}, {Y: math.Inf(-1)}} {
+			if s := m.ShardAt(p); s < 0 || s >= m.Count() {
+				t.Errorf("ShardAt(%v) = %d outside [0,%d)", p, s, m.Count())
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ShardAt did not return on a point that is not finite")
 	}
 }
 

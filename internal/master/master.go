@@ -56,16 +56,17 @@ type Config struct {
 	// Shard and Shards enable shard-owner mode: this master owns region
 	// Shard of Shards total, computed by geo.NewShardMap over the full
 	// edge placement (every shard master is configured with the complete
-	// edge set so the map is identical everywhere). Trajectory reports for
-	// clients that crossed out of the region are handed off to the owning
-	// peer (MsgShardHandoff) and answered with a redirect. Predicted
-	// migration targets are ordered by the client's owner in any region.
-	// Shards <= 1 keeps single-master behavior.
+	// edge set so the map is identical everywhere). A trajectory report
+	// whose point lies in another region is answered with a redirect
+	// (MsgShardHandoff) that carries the client's history to the owning
+	// shard's master; the client presents it there. Predicted migration
+	// targets are ordered by the client's owner in any region. Shards <= 1
+	// keeps single-master behavior.
 	Shard  int
 	Shards int
-	// Peers[i] is the listen address of shard i's master; required (and
-	// must have length Shards) when Shards > 1. Peers[Shard] names this
-	// master and is only used in redirects.
+	// Peers[i] is the listen address of shard i's master, the address a
+	// redirect to shard i names; required (and must have length Shards)
+	// when Shards > 1. No master dials a peer.
 	Peers []string
 	// Estimator, when non-nil, replaces the one trained (seed 1) at startup,
 	// so that several masters in one process can share one trained forest.
@@ -99,7 +100,6 @@ type Master struct {
 	tr        *tracing.Tracer
 	edges     *wire.Pool    // reused conns for stats pings and migration orders
 	smap      *geo.ShardMap // region ownership map; nil in single-master mode
-	peers     *wire.Pool    // shard-to-shard conns for handoffs; nil unless sharded
 
 	// Handles of the per-request metrics, resolved once.
 	requests, planRequests, chainPlans   *obs.Counter
@@ -120,10 +120,10 @@ type Master struct {
 type clientState struct {
 	model   dnn.ModelName
 	history []geo.Point
-	// conn is the registration generation: the ID of the connection whose
-	// MsgRegister is current (0 after a shard adoption, until the client
-	// re-homes). A closing connection forgets only the clients it still
-	// owns.
+	// conn is the entry's owner: the ID of the connection whose
+	// MsgRegister or MsgShardHandoff installed it last. A closing
+	// connection forgets only the clients it still owns, so every entry
+	// belongs to a live connection.
 	conn uint64
 	// reports counts this client's trajectory reports, and ordered holds,
 	// per migration target, the report at which it last acknowledged a
@@ -211,7 +211,11 @@ func New(cfg Config) (*Master, error) {
 		planners: make(map[dnn.ModelName]*core.Planner, 4),
 		clients:  make(map[int]*clientState, 8),
 	}
-	m.srv = wire.Server{Name: "master", Log: logger, Open: m.openConn, Shutdown: m.closePools}
+	m.srv = wire.Server{Name: "master", Log: logger, Open: m.openConn, Shutdown: func() {
+		if err := m.edges.Close(); err != nil {
+			m.log.Warn("closing edge pool", "err", err)
+		}
+	}}
 	m.requests = m.met.Counter("requests_total")
 	m.planRequests = m.met.Counter("plan_requests_total")
 	m.chainPlans = m.met.Counter("chain_plans_total")
@@ -224,7 +228,6 @@ func New(cfg Config) (*Master, error) {
 	m.edges = wire.NewRegisteredPool(m.met, "edge")
 	if cfg.Shards > 1 {
 		m.smap = geo.NewShardMap(pl, cfg.Shards)
-		m.peers = wire.NewRegisteredPool(m.met, "shard")
 	}
 	return m, nil
 }
@@ -272,38 +275,29 @@ func (m *Master) ServeContext(ctx context.Context, ln net.Listener) error {
 // with ServeContext's own context-driven shutdown.
 func (m *Master) Close() error { return m.srv.Close() }
 
-func (m *Master) closePools() {
-	if err := m.edges.Close(); err != nil {
-		m.log.Warn("closing edge pool", "err", err)
-	}
-	if m.peers != nil {
-		if err := m.peers.Close(); err != nil {
-			m.log.Warn("closing shard pool", "err", err)
-		}
-	}
-}
-
 // openConn starts one connection's state: its ID, and the clients that
-// registered over it. A client holds its master connection for as long as
-// it lives, so when the connection goes they are forgotten — unless a
-// newer registration or a shard adoption has taken them over since.
+// registered over it or were handed to it. A client holds its master
+// connection for as long as it lives, so when the connection goes they are
+// forgotten — unless a newer registration or handoff has taken them over
+// since.
 func (m *Master) openConn() (wire.Dispatch, func()) {
 	conn := m.lastConn.Add(1)
-	var registered map[int]struct{}
+	owned := make(map[int]struct{}, 1)
 	dispatch := func(ctx context.Context, req *wire.Envelope) *wire.Envelope {
 		m.requests.Inc()
 		resp := m.dispatch(ctx, req, conn)
-		if req.Type == wire.MsgRegister && resp.Ack != nil && resp.Ack.OK {
-			if registered == nil {
-				registered = make(map[int]struct{}, 1)
-			}
-			registered[req.Register.ClientID] = struct{}{}
+		ok := resp.Ack != nil && resp.Ack.OK
+		switch {
+		case ok && req.Type == wire.MsgRegister:
+			owned[req.Register.ClientID] = struct{}{}
+		case ok && req.Type == wire.MsgShardHandoff:
+			owned[req.Handoff.ClientID] = struct{}{}
 		}
 		return resp
 	}
 	return dispatch, func() {
 		m.mu.Lock()
-		for id := range registered {
+		for id := range owned {
 			if cs, ok := m.clients[id]; ok && cs.conn == conn {
 				delete(m.clients, id)
 			}
@@ -314,7 +308,7 @@ func (m *Master) openConn() (wire.Dispatch, func()) {
 }
 
 // dispatch answers one request; conn identifies the connection it arrived
-// on (registrations are owned by their connection).
+// on (registrations and handoffs are owned by their connection).
 func (m *Master) dispatch(ctx context.Context, req *wire.Envelope, conn uint64) *wire.Envelope {
 	switch req.Type {
 	case wire.MsgRegister:
@@ -339,7 +333,7 @@ func (m *Master) dispatch(ctx context.Context, req *wire.Envelope, conn uint64) 
 			return wire.NewAck(errors.New("master: shard handoff without body"))
 		}
 		start := m.tr.Now()
-		err := m.adoptClient(req.Handoff)
+		err := m.adoptClient(req.Handoff, conn)
 		m.recordStage(req.Trace, tracing.StageShardHandoff, start, tracing.Attrs{})
 		return wire.NewAck(err)
 	case wire.MsgPlanRequest:
@@ -369,9 +363,9 @@ func (m *Master) register(r *wire.Register, conn uint64) error {
 		return err
 	}
 	if cs, ok := m.clients[r.ClientID]; ok && cs.model == r.Model {
-		// Idempotent re-registration — in particular a client re-homing
-		// onto this master after a shard handoff. The adopted trajectory
-		// history survives, so prediction resumes without a warm-up gap.
+		// Idempotent re-registration, here over a newer connection: the
+		// entry moves to it with its history and ordered-at table, so
+		// prediction resumes without a warm-up gap.
 		cs.conn = conn
 		return nil
 	}
@@ -402,9 +396,9 @@ func (m *Master) ensurePlannerLocked(model dnn.ModelName) error {
 }
 
 // trajectory updates a client's history and triggers proactive migration.
-// In shard-owner mode, a client whose latest point crossed out of this
-// master's region is handed off to the owning peer; the report is then
-// answered with the returned non-nil redirect envelope instead of an Ack.
+// In shard-owner mode, a report whose latest point lies outside this
+// master's region is answered with the returned non-nil redirect envelope
+// instead of an Ack. Points that are not finite are refused.
 //
 // Only the predicted targets that are due are ordered: new to the
 // prediction, never completely pushed, or pushed refreshAfter reports ago.
@@ -412,6 +406,9 @@ func (m *Master) ensurePlannerLocked(model dnn.ModelName) error {
 // another: each master knows every edge and pings it live. Orders run
 // synchronously, so the report's ack still means "the layers are there".
 func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Envelope, error) {
+	if !geo.Finite(t.Points) {
+		return nil, fmt.Errorf("master: client %d reported a point that is not finite", t.ClientID)
+	}
 	m.trajectoryPoints.Add(int64(len(t.Points)))
 	m.mu.Lock()
 	cs, ok := m.clients[t.ClientID]
@@ -432,7 +429,7 @@ func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Enve
 
 	if m.smap != nil && len(recent) > 0 {
 		if to := m.smap.ShardAt(recent[len(recent)-1]); to != m.cfg.Shard {
-			return m.handoffClient(ctx, t.ClientID, model, to, recent)
+			return m.redirect(t.ClientID, model, to, recent), nil
 		}
 	}
 
@@ -515,23 +512,19 @@ func (m *Master) markOrdered(cs *clientState, report int, cur geo.ServerID, targ
 	cs.ordered[cur] = report
 }
 
-// handoffClient transfers ownership of a client that crossed into another
-// shard's region: the owning peer adopts the registration and trajectory
-// history over MsgShardHandoff, the local state is dropped, and the
-// client's report is answered with a redirect — a MsgShardHandoff envelope
-// naming the new master's address, with no history attached. When the peer
-// cannot be reached the master keeps ownership (nil redirect, nil error):
-// the client stays served here and the next report retries the handoff.
-func (m *Master) handoffClient(ctx context.Context, client int, model dnn.ModelName, to int, history []geo.Point) (*wire.Envelope, error) {
+// redirect answers a report whose point lies in shard to's region: a
+// MsgShardHandoff naming to's master and carrying the client's model and
+// history, which the client presents there as its registration. It roots
+// the handoff's trace, and the context rides the envelope, so the adopting
+// master's span links under this one. Nothing changes here: the client
+// stays registered until its connection closes.
+func (m *Master) redirect(client int, model dnn.ModelName, to int, history []geo.Point) *wire.Envelope {
+	ht, span, now := m.tr.NewTrace(), m.tr.NewSpanID(), m.tr.Now()
+	m.tr.RecordWith(ht, span, 0, tracing.StageShardHandoff, nodeMaster, now, now)
+	m.met.Counter("shard_handoffs_total").Inc()
 	addr := m.cfg.Peers[to]
-	hctx, cancel := context.WithTimeout(ctx, wire.DefaultSendTimeout)
-	defer cancel()
-	// One trace per handoff, rooted at the sending master; the context
-	// rides the request so the peer's adoption span links under it.
-	ht := m.tr.NewTrace()
-	span := m.tr.NewSpanID()
-	start := m.tr.Now()
-	resp, err := m.peers.RoundTrip(hctx, addr, &wire.Envelope{
+	m.log.Info("client redirected", "client", client, "to", to, "addr", addr)
+	return &wire.Envelope{
 		Type: wire.MsgShardHandoff,
 		Handoff: &wire.ShardHandoff{
 			ClientID:  client,
@@ -542,44 +535,23 @@ func (m *Master) handoffClient(ctx context.Context, client int, model dnn.ModelN
 			History:   history,
 		},
 		Trace: tracing.SpanContext{Trace: ht, Span: span},
-	})
-	if err == nil && (resp.Ack == nil || !resp.Ack.OK) {
-		err = fmt.Errorf("master: shard %d rejected handoff", to)
 	}
-	if err != nil {
-		m.met.Counter("shard_handoff_errors_total").Inc()
-		m.log.Warn("shard handoff failed; keeping client", "client", client, "to", to, "err", err)
-		return nil, nil
-	}
-	m.mu.Lock()
-	delete(m.clients, client)
-	m.numClients.Set(int64(len(m.clients)))
-	m.mu.Unlock()
-	m.tr.RecordWith(ht, span, 0, tracing.StageShardHandoff, nodeMaster, start, m.tr.Now())
-	m.met.Counter("shard_handoffs_total").Inc()
-	m.log.Info("client handed off", "client", client, "to", to, "addr", addr)
-	return &wire.Envelope{
-		Type: wire.MsgShardHandoff,
-		Handoff: &wire.ShardHandoff{
-			ClientID:  client,
-			Model:     model,
-			FromShard: m.cfg.Shard,
-			ToShard:   to,
-			Addr:      addr,
-		},
-	}, nil
 }
 
-// adoptClient installs a client handed off by a peer shard master: the
-// model's planner is built if this is the region's first client of that
-// model, and the registration resumes with the sender's trajectory history
-// so mobility prediction continues without a warm-up gap.
-func (m *Master) adoptClient(h *wire.ShardHandoff) error {
+// adoptClient installs a client that presents another shard's redirect,
+// owned by connection conn like a registration: the model's planner is
+// built if this is the region's first client of that model, and the entry
+// starts from the sender's trajectory history so mobility prediction
+// continues without a warm-up gap.
+func (m *Master) adoptClient(h *wire.ShardHandoff, conn uint64) error {
 	if m.smap == nil {
 		return errors.New("master: shard handoff sent to an unsharded master")
 	}
 	if h.ToShard != m.cfg.Shard {
 		return fmt.Errorf("master: handoff addressed to shard %d, this is shard %d", h.ToShard, m.cfg.Shard)
+	}
+	if !geo.Finite(h.History) {
+		return fmt.Errorf("master: handoff of client %d carries a point that is not finite", h.ClientID)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -591,7 +563,7 @@ func (m *Master) adoptClient(h *wire.ShardHandoff) error {
 	if len(hist) > mobility.HistoryLen {
 		hist = hist[len(hist)-mobility.HistoryLen:]
 	}
-	m.clients[h.ClientID] = &clientState{model: h.Model, history: hist}
+	m.clients[h.ClientID] = &clientState{model: h.Model, history: hist, conn: conn}
 	m.numClients.Set(int64(len(m.clients)))
 	m.met.Counter("shard_adoptions_total").Inc()
 	m.log.Info("client adopted", "client", h.ClientID, "from", h.FromShard)

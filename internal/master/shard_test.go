@@ -2,11 +2,16 @@ package master
 
 import (
 	"context"
+	"errors"
+	"io"
 	"log/slog"
+	"math"
 	"net"
 	"os"
 	"testing"
+	"time"
 
+	"perdnn/internal/core"
 	"perdnn/internal/dnn"
 	"perdnn/internal/edged"
 	"perdnn/internal/geo"
@@ -26,6 +31,7 @@ type shardCluster struct {
 	edgeOf  []int           // edgeOf[i] = shard owning edges[i]
 	masters []*Master
 	addrs   []string
+	stop    []func() // stop[i] stops masters[i]
 }
 
 const numShards = 4
@@ -48,7 +54,7 @@ func shardFixture(t *testing.T) *shardCluster {
 		cfg.Peers = c.addrs
 		cfg.Tracer = tracing.NewWallClock()
 		m := newMaster(t, cfg)
-		livetest.ServeOn(t, ln, m)
+		c.stop = append(c.stop, livetest.ServeOn(t, ln, m))
 		c.masters = append(c.masters, m)
 	}
 
@@ -87,6 +93,14 @@ func (c *shardCluster) edgeInShard(t *testing.T, s int) int {
 	}
 	t.Fatalf("no fixture edge in shard %d (ownership %v)", s, c.edgeOf)
 	return -1
+}
+
+// crossing returns two fixture edges in different shards: the client's
+// home edge, and the one it crosses to.
+func (c *shardCluster) crossing(t *testing.T) (home, away int) {
+	t.Helper()
+	home = c.edgeInShard(t, 0)
+	return home, c.edgeInShard(t, (c.edgeOf[home]+1)%numShards)
 }
 
 // TestShardHandoffLive drives the full live handoff path over real TCP: a
@@ -393,5 +407,165 @@ func TestShardRingCrossings(t *testing.T) {
 	}
 	if owners != 1 {
 		t.Errorf("%d masters own the client, want exactly 1", owners)
+	}
+}
+
+// TestRedirectedClientKeepsItsMaster: a redirect changes nothing at the
+// master that sent it. A client that has been told to move but has not
+// yet presented the redirect elsewhere still plans and reports through its
+// old master, over the same connection.
+func TestRedirectedClientKeepsItsMaster(t *testing.T) {
+	c := shardFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	const id = 7
+	home, away := c.crossing(t)
+	mA := c.masters[c.edgeOf[home]]
+	conn := dialMaster(t, c.addrs[c.edgeOf[home]])
+	registerAs(t, conn, id, dnn.ModelMobileNet)
+	report(t, conn, id, c.edges[home].Location)
+
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
+		Type:       wire.MsgTrajectory,
+		Trajectory: &wire.Trajectory{ClientID: id, Points: []geo.Point{c.edges[away].Location}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := resp.Handoff
+	if resp.Type != wire.MsgShardHandoff || h == nil {
+		t.Fatalf("crossing report answered %+v, want a redirect", resp)
+	}
+	if h.ClientID != id || h.ToShard != c.edgeOf[away] || h.Addr != c.addrs[h.ToShard] || len(h.History) != 2 {
+		t.Errorf("redirect %+v: want client %d to shard %d at %s with 2 points of history", h, id, c.edgeOf[away], c.addrs[c.edgeOf[away]])
+	}
+	if resp.Trace.Trace == 0 || resp.Trace.Span == 0 {
+		t.Errorf("redirect carries span context %+v, want the handoff's root span", resp.Trace)
+	}
+
+	plan, err := conn.RoundTripContext(ctx, &wire.Envelope{
+		Type:    wire.MsgPlanRequest,
+		PlanReq: &wire.PlanReq{ClientID: id, Server: mA.Placement().ServerAt(c.edges[home].Location)},
+	})
+	if err != nil || plan.Type != wire.MsgPlanResponse {
+		t.Fatalf("plan after the redirect: %v %+v", err, plan)
+	}
+	report(t, conn, id, c.edges[home].Location)
+	if got := mA.Metrics().Gauge("clients").Value(); got != 1 {
+		t.Errorf("clients gauge = %d, want 1", got)
+	}
+}
+
+// TestShardCrossingFailsWhileTheNewMasterIsDown: with the region's master
+// stopped, a crossing report fails like a report to a master that is down,
+// and the client stays registered, attached and served where it was.
+func TestShardCrossingFailsWhileTheNewMasterIsDown(t *testing.T) {
+	c := shardFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	home, away := c.crossing(t)
+	mA := c.masters[c.edgeOf[home]]
+	c.stop[c.edgeOf[away]]()
+
+	cl, err := mobile.DialContext(ctx, mobile.Config{
+		ID:         9,
+		Model:      dnn.ModelMobileNet,
+		MasterAddr: c.addrs[c.edgeOf[home]],
+		Retry:      &core.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
+		Logger:     obs.NewLogger(io.Discard, slog.LevelError, "mobile"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close() //nolint:errcheck // test teardown
+	if err := cl.ReportLocationContext(ctx, c.edges[home].Location); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.ReportLocationContext(ctx, c.edges[away].Location); !errors.Is(err, core.ErrMasterDown) {
+		t.Fatalf("crossing report to a stopped master: %v, want core.ErrMasterDown", err)
+	}
+	if got := cl.Metrics().Counter("master_handoffs_total").Value(); got != 0 {
+		t.Errorf("client re-homed %d times, want 0", got)
+	}
+	if got := mA.Metrics().Gauge("clients").Value(); got != 1 {
+		t.Errorf("clients gauge = %d, want 1", got)
+	}
+	sid := mA.Placement().ServerAt(c.edges[home].Location)
+	if err := cl.ConnectContext(ctx, sid, c.edges[home].Addr); err != nil {
+		t.Fatalf("connect through the old master: %v", err)
+	}
+	if _, err := cl.UploadAllContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if lat, err := cl.QueryContext(ctx); err != nil || lat <= 0 {
+		t.Fatalf("query through the old master: lat=%v err=%v", lat, err)
+	}
+}
+
+// TestShardAtFarOrNonFinitePoint: a report far outside every region is
+// answered at once, and one that is not a point at all is refused.
+func TestShardAtFarOrNonFinitePoint(t *testing.T) {
+	c := shardFixture(t)
+	home, _ := c.crossing(t)
+	conn := dialMaster(t, c.addrs[c.edgeOf[home]])
+	registerAs(t, conn, 3, dnn.ModelMobileNet)
+	for _, p := range []geo.Point{{X: 1e7}, {X: math.NaN()}, {Y: math.Inf(-1)}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
+			Type:       wire.MsgTrajectory,
+			Trajectory: &wire.Trajectory{ClientID: 3, Points: []geo.Point{p}},
+		})
+		cancel()
+		if err != nil {
+			t.Fatalf("report at %v: %v", p, err)
+		}
+		refused := resp.Ack != nil && !resp.Ack.OK
+		if finite := geo.Finite([]geo.Point{p}); refused == finite {
+			t.Errorf("report at %v answered %+v", p, resp)
+		}
+	}
+}
+
+// TestHandedOffClientsForgottenWithTheirConnections is the handoff's
+// churn test: 10k clients register at one master and cross into another
+// region; half present the redirect there and half never do. Once every
+// connection has closed, neither master holds a client.
+func TestHandedOffClientsForgottenWithTheirConnections(t *testing.T) {
+	c := shardFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	home, away := c.crossing(t)
+	mA, mB := c.masters[c.edgeOf[home]], c.masters[c.edgeOf[away]]
+	const conns, perConn = 100, 100
+	for i := 0; i < conns; i++ {
+		connA := dialMaster(t, c.addrs[c.edgeOf[home]])
+		connB := dialMaster(t, c.addrs[c.edgeOf[away]])
+		for j := 0; j < perConn; j++ {
+			id := i*perConn + j
+			registerAs(t, connA, id, dnn.ModelMobileNet)
+			redirect, err := connA.RoundTripContext(ctx, &wire.Envelope{
+				Type:       wire.MsgTrajectory,
+				Trajectory: &wire.Trajectory{ClientID: id, Points: []geo.Point{c.edges[away].Location}},
+			})
+			if err != nil || redirect.Type != wire.MsgShardHandoff {
+				t.Fatalf("crossing report of %d: %v %+v", id, err, redirect)
+			}
+			if j%2 == 1 {
+				continue // never arrives
+			}
+			if ack, err := connB.RoundTripContext(ctx, redirect); err != nil || ack.Ack == nil || !ack.Ack.OK {
+				t.Fatalf("presenting %d's redirect: %v %+v", id, err, ack)
+			}
+		}
+		for _, conn := range []*wire.Conn{connA, connB} {
+			if err := conn.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitClients(t, mA, 0)
+	waitClients(t, mB, 0)
+	if got := mB.Metrics().Counter("shard_adoptions_total").Value(); got != conns*perConn/2 {
+		t.Errorf("%d adoptions, want %d", got, conns*perConn/2)
 	}
 }

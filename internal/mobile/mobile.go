@@ -135,7 +135,11 @@ func DialContext(ctx context.Context, cfg Config) (*Client, error) {
 	regTrace := c.tr.NewTrace()
 	regSpan := c.tr.NewSpanID()
 	regStart := c.tr.Now()
-	c.master, err = c.register(ctx, cfg.MasterAddr, tracing.SpanContext{Trace: regTrace, Span: regSpan})
+	c.master, err = c.register(ctx, cfg.MasterAddr, &wire.Envelope{
+		Type:     wire.MsgRegister,
+		Register: &wire.Register{ClientID: cfg.ID, Model: cfg.Model},
+		Trace:    tracing.SpanContext{Trace: regTrace, Span: regSpan},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("mobile: dialing master: %w", err)
 	}
@@ -143,13 +147,14 @@ func DialContext(ctx context.Context, cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// register dials the master at addr and registers the client there under
-// the retry policy, returning the registered connection. sc parents the
-// master's register span (zero for none). A client that already holds a
-// master connection is re-homing, and the retry op and errors say so.
-func (c *Client) register(ctx context.Context, addr string, sc tracing.SpanContext) (*wire.Conn, error) {
+// register dials the master at addr and presents env there under the retry
+// policy — a MsgRegister, or the MsgShardHandoff redirect of a report that
+// crossed into addr's region, sent as received — returning the connection
+// the master accepted it on. A handoff is a re-homing, and the retry op and
+// errors say so.
+func (c *Client) register(ctx context.Context, addr string, env *wire.Envelope) (*wire.Conn, error) {
 	op, re := "master registration", ""
-	if c.master != nil {
+	if env.Type == wire.MsgShardHandoff {
 		op, re = "master handoff", "re-"
 	}
 	var conn *wire.Conn
@@ -160,11 +165,7 @@ func (c *Client) register(ctx context.Context, addr string, sc tracing.SpanConte
 			c.retryInstant()
 			return fmt.Errorf("%w: %w", core.ErrMasterDown, err)
 		}
-		resp, err := nc.RoundTripContext(ctx, &wire.Envelope{
-			Type:     wire.MsgRegister,
-			Register: &wire.Register{ClientID: c.cfg.ID, Model: c.cfg.Model},
-			Trace:    sc,
-		})
+		resp, err := nc.RoundTripContext(ctx, env)
 		if err != nil {
 			closeQuietly(nc, c.log, "master conn")
 			c.met.Counter("master_retries_total").Inc()
@@ -240,9 +241,11 @@ const maxMasterRedirects = 2
 // ReportLocationContext sends a trajectory point to the master (triggering
 // its proactive-migration pipeline). When the master runs in shard-owner
 // mode and the point crossed a region boundary, the reply is a redirect
-// naming the region's new owner: the client re-homes transparently —
-// dials the new master, re-registers (idempotent: the new owner already
-// adopted the client's state) and re-sends the report there.
+// naming the region's owner and carrying the client's history: the client
+// re-homes transparently — dials the new master, presents the redirect
+// there as its registration, and re-sends the report. When the new master
+// cannot be reached the report fails with core.ErrMasterDown and the
+// client stays registered where it was.
 func (c *Client) ReportLocationContext(ctx context.Context, p geo.Point) error {
 	for redirects := 0; ; redirects++ {
 		resp, err := c.master.RoundTripContext(ctx, &wire.Envelope{
@@ -256,7 +259,7 @@ func (c *Client) ReportLocationContext(ctx context.Context, p geo.Point) error {
 			if redirects >= maxMasterRedirects {
 				return fmt.Errorf("mobile: location report redirected %d times, giving up at %s", redirects, c.cfg.MasterAddr)
 			}
-			if err := c.switchMaster(ctx, resp.Handoff.Addr); err != nil {
+			if err := c.switchMaster(ctx, resp); err != nil {
 				return err
 			}
 			continue
@@ -268,15 +271,17 @@ func (c *Client) ReportLocationContext(ctx context.Context, p geo.Point) error {
 	}
 }
 
-// switchMaster re-homes the client onto another shard master after a
-// handoff redirect: dial and re-register under the retry policy, then swap
-// the connection. The old master's connection is dropped only once the new
-// registration succeeds, so a failed switch leaves the client attached
-// where it was (that master kept serving it anyway — it only drops its
-// state after the peer accepts the handoff).
-func (c *Client) switchMaster(ctx context.Context, addr string) error {
+// switchMaster re-homes the client onto the shard master a redirect names:
+// it presents the redirect there under the retry policy, then swaps the
+// connection. The redirect aliases the old connection's receive scratch,
+// which nothing reads until the switch ends. The old connection is closed
+// only once the new master has adopted the client, and its master forgets
+// the client on that close; a failed switch leaves the client registered
+// and served where it was.
+func (c *Client) switchMaster(ctx context.Context, redirect *wire.Envelope) error {
+	addr := redirect.Handoff.Addr
 	start := c.tr.Now()
-	conn, err := c.register(ctx, addr, tracing.SpanContext{})
+	conn, err := c.register(ctx, addr, redirect)
 	if err != nil {
 		return fmt.Errorf("mobile: switching master to %s: %w", addr, err)
 	}

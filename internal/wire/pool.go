@@ -75,9 +75,8 @@ func NewPool() *Pool { return NewRegisteredPool(obs.NewRegistry(), "wire") }
 
 // NewRegisteredPool returns a pool whose counters are the reg counters
 // <role>_pool_reuse_hits_total, _stale_drops_total, _dials_total,
-// _evictions_total and _retries_total (edge_pool_*, peer_pool_*,
-// shard_pool_*, ...), so every daemon's pool metrics follow one naming
-// scheme.
+// _evictions_total and _retries_total (edge_pool_*, peer_pool_*, ...), so
+// every daemon's pool metrics follow one naming scheme.
 func NewRegisteredPool(reg *obs.Registry, role string) *Pool {
 	prefix := role + "_pool_"
 	return &Pool{

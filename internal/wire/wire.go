@@ -327,13 +327,13 @@ type Has struct {
 	Layers   []dnn.LayerID
 }
 
-// ShardHandoff transfers ownership of a client registration between two
-// shard masters when the client's trajectory crosses a region boundary
-// (master -> master), and doubles as the redirect a master returns for a
-// trajectory report it no longer owns (master -> client): Addr names the
-// shard master that owns the client after the handoff. History carries the
-// client's recent locations so the new owner can predict and plan without
-// waiting to accumulate reports.
+// ShardHandoff moves a client registration between two shard masters when
+// the client's trajectory crosses a region boundary. A master answers a
+// report whose point lies in another shard's region with it (master ->
+// client); Addr names the master of shard ToShard, and the client presents
+// the envelope there as its registration (client -> master). History
+// carries the client's recent locations so the new owner can predict and
+// plan without waiting to accumulate reports.
 //
 // Encoding: ClientID varint, Model string, FromShard varint, ToShard
 // varint, Addr string, point count uvarint then X/Y float64 pairs.
