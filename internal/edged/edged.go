@@ -477,6 +477,11 @@ func (s *Server) relay(ctx context.Context, r *wire.ExecReq, trace tracing.Trace
 		}
 		return 0, fmt.Errorf("edged: hop %s failed: %s", next.Addr, msg)
 	}
+	// A time below zero is no answer: added to this node's, it would pass
+	// on a total that is wrong, or negative.
+	if resp.ExecResp.ExecNs < 0 {
+		return 0, fmt.Errorf("edged: hop %s answered a negative exec time %d ns", next.Addr, resp.ExecResp.ExecNs)
+	}
 	s.tr.RecordWith(trace, span, parent, tracing.StageTransferHop, s.node, hStart, s.tr.Now())
 	return partition.DefaultBackhaul().UpTime(next.InBytes) + time.Duration(resp.ExecResp.ExecNs), nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net"
 	"strings"
@@ -672,4 +673,50 @@ func TestExecRefusals(t *testing.T) {
 			t.Errorf("a request at every bound was refused: %+v, %v", resp, err)
 		}
 	})
+}
+
+// startLyingHop serves a scripted hop that answers every request with an
+// exec reply of execNs.
+func startLyingHop(tb testing.TB, execNs int64) string {
+	tb.Helper()
+	reply := &wire.Envelope{Type: wire.MsgExecResponse, ExecResp: &wire.ExecResp{ExecNs: execNs}}
+	srv := &wire.Server{Name: "lying hop", Log: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Open: func() (wire.Dispatch, func()) {
+			return func(context.Context, *wire.Envelope) *wire.Envelope { return reply }, nil
+		}}
+	addr, _ := livetest.Serve(tb, srv)
+	return addr
+}
+
+// TestHopNegativeExecTimeIsRefused has a chain's next hop answer a
+// negative exec time. The head edge refuses the reply as it refuses a
+// failed hop, with an error ack counted in forward_failures_total: added
+// to the head's own time, -1 s would reach the client as a negative total
+// and -1 ns as a positive, wrong one.
+func TestHopNegativeExecTimeIsRefused(t *testing.T) {
+	for _, lie := range []time.Duration{-time.Second, -time.Nanosecond} {
+		t.Run(lie.String(), func(t *testing.T) {
+			ctx := context.Background()
+			hop := startLyingHop(t, int64(lie))
+			addr, srv := startEdge(t, testConfig())
+			conn, err := wire.DialContext(ctx, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close() //nolint:errcheck // test teardown
+			resp, err := conn.RoundTripContext(ctx, &wire.Envelope{Type: wire.MsgExecRequest, ExecReq: &wire.ExecReq{
+				ClientID: 1, ServerBaseNs: 1000, Intensity: 0.5, InputBytes: 64,
+				Next: []wire.PlanHop{{Addr: hop, ServerBaseNs: 1000, Intensity: 0.5, InBytes: 64}},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Ack == nil || resp.Ack.OK || resp.Ack.Error == "" {
+				t.Errorf("the hop's %v was passed on: exec %+v, ack %+v", lie, resp.ExecResp, resp.Ack)
+			}
+			if got := srv.Metrics().Counter("forward_failures_total").Value(); got != 1 {
+				t.Errorf("forward_failures_total = %d, want 1", got)
+			}
+		})
+	}
 }

@@ -47,7 +47,9 @@ func decodeFrame(frame []byte) (*wire.Envelope, error) {
 // edges, so relays and migration pushes stay on loopback, and nothing
 // sleeps (TimeScale 0). A request must not panic, and must be answered
 // with its response type or an error ack; an exec reply's time is never
-// negative.
+// negative. An exec request with hops runs once more with its last hop a
+// liar that answers -1 ns, and must then be answered with an error ack:
+// the head never passes on a time that a dishonest peer made up.
 func FuzzDispatch(f *testing.F) {
 	golden, err := os.ReadFile("../wire/testdata/frames.golden")
 	if err != nil {
@@ -69,6 +71,7 @@ func FuzzDispatch(f *testing.F) {
 	for i := range peers {
 		peers[i], _ = startEdge(f, cfg)
 	}
+	liar := startLyingHop(f, -1)
 	srv, err := New(cfg)
 	if err != nil {
 		f.Fatal(err)
@@ -80,7 +83,8 @@ func FuzzDispatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if r := req.ExecReq; r != nil {
+		r := req.ExecReq
+		if r != nil {
 			for i := range r.Next {
 				r.Next[i].Addr = peers[i%len(peers)]
 			}
@@ -94,7 +98,13 @@ func FuzzDispatch(f *testing.F) {
 		if reply == nil {
 			t.Fatalf("type %d: no reply", req.Type)
 		}
-		if reply.Type == wire.MsgAck && reply.Ack != nil && !reply.Ack.OK && reply.Ack.Error != "" {
+		if r != nil && len(r.Next) > 0 {
+			r.Next[len(r.Next)-1].Addr = liar
+			if lied := srv.dispatch(ctx, req, new(execReply)); !isErrorAck(lied) {
+				t.Fatalf("a chain through a lying hop was answered %+v", lied)
+			}
+		}
+		if isErrorAck(reply) {
 			return
 		}
 		if want, ok := replyType[req.Type]; !ok || reply.Type != want {
@@ -119,4 +129,8 @@ func FuzzDispatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+func isErrorAck(e *wire.Envelope) bool {
+	return e != nil && e.Type == wire.MsgAck && e.Ack != nil && !e.Ack.OK && e.Ack.Error != ""
 }

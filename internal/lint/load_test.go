@@ -3,7 +3,7 @@ package lint
 import "testing"
 
 // TestRepoInvariants runs the full suite over the real tree, so `go test
-// ./...` enforces the same gate CI does with `go run ./cmd/perdnn-vet`.
+// ./...` is the gate that `go run ./cmd/perdnn-vet` runs by hand.
 // Loading shells out to `go list -export`, which is served from the build
 // cache; skip under -short for tight edit loops.
 func TestRepoInvariants(t *testing.T) {
