@@ -10,11 +10,11 @@
 // trajectories.
 //
 // Several masters can split a city into region shards: every master is
-// launched with the same full -edge list plus -shards, its own -shard
-// index, and one -peer flag per shard naming each master's address, in
-// shard order:
+// launched with the same full -edge list, its own -shard index, and one
+// -peer flag per shard naming each master's address, in shard order; the
+// shard count is the number of -peer flags:
 //
-//	perdnn-master -listen :7100 -shard 0 -shards 2 \
+//	perdnn-master -listen :7100 -shard 0 \
 //	    -peer 10.0.0.1:7100 -peer 10.0.0.2:7100 -edge ... -edge ...
 //
 // Each master then owns its region's registrations and plans; a client
@@ -88,12 +88,11 @@ func run() error {
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address (off when empty)")
 	traceOn := flag.Bool("trace", false, "record request spans; export them at /trace on -debug-addr")
-	shard := flag.Int("shard", 0, "this master's region shard index (with -shards)")
-	shards := flag.Int("shards", 0, "total region shards; 0 or 1 runs a single master owning the whole city")
+	shard := flag.Int("shard", 0, "this master's region shard index (with two or more -peer flags)")
 	var edges edgeFlags
 	flag.Var(&edges, "edge", "edge server as addr@x,y (repeatable)")
 	var peers peerFlags
-	flag.Var(&peers, "peer", "shard master address, one per shard in shard order (repeatable, with -shards)")
+	flag.Var(&peers, "peer", "shard master address, one per shard in shard order (repeatable); fewer than two run a single master owning the whole city")
 	flag.Parse()
 
 	if len(edges) == 0 {
@@ -106,7 +105,6 @@ func run() error {
 	cfg := master.DefaultConfig(edges)
 	cfg.Radius = *radius
 	cfg.Shard = *shard
-	cfg.Shards = *shards
 	cfg.Peers = peers
 	cfg.Logger = obs.NewLogger(os.Stderr, level, "master")
 	if *traceOn {
@@ -138,9 +136,9 @@ func run() error {
 	// listener, interrupts in-flight exchanges, drains, and returns nil.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *shards > 1 {
+	if len(peers) > 1 {
 		fmt.Printf("perdnn-master: serving shard %d of %d on %s with %d edge servers (r=%.0fm)\n",
-			*shard, *shards, ln.Addr(), len(edges), *radius)
+			*shard, len(peers), ln.Addr(), len(edges), *radius)
 	} else {
 		fmt.Printf("perdnn-master: serving on %s with %d edge servers (r=%.0fm)\n",
 			ln.Addr(), len(edges), *radius)

@@ -44,41 +44,41 @@ func TestNewPlannerValidation(t *testing.T) {
 
 func TestPlannerCachesBySlowdownBucket(t *testing.T) {
 	p := testPlanner(t)
-	a, err := p.PlanAtSlowdown(1.01)
+	a, err := p.planAt(1.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.PlanAtSlowdown(1.05)
+	b, err := p.planAt(1.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("nearby slowdowns not cached together")
 	}
-	c, err := p.PlanAtSlowdown(8)
+	c, err := p.planAt(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c == a {
 		t.Error("distant slowdowns share a cache entry")
 	}
-	// Sub-1 slowdowns clamp to 1.
-	d, err := p.PlanAtSlowdown(0.2)
+	// Sub-1 slowdowns plan at 1.
+	d, err := p.planAt(0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != a {
-		t.Error("clamped slowdown not cached with 1.0")
+	if d.Plan.Slowdown != a.Plan.Slowdown {
+		t.Errorf("slowdown 0.2 planned at %v, want %v", d.Plan.Slowdown, a.Plan.Slowdown)
 	}
 }
 
 func TestPlannerContentionShiftsPlan(t *testing.T) {
 	p := testPlanner(t)
-	idle, err := p.PlanAtSlowdown(1)
+	idle, err := p.planAt(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jam, err := p.PlanAtSlowdown(400)
+	jam, err := p.planAt(400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPlannerContentionShiftsPlan(t *testing.T) {
 func TestPlanEntryLayersMatchPlan(t *testing.T) {
 	p := testPlanner(t)
 	for _, slowdown := range []float64{1, 2, 4, 16, 400} {
-		e, err := p.PlanAtSlowdown(slowdown)
+		e, err := p.planAt(slowdown)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,10 +156,6 @@ func TestPlannerUsesGPUStats(t *testing.T) {
 	}
 	if e.Plan == nil || len(e.Schedule) == 0 {
 		t.Error("empty plan entry")
-	}
-	req := p.Request(e)
-	if req.Slowdown != e.Plan.Slowdown {
-		t.Error("Request slowdown mismatch")
 	}
 }
 
@@ -265,7 +261,7 @@ func TestPolicyTargetsAllocs(t *testing.T) {
 // cap otherwise, with the layers the cut dropped.
 func TestPolicyFractionalCaps(t *testing.T) {
 	pol, _ := policyEnv(t)
-	e, err := testPlanner(t).PlanAtSlowdown(1)
+	e, err := testPlanner(t).planAt(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,13 +54,13 @@ type planFlight struct {
 // sweep recomputes each distinct plan once per process rather than once
 // per run.
 type PlanCache struct {
-	mu       sync.Mutex
-	flights  map[planKey]*planFlight
-	chains   int // keys in flights with a non-empty chain
-	computes atomic.Int64
+	mu      sync.Mutex
+	flights map[planKey]*planFlight
+	chains  int // keys in flights with a non-empty chain
 
 	// Request-outcome statistics (see Stats).
 	hits      atomic.Int64
+	misses    atomic.Int64 // computations run
 	coalesced atomic.Int64
 }
 
@@ -117,24 +117,12 @@ func (c *PlanCache) settle(k planKey, compute func(f *planFlight)) *planFlight {
 		c.coalesced.Add(1)
 	}
 	f.once.Do(func() {
-		c.computes.Add(1)
+		c.misses.Add(1)
 		compute(f)
 		f.settled.Store(true)
 	})
 	return f
 }
-
-// Len returns the number of cached keys (including in-flight ones).
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.flights)
-}
-
-// Computes returns how many plan computations actually ran — the cache's
-// miss count. With singleflight it never exceeds the number of distinct
-// keys requested.
-func (c *PlanCache) Computes() int64 { return c.computes.Load() }
 
 // CacheStats summarizes how plan requests were served. Every settle call
 // lands in exactly one bucket, so Hits + Misses + Coalesced equals the
@@ -168,7 +156,7 @@ func (s CacheStats) HitRatio() float64 {
 func (c *PlanCache) Stats() CacheStats {
 	return CacheStats{
 		Hits:      c.hits.Load(),
-		Misses:    c.computes.Load(),
+		Misses:    c.misses.Load(),
 		Coalesced: c.coalesced.Load(),
 	}
 }

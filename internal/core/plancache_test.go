@@ -15,7 +15,7 @@ import (
 func freshPlanner(t *testing.T) *Planner {
 	t.Helper()
 	shared := testPlanner(t) // reuse its trained estimator
-	p, err := NewPlanner(shared.Profile(), shared.est, shared.Link())
+	p, err := NewPlanner(shared.Profile(), shared.est, shared.link)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestPlanSingleflight(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait() // maximize overlap on the same bucket
-			entries[i], errs[i] = p.PlanAtSlowdown(2.3)
+			entries[i], errs[i] = p.planAt(2.3)
 		}(i)
 	}
 	start.Done()
@@ -50,10 +50,10 @@ func TestPlanSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got a different entry", i)
 		}
 	}
-	if got := p.cache.Computes(); got != 1 {
+	if got := p.cache.Stats().Misses; got != 1 {
 		t.Errorf("bucket computed %d times, want 1", got)
 	}
-	if got := p.cache.Len(); got != 1 {
+	if got := len(p.cache.flights); got != 1 {
 		t.Errorf("cache holds %d keys, want 1", got)
 	}
 	// Every request lands in exactly one stats bucket: one miss ran the
@@ -69,7 +69,7 @@ func TestPlanSingleflight(t *testing.T) {
 	}
 
 	// A later request for the settled bucket is a plain hit.
-	if _, err := p.PlanAtSlowdown(2.3); err != nil {
+	if _, err := p.planAt(2.3); err != nil {
 		t.Fatal(err)
 	}
 	after := p.cache.Stats()
@@ -92,18 +92,18 @@ func TestSharedPlanCacheAcrossPlanners(t *testing.T) {
 	if err := b.ShareCache(cache, "mobilenet|ODROID|TitanXp"); err != nil {
 		t.Fatal(err)
 	}
-	ea, err := a.PlanAtSlowdown(3)
+	ea, err := a.planAt(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := b.PlanAtSlowdown(3.1) // same 0.25-wide bucket
+	eb, err := b.planAt(3.1) // same 0.25-wide bucket
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ea != eb {
 		t.Error("planners with one key did not share the cached plan")
 	}
-	if got := cache.Computes(); got != 1 {
+	if got := cache.Stats().Misses; got != 1 {
 		t.Errorf("shared bucket computed %d times, want 1", got)
 	}
 	// Sequential requests resolve exactly: a's was the miss, b's a hit.
@@ -115,21 +115,21 @@ func TestSharedPlanCacheAcrossPlanners(t *testing.T) {
 	// on a different model so distinct plans are actually expected.
 	m := dnn.ResNet50()
 	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-	c, err := NewPlanner(prof, a.est, a.Link())
+	c, err := NewPlanner(prof, a.est, a.link)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ShareCache(cache, "resnet|ODROID|TitanXp"); err != nil {
 		t.Fatal(err)
 	}
-	ec, err := c.PlanAtSlowdown(3)
+	ec, err := c.planAt(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ec == ea {
 		t.Error("distinct keys shared a cache entry")
 	}
-	if got := cache.Computes(); got != 2 {
+	if got := cache.Stats().Misses; got != 2 {
 		t.Errorf("cache computes = %d, want 2", got)
 	}
 	if st := cache.Stats(); st.Misses != 2 || st.Requests() != 3 {
@@ -168,11 +168,11 @@ func TestSharedPlansProcessWide(t *testing.T) {
 	if err := b2.ShareCache(cache, "k"); err != nil {
 		t.Fatal(err)
 	}
-	ea, err := a.PlanAtSlowdown(1)
+	ea, err := a.planAt(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := b2.PlanAtSlowdown(1)
+	eb, err := b2.planAt(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestPlanChainMatchesPartitioner(t *testing.T) {
 				t.Fatalf("%s/%s: %v", name, obj, err)
 			}
 			want, err := partition.PlanChain(partition.ChainRequest{
-				Profile: prof, Link: p.Link(), Servers: servers, MaxHops: 3, Objective: obj,
+				Profile: prof, Link: p.link, Servers: servers, MaxHops: 3, Objective: obj,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, obj, err)
@@ -225,7 +225,7 @@ func TestPlanChainMatchesPartitioner(t *testing.T) {
 			}
 		}
 		// Objective and hop budget are part of the key.
-		if got := p.cache.Len(); got != 2 {
+		if got := len(p.cache.flights); got != 2 {
 			t.Errorf("%s: cache holds %d keys, want 2", name, got)
 		}
 	}
@@ -259,7 +259,7 @@ func TestPlanChainSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got a different plan", i)
 		}
 	}
-	if got := p.cache.Computes(); got != 1 {
+	if got := p.cache.Stats().Misses; got != 1 {
 		t.Errorf("chain DP ran %d times, want 1", got)
 	}
 	if st := p.cache.Stats(); st.Requests() != n {
@@ -279,7 +279,7 @@ func TestPlanChainCacheBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := p.PlanAtSlowdown(1.5)
+	single, err := p.planAt(1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,14 +291,14 @@ func TestPlanChainCacheBounded(t *testing.T) {
 		if _, err := p.PlanChain(cands, 2, partition.ObjectiveLatency); err != nil {
 			t.Fatal(err)
 		}
-		if got := p.cache.Len(); got > maxChainPlans+1 {
+		if got := len(p.cache.flights); got > maxChainPlans+1 {
 			t.Fatalf("after %d vectors the cache holds %d keys, cap %d", i+1, got, maxChainPlans)
 		}
 	}
-	if got := p.cache.Computes(); got != 10_001 {
+	if got := p.cache.Stats().Misses; got != 10_001 {
 		t.Errorf("computes = %d, want one per distinct key (10001)", got)
 	}
-	if again, _ := p.PlanAtSlowdown(1.5); again != single {
+	if again, _ := p.planAt(1.5); again != single {
 		t.Error("single-split entry was dropped with the chain plans")
 	}
 }

@@ -90,9 +90,6 @@ func (p *Planner) ShareCache(c *PlanCache, key string) error {
 // Profile returns the model profile the planner was built for.
 func (p *Planner) Profile() *profile.ModelProfile { return p.prof }
 
-// Link returns the client-server link assumed by the plans.
-func (p *Planner) Link() partition.Link { return p.link }
-
 // Slowdown returns the estimated contention slowdown for a server at the
 // given GPU state.
 func (p *Planner) Slowdown(st gpusim.Stats) float64 {
@@ -113,15 +110,6 @@ func bucketSlowdown(bucket int) float64 {
 // upload schedule for a server at the given GPU state.
 func (p *Planner) PlanFor(st gpusim.Stats) (*PlanEntry, error) {
 	return p.planAt(p.Slowdown(st))
-}
-
-// PlanAtSlowdown returns the plan for an explicit slowdown factor (used by
-// oracles and tests).
-func (p *Planner) PlanAtSlowdown(s float64) (*PlanEntry, error) {
-	if s < 1 {
-		s = 1
-	}
-	return p.planAt(s)
 }
 
 func (p *Planner) planAt(slowdown float64) (*PlanEntry, error) {
@@ -190,10 +178,4 @@ func (p *Planner) PlanChain(cands []ChainCandidate, maxHops int, obj partition.O
 		})
 	})
 	return f.chain, f.err
-}
-
-// Request reconstructs the partition request matching a plan entry, for
-// exact latency evaluation of partially-uploaded states.
-func (p *Planner) Request(e *PlanEntry) partition.Request {
-	return partition.Request{Profile: p.prof, Slowdown: e.Plan.Slowdown, Link: p.link}
 }

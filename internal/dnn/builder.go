@@ -11,9 +11,6 @@ type Ref struct {
 	shape Shape
 }
 
-// Shape returns the output shape at this tap point.
-func (r Ref) Shape() Shape { return r.shape }
-
 // Builder incrementally constructs a Model. Each method appends one layer
 // consuming the current cursor and advances the cursor to it. Builder
 // methods panic on geometry errors (non-dividing strides, channel
@@ -151,12 +148,6 @@ func (b *Builder) FC(name string, units int) Ref {
 func (b *Builder) Dropout(name string) Ref {
 	s := b.cur.shape
 	return b.append(name, Dropout, Hyper{}, []Ref{b.cur}, s, 0, s.Elems())
-}
-
-// SoftmaxLayer appends a softmax over the channel dimension.
-func (b *Builder) SoftmaxLayer(name string) Ref {
-	s := b.cur.shape
-	return b.append(name, Softmax, Hyper{}, []Ref{b.cur}, s, 0, 5*s.Elems())
 }
 
 // ConcatOf joins branches along the channel dimension and sets the cursor to

@@ -5,28 +5,28 @@ import "testing"
 func TestBuilderShapePropagation(t *testing.T) {
 	b := NewBuilder("m", Shape{C: 3, H: 224, W: 224})
 	c := b.Conv("c1", 32, 3, 2, 1)
-	if c.Shape() != (Shape{C: 32, H: 112, W: 112}) {
-		t.Errorf("conv out = %v", c.Shape())
+	if c.shape != (Shape{C: 32, H: 112, W: 112}) {
+		t.Errorf("conv out = %v", c.shape)
 	}
 	p := b.Pool("p1", 3, 2, 0)
-	if p.Shape() != (Shape{C: 32, H: 55, W: 55}) {
-		t.Errorf("pool out = %v", p.Shape())
+	if p.shape != (Shape{C: 32, H: 55, W: 55}) {
+		t.Errorf("pool out = %v", p.shape)
 	}
 	g := b.GlobalPool("gp")
-	if g.Shape() != (Shape{C: 32, H: 1, W: 1}) {
-		t.Errorf("gpool out = %v", g.Shape())
+	if g.shape != (Shape{C: 32, H: 1, W: 1}) {
+		t.Errorf("gpool out = %v", g.shape)
 	}
 	fc := b.FC("fc", 7)
-	if fc.Shape() != (Shape{C: 7, H: 1, W: 1}) {
-		t.Errorf("fc out = %v", fc.Shape())
+	if fc.shape != (Shape{C: 7, H: 1, W: 1}) {
+		t.Errorf("fc out = %v", fc.shape)
 	}
 }
 
 func TestBuilderDWConvPreservesChannels(t *testing.T) {
 	b := NewBuilder("m", Shape{C: 16, H: 32, W: 32})
 	d := b.DWConv("dw", 3, 1, 1)
-	if d.Shape() != (Shape{C: 16, H: 32, W: 32}) {
-		t.Errorf("dwconv out = %v", d.Shape())
+	if d.shape != (Shape{C: 16, H: 32, W: 32}) {
+		t.Errorf("dwconv out = %v", d.shape)
 	}
 	l := b.layers[d.id]
 	// Depthwise weights: K*K*1*C plus bias.
@@ -43,8 +43,8 @@ func TestBuilderConcatChannels(t *testing.T) {
 	b.SetCur(root)
 	c := b.Conv("b", 6, 1, 1, 0)
 	j := b.ConcatOf("cat", a, c)
-	if j.Shape() != (Shape{C: 10, H: 16, W: 16}) {
-		t.Errorf("concat out = %v", j.Shape())
+	if j.shape != (Shape{C: 10, H: 16, W: 16}) {
+		t.Errorf("concat out = %v", j.shape)
 	}
 	m := b.Build()
 	cat := m.Layer(j.id)

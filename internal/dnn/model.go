@@ -60,14 +60,6 @@ func (m *Model) CheckLayers(ids []LayerID) error {
 	return nil
 }
 
-// InputShape returns the shape of the model's input tensor.
-func (m *Model) InputShape() Shape {
-	if len(m.Layers) == 0 {
-		return Shape{}
-	}
-	return m.Layers[0].In
-}
-
 // OutputLayer returns the ID of the model's final layer.
 func (m *Model) OutputLayer() LayerID { return LayerID(len(m.Layers) - 1) }
 

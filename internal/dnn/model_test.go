@@ -24,8 +24,8 @@ func TestModelBasics(t *testing.T) {
 	if m.OutputLayer() != 3 {
 		t.Errorf("OutputLayer = %d", m.OutputLayer())
 	}
-	if m.InputShape() != (Shape{C: 3, H: 8, W: 8}) {
-		t.Errorf("InputShape = %v", m.InputShape())
+	if in := m.Layers[0].In; in != (Shape{C: 3, H: 8, W: 8}) {
+		t.Errorf("input shape = %v", in)
 	}
 	if m.TotalWeightBytes() == 0 || m.TotalFLOPs() == 0 {
 		t.Error("zero totals")

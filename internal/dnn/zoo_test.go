@@ -147,7 +147,7 @@ func TestMobileNetIsChain(t *testing.T) {
 func TestZooSpatialShapesShrink(t *testing.T) {
 	for _, n := range ZooNames() {
 		m, _ := ZooModel(n)
-		in := m.InputShape()
+		in := m.Layers[0].In
 		out := m.Layer(m.OutputLayer()).Out
 		if out.H != 1 || out.W != 1 {
 			t.Errorf("%s: final spatial dims %dx%d, want 1x1", n, out.H, out.W)

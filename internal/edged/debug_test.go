@@ -19,7 +19,7 @@ import (
 func TestDebugEndpointServesDaemonMetrics(t *testing.T) {
 	ctx := context.Background()
 	addr, srv := startEdge(t, testConfig())
-	dbg, err := obs.ServeDebug("127.0.0.1:0", srv.Metrics())
+	dbg, err := obs.ServeDebugMux("127.0.0.1:0", obs.NewDebugMux(srv.Metrics()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,9 +229,6 @@ func (e *Engine) RunBefore(t time.Duration) {
 	}
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.near + len(e.far) }
-
 // farHeap is a binary min-heap of event values on (at, seq), with
 // hand-written sifts: container/heap would move each event through an
 // interface.

@@ -74,15 +74,6 @@ type MultiResult struct {
 	UploadDone time.Duration
 }
 
-// QueriesPerModel returns the per-model query counts.
-func (r *MultiResult) QueriesPerModel(numModels int) []int {
-	out := make([]int, numModels)
-	for _, q := range r.Queries {
-		out[q.Model]++
-	}
-	return out
-}
-
 // MeanLatencyPerModel returns the per-model mean latencies.
 func (r *MultiResult) MeanLatencyPerModel(numModels int) []time.Duration {
 	sums := make([]time.Duration, numModels)

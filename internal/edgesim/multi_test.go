@@ -27,7 +27,10 @@ func TestMultiDNNBothModelsServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := res.QueriesPerModel(2)
+	counts := make([]int, 2)
+	for _, q := range res.Queries {
+		counts[q.Model]++
+	}
 	if counts[0] == 0 || counts[1] == 0 {
 		t.Fatalf("a model starved: %v", counts)
 	}

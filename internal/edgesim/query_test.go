@@ -65,7 +65,7 @@ func TestNewWorldAllocs(t *testing.T) {
 		pts = append(pts, p.Add(geo.Point{X: 5000, Y: 5000}))
 	}
 	big := *small
-	big.Placement = geo.NewPlacement(small.Placement.Grid(), pts)
+	big.Placement = geo.NewPlacement(geo.NewHexGrid(geo.CellRadius), pts)
 	if 2*big.Placement.Len() < 3*small.Placement.Len() {
 		t.Fatalf("%d servers against %d: the second placement did not grow", big.Placement.Len(), small.Placement.Len())
 	}
@@ -167,9 +167,9 @@ func TestOldGenerationQueryFinishesOnOldShard(t *testing.T) {
 	handoff := time.Millisecond
 	oldSh.step(shardStep{until: handoff})
 	newSh.step(shardStep{until: handoff})
-	if oldSh.totalQueries != 0 || oldChain.stage == stageGap || oldSh.eng.Pending() != 1 {
+	if oldSh.totalQueries != 0 || oldChain.stage == stageGap || pending(oldSh.eng) != 1 {
 		t.Fatalf("at %v: %d queries counted, stage %d, %d events queued; want the first query in flight",
-			handoff, oldSh.totalQueries, oldChain.stage, oldSh.eng.Pending())
+			handoff, oldSh.totalQueries, oldChain.stage, pending(oldSh.eng))
 	}
 	w.reconnect(handoff, c, b)
 	if c.chain == oldChain || c.chain.sh != newSh || c.chain.gen != c.gen {
@@ -185,7 +185,7 @@ func TestOldGenerationQueryFinishesOnOldShard(t *testing.T) {
 	if oldChain.issue != 0 || oldChain.stage != stageGap {
 		t.Errorf("old chain ended at stage %d of the query issued at %v, want the gap of the first", oldChain.stage, oldChain.issue)
 	}
-	if n := oldSh.eng.Pending(); n != 0 {
+	if n := pending(oldSh.eng); n != 0 {
 		t.Errorf("old shard still has %d events queued", n)
 	}
 	if newSh.totalQueries != 0 {
@@ -208,9 +208,9 @@ func TestLocalQueryCountedAtIssue(t *testing.T) {
 
 	w.reconnect(0, c, a)
 	oldChain := c.chain
-	if oldSh.totalQueries != 1 || oldChain.stage != stageGap || oldSh.eng.Pending() != 2 {
+	if oldSh.totalQueries != 1 || oldChain.stage != stageGap || pending(oldSh.eng) != 2 {
 		t.Fatalf("at issue: %d queries counted, stage %d, %d events queued; want the first query's gap and an upload",
-			oldSh.totalQueries, oldChain.stage, oldSh.eng.Pending())
+			oldSh.totalQueries, oldChain.stage, pending(oldSh.eng))
 	}
 	handoff := time.Millisecond
 	oldSh.step(shardStep{until: handoff})
@@ -223,7 +223,7 @@ func TestLocalQueryCountedAtIssue(t *testing.T) {
 	if oldSh.totalQueries != 1 || oldChain.issue != 0 {
 		t.Errorf("old shard counted %d queries, last issued at %v; want the 1 issued at 0", oldSh.totalQueries, oldChain.issue)
 	}
-	if n := oldSh.eng.Pending(); n != 0 {
+	if n := pending(oldSh.eng); n != 0 {
 		t.Errorf("old shard still has %d events queued", n)
 	}
 }

@@ -74,15 +74,9 @@ func LayerFeaturesInto(dst []float64, l *dnn.Layer) []float64 {
 	return f
 }
 
-// LoadFeatures extracts the workload feature vector from a GPU sample.
-func LoadFeatures(st gpusim.Stats) []float64 {
-	return LoadFeaturesInto(make([]float64, numLoadFeatures), st)
-}
-
 // LoadFeaturesInto fills dst (len >= 5, the load feature count) with the
-// workload features of st and returns the filled prefix. With a
-// caller-owned buffer it performs no allocation — the hot-path variant of
-// LoadFeatures.
+// workload feature vector of GPU sample st and returns the filled prefix.
+// With a caller-owned buffer it performs no allocation.
 func LoadFeaturesInto(dst []float64, st gpusim.Stats) []float64 {
 	f := dst[:numLoadFeatures]
 	f[wfClients] = float64(st.ActiveClients)

@@ -28,7 +28,7 @@ func testServerEstimator(t *testing.T) *ServerEstimator {
 // arena.
 func walkPerTree(f *Forest, row []float64) float64 {
 	var sum float64
-	for t := 0; t < f.NumTrees(); t++ {
+	for t := 0; t < len(f.bounds)-1; t++ {
 		start, end := f.bounds[t], f.bounds[t+1]
 		n := start // root is the tree's first node
 		for f.right[n] != 0 {
@@ -44,7 +44,7 @@ func walkPerTree(f *Forest, row []float64) float64 {
 		}
 		sum += f.split[n]
 	}
-	return sum / float64(f.NumTrees())
+	return sum / float64(len(f.bounds)-1)
 }
 
 // walkTrees predicts as the forest did before its arena was compacted: one
@@ -60,7 +60,7 @@ func walkTrees(trees [][]treeNode, row []float64) float64 {
 
 func TestFlatForestMatchesPerTreeWalk(t *testing.T) {
 	x, y := makeNonlinear(3, 600)
-	f, err := TrainForest(x, y, ForestConfig{NumTrees: 20, MaxDepth: 10, MinLeaf: 3, Seed: 7})
+	f, err := trainForest(x, y, ForestConfig{NumTrees: 20, MaxDepth: 10, MinLeaf: 3, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestForestStoredBytes(t *testing.T) {
 
 func TestFlatForestArenaInvariants(t *testing.T) {
 	x, y := makeNonlinear(5, 400)
-	f, err := TrainForest(x, y, ForestConfig{NumTrees: 8, MaxDepth: 8, MinLeaf: 3, Seed: 2})
+	f, err := trainForest(x, y, ForestConfig{NumTrees: 8, MaxDepth: 8, MinLeaf: 3, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +146,13 @@ func TestFlatForestArenaInvariants(t *testing.T) {
 	if len(f.feature) != n || len(f.right) != n {
 		t.Fatalf("arena arrays disagree on length: %d/%d/%d", len(f.feature), len(f.split), len(f.right))
 	}
-	if f.NumTrees() != 8 {
-		t.Fatalf("NumTrees = %d, want 8", f.NumTrees())
+	if n := len(f.bounds) - 1; n != 8 {
+		t.Fatalf("%d trees, want 8", n)
 	}
 	if f.bounds[0] != 0 || int(f.bounds[len(f.bounds)-1]) != n {
 		t.Fatalf("bounds not anchored: first=%d last=%d n=%d", f.bounds[0], f.bounds[len(f.bounds)-1], n)
 	}
-	for t2 := 0; t2 < f.NumTrees(); t2++ {
+	for t2 := 0; t2 < len(f.bounds)-1; t2++ {
 		if f.bounds[t2] >= f.bounds[t2+1] {
 			t.Fatalf("tree %d is empty in the arena", t2)
 		}
@@ -171,7 +171,7 @@ func TestTrainForestFeatureLimit(t *testing.T) {
 			}
 			y[i] = float64(i)
 		}
-		_, err := TrainForest(x, y, ForestConfig{NumTrees: 2, MinLeaf: 1, Seed: 1})
+		_, err := trainForest(x, y, ForestConfig{NumTrees: 2, MinLeaf: 1, Seed: 1}, nil)
 		if p <= 255 && err != nil {
 			t.Errorf("%d features: %v", p, err)
 		}
@@ -186,7 +186,7 @@ func TestForestPredictAllocsFree(t *testing.T) {
 		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
 	}
 	x, y := makeNonlinear(1, 500)
-	f, err := TrainForest(x, y, ForestConfig{NumTrees: 30, MaxDepth: 12, MinLeaf: 3, Seed: 1})
+	f, err := trainForest(x, y, ForestConfig{NumTrees: 30, MaxDepth: 12, MinLeaf: 3, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +203,6 @@ func TestFeatureIntoVariantsMatchAllocating(t *testing.T) {
 	var lbuf [numLayerFeatures]float64
 	if got, want := LayerFeaturesInto(lbuf[:], &l), LayerFeatures(&l); !equalSlices(got, want) {
 		t.Errorf("LayerFeaturesInto = %v, want %v", got, want)
-	}
-	var wbuf [numLoadFeatures]float64
-	if got, want := LoadFeaturesInto(wbuf[:], st), LoadFeatures(st); !equalSlices(got, want) {
-		t.Errorf("LoadFeaturesInto = %v, want %v", got, want)
 	}
 	var cbuf [numLayerFeatures + numLoadFeatures]float64
 	if got, want := CombinedFeaturesInto(cbuf[:], &l, st), CombinedFeatures(&l, st); !equalSlices(got, want) {
@@ -254,7 +250,7 @@ func TestEstimateSlowdownMemoTransparent(t *testing.T) {
 
 func TestEstimateSlowdownNilMemoSafe(t *testing.T) {
 	est := testServerEstimator(t)
-	bare := &ServerEstimator{dev: est.dev, forest: est.forest} // no memo
+	bare := &ServerEstimator{forest: est.forest} // no memo
 	st := gpusim.Stats{ActiveClients: 4, KernelUtil: 0.8, MemUtil: 0.5, MemUsedMB: 6000, TempC: 70}
 	if got, want := bare.EstimateSlowdown(st), bare.slowdownAt(st); got != want {
 		t.Fatalf("memo-less estimator: %v != direct prediction %v", got, want)

@@ -25,7 +25,7 @@ type ForestConfig struct {
 }
 
 // DefaultForestConfig returns the configuration used for the paper's
-// execution-time estimators, the one TrainForest's zero fields take.
+// execution-time estimators, the one trainForest's zero fields take.
 func DefaultForestConfig() ForestConfig { return defaultForest }
 
 var defaultForest = ForestConfig{NumTrees: 60, MaxDepth: 16, MinLeaf: 3, Seed: 1}
@@ -54,25 +54,14 @@ type Forest struct {
 
 	importance []float64
 	nFeatures  int
-	oobMAE     float64
 }
 
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.bounds) - 1 }
-
-// treeOut is one tree's training output: its nodes, the impurity decrease
-// it credits to each feature, and its prediction on each row it never saw.
-// While a worker holds it, it points into the worker's scratch.
+// treeOut is one tree's training output: its nodes and the impurity
+// decrease it credits to each feature. While a worker holds it, it points
+// into the worker's scratch.
 type treeOut struct {
 	nodes      []treeNode
 	importance []float64
-	oob        []oobPred
-}
-
-// oobPred is a tree's prediction on one out-of-bag row of x.
-type oobPred struct {
-	row  int32
-	pred float64
 }
 
 // merger folds finished trees into the forest in tree order, so results
@@ -85,8 +74,6 @@ type merger struct {
 	f       *Forest
 	pending []treeOut // pending[t] is tree t, finished but not merged
 	merged  int       // trees merged so far
-	oobSum  []float64 // sum of out-of-bag predictions on each row of x
-	oobCnt  []int32   // trees each row of x was out of bag for
 	// onTree, if set, sees each tree's nodes as they are merged, in tree
 	// order; the nodes are valid only during the call.
 	onTree func(nodes []treeNode)
@@ -96,7 +83,7 @@ type merger struct {
 // growing, and then merges every parked tree whose turn has come.
 func (m *merger) add(t int, o treeOut) {
 	if t != m.merged {
-		m.pending[t] = treeOut{slices.Clone(o.nodes), slices.Clone(o.importance), slices.Clone(o.oob)}
+		m.pending[t] = treeOut{slices.Clone(o.nodes), slices.Clone(o.importance)}
 		return
 	}
 	m.merge(o)
@@ -131,10 +118,6 @@ func (m *merger) merge(o treeOut) {
 	}
 	for j, v := range o.importance {
 		f.importance[j] += v
-	}
-	for _, e := range o.oob {
-		m.oobSum[e.row] += e.pred
-		m.oobCnt[e.row]++
 	}
 	m.merged++
 }
@@ -177,16 +160,12 @@ func trimmed[T any](s []T) []T {
 	return c
 }
 
-// TrainForest trains a random forest on rows x with targets y, all finite,
-// of at most 255 features. Trees are trained concurrently across a worker
-// pool bounded by GOMAXPROCS, each from its own seeded RNG, so training is
-// deterministic for a given ForestConfig regardless of parallelism.
-func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) {
-	return trainForest(x, y, cfg, nil)
-}
-
-// trainForest is TrainForest, handing each tree's nodes to onTree (if not
-// nil) in tree order as they are merged.
+// trainForest trains a random forest on rows x with targets y, all finite,
+// of at most 255 features, handing each tree's nodes to onTree (if not nil)
+// in tree order as they are merged. Trees are trained concurrently across a
+// worker pool bounded by GOMAXPROCS, each from its own seeded RNG, so
+// training is deterministic for a given ForestConfig regardless of
+// parallelism.
 func trainForest(x [][]float64, y []float64, cfg ForestConfig, onTree func([]treeNode)) (*Forest, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("estimator: bad training set: %d rows, %d targets", len(x), len(y))
@@ -243,8 +222,6 @@ func trainForest(x [][]float64, y []float64, cfg ForestConfig, onTree func([]tre
 	m := &merger{
 		f:       f,
 		pending: make([]treeOut, cfg.NumTrees),
-		oobSum:  make([]float64, len(x)),
-		oobCnt:  make([]int32, len(x)),
 		onTree:  onTree,
 	}
 	workers := min(runtime.GOMAXPROCS(0), cfg.NumTrees)
@@ -276,53 +253,19 @@ func trainForest(x [][]float64, y []float64, cfg ForestConfig, onTree func([]tre
 	wg.Wait()
 	m.trim()
 	f.bounds = append(f.bounds, int32(len(f.split)))
-
-	// Out-of-bag MAE: an unbiased generalization-error estimate without a
-	// held-out set, computed over samples left out by at least one tree.
-	var errSum float64
-	var errN int
-	for i := range x {
-		if m.oobCnt[i] > 0 {
-			errSum += absFloat(m.oobSum[i]/float64(m.oobCnt[i]) - y[i])
-			errN++
-		}
-	}
-	if errN > 0 {
-		f.oobMAE = errSum / float64(errN)
-	}
 	return f, nil
 }
 
-// trainOneTree bootstraps, grows and evaluates one tree in s, drawing from
-// rng, which the caller has seeded for this tree. The result lives in s
-// until s grows the next tree.
+// trainOneTree bootstraps and grows one tree in s, drawing from rng, which
+// the caller has seeded for this tree. The result lives in s until s grows
+// the next tree.
 func trainOneTree(x [][]float64, y []float64, tc treeConfig, rng *rand.Rand, s *scratch) treeOut {
 	for i := range s.boot {
 		s.boot[i] = rng.Intn(len(x))
 	}
 	clear(s.importance)
-	tree := regTree{nodes: s.build(x, y, s.boot, tc, rng, s.importance)}
-	// Out-of-bag accumulation: samples this tree never saw.
-	s.oob = s.oob[:0]
-	for i, c := range s.count {
-		if c == 0 {
-			s.oob = append(s.oob, oobPred{int32(i), tree.predict(x[i])})
-		}
-	}
-	return treeOut{tree.nodes, s.importance, s.oob}
+	return treeOut{s.build(x, y, s.boot, tc, rng, s.importance), s.importance}
 }
-
-func absFloat(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// OOBMAE returns the out-of-bag mean absolute error measured during
-// training — a held-out-free generalization estimate (zero if every sample
-// landed in every bootstrap, which only happens for degenerate sets).
-func (f *Forest) OOBMAE() float64 { return f.oobMAE }
 
 // Predict returns the forest's prediction (mean over trees) for one feature
 // vector. It panics on a feature-count mismatch. Predict allocates nothing:

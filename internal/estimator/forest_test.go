@@ -33,7 +33,7 @@ func mae(pred func([]float64) float64, x [][]float64, y []float64) float64 {
 func TestForestFitsNonlinearFunction(t *testing.T) {
 	xTr, yTr := makeNonlinear(1, 800)
 	xTe, yTe := makeNonlinear(2, 200)
-	f, err := TrainForest(xTr, yTr, ForestConfig{NumTrees: 40, MaxDepth: 12, MinLeaf: 3, Seed: 1})
+	f, err := trainForest(xTr, yTr, ForestConfig{NumTrees: 40, MaxDepth: 12, MinLeaf: 3, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestForestFitsNonlinearFunction(t *testing.T) {
 func TestForestBeatsLinearOnNonlinearData(t *testing.T) {
 	xTr, yTr := makeNonlinear(3, 800)
 	xTe, yTe := makeNonlinear(4, 200)
-	f, err := TrainForest(xTr, yTr, ForestConfig{NumTrees: 40, MaxDepth: 12, MinLeaf: 3, Seed: 1})
+	f, err := trainForest(xTr, yTr, ForestConfig{NumTrees: 40, MaxDepth: 12, MinLeaf: 3, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestForestBeatsLinearOnNonlinearData(t *testing.T) {
 
 func TestForestImportanceFindsSignalFeatures(t *testing.T) {
 	x, y := makeNonlinear(5, 1000)
-	f, err := TrainForest(x, y, ForestConfig{NumTrees: 30, MaxDepth: 10, MinLeaf: 3, Seed: 1})
+	f, err := trainForest(x, y, ForestConfig{NumTrees: 30, MaxDepth: 10, MinLeaf: 3, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestForestImportanceFindsSignalFeatures(t *testing.T) {
 
 func TestForestDeterministicWithSeed(t *testing.T) {
 	x, y := makeNonlinear(6, 300)
-	f1, err := TrainForest(x, y, ForestConfig{NumTrees: 10, MaxDepth: 8, MinLeaf: 3, Seed: 9})
+	f1, err := trainForest(x, y, ForestConfig{NumTrees: 10, MaxDepth: 8, MinLeaf: 3, Seed: 9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := TrainForest(x, y, ForestConfig{NumTrees: 10, MaxDepth: 8, MinLeaf: 3, Seed: 9})
+	f2, err := trainForest(x, y, ForestConfig{NumTrees: 10, MaxDepth: 8, MinLeaf: 3, Seed: 9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +106,9 @@ func TestForestDeterministicAcrossParallelism(t *testing.T) {
 	cfg := ForestConfig{NumTrees: 12, MaxDepth: 8, MinLeaf: 3, Seed: 5}
 
 	old := runtime.GOMAXPROCS(1)
-	f1, err := TrainForest(x, y, cfg)
+	f1, err := trainForest(x, y, cfg, nil)
 	runtime.GOMAXPROCS(4)
-	f2, err2 := TrainForest(x, y, cfg)
+	f2, err2 := trainForest(x, y, cfg, nil)
 	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +123,6 @@ func TestForestDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatal("parallel training changed predictions")
 		}
 	}
-	if f1.OOBMAE() != f2.OOBMAE() {
-		t.Errorf("OOB MAE diverged: %v vs %v", f1.OOBMAE(), f2.OOBMAE())
-	}
 	i1, i2 := f1.Importance(), f2.Importance()
 	for j := range i1 {
 		if i1[j] != i2[j] {
@@ -135,13 +132,13 @@ func TestForestDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestForestErrors(t *testing.T) {
-	if _, err := TrainForest(nil, nil, ForestConfig{}); err == nil {
+	if _, err := trainForest(nil, nil, ForestConfig{}, nil); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := TrainForest([][]float64{{1}}, []float64{1, 2}, ForestConfig{}); err == nil {
+	if _, err := trainForest([][]float64{{1}}, []float64{1, 2}, ForestConfig{}, nil); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
-	if _, err := TrainForest([][]float64{{1, 2}, {1}}, []float64{1, 2}, ForestConfig{}); err == nil {
+	if _, err := trainForest([][]float64{{1, 2}, {1}}, []float64{1, 2}, ForestConfig{}, nil); err == nil {
 		t.Error("ragged rows accepted")
 	}
 	// A non-finite feature or target is named by row and column.
@@ -155,15 +152,15 @@ func TestForestErrors(t *testing.T) {
 		{[][]float64{{1, 2}, {3, 4}}, []float64{1, math.NaN()}, "row 1 target is NaN"},
 		{[][]float64{{1, 2}, {3, 4}}, []float64{math.Inf(-1), 2}, "row 0 target is -Inf"},
 	} {
-		if _, err := TrainForest(c.x, c.y, ForestConfig{}); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("TrainForest(%v, %v) error = %v, want %q", c.x, c.y, err, c.want)
+		if _, err := trainForest(c.x, c.y, ForestConfig{}, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("trainForest(%v, %v) error = %v, want %q", c.x, c.y, err, c.want)
 		}
 	}
 }
 
 func TestForestPredictPanicsOnMismatch(t *testing.T) {
 	x, y := makeNonlinear(7, 50)
-	f, err := TrainForest(x, y, ForestConfig{NumTrees: 5, Seed: 1})
+	f, err := trainForest(x, y, ForestConfig{NumTrees: 5, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,31 +175,11 @@ func TestForestPredictPanicsOnMismatch(t *testing.T) {
 func TestForestConstantTarget(t *testing.T) {
 	x := [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {2, 2}, {4, 4}}
 	y := []float64{5, 5, 5, 5, 5, 5}
-	f, err := TrainForest(x, y, ForestConfig{NumTrees: 5, Seed: 1})
+	f, err := trainForest(x, y, ForestConfig{NumTrees: 5, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := f.Predict([]float64{10, 10}); got != 5 {
 		t.Errorf("constant prediction = %v, want 5", got)
-	}
-}
-
-// TestOOBMAEApproximatesHeldOut: the out-of-bag error must land close to a
-// true held-out MAE.
-func TestOOBMAEApproximatesHeldOut(t *testing.T) {
-	xTr, yTr := makeNonlinear(31, 800)
-	xTe, yTe := makeNonlinear(32, 300)
-	f, err := TrainForest(xTr, yTr, ForestConfig{NumTrees: 40, MaxDepth: 12, MinLeaf: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := mae(f.Predict, xTe, yTe)
-	oob := f.OOBMAE()
-	if oob <= 0 {
-		t.Fatal("no OOB estimate recorded")
-	}
-	ratio := oob / held
-	if ratio < 0.6 || ratio > 1.7 {
-		t.Errorf("OOB MAE %v vs held-out %v (ratio %.2f)", oob, held, ratio)
 	}
 }

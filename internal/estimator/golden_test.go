@@ -69,8 +69,8 @@ func testRecordedForests(t *testing.T) []recordedForest {
 // the node arena in its one-node-per-index form — per node its feature
 // (int32), threshold, left and right child as arena indices (-1 and 0 on
 // a leaf) and value (an internal node's training mean) — built from the
-// trees training handed the merger, then the forest's tree bounds, raw
-// importances and out-of-bag error.
+// trees training handed the merger, then the forest's tree bounds and raw
+// importances.
 func forestHash(f *Forest, trees [][]treeNode) string {
 	var (
 		feature, left, right []int32
@@ -93,7 +93,7 @@ func forestHash(f *Forest, trees [][]treeNode) string {
 		start += int32(len(nodes))
 	}
 	h := sha256.New()
-	for _, field := range []any{feature, threshold, left, right, value, f.bounds, f.importance, f.oobMAE} {
+	for _, field := range []any{feature, threshold, left, right, value, f.bounds, f.importance} {
 		if err := binary.Write(h, binary.LittleEndian, field); err != nil {
 			panic(err)
 		}
@@ -101,19 +101,22 @@ func forestHash(f *Forest, trees [][]treeNode) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestForestGolden pins the trained forests bit for bit. The hashes were
-// captured on the commit before the split search was rewritten (PR 24) and
-// hold on both sides of it: the unstable sort's tie order decides the order
-// of every float sum, so they move only if the sort's permutation does —
-// and then every plan behind bench/golden/city-seed1.json is free to move
-// with them. That permutation is sortKeyed's (sortkeyed.go): a copy of the
-// standard library's pdqsort kept in the repo, because the tie order of an
-// unstable sort is unspecified and could change with a toolchain.
+// TestForestGolden pins the trained forests bit for bit. The forests are
+// those of the commit before the split search was rewritten (DESIGN.md
+// §17.1); the hashes were taken again without the out-of-bag error on the
+// code that still computed it, so dropping it moved no node. They hold on
+// both sides of the rewrite: the unstable sort's tie order decides the
+// order of every float sum, so they move only if the sort's permutation
+// does — and then every plan behind bench/golden/city-seed1.json is free to
+// move with them.
+// That permutation is sortKeyed's (sortkeyed.go): a copy of the standard
+// library's pdqsort kept in the repo, because the tie order of an unstable
+// sort is unspecified and could change with a toolchain.
 func TestForestGolden(t *testing.T) {
 	want := map[string]string{
-		"server estimator seed 1": "a4e601072aa9c78673ff723e969b8ca886d961cd01a11ec03fb7b3c9bcc2b25d",
-		"server estimator seed 2": "adab882437cfc49ef280a8e4c762e807d39704bec9e29cc894641042af4b2a3b",
-		"RFWithLoad":              "0ad1fcd761d9253ce25e4019fc6d21412f767f99bb79a68f952ea1fa91136044",
+		"server estimator seed 1": "e25855e0f73078bdf44168172fd539dab85105a2b1d90f87e0f0ef92cfbb2d03",
+		"server estimator seed 2": "fd504220e74198d791cd9b006cc666ae1ec0ac183e989aa7cb1f4bed3be554de",
+		"RFWithLoad":              "15487ee995c3398b789e7555f19940d3bf65eca19bfa1089386858c3eff248fd",
 	}
 	for _, rf := range testRecordedForests(t) {
 		if got := forestHash(rf.f, rf.trees); got != want[rf.name] {

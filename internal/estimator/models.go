@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/gpusim"
@@ -42,7 +41,7 @@ func (m *RFWithLoad) Train(samples []gpusim.Sample) error { return m.train(sampl
 func (m *RFWithLoad) train(samples []gpusim.Sample, onTree func([]treeNode)) error {
 	cfg := m.Config
 	if cfg.Seed == 0 {
-		// TrainForest fills every other zero field with the same default.
+		// trainForest fills every other zero field with the same default.
 		cfg.Seed = defaultForest.Seed
 	}
 	x := make([][]float64, 0, len(samples))
@@ -176,11 +175,10 @@ func (m *LLWithLoad) Predict(l *dnn.Layer, st gpusim.Stats) float64 {
 
 // ServerEstimator is the runtime estimator the partitioner uses: a random
 // forest that predicts the *slowdown factor* of a server's GPU from its
-// current statistics, multiplied by contention-free base layer times. One
-// is trained offline per edge server (Section III.C.1: "the execution time
-// estimator of each edge server is trained offline").
+// current statistics, which callers multiply by contention-free base layer
+// times. One is trained offline per edge server (Section III.C.1: "the
+// execution time estimator of each edge server is trained offline").
 type ServerEstimator struct {
-	dev    profile.Device
 	forest *Forest
 	// memo caches slowdown predictions on quantized GPU-state buckets; nil
 	// disables caching (EstimateSlowdown then predicts on the raw stats).
@@ -204,7 +202,7 @@ func trainServerEstimator(dev profile.Device, params gpusim.Params, seed int64, 
 	if err != nil {
 		return nil, fmt.Errorf("estimator: training server estimator: %w", err)
 	}
-	return &ServerEstimator{dev: dev, forest: f, memo: &slowdownMemo{}}, nil
+	return &ServerEstimator{forest: f, memo: &slowdownMemo{}}, nil
 }
 
 // serverTrainingSet profiles the GPU and returns the slowdown forest's
@@ -260,11 +258,4 @@ func (e *ServerEstimator) slowdownAt(st gpusim.Stats) float64 {
 		return 1
 	}
 	return s
-}
-
-// LayerTime predicts the execution time of layer l on this server at GPU
-// state st.
-func (e *ServerEstimator) LayerTime(l *dnn.Layer, st gpusim.Stats) time.Duration {
-	base := e.dev.LayerTime(l)
-	return time.Duration(float64(base) * e.EstimateSlowdown(st))
 }

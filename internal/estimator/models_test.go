@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"perdnn/internal/dnn"
 	"perdnn/internal/gpusim"
 	"perdnn/internal/profile"
 )
@@ -21,7 +20,7 @@ func TestFeatureVectorsAligned(t *testing.T) {
 	layers := gpusim.ConvLayerCorpus(1, 1)
 	st := gpusim.Stats{ActiveClients: 3, KernelUtil: 0.4, MemUtil: 0.2, MemUsedMB: 2000, TempC: 50}
 	lf := LayerFeatures(&layers[0])
-	wf := LoadFeatures(st)
+	wf := LoadFeaturesInto(make([]float64, numLoadFeatures), st)
 	cf := CombinedFeatures(&layers[0], st)
 	if len(lf) != len(LayerFeatureNames()) {
 		t.Errorf("layer features %d vs names %d", len(lf), len(LayerFeatureNames()))
@@ -185,12 +184,5 @@ func TestServerEstimatorTracksContention(t *testing.T) {
 	}
 	if sb < 2*si {
 		t.Errorf("busy slowdown %v not clearly above idle %v", sb, si)
-	}
-
-	m := dnn.MobileNetV1()
-	l := m.Layer(0)
-	ti, tb := est.LayerTime(l, idle), est.LayerTime(l, busy)
-	if tb <= ti {
-		t.Errorf("layer time under load %v <= idle %v", tb, ti)
 	}
 }

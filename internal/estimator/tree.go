@@ -15,12 +15,6 @@ type treeNode struct {
 	value     float64
 }
 
-// regTree is a CART regression tree trained by recursive variance-reduction
-// splitting.
-type regTree struct {
-	nodes []treeNode
-}
-
 // treeConfig controls regression-tree growth.
 type treeConfig struct {
 	maxDepth    int
@@ -66,8 +60,8 @@ func presort(x [][]float64) [][]keyed {
 // lists[f] holds a presorted column f's rows in ascending order, one
 // contiguous segment per node at the node's offset into the bootstrap.
 // A tree grows in nodes, which has room for the largest tree minLeaf
-// allows; feats holds one node's candidate features, and importance and
-// oob the tree's other results (forest.go).
+// allows; feats holds one node's candidate features, and importance the
+// tree's other result (forest.go).
 type scratch struct {
 	orders     [][]keyed // presort(x)
 	boot       []int
@@ -78,7 +72,6 @@ type scratch struct {
 	nodes      []treeNode
 	feats      []int
 	importance []float64
-	oob        []oobPred
 }
 
 func newScratch(orders [][]keyed, rows, n int) *scratch {
@@ -88,7 +81,6 @@ func newScratch(orders [][]keyed, rows, n int) *scratch {
 		lists: make([][]keyed, len(orders)),
 		count: make([]int32, rows), left: make([]uint8, rows),
 		feats: make([]int, len(orders)), importance: make([]float64, len(orders)),
-		oob: make([]oobPred, 0, rows),
 	}
 }
 
@@ -103,17 +95,13 @@ type grower struct {
 	*scratch
 }
 
-// buildTree grows a tree on the rows of x indexed by idx, reordering idx as
-// it goes. importance accumulates the total variance reduction attributed
-// to each feature.
-func buildTree(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, importance []float64) *regTree {
-	return &regTree{nodes: newScratch(presort(x), len(x), len(idx)).build(x, y, idx, cfg, rng, importance)}
-}
-
-// build grows a tree like buildTree in s, which must be as long as idx, and
-// returns its nodes, which stay valid until s grows the next tree. Each
-// presorted column's root order is its forest-wide order with every row
-// repeated as often as the bootstrap drew it: O(n), no sort.
+// build grows a CART regression tree by recursive variance-reduction
+// splitting on the rows of x indexed by idx, reordering idx as it goes, in
+// s, which must be as long as idx. It returns the tree's nodes, which stay
+// valid until s grows the next tree; importance accumulates the total
+// variance reduction attributed to each feature. Each presorted column's
+// root order is its forest-wide order with every row repeated as often as
+// the bootstrap drew it: O(n), no sort.
 func (s *scratch) build(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, importance []float64) []treeNode {
 	clear(s.count)
 	for _, i := range idx {
@@ -285,21 +273,5 @@ func (g *grower) partition(lo, hi, winner int) {
 			n, m = n+l, m+1-l
 		}
 		copy(seg[n:], spill[:m])
-	}
-}
-
-// predict walks the tree for one feature vector.
-func (t *regTree) predict(f []float64) float64 {
-	n := int32(0)
-	for {
-		nd := &t.nodes[n]
-		if nd.left < 0 {
-			return nd.value
-		}
-		if f[nd.feature] <= nd.threshold {
-			n = nd.left
-		} else {
-			n = nd.right
-		}
 	}
 }

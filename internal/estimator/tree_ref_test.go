@@ -10,8 +10,28 @@ import (
 // reference the production tree is compared against node for node
 // (tree_test.go). The two must agree exactly, tie order included.
 
-// refBuildTree is the old buildTree: it grows a reference tree on the rows
-// of x indexed by idx.
+// regTree is one CART regression tree.
+type regTree struct {
+	nodes []treeNode
+}
+
+// predict walks the tree for one feature vector.
+func (t *regTree) predict(f []float64) float64 {
+	n := int32(0)
+	for {
+		nd := &t.nodes[n]
+		if nd.left < 0 {
+			return nd.value
+		}
+		if f[nd.feature] <= nd.threshold {
+			n = nd.left
+		} else {
+			n = nd.right
+		}
+	}
+}
+
+// refBuildTree grows a reference tree on the rows of x indexed by idx.
 func refBuildTree(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, importance []float64) *regTree {
 	t := &regTree{nodes: make([]treeNode, 0, 2*len(idx)/cfg.minLeaf+1)}
 	t.refGrow(x, y, idx, 0, cfg, rng, importance)

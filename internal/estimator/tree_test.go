@@ -52,7 +52,7 @@ func TestGrowMatchesReference(t *testing.T) {
 					wantImp := make([]float64, len(x[0]))
 					want := refBuildTree(x, y, append([]int(nil), boot...), tc, rand.New(rand.NewSource(seed)), wantImp)
 					gotImp := make([]float64, len(x[0]))
-					got := buildTree(x, y, boot, tc, rand.New(rand.NewSource(seed)), gotImp)
+					got := regTree{newScratch(presort(x), len(x), len(boot)).build(x, y, boot, tc, rand.New(rand.NewSource(seed)), gotImp)}
 
 					if len(got.nodes) != len(want.nodes) {
 						t.Fatalf("%d nodes, reference has %d", len(got.nodes), len(want.nodes))
@@ -119,7 +119,7 @@ func TestGrowMatchesReferencePresorted(t *testing.T) {
 					wantImp := make([]float64, len(x[0]))
 					want := refBuildTree(x, y, append([]int(nil), boot...), tc, rand.New(rand.NewSource(seed)), wantImp)
 					gotImp := make([]float64, len(x[0]))
-					got := buildTree(x, y, boot, tc, rand.New(rand.NewSource(seed)), gotImp)
+					got := regTree{newScratch(presort(x), len(x), len(boot)).build(x, y, boot, tc, rand.New(rand.NewSource(seed)), gotImp)}
 
 					if len(got.nodes) != len(want.nodes) {
 						t.Fatalf("%d nodes, reference has %d", len(got.nodes), len(want.nodes))
@@ -188,18 +188,18 @@ func TestTrainForestAllocs(t *testing.T) {
 	}
 	x, y := makeNonlinear(12, 2000)
 	cfg := ForestConfig{NumTrees: 8, Seed: 3}
-	f, err := TrainForest(x, y, cfg)
+	f, err := trainForest(x, y, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := TrainForest(x, y, cfg); err != nil {
+		if _, err := trainForest(x, y, cfg, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	perTree := allocs / float64(cfg.NumTrees)
-	if perTree > 16 {
-		t.Errorf("TrainForest: %.0f allocations for %d trees (%d nodes) = %.1f per tree, want <= 16", allocs, cfg.NumTrees, len(f.split), perTree)
+	if perTree > 15 {
+		t.Errorf("trainForest: %.0f allocations for %d trees (%d nodes) = %.1f per tree, want <= 15", allocs, cfg.NumTrees, len(f.split), perTree)
 	} else {
 		t.Logf("%.0f allocations for %d trees (%d nodes) = %.1f per tree", allocs, cfg.NumTrees, len(f.split), perTree)
 	}

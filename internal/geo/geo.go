@@ -52,9 +52,6 @@ func Finite(pts []Point) bool {
 	return true
 }
 
-// Norm returns the Euclidean length of p treated as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Lerp returns the point a fraction t of the way from p to q.
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{X: p.X + (q.X-p.X)*t, Y: p.Y + (q.Y-p.Y)*t}
@@ -73,11 +70,6 @@ func NewRect(w, h float64) Rect {
 	return Rect{Min: Point{}, Max: Point{X: w, Y: h}}
 }
 
-// Contains reports whether p lies inside r (inclusive of edges).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Clamp returns p constrained to lie inside r.
 func (r Rect) Clamp(p Point) Point {
 	return Point{
@@ -91,11 +83,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the vertical extent of r in meters.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	return Point{X: (r.Min.X + r.Max.X) / 2, Y: (r.Min.Y + r.Max.Y) / 2}
-}
 
 // HexCell identifies a cell of a hexagonal grid in axial coordinates.
 type HexCell struct {
@@ -152,22 +139,6 @@ func (g *HexGrid) Neighbors(c HexCell) []HexCell {
 		out = append(out, HexCell{Q: c.Q + d.Q, R: c.R + d.R})
 	}
 	return out
-}
-
-// CellDist returns the hex-grid distance (number of cell steps) between two
-// cells.
-func CellDist(a, b HexCell) int {
-	dq := a.Q - b.Q
-	dr := a.R - b.R
-	ds := -dq - dr
-	return (abs(dq) + abs(dr) + abs(ds)) / 2
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // roundHex rounds fractional axial coordinates to the nearest cell using

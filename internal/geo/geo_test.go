@@ -23,9 +23,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != (Point{X: 6, Y: 8}) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := p.Norm(); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
-	}
 	if got := (Point{}).Dist(p); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)
 	}
@@ -47,20 +44,11 @@ func TestLerp(t *testing.T) {
 
 func TestRect(t *testing.T) {
 	r := NewRect(100, 50)
-	if !r.Contains(Point{X: 50, Y: 25}) {
-		t.Error("center should be contained")
-	}
-	if r.Contains(Point{X: -1, Y: 0}) {
-		t.Error("outside point contained")
-	}
 	if got := r.Clamp(Point{X: 200, Y: -10}); got != (Point{X: 100, Y: 0}) {
 		t.Errorf("Clamp = %v", got)
 	}
 	if r.Width() != 100 || r.Height() != 50 {
 		t.Errorf("dims = %v x %v", r.Width(), r.Height())
-	}
-	if got := r.Center(); got != (Point{X: 50, Y: 25}) {
-		t.Errorf("Center = %v", got)
 	}
 }
 
@@ -106,37 +94,16 @@ func TestHexGridPanicsOnBadRadius(t *testing.T) {
 	NewHexGrid(0)
 }
 
-func TestCellDist(t *testing.T) {
-	a := HexCell{Q: 0, R: 0}
-	tests := []struct {
-		b    HexCell
-		want int
-	}{
-		{HexCell{Q: 0, R: 0}, 0},
-		{HexCell{Q: 1, R: 0}, 1},
-		{HexCell{Q: 0, R: -1}, 1},
-		{HexCell{Q: 2, R: -1}, 2},
-		{HexCell{Q: -3, R: 3}, 3},
-	}
-	for _, tc := range tests {
-		if got := CellDist(a, tc.b); got != tc.want {
-			t.Errorf("CellDist(%v,%v) = %d, want %d", a, tc.b, got, tc.want)
-		}
-		if got := CellDist(tc.b, a); got != tc.want {
-			t.Errorf("CellDist not symmetric for %v", tc.b)
-		}
-	}
-}
-
 func TestNeighborsAreDistanceOne(t *testing.T) {
 	c := HexCell{Q: 3, R: -2}
-	ns := NewHexGrid(50).Neighbors(c)
+	g := NewHexGrid(50)
+	ns := g.Neighbors(c)
 	if len(ns) != 6 {
 		t.Fatalf("got %d neighbors, want 6", len(ns))
 	}
 	for _, n := range ns {
-		if CellDist(c, n) != 1 {
-			t.Errorf("neighbor %v at distance %d", n, CellDist(c, n))
+		if d := g.Center(c).Dist(g.Center(n)); math.Abs(d-50*math.Sqrt(3)) > 1e-9 {
+			t.Errorf("neighbor %v's center %v m away, want one cell step", n, d)
 		}
 	}
 }
@@ -249,20 +216,11 @@ func TestPlacementCenterPanicsOutOfRange(t *testing.T) {
 	pl.Center(ServerID(5))
 }
 
-func TestPlacementCentersCopy(t *testing.T) {
-	pl := NewPlacement(NewHexGrid(50), []Point{{}, {X: 500, Y: 500}})
-	cs := pl.Centers()
-	cs[0] = Point{X: math.Inf(1), Y: 0}
-	if pl.Center(0).X == math.Inf(1) {
-		t.Error("Centers leaked internal slice")
-	}
-}
-
 // bruteWithin is the specification of Within: scan every center, keep those
 // within radius, order by (distance, ID).
 func bruteWithin(pl *Placement, p Point, radius float64) []ServerID {
 	var cands []cand
-	for id, c := range pl.Centers() {
+	for id, c := range pl.centers {
 		if d := p.Dist(c); d <= radius {
 			cands = append(cands, cand{id: ServerID(id), d: d})
 		}
@@ -281,7 +239,7 @@ func bruteWithin(pl *Placement, p Point, radius float64) []ServerID {
 }
 
 // TestPlacementMatchesBruteForce: the ring search returns exactly what a
-// scan of Centers() does, in the same order, for Within at the radii the
+// scan of the centers does, in the same order, for Within at the radii the
 // evaluation uses and for Nearest at the count Within found.
 func TestPlacementMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -357,7 +315,7 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 }
 
 // TestServerAtMatchesCellScan holds ServerAt's cell table to its
-// definition: CellAt, then a scan of Centers() for the server whose center
+// definition: CellAt, then a scan of the centers for the server whose center
 // lies in that cell, or NoServer. The placement is the Geolife-sized one of
 // TestWithinMatchesBruteForce. Probes fall inside the served area, outside
 // it (including far beyond any table key's 32-bit range), and on every
@@ -370,7 +328,7 @@ func TestServerAtMatchesCellScan(t *testing.T) {
 		pts = append(pts, Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000})
 	}
 	pl := NewPlacement(grid, pts)
-	centers := pl.Centers()
+	centers := pl.centers
 	centerCells := make([]HexCell, len(centers))
 	for id, ctr := range centers {
 		centerCells[id] = grid.CellAt(ctr)

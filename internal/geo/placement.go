@@ -134,9 +134,6 @@ func NewPlacement(grid *HexGrid, visited []Point) *Placement {
 // Len returns the number of placed servers.
 func (pl *Placement) Len() int { return len(pl.centers) }
 
-// Grid returns the underlying hexagonal grid.
-func (pl *Placement) Grid() *HexGrid { return pl.grid }
-
 // Center returns the location of server id. It panics on an out-of-range id
 // because that always indicates a programming error, never bad input.
 func (pl *Placement) Center(id ServerID) Point {
@@ -202,29 +199,40 @@ func candIDs(cands []cand) []ServerID {
 	return out
 }
 
-// Nearest returns the k servers nearest to p, closest first, using an
-// expanding hex-ring search around p's cell. If fewer than k servers exist,
-// all of them are returned.
+// Nearest returns the k servers nearest to p, closest first, ties by
+// server ID. If fewer than k servers exist, all of them are returned. It
+// walks expanding hex rings around p's cell while the rings it has walked
+// hold no more cells than the placement has servers; a point the walk
+// cannot settle by then (far outside the placement, or not finite) gets a
+// scan of every center instead, so the cost stays linear in the placement.
 func (pl *Placement) Nearest(p Point, k int) []ServerID {
 	if k <= 0 {
 		return nil
 	}
-	if k > len(pl.centers) {
-		k = len(pl.centers)
+	n := len(pl.centers)
+	if k > n {
+		k = n
 	}
 	center := pl.grid.CellAt(p)
 	// Cells at hex distance r have centers at least (1.5r - 1)R from any
 	// point inside the center cell, so once the kth-best candidate beats
-	// that bound the search can stop.
+	// that bound the search can stop. Rings 0..r hold 3r(r+1)+1 cells.
 	var buf [32]cand
 	cands := buf[:0]
-	for r := 0; len(cands) < len(pl.centers); r++ {
+	for r := 0; len(cands) < n; r++ {
 		if len(cands) >= k {
 			sortCands(cands)
 			bound := (1.5*float64(r) - 1) * pl.grid.Radius
 			if cands[k-1].d < bound {
 				break
 			}
+		}
+		if 3*r*(r+1)+1 > n {
+			cands = make([]cand, n)
+			for id, c := range pl.centers {
+				cands[id] = cand{id: ServerID(id), d: p.Dist(c)}
+			}
+			break
 		}
 		cands = pl.appendRing(cands, center, r, p, math.Inf(1))
 	}
@@ -250,11 +258,4 @@ func (pl *Placement) Within(p Point, radius float64) []ServerID {
 	}
 	sortCands(cands)
 	return candIDs(cands)
-}
-
-// Centers returns a copy of all server locations indexed by ServerID.
-func (pl *Placement) Centers() []Point {
-	out := make([]Point, len(pl.centers))
-	copy(out, pl.centers)
-	return out
 }

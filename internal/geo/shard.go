@@ -112,20 +112,12 @@ func (m *ShardMap) ShardOf(id ServerID) int {
 // ShardAt returns the shard owning the region containing p. Points whose
 // super-tile holds no server (outside every service area) belong to the
 // shard of the nearest placed server, ties by lowest ID, so the whole plane
-// is covered. That fallback scans the centers rather than walking hex rings
-// out to p, so its cost does not grow with p's distance, and a point that
-// is not finite gets an answer at once.
+// is covered.
 func (m *ShardMap) ShardAt(p Point) int {
 	if s, ok := m.byTile[m.tileOf(m.pl.grid.CellAt(p))]; ok {
 		return s
 	}
-	best, bestD := 0, math.Inf(1)
-	for id, c := range m.pl.centers {
-		if d := p.Dist(c); d < bestD {
-			best, bestD = id, d
-		}
-	}
-	return m.byServer[best]
+	return m.byServer[m.pl.Nearest(p, 1)[0]]
 }
 
 // floorDiv divides rounding toward negative infinity, so tiling is

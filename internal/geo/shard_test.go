@@ -97,12 +97,12 @@ func TestShardAtMatchesServerShard(t *testing.T) {
 
 // TestShardAtOutsideEveryTile: a point in no occupied super-tile belongs to
 // the shard of its nearest server, ties by lowest ID, near the placement
-// and 10,000 km from it alike; a point that is not finite gets an answer at
-// once.
+// and 10,000 km from it alike; Nearest answers a point 10,000 km away, and
+// both answer a point that is not finite, at once.
 func TestShardAtOutsideEveryTile(t *testing.T) {
 	pl := gridPlacement(t, 1200, 900, 300)
 	m := NewShardMap(pl, 4)
-	centers := pl.Centers()
+	centers := pl.centers
 	nearest := func(p Point) ServerID {
 		ids := make([]ServerID, len(centers))
 		for i := range ids {
@@ -138,16 +138,23 @@ func TestShardAtOutsideEveryTile(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		far := Point{X: 1e7, Y: -1e7}
+		if got, want := pl.Nearest(far, 1)[0], nearest(far); got != want {
+			t.Errorf("Nearest(%v, 1) = %d, brute force %d", far, got, want)
+		}
 		for _, p := range []Point{{X: math.NaN()}, {Y: math.NaN()}, {X: math.Inf(1)}, {Y: math.Inf(-1)}} {
 			if s := m.ShardAt(p); s < 0 || s >= m.Count() {
 				t.Errorf("ShardAt(%v) = %d outside [0,%d)", p, s, m.Count())
+			}
+			if ids := pl.Nearest(p, 3); len(ids) != 3 {
+				t.Errorf("Nearest(%v, 3) = %v, want 3 servers", p, ids)
 			}
 		}
 	}()
 	select {
 	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("ShardAt did not return on a point that is not finite")
+	case <-time.After(5 * time.Second):
+		t.Fatal("ShardAt or Nearest did not return on a far point or one that is not finite")
 	}
 }
 

@@ -161,9 +161,6 @@ func (g *GPU) stream() *rand.Rand {
 	return &g.rng
 }
 
-// Device returns the underlying contention-free device profile.
-func (g *GPU) Device() profile.Device { return g.hw.dev }
-
 // advance moves the thermal state to virtual time now. Temperature
 // follows a first-order filter toward the load-determined target with a
 // 45-second time constant.

@@ -98,7 +98,7 @@ func FuzzDispatch(f *testing.F) {
 	cfg := DefaultConfig(edges)
 	cfg.MaxHops = 3
 	single := newMaster(f, cfg)
-	cfg.Shards, cfg.Peers = 2, []string{"shard-0.invalid:1", "shard-1.invalid:1"}
+	cfg.Peers = []string{"shard-0.invalid:1", "shard-1.invalid:1"}
 	sharded := newMaster(f, cfg)
 	masters := []*Master{single, sharded}
 	for _, m := range masters {

@@ -53,20 +53,19 @@ type Config struct {
 	// or pipeline throughput (bottleneck-stage minimization). Ignored when
 	// MaxHops <= 1.
 	Objective partition.Objective
-	// Shard and Shards enable shard-owner mode: this master owns region
-	// Shard of Shards total, computed by geo.NewShardMap over the full
+	// Shard and Peers enable shard-owner mode: this master owns region
+	// Shard of len(Peers) total, computed by geo.NewShardMap over the full
 	// edge placement (every shard master is configured with the complete
 	// edge set so the map is identical everywhere). A trajectory report
 	// whose point lies in another region is answered with a redirect
 	// (MsgShardHandoff) that carries the client's history to the owning
 	// shard's master; the client presents it there. Predicted migration
-	// targets are ordered by the client's owner in any region. Shards <= 1
-	// keeps single-master behavior.
-	Shard  int
-	Shards int
+	// targets are ordered by the client's owner in any region.
+	Shard int
 	// Peers[i] is the listen address of shard i's master, the address a
-	// redirect to shard i names; required (and must have length Shards)
-	// when Shards > 1. No master dials a peer.
+	// redirect to shard i names; the shard count is the peer count, and
+	// fewer than two peers keep single-master behavior. No master dials a
+	// peer.
 	Peers []string
 	// Estimator, when non-nil, replaces the one trained (seed 1) at startup,
 	// so that several masters in one process can share one trained forest.
@@ -153,13 +152,8 @@ func New(cfg Config) (*Master, error) {
 	if cfg.Radius <= 0 {
 		return nil, fmt.Errorf("master: non-positive migration radius %v", cfg.Radius)
 	}
-	if cfg.Shards > 1 {
-		if cfg.Shard < 0 || cfg.Shard >= cfg.Shards {
-			return nil, fmt.Errorf("master: shard %d outside [0,%d)", cfg.Shard, cfg.Shards)
-		}
-		if len(cfg.Peers) != cfg.Shards {
-			return nil, fmt.Errorf("master: %d peer addresses for %d shards", len(cfg.Peers), cfg.Shards)
-		}
+	if len(cfg.Peers) > 1 && (cfg.Shard < 0 || cfg.Shard >= len(cfg.Peers)) {
+		return nil, fmt.Errorf("master: shard %d outside [0,%d)", cfg.Shard, len(cfg.Peers))
 	}
 	pts := make([]geo.Point, 0, len(cfg.Edges))
 	for _, e := range cfg.Edges {
@@ -226,8 +220,8 @@ func New(cfg Config) (*Master, error) {
 	m.planLatency = m.met.Histogram("plan_latency_ns")
 	m.numClients = m.met.Gauge("clients")
 	m.edges = wire.NewRegisteredPool(m.met, "edge")
-	if cfg.Shards > 1 {
-		m.smap = geo.NewShardMap(pl, cfg.Shards)
+	if len(cfg.Peers) > 1 {
+		m.smap = geo.NewShardMap(pl, len(cfg.Peers))
 	}
 	return m, nil
 }

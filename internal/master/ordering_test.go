@@ -86,7 +86,7 @@ func scriptedLine(t *testing.T, n int) (m *Master, addr string, edges []*scripte
 	m, addr = startMaster(t, DefaultConfig(infos))
 	a := infos[0].Location
 	step := grid.Center(geo.HexCell{Q: 1, R: 0}).Sub(a)
-	unit := step.Scale(1 / step.Norm())
+	unit := step.Scale(1 / step.Dist(geo.Point{}))
 	return m, addr, edges, func(d float64) geo.Point { return a.Add(unit.Scale(d)) }
 }
 

@@ -189,9 +189,6 @@ func (c *Client) register(ctx context.Context, addr string, env *wire.Envelope) 
 // local fallbacks).
 func (c *Client) Metrics() *obs.Registry { return c.met }
 
-// Tracer exposes the client's span recorder (nil when tracing is off).
-func (c *Client) Tracer() *tracing.Tracer { return c.tr }
-
 // retryInstant marks one retried exchange as a zero-duration span on a
 // trace of its own; the operation being retried carries the latency.
 func (c *Client) retryInstant() {

@@ -31,9 +31,6 @@ func TestLiveTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close() //nolint:errcheck // test teardown
-	if client.Tracer() != clientTr {
-		t.Fatal("Tracer accessor does not return the configured tracer")
-	}
 
 	server := c.m.Placement().ServerAt(c.edges[0].Location)
 	if err := client.ConnectContext(ctx, server, c.edges[0].Addr); err != nil {

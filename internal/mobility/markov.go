@@ -140,14 +140,7 @@ func (m *Markov) PredictPoint([]geo.Point) (geo.Point, bool) {
 func discretize(pts []geo.Point, pl *geo.Placement) []geo.ServerID {
 	out := make([]geo.ServerID, 0, len(pts))
 	for _, p := range pts {
-		id := pl.ServerAt(p)
-		if id == geo.NoServer {
-			near := pl.Nearest(p, 1)
-			if len(near) > 0 {
-				id = near[0]
-			}
-		}
-		out = append(out, id)
+		out = append(out, nearestServer(pl, p))
 	}
 	return out
 }

@@ -101,19 +101,10 @@ type DebugServer struct {
 	err  error
 }
 
-// ServeDebug binds addr (e.g. ":0" or "127.0.0.1:6060") and serves the
-// debug mux for reg until Close. It returns after the listener is bound, so
-// Addr is immediately valid.
-func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
-	if reg == nil {
-		return nil, errors.New("obs: debug server needs a registry")
-	}
-	return ServeDebugMux(addr, NewDebugMux(reg))
-}
-
-// ServeDebugMux is ServeDebug for a caller-built handler — daemons that
-// add endpoints beyond the standard mux (e.g. tracing.RegisterDebug)
-// compose the mux themselves and serve it here.
+// ServeDebugMux binds addr (e.g. ":0" or "127.0.0.1:6060") and serves h,
+// NewDebugMux's handler plus whatever endpoints the daemon adds (e.g.
+// tracing.RegisterDebug), until Close. It returns after the listener is
+// bound, so Addr is immediately valid.
 func ServeDebugMux(addr string, h http.Handler) (*DebugServer, error) {
 	if h == nil {
 		return nil, errors.New("obs: debug server needs a handler")

@@ -63,11 +63,11 @@ func TestDebugMuxMetricsAndPprof(t *testing.T) {
 	}
 }
 
-// TestServeDebugLifecycle: ServeDebug binds :0, serves, and closes cleanly.
+// TestServeDebugLifecycle: ServeDebugMux binds :0, serves, and closes cleanly.
 func TestServeDebugLifecycle(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("up").Set(1)
-	d, err := ServeDebug("127.0.0.1:0", reg)
+	d, err := ServeDebugMux("127.0.0.1:0", NewDebugMux(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestServeDebugLifecycle(t *testing.T) {
 		t.Error("debug server still serving after Close")
 	}
 
-	if _, err := ServeDebug("127.0.0.1:0", nil); err == nil {
-		t.Error("nil registry accepted")
+	if _, err := ServeDebugMux("127.0.0.1:0", nil); err == nil {
+		t.Error("nil handler accepted")
 	}
 }
 

@@ -135,9 +135,6 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
-// Sum returns the sum of all positive samples.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // Merge adds every bucket of o into h. Addition commutes, so merging a set
 // of histograms yields the same result in any order.
 func (h *Histogram) Merge(o *Histogram) {

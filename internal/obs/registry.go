@@ -12,10 +12,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -47,9 +43,6 @@ type Gauge struct {
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add shifts the gauge by n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -162,31 +155,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// WriteJSON writes the registry snapshot as indented JSON (the /metrics
-// payload without its process health). encoding/json sorts map keys, so the output is deterministic
-// for a quiesced registry.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshaling snapshot: %w", err)
-	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("obs: writing snapshot: %w", err)
-	}
-	return nil
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -267,9 +267,6 @@ func NewWallClock() *Tracer {
 	return t
 }
 
-// Enabled reports whether the tracer records spans.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Now reads the tracer's clock (0 for a nil or clockless tracer).
 func (t *Tracer) Now() time.Duration {
 	if t == nil || t.epoch == nil {
@@ -356,20 +353,6 @@ func (t *Tracer) append(s Span) {
 	t.chunks = append(t.chunks, append(c, s))
 }
 
-// Len returns the number of recorded spans (0 when disabled).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, c := range t.chunks {
-		n += len(c)
-	}
-	return n
-}
-
 // Spans returns a copy of the recorded spans in record order (nil when
 // disabled or empty).
 func (t *Tracer) Spans() []Span {
@@ -390,19 +373,4 @@ func (t *Tracer) Spans() []Span {
 		out = append(out, c...)
 	}
 	return out
-}
-
-// Reset discards recorded spans but keeps the first chunk's capacity (the
-// ring reuse that makes steady-state recording allocation-free) and the ID
-// counters (so spans never collide across resets).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if len(t.chunks) > 0 {
-		t.chunks = t.chunks[:1]
-		t.chunks[0] = t.chunks[0][:0]
-	}
-	t.mu.Unlock()
 }

@@ -159,15 +159,6 @@ type ChainPlan struct {
 // NumHops returns the number of server segments.
 func (p *ChainPlan) NumHops() int { return len(p.Hops) }
 
-// ServerBytes returns the total weight bytes across all hops.
-func (p *ChainPlan) ServerBytes() int64 {
-	var sum int64
-	for i := range p.Hops {
-		sum += p.Hops[i].Bytes
-	}
-	return sum
-}
-
 // NumServerLayers returns the number of layers placed on servers.
 func (p *ChainPlan) NumServerLayers() int {
 	n := 0

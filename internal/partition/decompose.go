@@ -27,7 +27,7 @@ type Split struct {
 }
 
 // Decompose computes the Split of an assignment. It panics on malformed
-// locations — callers always derive them from WithOffloaded or a Plan.
+// locations — callers always derive them from a Plan.
 func Decompose(prof *profile.ModelProfile, loc []Location) Split {
 	m := prof.Model
 	if len(loc) != m.NumLayers() {

@@ -80,29 +80,3 @@ func AllClient(m *dnn.Model) []Location {
 	}
 	return loc
 }
-
-// AllServer returns the all-server assignment for the model.
-func AllServer(m *dnn.Model) []Location {
-	loc := make([]Location, m.NumLayers())
-	for i := range loc {
-		loc[i] = AtServer
-	}
-	return loc
-}
-
-// WithOffloaded returns the assignment that runs exactly the layers in
-// offloaded on the server and everything else on the client. Layer IDs out
-// of range panic: they can only come from a bug.
-func WithOffloaded(m *dnn.Model, offloaded map[dnn.LayerID]bool) []Location {
-	loc := AllClient(m)
-	for id, ok := range offloaded {
-		if !ok {
-			continue
-		}
-		if id < 0 || int(id) >= len(loc) {
-			panic(fmt.Sprintf("partition: offloaded layer %d out of range", id))
-		}
-		loc[id] = AtServer
-	}
-	return loc
-}

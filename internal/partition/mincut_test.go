@@ -26,18 +26,20 @@ func TestMinCutMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
 		b := dnn.NewBuilder("rand", dnn.Shape{C: 2 + rng.Intn(6), H: 12, W: 12})
-		root := b.Conv("c0", 2+rng.Intn(6), 3, 1, 1)
+		rootC := 2 + rng.Intn(6)
+		root := b.Conv("c0", rootC, 3, 1, 1)
 		// A random branchy middle: two branches off the root, then a join.
-		left := b.Conv("l", 2+rng.Intn(6), 1, 1, 0)
+		leftC := 2 + rng.Intn(6)
+		left := b.Conv("l", leftC, 1, 1, 0)
 		if rng.Float64() < 0.5 {
 			left = b.ReLU("lr")
 		}
 		b.SetCur(root)
-		right := b.Pool("r", 3, 1, 1)
+		right, rightC := b.Pool("r", 3, 1, 1), rootC
 		if rng.Float64() < 0.5 {
-			right = b.Conv("rc", left.Shape().C, 1, 1, 0)
+			right, rightC = b.Conv("rc", leftC, 1, 1, 0), leftC
 		}
-		if left.Shape().C == right.Shape().C {
+		if leftC == rightC {
 			b.AddOf("join", left, right)
 		} else {
 			b.ConcatOf("join", left, right)

@@ -252,16 +252,6 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 }
 
-func TestWithOffloadedPanicsOnBadID(t *testing.T) {
-	m := dnn.MobileNetV1()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	WithOffloaded(m, map[dnn.LayerID]bool{dnn.LayerID(9999): true})
-}
-
 func TestPlanAccessors(t *testing.T) {
 	m := dnn.Inception21k()
 	plan, err := Partition(reqFor(t, m, 1))
@@ -307,7 +297,7 @@ func TestDecomposeMatchesEvaluate(t *testing.T) {
 func TestDecomposeIntensityBounds(t *testing.T) {
 	m := dnn.Inception21k()
 	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-	sp := Decompose(prof, AllServer(m))
+	sp := Decompose(prof, allServer(m))
 	if sp.Intensity <= 0 || sp.Intensity >= 1 {
 		t.Errorf("intensity = %v, want in (0,1)", sp.Intensity)
 	}

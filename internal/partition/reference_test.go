@@ -36,6 +36,27 @@ func referenceSuccessors(m *dnn.Model) [][]dnn.LayerID {
 	return succ
 }
 
+// withOffloaded returns the assignment that runs exactly the layers in
+// offloaded on the server and everything else on the client.
+func withOffloaded(m *dnn.Model, offloaded map[dnn.LayerID]bool) []Location {
+	loc := AllClient(m)
+	for id, ok := range offloaded {
+		if ok {
+			loc[id] = AtServer
+		}
+	}
+	return loc
+}
+
+// allServer returns the all-server assignment for the model.
+func allServer(m *dnn.Model) []Location {
+	loc := make([]Location, m.NumLayers())
+	for i := range loc {
+		loc[i] = AtServer
+	}
+	return loc
+}
+
 // ReferenceEvaluate is the pre-PR5 Evaluate: identical math, but it rebuilds
 // the successor table on every call.
 func ReferenceEvaluate(req Request, loc []Location) (time.Duration, error) {
@@ -265,7 +286,7 @@ func ReferenceUploadSchedule(req Request, plan *Plan) ([]UploadUnit, error) {
 		remaining[id] = true
 	}
 
-	baseLat, err := ReferenceEvaluate(req, WithOffloaded(m, uploaded))
+	baseLat, err := ReferenceEvaluate(req, withOffloaded(m, uploaded))
 	if err != nil {
 		return nil, fmt.Errorf("partition: upload schedule: %w", err)
 	}
@@ -329,7 +350,7 @@ func referenceBestRun(req Request, m *dnn.Model, uploaded, remaining map[dnn.Lay
 					trial[id] = true
 					bytes += m.Layers[id].WeightBytes
 				}
-				lat, err := ReferenceEvaluate(req, WithOffloaded(m, trial))
+				lat, err := ReferenceEvaluate(req, withOffloaded(m, trial))
 				if err != nil {
 					return UploadUnit{}, 0, fmt.Errorf("partition: evaluating run: %w", err)
 				}

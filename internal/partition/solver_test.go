@@ -95,7 +95,7 @@ func TestEvaluateAndDecomposeMatchReference(t *testing.T) {
 		// The optimal assignment plus both trivial ones cover client-only,
 		// server-only, and mixed frontiers.
 		m := req.Profile.Model
-		for _, loc := range [][]Location{plan.Loc, AllClient(m), AllServer(m)} {
+		for _, loc := range [][]Location{plan.Loc, AllClient(m), allServer(m)} {
 			got, err := Evaluate(req, loc)
 			if err != nil {
 				t.Fatalf("evaluate: %v", err)
@@ -195,7 +195,7 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Solver.Partition allocates %.1f/op in steady state, want 0", n)
 	}
 
-	loc := AllServer(m)
+	loc := allServer(m)
 	if n := testing.AllocsPerRun(50, func() {
 		if _, err := Evaluate(req, loc); err != nil {
 			t.Fatal(err)

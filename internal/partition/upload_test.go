@@ -79,18 +79,18 @@ func TestUploadScheduleFrontLoadsBenefit(t *testing.T) {
 
 	// Upload ~10% of the server-side bytes following the schedule.
 	budget := plan.ServerBytes() / 10
-	offloaded := make(map[dnn.LayerID]bool)
+	offloaded := AllClient(plan.Model)
 	var sent int64
 	for _, u := range units {
 		if sent+u.Bytes > budget {
 			break
 		}
 		for _, id := range u.Layers {
-			offloaded[id] = true
+			offloaded[id] = AtServer
 		}
 		sent += u.Bytes
 	}
-	lat, err := Evaluate(req, WithOffloaded(plan.Model, offloaded))
+	lat, err := Evaluate(req, offloaded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,18 +105,18 @@ func TestUploadScheduleFrontLoadsBenefit(t *testing.T) {
 	// Extending the budget to ~15%% of bytes must reach the paper's
 	// headline regime (2.8x at a small fraction of the model).
 	budget = plan.ServerBytes() * 15 / 100
-	offloaded = make(map[dnn.LayerID]bool)
+	offloaded = AllClient(plan.Model)
 	sent = 0
 	for _, u := range units {
 		if sent+u.Bytes > budget {
 			break
 		}
 		for _, id := range u.Layers {
-			offloaded[id] = true
+			offloaded[id] = AtServer
 		}
 		sent += u.Bytes
 	}
-	lat, err = Evaluate(req, WithOffloaded(plan.Model, offloaded))
+	lat, err = Evaluate(req, offloaded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,16 +128,16 @@ func TestUploadScheduleFrontLoadsBenefit(t *testing.T) {
 func TestUploadScheduleMonotoneLatency(t *testing.T) {
 	// Following the schedule, latency must never increase.
 	req, plan, units := scheduleFor(t, dnn.ModelResNet)
-	offloaded := make(map[dnn.LayerID]bool)
-	prev, err := Evaluate(req, WithOffloaded(plan.Model, offloaded))
+	offloaded := AllClient(plan.Model)
+	prev, err := Evaluate(req, offloaded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, u := range units {
 		for _, id := range u.Layers {
-			offloaded[id] = true
+			offloaded[id] = AtServer
 		}
-		lat, err := Evaluate(req, WithOffloaded(plan.Model, offloaded))
+		lat, err := Evaluate(req, offloaded)
 		if err != nil {
 			t.Fatal(err)
 		}

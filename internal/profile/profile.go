@@ -118,10 +118,3 @@ func (p *ModelProfile) TotalServerBase() time.Duration {
 	}
 	return sum
 }
-
-// ProfileBytes returns the approximate wire size of the profile itself:
-// a few dozen bytes per layer (hyperparameters and timings), no weights.
-// This is what a client uploads to the master server on first contact.
-func (p *ModelProfile) ProfileBytes() int64 {
-	return int64(p.Model.NumLayers()) * 48
-}

@@ -80,19 +80,6 @@ func TestModelProfile(t *testing.T) {
 	}
 }
 
-func TestProfileBytesSmall(t *testing.T) {
-	m := dnn.Inception21k()
-	p := NewModelProfile(m, ClientODROID(), ServerTitanXp())
-	// The profile must be orders of magnitude smaller than the weights:
-	// that is the whole point of uploading profiles instead of models.
-	if p.ProfileBytes() > m.TotalWeightBytes()/100 {
-		t.Errorf("profile %d bytes vs weights %d", p.ProfileBytes(), m.TotalWeightBytes())
-	}
-	if p.ProfileBytes() <= 0 {
-		t.Error("non-positive profile size")
-	}
-}
-
 func TestMemoryBoundLayers(t *testing.T) {
 	// An elementwise layer on a huge tensor must be memory-bound: its time
 	// should scale with bytes, not its (tiny) FLOP count.

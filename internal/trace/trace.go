@@ -34,9 +34,6 @@ type Trajectory struct {
 	Points []geo.Point
 }
 
-// At returns the position at sample index i.
-func (tr Trajectory) At(i int) geo.Point { return tr.Points[i] }
-
 // Len returns the number of samples.
 func (tr Trajectory) Len() int { return len(tr.Points) }
 

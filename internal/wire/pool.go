@@ -32,36 +32,8 @@ type Pool struct {
 	idle   map[string][]idleConn
 	closed bool
 
-	// Lifetime counters behind Stats; see PoolStats for semantics.
+	// Lifetime counters, registered as <role>_pool_*; see NewRegisteredPool.
 	reuseHits, staleDrops, dials, evictions, retries *obs.Counter
-}
-
-// PoolStats is a snapshot of a pool's lifetime counters.
-type PoolStats struct {
-	// ReuseHits counts Gets satisfied by a pooled idle connection.
-	ReuseHits int64
-	// StaleDrops counts idle connections discarded at Get because they
-	// sat idle past the idle timeout or were poisoned.
-	StaleDrops int64
-	// Dials counts fresh connections established for Get.
-	Dials int64
-	// Evictions counts healthy connections closed at Put because the
-	// per-address idle list was full or the pool was closed.
-	Evictions int64
-	// Retries counts RoundTrip exchanges replayed on a fresh dial after a
-	// reused connection failed (the peer had dropped it while idle).
-	Retries int64
-}
-
-// Stats returns the pool's lifetime counters.
-func (p *Pool) Stats() PoolStats {
-	return PoolStats{
-		ReuseHits:  p.reuseHits.Value(),
-		StaleDrops: p.staleDrops.Value(),
-		Dials:      p.dials.Value(),
-		Evictions:  p.evictions.Value(),
-		Retries:    p.retries.Value(),
-	}
 }
 
 type idleConn struct {
@@ -74,9 +46,13 @@ type idleConn struct {
 func NewPool() *Pool { return NewRegisteredPool(obs.NewRegistry(), "wire") }
 
 // NewRegisteredPool returns a pool whose counters are the reg counters
-// <role>_pool_reuse_hits_total, _stale_drops_total, _dials_total,
-// _evictions_total and _retries_total (edge_pool_*, peer_pool_*, ...), so
-// every daemon's pool metrics follow one naming scheme.
+// <role>_pool_reuse_hits_total (Gets satisfied by an idle connection),
+// _stale_drops_total (idle connections discarded at Get as timed out or
+// poisoned), _dials_total (fresh connections for Get), _evictions_total
+// (healthy connections closed at Put because the idle list was full or the
+// pool closed) and _retries_total (exchanges replayed on a fresh dial after
+// a reused connection failed), so every daemon's pool metrics follow one
+// naming scheme (edge_pool_*, peer_pool_*, ...).
 func NewRegisteredPool(reg *obs.Registry, role string) *Pool {
 	prefix := role + "_pool_"
 	return &Pool{
