@@ -236,11 +236,15 @@ func TestPolicyTargets(t *testing.T) {
 	if _, ok := pol.Targets(nil, cur); ok {
 		t.Error("empty history produced a prediction")
 	}
+	// AppendTargets keeps what dst held and appends the same servers.
+	if got, _ := pol.AppendTargets([]geo.ServerID{cur}, recent, cur); !slices.Equal(got, append([]geo.ServerID{cur}, targets...)) {
+		t.Errorf("AppendTargets onto [%d] = %v, Targets = %v", cur, got, targets)
+	}
 }
 
-// TestPolicyTargetsAllocs: one migration step costs the slice Within
-// returns, which Targets filters in place; the SVR's prediction allocates
-// nothing.
+// TestPolicyTargetsAllocs: one migration step allocates nothing once the
+// caller's buffer has room: Within appends into it, AppendTargets filters
+// in place, and the SVR's prediction allocates nothing.
 func TestPolicyTargetsAllocs(t *testing.T) {
 	if raceguard.Enabled {
 		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
@@ -251,8 +255,9 @@ func TestPolicyTargetsAllocs(t *testing.T) {
 		recent[i] = pl.Center(0).Add(geo.Point{X: float64(i) * 10})
 	}
 	cur := pl.ServerAt(recent[len(recent)-1])
-	if n := testing.AllocsPerRun(100, func() { pol.Targets(recent, cur) }); n > 1 {
-		t.Errorf("Targets allocates %.0f times, budget 1", n)
+	buf, _ := pol.Targets(recent, cur)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = pol.AppendTargets(buf[:0], recent, cur) }); n != 0 {
+		t.Errorf("AppendTargets allocates %.0f times, budget 0", n)
 	}
 }
 

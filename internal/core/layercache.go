@@ -18,7 +18,8 @@ import (
 // doubled the cache since the last one, so they cost amortized constant
 // work and the cache holds at most twice its live set (or minSweep). A
 // sweep removes only entries every method already treats as absent, so it
-// changes no answer. Not safe for concurrent use.
+// changes no answer. Get and Len only read, so they may run concurrently
+// with each other; nothing may run concurrently with Claim, Touch or Reset.
 type LayerCache struct {
 	numLayers int
 	ttl       time.Duration
@@ -51,15 +52,12 @@ func MakeLayerCache(numLayers int, ttl time.Duration) LayerCache {
 // loses every cached layer.
 func (c *LayerCache) Reset() { *c = MakeLayerCache(c.numLayers, c.ttl) }
 
-// Get returns the client's cached layer set, evicting it first if expired.
-// The returned set is live — mutate only through Claim.
+// Get returns the client's cached layer set if it is live at now. It only
+// reads: an expired entry stays until Claim's sweep removes it. The
+// returned set is live — mutate only through Claim.
 func (c *LayerCache) Get(now time.Duration, client int) (dnn.LayerSet, bool) {
 	e, ok := c.entries[client]
-	if !ok {
-		return dnn.LayerSet{}, false
-	}
-	if now > e.expiry {
-		delete(c.entries, client)
+	if !ok || now > e.expiry {
 		return dnn.LayerSet{}, false
 	}
 	return e.set, true
@@ -97,6 +95,6 @@ func (c *LayerCache) Touch(now time.Duration, client int) {
 	}
 }
 
-// Len returns the number of entries held, expired ones not yet evicted
+// Len returns the number of entries held, expired ones not yet swept
 // included.
 func (c *LayerCache) Len() int { return len(c.entries) }

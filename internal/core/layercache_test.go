@@ -104,6 +104,39 @@ func TestLayerCacheSweepChangesNoAnswer(t *testing.T) {
 	}
 }
 
+// TestLayerCacheGetOnlyReads: Get on an expired entry removes nothing, so
+// readers on several goroutines may share a cache, and it changes no later
+// answer: the entry stays absent to Get and Touch, and a Claim starts it
+// afresh.
+func TestLayerCacheGetOnlyReads(t *testing.T) {
+	const ttl = 10 * time.Second
+	c := NewLayerCache(10, ttl)
+	c.Claim(0, 1).Add(1)
+	c.Claim(0, 2).Add(2)
+	c.Claim(8*time.Second, 2).Add(3)
+	c.Touch(15*time.Second, 2)
+	now := 2 * ttl
+	if _, ok := c.Get(now, 1); ok {
+		t.Fatal("an expired entry is live")
+	}
+	if c.Len() != 2 {
+		t.Errorf("Get on an expired entry left %d entries, want 2", c.Len())
+	}
+	c.Touch(now, 1)
+	if _, ok := c.Get(now, 1); ok {
+		t.Error("Touch revived the expired entry")
+	}
+	if set, ok := c.Get(now, 2); !ok || !set.Has(2) || !set.Has(3) {
+		t.Error("the live entry changed")
+	}
+	if set := c.Claim(now, 1); set.Has(1) {
+		t.Error("Claim after Get kept the expired entry's layers")
+	}
+	if c.Len() != 2 {
+		t.Errorf("%d entries after the re-claim, want 2", c.Len())
+	}
+}
+
 // TestLayerCacheClaimAllocs gates what a new client costs once the map has
 // room: entries live in the map by value, so a Claim allocates only its
 // set's words.
@@ -114,9 +147,8 @@ func TestLayerCacheClaimAllocs(t *testing.T) {
 	for id := 0; id < grown; id++ {
 		c.Claim(0, id)
 	}
-	for id := 0; id < grown; id++ {
-		c.Get(2*ttl, id) // evicts: the map keeps its room
-	}
+	// The first Claim, AllocsPerRun's warm-up, sweeps every expired entry:
+	// the map keeps its room.
 	next := grown
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Claim(2*ttl, next)

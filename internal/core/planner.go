@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync/atomic"
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/estimator"
@@ -52,7 +53,16 @@ type Planner struct {
 
 	cache *PlanCache
 	key   string // profile identity within cache ("" for a private cache)
+	// settled holds the entry the cache settled for each slowdown bucket
+	// below settledBuckets once this planner has asked for it: a repeated
+	// bucket costs an atomic load and the cache's hit count instead of the
+	// cache's lock and key hash. Higher buckets take the cache's path.
+	settled [settledBuckets]atomic.Pointer[PlanEntry]
 }
+
+// settledBuckets bounds the buckets a Planner keeps settled entries for:
+// slowdowns up to 16.
+const settledBuckets = 64
 
 // NewPlanner builds a planner for the given model profile, estimator and
 // client-server link. The plan cache is private to the planner; use
@@ -84,6 +94,9 @@ func (p *Planner) ShareCache(c *PlanCache, key string) error {
 	}
 	p.cache = c
 	p.key = key
+	for i := range p.settled {
+		p.settled[i].Store(nil)
+	}
 	return nil
 }
 
@@ -114,6 +127,13 @@ func (p *Planner) PlanFor(st gpusim.Stats) (*PlanEntry, error) {
 
 func (p *Planner) planAt(slowdown float64) (*PlanEntry, error) {
 	bucket := slowdownBucket(slowdown)
+	known := bucket >= 0 && bucket < settledBuckets
+	if known {
+		if e := p.settled[bucket].Load(); e != nil {
+			p.cache.hits.Add(1)
+			return e, nil
+		}
+	}
 	key := planKey{profile: p.key, link: p.link, bucket: bucket}
 	f := p.cache.settle(key, func(f *planFlight) {
 		req := partition.Request{
@@ -133,6 +153,9 @@ func (p *Planner) planAt(slowdown float64) (*PlanEntry, error) {
 			Splits:   partition.ScheduleSplits(p.prof, sched),
 		}
 	})
+	if known && f.err == nil {
+		p.settled[bucket].Store(f.entry)
+	}
 	return f.entry, f.err
 }
 

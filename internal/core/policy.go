@@ -55,9 +55,18 @@ func (p *MigrationPolicy) Validate() error {
 // Targets returns the servers near the client's predicted next location
 // that should receive layers, excluding the client's current server (it
 // already has them). The boolean reports whether a prediction was possible.
+// It is AppendTargets into a fresh slice, kept because the benchmark module
+// (bench/probes.go) calls it.
 func (p *MigrationPolicy) Targets(recent []geo.Point, current geo.ServerID) ([]geo.ServerID, bool) {
+	return p.AppendTargets(nil, recent, current)
+}
+
+// AppendTargets appends Targets' servers to dst and returns the extended
+// slice. A caller that reuses dst allocates nothing; the policy only reads,
+// so goroutines with buffers of their own may share it.
+func (p *MigrationPolicy) AppendTargets(dst []geo.ServerID, recent []geo.Point, current geo.ServerID) ([]geo.ServerID, bool) {
 	if len(recent) == 0 {
-		return nil, false
+		return dst, false
 	}
 	if len(recent) > p.HistoryLen {
 		recent = recent[len(recent)-p.HistoryLen:]
@@ -68,14 +77,14 @@ func (p *MigrationPolicy) Targets(recent []geo.Point, current geo.ServerID) ([]g
 		// keep those within radius of the top prediction's center.
 		ranked := p.Predictor.Rank(recent, 2)
 		if len(ranked) == 0 {
-			return nil, false
+			return dst, false
 		}
 		pt = p.Placement.Center(ranked[0])
 	}
-	// Within returns a fresh slice: drop the current server in place.
-	within := p.Placement.Within(pt, p.Radius)
-	out := within[:0]
-	for _, id := range within {
+	// Drop the current server from what Within appended, in place.
+	all := p.Placement.Within(dst, pt, p.Radius)
+	out := all[:len(dst)]
+	for _, id := range all[len(dst):] {
 		if id != current {
 			out = append(out, id)
 		}

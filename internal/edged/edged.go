@@ -342,7 +342,6 @@ func (s *Server) cachedLayers(client int) (dnn.LayerSet, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	set, ok := s.cache.Get(now, client)
-	s.entries.Set(int64(s.cache.Len()))
 	if !ok {
 		return dnn.LayerSet{}, false
 	}

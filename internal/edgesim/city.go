@@ -358,6 +358,9 @@ type simClient struct {
 	// spans are off).
 	upTrace tracing.TraceID
 	upPlan  tracing.SpanID
+
+	// move is the client's step at the current tick (tick.go).
+	move clientMove
 }
 
 // world wires everything together for one run.
@@ -379,9 +382,9 @@ type world struct {
 	smap   *geo.ShardMap
 	shards []*simShard
 
-	// The serial tick phase's ledger: what it counts that CityResult has
-	// no field for. Only the tick writes it; the window phase counts on
-	// its shard.
+	// The tick's ledger: what it counts that CityResult has no field for.
+	// Only the serial apply pass writes it; the window phase counts on its
+	// shard.
 	planMisses, serverDowns int
 	migOrdered, truncations int
 	truncatedLayers         int
@@ -404,11 +407,8 @@ type world struct {
 	// novelty for the plan_cache_miss event. The process-wide cache's hit
 	// state depends on concurrent runs, so the journal records "first use
 	// within this run" instead, which is deterministic at every worker
-	// count. Only the tick phase touches it.
+	// count. Only the apply pass touches it.
 	seenPlans map[*core.PlanEntry]struct{}
-	// send is migrate's scratch set (tick phase only): the layers a target
-	// lacks.
-	send dnn.LayerSet
 }
 
 // shardOf returns the shard owning server id's region.
@@ -417,11 +417,10 @@ func (w *world) shardOf(id geo.ServerID) *simShard {
 }
 
 // splitFor decomposes the client's current assignment — the layers in its
-// curSet on the server, everything else on the client — through the owning
-// shard's reused location scratch, so it allocates nothing. Only partial
-// hits need it: cold starts and hits read their entry's Splits.
-func (w *world) splitFor(c *simClient) partition.Split {
-	sh := c.sh
+// curSet on the server, everything else on the client — through shard sh's
+// reused location scratch, so it allocates nothing. Only partial hits need
+// it: cold starts and hits read their entry's Splits.
+func (w *world) splitFor(sh *simShard, c *simClient) partition.Split {
 	n := w.model.NumLayers()
 	if cap(sh.locBuf) < n {
 		sh.locBuf = make([]partition.Location, n)
@@ -472,7 +471,7 @@ func (w *world) recordDecision(now time.Duration, stage tracing.Stage, node stri
 }
 
 // trackPlan notes the first time this run uses a plan entry, feeding the
-// plan_cache_miss count and decision. Tick phase only: seenPlans is not
+// plan_cache_miss count and decision. Apply pass only: seenPlans is not
 // synchronized.
 func (w *world) trackPlan(now time.Duration, entry *core.PlanEntry, client int, sid geo.ServerID) {
 	if _, ok := w.seenPlans[entry]; ok {
@@ -518,7 +517,7 @@ func RunCityContext(ctx context.Context, env *Env, cfg CityConfig) (*CityResult,
 }
 
 // freeze builds the result after the final barrier: it merges the shards'
-// window-phase partials into the tick phase's counts, snapshots the whole
+// window-phase partials into the apply pass's counts, snapshots the whole
 // ledger as metrics, and canonically orders the journals. Every merge is
 // an order-free sum, or a multiset that canonicalization orders, so the
 // result is a deterministic function of the configuration at every shard
@@ -681,56 +680,6 @@ func newWorld(env *Env, cfg CityConfig) (w *world, steps int, err error) {
 	return w, steps, nil
 }
 
-// tick advances every client to trajectory step k: fault-state updates,
-// movement, reconnection, cache refresh, and (PerDNN) proactive migration.
-// Ticks run serially on the coordinator while every shard engine sits at
-// the barrier, so cross-shard reads and writes (migration planning, store
-// touches, fault transitions) need no locks; they are ordered exactly as a
-// single-engine run orders them.
-func (w *world) tick(k int) {
-	now := time.Duration(k) * w.env.Interval
-	w.updateFaults(now)
-	for _, c := range w.clients {
-		if k >= c.tr.Len() {
-			continue
-		}
-		pos := c.tr.Points[k]
-		sid := w.env.Placement.ServerAt(pos)
-		if sid == geo.NoServer {
-			sid = c.cur // hold the previous attachment in a dead zone
-		}
-		if w.faults != nil && w.faultStep(now, c, sid, pos) {
-			continue
-		}
-		switch {
-		case sid != c.cur && sid != geo.NoServer &&
-			w.cfg.Mode == ModeRouting && c.home != geo.NoServer:
-			// Routing: the client changes APs but keeps its session with
-			// the home server — no cold start, queries pay the backhaul.
-			prev := c.cur
-			c.cur = sid
-			c.connectedAt = now
-			w.res.Connections++
-			w.res.Hits++
-			w.recordDecision(now, tracing.StageHandoff, w.clientNode(c.id), attrs(c.id, prev, sid, 0, 0))
-			w.servers[c.home].store.Touch(now, w.storeKey(c.id))
-		case sid != c.cur && sid != geo.NoServer:
-			w.reconnect(now, c, sid)
-		case c.cur != geo.NoServer:
-			// Staying: keep our layers warm at the serving server.
-			serving := c.cur
-			if w.cfg.Mode == ModeRouting && c.home != geo.NoServer {
-				serving = c.home
-			}
-			w.servers[serving].store.Touch(now, w.storeKey(c.id))
-		}
-
-		if w.policy != nil && c.cur != geo.NoServer && k >= 1 {
-			w.migrate(now, c, k)
-		}
-	}
-}
-
 // updateFaults realizes outage-window transitions at tick time: servers
 // entering a window go down and lose their layer cache; servers leaving
 // one come back empty. Iteration is in server-ID order, so the journal is
@@ -762,51 +711,6 @@ func (w *world) updateFaults(now time.Duration) {
 // last tick's fault update.
 func (w *world) isDown(id geo.ServerID) bool {
 	return w.faults != nil && id != geo.NoServer && w.srvDown[id]
-}
-
-// faultStep handles the fault cases of one client's movement step and
-// reports whether it consumed the step: the serving server (the routing
-// home, or the cell server sid) is down, forcing a failover to a live
-// neighbor or a degradation to local execution.
-func (w *world) faultStep(now time.Duration, c *simClient, sid geo.ServerID, pos geo.Point) bool {
-	if w.cfg.Mode == ModeRouting && c.home != geo.NoServer && w.isDown(c.home) {
-		// The home server died, taking the session's layers with it:
-		// abandon routing and re-home at the current cell (or fail over
-		// if that is down too).
-		home := c.home
-		c.home = geo.NoServer
-		if sid == geo.NoServer || w.isDown(sid) {
-			w.failover(now, c, home, pos)
-			return true
-		}
-		w.res.Failovers++
-		w.recordDecision(now, tracing.StageFailover, w.clientNode(c.id), attrs(c.id, home, sid, 0, 0))
-		w.reconnect(now, c, sid)
-		return true
-	}
-	if sid != geo.NoServer && w.isDown(sid) {
-		w.failover(now, c, sid, pos)
-		return true
-	}
-	return false
-}
-
-// failover reacts to a down server: re-partition to the nearest live
-// server within the failover radius, or degrade to local execution.
-func (w *world) failover(now time.Duration, c *simClient, down geo.ServerID, pos geo.Point) {
-	nid := w.liveNeighbor(pos)
-	if nid == geo.NoServer {
-		w.localFallback(now, c, down)
-		return
-	}
-	if nid == c.cur {
-		// The previous attachment survives; keep our layers warm there.
-		w.servers[nid].store.Touch(now, w.storeKey(c.id))
-		return
-	}
-	w.res.Failovers++
-	w.recordDecision(now, tracing.StageFailover, w.clientNode(c.id), attrs(c.id, down, nid, 0, 0))
-	w.reconnect(now, c, nid)
 }
 
 // liveNeighbor returns the nearest live server within the failover radius
@@ -869,50 +773,14 @@ func (w *world) transfer(sh *simShard, client, kind int, base time.Duration, the
 	sh.eng.After(w.faults.stretch(sh.eng.Now(), client, kind, base), then)
 }
 
-// reconnect attaches the client to a new edge server: computes the current
-// partitioning plan from the server's live GPU statistics, classifies the
-// hit/miss state of the cached layers, and restarts the upload and query
-// chains. The fresh connection generation is owned by the new server's
-// shard; the previous generation's in-flight events stay on their old
-// shard and expire against the bumped generation counter.
-func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
-	if w.faults != nil && w.faults.masterDown(now) {
-		// No control plane, no plan: run locally until the next handoff
-		// attempt finds the master back.
-		w.localFallback(now, c, sid)
-		return
-	}
-	prev := c.cur
-	c.gen++
-	c.cur = sid
-	c.sh = w.shardOf(sid)
-	c.local = false
-	c.connectedAt = now
-	srv := &w.servers[sid]
-	w.res.Connections++
-	w.recordDecision(now, tracing.StageHandoff, w.clientNode(c.id), attrs(c.id, prev, sid, 0, 0))
-
-	entry, err := w.planner.PlanFor(srv.gpu.Sample(now))
-	if err != nil {
-		// Planning failures are programming errors (validated inputs).
-		panic(fmt.Sprintf("edgesim: plan: %v", err))
-	}
+// attach builds client c's state at the server of its sampled reconnect
+// request r: the layers of the plan there for it, the upload queue of the
+// rest, and the split it starts from; r.have counts the layers there. It
+// runs in the sample pass on sh, the shard serving r: the client's old
+// generation is paused until apply installs the new one.
+func (w *world) attach(sh *simShard, now time.Duration, c *simClient, r *planReq) {
+	entry := r.entry
 	planLayers := entry.Layers.Count()
-	// Each handoff is one trace: a plan instant on the master track,
-	// carrying the plan and its estimate and parenting the session's
-	// upload.unit spans.
-	if w.tracer != nil {
-		c.upTrace = w.tracer.NewTrace()
-		hops := 0
-		if planLayers > 0 {
-			hops = 1
-		}
-		c.upPlan = w.tracer.RecordAttrs(c.upTrace, 0, tracing.StagePlan, nodeMaster, now, now,
-			attrs(c.id, sid, geo.NoServer, planLayers, entry.Plan.ServerBytes()).WithEstimate(hops, entry.Plan.EstLatency))
-	}
-	c.entry = entry
-	w.trackPlan(now, entry, c.id, sid)
-
 	c.curSet.Reset(w.model.NumLayers())
 	cold := false // nothing of ours on the server: upload from scratch
 	hit := false  // every planned layer is on the server
@@ -920,34 +788,19 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 	case ModeOptimal:
 		c.curSet.Union(entry.Layers)
 		hit = true
-		w.res.Hits++
 	case ModeIONN, ModeRouting:
 		// From scratch: the baseline never reuses cached layers, and a
 		// routing client only ever uploads once (to its home).
 		cold = true
-		w.res.Misses++
-		w.recordDecision(now, tracing.StageColdStart, w.serverNode(sid), attrs(c.id, sid, geo.NoServer, planLayers, 0))
-		c.home = sid
 	case ModePerDNN:
 		// What we have here is what the server caches for us of the plan.
-		if cached, ok := srv.store.Get(now, w.storeKey(c.id)); ok {
+		cached, ok := w.servers[r.sid].store.Get(now, w.storeKey(c.id))
+		if r.live = ok; ok {
 			c.curSet.Union(cached)
 			c.curSet.Intersect(entry.Layers)
 		}
-		have := c.curSet.Count()
-		cold = have == 0
-		switch {
-		case have == planLayers:
-			hit = true
-			w.res.Hits++
-		case have == 0:
-			w.res.Misses++
-			w.recordDecision(now, tracing.StageColdStart, w.serverNode(sid), attrs(c.id, sid, geo.NoServer, planLayers, 0))
-		default:
-			w.res.Partials++
-			w.recordDecision(now, tracing.StagePartialHit, w.serverNode(sid), attrs(c.id, sid, geo.NoServer, have, 0))
-		}
-		srv.store.Touch(now, w.storeKey(c.id))
+		r.have = c.curSet.Count()
+		cold, hit = r.have == 0, r.have == planLayers
 	}
 
 	// Build the upload queue: schedule-ordered chunks of missing layers.
@@ -978,9 +831,65 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 	case hit:
 		c.split, c.cold = entry.Splits[len(entry.Splits)-1], nil
 	default:
-		c.split, c.cold = w.splitFor(c), nil
+		c.split, c.cold = w.splitFor(sh, c), nil
 	}
+}
 
+// reconnect installs the connection attach built at the server of the
+// client's reconnect request r: it counts and records the handoff and its
+// hit/miss class and restarts the upload and query chains. The fresh
+// connection generation is owned by the new server's shard; the previous
+// generation's in-flight events stay on their old shard and expire against
+// the bumped generation counter.
+func (w *world) reconnect(now time.Duration, c *simClient, r *planReq) {
+	sid, entry := r.sid, r.entry
+	prev := c.cur
+	c.gen++
+	c.cur = sid
+	c.sh = w.shardOf(sid)
+	c.local = false
+	c.connectedAt = now
+	w.res.Connections++
+	w.recordDecision(now, tracing.StageHandoff, w.clientNode(c.id), attrs(c.id, prev, sid, 0, 0))
+
+	planLayers := entry.Layers.Count()
+	// Each handoff is one trace: a plan instant on the master track,
+	// carrying the plan and its estimate and parenting the session's
+	// upload.unit spans.
+	if w.tracer != nil {
+		c.upTrace = w.tracer.NewTrace()
+		hops := 0
+		if planLayers > 0 {
+			hops = 1
+		}
+		c.upPlan = w.tracer.RecordAttrs(c.upTrace, 0, tracing.StagePlan, nodeMaster, now, now,
+			attrs(c.id, sid, geo.NoServer, planLayers, entry.Plan.ServerBytes()).WithEstimate(hops, entry.Plan.EstLatency))
+	}
+	c.entry = entry
+	w.trackPlan(now, entry, c.id, sid)
+
+	switch w.cfg.Mode {
+	case ModeOptimal:
+		w.res.Hits++
+	case ModeIONN, ModeRouting:
+		w.res.Misses++
+		w.recordDecision(now, tracing.StageColdStart, w.serverNode(sid), attrs(c.id, sid, geo.NoServer, planLayers, 0))
+		c.home = sid
+	case ModePerDNN:
+		switch {
+		case r.have == planLayers:
+			w.res.Hits++
+		case r.have == 0:
+			w.res.Misses++
+			w.recordDecision(now, tracing.StageColdStart, w.serverNode(sid), attrs(c.id, sid, geo.NoServer, planLayers, 0))
+		default:
+			w.res.Partials++
+			w.recordDecision(now, tracing.StagePartialHit, w.serverNode(sid), attrs(c.id, sid, geo.NoServer, r.have, 0))
+		}
+		if r.live {
+			w.servers[sid].store.Touch(now, w.storeKey(c.id))
+		}
+	}
 	w.startUpload(c)
 	w.issueQuery(c)
 }
@@ -988,8 +897,8 @@ func (w *world) reconnect(now time.Duration, c *simClient, sid geo.ServerID) {
 // uploadChain is a connection generation's upload loop: the units of
 // c.pending go up the wireless uplink one at a time, and every unit hands
 // the engine the same bound step, so an upload allocates nothing. Like a
-// queryChain it is touched only by its generation's shard, or by the serial
-// tick. A reconnect while a unit is on the air leaves that event to expire
+// queryChain it is touched only by its generation's shard, or by the apply
+// pass. A reconnect while a unit is on the air leaves that event to expire
 // against the bumped generation and starts a fresh chain; an idle chain is
 // reused.
 type uploadChain struct {
@@ -1006,8 +915,8 @@ type uploadChain struct {
 	start time.Duration
 }
 
-// startUpload runs the client's live generation's upload queue. Tick
-// phase only.
+// startUpload runs the client's live generation's upload queue. Apply
+// pass only.
 func (w *world) startUpload(c *simClient) {
 	if w.cfg.Mode == ModeOptimal || len(c.pending) == 0 {
 		return
@@ -1060,7 +969,7 @@ func (u *uploadChain) done() {
 	if c.cold != nil {
 		c.split = c.cold[c.nextUnit]
 	} else {
-		c.split = w.splitFor(c)
+		c.split = w.splitFor(u.sh, c)
 	}
 	u.next()
 }
@@ -1091,7 +1000,7 @@ const (
 // The run's end cuts a query the way the engine would have: a stage, or the
 // query itself, ending after it is neither recorded nor counted. The chain
 // lives on the generation's shard and is touched only by that shard's
-// window, or by the serial tick that creates it. Reconnect and
+// window, or by the apply pass that creates it. Reconnect and
 // localFallback bump the generation and start a fresh chain on the new
 // shard, while the old chain's in-flight query finishes on its old shard
 // against the state it captured at issue and then expires at the gap
@@ -1226,84 +1135,4 @@ func (q *queryChain) finish(done time.Duration) {
 	// runs ahead of any scheduled later, such as an upload completion that
 	// changes the split it captures (DESIGN.md §16.2).
 	sh.eng.At(done+w.cfg.QueryGap, q.step)
-}
-
-// migrate pushes the client's layers toward its predicted next servers.
-// Tick phase only: it reads and writes stores across shard boundaries,
-// which is safe exactly because every shard engine sits at the barrier.
-func (w *world) migrate(now time.Duration, c *simClient, k int) {
-	// A source holding nothing of ours sends nothing, so look before
-	// predicting: Targets is pure (the predictor is read-only and Within
-	// records nothing), and skipping it changes no draw or decision.
-	key := w.storeKey(c.id)
-	srcSet, srcOK := w.servers[c.cur].store.Get(now, key)
-	if !srcOK {
-		return
-	}
-	targets, ok := w.policy.Targets(c.tr.Points[:k+1], c.cur)
-	if !ok {
-		return
-	}
-	n, send := w.model.NumLayers(), &w.send
-	for _, tid := range targets {
-		if w.isDown(tid) {
-			continue // never push layers at a downed server
-		}
-		dst := &w.servers[tid]
-		// Future partitioning plan for the target, from its current GPU
-		// state ("we use the current GPU workloads ... under the
-		// assumption that [they] do not change so abruptly").
-		entry, err := w.planner.PlanFor(dst.gpu.Sample(now))
-		if err != nil {
-			panic(fmt.Sprintf("edgesim: future plan: %v", err))
-		}
-		w.trackPlan(now, entry, c.id, tid)
-		want, dropped := w.policy.Want(entry, c.cur, tid)
-		if dropped > 0 {
-			w.truncations++
-			w.truncatedLayers += dropped
-			w.recordDecision(now, tracing.StageFractionTruncated, w.serverNode(c.cur),
-				attrs(c.id, c.cur, tid, dropped, w.policy.CapBytes(c.cur, tid)))
-		}
-
-		// Send what the source has and the target lacks: a few word ops.
-		send.Reset(n)
-		send.Union(want)
-		send.Intersect(srcSet)
-		if dstSet, ok := dst.store.Get(now, key); ok {
-			send.Subtract(dstSet)
-		}
-		// A transfer attempt refreshes the target's TTL even when
-		// everything is already there (duplicate suppression).
-		dst.store.Touch(now, key)
-		bytes := send.WeightBytes(w.model)
-		if bytes == 0 {
-			continue
-		}
-		w.res.Traffic.AddUp(c.cur, now, bytes)
-		w.res.Traffic.AddDown(tid, now, bytes)
-		w.migOrdered++
-		w.migBytes += bytes
-		// One trace per migration: an order instant on the source server's
-		// track, and a completion instant on the target's track parented to
-		// it (a cross-node flow arrow in the Perfetto export). If the target
-		// dies in transit the completion is simply never recorded. The
-		// completion mutates the target's store, so it is scheduled on the
-		// target's shard — the sharded analogue of the edge-to-edge push
-		// landing at the target daemon.
-		a := attrs(c.id, c.cur, tid, send.Count(), bytes)
-		mt := w.decisions.NewTrace()
-		order := w.decisions.RecordAttrs(mt, 0, tracing.StageMigrationOrdered, w.serverNode(c.cur), now, now, a)
-		layers := send.Clone() // the order's own copy: a few words
-		dsh := w.shardOf(tid)
-		dsh.eng.After(partition.DefaultBackhaul().UpTime(bytes), func() {
-			if w.isDown(tid) {
-				return // the target died in transit; the layers are lost
-			}
-			done := dsh.eng.Now()
-			dst.store.Claim(done, key).Union(layers)
-			dsh.migCompleted++
-			w.decisions.RecordAttrs(mt, order, tracing.StageMigrationCompleted, w.serverNode(tid), done, done, a)
-		})
-	}
 }

@@ -210,10 +210,10 @@ func (e *Engine) Run(until time.Duration) {
 // RunBefore executes every event strictly earlier than t, then advances
 // virtual time to exactly t with events at t still queued. This is the
 // sharded runner's window phase: each shard drains its region's events up
-// to — but not including — the next movement tick, so the serial tick
-// callback runs before any same-timestamp window event, exactly as the
-// single-engine Run orders them (the pre-scheduled ticks carry the lowest
-// sequence numbers at their timestamps).
+// to — but not including — the next movement tick, so the tick runs
+// before any same-timestamp window event, exactly as the single-engine Run
+// orders them (the pre-scheduled ticks carry the lowest sequence numbers
+// at their timestamps).
 func (e *Engine) RunBefore(t time.Duration) {
 	for {
 		at, slot := e.next()

@@ -142,6 +142,15 @@ func twoShardWorld(t *testing.T, mode Mode) (w *world, a, b geo.ServerID) {
 	return w, a, b
 }
 
+// handoff attaches c to sid at now as a tick would: the reconnect's plan
+// request is sampled, then the step applied.
+func handoff(w *world, now time.Duration, c *simClient, sid geo.ServerID) {
+	c.move = clientMove{kind: moveReconnect, at: sid, reqs: c.move.reqs[:0]}
+	c.move.request(sid)
+	w.serve(w.shardOf(sid), now, c, 0)
+	w.apply(now, c)
+}
+
 // TestOldGenerationQueryFinishesOnOldShard hands a client off to another
 // shard's server while its offloaded query is in flight: the old
 // generation's chain finishes that one query on the old shard, counts it
@@ -154,7 +163,7 @@ func TestOldGenerationQueryFinishesOnOldShard(t *testing.T) {
 	oldSh, newSh := w.shardOf(a), w.shardOf(b)
 	c := w.clients[0]
 
-	w.reconnect(0, c, a)
+	handoff(w, 0, c, a)
 	oldChain := c.chain
 	if oldChain == nil || oldChain.sh != oldSh {
 		t.Fatal("the first generation's chain is not on its server's shard")
@@ -164,14 +173,14 @@ func TestOldGenerationQueryFinishesOnOldShard(t *testing.T) {
 	}
 	// Hand off while the query's input is still on its way to the GPU, or
 	// the GPU is running it: its one event is queued and nothing is counted.
-	handoff := time.Millisecond
-	oldSh.step(shardStep{until: handoff})
-	newSh.step(shardStep{until: handoff})
+	at := time.Millisecond
+	oldSh.step(shardStep{until: at})
+	newSh.step(shardStep{until: at})
 	if oldSh.totalQueries != 0 || oldChain.stage == stageGap || pending(oldSh.eng) != 1 {
 		t.Fatalf("at %v: %d queries counted, stage %d, %d events queued; want the first query in flight",
-			handoff, oldSh.totalQueries, oldChain.stage, pending(oldSh.eng))
+			at, oldSh.totalQueries, oldChain.stage, pending(oldSh.eng))
 	}
-	w.reconnect(handoff, c, b)
+	handoff(w, at, c, b)
 	if c.chain == oldChain || c.chain.sh != newSh || c.chain.gen != c.gen {
 		t.Fatal("the handoff did not start a fresh chain on the new shard")
 	}
@@ -206,15 +215,15 @@ func TestLocalQueryCountedAtIssue(t *testing.T) {
 	oldSh, newSh := w.shardOf(a), w.shardOf(b)
 	c := w.clients[0]
 
-	w.reconnect(0, c, a)
+	handoff(w, 0, c, a)
 	oldChain := c.chain
 	if oldSh.totalQueries != 1 || oldChain.stage != stageGap || pending(oldSh.eng) != 2 {
 		t.Fatalf("at issue: %d queries counted, stage %d, %d events queued; want the first query's gap and an upload",
 			oldSh.totalQueries, oldChain.stage, pending(oldSh.eng))
 	}
-	handoff := time.Millisecond
-	oldSh.step(shardStep{until: handoff})
-	w.reconnect(handoff, c, b)
+	at := time.Millisecond
+	oldSh.step(shardStep{until: at})
+	handoff(w, at, c, b)
 	if newSh.totalQueries != 1 {
 		t.Errorf("new shard counted %d queries, want the local one issued at the handoff", newSh.totalQueries)
 	}
@@ -259,13 +268,13 @@ func TestColdSplitsMatchDecompose(t *testing.T) {
 					if k > 0 {
 						probe.curSet.AddAll(entry.Schedule[k-1].Layers)
 					}
-					if want := w.splitFor(probe); entry.Splits[k] != want {
+					if want := w.splitFor(w.shards[0], probe); entry.Splits[k] != want {
 						t.Errorf("%s %v: row %d = %+v, splitFor %+v", model, mode, k, entry.Splits[k], want)
 					}
 				}
 				probe.curSet.Reset(w.model.NumLayers())
 				probe.curSet.Union(entry.Layers)
-				if got, want := entry.Splits[len(entry.Schedule)], w.splitFor(probe); got != want {
+				if got, want := entry.Splits[len(entry.Schedule)], w.splitFor(w.shards[0], probe); got != want {
 					t.Errorf("%s %v: last row = %+v, hit splitFor %+v", model, mode, got, want)
 				}
 			}

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"time"
 
+	"perdnn/internal/dnn"
+	"perdnn/internal/geo"
 	"perdnn/internal/obs"
 	"perdnn/internal/partition"
 )
@@ -41,9 +43,11 @@ func shardCount(cfg CityConfig, servers, concurrent int) int {
 // virtual-clock engine that advances the region's events on its own
 // goroutine. Shards synchronize at every movement tick (a conservative
 // barrier: the movement interval lower-bounds how soon one region can
-// affect another), so all cross-shard interaction — handoffs, proactive
-// migration orders, fault transitions — happens in the serial tick phase
-// while every engine sits at the same virtual instant.
+// affect another). The tick's two parallel passes (tick.go) run on the
+// same goroutines: decide for a block of clients, sample for the requests
+// on the shard's own servers. Every cross-shard effect — handoffs,
+// migration orders, fault transitions — waits for the serial apply pass,
+// which runs while every engine sits at the same virtual instant.
 type simShard struct {
 	w   *world
 	id  int
@@ -60,21 +64,46 @@ type simShard struct {
 	migCompleted  int
 
 	// locBuf is the shard-local location scratch splitFor decomposes
-	// through, so a partial hit's upload loop allocates nothing.
-	locBuf []partition.Location
+	// through, so a partial hit's upload loop allocates nothing; targets is
+	// the decide pass's AppendTargets scratch, and send the sample pass's
+	// set of the layers a migration target lacks.
+	locBuf  []partition.Location
+	targets []geo.ServerID
+	send    dnn.LayerSet
+	// routed[o] lists the plan requests this shard's decide pass made on
+	// shard o's servers, in client-ID order. Shards decide consecutive
+	// blocks of clients, so shard o's sample pass serves the lists routed
+	// to it in shard order and meets its requests in client-ID order.
+	routed [][]reqRef
 
-	// Barrier channels to the coordinator; nil on single-shard runs,
-	// which step inline without goroutines.
+	// Barrier channels to the coordinator; nil for shard 0, whose passes
+	// run on the coordinator's goroutine.
 	req chan shardStep
 	ack chan struct{}
 }
 
-// shardStep asks a shard to advance its engine to a barrier: exclusive of
-// `until` for a window phase (the tick at `until` must run first), or
-// inclusive for the final drain.
+// shardPass names what a shardStep asks of a shard.
+type shardPass uint8
+
+const (
+	// passWindow advances the shard's engine to a barrier.
+	passWindow shardPass = iota
+	// passDecide runs the tick's decide pass for the shard's block of
+	// clients.
+	passDecide
+	// passSample runs the tick's sample pass on the shard's servers.
+	passSample
+)
+
+// shardStep asks a shard for one pass. A window advances the engine to
+// `until`, exclusive (the tick at `until` must run first), or inclusive for
+// the final drain; the tick's passes run at instant `until`, trajectory
+// step k.
 type shardStep struct {
+	pass      shardPass
 	until     time.Duration
 	inclusive bool
+	k         int
 }
 
 // newSimShard returns an idle shard at virtual time zero.
@@ -82,20 +111,43 @@ func newSimShard(w *world, id int) *simShard {
 	return &simShard{w: w, id: id, eng: NewEngine(), latency: &obs.Histogram{}}
 }
 
-// step advances the shard's engine to one barrier.
+// step runs one pass on the shard.
 func (sh *simShard) step(st shardStep) {
-	if st.inclusive {
+	w := sh.w
+	switch {
+	case st.pass == passDecide:
+		if sh.routed == nil {
+			sh.routed = make([][]reqRef, len(w.shards))
+		}
+		for o := range sh.routed {
+			sh.routed[o] = sh.routed[o][:0]
+		}
+		n, m := len(w.clients), len(w.shards)
+		for _, c := range w.clients[sh.id*n/m : (sh.id+1)*n/m] {
+			w.decide(sh, st.until, st.k, c)
+			for i := range c.move.reqs {
+				o := w.smap.ShardOf(c.move.reqs[i].sid)
+				sh.routed[o] = append(sh.routed[o], reqRef{c, i})
+			}
+		}
+	case st.pass == passSample:
+		for _, d := range w.shards {
+			for _, r := range d.routed[sh.id] {
+				w.serve(sh, st.until, r.c, r.i)
+			}
+		}
+	case st.inclusive:
 		sh.eng.Run(st.until)
-	} else {
+	default:
 		sh.eng.RunBefore(st.until)
 	}
 }
 
-// loop is the shard's goroutine: advance to each requested barrier, then
-// acknowledge. The request/acknowledge pair orders each shard's window
-// against the coordinator's serial ticks (channel synchronization gives
-// the happens-before in both directions), so tick-phase writes are
-// visible to window callbacks and vice versa without further locking.
+// loop is the shard's goroutine: run each requested pass, then
+// acknowledge. The request/acknowledge pair orders each shard's passes
+// against the coordinator's serial work (channel synchronization gives the
+// happens-before in both directions), so what one pass writes is visible
+// to the next, on whichever goroutine it runs, without further locking.
 func (sh *simShard) loop() {
 	for st := range sh.req {
 		sh.step(st)
@@ -105,48 +157,45 @@ func (sh *simShard) loop() {
 
 // runShards drives the barrier-synchronized run: for every movement tick,
 // each shard drains its region's events up to (but excluding) the tick
-// time in parallel, then the coordinator runs the tick serially with all
-// engines paused at the same virtual instant; a final inclusive phase
-// drains everything scheduled by the last tick. Single-shard runs use the
-// identical protocol inline — the unsharded engine is the one-shard
+// time in parallel, then the tick runs with all engines paused at the same
+// virtual instant — its decide and sample passes on every shard in
+// parallel, its apply pass serially; a final inclusive phase drains
+// everything scheduled by the last tick. Shard 0 runs on the coordinator's
+// goroutine and every other shard on its own, so a single-shard run takes
+// the identical protocol inline — the unsharded engine is the one-shard
 // special case, which is what makes the journals byte-identical across
 // shard counts.
 //
 // Cancellation is observed at every barrier, matching the unsharded
 // engine's per-tick context checks.
 func (w *world) runShards(ctx context.Context, steps int) error {
-	multi := len(w.shards) > 1
-	if multi {
-		for _, sh := range w.shards {
-			sh.req = make(chan shardStep)
-			sh.ack = make(chan struct{})
-			go sh.loop()
-		}
-		defer func() {
-			for _, sh := range w.shards {
-				close(sh.req)
-			}
-		}()
+	for _, sh := range w.shards[1:] {
+		sh.req = make(chan shardStep)
+		sh.ack = make(chan struct{})
+		go sh.loop()
 	}
-	advance := func(st shardStep) {
-		if !multi {
-			w.shards[0].step(st)
-			return
+	defer func() {
+		for _, sh := range w.shards[1:] {
+			close(sh.req)
 		}
-		for _, sh := range w.shards {
+	}()
+	// run has every shard take one pass.
+	run := func(st shardStep) {
+		for _, sh := range w.shards[1:] {
 			sh.req <- st
 		}
-		for _, sh := range w.shards {
+		w.shards[0].step(st)
+		for _, sh := range w.shards[1:] {
 			<-sh.ack
 		}
 	}
 	for k := 0; k < steps; k++ {
-		advance(shardStep{until: time.Duration(k) * w.env.Interval})
+		run(shardStep{until: time.Duration(k) * w.env.Interval})
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		w.tick(k)
+		w.tick(k, run)
 	}
-	advance(shardStep{until: time.Duration(steps) * w.env.Interval, inclusive: true})
+	run(shardStep{until: time.Duration(steps) * w.env.Interval, inclusive: true})
 	return ctx.Err()
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"perdnn/internal/dnn"
+	"perdnn/internal/geo"
 	"perdnn/internal/obs/tracing"
 	"perdnn/internal/trace"
 )
@@ -31,6 +32,41 @@ func shardCfg(faulty bool) CityConfig {
 		}
 	}
 	return cfg
+}
+
+// shardVariant is one configuration the shard-equality tests run.
+type shardVariant struct {
+	name string
+	cfg  CityConfig
+}
+
+// shardVariants are shardCfg and the configurations that couple clients
+// across shards: injected faults, a shared model cache (every client's
+// layers under one store key), and fractional caps on every other server
+// (which truncate the migrations touching it).
+func shardVariants(env *Env) []shardVariant {
+	shared := shardCfg(false)
+	shared.SharedModelCache = true
+	capped := shardCfg(false)
+	capped.FractionCapBytes = make(map[geo.ServerID]int64, env.Placement.Len())
+	for id := 0; id < env.Placement.Len(); id += 2 {
+		capped.FractionCapBytes[geo.ServerID(id)] = 1 << 20
+	}
+	return []shardVariant{{"clean", shardCfg(false)}, {"faulty", shardCfg(true)}, {"shared", shared}, {"capped", capped}}
+}
+
+// checkVariant fails a variant whose one-shard run does not exercise what
+// it couples.
+func checkVariant(t *testing.T, v shardVariant, res *CityResult) {
+	t.Helper()
+	switch {
+	case v.cfg.Faults != nil && res.Failovers+res.LocalFallbacks == 0:
+		t.Fatalf("%s: the one-shard run triggered no failovers or fallbacks", v.name)
+	case v.cfg.FractionCapBytes != nil && res.Metrics.Counters["migrations_truncated_total"] == 0:
+		t.Fatalf("%s: the one-shard run truncated no migration", v.name)
+	case res.Metrics.Counters["migrations_ordered_total"] == 0:
+		t.Fatalf("%s: the one-shard run ordered no migration", v.name)
+	}
 }
 
 // runJournals executes one run at a shard count and serializes both
@@ -58,26 +94,19 @@ func runJournals(t *testing.T, env *Env, cfg CityConfig, shards int) (*CityResul
 
 // TestShardedCityDeterministic pins the tentpole contract: the merged
 // event journal, span journal, and result of a sharded run are
-// byte-identical to the unsharded run at every shard count, with and
-// without injected faults.
+// byte-identical to the unsharded run at every shard count, for every
+// configuration that couples clients across shards.
 func TestShardedCityDeterministic(t *testing.T) {
 	env := smallEnv(t)
-	for _, faulty := range []bool{false, true} {
-		name := "clean"
-		if faulty {
-			name = "faulty"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := shardCfg(faulty)
-			base, ev1, sp1 := runJournals(t, env, cfg, 1)
+	for _, v := range shardVariants(env) {
+		t.Run(v.name, func(t *testing.T) {
+			base, ev1, sp1 := runJournals(t, env, v.cfg, 1)
 			if len(ev1) == 0 || len(sp1) == 0 {
 				t.Fatal("baseline run recorded no events or spans")
 			}
-			if faulty && base.Failovers+base.LocalFallbacks == 0 {
-				t.Fatal("faulty baseline triggered no failovers or fallbacks")
-			}
-			for _, shards := range []int{2, 4} {
-				res, ev, sp := runJournals(t, env, cfg, shards)
+			checkVariant(t, v, base)
+			for _, shards := range []int{2, 8} {
+				res, ev, sp := runJournals(t, env, v.cfg, shards)
 				if !bytes.Equal(ev1, ev) {
 					t.Errorf("shards=%d: event journal differs from unsharded (%d vs %d bytes)",
 						shards, len(ev), len(ev1))
@@ -182,7 +211,7 @@ func TestShardedCityValidation(t *testing.T) {
 
 // benchEnvOnce caches a city sized for the sharding benchmark: enough
 // clients to populate every region and a query rate high enough that the
-// parallel window phase, not the serial tick, carries the run.
+// parallel window phase, not the tick, carries the run.
 var benchEnvOnce = sync.OnceValues(func() (*Env, error) {
 	cfg := trace.KAISTConfig()
 	cfg.TrainUsers = 10
@@ -225,9 +254,9 @@ func BenchmarkShardedCity(b *testing.B) {
 
 // TestAutoShardsMatchOneShard: Shards 0 resolves by GOMAXPROCS, so under
 // 1, 2 and 4 processors a run must equal the one-shard run field for
-// field, journals included, with and without faults. The events-only
-// configuration shards whenever GOMAXPROCS > 1; the span-recording one
-// resolves to one engine.
+// field, journals included, for every configuration of shardVariants. The
+// events-only runs shard whenever GOMAXPROCS > 1; the span-recording ones
+// resolve to one engine.
 func TestAutoShardsMatchOneShard(t *testing.T) {
 	env := smallEnv(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -246,15 +275,15 @@ func TestAutoShardsMatchOneShard(t *testing.T) {
 		}
 		return res, ev.Bytes(), sp.Bytes()
 	}
-	for _, faulty := range []bool{false, true} {
+	for _, v := range shardVariants(env) {
 		for _, spans := range []bool{false, true} {
-			cfg := shardCfg(faulty)
+			cfg := v.cfg
 			cfg.MaxSteps = 25
 			cfg.RecordSpans = spans
 			cfg.Shards = 1
 			want, wantEv, wantSp := run(cfg)
 			if len(wantEv) == 0 || spans != (len(wantSp) > 0) {
-				t.Fatalf("faulty=%v spans=%v: the one-shard run recorded %d event and %d span bytes", faulty, spans, len(wantEv), len(wantSp))
+				t.Fatalf("%s spans=%v: the one-shard run recorded %d event and %d span bytes", v.name, spans, len(wantEv), len(wantSp))
 			}
 			cfg.Shards = 0
 			for _, procs := range []int{1, 2, 4} {
@@ -264,15 +293,15 @@ func TestAutoShardsMatchOneShard(t *testing.T) {
 					wantShards = shardsPerProc * procs
 				}
 				if n := shardCount(cfg, env.Placement.Len(), 1); n != wantShards {
-					t.Errorf("faulty=%v spans=%v procs=%d: Shards 0 resolves to %d, want %d", faulty, spans, procs, n, wantShards)
+					t.Errorf("%s spans=%v procs=%d: Shards 0 resolves to %d, want %d", v.name, spans, procs, n, wantShards)
 				}
 				got, ev, sp := run(cfg)
 				if !bytes.Equal(ev, wantEv) || !bytes.Equal(sp, wantSp) {
-					t.Errorf("faulty=%v spans=%v procs=%d: journals differ from one shard (%d/%d event, %d/%d span bytes)",
-						faulty, spans, procs, len(ev), len(wantEv), len(sp), len(wantSp))
+					t.Errorf("%s spans=%v procs=%d: journals differ from one shard (%d/%d event, %d/%d span bytes)",
+						v.name, spans, procs, len(ev), len(wantEv), len(sp), len(wantSp))
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("faulty=%v spans=%v procs=%d: result differs from one shard:\n%+v\nvs\n%+v", faulty, spans, procs, got, want)
+					t.Errorf("%s spans=%v procs=%d: result differs from one shard:\n%+v\nvs\n%+v", v.name, spans, procs, got, want)
 				}
 			}
 		}

@@ -170,7 +170,7 @@ func TestPlacementWithin(t *testing.T) {
 	g := NewHexGrid(50)
 	pts := []Point{{X: 0, Y: 0}, {X: 300, Y: 0}, {X: 2000, Y: 2000}}
 	pl := NewPlacement(g, pts)
-	in := pl.Within(Point{X: 0, Y: 0}, 400)
+	in := pl.Within(nil, Point{X: 0, Y: 0}, 400)
 	if len(in) != 2 {
 		t.Fatalf("Within = %d servers, want 2", len(in))
 	}
@@ -179,7 +179,7 @@ func TestPlacementWithin(t *testing.T) {
 			t.Errorf("server %d outside radius", id)
 		}
 	}
-	if got := pl.Within(Point{X: -5000, Y: -5000}, 10); len(got) != 0 {
+	if got := pl.Within(nil, Point{X: -5000, Y: -5000}, 10); len(got) != 0 {
 		t.Errorf("Within empty region = %v", got)
 	}
 }
@@ -194,7 +194,7 @@ func TestPlacementWithinSubsetOfNearest(t *testing.T) {
 	pl := NewPlacement(g, pts)
 	for trial := 0; trial < 50; trial++ {
 		p := Point{X: rng.Float64() * 2000, Y: rng.Float64() * 2000}
-		within := pl.Within(p, 150)
+		within := pl.Within(nil, p, 150)
 		nearest := pl.Nearest(p, len(within))
 		// The set of servers within r, ordered by distance, must equal the
 		// |within| nearest servers.
@@ -253,7 +253,7 @@ func TestPlacementMatchesBruteForce(t *testing.T) {
 		p := Point{X: rng.Float64()*3400 - 200, Y: rng.Float64()*3400 - 200}
 		for _, radius := range []float64{50, 100, 175} {
 			want := bruteWithin(pl, p, radius)
-			if got := pl.Within(p, radius); !slices.Equal(got, want) {
+			if got := pl.Within(nil, p, radius); !slices.Equal(got, want) {
 				t.Fatalf("Within(%v, %v) = %v, brute force %v", p, radius, got, want)
 			}
 			if got := pl.Nearest(p, len(want)); !slices.Equal(got, want) {
@@ -263,8 +263,9 @@ func TestPlacementMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestPlacementSearchAllocs: Within and Nearest allocate the slice they
-// return and nothing else (rings are walked in place, candidates live on
+// TestPlacementSearchAllocs: Within appends into the caller's slice and
+// allocates nothing once it has room; Nearest allocates the slice it
+// returns and nothing else (rings are walked in place, candidates live on
 // the stack at the evaluation's radii).
 func TestPlacementSearchAllocs(t *testing.T) {
 	if raceguard.Enabled {
@@ -277,8 +278,9 @@ func TestPlacementSearchAllocs(t *testing.T) {
 	}
 	pl := NewPlacement(NewHexGrid(50), pts)
 	p := Point{X: 480, Y: 510}
-	if n := testing.AllocsPerRun(100, func() { pl.Within(p, 175) }); n > 1 {
-		t.Errorf("Within allocates %.0f times, budget 1", n)
+	buf := pl.Within(nil, p, 175)
+	if n := testing.AllocsPerRun(100, func() { buf = pl.Within(buf[:0], p, 175) }); n != 0 {
+		t.Errorf("Within allocates %.0f times, budget 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { pl.Nearest(p, 8) }); n > 1 {
 		t.Errorf("Nearest allocates %.0f times, budget 1", n)
@@ -307,7 +309,7 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 	}
 	for _, p := range probes {
 		for _, radius := range []float64{0, 25, 50, 75, 100, 150, 217} {
-			if got, want := pl.Within(p, radius), bruteWithin(pl, p, radius); !slices.Equal(got, want) {
+			if got, want := pl.Within(nil, p, radius), bruteWithin(pl, p, radius); !slices.Equal(got, want) {
 				t.Fatalf("Within(%v, %v) = %v, full scan %v", p, radius, got, want)
 			}
 		}

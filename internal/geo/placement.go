@@ -190,13 +190,12 @@ func (pl *Placement) appendRing(cands []cand, center HexCell, r int, p Point, ra
 	return cands
 }
 
-// candIDs returns the candidates' server IDs, in order.
-func candIDs(cands []cand) []ServerID {
-	out := make([]ServerID, len(cands))
-	for i, c := range cands {
-		out[i] = c.id
+// appendIDs appends the candidates' server IDs to dst, in order.
+func appendIDs(dst []ServerID, cands []cand) []ServerID {
+	for _, c := range cands {
+		dst = append(dst, c.id)
 	}
-	return out
+	return dst
 }
 
 // Nearest returns the k servers nearest to p, closest first, ties by
@@ -237,15 +236,16 @@ func (pl *Placement) Nearest(p Point, k int) []ServerID {
 		cands = pl.appendRing(cands, center, r, p, math.Inf(1))
 	}
 	sortCands(cands)
-	return candIDs(cands[:k])
+	return appendIDs(make([]ServerID, 0, k), cands[:k])
 }
 
-// Within returns every server whose center lies within radius meters of p,
-// closest first, using a bounded hex-ring search. This is the
-// proactive-migration target set: "the master server applies the same
-// partitioning algorithm to the edge servers within a certain distance
-// (50 m or 100 m) from the predicted location".
-func (pl *Placement) Within(p Point, radius float64) []ServerID {
+// Within appends to dst every server whose center lies within radius
+// meters of p, closest first, using a bounded hex-ring search, and returns
+// the extended slice. This is the proactive-migration target set: "the
+// master server applies the same partitioning algorithm to the edge
+// servers within a certain distance (50 m or 100 m) from the predicted
+// location". A caller that reuses dst allocates nothing.
+func (pl *Placement) Within(dst []ServerID, p Point, radius float64) []ServerID {
 	center := pl.grid.CellAt(p)
 	// A ring-r center is at least (1.5r - 1)R from any point in the center
 	// cell (the bound Nearest stops on), so no ring past this one can hold
@@ -257,5 +257,5 @@ func (pl *Placement) Within(p Point, radius float64) []ServerID {
 		cands = pl.appendRing(cands, center, r, p, radius)
 	}
 	sortCands(cands)
-	return candIDs(cands)
+	return appendIDs(dst, cands)
 }

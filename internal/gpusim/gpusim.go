@@ -99,7 +99,7 @@ func DefaultParams() Params {
 
 // GPU is a simulated shared GPU. It is not safe for concurrent use: the
 // city simulator calls each GPU from one goroutine at a time (its shard's
-// window, or the serial tick), and edged serializes its connection
+// window, or its sample pass at a tick), and edged serializes its connection
 // goroutines' calls. A GPU must not be copied after its first draw: its
 // stream wraps its own source.
 type GPU struct {

@@ -438,7 +438,8 @@ func (m *Master) trajectory(ctx context.Context, t *wire.Trajectory) (*wire.Enve
 	if !ok {
 		return nil, nil
 	}
-	targets, ok := m.policy.Targets(recent, cur)
+	var buf [8]geo.ServerID
+	targets, ok := m.policy.AppendTargets(buf[:0], recent, cur)
 	if !ok {
 		return nil, nil
 	}
@@ -725,7 +726,8 @@ func (m *Master) plan(ctx context.Context, r *wire.PlanReq) (resp *wire.PlanResp
 // are skipped, so a broken chain degrades to whatever subsequence still
 // answers.
 func (m *Master) planChain(ctx context.Context, first geo.ServerID, addr string, st gpusim.Stats, planner *core.Planner) (*partition.ChainPlan, error) {
-	near := m.placement.Within(m.placement.Center(first), m.cfg.Radius)
+	var buf [8]geo.ServerID
+	near := m.placement.Within(buf[:0], m.placement.Center(first), m.cfg.Radius)
 	cands := make([]core.ChainCandidate, 1, len(near)+1)
 	cands[0] = core.ChainCandidate{ID: int(first), Addr: addr, Slowdown: planner.Slowdown(st)}
 	for _, id := range near {

@@ -11,7 +11,8 @@ import (
 
 // TestPredictorsConcurrentPrediction: every trained predictor must be
 // read-only at prediction time — a prepared Env shares one predictor across
-// all concurrent simulation runs. Run under -race in CI.
+// all concurrent simulation runs, and a sharded run's decide pass predicts
+// from every shard at once. Run under -race in CI.
 func TestPredictorsConcurrentPrediction(t *testing.T) {
 	ds, pl := testEnv(t, trace.KAISTConfig(), 20*time.Second)
 	train, test := ds.Train, ds.Test
@@ -19,6 +20,7 @@ func TestPredictorsConcurrentPrediction(t *testing.T) {
 		&SVR{Seed: 1},
 		&Markov{},
 		&Linear{},
+		&LSTM{Seed: 1, Epochs: 1, MaxExamples: 50},
 	}
 	for _, p := range preds {
 		if err := p.Fit(train, pl, 3); err != nil {
